@@ -25,6 +25,7 @@ from .diagrams import (
 )
 from .dualities import (
     CentralizerData,
+    DualityCell,
     DualityReport,
     centralizer_data,
     default_grid,
@@ -87,11 +88,14 @@ from .tensor_actions import (
     ActionSpace,
     action_matrix_U,
     action_matrix_V,
+    action_targets,
     match_set_c,
     match_set_hat,
     match_set_partial,
     match_set_tilde,
     rook_action_matrix,
+    targets_commute,
+    targets_matrix,
 )
 
 __version__ = "0.1.0"

@@ -8,17 +8,36 @@ package checks, with exact arithmetic: that the two actions commute,
 that each image algebra is the full commutant of the other, and that
 the semigroup and algebra representations are faithful exactly when the
 size predicates say they should be.
+
+All checks at one (n, k, space) cell share one ``DualityCell``.  It
+enumerates the left generators, the left elements and the right
+elements, and builds their actions as target tuples (see
+``tensor_actions``), each at most once and only when a check first asks
+for it, so a check never pays for a size guard it does not need.  On
+the tuples, commutation is ``targets_commute``, semigroup faithfulness
+is distinctness, and spans are exact row spaces of the 0/1 vectors.
+Only the commutant solves see ``ExactMatrix`` objects, converted once
+per side.  Nothing is kept across cells.
 """
 
 from dataclasses import dataclass
 
-from .diagrams import enumerate_is, enumerate_istar, enumerate_pistar
-from .exact_linalg import RowSpace, commutant_basis, span_dimension
+from .diagrams import PartialInjection, enumerate_is, enumerate_istar, enumerate_pistar
+from .exact_linalg import RowSpace, commutant_basis
 from .semigroups import is_generators
-from .tensor_actions import ActionSpace, action_matrix_U, action_matrix_V, rook_action_matrix
+from .tensor_actions import ActionSpace, action_targets, targets_commute, targets_matrix
 
 SEMIGROUP_KINDS = ("is_on_V", "istar_on_V", "is_on_U", "pistar_on_U")
 ALGEBRA_KINDS = ("contracted_is_on_V", "istar_on_V", "is_on_U", "pistar_on_U")
+
+# Each kind above names one side of one space.
+KIND_SIDES = {
+    "is_on_V": ("V", "left"),
+    "contracted_is_on_V": ("V", "left"),
+    "istar_on_V": ("V", "right"),
+    "is_on_U": ("U", "left"),
+    "pistar_on_U": ("U", "right"),
+}
 
 V_FULL_CELLS = tuple((n, k) for n in (1, 2, 3) for k in (1, 2, 3))
 V_SPAN_CELLS = ((4, 2), (2, 4), (4, 4))
@@ -26,43 +45,135 @@ U_FULL_CELLS = tuple((n, k) for n in (1, 2) for k in (1, 2))
 U_SPAN_CELLS = ((3, 2), (2, 3))
 
 
-def _space(space: str, n: int, k: int) -> ActionSpace:
-    return ActionSpace(space, n, k)
+def _vector(targets) -> dict:
+    """The flattened 0/1 matrix of a target tuple, coordinate row*d + col."""
+    d = len(targets)
+    return {t * d + c: 1 for c, t in enumerate(targets) if t >= 0}
+
+
+def _row_space(vectors) -> RowSpace:
+    space = RowSpace()
+    for v in vectors:
+        space.add(v)
+    return space
+
+
+class DualityCell:
+    """The two actions at one (n, k, space) cell, shared by every check
+    there.  Element lists, target tuples and row spaces are built on
+    first use and kept for the cell's lifetime."""
+
+    def __init__(self, n: int, k: int, space: str, unguarded=False):
+        self.n = n
+        self.k = k
+        self.space = ActionSpace(space, n, k)
+        self.unguarded = unguarded
+        self._parts = {}
+
+    def _part(self, key, build):
+        if key not in self._parts:
+            self._parts[key] = build()
+        return self._parts[key]
+
+    def _act(self, elements) -> list:
+        return [action_targets(e, self.space, "plain", self.unguarded) for e in elements]
+
+    @property
+    def left_generators(self) -> list:
+        """Targets of the rook-monoid generators, with the identity."""
+
+        def build():
+            gens = is_generators(self.n)
+            ident = PartialInjection.identity(self.n)
+            if ident not in gens:
+                gens = [ident] + gens
+            return self._act(gens)
+
+        return self._part("left_generators", build)
+
+    @property
+    def left_elements(self) -> list:
+        return self._part("left_elements", lambda: enumerate_is(self.n))
+
+    @property
+    def right_elements(self) -> list:
+        enum = enumerate_istar if self.space.kind == "V" else enumerate_pistar
+        return self._part("right_elements", lambda: enum(self.k))
+
+    def targets(self, side: str) -> list:
+        """Targets of every element of one side, in enumeration order."""
+        elements = self.left_elements if side == "left" else self.right_elements
+        return self._part(("targets", side), lambda: self._act(elements))
+
+    def span(self, side: str) -> RowSpace:
+        """Row space spanned by one side's element matrices."""
+        return self._part(
+            ("span", side), lambda: _row_space(_vector(t) for t in self.targets(side))
+        )
+
+    def commutant(self, side: str) -> list:
+        """Commutant basis of one side: the left side through its
+        generators, the right side through all of its elements."""
+        sources = self.left_generators if side == "left" else self.targets("right")
+        matrices = [targets_matrix(t) for t in sources]
+        return commutant_basis(matrices, self.space.dimension, self.unguarded)
+
+    def commutes(self) -> bool:
+        """Every left generator commutes with every right element."""
+        lefts = self.left_generators
+        return all(targets_commute(g, a) for g in lefts for a in self.targets("right"))
+
+    def half_centralizer(self, side: str) -> tuple:
+        """One direction of the double centralizer: the commutant
+        dimension of ``side``, the span dimension of the other side, and
+        whether each lies in the other's span."""
+        other = "right" if side == "left" else "left"
+        elements = [_vector(t) for t in self.targets(other)]
+        comm = [m.vectorize() for m in self.commutant(side)]
+        comm_space = _row_space(comm)
+        span = self.span(other)
+        return (
+            len(comm),
+            span.dimension,
+            all(comm_space.contains(v) for v in elements),
+            all(span.contains(v) for v in comm),
+        )
+
+    def semigroup_faithful(self, side: str) -> bool:
+        """Distinct elements act by distinct target tuples."""
+        targets = self.targets(side)
+        return len(set(targets)) == len(targets)
+
+    def algebra_faithful(self, side: str) -> bool:
+        """The element matrices are linearly independent.  On V the
+        all-undefined rook element acts by zero and is left out (the
+        contracted rook algebra); the span is the same either way."""
+        count = len(self.targets(side))
+        if side == "left" and self.space.kind == "V":
+            count = sum(1 for e in self.left_elements if e.rank() > 0)
+        return self.span(side).dimension == count
 
 
 def left_generator_matrices(n: int, k: int, space: str, unguarded=False) -> list:
     """Rook-monoid generator matrices (with the identity) on the space."""
-    sp = _space(space, n, k)
-    gens = is_generators(n)
-    from .diagrams import PartialInjection
-
-    ident = PartialInjection.identity(n)
-    if ident not in gens:
-        gens = [ident] + gens
-    return [rook_action_matrix(g, sp, unguarded) for g in gens]
+    cell = DualityCell(n, k, space, unguarded)
+    return [targets_matrix(t) for t in cell.left_generators]
 
 
 def left_element_matrices(n: int, k: int, space: str, unguarded=False) -> list:
-    sp = _space(space, n, k)
-    return [rook_action_matrix(g, sp, unguarded) for g in enumerate_is(n)]
+    cell = DualityCell(n, k, space, unguarded)
+    return [targets_matrix(t) for t in cell.targets("left")]
 
 
 def right_element_matrices(n: int, k: int, space: str, unguarded=False) -> list:
-    sp = _space(space, n, k)
-    if space == "V":
-        return [action_matrix_V(a, sp, unguarded) for a in enumerate_istar(k)]
-    return [
-        action_matrix_U(a, sp, variant="plain", unguarded=unguarded)
-        for a in enumerate_pistar(k)
-    ]
+    cell = DualityCell(n, k, space, unguarded)
+    return [targets_matrix(t) for t in cell.targets("right")]
 
 
 def verify_commutation(n: int, k: int, space: str, unguarded=False) -> bool:
     """Exact commutation of the two actions: every generator matrix of
     the rook monoid commutes with every diagram matrix."""
-    lefts = left_generator_matrices(n, k, space, unguarded)
-    rights = right_element_matrices(n, k, space, unguarded)
-    return all(g * a == a * g for g in lefts for a in rights)
+    return DualityCell(n, k, space, unguarded).commutes()
 
 
 @dataclass(frozen=True)
@@ -93,74 +204,36 @@ class CentralizerData:
         )
 
 
-def _mutual_span_equal(basis_a: list, basis_b: list) -> bool:
-    """Span equality via mutual membership, exactly."""
-    space_a = RowSpace()
-    for m in basis_a:
-        space_a.add(m.vectorize())
-    space_b = RowSpace()
-    for m in basis_b:
-        space_b.add(m.vectorize())
-    return all(space_a.contains(m.vectorize()) for m in basis_b) and all(
-        space_b.contains(m.vectorize()) for m in basis_a
+def _centralizer(cell: DualityCell) -> CentralizerData:
+    comm_left, span_right, right_in, comm_left_in = cell.half_centralizer("left")
+    comm_right, span_left, left_in, comm_right_in = cell.half_centralizer("right")
+    return CentralizerData(
+        dim_commutant_of_left=comm_left,
+        dim_span_of_right=span_right,
+        dim_commutant_of_right=comm_right,
+        dim_span_of_left=span_left,
+        right_matches_left_commutant=right_in and comm_left_in,
+        left_matches_right_commutant=left_in and comm_right_in,
     )
 
 
 def centralizer_data(n: int, k: int, space: str, unguarded=False) -> CentralizerData:
     """Both directions of the double-centralizer check at one size."""
-    sp = _space(space, n, k)
-    d = sp.dimension
-    left_gens = left_generator_matrices(n, k, space, unguarded)
-    rights = right_element_matrices(n, k, space, unguarded)
-    lefts = left_element_matrices(n, k, space, unguarded)
-
-    comm_left = commutant_basis(left_gens, d, unguarded)
-    comm_right = commutant_basis(rights, d, unguarded)
-
-    return CentralizerData(
-        dim_commutant_of_left=len(comm_left),
-        dim_span_of_right=span_dimension(rights),
-        dim_commutant_of_right=len(comm_right),
-        dim_span_of_left=span_dimension(lefts),
-        right_matches_left_commutant=_mutual_span_equal(comm_left, rights),
-        left_matches_right_commutant=_mutual_span_equal(comm_right, lefts),
-    )
+    return _centralizer(DualityCell(n, k, space, unguarded))
 
 
 def verify_centralizer(n: int, k: int, space: str, unguarded=False):
     """4-tuple of the left-direction check: commutant dimension,
     right span dimension, and the two span inclusions."""
-    sp = _space(space, n, k)
-    left_gens = left_generator_matrices(n, k, space, unguarded)
-    rights = right_element_matrices(n, k, space, unguarded)
-    comm = commutant_basis(left_gens, sp.dimension, unguarded)
-    comm_space = RowSpace()
-    for m in comm:
-        comm_space.add(m.vectorize())
-    right_space = RowSpace()
-    for m in rights:
-        right_space.add(m.vectorize())
-    return (
-        len(comm),
-        right_space.dimension,
-        all(comm_space.contains(m.vectorize()) for m in rights),
-        all(right_space.contains(m.vectorize()) for m in comm),
-    )
+    return DualityCell(n, k, space, unguarded).half_centralizer("left")
 
 
 def verify_semigroup_faithfulness(n: int, k: int, which: str, unguarded=False) -> bool:
     """True iff element -> matrix is injective for the named action."""
     if which not in SEMIGROUP_KINDS:
         raise ValueError(f"unknown action {which!r}")
-    if which == "is_on_V":
-        mats = left_element_matrices(n, k, "V", unguarded)
-    elif which == "is_on_U":
-        mats = left_element_matrices(n, k, "U", unguarded)
-    elif which == "istar_on_V":
-        mats = right_element_matrices(n, k, "V", unguarded)
-    else:
-        mats = right_element_matrices(n, k, "U", unguarded)
-    return len(set(mats)) == len(mats)
+    space, side = KIND_SIDES[which]
+    return DualityCell(n, k, space, unguarded).semigroup_faithful(side)
 
 
 def verify_algebra_faithfulness(n: int, k: int, which: str, unguarded=False) -> bool:
@@ -169,17 +242,8 @@ def verify_algebra_faithfulness(n: int, k: int, which: str, unguarded=False) -> 
     zero matrix and is excluded from the basis)."""
     if which not in ALGEBRA_KINDS:
         raise ValueError(f"unknown algebra {which!r}")
-    if which == "contracted_is_on_V":
-        sp = _space("V", n, k)
-        elements = [e for e in enumerate_is(n) if e.rank() > 0]
-        mats = [rook_action_matrix(e, sp, unguarded) for e in elements]
-    elif which == "is_on_U":
-        mats = left_element_matrices(n, k, "U", unguarded)
-    elif which == "istar_on_V":
-        mats = right_element_matrices(n, k, "V", unguarded)
-    else:
-        mats = right_element_matrices(n, k, "U", unguarded)
-    return span_dimension(mats) == len(mats)
+    space, side = KIND_SIDES[which]
+    return DualityCell(n, k, space, unguarded).algebra_faithful(side)
 
 
 def predicted_semigroup_faithful(n: int, k: int, which: str) -> bool:
@@ -250,18 +314,19 @@ def run_full_report(
         sgrp_left, sgrp_right = "is_on_U", "pistar_on_U"
         alg_left, alg_right = "is_on_U", "pistar_on_U"
 
-    commute_ok = verify_commutation(n, k, space, unguarded)
+    cell = DualityCell(n, k, space, unguarded)
+    commute_ok = cell.commutes()
     if with_commutant:
-        data = centralizer_data(n, k, space, unguarded)
+        data = _centralizer(cell)
         centralizer_dims, centralizer_ok = data.dims, data.ok
     else:
         centralizer_dims, centralizer_ok = None, None
 
     computed = {
-        "sl": verify_semigroup_faithfulness(n, k, sgrp_left, unguarded),
-        "sr": verify_semigroup_faithfulness(n, k, sgrp_right, unguarded),
-        "al": verify_algebra_faithfulness(n, k, alg_left, unguarded),
-        "ar": verify_algebra_faithfulness(n, k, alg_right, unguarded),
+        "sl": cell.semigroup_faithful("left"),
+        "sr": cell.semigroup_faithful("right"),
+        "al": cell.algebra_faithful("left"),
+        "ar": cell.algebra_faithful("right"),
     }
     predicted = {
         "sl": predicted_semigroup_faithful(n, k, sgrp_left),

@@ -136,7 +136,10 @@ def multiply_istar(alpha: SetPartition, beta: SetPartition) -> SetPartition:
     if not (is_dual_element(alpha) and is_dual_element(beta)):
         raise ValueError("multiply_istar needs dual elements")
     result = multiply_composition(alpha, beta)
-    assert result.garbage_count == 0
+    if result.garbage_count:
+        raise RuntimeError(
+            f"dual elements composed with {result.garbage_count} garbage components"
+        )
     return result.diagram
 
 

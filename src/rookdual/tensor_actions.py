@@ -2,18 +2,29 @@
 
 V has basis e_1..e_n; U adjoins e_0.  A tensor index is a plain tuple
 of k digits, ordered mixed-radix with the first digit most significant,
-and its position in that order is the matrix coordinate.  Every matrix
-built here is {0,1}-entried: a diagram either transports a basis vector
-to another one (or a sum of them, for composition elements with free
-output blocks) or kills it.
+and its position in that order (its ordinal) is the matrix coordinate.
 
-Diagrams act through match sets: the set of output indices compatible
-with a given input index under the block constraints.  The plain,
-deformed-hat and deformed-tilde variants differ only in which block
-values are admissible (zero allowed or not, distinctness across
-blocks).  Diagram actions are right actions, so the matrix of a
-product composes in reverse order; partial injections act on the left
-with the usual order.
+Every rook, dual, partial dual, hat and tilde element sends each basis
+tensor to one basis tensor or to zero, so its action is stored as a
+target tuple T of length d = dim: input ordinal c goes to T[c], and
+T[c] == -1 means the tensor is killed.  The matrix has column c with
+its only 1 in row T[c].  ``action_targets`` builds the tuple once per
+element: it reads the element's blocks once, turns each into the
+weight one unit of its digit adds to the input and to the output
+ordinal, and enumerates the admissible digit assignments to the blocks
+(zero allowed or not, distinctness across blocks: this is where the
+plain, hat and tilde variants differ).  Every input no assignment
+reaches is killed.  Products of these matrices are compositions of
+tuples, and commutation is ``targets_commute``.
+
+Only composition elements with a free output block (a block with
+output positions but no input position) send a tensor to a sum; their
+matrices still go through the general match set ``match_set_c``.  The
+other ``match_set_*`` functions give one input's image directly.
+
+Diagram actions are right actions, so the matrix of a product composes
+in reverse order; partial injections act on the left with the usual
+order.
 """
 
 import itertools
@@ -28,6 +39,7 @@ from .diagrams import (
 from .exact_linalg import ExactMatrix
 
 TensorIndex = tuple[int, ...]
+Targets = tuple[int, ...]
 
 DIMENSION_LIMIT = 4096
 
@@ -181,10 +193,148 @@ def match_set_tilde(alpha: SetPartition, i: TensorIndex, n: int) -> set:
     return {_assemble_output(alpha, values)}
 
 
-def _matrix_from_match(space: ActionSpace, match) -> ExactMatrix:
+def targets_matrix(targets: Targets) -> ExactMatrix:
+    """The 0/1 matrix of a target tuple: column c holds its only 1 in
+    row ``targets[c]``, and no entry at all where that is -1."""
+    d = len(targets)
+    return ExactMatrix(d, d, {(t, c): 1 for c, t in enumerate(targets) if t >= 0})
+
+
+def targets_commute(g: Targets, a: Targets) -> bool:
+    """True iff the two matrices commute, i.e. g[a[c]] == a[g[c]] for
+    every input c.  Appending -1 to both tuples makes index -1 read -1,
+    so a killed tensor stays killed through the second map."""
+    g_ext, a_ext = g + (-1,), a + (-1,)
+    return all(g_ext[x] == a_ext[y] for x, y in zip(a, g))
+
+
+def _rook_targets(pi: PartialInjection, space: ActionSpace) -> Targets:
+    """Digit by digit, most significant first: each position carries a
+    live digit x to its image, and any other digit kills the tensor."""
+    low, base = space.low, space.n + 1 - space.low
+    live = [(x - low, t - low) for x, t in enumerate(pi.targets, 1) if t is not None]
+    if low == 0:
+        live.insert(0, (0, 0))
+    pairs = [(0, 0)]
+    for _ in range(space.k):
+        pairs = [(a * base + x, b * base + y) for a, b in pairs for x, y in live]
+    targets = [-1] * space.dimension
+    for a, b in pairs:
+        targets[a] = b
+    return tuple(targets)
+
+
+def _block_weights(alpha: SetPartition, space: ActionSpace):
+    """Per block, the amounts one unit of its digit adds to the input and
+    to the output ordinal; None if some block has output positions but
+    no input position (a free output block)."""
+    base = space.n + 1 - space.low
+    weights = []
+    for block in alpha.blocks:
+        w_in = w_out = 0
+        for p in block:
+            w = base ** (space.k - p.index)
+            if p.primed:
+                w_out += w
+            else:
+                w_in += w
+        if not w_in:
+            return None
+        weights.append((w_in, w_out))
+    return weights
+
+
+def _fill(space: ActionSpace, weights, assignments) -> Targets:
+    """Target tuple from the admissible digit assignments to the blocks;
+    every input no assignment reaches is killed."""
+    low = space.low
+    targets = [-1] * space.dimension
+    for values in assignments:
+        src = dst = 0
+        for v, (w_in, w_out) in zip(values, weights):
+            src += (v - low) * w_in
+            dst += (v - low) * w_out
+        targets[src] = dst
+    return tuple(targets)
+
+
+def _composition_targets(alpha: SetPartition, space: ActionSpace, unguarded: bool):
+    """Targets of a composition element on V^k, or None when it has a
+    free output block."""
+    if alpha.k != space.k:
+        raise ValueError("diagram size disagrees with the space")
+    space.guard(unguarded)
+    weights = _block_weights(alpha.completed(), space)
+    if weights is None:
+        return None
+    digits = range(1, space.n + 1)
+    return _fill(space, weights, itertools.product(digits, repeat=len(weights)))
+
+
+def _nonzero_distinct(values) -> bool:
+    nonzero = [v for v in values if v]
+    return len(set(nonzero)) == len(nonzero)
+
+
+def _u_targets(element, space: ActionSpace, variant: str, unguarded: bool) -> Targets:
+    space.guard(unguarded)
+    if variant == "hat":
+        hat = element if isinstance(element, HatElement) else HatElement.wrap(element)
+        if hat.k != space.k:
+            raise ValueError("diagram size disagrees with the space")
+        if hat.is_zero:
+            return (-1,) * space.dimension
+        alpha = hat.diagram
+    elif variant in ("plain", "tilde"):
+        if element.k != space.k:
+            raise ValueError("diagram size disagrees with the space")
+        if not is_partial_dual_element(element):
+            raise ValueError(f"the {variant} action needs a partial dual element")
+        alpha = element
+    else:
+        raise ValueError(f"unknown variant {variant!r}")
+    weights = _block_weights(alpha, space)
+    m, n = len(weights), space.n
+    if variant == "plain":
+        assignments = itertools.product(range(n + 1), repeat=m)
+    elif variant == "hat":
+        assignments = itertools.permutations(range(1, n + 1), m)
+    else:
+        assignments = filter(_nonzero_distinct, itertools.product(range(n + 1), repeat=m))
+    return _fill(space, weights, assignments)
+
+
+def action_targets(
+    element, space: ActionSpace, variant: str = "plain", unguarded: bool = False
+) -> Targets:
+    """Target tuple of a partial injection (plain action), or of a
+    diagram: a composition element without free output blocks on V^k,
+    a partial dual or hat element on U^k under the given variant."""
+    if isinstance(element, PartialInjection):
+        if variant != "plain":
+            raise ValueError("partial injections have only the plain action")
+        if element.n != space.n:
+            raise ValueError("injection size disagrees with the space")
+        space.guard(unguarded)
+        return _rook_targets(element, space)
+    if space.kind == "U":
+        return _u_targets(element, space, variant, unguarded)
+    if variant != "plain":
+        raise ValueError("V^k carries only the plain action")
+    targets = _composition_targets(element, space, unguarded)
+    if targets is None:
+        raise ValueError(
+            "a free output block sends a tensor to a sum; use action_matrix_V"
+        )
+    return targets
+
+
+def _free_output_matrix(alpha: SetPartition, space: ActionSpace) -> ExactMatrix:
+    """Matrix of a composition element with free output blocks, which
+    send one basis tensor to the sum over every digit they can carry."""
     entries = {}
     for col, i in enumerate(space.indices()):
-        for l in match(i):
+        for l in match_set_c(alpha, i, space.n):
             entries[(space.ordinal(l), col)] = 1
     return ExactMatrix(space.dimension, space.dimension, entries)
 
@@ -195,10 +345,10 @@ def action_matrix_V(
     """Matrix of a composition/dual element on V^k (columns = inputs)."""
     if space.kind != "V":
         raise ValueError("action_matrix_V needs a V space")
-    if alpha.k != space.k:
-        raise ValueError("diagram size disagrees with the space")
-    space.guard(unguarded)
-    return _matrix_from_match(space, lambda i: match_set_c(alpha, i, space.n))
+    targets = _composition_targets(alpha, space, unguarded)
+    if targets is None:
+        return _free_output_matrix(alpha, space)
+    return targets_matrix(targets)
 
 
 def rook_action_matrix(
@@ -206,23 +356,7 @@ def rook_action_matrix(
 ) -> ExactMatrix:
     """Entrywise action of a partial injection on V^k or U^k: digits map
     through pi (0 is fixed on U); any undefined digit kills the vector."""
-    if pi.n != space.n:
-        raise ValueError("injection size disagrees with the space")
-    space.guard(unguarded)
-
-    def match(i):
-        out = []
-        for digit in i:
-            if digit == 0:
-                out.append(0)
-                continue
-            t = pi.targets[digit - 1]
-            if t is None:
-                return set()
-            out.append(t)
-        return {tuple(out)}
-
-    return _matrix_from_match(space, match)
+    return targets_matrix(action_targets(pi, space, "plain", unguarded))
 
 
 def action_matrix_U(
@@ -231,22 +365,4 @@ def action_matrix_U(
     """Matrix of a partial dual element (or hat element) on U^k."""
     if space.kind != "U":
         raise ValueError("action_matrix_U needs a U space")
-    space.guard(unguarded)
-    if variant == "plain":
-        if element.k != space.k:
-            raise ValueError("diagram size disagrees with the space")
-        return _matrix_from_match(
-            space, lambda i: match_set_partial(element, i, space.n)
-        )
-    if variant == "hat":
-        hat = element if isinstance(element, HatElement) else HatElement.wrap(element)
-        if hat.k != space.k:
-            raise ValueError("diagram size disagrees with the space")
-        return _matrix_from_match(space, lambda i: match_set_hat(hat, i, space.n))
-    if variant == "tilde":
-        if element.k != space.k:
-            raise ValueError("diagram size disagrees with the space")
-        return _matrix_from_match(
-            space, lambda i: match_set_tilde(element, i, space.n)
-        )
-    raise ValueError(f"unknown variant {variant!r}")
+    return targets_matrix(_u_targets(element, space, variant, unguarded))

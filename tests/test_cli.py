@@ -4,6 +4,7 @@ Everything runs in-process through ``main`` so we can check exit codes
 and capture output without shelling out.
 """
 
+import hashlib
 import json
 from importlib.resources import files
 
@@ -187,6 +188,23 @@ def test_verify_json_is_byte_identical(capsys):
     _, first, _ = run_cli(capsys, *argv)
     _, second, _ = run_cli(capsys, *argv)
     assert first == second
+
+
+# sha256 of the full stdout of ``rookdual verify --all``, pinned from a
+# run of the Fraction-matrix implementation; the same under any
+# PYTHONHASHSEED.
+VERIFY_ALL_SHA256 = {
+    "json": "290148f50502d3f05f57e051758a03b2a86bf6f08a7fce16fed7612a4e6e96ac",
+    "text": "bce49dbd8e0b79dcb15e2b90c588d4452dec42d82e18ad313f75c67b8311f5f6",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(VERIFY_ALL_SHA256))
+def test_verify_all_report_is_golden(fmt, capsys):
+    code, out, err = run_cli(capsys, "verify", "--all", "--format", fmt)
+    assert code == 0
+    assert err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_SHA256[fmt]
 
 
 def test_out_writes_file(tmp_path, capsys):

@@ -12,7 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rookdual.semigroups
 from rookdual import (
+    CompositionResult,
     HatElement,
     PartialInjection,
     SetPartition,
@@ -172,6 +174,21 @@ def test_istar_rejects_partial_input():
     partial = canonicalize([[unprimed(1), primed(1)]], 2)
     with pytest.raises(ValueError):
         multiply_istar(partial, SetPartition.identity(2))
+
+
+def test_istar_garbage_is_an_internal_error(monkeypatch):
+    """Garbage in a product of dual elements is a bug, not bad input: the
+    check survives ``python -O`` and is no ValueError, which the command
+    line would report as a usage error."""
+    ident = SetPartition.identity(2)
+    monkeypatch.setattr(
+        rookdual.semigroups,
+        "multiply_composition",
+        lambda a, b: CompositionResult(ident, 1),
+    )
+    with pytest.raises(RuntimeError) as info:
+        multiply_istar(ident, ident)
+    assert not isinstance(info.value, ValueError)
 
 
 def test_istar_associativity():

@@ -1,8 +1,10 @@
-"""Match sets and exact action matrices.
+"""Match sets, target tuples and exact action matrices.
 
 The match-set oracles here scan every candidate output index and check
 the block conditions directly on the raw blocks, so they are slow but
-independent of the constraint-propagation implementation.
+independent of the constraint-propagation implementation.  The target
+tuples are checked in turn against matrices built one input index at a
+time through the match sets, on every space of dimension at most 27.
 """
 
 import itertools
@@ -12,12 +14,15 @@ import pytest
 
 from rookdual import (
     ActionSpace,
+    DualityCell,
+    ExactMatrix,
     HatElement,
     PartialInjection,
     SetPartition,
     SizeGuardError,
     action_matrix_U,
     action_matrix_V,
+    action_targets,
     canonicalize,
     enumerate_is,
     enumerate_istar,
@@ -32,7 +37,14 @@ from rookdual import (
     parse_element,
     primed,
     rook_action_matrix,
+    targets_commute,
+    targets_matrix,
     unprimed,
+)
+from rookdual.diagrams import (
+    ENUM_LIMIT_DUAL,
+    ENUM_LIMIT_INJECTIONS,
+    ENUM_LIMIT_PARTIAL_DUAL,
 )
 from rookdual.semigroups import bullet_multiply, star_multiply
 
@@ -360,3 +372,113 @@ def test_variant_validation():
         action_matrix_U(SetPartition.identity(2), spu, "nope")
     with pytest.raises(ValueError):
         action_matrix_V(SetPartition.identity(2), spu)
+
+
+def test_free_output_blocks_still_act_by_sums():
+    sp = ActionSpace("V", 2, 1)
+    free = canonicalize([[unprimed(1)], [primed(1)]], 1)
+    assert action_matrix_V(free, sp).entries == {(r, c): 1 for r in (0, 1) for c in (0, 1)}
+    with pytest.raises(ValueError):
+        action_targets(free, sp)
+
+
+# target tuples against the match-set route
+
+
+def _matrix_from_match(space, match):
+    """One match set per input index, as the action matrices were built
+    before target tuples."""
+    entries = {}
+    for col, i in enumerate(space.indices()):
+        for l in match(i):
+            entries[(space.ordinal(l), col)] = 1
+    return ExactMatrix(space.dimension, space.dimension, entries)
+
+
+def _rook_match(pi):
+    def match(i):
+        out = []
+        for digit in i:
+            if digit == 0:
+                out.append(0)
+                continue
+            t = pi.targets[digit - 1]
+            if t is None:
+                return set()
+            out.append(t)
+        return {tuple(out)}
+
+    return match
+
+
+def _oracle_spaces():
+    """Every space of dimension at most 27 on which both families
+    enumerate within the guards."""
+    spaces = []
+    for kind, k_limit in (("V", ENUM_LIMIT_DUAL), ("U", ENUM_LIMIT_PARTIAL_DUAL)):
+        for n in range(1, ENUM_LIMIT_INJECTIONS + 1):
+            for k in range(1, k_limit + 1):
+                sp = ActionSpace(kind, n, k)
+                if sp.dimension <= 27:
+                    spaces.append(sp)
+    return spaces
+
+
+ORACLE_SPACES = _oracle_spaces()
+
+
+def _space_id(sp):
+    return f"{sp.kind}{sp.n},{sp.k}"
+
+
+def _diagram_cases(space):
+    """(element, variant, match) for every diagram acting on the space:
+    the dual elements on V; on U every partial dual element under each
+    variant, and the adjoined zero."""
+    n, k = space.n, space.k
+    if space.kind == "V":
+        return [
+            (a, "plain", lambda i, a=a: match_set_c(a, i, n)) for a in enumerate_istar(k)
+        ]
+    cases = [(HatElement.zero(k), "hat", lambda i: set())]
+    for a in enumerate_pistar(k):
+        hat = HatElement.wrap(a)
+        cases += [
+            (a, "plain", lambda i, a=a: match_set_partial(a, i, n)),
+            (hat, "hat", lambda i, h=hat: match_set_hat(h, i, n)),
+            (a, "tilde", lambda i, a=a: match_set_tilde(a, i, n)),
+        ]
+    return cases
+
+
+@pytest.mark.parametrize("space", ORACLE_SPACES, ids=_space_id)
+def test_target_tuples_match_the_match_set_matrices(space):
+    for pi in enumerate_is(space.n):
+        expected = _matrix_from_match(space, _rook_match(pi))
+        assert targets_matrix(action_targets(pi, space)) == expected, pi
+    for element, variant, match in _diagram_cases(space):
+        expected = _matrix_from_match(space, match)
+        got = targets_matrix(action_targets(element, space, variant))
+        assert got == expected, (element, variant)
+
+
+@pytest.mark.parametrize("space", ORACLE_SPACES, ids=_space_id)
+def test_tuple_checks_agree_with_matrix_products(space):
+    """Tuple commutation against products of matrices, on the cell's
+    generator/element pairs and, where the sides are small, on pairs
+    from one side (which need not commute); tuple distinctness against
+    distinctness of the matrices."""
+    cell = DualityCell(space.n, space.k, space.kind)
+    lefts, rights = cell.targets("left"), cell.targets("right")
+    matrix = {t: targets_matrix(t) for t in set(lefts) | set(rights)}
+    pairs = [(g, a) for g in cell.left_generators for a in rights]
+    for side in (lefts, rights):
+        if len(side) <= 34:
+            pairs += [(a, b) for a in side for b in side]
+    for g, a in pairs:
+        mg, ma = matrix[g], matrix[a]
+        assert targets_commute(g, a) == (mg * ma == ma * mg), (g, a)
+    for side, targets in (("left", lefts), ("right", rights)):
+        mats = [matrix[t] for t in targets]
+        assert cell.semigroup_faithful(side) == (len(set(mats)) == len(mats))
+
