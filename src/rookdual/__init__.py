@@ -42,13 +42,13 @@ from .exact_linalg import (
     AlgebraElement,
     ExactMatrix,
     RowSpace,
-    commutant_basis,
     in_span,
     rank,
     span_dimension,
 )
 from .morphisms import (
     MorphismReport,
+    bilinear,
     block_subset_sum,
     block_subset_sum_inverse,
     bullet_product,
@@ -67,7 +67,6 @@ from .morphisms import (
 from .notation import (
     FAMILIES,
     NotationError,
-    format_element,
     parse_element,
     parse_partial_injection,
     parse_set_partition,
@@ -75,7 +74,6 @@ from .notation import (
 from .semigroups import (
     CompositionResult,
     bullet_multiply,
-    compose_partial_injection,
     epsilon,
     is_generators,
     mulclose,
@@ -94,6 +92,7 @@ from .tensor_actions import (
     match_set_partial,
     match_set_tilde,
     rook_action_matrix,
+    targets_commutant,
     targets_commute,
     targets_matrix,
 )

@@ -5,7 +5,8 @@ and ``verify``.  All output is deterministic; JSON reports carry
 ``schema_version`` 1 and the ``verify`` report validates against the
 shipped ``schemas/verify.schema.json``.  Diagnostics go to stderr.
 Exit codes: 0 on success (for ``verify``: all checks match), 1 when a
-verification check fails, 2 on usage or size-guard errors.
+verification check fails, 2 on usage, notation or size-guard errors.
+Any other exception is a bug and propagates.
 """
 
 import argparse
@@ -19,8 +20,7 @@ from .diagrams import (
     enumerate_istar,
     enumerate_pistar,
 )
-from .dualities import centralizer_data, left_generator_matrices, right_element_matrices, run_grid
-from .exact_linalg import commutant_basis
+from .dualities import DualityCell, run_grid
 from .morphisms import (
     morphism_report,
     verify_hat_consistency,
@@ -121,14 +121,12 @@ class UsageError(ValueError):
     pass
 
 
-def _coordinate_lines(matrix) -> list:
-    return [
-        f"{r} {c} {v}" for (r, c), v in sorted(matrix.entries.items())
-    ]
+def _coordinate_lines(entries) -> list:
+    return [f"{r} {c} {v}" for (r, c), v in entries]
 
 
-def _coordinate_triplets(matrix) -> list:
-    return [[r, c, str(v)] for (r, c), v in sorted(matrix.entries.items())]
+def _coordinate_triplets(entries) -> list:
+    return [[r, c, str(v)] for (r, c), v in entries]
 
 
 def _cmd_enumerate(args) -> tuple:
@@ -201,15 +199,16 @@ def _cmd_act(args) -> tuple:
         family = "hat" if args.variant == "hat" else "pistar"
         element = parse_element(args.element, family, args.k)
         matrix = action_matrix_U(element, space, args.variant, args.unguarded)
+    entries = sorted(matrix.entries.items())
     if args.format == "json":
         payload = {
             "schema_version": 1,
             "rows": matrix.rows,
             "cols": matrix.cols,
-            "entries": _coordinate_triplets(matrix),
+            "entries": _coordinate_triplets(entries),
         }
         return _json(payload), 0
-    return "\n".join(_coordinate_lines(matrix)), 0
+    return "\n".join(_coordinate_lines(entries)), 0
 
 
 def _cmd_commutant(args) -> tuple:
@@ -221,12 +220,10 @@ def _cmd_commutant(args) -> tuple:
         "--space U pairs with --side left-is or right-pistar",
         not (args.space == "U" and args.side == "right-istar"),
     )
-    space = ActionSpace(args.space, args.n, args.k)
-    if args.side == "left-is":
-        mats = left_generator_matrices(args.n, args.k, args.space, args.unguarded)
-    else:
-        mats = right_element_matrices(args.n, args.k, args.space, args.unguarded)
-    basis = commutant_basis(mats, space.dimension, args.unguarded)
+    cell = DualityCell(args.n, args.k, args.space, args.unguarded)
+    classes = cell.commutant("left" if args.side == "left-is" else "right")
+    d = cell.space.dimension
+    basis = [[(divmod(x, d), 1) for x in members] for members in classes]
     if args.format == "json":
         payload = {
             "schema_version": 1,
@@ -328,8 +325,11 @@ def main(argv=None) -> int:
         "verify": _cmd_verify,
     }
     try:
+        for name in ("n", "k"):
+            value = getattr(args, name, None)
+            _require(f"--{name} must be a positive integer", value is None or value > 0)
         text, code = handlers[args.command](args)
-    except (SizeGuardError, UsageError, NotationError, ValueError) as exc:
+    except (SizeGuardError, UsageError, NotationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _emit(text, args.out)

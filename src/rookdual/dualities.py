@@ -16,16 +16,18 @@ elements, and builds their actions as target tuples (see
 for it, so a check never pays for a size guard it does not need.  On
 the tuples, commutation is ``targets_commute``, semigroup faithfulness
 is distinctness, and spans are exact row spaces of the 0/1 vectors.
-Only the commutant solves see ``ExactMatrix`` objects, converted once
-per side.  Nothing is kept across cells.
+A commutant is a list of classes of matrix coordinates
+(``targets_commutant``): its matrices are those constant on every class
+and zero off them, so a 0/1 matrix lies in it exactly when its support
+is a union of classes.  Nothing is kept across cells.
 """
 
 from dataclasses import dataclass
 
 from .diagrams import PartialInjection, enumerate_is, enumerate_istar, enumerate_pistar
-from .exact_linalg import RowSpace, commutant_basis
+from .exact_linalg import RowSpace
 from .semigroups import is_generators
-from .tensor_actions import ActionSpace, action_targets, targets_commute, targets_matrix
+from .tensor_actions import ActionSpace, action_targets, targets_commutant, targets_commute
 
 SEMIGROUP_KINDS = ("is_on_V", "istar_on_V", "is_on_U", "pistar_on_U")
 ALGEBRA_KINDS = ("contracted_is_on_V", "istar_on_V", "is_on_U", "pistar_on_U")
@@ -112,11 +114,11 @@ class DualityCell:
         )
 
     def commutant(self, side: str) -> list:
-        """Commutant basis of one side: the left side through its
-        generators, the right side through all of its elements."""
+        """Commutant basis of one side as coordinate classes (see
+        ``targets_commutant``): the left side through its generators,
+        the right side through all of its elements."""
         sources = self.left_generators if side == "left" else self.targets("right")
-        matrices = [targets_matrix(t) for t in sources]
-        return commutant_basis(matrices, self.space.dimension, self.unguarded)
+        return targets_commutant(sources, self.space.dimension, self.unguarded)
 
     def commutes(self) -> bool:
         """Every left generator commutes with every right element."""
@@ -128,15 +130,22 @@ class DualityCell:
         dimension of ``side``, the span dimension of the other side, and
         whether each lies in the other's span."""
         other = "right" if side == "left" else "left"
-        elements = [_vector(t) for t in self.targets(other)]
-        comm = [m.vectorize() for m in self.commutant(side)]
-        comm_space = _row_space(comm)
+        classes = self.commutant(side)
+        class_of = {x: c for c, members in enumerate(classes) for x in members}
+
+        def in_commutant(support) -> bool:
+            """The support is a union of classes."""
+            touched = {class_of.get(x) for x in support}
+            if None in touched:
+                return False
+            return sum(len(classes[c]) for c in touched) == len(support)
+
         span = self.span(other)
         return (
-            len(comm),
+            len(classes),
             span.dimension,
-            all(comm_space.contains(v) for v in elements),
-            all(span.contains(v) for v in comm),
+            all(in_commutant(_vector(t)) for t in self.targets(other)),
+            all(span.contains(dict.fromkeys(members, 1)) for members in classes),
         )
 
     def semigroup_faithful(self, side: str) -> bool:
@@ -152,22 +161,6 @@ class DualityCell:
         if side == "left" and self.space.kind == "V":
             count = sum(1 for e in self.left_elements if e.rank() > 0)
         return self.span(side).dimension == count
-
-
-def left_generator_matrices(n: int, k: int, space: str, unguarded=False) -> list:
-    """Rook-monoid generator matrices (with the identity) on the space."""
-    cell = DualityCell(n, k, space, unguarded)
-    return [targets_matrix(t) for t in cell.left_generators]
-
-
-def left_element_matrices(n: int, k: int, space: str, unguarded=False) -> list:
-    cell = DualityCell(n, k, space, unguarded)
-    return [targets_matrix(t) for t in cell.targets("left")]
-
-
-def right_element_matrices(n: int, k: int, space: str, unguarded=False) -> list:
-    cell = DualityCell(n, k, space, unguarded)
-    return [targets_matrix(t) for t in cell.targets("right")]
 
 
 def verify_commutation(n: int, k: int, space: str, unguarded=False) -> bool:

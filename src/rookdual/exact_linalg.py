@@ -1,17 +1,14 @@
 """Sparse exact linear algebra over the rationals.
 
-Everything the duality checks need reduces to three primitives on
-sparse rational vectors: rank, membership in a row space, and the null
-space of a sparse system (for commutants).  Vectors are dicts mapping
-coordinate -> Fraction with no explicit zeros; matrices store their
-entries the same way keyed by (row, col).  No tolerances anywhere."""
+Two primitives on sparse rational vectors: rank and membership in a
+row space, which is what the spans of the duality checks need.  Vectors
+are dicts mapping coordinate -> Fraction with no explicit zeros;
+matrices store their entries the same way keyed by (row, col).  No
+tolerances anywhere.  Commutants need no elimination: see
+``tensor_actions.targets_commutant``."""
 
 from fractions import Fraction
 from typing import Iterable
-
-from .diagrams import SizeGuardError
-
-COMMUTANT_UNKNOWN_LIMIT = 70_000
 
 
 class ExactMatrix:
@@ -173,71 +170,6 @@ def in_span(target: ExactMatrix, basis: Iterable[ExactMatrix]) -> bool:
     for m in basis:
         space.add(m.vectorize())
     return space.contains(target.vectorize())
-
-
-def commutant_basis(
-    generators: Iterable[ExactMatrix], d: int, unguarded: bool = False
-) -> list:
-    """Basis of {X : XG = GX for every generator G}.
-
-    Solves the stacked linear system over d*d unknowns by sparse
-    elimination; the result is one ExactMatrix per free variable, with
-    the free entry normalized to 1.  Because the sources of generators
-    in this package are monoid images, commuting with a generating set
-    is the same as commuting with the whole image algebra."""
-    if d * d > COMMUTANT_UNKNOWN_LIMIT and not unguarded:
-        raise SizeGuardError(
-            f"commutant guard: {d * d} unknowns exceed {COMMUTANT_UNKNOWN_LIMIT}"
-        )
-    gens = list(generators)
-    for g in gens:
-        if g.rows != d or g.cols != d:
-            raise ValueError("generators must be d x d")
-    space = RowSpace()
-    for g in gens:
-        by_col = {}
-        by_row = {}
-        for (r, c), v in g.entries.items():
-            by_col.setdefault(c, []).append((r, v))
-            by_row.setdefault(r, []).append((c, v))
-        for i in range(d):
-            for j in range(d):
-                eq = {}
-                for l, v in by_col.get(j, ()):
-                    key = i * d + l
-                    eq[key] = eq.get(key, 0) + v
-                for l, v in by_row.get(i, ()):
-                    key = l * d + j
-                    eq[key] = eq.get(key, 0) - v
-                if eq:
-                    space.add(eq)
-    return _null_space_matrices(space, d)
-
-
-def _null_space_matrices(space: RowSpace, d: int) -> list:
-    """Null-space basis of an echelon system, one matrix per free column."""
-    pivots = space.pivot_rows
-    n_unknowns = d * d
-    free_cols = [c for c in range(n_unknowns) if c not in pivots]
-    basis = []
-    pivot_cols_desc = sorted(pivots, reverse=True)
-    for f in free_cols:
-        x = {f: Fraction(1)}
-        for p in pivot_cols_desc:
-            if p > f:
-                continue
-            acc = Fraction(0)
-            for c, v in pivots[p].items():
-                if c == p:
-                    continue
-                xc = x.get(c)
-                if xc:
-                    acc += v * xc
-            if acc:
-                x[p] = -acc
-        entries = {divmod(c, d): v for c, v in x.items() if v}
-        basis.append(ExactMatrix(d, d, entries))
-    return basis
 
 
 class AlgebraElement:

@@ -18,6 +18,7 @@ blocks.  A generic triangular solve is kept alongside as an
 independent route to the same coefficients.
 """
 
+import functools
 import itertools
 import math
 import random
@@ -155,44 +156,37 @@ def extend_linearly(func, x: AlgebraElement) -> AlgebraElement:
     return total
 
 
-def star_product(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    """Bilinear star product on spans of diagrams; products that hit the
-    adjoined zero vanish (the contracted algebra)."""
-    k = _carrier_k(x, y)
+def bilinear(multiply, x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
+    """Bilinear extension of a product of basis elements; ``multiply``
+    returns a diagram, or None for the adjoined zero, whose term then
+    vanishes (the contracted algebra)."""
+    if x.carrier != y.carrier:
+        raise ValueError("carriers disagree")
     out: dict = {}
     for a, ca in x.terms.items():
         for b, cb in y.terms.items():
-            p = star_multiply(HatElement.wrap(a), HatElement.wrap(b))
-            if p.is_zero:
-                continue
-            out[p.diagram] = out.get(p.diagram, 0) + ca * cb
+            p = multiply(a, b)
+            if p is not None:
+                out[p] = out.get(p, 0) + ca * cb
     return AlgebraElement(x.carrier, out)
+
+
+def _star_diagram(a: SetPartition, b: SetPartition):
+    p = star_multiply(HatElement.wrap(a), HatElement.wrap(b))
+    return None if p.is_zero else p.diagram
+
+
+def star_product(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
+    """Bilinear star product on spans of diagrams."""
+    return bilinear(_star_diagram, x, y)
 
 
 def pistar_product(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    _carrier_k(x, y)
-    out: dict = {}
-    for a, ca in x.terms.items():
-        for b, cb in y.terms.items():
-            p = multiply_pistar(a, b)
-            out[p] = out.get(p, 0) + ca * cb
-    return AlgebraElement(x.carrier, out)
+    return bilinear(multiply_pistar, x, y)
 
 
 def bullet_product(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    _carrier_k(x, y)
-    out: dict = {}
-    for a, ca in x.terms.items():
-        for b, cb in y.terms.items():
-            p = bullet_multiply(a, b)
-            out[p] = out.get(p, 0) + ca * cb
-    return AlgebraElement(x.carrier, out)
-
-
-def _carrier_k(x: AlgebraElement, y: AlgebraElement) -> int:
-    if x.carrier != y.carrier:
-        raise ValueError("carriers disagree")
-    return int(x.carrier.rsplit("[", 1)[1].rstrip("]"))
+    return bilinear(bullet_multiply, x, y)
 
 
 @dataclass(frozen=True)
@@ -232,21 +226,7 @@ def morphism_report(
         raise ValueError(f"unknown map {map_name!r}")
 
     images = {alpha: forward(alpha) for alpha in elements}
-    star_cache: dict = {}
-
-    def cached_star(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-        out: dict = {}
-        for a, ca in x.terms.items():
-            for b, cb in y.terms.items():
-                key = (a, b)
-                p = star_cache.get(key)
-                if p is None:
-                    p = star_multiply(HatElement.wrap(a), HatElement.wrap(b))
-                    star_cache[key] = p
-                if p.is_zero:
-                    continue
-                out[p.diagram] = out.get(p.diagram, 0) + ca * cb
-        return AlgebraElement(x.carrier, out)
+    cached_star = functools.cache(_star_diagram)  # one memo per report
 
     if sample_pairs is None:
         pairs = [(a, b) for a in elements for b in elements]
@@ -259,7 +239,7 @@ def morphism_report(
     hom_ok = True
     for a, b in pairs:
         lhs = forward(multiply(a, b))
-        rhs = cached_star(images[a], images[b])
+        rhs = bilinear(cached_star, images[a], images[b])
         if lhs != rhs:
             hom_ok = False
             break

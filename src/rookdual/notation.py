@@ -30,10 +30,6 @@ class NotationError(ValueError):
         self.position = position
 
 
-def format_element(x) -> str:
-    return str(x)
-
-
 def parse_partial_injection(text: str, n: int | None = None) -> PartialInjection:
     """Parse ``[t1,...,tn]`` with ``-`` holes; n defaults to the length."""
     s = text.strip()

@@ -30,11 +30,6 @@ class CompositionResult(NamedTuple):
     garbage_count: int
 
 
-def compose_partial_injection(alpha: PartialInjection, beta: PartialInjection):
-    """Right-to-left composite: the result sends d to alpha(beta(d))."""
-    return alpha * beta
-
-
 def epsilon(n: int, fixed: frozenset | set) -> PartialInjection:
     """Idempotent acting as the identity on ``fixed``, undefined elsewhere."""
     fixed = frozenset(fixed)
@@ -64,7 +59,9 @@ def is_generators(n: int) -> list:
     return gens
 
 
-class _UnionFind:
+class UnionFind:
+    """Disjoint sets over hashable nodes, created on first ``find``."""
+
     def __init__(self):
         self.parent = {}
 
@@ -87,7 +84,7 @@ def _three_tier_components(alpha: SetPartition, beta: SetPartition):
     """Glue alpha's primed row to beta's unprimed row and return the
     component structure.  Nodes are ('a', i) outer-left, ('m', i) middle,
     ('b', i) outer-right.  Both factors must cover all their points."""
-    uf = _UnionFind()
+    uf = UnionFind()
     for block in alpha.blocks:
         nodes = [("a", p.index) if not p.primed else ("m", p.index) for p in block]
         for node in nodes[1:]:

@@ -17,6 +17,12 @@ plain, hat and tilde variants differ).  Every input no assignment
 reaches is killed.  Products of these matrices are compositions of
 tuples, and commutation is ``targets_commute``.
 
+The commutant of a set of target tuples needs no linear algebra either:
+``targets_commutant`` splits the d*d unknown entries into union-find
+classes that every commuting matrix holds constant, drops the classes
+forced to zero, and returns the rest, whose indicator matrices are the
+commutant basis.
+
 Only composition elements with a free output block (a block with
 output positions but no input position) send a tensor to a sum; their
 matrices still go through the general match set ``match_set_c``.  The
@@ -37,11 +43,13 @@ from .diagrams import (
     is_partial_dual_element,
 )
 from .exact_linalg import ExactMatrix
+from .semigroups import UnionFind
 
 TensorIndex = tuple[int, ...]
 Targets = tuple[int, ...]
 
 DIMENSION_LIMIT = 4096
+COMMUTANT_UNKNOWN_LIMIT = 70_000
 
 
 class ActionSpace:
@@ -206,6 +214,51 @@ def targets_commute(g: Targets, a: Targets) -> bool:
     so a killed tensor stays killed through the second map."""
     g_ext, a_ext = g + (-1,), a + (-1,)
     return all(g_ext[x] == a_ext[y] for x, y in zip(a, g))
+
+
+def targets_commutant(sources, d: int, unguarded: bool = False) -> list:
+    """Basis of {X : XG = GX for every source G}, as classes of
+    coordinates row*d + col; the basis matrix of a class has a 1 on each
+    of its coordinates and 0 elsewhere.
+
+    Entry (i, j) of XG = GX reads x[i, g[j]] = x[ginv[i], j], and a term
+    whose index is missing (-1) reads 0.  So each equation either joins
+    two unknowns into one class or forces one unknown, and with it its
+    class, to zero.  The non-zero classes come back as ascending tuples
+    sorted by their largest coordinate.  Because the sources are monoid
+    images in this package, commuting with a generating set is the same
+    as commuting with the whole image algebra."""
+    if d * d > COMMUTANT_UNKNOWN_LIMIT and not unguarded:
+        raise SizeGuardError(
+            f"commutant guard: {d * d} unknowns exceed {COMMUTANT_UNKNOWN_LIMIT}"
+        )
+    classes = UnionFind()
+    zero = set()
+    for g in sources:
+        if len(g) != d:
+            raise ValueError("source tuples must have length d")
+        ginv = [-1] * d
+        for c, t in enumerate(g):
+            if t >= 0:
+                if ginv[t] >= 0:
+                    raise ValueError("a source sends two tensors to one")
+                ginv[t] = c
+        for i, l in enumerate(ginv):
+            row, pre_row = i * d, l * d
+            for j, t in enumerate(g):
+                if t >= 0 and l >= 0:
+                    classes.union(row + t, pre_row + j)
+                elif t >= 0:
+                    zero.add(row + t)
+                elif l >= 0:
+                    zero.add(pre_row + j)
+    dead = {classes.find(x) for x in zero}
+    members = {}
+    for x in range(d * d):
+        root = classes.find(x)
+        if root not in dead:
+            members.setdefault(root, []).append(x)
+    return sorted((tuple(m) for m in members.values()), key=lambda m: m[-1])
 
 
 def _rook_targets(pi: PartialInjection, space: ActionSpace) -> Targets:

@@ -207,6 +207,49 @@ def test_verify_all_report_is_golden(fmt, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_SHA256[fmt]
 
 
+# sha256 of the full stdout of ``rookdual commutant ... --basis``,
+# pinned from a run of the Fraction null-space solver; the same under any
+# PYTHONHASHSEED.
+COMMUTANT_BASIS_SHA256 = {
+    ("V", "2", "2", "left-is"): (
+        "521ccb9244834e5d7160fd515c23aa23a58487ed225fdba55d4ee9c62bd97372",
+        "1d12596959cd3c3b590dc93270925f30af22230d4edb420eeb0ce72b0b0e337e",
+    ),
+    ("V", "2", "2", "right-istar"): (
+        "d5999459c045b50db4664ed77bbda13219a9f8f7b79e57b1bec1d67180585bf8",
+        "a57656c619622c396f04bf2f0f39de59b01704fdcc7ab9a52b9d13c16070e7ce",
+    ),
+    ("U", "2", "2", "left-is"): (
+        "93943e21a23470e0d0067dd0c9b0808642f4f1a7ac2c0c27cc3e7eca3355ec5f",
+        "b181b789fa37edada6c97b340fbb76fbbcbdacac7ea4ccc283e054e5e6e4c684",
+    ),
+    ("U", "2", "2", "right-pistar"): (
+        "c8c4975972b7a7985370485cf5cc8ef3f3cba9b5481a4857735054f742c50e6b",
+        "275ba631173e3e8bad4442b22048e508d05a449a06042ebc1fe9d241e1fc7c08",
+    ),
+    ("V", "3", "3", "right-istar"): (
+        "49caf7be59890eddc9aa26ad0f0e8533f6d9f7f82b13b42f0e1261c7a432d01d",
+        "e5e03aad3bddd7aa77f957d644a1e5bc3bbb9a345dc7df4685662e40571bc3a6",
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize(
+    "cell", sorted(COMMUTANT_BASIS_SHA256), ids=lambda c: f"{c[0]}{c[1]},{c[2]}-{c[3]}"
+)
+def test_commutant_basis_is_golden(cell, fmt, capsys):
+    space, n, k, side = cell
+    code, out, err = run_cli(
+        capsys, "commutant", "--space", space, "--n", n, "--k", k,
+        "--side", side, "--basis", "--format", fmt,
+    )
+    assert code == 0
+    assert err == ""
+    digest = COMMUTANT_BASIS_SHA256[cell][fmt == "json"]
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_out_writes_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = run_cli(
@@ -229,6 +272,15 @@ def test_out_writes_file(tmp_path, capsys):
         ("commutant", "--n", "1", "--k", "1", "--space", "U", "--side", "right-istar"),
         ("enumerate", "--semigroup", "is", "--n", "9"),  # guard trips
         ("act", "--space", "V", "--n", "9", "--k", "9", "{1,1'}"),
+        ("enumerate", "--semigroup", "is", "--n", "0"),
+        ("enumerate", "--semigroup", "pistar", "--k", "0"),
+        ("multiply", "--semigroup", "pistar", "--k", "0", "{}", "{}"),
+        ("act", "--space", "V", "--n", "0", "--k", "1", "{1,1'}"),
+        ("commutant", "--n", "1", "--k", "0", "--space", "V", "--side", "left-is"),
+        ("verify", "--props", "--n", "0"),
+        ("verify", "--props", "--k", "0"),
+        # commutant guard: 512**2 = 262,144 unknowns
+        ("commutant", "--n", "2", "--k", "9", "--space", "V", "--side", "left-is"),
     ],
 )
 def test_usage_errors_exit_two(argv, capsys):
@@ -237,6 +289,15 @@ def test_usage_errors_exit_two(argv, capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err != ""
+
+
+def test_library_errors_are_not_usage_errors(monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("library bug")
+
+    monkeypatch.setattr("rookdual.cli.enumerate_is", broken)
+    with pytest.raises(ValueError, match="library bug"):
+        main(["enumerate", "--semigroup", "is", "--n", "2"])
 
 
 def test_guard_override(capsys):

@@ -3,6 +3,7 @@
 import pytest
 
 from rookdual import (
+    DualityCell,
     centralizer_data,
     default_grid,
     predicted_algebra_faithful,
@@ -67,6 +68,27 @@ def test_centralizer_both_directions():
     data = centralizer_data(2, 2, "U")
     assert data.dims == (12, 12, 7, 7)
     assert data.ok
+
+
+@pytest.mark.parametrize(
+    "right, inside",
+    [
+        ([(0, 1, 2, 3)], True),  # support {0,5,10,15}: classes (0,15), (5,10)
+        ([(0, 1, 2, 3), (0, -1, -1, -1)], False),  # {0} cuts the class (0,15)
+        ([(0, 1, 2, 3), (1, 0, 2, 3)], False),  # coordinate 4 is in no class
+    ],
+)
+def test_centralizer_inclusions_can_fail(right, inside):
+    """The left commutant of V(2,2) has the classes (0,15), (5,10) and
+    (6,9).  A right side swapped for one that leaves it, or that spans
+    too little of it, must fail the inclusions."""
+
+    class Tampered(DualityCell):
+        def targets(self, side):
+            return right if side == "right" else super().targets(side)
+
+    comm, span, right_in, comm_in = Tampered(2, 2, "V").half_centralizer("left")
+    assert (comm, span, right_in, comm_in) == (3, len(right), inside, False)
 
 
 def test_span_never_exceeds_commutant():

@@ -1,5 +1,7 @@
-"""Exact rank, span, and commutant computations, cross-checked against
-sympy on small dense instances."""
+"""Exact rank and span computations, cross-checked against sympy on
+small dense instances, and the union-find commutant of target tuples,
+cross-checked against sympy and against the Fraction null-space solve
+kept here as the oracle."""
 
 import random
 from fractions import Fraction
@@ -12,17 +14,20 @@ from hypothesis import strategies as st
 from rookdual import (
     ActionSpace,
     AlgebraElement,
+    DualityCell,
     ExactMatrix,
-    PartialInjection,
     RowSpace,
     SizeGuardError,
-    commutant_basis,
+    action_matrix_V,
+    action_targets,
+    default_grid,
     enumerate_istar,
     in_span,
     is_generators,
     rank,
-    rook_action_matrix,
     span_dimension,
+    targets_commutant,
+    targets_matrix,
 )
 
 
@@ -135,39 +140,93 @@ def brute_commutant_dimension(generators, d):
     return d * d - system.rank()
 
 
+def commutant_basis(generators, d: int) -> list:
+    """Oracle: basis of {X : XG = GX for every generator G}, by sparse
+    Fraction elimination of the stacked system over the d*d unknowns;
+    one ExactMatrix per free variable, with the free entry set to 1."""
+    space = RowSpace()
+    for g in generators:
+        by_col = {}
+        by_row = {}
+        for (r, c), v in g.entries.items():
+            by_col.setdefault(c, []).append((r, v))
+            by_row.setdefault(r, []).append((c, v))
+        for i in range(d):
+            for j in range(d):
+                eq = {}
+                for l, v in by_col.get(j, ()):
+                    key = i * d + l
+                    eq[key] = eq.get(key, 0) + v
+                for l, v in by_row.get(i, ()):
+                    key = l * d + j
+                    eq[key] = eq.get(key, 0) - v
+                if eq:
+                    space.add(eq)
+    return _null_space_matrices(space, d)
+
+
+def _null_space_matrices(space: RowSpace, d: int) -> list:
+    """Null-space basis of an echelon system, one matrix per free column."""
+    pivots = space.pivot_rows
+    free_cols = [c for c in range(d * d) if c not in pivots]
+    basis = []
+    pivot_cols_desc = sorted(pivots, reverse=True)
+    for f in free_cols:
+        x = {f: Fraction(1)}
+        for p in pivot_cols_desc:
+            if p > f:
+                continue
+            acc = Fraction(0)
+            for c, v in pivots[p].items():
+                if c == p:
+                    continue
+                xc = x.get(c)
+                if xc:
+                    acc += v * xc
+            if acc:
+                x[p] = -acc
+        entries = {divmod(c, d): v for c, v in x.items() if v}
+        basis.append(ExactMatrix(d, d, entries))
+    return basis
+
+
+def class_matrices(classes, d):
+    """The basis matrix of each coordinate class: 1 on its members."""
+    return [ExactMatrix(d, d, {divmod(x, d): 1 for x in c}) for c in classes]
+
+
+def rook_generator_targets(space):
+    return [action_targets(g, space) for g in is_generators(space.n)]
+
+
 def test_commutant_of_nothing_is_everything():
-    basis = commutant_basis([], 3)
+    basis = class_matrices(targets_commutant([], 3), 3)
     assert len(basis) == 9
     assert span_dimension(basis) == 9
 
 
 def test_commutant_of_identity_is_everything():
-    basis = commutant_basis([ExactMatrix.identity(3)], 3)
-    assert len(basis) == 9
+    assert len(targets_commutant([(0, 1, 2)], 3)) == 9
 
 
 def test_commutant_scalar_case():
     sp = ActionSpace("V", 2, 1)
-    gens = [rook_action_matrix(g, sp) for g in is_generators(2)]
-    gens.append(ExactMatrix.identity(2))
-    basis = commutant_basis(gens, 2)
-    assert len(basis) == 1
-    assert basis[0].entries[(0, 0)] == basis[0].entries[(1, 1)]
+    gens = rook_generator_targets(sp) + [(0, 1)]
+    assert targets_commutant(gens, 2) == [(0, 3)]  # entries (0,0) and (1,1)
 
 
 def test_commutant_matches_dense_solver():
     sp = ActionSpace("V", 3, 2)
-    gens = [rook_action_matrix(g, sp) for g in is_generators(3)]
-    gens.append(ExactMatrix.identity(9))
-    basis = commutant_basis(gens, 9)
-    assert len(basis) == 3
-    assert len(basis) == brute_commutant_dimension(gens, 9)
+    gens = rook_generator_targets(sp) + [tuple(range(9))]
+    classes = targets_commutant(gens, 9)
+    assert len(classes) == 3
+    assert len(classes) == brute_commutant_dimension(map(targets_matrix, gens), 9)
 
 
 def test_commutant_members_commute():
     sp = ActionSpace("V", 3, 2)
-    gens = [rook_action_matrix(g, sp) for g in is_generators(3)]
-    basis = commutant_basis(gens, 9)
+    gens = [targets_matrix(t) for t in rook_generator_targets(sp)]
+    basis = class_matrices(targets_commutant(rook_generator_targets(sp), 9), 9)
     for x in basis:
         for g in gens:
             assert x * g == g * x
@@ -176,17 +235,38 @@ def test_commutant_members_commute():
 
 def test_commutant_contains_other_action():
     sp = ActionSpace("V", 3, 2)
-    gens = [rook_action_matrix(g, sp) for g in is_generators(3)]
-    basis = commutant_basis(gens, 9)
-    from rookdual import action_matrix_V
-
+    basis = class_matrices(targets_commutant(rook_generator_targets(sp), 9), 9)
     for alpha in enumerate_istar(2):
         assert in_span(action_matrix_V(alpha, sp), basis)
 
 
 def test_commutant_guard():
     with pytest.raises(SizeGuardError):
-        commutant_basis([ExactMatrix.identity(300)], 300)
+        targets_commutant([tuple(range(300))], 300)
+    with pytest.raises(SizeGuardError):
+        targets_commutant([], 265)  # 70,225 unknowns, just over the limit
+    assert len(targets_commutant([], 264)) == 264 * 264
+    assert len(targets_commutant([], 265, unguarded=True)) == 265 * 265
+
+
+def test_commutant_rejects_sources_that_are_not_partial_permutations():
+    with pytest.raises(ValueError):
+        targets_commutant([(0, 0, 2)], 3)
+    with pytest.raises(ValueError):
+        targets_commutant([(0, 1)], 3)
+
+
+@pytest.mark.parametrize(
+    "cell", [(space, n, k) for space, n, k, full in default_grid() if full],
+    ids=lambda c: f"{c[0]}{c[1]},{c[2]}",
+)
+def test_commutant_classes_match_the_fraction_oracle(cell):
+    space, n, k = cell
+    duality = DualityCell(n, k, space)
+    d = duality.space.dimension
+    for sources in (duality.left_generators, duality.targets("right")):
+        expected = commutant_basis([targets_matrix(t) for t in sources], d)
+        assert class_matrices(targets_commutant(sources, d), d) == expected
 
 
 def test_algebra_element():
