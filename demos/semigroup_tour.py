@@ -13,7 +13,6 @@ from rookdual import (
     multiply_composition,
     multiply_istar,
     multiply_pistar,
-    mulclose,
     parse_element,
     star_multiply,
 )
@@ -37,7 +36,11 @@ print(f"a^-1  = {a.inverse()}")
 print(f"a a^-1 a == a: {a * a.inverse() * a == a}")
 
 gens = is_generators(3)
-closure = mulclose(gens)
+closure, frontier = set(gens), list(gens)
+while frontier:  # multiply on the right by one generator at a time
+    found = {x * g for x in frontier for g in gens} - closure
+    closure |= found
+    frontier = list(found)
 print(f"\ngenerators on 3 points: {', '.join(str(g) for g in gens)}")
 print(f"they generate {len(closure)} elements; "
       f"enumeration finds {len(enumerate_is(3))}")

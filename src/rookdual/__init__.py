@@ -76,7 +76,6 @@ from .semigroups import (
     bullet_multiply,
     epsilon,
     is_generators,
-    mulclose,
     multiply_composition,
     multiply_istar,
     multiply_pistar,
@@ -88,9 +87,6 @@ from .tensor_actions import (
     action_matrix_V,
     action_targets,
     match_set_c,
-    match_set_hat,
-    match_set_partial,
-    match_set_tilde,
     rook_action_matrix,
     targets_commutant,
     targets_commute,

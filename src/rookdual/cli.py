@@ -240,12 +240,7 @@ def _cmd_commutant(args) -> tuple:
 
 
 def _props_reports(n: int, k: int) -> list:
-    if k <= 2:
-        sample = None
-    elif k == 3:
-        sample = 10_000
-    else:
-        sample = 1_000
+    sample = None if k <= 3 else 1_000
     reports = [
         morphism_report("coarsening_sum", k, sample_pairs=sample).to_json_dict(),
         morphism_report("block_subset_sum", k, sample_pairs=sample).to_json_dict(),

@@ -18,7 +18,6 @@ blocks.  A generic triangular solve is kept alongside as an
 independent route to the same coefficients.
 """
 
-import functools
 import itertools
 import math
 import random
@@ -31,15 +30,19 @@ from .diagrams import (
     block_union_leq,
     canonicalize,
     enumerate_pistar,
+    is_partial_dual_element,
 )
 from .exact_linalg import AlgebraElement
-from .semigroups import bullet_multiply, multiply_pistar, star_multiply
-from .tensor_actions import (
-    ActionSpace,
-    action_matrix_U,
-    match_set_hat,
-    match_set_partial,
+from .semigroups import (
+    block_masks,
+    bullet_codes,
+    bullet_multiply,
+    multiply_pistar,
+    pistar_codes,
+    star_codes,
+    star_multiply,
 )
+from .tensor_actions import ActionSpace, action_targets
 
 
 def _pistar_carrier(k: int) -> str:
@@ -216,31 +219,68 @@ def morphism_report(
     ``block_subset_sum`` (tilde product to star).  All element pairs are
     checked when ``sample_pairs`` is None; otherwise that many pairs are
     drawn with a fixed seed.  ``inverse_ok`` also requires the two
-    inverse routes of the coarsening sum to agree."""
+    inverse routes of the coarsening sum to agree.
+
+    The homomorphism check runs on element indices: each element is
+    encoded once as block masks, each image is a ``{index: coeff}``
+    dict, and products go through the code-level products.  A star
+    product of two image terms is non-zero only when the first term's
+    out-masks equal the second term's in-masks, so the image terms of
+    each element are grouped by in-masks and only matching pairs are
+    multiplied."""
     elements = enumerate_pistar(k)
     if map_name == "coarsening_sum":
-        forward, multiply = coarsening_sum, multiply_pistar
+        forward, multiply = coarsening_sum, pistar_codes
     elif map_name == "block_subset_sum":
-        forward, multiply = block_subset_sum, bullet_multiply
+        forward, multiply = block_subset_sum, bullet_codes
     else:
         raise ValueError(f"unknown map {map_name!r}")
 
-    images = {alpha: forward(alpha) for alpha in elements}
-    cached_star = functools.cache(_star_diagram)  # one memo per report
+    if not all(is_partial_dual_element(alpha) for alpha in elements):
+        raise RuntimeError("enumerate_pistar returned a non-partial-dual element")
+    codes = [block_masks(alpha) for alpha in elements]
+    index = {code: i for i, code in enumerate(codes)}
+    # both maps are sums of diagrams with coefficient 1, so plain ints
+    # carry the coefficients exactly and much faster than Fractions
+    images = [
+        {index[block_masks(beta)]: int(c) for beta, c in forward(alpha).terms.items()}
+        for alpha in elements
+    ]
+    ins = [tuple(sorted(i for i, _ in code)) for code in codes]
+    outs = [tuple(sorted(o for _, o in code)) for code in codes]
+    by_in = []
+    for image in images:
+        groups: dict = {}
+        for q, cq in image.items():
+            groups.setdefault(ins[q], []).append((q, cq))
+        by_in.append(groups)
+    star_memo: dict = {}  # one memo per report
 
+    def star_index(p: int, q: int) -> int:
+        hit = star_memo.get((p, q))
+        if hit is None:
+            hit = star_memo[(p, q)] = index[star_codes(codes[p], codes[q])]
+        return hit
+
+    n = len(elements)
     if sample_pairs is None:
-        pairs = [(a, b) for a in elements for b in elements]
+        pairs = [(a, b) for a in range(n) for b in range(n)]
     else:
         rng = random.Random(seed)
         pairs = [
-            (rng.choice(elements), rng.choice(elements)) for _ in range(sample_pairs)
+            (rng.choice(range(n)), rng.choice(range(n))) for _ in range(sample_pairs)
         ]
 
     hom_ok = True
     for a, b in pairs:
-        lhs = forward(multiply(a, b))
-        rhs = bilinear(cached_star, images[a], images[b])
-        if lhs != rhs:
+        lhs = images[index[multiply(codes[a], codes[b])]]
+        rhs: dict = {}
+        groups = by_in[b]
+        for p, cp in images[a].items():
+            for q, cq in groups.get(outs[p], ()):
+                r = star_index(p, q)
+                rhs[r] = rhs.get(r, 0) + cp * cq
+        if lhs != {r: c for r, c in rhs.items() if c}:
             hom_ok = False
             break
 
@@ -268,6 +308,17 @@ def morphism_report(
     )
 
 
+def _combination(terms: dict, targets: dict) -> dict:
+    """Sum of coeff times the matrix of each term's target tuple, as
+    {(row, col): coeff} without zero entries."""
+    total: dict = {}
+    for element, coeff in terms.items():
+        for c, t in enumerate(targets[element]):
+            if t >= 0:
+                total[(t, c)] = total.get((t, c), 0) + coeff
+    return {entry: v for entry, v in total.items() if v}
+
+
 def verify_hat_consistency(n: int, k: int) -> MorphismReport:
     """Tie the plain and deformed U-actions together, three ways.
 
@@ -276,42 +327,30 @@ def verify_hat_consistency(n: int, k: int) -> MorphismReport:
     everything above alpha; (b) if the plain action keeps it, exactly
     one diagram above alpha keeps it under the deformed action.  And
     (c) the deformed matrix of alpha equals the plain matrix of the
-    inverse coarsening sum of alpha, extended linearly."""
+    inverse coarsening sum of alpha, extended linearly.  All three read
+    the action target tuples, built once per element (-1 = killed)."""
     space = ActionSpace("U", n, k)
     elements = enumerate_pistar(k)
-    pairs = 0
+    plain = {alpha: action_targets(alpha, space, "plain") for alpha in elements}
+    hat = {alpha: action_targets(alpha, space, "hat") for alpha in elements}
     zero_ok = True
     unique_ok = True
-    for alpha in elements:
-        uppers = natural_upper_set(alpha)
-        for i in space.indices():
-            pairs += 1
-            plain = match_set_partial(alpha, i, n)
-            live = [
-                beta
-                for beta in uppers
-                if match_set_hat(HatElement.wrap(beta), i, n)
-            ]
-            if not plain:
-                if live:
-                    zero_ok = False
-            else:
-                if len(live) != 1:
-                    unique_ok = False
     matrix_ok = True
     for alpha in elements:
-        hat = action_matrix_U(HatElement.wrap(alpha), space, variant="hat")
+        uppers = [hat[beta] for beta in natural_upper_set(alpha)]
+        for c, t in enumerate(plain[alpha]):
+            live = sum(1 for targets in uppers if targets[c] >= 0)
+            if t < 0:
+                zero_ok = zero_ok and not live
+            else:
+                unique_ok = unique_ok and live == 1
         inv = coarsening_sum_inverse(alpha)
-        total = None
-        for beta, coeff in inv.terms.items():
-            piece = action_matrix_U(beta, space, variant="plain").scale(coeff)
-            total = piece if total is None else total + piece
-        if total != hat:
+        if _combination(inv.terms, plain) != _combination({alpha: 1}, hat):
             matrix_ok = False
     return MorphismReport(
         k=k,
         map_name="hat_consistency",
-        pairs_checked=pairs,
+        pairs_checked=len(elements) * space.dimension,
         homomorphism_ok=zero_ok and unique_ok and matrix_ok,
         inverse_ok=all(
             extend_linearly(coarsening_sum, coarsening_sum_inverse(alpha))
@@ -326,17 +365,13 @@ def verify_tilde_factorization(n: int, k: int) -> MorphismReport:
     block subset sum, as an exact matrix identity on U^k."""
     space = ActionSpace("U", n, k)
     elements = enumerate_pistar(k)
-    ok = True
-    for alpha in elements:
-        tilde = action_matrix_U(alpha, space, variant="tilde")
-        total = None
-        for beta, coeff in block_subset_sum(alpha).terms.items():
-            piece = action_matrix_U(
-                HatElement.wrap(beta), space, variant="hat"
-            ).scale(coeff)
-            total = piece if total is None else total + piece
-        if total != tilde:
-            ok = False
+    hat = {alpha: action_targets(alpha, space, "hat") for alpha in elements}
+    tilde = {alpha: action_targets(alpha, space, "tilde") for alpha in elements}
+    ok = all(
+        _combination(block_subset_sum(alpha).terms, hat)
+        == _combination({alpha: 1}, tilde)
+        for alpha in elements
+    )
     inverse_ok = all(
         extend_linearly(block_subset_sum, block_subset_sum_inverse(alpha))
         == AlgebraElement.basis(_hat_carrier(k), alpha)

@@ -9,6 +9,17 @@ component that swallowed a completion singleton.  Two deformed products
 on partial dual elements are provided: the restricted product ``star``
 on the zero-adjoined semigroup and the exact-middle-match product
 ``bullet``.
+
+All four diagram products run on one encoding.  ``block_masks`` turns a
+diagram into its code, a sorted tuple of ``(in_mask, out_mask)`` pairs
+with bit i - 1 standing for point i (or i'), and ``from_masks`` turns a
+code back into the canonical diagram.  The gluing is ``_glue``: a's
+blocks enter as ``(in, out, 0)`` masks over the three tiers, b's as
+``(0, in, out)``, and blocks whose middle masks overlap merge into one
+component.  The ``*_codes`` functions are the products on codes; the
+public ``multiply_*`` functions validate their diagrams, encode them
+and decode the result, while callers that multiply many times (the
+morphism checks) validate once and call the code products directly.
 """
 
 from typing import NamedTuple
@@ -17,7 +28,6 @@ from .diagrams import (
     HatElement,
     PartialInjection,
     SetPartition,
-    canonicalize,
     is_dual_element,
     is_partial_dual_element,
     primed,
@@ -80,31 +90,102 @@ class UnionFind:
             self.parent[ry] = rx
 
 
-def _three_tier_components(alpha: SetPartition, beta: SetPartition):
-    """Glue alpha's primed row to beta's unprimed row and return the
-    component structure.  Nodes are ('a', i) outer-left, ('m', i) middle,
-    ('b', i) outer-right.  Both factors must cover all their points."""
-    uf = UnionFind()
+Code = tuple[tuple[int, int], ...]
+
+
+def block_masks(alpha: SetPartition) -> Code:
+    """The diagram as a sorted tuple of (in_mask, out_mask) pairs, one
+    per block: bit i - 1 of in_mask is point i, of out_mask point i'."""
+    code = []
     for block in alpha.blocks:
-        nodes = [("a", p.index) if not p.primed else ("m", p.index) for p in block]
-        for node in nodes[1:]:
-            uf.union(nodes[0], node)
-    for block in beta.blocks:
-        nodes = [("m", p.index) if not p.primed else ("b", p.index) for p in block]
-        for node in nodes[1:]:
-            uf.union(nodes[0], node)
-    components = {}
-    for tier in ("a", "m", "b"):
-        for i in range(1, alpha.k + 1):
-            node = (tier, i)
-            components.setdefault(uf.find(node), set()).add(node)
-    return components, uf
+        ins = outs = 0
+        for p in block:
+            if p.primed:
+                outs |= 1 << (p.index - 1)
+            else:
+                ins |= 1 << (p.index - 1)
+        code.append((ins, outs))
+    code.sort()
+    return tuple(code)
 
 
-def _component_block(component):
-    block = [unprimed(i) for t, i in component if t == "a"]
-    block += [primed(i) for t, i in component if t == "b"]
-    return block
+def _points(mask: int, make) -> list:
+    return [make(i + 1) for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def from_masks(code, k: int) -> SetPartition:
+    """Inverse of :func:`block_masks` for a diagram on rows of size k."""
+    blocks = sorted(
+        tuple(_points(ins, unprimed) + _points(outs, primed)) for ins, outs in code
+    )
+    return SetPartition(k, tuple(blocks))
+
+
+def _glue(a, b) -> list:
+    """Components of the three-tier gluing, as (left, middle, right)
+    masks: a's blocks enter as (in, out, 0), b's as (0, in, out), and
+    blocks join wherever their middle masks overlap.  The components
+    found so far always have disjoint middle masks, so each b block
+    only has to merge the ones its in_mask meets."""
+    components = [(ins, outs, 0) for ins, outs in a]
+    for ins, outs in b:
+        left, middle, right = 0, ins, outs
+        rest = []
+        for c in components:
+            if c[1] & middle:
+                left, middle, right = left | c[0], middle | c[1], right | c[2]
+            else:
+                rest.append(c)
+        rest.append((left, middle, right))
+        components = rest
+    return components
+
+
+def _cover(code, side: int) -> int:
+    """Union of the in_masks (side 0) or out_masks (side 1) of a code."""
+    mask = 0
+    for block in code:
+        mask |= block[side]
+    return mask
+
+
+def _complete(code, k: int) -> list:
+    """Add a singleton block for every point the code leaves uncovered."""
+    ins, outs = _cover(code, 0), _cover(code, 1)
+    singles = [(1 << i, 0) for i in range(k) if not ins >> i & 1]
+    singles += [(0, 1 << i) for i in range(k) if not outs >> i & 1]
+    return list(code) + singles
+
+
+def pistar_codes(a, b) -> Code:
+    """Break-down product of partial dual codes.  A component breaks
+    down exactly when it holds a completion singleton, i.e. when its
+    middle mask leaves the points both factors cover there; the
+    singletons of the outer rows are components of their own."""
+    covered = _cover(a, 1) & _cover(b, 0)
+    return tuple(
+        sorted(
+            (left, right)
+            for left, middle, right in _glue(a, b)
+            if not middle & ~covered
+        )
+    )
+
+
+def star_codes(a, b):
+    """Star product of partial dual codes, or None for the adjoined zero:
+    a's blocks must meet the middle row exactly as b's blocks do."""
+    if sorted(outs for _, outs in a) != sorted(ins for ins, _ in b):
+        return None
+    return pistar_codes(a, b)
+
+
+def bullet_codes(a, b) -> Code:
+    """Exact-middle-match product of partial dual codes."""
+    mate = {ins: outs for ins, outs in b}
+    return tuple(
+        sorted((ins, mate[outs]) for ins, outs in a if outs in mate)
+    )
 
 
 def multiply_composition(alpha: SetPartition, beta: SetPartition):
@@ -115,17 +196,15 @@ def multiply_composition(alpha: SetPartition, beta: SetPartition):
     components."""
     if alpha.k != beta.k:
         raise ValueError("factors must share k")
-    a, b = alpha.completed(), beta.completed()
-    components, _ = _three_tier_components(a, b)
-    blocks = []
-    garbage = 0
-    for component in components.values():
-        block = _component_block(component)
-        if block:
-            blocks.append(block)
+    k = alpha.k
+    blocks, garbage = [], 0
+    a, b = _complete(block_masks(alpha), k), _complete(block_masks(beta), k)
+    for left, _, right in _glue(a, b):
+        if left or right:
+            blocks.append((left, right))
         else:
             garbage += 1
-    return CompositionResult(canonicalize(blocks, a.k), garbage)
+    return CompositionResult(from_masks(blocks, k), garbage)
 
 
 def multiply_istar(alpha: SetPartition, beta: SetPartition) -> SetPartition:
@@ -152,41 +231,7 @@ def multiply_pistar(alpha: SetPartition, beta: SetPartition) -> SetPartition:
         raise ValueError("factors must share k")
     if not (is_partial_dual_element(alpha) and is_partial_dual_element(beta)):
         raise ValueError("multiply_pistar needs partial dual elements")
-    a, b = alpha.completed(), beta.completed()
-    components, uf = _three_tier_components(a, b)
-    broken = set()
-    for block in a.blocks:
-        if len(block) == 1:
-            p = block[0]
-            node = ("a", p.index) if not p.primed else ("m", p.index)
-            broken.add(uf.find(node))
-    for block in b.blocks:
-        if len(block) == 1:
-            p = block[0]
-            node = ("m", p.index) if not p.primed else ("b", p.index)
-            broken.add(uf.find(node))
-    blocks = []
-    for root, component in components.items():
-        if root in broken:
-            continue
-        block = _component_block(component)
-        if block:
-            blocks.append(block)
-    return canonicalize(blocks, a.k)
-
-
-def _out_trace(alpha: SetPartition) -> frozenset:
-    """Partition induced on the primed row, as index sets."""
-    return frozenset(
-        frozenset(p.index for p in block if p.primed) for block in alpha.blocks
-    )
-
-
-def _in_trace(beta: SetPartition) -> frozenset:
-    """Partition induced on the unprimed row, as index sets."""
-    return frozenset(
-        frozenset(p.index for p in block if not p.primed) for block in beta.blocks
-    )
+    return from_masks(pistar_codes(block_masks(alpha), block_masks(beta)), alpha.k)
 
 
 def star_multiply(a: HatElement, b: HatElement) -> HatElement:
@@ -203,9 +248,10 @@ def star_multiply(a: HatElement, b: HatElement) -> HatElement:
         raise ValueError("factors must share k")
     if a.is_zero or b.is_zero:
         return HatElement.zero(a.k)
-    if _out_trace(a.diagram) != _in_trace(b.diagram):
+    code = star_codes(block_masks(a.diagram), block_masks(b.diagram))
+    if code is None:
         return HatElement.zero(a.k)
-    return HatElement.wrap(multiply_pistar(a.diagram, b.diagram))
+    return HatElement.wrap(from_masks(code, a.k))
 
 
 def bullet_multiply(alpha: SetPartition, beta: SetPartition) -> SetPartition:
@@ -218,37 +264,4 @@ def bullet_multiply(alpha: SetPartition, beta: SetPartition) -> SetPartition:
         raise ValueError("factors must share k")
     if not (is_partial_dual_element(alpha) and is_partial_dual_element(beta)):
         raise ValueError("bullet_multiply needs partial dual elements")
-    by_in = {
-        frozenset(p.index for p in block if not p.primed): block
-        for block in beta.blocks
-    }
-    blocks = []
-    for block in alpha.blocks:
-        out = frozenset(p.index for p in block if p.primed)
-        mate = by_in.get(out)
-        if mate is None:
-            continue
-        new = [p for p in block if not p.primed]
-        new += [p for p in mate if p.primed]
-        blocks.append(new)
-    return canonicalize(blocks, alpha.k)
-
-
-def mulclose(generators, multiply=None) -> set:
-    """Closure of a generating set under a binary product."""
-    if multiply is None:
-        multiply = lambda x, y: x * y
-    elements = list(dict.fromkeys(generators))
-    seen = set(elements)
-    frontier = list(elements)
-    while frontier:
-        new = []
-        for g in frontier:
-            for h in elements:
-                for prod in (multiply(g, h), multiply(h, g)):
-                    if prod not in seen:
-                        seen.add(prod)
-                        new.append(prod)
-        elements.extend(new)
-        frontier = new
-    return seen
+    return from_masks(bullet_codes(block_masks(alpha), block_masks(beta)), alpha.k)

@@ -25,8 +25,7 @@ commutant basis.
 
 Only composition elements with a free output block (a block with
 output positions but no input position) send a tensor to a sum; their
-matrices still go through the general match set ``match_set_c``.  The
-other ``match_set_*`` functions give one input's image directly.
+matrices still go through the general match set ``match_set_c``.
 
 Diagram actions are right actions, so the matrix of a product composes
 in reverse order; partial injections act on the left with the usual
@@ -131,74 +130,6 @@ def match_set_c(alpha: SetPartition, i: TensorIndex, n: int) -> set:
                 filled[b - 1] = v
         results.add(tuple(filled))
     return results
-
-
-def _block_values(alpha: SetPartition, i: TensorIndex):
-    """Per-block digit forced by the input positions, or None on clash;
-    also the input positions left uncovered."""
-    values = []
-    for block in alpha.blocks:
-        ins = alpha.in_part(block)
-        v = i[ins[0] - 1]
-        if any(i[a - 1] != v for a in ins[1:]):
-            return None
-        values.append(v)
-    return values
-
-
-def _uncovered_inputs_zero(alpha: SetPartition, i: TensorIndex) -> bool:
-    covered = {p.index for block in alpha.blocks for p in block if not p.primed}
-    return all(
-        i[a - 1] == 0 for a in range(1, alpha.k + 1) if a not in covered
-    )
-
-
-def _assemble_output(alpha: SetPartition, values) -> TensorIndex:
-    out = [0] * alpha.k
-    for block, v in zip(alpha.blocks, values):
-        for b in alpha.out_part(block):
-            out[b - 1] = v
-    return tuple(out)
-
-
-def match_set_partial(alpha: SetPartition, i: TensorIndex, n: int) -> set:
-    """Plain U-action match set of a partial dual element: block digits
-    may be anything (zero included), uncovered positions must read zero.
-    At most one output index survives."""
-    if not is_partial_dual_element(alpha):
-        raise ValueError("match_set_partial needs a partial dual element")
-    values = _block_values(alpha, i)
-    if values is None or not _uncovered_inputs_zero(alpha, i):
-        return set()
-    return {_assemble_output(alpha, values)}
-
-
-def match_set_hat(a: HatElement, i: TensorIndex, n: int) -> set:
-    """Deformed match set: the adjoined zero matches nothing; block
-    digits must be non-zero and pairwise distinct."""
-    if a.is_zero:
-        return set()
-    alpha = a.diagram
-    values = _block_values(alpha, i)
-    if values is None or not _uncovered_inputs_zero(alpha, i):
-        return set()
-    if 0 in values or len(set(values)) != len(values):
-        return set()
-    return {_assemble_output(alpha, values)}
-
-
-def match_set_tilde(alpha: SetPartition, i: TensorIndex, n: int) -> set:
-    """Tilde match set: zero digits allowed on blocks, distinctness
-    enforced only among the non-zero block digits."""
-    if not is_partial_dual_element(alpha):
-        raise ValueError("match_set_tilde needs a partial dual element")
-    values = _block_values(alpha, i)
-    if values is None or not _uncovered_inputs_zero(alpha, i):
-        return set()
-    nonzero = [v for v in values if v]
-    if len(set(nonzero)) != len(nonzero):
-        return set()
-    return {_assemble_output(alpha, values)}
 
 
 def targets_matrix(targets: Targets) -> ExactMatrix:

@@ -207,6 +207,27 @@ def test_verify_all_report_is_golden(fmt, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_SHA256[fmt]
 
 
+# sha256 of the full stdout of ``rookdual verify --props --n 2 --k K``;
+# the same under any PYTHONHASHSEED.  Both morphism reports check every
+# pair through k = 3, so k = 3 reads pairs=16384.
+VERIFY_PROPS_SHA256 = {
+    ("2", "json"): "cc62318b037aebf690a3d8f5b533b28b0123695398793534d7747f2c829be510",
+    ("2", "text"): "2a1169e634ef834e0fc5f5711d7c277e87f01b1270a5b5f9c25ef0dce9a117eb",
+    ("3", "json"): "64702fb228840f399154722ed31b70991b4ed93f5aa60641329fddc445b8bbfe",
+    ("3", "text"): "d17554d9240d00f67b1e0e93f5013f6caa7a87497e9586789b92dff9091f0b9e",
+}
+
+
+@pytest.mark.parametrize("k,fmt", sorted(VERIFY_PROPS_SHA256))
+def test_verify_props_report_is_golden(k, fmt, capsys):
+    code, out, err = run_cli(
+        capsys, "verify", "--props", "--n", "2", "--k", k, "--format", fmt
+    )
+    assert code == 0
+    assert err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_PROPS_SHA256[(k, fmt)]
+
+
 # sha256 of the full stdout of ``rookdual commutant ... --basis``,
 # pinned from a run of the Fraction null-space solver; the same under any
 # PYTHONHASHSEED.

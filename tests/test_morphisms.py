@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import pytest
 
+import rookdual.morphisms
+import rookdual.semigroups
 from rookdual import (
     AlgebraElement,
     HatElement,
@@ -220,3 +222,46 @@ def test_report_serialization():
     assert d["map_name"] == "block_subset_sum"
     assert d["k"] == 1
     assert d["homomorphism_ok"] is True
+
+
+# the fast verdicts must be able to fail
+
+
+@pytest.mark.parametrize(
+    "map_name,product",
+    [("coarsening_sum", "pistar_codes"), ("block_subset_sum", "bullet_codes")],
+)
+def test_morphism_report_catches_a_wrong_product(map_name, product, monkeypatch):
+    """A product that drops the last block of every non-empty result
+    no longer carries over to star."""
+    right = getattr(rookdual.semigroups, product)
+    monkeypatch.setattr(rookdual.morphisms, product, lambda a, b: right(a, b)[:-1])
+    report = morphism_report(map_name, 2)
+    assert report.homomorphism_ok is False
+    assert report.inverse_ok is True
+
+
+def _corrupt_targets(monkeypatch, variant):
+    """Make the action tuple of the identity under one variant kill the
+    last tensor it keeps."""
+    right = rookdual.morphisms.action_targets
+    ident = SetPartition.identity(2)
+
+    def wrong(element, space, v="plain", unguarded=False):
+        targets = right(element, space, v, unguarded)
+        if v == variant and element == ident:
+            c = max(c for c, t in enumerate(targets) if t >= 0)
+            targets = targets[:c] + (-1,) + targets[c + 1 :]
+        return targets
+
+    monkeypatch.setattr(rookdual.morphisms, "action_targets", wrong)
+
+
+def test_hat_consistency_catches_a_corrupt_tuple(monkeypatch):
+    _corrupt_targets(monkeypatch, "hat")
+    assert verify_hat_consistency(2, 2).homomorphism_ok is False
+
+
+def test_tilde_factorization_catches_a_corrupt_tuple(monkeypatch):
+    _corrupt_targets(monkeypatch, "tilde")
+    assert verify_tilde_factorization(2, 2).homomorphism_ok is False

@@ -6,12 +6,14 @@ full triple product table fits in seconds, seeded random triples one
 size up.
 """
 
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 import rookdual.semigroups
 from rookdual import (
     CompositionResult,
@@ -27,7 +29,6 @@ from rookdual import (
     is_dual_element,
     is_generators,
     is_partial_dual_element,
-    mulclose,
     multiply_composition,
     multiply_istar,
     multiply_pistar,
@@ -36,6 +37,7 @@ from rookdual import (
     star_multiply,
     unprimed,
 )
+from rookdual.semigroups import block_masks, from_masks
 
 
 def test_worked_product():
@@ -64,12 +66,23 @@ def test_generators():
     assert len(is_generators(2)) == 2  # the swap doubles as the 2-cycle
 
 
+def right_closure(generators) -> set:
+    """Everything a non-empty word in the generators multiplies to,
+    found breadth first by multiplying on the right by one generator."""
+    closure, frontier = set(generators), list(generators)
+    while frontier:
+        found = {x * g for x in frontier for g in generators} - closure
+        closure |= found
+        frontier = list(found)
+    return closure
+
+
 def test_generated_closure_is_whole_monoid():
     gens = is_generators(3) + [PartialInjection.identity(3)]
-    assert mulclose(gens) == set(enumerate_is(3))
-    assert len(mulclose(gens)) == 34
+    assert right_closure(gens) == set(enumerate_is(3))
+    assert len(right_closure(gens)) == 34
     gens1 = is_generators(1)
-    assert mulclose(gens1) == set(enumerate_is(1))
+    assert right_closure(gens1) == set(enumerate_is(1))
 
 
 @settings(max_examples=200, deadline=None)
@@ -362,3 +375,57 @@ def test_bullet_when_traces_mirror_exactly():
             b_in = {t for t in b_in if t}
             if a_out == b_in:
                 assert bullet_multiply(a, b) == multiply_pistar(a, b)
+
+
+# the bitmask products against the three-tier oracle
+
+
+def _all_diagrams(k):
+    """Every set partition of every subset of the 2k points."""
+    from test_diagrams import brute_partitions, raw_points
+
+    points = raw_points(k)
+    return [
+        canonicalize(
+            [[(primed if pr else unprimed)(i) for pr, i in block] for block in part], k
+        )
+        for r in range(len(points) + 1)
+        for subset in itertools.combinations(points, r)
+        for part in brute_partitions(subset)
+    ]
+
+
+def test_block_masks_round_trip():
+    for k in (1, 2, 3):
+        for alpha in _all_diagrams(k):
+            code = block_masks(alpha)
+            assert list(code) == sorted(code)
+            assert from_masks(code, k) == alpha
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_composition_matches_the_three_tier_oracle(k):
+    """Every pair of diagrams, covering or not, at k <= 2; 5,000 seeded
+    pairs of the 877 diagrams at k = 3."""
+    diagrams = _all_diagrams(k)
+    if k <= 2:
+        pairs = itertools.product(diagrams, repeat=2)
+    else:
+        rng = random.Random(31)
+        pairs = [(rng.choice(diagrams), rng.choice(diagrams)) for _ in range(5000)]
+    for a, b in pairs:
+        r = multiply_composition(a, b)
+        assert (r.diagram, r.garbage_count) == oracles.composition(a, b), (a, b)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_partial_dual_products_match_the_three_tier_oracle(k):
+    """Break-down, star (with the adjoined zero) and bullet products on
+    every pair of partial dual elements."""
+    elements = enumerate_pistar(k)
+    for a, b in itertools.product(elements, repeat=2):
+        assert multiply_pistar(a, b) == oracles.pistar(a, b), (a, b)
+        assert bullet_multiply(a, b) == oracles.bullet(a, b), (a, b)
+    hats = [HatElement.zero(k)] + [HatElement.wrap(a) for a in elements]
+    for a, b in itertools.product(hats, repeat=2):
+        assert star_multiply(a, b) == oracles.star(a, b), (a, b)

@@ -4,7 +4,8 @@ The match-set oracles here scan every candidate output index and check
 the block conditions directly on the raw blocks, so they are slow but
 independent of the constraint-propagation implementation.  The target
 tuples are checked in turn against matrices built one input index at a
-time through the match sets, on every space of dimension at most 27.
+time through the match sets (``match_set_c`` from the package, the U
+match sets from ``oracles``), on every space of dimension at most 27.
 """
 
 import itertools
@@ -29,9 +30,6 @@ from rookdual import (
     enumerate_pistar,
     epsilon,
     match_set_c,
-    match_set_hat,
-    match_set_partial,
-    match_set_tilde,
     multiply_istar,
     multiply_pistar,
     parse_element,
@@ -47,6 +45,8 @@ from rookdual.diagrams import (
     ENUM_LIMIT_PARTIAL_DUAL,
 )
 from rookdual.semigroups import bullet_multiply, star_multiply
+
+from oracles import match_set_hat, match_set_partial, match_set_tilde
 
 
 def brute_match_c(alpha, i, n):
