@@ -4,7 +4,6 @@ Run with: python3 demos/deformation_maps.py
 """
 
 from rookdual import (
-    AlgebraElement,
     block_subset_sum,
     block_subset_sum_inverse,
     coarsening_sum,
@@ -22,7 +21,7 @@ empty = parse_element("{}", "pistar", k)
 
 def show(label, element):
     print(f"{label}:")
-    for diagram, coeff in sorted(element.terms.items(), key=lambda t: t[0].sort_key()):
+    for diagram, coeff in sorted(element.items(), key=lambda t: t[0].sort_key()):
         print(f"  {str(coeff):>3} * {diagram}")
 
 
@@ -38,7 +37,7 @@ show(f"\ncoarsening_sum_inverse({ident})", coarsening_sum_inverse(ident))
 print(f"\nmobius({ident} -> {empty}) = {mobius_merge_drop(ident, empty)}")
 
 round_trip = extend_linearly(coarsening_sum, coarsening_sum_inverse(ident))
-assert round_trip == AlgebraElement.basis(f"hat[{k}]", ident)
+assert round_trip == {ident: 1}
 print("coarsening_sum inverts exactly: round trip is the basis element")
 
 # block_subset_sum keeps blocks instead of merging them: the image is

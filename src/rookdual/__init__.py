@@ -34,12 +34,10 @@ from .dualities import (
     run_full_report,
     run_grid,
     verify_algebra_faithfulness,
-    verify_centralizer,
     verify_commutation,
     verify_semigroup_faithfulness,
 )
 from .exact_linalg import (
-    AlgebraElement,
     ExactMatrix,
     RowSpace,
     in_span,
@@ -48,10 +46,8 @@ from .exact_linalg import (
 )
 from .morphisms import (
     MorphismReport,
-    bilinear,
     block_subset_sum,
     block_subset_sum_inverse,
-    bullet_product,
     coarsening_sum,
     coarsening_sum_inverse,
     coarsening_sum_inverse_by_solve,
@@ -59,8 +55,6 @@ from .morphisms import (
     mobius_merge_drop,
     morphism_report,
     natural_upper_set,
-    pistar_product,
-    star_product,
     verify_hat_consistency,
     verify_tilde_factorization,
 )
@@ -86,7 +80,6 @@ from .tensor_actions import (
     action_matrix_U,
     action_matrix_V,
     action_targets,
-    match_set_c,
     rook_action_matrix,
     targets_commutant,
     targets_commute,

@@ -320,9 +320,10 @@ def main(argv=None) -> int:
         "verify": _cmd_verify,
     }
     try:
-        for name in ("n", "k"):
+        for name in ("n", "k", "max_n", "max_k"):
             value = getattr(args, name, None)
-            _require(f"--{name} must be a positive integer", value is None or value > 0)
+            flag = "--" + name.replace("_", "-")
+            _require(f"{flag} must be a positive integer", value is None or value > 0)
         text, code = handlers[args.command](args)
     except (SizeGuardError, UsageError, NotationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

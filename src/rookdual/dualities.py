@@ -215,12 +215,6 @@ def centralizer_data(n: int, k: int, space: str, unguarded=False) -> Centralizer
     return _centralizer(DualityCell(n, k, space, unguarded))
 
 
-def verify_centralizer(n: int, k: int, space: str, unguarded=False):
-    """4-tuple of the left-direction check: commutant dimension,
-    right span dimension, and the two span inclusions."""
-    return DualityCell(n, k, space, unguarded).half_centralizer("left")
-
-
 def verify_semigroup_faithfulness(n: int, k: int, which: str, unguarded=False) -> bool:
     """True iff element -> matrix is injective for the named action."""
     if which not in SEMIGROUP_KINDS:

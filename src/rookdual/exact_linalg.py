@@ -4,8 +4,9 @@ Two primitives on sparse rational vectors: rank and membership in a
 row space, which is what the spans of the duality checks need.  Vectors
 are dicts mapping coordinate -> Fraction with no explicit zeros;
 matrices store their entries the same way keyed by (row, col).  No
-tolerances anywhere.  Commutants need no elimination: see
-``tensor_actions.targets_commutant``."""
+tolerances anywhere.  This is the only module with Fraction arithmetic:
+commutants need no elimination (see ``tensor_actions.targets_commutant``),
+and the deformation maps of ``morphisms`` have integer coefficients."""
 
 from fractions import Fraction
 from typing import Iterable
@@ -171,73 +172,3 @@ def in_span(target: ExactMatrix, basis: Iterable[ExactMatrix]) -> bool:
         space.add(m.vectorize())
     return space.contains(target.vectorize())
 
-
-class AlgebraElement:
-    """Formal rational linear combination of semigroup elements.
-
-    ``carrier`` tags which semigroup the terms live in so that unlike
-    elements never mix; term values are non-zero Fractions."""
-
-    __slots__ = ("carrier", "terms")
-
-    def __init__(self, carrier: str, terms: dict):
-        clean = {}
-        for element, coeff in terms.items():
-            coeff = Fraction(coeff)
-            if coeff:
-                clean[element] = coeff
-        object.__setattr__(self, "carrier", carrier)
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AlgebraElement is immutable")
-
-    @classmethod
-    def basis(cls, carrier: str, element):
-        return cls(carrier, {element: 1})
-
-    @classmethod
-    def zero(cls, carrier: str):
-        return cls(carrier, {})
-
-    def _check(self, other):
-        if self.carrier != other.carrier:
-            raise ValueError(
-                f"cannot combine carriers {self.carrier!r} and {other.carrier!r}"
-            )
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for element, coeff in other.terms.items():
-            out[element] = out.get(element, 0) + coeff
-        return AlgebraElement(self.carrier, out)
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __rmul__(self, scalar):
-        scalar = Fraction(scalar)
-        return AlgebraElement(
-            self.carrier, {e: scalar * c for e, c in self.terms.items()}
-        )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, AlgebraElement)
-            and self.carrier == other.carrier
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.carrier, frozenset(self.terms.items())))
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __repr__(self):
-        if not self.terms:
-            return f"AlgebraElement({self.carrier!r}, 0)"
-        parts = " + ".join(f"{c}*{e}" for e, c in sorted(
-            self.terms.items(), key=lambda item: str(item[0])))
-        return f"AlgebraElement({self.carrier!r}, {parts})"

@@ -16,6 +16,10 @@ of the merge-and-drop order, a product of partition-lattice factors
 (-1)^(m-1) (m-1)! over merged groups times (-1)^D D! for D dropped
 blocks.  A generic triangular solve is kept alongside as an
 independent route to the same coefficients.
+
+Every combination of diagrams is a plain ``{SetPartition: int}`` dict
+with no zero values; ``{}`` is the zero.  All coefficients here, the
+Moebius ones included, are integers.
 """
 
 import itertools
@@ -24,7 +28,6 @@ import random
 from dataclasses import dataclass
 
 from .diagrams import (
-    HatElement,
     SetPartition,
     _set_partitions,
     block_union_leq,
@@ -32,29 +35,8 @@ from .diagrams import (
     enumerate_pistar,
     is_partial_dual_element,
 )
-from .exact_linalg import AlgebraElement
-from .semigroups import (
-    block_masks,
-    bullet_codes,
-    bullet_multiply,
-    multiply_pistar,
-    pistar_codes,
-    star_codes,
-    star_multiply,
-)
+from .semigroups import block_masks, bullet_codes, pistar_codes, star_codes
 from .tensor_actions import ActionSpace, action_targets
-
-
-def _pistar_carrier(k: int) -> str:
-    return f"pistar[{k}]"
-
-
-def _hat_carrier(k: int) -> str:
-    return f"hat[{k}]"
-
-
-def _tilde_carrier(k: int) -> str:
-    return f"tilde[{k}]"
 
 
 def natural_upper_set(alpha: SetPartition) -> list:
@@ -91,42 +73,41 @@ def mobius_merge_drop(alpha: SetPartition, beta: SetPartition) -> int:
     return value * (-1) ** dropped * math.factorial(dropped)
 
 
-def coarsening_sum(alpha: SetPartition) -> AlgebraElement:
+def coarsening_sum(alpha: SetPartition) -> dict:
     """The unitriangular map carrying the plain product to star."""
-    return AlgebraElement(
-        _hat_carrier(alpha.k), {beta: 1 for beta in natural_upper_set(alpha)}
-    )
+    return {beta: 1 for beta in natural_upper_set(alpha)}
 
 
-def coarsening_sum_inverse(alpha: SetPartition) -> AlgebraElement:
-    """Closed-form inverse via the merge-and-drop Moebius function."""
-    return AlgebraElement(
-        _pistar_carrier(alpha.k),
-        {beta: mobius_merge_drop(alpha, beta) for beta in natural_upper_set(alpha)},
-    )
+def coarsening_sum_inverse(alpha: SetPartition) -> dict:
+    """Closed-form inverse via the merge-and-drop Moebius function,
+    which is never zero."""
+    return {beta: mobius_merge_drop(alpha, beta) for beta in natural_upper_set(alpha)}
 
 
-def coarsening_sum_inverse_by_solve(alpha: SetPartition) -> AlgebraElement:
-    """Inverse computed by the generic triangular recursion instead of
-    the closed form; the two must agree on every element."""
-    carrier = _pistar_carrier(alpha.k)
-    cache: dict = {}
-
-    def solve(gamma: SetPartition) -> AlgebraElement:
-        hit = cache.get(gamma)
-        if hit is not None:
-            return hit
-        total = AlgebraElement.basis(carrier, gamma)
+def _inverses_by_solve(diagrams) -> dict:
+    """Inverse coarsening sum of every diagram in an up-closed list, by
+    the triangular recursion inv(g) = g - sum of inv(b) over the b
+    strictly above g.  Everything strictly above a diagram has fewer
+    blocks, so in ``sort_key`` order each inverse a diagram needs is
+    solved before the diagram is reached."""
+    solved: dict = {}
+    for gamma in sorted(diagrams, key=SetPartition.sort_key):
+        total = {gamma: 1}
         for beta in natural_upper_set(gamma):
             if beta != gamma:
-                total = total - solve(beta)
-        cache[gamma] = total
-        return total
+                for delta, c in solved[beta].items():
+                    total[delta] = total.get(delta, 0) - c
+        solved[gamma] = {delta: c for delta, c in total.items() if c}
+    return solved
 
-    return solve(alpha)
+
+def coarsening_sum_inverse_by_solve(alpha: SetPartition) -> dict:
+    """Inverse computed by the generic triangular recursion instead of
+    the closed form; the two must agree on every element."""
+    return _inverses_by_solve(natural_upper_set(alpha))[alpha]
 
 
-def block_subset_sum(alpha: SetPartition) -> AlgebraElement:
+def block_subset_sum(alpha: SetPartition) -> dict:
     """The unitriangular map carrying the tilde product to star: sum
     over all sub-collections of alpha's blocks."""
     terms = {}
@@ -134,10 +115,10 @@ def block_subset_sum(alpha: SetPartition) -> AlgebraElement:
     for r in range(len(atoms) + 1):
         for subset in itertools.combinations(atoms, r):
             terms[canonicalize(subset, alpha.k)] = 1
-    return AlgebraElement(_hat_carrier(alpha.k), terms)
+    return terms
 
 
-def block_subset_sum_inverse(alpha: SetPartition) -> AlgebraElement:
+def block_subset_sum_inverse(alpha: SetPartition) -> dict:
     """Inverse of the block subset sum: alternating signs by dropped
     block count (Moebius function of the Boolean lattice)."""
     terms = {}
@@ -145,51 +126,16 @@ def block_subset_sum_inverse(alpha: SetPartition) -> AlgebraElement:
     for r in range(len(atoms) + 1):
         for subset in itertools.combinations(atoms, r):
             terms[canonicalize(subset, alpha.k)] = (-1) ** (len(atoms) - r)
-    return AlgebraElement(_tilde_carrier(alpha.k), terms)
+    return terms
 
 
-def extend_linearly(func, x: AlgebraElement) -> AlgebraElement:
-    """Apply an element-to-algebra map to every term of x."""
-    total = None
-    for element, coeff in x.terms.items():
-        piece = coeff * func(element)
-        total = piece if total is None else total + piece
-    if total is None:
-        raise ValueError("cannot extend over the zero element without a carrier")
-    return total
-
-
-def bilinear(multiply, x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    """Bilinear extension of a product of basis elements; ``multiply``
-    returns a diagram, or None for the adjoined zero, whose term then
-    vanishes (the contracted algebra)."""
-    if x.carrier != y.carrier:
-        raise ValueError("carriers disagree")
-    out: dict = {}
-    for a, ca in x.terms.items():
-        for b, cb in y.terms.items():
-            p = multiply(a, b)
-            if p is not None:
-                out[p] = out.get(p, 0) + ca * cb
-    return AlgebraElement(x.carrier, out)
-
-
-def _star_diagram(a: SetPartition, b: SetPartition):
-    p = star_multiply(HatElement.wrap(a), HatElement.wrap(b))
-    return None if p.is_zero else p.diagram
-
-
-def star_product(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    """Bilinear star product on spans of diagrams."""
-    return bilinear(_star_diagram, x, y)
-
-
-def pistar_product(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    return bilinear(multiply_pistar, x, y)
-
-
-def bullet_product(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    return bilinear(bullet_multiply, x, y)
+def extend_linearly(func, x: dict) -> dict:
+    """Apply an element-to-combination map to every term of x."""
+    total: dict = {}
+    for element, coeff in x.items():
+        for term, c in func(element).items():
+            total[term] = total.get(term, 0) + coeff * c
+    return {term: c for term, c in total.items() if c}
 
 
 @dataclass(frozen=True)
@@ -219,7 +165,8 @@ def morphism_report(
     ``block_subset_sum`` (tilde product to star).  All element pairs are
     checked when ``sample_pairs`` is None; otherwise that many pairs are
     drawn with a fixed seed.  ``inverse_ok`` also requires the two
-    inverse routes of the coarsening sum to agree.
+    inverse routes of the coarsening sum to agree; the solved route runs
+    once, as one sweep over all elements.
 
     The homomorphism check runs on element indices: each element is
     encoded once as block masks, each image is a ``{index: coeff}``
@@ -230,9 +177,11 @@ def morphism_report(
     multiplied."""
     elements = enumerate_pistar(k)
     if map_name == "coarsening_sum":
-        forward, multiply = coarsening_sum, pistar_codes
+        forward, inverse = coarsening_sum, coarsening_sum_inverse
+        multiply = pistar_codes
     elif map_name == "block_subset_sum":
-        forward, multiply = block_subset_sum, bullet_codes
+        forward, inverse = block_subset_sum, block_subset_sum_inverse
+        multiply = bullet_codes
     else:
         raise ValueError(f"unknown map {map_name!r}")
 
@@ -240,10 +189,8 @@ def morphism_report(
         raise RuntimeError("enumerate_pistar returned a non-partial-dual element")
     codes = [block_masks(alpha) for alpha in elements]
     index = {code: i for i, code in enumerate(codes)}
-    # both maps are sums of diagrams with coefficient 1, so plain ints
-    # carry the coefficients exactly and much faster than Fractions
     images = [
-        {index[block_masks(beta)]: int(c) for beta, c in forward(alpha).terms.items()}
+        {index[block_masks(beta)]: c for beta, c in forward(alpha).items()}
         for alpha in elements
     ]
     ins = [tuple(sorted(i for i, _ in code)) for code in codes]
@@ -284,18 +231,15 @@ def morphism_report(
             hom_ok = False
             break
 
+    # only the coarsening sum has a second, solved inverse route
+    solved = _inverses_by_solve(elements) if map_name == "coarsening_sum" else None
     inverse_ok = True
     for alpha in elements:
-        if map_name == "coarsening_sum":
-            inv = coarsening_sum_inverse(alpha)
-            if inv != coarsening_sum_inverse_by_solve(alpha):
-                inverse_ok = False
-                break
-            roundtrip = extend_linearly(coarsening_sum, inv)
-        else:
-            inv = block_subset_sum_inverse(alpha)
-            roundtrip = extend_linearly(block_subset_sum, inv)
-        if roundtrip != AlgebraElement.basis(_hat_carrier(k), alpha):
+        inv = inverse(alpha)
+        if solved is not None and inv != solved[alpha]:
+            inverse_ok = False
+            break
+        if extend_linearly(forward, inv) != {alpha: 1}:
             inverse_ok = False
             break
 
@@ -345,7 +289,7 @@ def verify_hat_consistency(n: int, k: int) -> MorphismReport:
             else:
                 unique_ok = unique_ok and live == 1
         inv = coarsening_sum_inverse(alpha)
-        if _combination(inv.terms, plain) != _combination({alpha: 1}, hat):
+        if _combination(inv, plain) != _combination({alpha: 1}, hat):
             matrix_ok = False
     return MorphismReport(
         k=k,
@@ -354,7 +298,7 @@ def verify_hat_consistency(n: int, k: int) -> MorphismReport:
         homomorphism_ok=zero_ok and unique_ok and matrix_ok,
         inverse_ok=all(
             extend_linearly(coarsening_sum, coarsening_sum_inverse(alpha))
-            == AlgebraElement.basis(_hat_carrier(k), alpha)
+            == {alpha: 1}
             for alpha in elements
         ),
     )
@@ -368,13 +312,13 @@ def verify_tilde_factorization(n: int, k: int) -> MorphismReport:
     hat = {alpha: action_targets(alpha, space, "hat") for alpha in elements}
     tilde = {alpha: action_targets(alpha, space, "tilde") for alpha in elements}
     ok = all(
-        _combination(block_subset_sum(alpha).terms, hat)
+        _combination(block_subset_sum(alpha), hat)
         == _combination({alpha: 1}, tilde)
         for alpha in elements
     )
     inverse_ok = all(
         extend_linearly(block_subset_sum, block_subset_sum_inverse(alpha))
-        == AlgebraElement.basis(_hat_carrier(k), alpha)
+        == {alpha: 1}
         for alpha in elements
     )
     return MorphismReport(

@@ -24,8 +24,11 @@ forced to zero, and returns the rest, whose indicator matrices are the
 commutant basis.
 
 Only composition elements with a free output block (a block with
-output positions but no input position) send a tensor to a sum; their
-matrices still go through the general match set ``match_set_c``.
+output positions but no input position) send a tensor to a sum.  A free
+block adds nothing to the input ordinal, so each input pairs with one
+output per digit of the free block; ``action_matrix_V`` writes those
+(input, output) pairs as matrix entries, from the same enumeration that
+fills the target tuples.
 
 Diagram actions are right actions, so the matrix of a product composes
 in reverse order; partial injections act on the left with the usual
@@ -98,38 +101,6 @@ class ActionSpace:
             ordinal, d = divmod(ordinal, base)
             digits.append(d + self.low)
         return tuple(reversed(digits))
-
-
-def match_set_c(alpha: SetPartition, i: TensorIndex, n: int) -> set:
-    """Output indices compatible with input i under a partition of all
-    2k points: each block carries one digit shared by all its input
-    positions and imposed on all its output positions; blocks with no
-    input position range over every digit 1..n."""
-    alpha = alpha.completed()
-    k = alpha.k
-    out = [0] * k
-    free = []
-    for block in alpha.blocks:
-        ins = alpha.in_part(block)
-        outs = alpha.out_part(block)
-        if ins:
-            v = i[ins[0] - 1]
-            if any(i[a - 1] != v for a in ins[1:]):
-                return set()
-            for b in outs:
-                out[b - 1] = v
-        elif outs:
-            free.append(outs)
-    if not free:
-        return {tuple(out)}
-    results = set()
-    for assignment in itertools.product(range(1, n + 1), repeat=len(free)):
-        filled = list(out)
-        for outs, v in zip(free, assignment):
-            for b in outs:
-                filled[b - 1] = v
-        results.add(tuple(filled))
-    return results
 
 
 def targets_matrix(targets: Targets) -> ExactMatrix:
@@ -210,8 +181,8 @@ def _rook_targets(pi: PartialInjection, space: ActionSpace) -> Targets:
 
 def _block_weights(alpha: SetPartition, space: ActionSpace):
     """Per block, the amounts one unit of its digit adds to the input and
-    to the output ordinal; None if some block has output positions but
-    no input position (a free output block)."""
+    to the output ordinal.  The input weight is 0 for a block with
+    output positions but no input position (a free output block)."""
     base = space.n + 1 - space.low
     weights = []
     for block in alpha.blocks:
@@ -222,37 +193,41 @@ def _block_weights(alpha: SetPartition, space: ActionSpace):
                 w_out += w
             else:
                 w_in += w
-        if not w_in:
-            return None
         weights.append((w_in, w_out))
     return weights
 
 
-def _fill(space: ActionSpace, weights, assignments) -> Targets:
-    """Target tuple from the admissible digit assignments to the blocks;
-    every input no assignment reaches is killed."""
+def _ordinal_pairs(space: ActionSpace, weights, assignments):
+    """The (input, output) ordinal pair of each admissible digit
+    assignment to the blocks."""
     low = space.low
-    targets = [-1] * space.dimension
     for values in assignments:
         src = dst = 0
         for v, (w_in, w_out) in zip(values, weights):
             src += (v - low) * w_in
             dst += (v - low) * w_out
+        yield src, dst
+
+
+def _fill(space: ActionSpace, pairs) -> Targets:
+    """Target tuple from (input, output) ordinal pairs; every input no
+    pair reaches is killed."""
+    targets = [-1] * space.dimension
+    for src, dst in pairs:
         targets[src] = dst
     return tuple(targets)
 
 
-def _composition_targets(alpha: SetPartition, space: ActionSpace, unguarded: bool):
-    """Targets of a composition element on V^k, or None when it has a
-    free output block."""
+def _composition_pairs(alpha: SetPartition, space: ActionSpace, unguarded: bool):
+    """Block weights of a composition element on V^k and the ordinal
+    pairs of its action: every block carries any digit 1..n."""
     if alpha.k != space.k:
         raise ValueError("diagram size disagrees with the space")
     space.guard(unguarded)
     weights = _block_weights(alpha.completed(), space)
-    if weights is None:
-        return None
     digits = range(1, space.n + 1)
-    return _fill(space, weights, itertools.product(digits, repeat=len(weights)))
+    assignments = itertools.product(digits, repeat=len(weights))
+    return weights, _ordinal_pairs(space, weights, assignments)
 
 
 def _nonzero_distinct(values) -> bool:
@@ -285,7 +260,7 @@ def _u_targets(element, space: ActionSpace, variant: str, unguarded: bool) -> Ta
         assignments = itertools.permutations(range(1, n + 1), m)
     else:
         assignments = filter(_nonzero_distinct, itertools.product(range(n + 1), repeat=m))
-    return _fill(space, weights, assignments)
+    return _fill(space, _ordinal_pairs(space, weights, assignments))
 
 
 def action_targets(
@@ -305,34 +280,24 @@ def action_targets(
         return _u_targets(element, space, variant, unguarded)
     if variant != "plain":
         raise ValueError("V^k carries only the plain action")
-    targets = _composition_targets(element, space, unguarded)
-    if targets is None:
+    weights, pairs = _composition_pairs(element, space, unguarded)
+    if any(not w_in for w_in, _ in weights):
         raise ValueError(
             "a free output block sends a tensor to a sum; use action_matrix_V"
         )
-    return targets
-
-
-def _free_output_matrix(alpha: SetPartition, space: ActionSpace) -> ExactMatrix:
-    """Matrix of a composition element with free output blocks, which
-    send one basis tensor to the sum over every digit they can carry."""
-    entries = {}
-    for col, i in enumerate(space.indices()):
-        for l in match_set_c(alpha, i, space.n):
-            entries[(space.ordinal(l), col)] = 1
-    return ExactMatrix(space.dimension, space.dimension, entries)
+    return _fill(space, pairs)
 
 
 def action_matrix_V(
     alpha: SetPartition, space: ActionSpace, unguarded: bool = False
 ) -> ExactMatrix:
-    """Matrix of a composition/dual element on V^k (columns = inputs)."""
+    """Matrix of a composition/dual element on V^k (columns = inputs); a
+    free output block sends a tensor to the sum over its digits."""
     if space.kind != "V":
         raise ValueError("action_matrix_V needs a V space")
-    targets = _composition_targets(alpha, space, unguarded)
-    if targets is None:
-        return _free_output_matrix(alpha, space)
-    return targets_matrix(targets)
+    _, pairs = _composition_pairs(alpha, space, unguarded)
+    d = space.dimension
+    return ExactMatrix(d, d, {(dst, src): 1 for src, dst in pairs})
 
 
 def rook_action_matrix(

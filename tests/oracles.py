@@ -4,10 +4,13 @@ The diagram products here glue two diagrams point by point with a
 union-find over ('a', i) outer-left, ('m', i) middle and ('b', i)
 outer-right nodes, the way the package computed them before it moved to
 block bitmasks.  The match sets give one input tensor's image under the
-plain, hat and tilde U-actions block by block, the way the package built
-action matrices before it moved to target tuples.  Neither validates its
-inputs; callers pass elements of the right family.
+composition action on V^k and the plain, hat and tilde U-actions block
+by block, the way the package built action matrices before it moved to
+target tuples.  Neither validates its inputs; callers pass elements of
+the right family.
 """
+
+import itertools
 
 from rookdual import HatElement, canonicalize, primed, unprimed
 from rookdual.semigroups import UnionFind
@@ -118,7 +121,39 @@ def bullet(alpha, beta):
     return canonicalize(blocks, alpha.k)
 
 
-# match sets of the U-actions
+# match sets of the V- and U-actions
+
+
+def match_set_c(alpha, i, n) -> set:
+    """Output indices compatible with input i under a partition of all
+    2k points: each block carries one digit shared by all its input
+    positions and imposed on all its output positions; blocks with no
+    input position range over every digit 1..n."""
+    alpha = alpha.completed()
+    k = alpha.k
+    out = [0] * k
+    free = []
+    for block in alpha.blocks:
+        ins = alpha.in_part(block)
+        outs = alpha.out_part(block)
+        if ins:
+            v = i[ins[0] - 1]
+            if any(i[a - 1] != v for a in ins[1:]):
+                return set()
+            for b in outs:
+                out[b - 1] = v
+        elif outs:
+            free.append(outs)
+    if not free:
+        return {tuple(out)}
+    results = set()
+    for assignment in itertools.product(range(1, n + 1), repeat=len(free)):
+        filled = list(out)
+        for outs, v in zip(free, assignment):
+            for b in outs:
+                filled[b - 1] = v
+        results.add(tuple(filled))
+    return results
 
 
 def _block_values(alpha, i):

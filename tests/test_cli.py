@@ -302,6 +302,9 @@ def test_out_writes_file(tmp_path, capsys):
         ("verify", "--props", "--k", "0"),
         # commutant guard: 512**2 = 262,144 unknowns
         ("commutant", "--n", "2", "--k", "9", "--space", "V", "--side", "left-is"),
+        # a bound that selects no cell would check nothing
+        ("verify", "--thm1", "--max-n", "0"),
+        ("verify", "--thm2", "--max-k", "-3"),
     ],
 )
 def test_usage_errors_exit_two(argv, capsys):

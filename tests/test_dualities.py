@@ -11,7 +11,6 @@ from rookdual import (
     run_full_report,
     run_grid,
     verify_algebra_faithfulness,
-    verify_centralizer,
     verify_commutation,
     verify_semigroup_faithfulness,
 )
@@ -48,7 +47,8 @@ CENTRALIZER_U = {
 @pytest.mark.parametrize("cell,expected", sorted(CENTRALIZER_V.items()))
 def test_centralizer_on_V(cell, expected):
     n, k = cell
-    dim_comm, dim_span, right_in_comm, comm_in_right = verify_centralizer(n, k, "V")
+    duality = DualityCell(n, k, "V")
+    dim_comm, dim_span, right_in_comm, comm_in_right = duality.half_centralizer("left")
     assert (dim_comm, dim_span) == expected
     assert right_in_comm and comm_in_right
 
@@ -56,7 +56,8 @@ def test_centralizer_on_V(cell, expected):
 @pytest.mark.parametrize("cell,expected", sorted(CENTRALIZER_U.items()))
 def test_centralizer_on_U(cell, expected):
     n, k = cell
-    dim_comm, dim_span, right_in_comm, comm_in_right = verify_centralizer(n, k, "U")
+    duality = DualityCell(n, k, "U")
+    dim_comm, dim_span, right_in_comm, comm_in_right = duality.half_centralizer("left")
     assert (dim_comm, dim_span) == expected
     assert right_in_comm and comm_in_right
 

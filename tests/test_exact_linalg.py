@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from rookdual import (
     ActionSpace,
-    AlgebraElement,
     DualityCell,
     ExactMatrix,
     RowSpace,
@@ -268,14 +267,3 @@ def test_commutant_classes_match_the_fraction_oracle(cell):
         expected = commutant_basis([targets_matrix(t) for t in sources], d)
         assert class_matrices(targets_commutant(sources, d), d) == expected
 
-
-def test_algebra_element():
-    x = AlgebraElement("c[2]", {"a": Fraction(1), "b": Fraction(2)})
-    y = AlgebraElement.basis("c[2]", "a")
-    assert (x - y).terms == {"b": Fraction(2)}
-    assert (3 * y).terms == {"a": Fraction(3)}
-    assert AlgebraElement.zero("c[2]") == x - x
-    assert not AlgebraElement.zero("c[2]")
-    assert x + AlgebraElement.zero("c[2]") == x
-    with pytest.raises(ValueError):
-        x + AlgebraElement.basis("c[3]", "a")

@@ -9,8 +9,6 @@ import pytest
 import rookdual.morphisms
 import rookdual.semigroups
 from rookdual import (
-    AlgebraElement,
-    HatElement,
     SetPartition,
     block_subset_sum,
     block_subset_sum_inverse,
@@ -26,15 +24,14 @@ from rookdual import (
     natural_upper_set,
     parse_element,
     primed,
-    star_product,
     unprimed,
     verify_hat_consistency,
     verify_tilde_factorization,
 )
 
 
-def by_text(x: AlgebraElement) -> dict:
-    return {str(e): c for e, c in x.terms.items()}
+def by_text(x: dict) -> dict:
+    return {str(e): c for e, c in x.items()}
 
 
 def test_natural_upper_set_equals_order_filter():
@@ -119,10 +116,10 @@ def test_coarsening_round_trips():
         for alpha in enumerate_pistar(k):
             assert extend_linearly(
                 coarsening_sum, coarsening_sum_inverse(alpha)
-            ) == AlgebraElement.basis(f"hat[{k}]", alpha)
+            ) == {alpha: 1}
             assert extend_linearly(
                 coarsening_sum_inverse, coarsening_sum(alpha)
-            ) == AlgebraElement.basis(f"pistar[{k}]", alpha)
+            ) == {alpha: 1}
 
 
 def test_block_subset_sum_of_identity():
@@ -150,28 +147,21 @@ def test_block_subset_round_trips():
         for alpha in enumerate_pistar(k):
             assert extend_linearly(
                 block_subset_sum, block_subset_sum_inverse(alpha)
-            ) == AlgebraElement.basis(f"hat[{k}]", alpha)
+            ) == {alpha: 1}
             assert extend_linearly(
                 block_subset_sum_inverse, block_subset_sum(alpha)
-            ) == AlgebraElement.basis(f"tilde[{k}]", alpha)
+            ) == {alpha: 1}
 
 
 def test_extend_linearly_is_linear():
     a, b = enumerate_pistar(2)[:2]
-    carrier = coarsening_sum(a).carrier
-    x = AlgebraElement(carrier.replace("hat", "pistar"), {a: Fraction(2), b: Fraction(-1)})
+    x = {a: Fraction(2), b: Fraction(-1)}
     lhs = extend_linearly(coarsening_sum, x)
-    rhs = 2 * coarsening_sum(a) + (-1) * coarsening_sum(b)
-    assert lhs == rhs
-
-
-def test_star_product_is_bilinear():
-    elements = enumerate_pistar(2)
-    images = [coarsening_sum(a) for a in elements[:4]]
-    x, y, w = images[0], images[1], images[2]
-    assert star_product(x + y, w) == star_product(x, w) + star_product(y, w)
-    assert star_product(w, x + y) == star_product(w, x) + star_product(w, y)
-    assert star_product(2 * x, w) == 2 * star_product(x, w)
+    rhs = {beta: 2 for beta in coarsening_sum(a)}
+    for beta in coarsening_sum(b):
+        rhs[beta] = rhs.get(beta, 0) - 1
+    assert lhs == {beta: c for beta, c in rhs.items() if c}
+    assert extend_linearly(coarsening_sum, {}) == {}
 
 
 def test_homomorphism_reports_exhaustive():
@@ -265,3 +255,48 @@ def test_hat_consistency_catches_a_corrupt_tuple(monkeypatch):
 def test_tilde_factorization_catches_a_corrupt_tuple(monkeypatch):
     _corrupt_targets(monkeypatch, "tilde")
     assert verify_tilde_factorization(2, 2).homomorphism_ok is False
+
+
+def test_inverse_ok_catches_a_wrong_mobius_value(monkeypatch):
+    """A Moebius function off by one on the empty diagram spoils the
+    closed-form inverse: it no longer equals the solved one, and its
+    round trip is no longer the basis element."""
+    right = rookdual.morphisms.mobius_merge_drop
+
+    def wrong(alpha, beta):
+        return right(alpha, beta) + (0 if beta.blocks else 1)
+
+    monkeypatch.setattr(rookdual.morphisms, "mobius_merge_drop", wrong)
+    assert morphism_report("coarsening_sum", 2).inverse_ok is False
+    assert verify_hat_consistency(2, 2).inverse_ok is False
+
+
+def test_inverse_ok_catches_a_flipped_sign(monkeypatch):
+    """A block subset sum inverse with the sign of its empty-diagram
+    term flipped no longer inverts the block subset sum."""
+    right = rookdual.morphisms.block_subset_sum_inverse
+
+    def wrong(alpha):
+        terms = right(alpha)
+        empty = SetPartition.empty(alpha.k)
+        terms[empty] = -terms[empty]
+        return terms
+
+    monkeypatch.setattr(rookdual.morphisms, "block_subset_sum_inverse", wrong)
+    assert morphism_report("block_subset_sum", 2).inverse_ok is False
+    assert verify_tilde_factorization(2, 2).inverse_ok is False
+
+
+def test_inverse_ok_catches_an_extra_term(monkeypatch):
+    """A closed-form coarsening sum inverse with one term too many
+    differs from the solved inverse."""
+    right = rookdual.morphisms.coarsening_sum_inverse
+
+    def wrong(alpha):
+        terms = right(alpha)
+        if not alpha.blocks:
+            terms[SetPartition.identity(alpha.k)] = 1
+        return terms
+
+    monkeypatch.setattr(rookdual.morphisms, "coarsening_sum_inverse", wrong)
+    assert morphism_report("coarsening_sum", 2).inverse_ok is False

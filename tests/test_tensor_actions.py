@@ -4,8 +4,8 @@ The match-set oracles here scan every candidate output index and check
 the block conditions directly on the raw blocks, so they are slow but
 independent of the constraint-propagation implementation.  The target
 tuples are checked in turn against matrices built one input index at a
-time through the match sets (``match_set_c`` from the package, the U
-match sets from ``oracles``), on every space of dimension at most 27.
+time through the match sets of ``oracles``, on every space of dimension
+at most 27.
 """
 
 import itertools
@@ -29,7 +29,6 @@ from rookdual import (
     enumerate_istar,
     enumerate_pistar,
     epsilon,
-    match_set_c,
     multiply_istar,
     multiply_pistar,
     parse_element,
@@ -46,7 +45,7 @@ from rookdual.diagrams import (
 )
 from rookdual.semigroups import bullet_multiply, star_multiply
 
-from oracles import match_set_hat, match_set_partial, match_set_tilde
+from oracles import match_set_c, match_set_hat, match_set_partial, match_set_tilde
 
 
 def brute_match_c(alpha, i, n):
@@ -382,7 +381,7 @@ def test_free_output_blocks_still_act_by_sums():
         action_targets(free, sp)
 
 
-# target tuples against the match-set route
+# target tuples and action matrices against the match-set route
 
 
 def _matrix_from_match(space, match):
@@ -394,6 +393,34 @@ def _matrix_from_match(space, match):
             entries[(space.ordinal(l), col)] = 1
     return ExactMatrix(space.dimension, space.dimension, entries)
 
+
+def _all_diagrams(k):
+    """Every set partition of every subset of the 2k points: the
+    partitions of all 2k points and every partial diagram."""
+    from test_diagrams import brute_partitions, raw_points
+
+    points = raw_points(k)
+    return [
+        canonicalize(
+            [[(primed if pr else unprimed)(idx) for pr, idx in block] for block in part],
+            k,
+        )
+        for r in range(len(points) + 1)
+        for subset in itertools.combinations(points, r)
+        for part in brute_partitions(subset)
+    ]
+
+
+def test_action_matrix_V_matches_match_set_c_with_free_blocks():
+    """Free output blocks included: each free block's column holds one
+    entry per digit, as the composition match set says."""
+    for k in (1, 2):
+        diagrams = _all_diagrams(k)
+        for n in (1, 2, 3):
+            sp = ActionSpace("V", n, k)
+            for alpha in diagrams:
+                expected = _matrix_from_match(sp, lambda i: match_set_c(alpha, i, n))
+                assert action_matrix_V(alpha, sp) == expected, (alpha, n)
 
 def _rook_match(pi):
     def match(i):
