@@ -8,10 +8,8 @@ from .diagrams import (
     PartialInjection,
     SetPartition,
     SizeGuardError,
-    block_count_at_most,
     block_union_leq,
     canonicalize,
-    coarser_leq,
     count_is,
     count_istar,
     enumerate_is,
@@ -20,7 +18,6 @@ from .diagrams import (
     is_dual_element,
     is_partial_dual_element,
     primed,
-    subblocks_leq,
     unprimed,
 )
 from .dualities import (
@@ -37,13 +34,7 @@ from .dualities import (
     verify_commutation,
     verify_semigroup_faithfulness,
 )
-from .exact_linalg import (
-    ExactMatrix,
-    RowSpace,
-    in_span,
-    rank,
-    span_dimension,
-)
+from .exact_linalg import ExactMatrix
 from .morphisms import (
     MorphismReport,
     block_subset_sum,
@@ -80,6 +71,7 @@ from .tensor_actions import (
     action_matrix_U,
     action_matrix_V,
     action_targets,
+    orbit_targets,
     rook_action_matrix,
     targets_commutant,
     targets_commute,

@@ -316,22 +316,11 @@ def is_partial_dual_element(p: SetPartition) -> bool:
     return all(p.in_part(b) and p.out_part(b) for b in p.blocks)
 
 
-def coarser_leq(alpha: SetPartition, beta: SetPartition) -> bool:
-    """Merging order on equal supports: every block of beta is a union of
-    blocks of alpha.  Partitions of different point sets never compare."""
-    if alpha.k != beta.k:
-        raise ValueError("cannot compare partitions with different k")
-    if alpha.support() != beta.support():
-        return False
-    return block_union_leq(alpha, beta)
-
-
 def block_union_leq(alpha: SetPartition, beta: SetPartition) -> bool:
     """True iff every block of beta is a union of blocks of alpha.
 
-    Unlike :func:`coarser_leq` this allows beta to drop alpha-blocks
-    entirely, which is how the deformation change-of-basis maps walk the
-    semigroup's natural order.
+    Beta may drop alpha-blocks entirely, which is how the deformation
+    change-of-basis maps walk the semigroup's natural order.
     """
     if alpha.k != beta.k:
         raise ValueError("cannot compare partitions with different k")
@@ -347,19 +336,6 @@ def block_union_leq(alpha: SetPartition, beta: SetPartition) -> bool:
         if covered != len(block):
             return False
     return True
-
-
-def subblocks_leq(beta: SetPartition, alpha: SetPartition) -> bool:
-    """True iff the blocks of beta form a sub-collection of alpha's."""
-    if beta.k != alpha.k:
-        raise ValueError("cannot compare partitions with different k")
-    return set(beta.blocks) <= set(alpha.blocks)
-
-
-def block_count_at_most(p: SetPartition, j: int) -> bool:
-    """True iff the singleton completion of p has at most j blocks."""
-    uncovered = 2 * p.k - len(p.support())
-    return len(p.blocks) + uncovered <= j
 
 
 def _set_partitions(items: tuple):

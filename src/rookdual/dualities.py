@@ -14,20 +14,36 @@ enumerates the left generators, the left elements and the right
 elements, and builds their actions as target tuples (see
 ``tensor_actions``), each at most once and only when a check first asks
 for it, so a check never pays for a size guard it does not need.  On
-the tuples, commutation is ``targets_commute``, semigroup faithfulness
-is distinctness, and spans are exact row spaces of the 0/1 vectors.
+the tuples, commutation is ``targets_commute`` and semigroup
+faithfulness is distinctness.
+
+Spans are counted on the orbit bases of the two actions (see
+``tensor_actions``), not row-reduced.  ``DualityCell.span`` certifies
+that every plain matrix is a unitriangular 0/1 sum of orbit matrices
+with disjoint supports, and returns the non-zero orbit supports: the
+span's dimension is their number, and a matrix lies in the span exactly
+when it is constant on every support and zero off them.
+
 A commutant is a list of classes of matrix coordinates
 (``targets_commutant``): its matrices are those constant on every class
-and zero off them, so a 0/1 matrix lies in it exactly when its support
-is a union of classes.  Nothing is kept across cells.
+and zero off them.  So the span lies in the commutant exactly when every
+orbit support is a union of classes, and the commutant lies in the span
+exactly when every class is a union of orbit supports.  Nothing is kept
+across cells.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .diagrams import PartialInjection, enumerate_is, enumerate_istar, enumerate_pistar
-from .exact_linalg import RowSpace
-from .semigroups import is_generators
-from .tensor_actions import ActionSpace, action_targets, targets_commutant, targets_commute
+from .semigroups import block_masks, block_union_leq_codes, is_generators
+from .tensor_actions import (
+    ActionSpace,
+    action_targets,
+    orbit_targets,
+    targets_commutant,
+    targets_commute,
+)
 
 SEMIGROUP_KINDS = ("is_on_V", "istar_on_V", "is_on_U", "pistar_on_U")
 ALGEBRA_KINDS = ("contracted_is_on_V", "istar_on_V", "is_on_U", "pistar_on_U")
@@ -47,22 +63,30 @@ U_FULL_CELLS = tuple((n, k) for n in (1, 2) for k in (1, 2))
 U_SPAN_CELLS = ((3, 2), (2, 3))
 
 
-def _vector(targets) -> dict:
-    """The flattened 0/1 matrix of a target tuple, coordinate row*d + col."""
+def _support(targets) -> list:
+    """Coordinates row*d + col of the 1s of a target tuple's matrix."""
     d = len(targets)
-    return {t * d + c: 1 for c, t in enumerate(targets) if t >= 0}
+    return [t * d + c for c, t in enumerate(targets) if t >= 0]
 
 
-def _row_space(vectors) -> RowSpace:
-    space = RowSpace()
-    for v in vectors:
-        space.add(v)
-    return space
+def _restricts(sigma: PartialInjection, pi: PartialInjection) -> bool:
+    """sigma is pi restricted to a subset of its domain."""
+    return all(s is None or s == p for s, p in zip(sigma.targets, pi.targets))
+
+
+def _unions_of(parts, pieces) -> bool:
+    """Every part is a union of pieces; the pieces must be disjoint."""
+    piece_of = {x: i for i, piece in enumerate(pieces) for x in piece}
+    for part in parts:
+        touched = {piece_of.get(x) for x in part}
+        if None in touched or sum(len(pieces[i]) for i in touched) != len(part):
+            return False
+    return True
 
 
 class DualityCell:
     """The two actions at one (n, k, space) cell, shared by every check
-    there.  Element lists, target tuples and row spaces are built on
+    there.  Element lists, target tuples and orbit supports are built on
     first use and kept for the cell's lifetime."""
 
     def __init__(self, n: int, k: int, space: str, unguarded=False):
@@ -102,16 +126,84 @@ class DualityCell:
         enum = enumerate_istar if self.space.kind == "V" else enumerate_pistar
         return self._part("right_elements", lambda: enum(self.k))
 
+    def elements(self, side: str) -> list:
+        return self.left_elements if side == "left" else self.right_elements
+
     def targets(self, side: str) -> list:
         """Targets of every element of one side, in enumeration order."""
-        elements = self.left_elements if side == "left" else self.right_elements
-        return self._part(("targets", side), lambda: self._act(elements))
+        return self._part(("targets", side), lambda: self._act(self.elements(side)))
 
-    def span(self, side: str) -> RowSpace:
-        """Row space spanned by one side's element matrices."""
-        return self._part(
-            ("span", side), lambda: _row_space(_vector(t) for t in self.targets(side))
-        )
+    def orbits(self, side: str):
+        """Orbit targets of every element of one side, in enumeration
+        order (see ``orbit_targets``).  They are built one at a time and
+        not kept: only their supports outlive the certification."""
+        for e in self.elements(side):
+            yield orbit_targets(e, self.space, self.unguarded)
+
+    def span(self, side: str) -> list:
+        """The span of one side's element matrices, as the supports of
+        its non-zero orbit matrices, in enumeration order, certified by
+        ``_certify``."""
+        return self._part(("span", side), lambda: self._certify(side))
+
+    def order(self, side: str):
+        """The partial order the plain matrices are triangular in, on
+        element indices: ``allowed(a, b)`` says that the orbit of element
+        b may carry part of the plain matrix of element a.  On the left
+        b must be a restriction of a (b <= a in the rook monoid's natural
+        order); on the right every block of b must be a union of blocks
+        of a (b lies in ``morphisms.natural_upper_set`` of a)."""
+        elements = self.elements(side)
+        if side == "left":
+            return lambda a, b: _restricts(elements[b], elements[a])
+        codes = [block_masks(e) for e in elements]
+        return lambda a, b: block_union_leq_codes(codes[a], codes[b])
+
+    def _certify(self, side: str) -> list:
+        """The non-zero orbit supports of one side, after three exact
+        checks that make them a basis of the span of the plain matrices:
+
+        1. the orbit supports are pairwise disjoint;
+        2. every coordinate of each plain matrix lies in the orbit of an
+           element that ``order`` allows for it;
+        3. every orbit a plain matrix touches is covered in full, and an
+           element with a non-zero orbit touches its own.
+
+        A failure is an internal bug: it raises ``RuntimeError`` naming
+        the cell, the side and the element or pair of elements."""
+        elements = self.elements(side)
+        where = f"orbit certification at {self.space.kind}({self.n},{self.k}) {side}"
+        owner = {}
+        supports = {}
+        for b, orbit in enumerate(self.orbits(side)):
+            support = _support(orbit)
+            for x in support:
+                if owner.setdefault(x, b) != b:
+                    raise RuntimeError(
+                        f"{where}: the orbits of {elements[owner[x]]} and "
+                        f"{elements[b]} overlap"
+                    )
+            if support:
+                supports[b] = support
+        allowed = self.order(side)
+        for a, targets in enumerate(self.targets(side)):
+            touched = Counter(map(owner.get, _support(targets)))
+            if None in touched:
+                raise RuntimeError(f"{where}: {elements[a]} leaves every orbit")
+            for b, count in touched.items():
+                if not allowed(a, b):
+                    raise RuntimeError(
+                        f"{where}: {elements[a]} meets the orbit of {elements[b]}, "
+                        "which the natural order does not allow"
+                    )
+                if count != len(supports[b]):
+                    raise RuntimeError(
+                        f"{where}: {elements[a]} covers part of the orbit of "
+                        f"{elements[b]}"
+                    )
+            if a in supports and a not in touched:
+                raise RuntimeError(f"{where}: {elements[a]} misses its own orbit")
+        return list(supports.values())
 
     def commutant(self, side: str) -> list:
         """Commutant basis of one side as coordinate classes (see
@@ -127,25 +219,18 @@ class DualityCell:
 
     def half_centralizer(self, side: str) -> tuple:
         """One direction of the double centralizer: the commutant
-        dimension of ``side``, the span dimension of the other side, and
-        whether each lies in the other's span."""
+        dimension of ``side``, the span dimension of the other side,
+        whether that span lies in the commutant (every orbit support is
+        a union of classes) and whether the commutant lies in the span
+        (every class is a union of orbit supports)."""
         other = "right" if side == "left" else "left"
         classes = self.commutant(side)
-        class_of = {x: c for c, members in enumerate(classes) for x in members}
-
-        def in_commutant(support) -> bool:
-            """The support is a union of classes."""
-            touched = {class_of.get(x) for x in support}
-            if None in touched:
-                return False
-            return sum(len(classes[c]) for c in touched) == len(support)
-
-        span = self.span(other)
+        supports = self.span(other)
         return (
             len(classes),
-            span.dimension,
-            all(in_commutant(_vector(t)) for t in self.targets(other)),
-            all(span.contains(dict.fromkeys(members, 1)) for members in classes),
+            len(supports),
+            _unions_of(supports, classes),
+            _unions_of(classes, supports),
         )
 
     def semigroup_faithful(self, side: str) -> bool:
@@ -154,13 +239,14 @@ class DualityCell:
         return len(set(targets)) == len(targets)
 
     def algebra_faithful(self, side: str) -> bool:
-        """The element matrices are linearly independent.  On V the
-        all-undefined rook element acts by zero and is left out (the
-        contracted rook algebra); the span is the same either way."""
-        count = len(self.targets(side))
+        """The element matrices are linearly independent, i.e. every
+        element's orbit is non-zero (the span has one basis matrix per
+        non-zero orbit).  On V the all-undefined rook element acts by
+        zero and is left out (the contracted rook algebra)."""
+        count = len(self.elements(side))
         if side == "left" and self.space.kind == "V":
             count = sum(1 for e in self.left_elements if e.rank() > 0)
-        return self.span(side).dimension == count
+        return len(self.span(side)) == count
 
 
 def verify_commutation(n: int, k: int, space: str, unguarded=False) -> bool:

@@ -1,15 +1,26 @@
-"""Sparse exact linear algebra over the rationals.
+"""Sparse exact matrices over the rationals.
 
-Two primitives on sparse rational vectors: rank and membership in a
-row space, which is what the spans of the duality checks need.  Vectors
-are dicts mapping coordinate -> Fraction with no explicit zeros;
-matrices store their entries the same way keyed by (row, col).  No
-tolerances anywhere.  This is the only module with Fraction arithmetic:
-commutants need no elimination (see ``tensor_actions.targets_commutant``),
-and the deformation maps of ``morphisms`` have integer coefficients."""
+``ExactMatrix`` stores its non-zero entries as Fractions keyed by
+(row, col), with no tolerances anywhere.  It is what the public
+``action_matrix_*`` functions return and what the CLI ``act`` command
+prints; composition elements with free output blocks are the only
+actions whose matrices are not partial permutations.  This is the only
+module with Fraction arithmetic, and none of the duality checks runs
+through it: commutants are union-find classes of matrix coordinates
+(``tensor_actions.targets_commutant``), and spans are counted on the
+orbit bases of the two actions, whose matrices have pairwise disjoint
+0/1 supports and of which every plain matrix is a unitriangular 0/1
+sum (the groupoid basis of the rook monoid, after L. Solomon,
+"Representations of the rook monoid", J. Algebra 256, 2002, and
+B. Steinberg, "Moebius functions and semigroup representation theory",
+J. Combin. Theory Ser. A 113, 2006; the hat action on the diagram
+side).  ``DualityCell.span`` certifies that decomposition with three
+exact checks: disjoint orbit supports, every plain entry in the orbit of
+an element the natural order allows, and every orbit a plain matrix
+meets covered in full, its own non-zero orbit among them.  The deformation
+maps of ``morphisms`` have integer coefficients."""
 
 from fractions import Fraction
-from typing import Iterable
 
 
 class ExactMatrix:
@@ -82,93 +93,9 @@ class ExactMatrix:
                 out[key] = out.get(key, 0) + a * b
         return ExactMatrix(self.rows, other.cols, out)
 
-    def transpose(self):
-        return ExactMatrix(
-            self.cols, self.rows, {(c, r): v for (r, c), v in self.entries.items()}
-        )
-
-    def vectorize(self) -> dict:
-        """Flatten to a sparse vector, coordinate = row*cols + col."""
-        return {r * self.cols + c: v for (r, c), v in self.entries.items()}
-
-    def row_dicts(self):
-        rows = {}
-        for (r, c), v in self.entries.items():
-            rows.setdefault(r, {})[c] = v
-        return [rows.get(r, {}) for r in range(self.rows)]
-
     def _check_shape(self, other):
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
 
     def __repr__(self):
         return f"ExactMatrix({self.rows}x{self.cols}, {len(self.entries)} entries)"
-
-
-class RowSpace:
-    """Incrementally built row-echelon basis of sparse rational vectors.
-
-    Pivot rows are normalized to a leading 1 at their pivot coordinate;
-    reduction always eliminates the smallest remaining coordinate, so
-    reduce() terminates and membership tests are exact."""
-
-    def __init__(self):
-        self.pivot_rows: dict[int, dict] = {}
-
-    @property
-    def dimension(self) -> int:
-        return len(self.pivot_rows)
-
-    def reduce(self, vector: dict) -> dict:
-        v = {c: Fraction(x) for c, x in vector.items() if x}
-        while v:
-            c = min(v)
-            pivot = self.pivot_rows.get(c)
-            if pivot is None:
-                return v
-            coef = v.pop(c)
-            for cc, pv in pivot.items():
-                if cc == c:
-                    continue
-                nv = v.get(cc, 0) - coef * pv
-                if nv:
-                    v[cc] = nv
-                else:
-                    v.pop(cc, None)
-        return v
-
-    def add(self, vector: dict) -> bool:
-        """Reduce and absorb; True iff the vector enlarged the space."""
-        v = self.reduce(vector)
-        if not v:
-            return False
-        c = min(v)
-        lead = v[c]
-        self.pivot_rows[c] = {cc: vv / lead for cc, vv in v.items()}
-        return True
-
-    def contains(self, vector: dict) -> bool:
-        return not self.reduce(vector)
-
-
-def rank(m: ExactMatrix) -> int:
-    space = RowSpace()
-    for row in m.row_dicts():
-        space.add(row)
-    return space.dimension
-
-
-def span_dimension(matrices: Iterable[ExactMatrix]) -> int:
-    """Dimension of the span of the given matrices inside End(space)."""
-    space = RowSpace()
-    for m in matrices:
-        space.add(m.vectorize())
-    return space.dimension
-
-
-def in_span(target: ExactMatrix, basis: Iterable[ExactMatrix]) -> bool:
-    space = RowSpace()
-    for m in basis:
-        space.add(m.vectorize())
-    return space.contains(target.vectorize())
-

@@ -166,7 +166,8 @@ def morphism_report(
     checked when ``sample_pairs`` is None; otherwise that many pairs are
     drawn with a fixed seed.  ``inverse_ok`` also requires the two
     inverse routes of the coarsening sum to agree; the solved route runs
-    once, as one sweep over all elements.
+    once, as one sweep over all elements.  The round trip of each
+    inverse through the map sums the stored images of its terms.
 
     The homomorphism check runs on element indices: each element is
     encoded once as block masks, each image is a ``{index: coeff}``
@@ -234,12 +235,16 @@ def morphism_report(
     # only the coarsening sum has a second, solved inverse route
     solved = _inverses_by_solve(elements) if map_name == "coarsening_sum" else None
     inverse_ok = True
-    for alpha in elements:
+    for a, alpha in enumerate(elements):
         inv = inverse(alpha)
         if solved is not None and inv != solved[alpha]:
             inverse_ok = False
             break
-        if extend_linearly(forward, inv) != {alpha: 1}:
+        round_trip: dict = {}
+        for beta, c in inv.items():
+            for r, cr in images[index[block_masks(beta)]].items():
+                round_trip[r] = round_trip.get(r, 0) + c * cr
+        if {r: c for r, c in round_trip.items() if c} != {a: 1}:
             inverse_ok = False
             break
 

@@ -121,6 +121,19 @@ def from_masks(code, k: int) -> SetPartition:
     return SetPartition(k, tuple(blocks))
 
 
+def block_union_leq_codes(a, b) -> bool:
+    """:func:`~rookdual.diagrams.block_union_leq` on codes: every block
+    of b is the union of the blocks of a that meet it."""
+    for b_in, b_out in b:
+        ins = outs = 0
+        for a_in, a_out in a:
+            if a_in & b_in or a_out & b_out:
+                ins, outs = ins | a_in, outs | a_out
+        if (ins, outs) != (b_in, b_out):
+            return False
+    return True
+
+
 def _glue(a, b) -> list:
     """Components of the three-tier gluing, as (left, middle, right)
     masks: a's blocks enter as (in, out, 0), b's as (0, in, out), and

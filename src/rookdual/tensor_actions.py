@@ -23,6 +23,25 @@ classes that every commuting matrix holds constant, drops the classes
 forced to zero, and returns the rest, whose indicator matrices are the
 commutant basis.
 
+Spans need no linear algebra because each action has an orbit basis
+(``orbit_targets``), whose matrices have pairwise disjoint 0/1 supports
+and of which every plain matrix is a unitriangular 0/1 sum.  On the
+rook side it is the groupoid basis
+``floor(pi) = sum over sigma <= pi of mu(sigma, pi) sigma``, with sigma
+running over the restrictions of pi (L. Solomon, "Representations of
+the rook monoid", J. Algebra 256, 2002; B. Steinberg, "Moebius functions
+and semigroup representation theory", J. Combin. Theory Ser. A 113,
+2006): floor(pi) keeps a tensor only when its set of non-zero digits is
+exactly dom pi.  On the diagram side it is the hat action, which puts
+distinct non-zero digits on the blocks: the plain matrix of a diagram
+is the sum of the hat matrices of the diagrams made by merging and
+dropping its blocks (on V^k, where no digit is zero, by merging only).
+``DualityCell.span`` checks this on every element, with three exact
+checks: the orbit supports are pairwise disjoint; every entry of a
+plain matrix lies in the orbit of an element the natural order allows;
+and every orbit a plain matrix meets is covered in full, its own
+non-zero orbit among them.
+
 Only composition elements with a free output block (a block with
 output positions but no input position) send a tensor to a sum.  A free
 block adds nothing to the input ordinal, so each input pairs with one
@@ -42,6 +61,7 @@ from .diagrams import (
     PartialInjection,
     SetPartition,
     SizeGuardError,
+    is_dual_element,
     is_partial_dual_element,
 )
 from .exact_linalg import ExactMatrix
@@ -163,20 +183,25 @@ def targets_commutant(sources, d: int, unguarded: bool = False) -> list:
     return sorted((tuple(m) for m in members.values()), key=lambda m: m[-1])
 
 
-def _rook_targets(pi: PartialInjection, space: ActionSpace) -> Targets:
+def _rook_triples(pi: PartialInjection, space: ActionSpace) -> list:
     """Digit by digit, most significant first: each position carries a
-    live digit x to its image, and any other digit kills the tensor."""
+    live digit x to its image, and any other digit kills the tensor.
+    One (input, output, used) triple per surviving tensor, where bit x
+    of ``used`` says that the non-zero digit x occurs in it."""
     low, base = space.low, space.n + 1 - space.low
-    live = [(x - low, t - low) for x, t in enumerate(pi.targets, 1) if t is not None]
+    live = [
+        (x - low, t - low, 1 << x) for x, t in enumerate(pi.targets, 1) if t is not None
+    ]
     if low == 0:
-        live.insert(0, (0, 0))
-    pairs = [(0, 0)]
+        live.insert(0, (0, 0, 0))
+    triples = [(0, 0, 0)]
     for _ in range(space.k):
-        pairs = [(a * base + x, b * base + y) for a, b in pairs for x, y in live]
-    targets = [-1] * space.dimension
-    for a, b in pairs:
-        targets[a] = b
-    return tuple(targets)
+        triples = [
+            (a * base + x, b * base + y, used | bit)
+            for a, b, used in triples
+            for x, y, bit in live
+        ]
+    return triples
 
 
 def _block_weights(alpha: SetPartition, space: ActionSpace):
@@ -275,7 +300,7 @@ def action_targets(
         if element.n != space.n:
             raise ValueError("injection size disagrees with the space")
         space.guard(unguarded)
-        return _rook_targets(element, space)
+        return _fill(space, ((a, b) for a, b, _ in _rook_triples(element, space)))
     if space.kind == "U":
         return _u_targets(element, space, variant, unguarded)
     if variant != "plain":
@@ -286,6 +311,34 @@ def action_targets(
             "a free output block sends a tensor to a sum; use action_matrix_V"
         )
     return _fill(space, pairs)
+
+
+def orbit_targets(element, space: ActionSpace, unguarded: bool = False) -> Targets:
+    """Target tuple of the orbit-basis element of a partial injection or
+    a diagram: the part of its plain action that the orbits of its
+    proper restrictions, or of its proper block coarsenings, leave over.
+
+    A partial injection pi keeps a tensor only when its set of non-zero
+    digits is exactly dom pi.  A partial dual element on U^k acts by its
+    hat action; a dual element on V^k acts by the V hat action, which
+    puts distinct digits 1..n on its blocks."""
+    if isinstance(element, PartialInjection):
+        if element.n != space.n:
+            raise ValueError("injection size disagrees with the space")
+        space.guard(unguarded)
+        dom = sum(1 << x for x in element.domain())
+        triples = _rook_triples(element, space)
+        return _fill(space, ((a, b) for a, b, used in triples if used == dom))
+    if space.kind == "U":
+        return _u_targets(element, space, "hat", unguarded)
+    if element.k != space.k:
+        raise ValueError("diagram size disagrees with the space")
+    if not is_dual_element(element):
+        raise ValueError("the V orbit basis needs a dual element")
+    space.guard(unguarded)
+    weights = _block_weights(element, space)
+    assignments = itertools.permutations(range(1, space.n + 1), len(weights))
+    return _fill(space, _ordinal_pairs(space, weights, assignments))
 
 
 def action_matrix_V(

@@ -6,13 +6,25 @@ outer-right nodes, the way the package computed them before it moved to
 block bitmasks.  The match sets give one input tensor's image under the
 composition action on V^k and the plain, hat and tilde U-actions block
 by block, the way the package built action matrices before it moved to
-target tuples.  Neither validates its inputs; callers pass elements of
-the right family.
+target tuples.  ``RowSpace`` and its helpers are the Fraction row
+reduction the package computed spans with before it counted them on
+orbit bases, and ``rowspace_half_centralizer`` is the span half of the
+double-centralizer check on top of it.  None of these validates its
+inputs; callers pass elements of the right family.
 """
 
 import itertools
+from fractions import Fraction
+from typing import Iterable
 
-from rookdual import HatElement, canonicalize, primed, unprimed
+from rookdual import (
+    ExactMatrix,
+    HatElement,
+    block_union_leq,
+    canonicalize,
+    primed,
+    unprimed,
+)
 from rookdual.semigroups import UnionFind
 
 # the three-tier diagram products
@@ -215,3 +227,146 @@ def match_set_tilde(alpha, i, n) -> set:
     if len(set(nonzero)) != len(nonzero):
         return set()
     return {_assemble_output(alpha, values)}
+
+
+# block orders on set partitions
+
+
+def coarser_leq(alpha, beta) -> bool:
+    """Merging order on equal supports: every block of beta is a union of
+    blocks of alpha.  Partitions of different point sets never compare."""
+    if alpha.k != beta.k:
+        raise ValueError("cannot compare partitions with different k")
+    if alpha.support() != beta.support():
+        return False
+    return block_union_leq(alpha, beta)
+
+
+def subblocks_leq(beta, alpha) -> bool:
+    """True iff the blocks of beta form a sub-collection of alpha's."""
+    if beta.k != alpha.k:
+        raise ValueError("cannot compare partitions with different k")
+    return set(beta.blocks) <= set(alpha.blocks)
+
+
+def block_count_at_most(p, j: int) -> bool:
+    """True iff the singleton completion of p has at most j blocks."""
+    uncovered = 2 * p.k - len(p.support())
+    return len(p.blocks) + uncovered <= j
+
+
+# Fraction row reduction
+
+
+def transpose(m: ExactMatrix) -> ExactMatrix:
+    return ExactMatrix(m.cols, m.rows, {(c, r): v for (r, c), v in m.entries.items()})
+
+
+def vectorize(m: ExactMatrix) -> dict:
+    """Flatten to a sparse vector, coordinate = row*cols + col."""
+    return {r * m.cols + c: v for (r, c), v in m.entries.items()}
+
+
+def row_dicts(m: ExactMatrix) -> list:
+    rows = {}
+    for (r, c), v in m.entries.items():
+        rows.setdefault(r, {})[c] = v
+    return [rows.get(r, {}) for r in range(m.rows)]
+
+
+class RowSpace:
+    """Incrementally built row-echelon basis of sparse rational vectors.
+
+    Pivot rows are normalized to a leading 1 at their pivot coordinate;
+    reduction always eliminates the smallest remaining coordinate, so
+    reduce() terminates and membership tests are exact."""
+
+    def __init__(self):
+        self.pivot_rows: dict[int, dict] = {}
+
+    @property
+    def dimension(self) -> int:
+        return len(self.pivot_rows)
+
+    def reduce(self, vector: dict) -> dict:
+        v = {c: Fraction(x) for c, x in vector.items() if x}
+        while v:
+            c = min(v)
+            pivot = self.pivot_rows.get(c)
+            if pivot is None:
+                return v
+            coef = v.pop(c)
+            for cc, pv in pivot.items():
+                if cc == c:
+                    continue
+                nv = v.get(cc, 0) - coef * pv
+                if nv:
+                    v[cc] = nv
+                else:
+                    v.pop(cc, None)
+        return v
+
+    def add(self, vector: dict) -> bool:
+        """Reduce and absorb; True iff the vector enlarged the space."""
+        v = self.reduce(vector)
+        if not v:
+            return False
+        c = min(v)
+        lead = v[c]
+        self.pivot_rows[c] = {cc: vv / lead for cc, vv in v.items()}
+        return True
+
+    def contains(self, vector: dict) -> bool:
+        return not self.reduce(vector)
+
+
+def rank(m: ExactMatrix) -> int:
+    space = RowSpace()
+    for row in row_dicts(m):
+        space.add(row)
+    return space.dimension
+
+
+def span_dimension(matrices: Iterable[ExactMatrix]) -> int:
+    """Dimension of the span of the given matrices inside End(space)."""
+    space = RowSpace()
+    for m in matrices:
+        space.add(vectorize(m))
+    return space.dimension
+
+
+def in_span(target: ExactMatrix, basis: Iterable[ExactMatrix]) -> bool:
+    space = RowSpace()
+    for m in basis:
+        space.add(vectorize(m))
+    return space.contains(vectorize(target))
+
+
+def target_vector(targets) -> dict:
+    """The flattened 0/1 matrix of a target tuple, coordinate row*d + col."""
+    d = len(targets)
+    return {t * d + c: 1 for c, t in enumerate(targets) if t >= 0}
+
+
+def rowspace_half_centralizer(classes, plain_targets) -> tuple:
+    """(span dimension, span in commutant, commutant in span) of the
+    other side's plain tuples against a commutant given as coordinate
+    classes: a 0/1 matrix lies in the commutant when its support is a
+    union of classes, and a class lies in the span when row reduction
+    leaves nothing of its indicator."""
+    class_of = {x: c for c, members in enumerate(classes) for x in members}
+
+    def in_commutant(support) -> bool:
+        touched = {class_of.get(x) for x in support}
+        if None in touched:
+            return False
+        return sum(len(classes[c]) for c in touched) == len(support)
+
+    span = RowSpace()
+    for targets in plain_targets:
+        span.add(target_vector(targets))
+    return (
+        span.dimension,
+        all(in_commutant(target_vector(t)) for t in plain_targets),
+        all(span.contains(dict.fromkeys(members, 1)) for members in classes),
+    )

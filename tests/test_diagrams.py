@@ -20,10 +20,8 @@ from rookdual import (
     PartialInjection,
     SetPartition,
     SizeGuardError,
-    block_count_at_most,
     block_union_leq,
     canonicalize,
-    coarser_leq,
     count_is,
     count_istar,
     enumerate_is,
@@ -32,9 +30,10 @@ from rookdual import (
     is_dual_element,
     is_partial_dual_element,
     primed,
-    subblocks_leq,
     unprimed,
 )
+
+from oracles import block_count_at_most, coarser_leq, subblocks_leq
 
 
 def brute_partitions(points):

@@ -1,11 +1,17 @@
-"""Double-centralizer checks, faithfulness, and the grid driver."""
+"""Double-centralizer checks, faithfulness, the orbit certification of
+the spans, and the grid runner."""
+
+import math
+import re
 
 import pytest
 
 from rookdual import (
     DualityCell,
+    PartialInjection,
     centralizer_data,
     default_grid,
+    enumerate_pistar,
     predicted_algebra_faithful,
     predicted_semigroup_faithful,
     run_full_report,
@@ -14,6 +20,8 @@ from rookdual import (
     verify_commutation,
     verify_semigroup_faithfulness,
 )
+
+from oracles import rowspace_half_centralizer
 
 
 def test_commutation_on_the_core_grid():
@@ -81,15 +89,179 @@ def test_centralizer_both_directions():
 )
 def test_centralizer_inclusions_can_fail(right, inside):
     """The left commutant of V(2,2) has the classes (0,15), (5,10) and
-    (6,9).  A right side swapped for one that leaves it, or that spans
-    too little of it, must fail the inclusions."""
+    (6,9).  A right span swapped for the supports of tuples that leave
+    it, or that span too little of it, must fail the inclusions."""
+    supports = [[t * 4 + c for c, t in enumerate(r) if t >= 0] for r in right]
 
     class Tampered(DualityCell):
-        def targets(self, side):
-            return right if side == "right" else super().targets(side)
+        def span(self, side):
+            return supports if side == "right" else super().span(side)
 
     comm, span, right_in, comm_in = Tampered(2, 2, "V").half_centralizer("left")
     assert (comm, span, right_in, comm_in) == (3, len(right), inside, False)
+
+
+# The grid, the benchmark's centralizer cells, and two larger cells.
+CERTIFIED_CELLS = sorted(
+    {(space, n, k) for space, n, k, _ in default_grid()}
+    | {("V", 4, 3), ("U", 4, 2), ("U", 3, 3), ("V", 3, 4), ("U", 2, 4)}
+)
+
+
+def _cell_id(cell):
+    return f"{cell[0]}{cell[1]},{cell[2]}"
+
+
+@pytest.mark.parametrize("cell", CERTIFIED_CELLS, ids=_cell_id)
+def test_orbit_spans_match_the_rowspace_oracle(cell):
+    """Both halves of the double centralizer, span dimension and both
+    inclusions, equal the Fraction row reduction of the plain tuples
+    against the same commutant classes."""
+    space, n, k = cell
+    commutants = {}
+
+    class OneSolve(DualityCell):
+        def commutant(self, side):
+            if side not in commutants:
+                commutants[side] = super().commutant(side)
+            return commutants[side]
+
+    duality = OneSolve(n, k, space)
+    for side, other in (("left", "right"), ("right", "left")):
+        classes = duality.commutant(side)
+        expected = rowspace_half_centralizer(classes, duality.targets(other))
+        assert duality.half_centralizer(side) == (len(classes), *expected), side
+
+
+def _stirling2(k, m):
+    """Set partitions of k points into m blocks, by the recurrence."""
+    if k == 0 or m == 0:
+        return int(k == m)
+    return m * _stirling2(k - 1, m) + _stirling2(k - 1, m - 1)
+
+
+def predicted_orbit_counts(space, n, k):
+    """(left, right) non-zero orbit counts: rook elements whose domain a
+    tensor of k digits can exhaust (a non-empty one on V), and diagrams
+    with at most n blocks.  A partial dual element with m blocks picks
+    its two supports and their partitions in S(k+1, m+1) ways each."""
+    low = 1 if space == "V" else 0
+    left = sum(math.comb(n, r) ** 2 * math.factorial(r) for r in range(low, min(n, k) + 1))
+    if space == "V":
+        terms = (_stirling2(k, m) ** 2 * math.factorial(m) for m in range(min(n, k) + 1))
+    else:
+        terms = (_stirling2(k + 1, m + 1) ** 2 * math.factorial(m) for m in range(min(n, k) + 1))
+    return left, sum(terms)
+
+
+@pytest.mark.parametrize("cell", CERTIFIED_CELLS, ids=_cell_id)
+def test_orbit_counts_match_closed_forms(cell):
+    space, n, k = cell
+    duality = DualityCell(n, k, space)
+    counts = (len(duality.span("left")), len(duality.span("right")))
+    assert counts == predicted_orbit_counts(space, n, k)
+
+
+def test_orbit_count_closed_form_for_U_right_counts_diagrams():
+    """The U right closed form counts the partial dual elements with at
+    most n blocks."""
+    for k in (1, 2, 3):
+        elements = enumerate_pistar(k)
+        for n in (1, 2, 3, 4):
+            expected = sum(1 for e in elements if len(e.blocks) <= n)
+            assert predicted_orbit_counts("U", n, k)[1] == expected
+
+
+IDENT, SWAP, EMPTY = (PartialInjection(t) for t in ([1, 2], [2, 1], [None, None]))
+
+
+def _certification_error(side, *elements):
+    """Pattern of the message naming V(2,2), the side and the elements."""
+    names = ".*".join(re.escape(str(e)) for e in elements)
+    return rf"V\(2,2\) {side}: .*{names}"
+
+
+def _tampered(method, edit):
+    """V(2,2) whose left ``targets`` or ``orbits`` list first goes
+    through ``edit(items, position_of_element)``."""
+
+    class Tampered(DualityCell):
+        pass
+
+    def tampered(self, side):
+        items = list(getattr(DualityCell, method)(self, side))
+        if side == "left":
+            edit(items, self.left_elements.index)
+        return items
+
+    setattr(Tampered, method, tampered)
+    return Tampered(2, 2, "V")
+
+
+def test_certification_rejects_overlapping_orbits():
+    def overlap(orbits, at):
+        orbits[at(SWAP)] = orbits[at(IDENT)]
+
+    cell = _tampered("orbits", overlap)
+    with pytest.raises(RuntimeError, match=_certification_error("left", IDENT, SWAP)):
+        cell.half_centralizer("right")
+    assert cell.half_centralizer("left")[:2] == (3, 3)  # the right side is intact
+
+
+def test_certification_rejects_a_plain_tuple_missing_a_coordinate():
+    """Dropping the tensor 12 from the identity's plain tuple leaves the
+    identity's own orbit {12, 21} half covered."""
+
+    def drop(targets, at):
+        targets[at(IDENT)] = (0, -1, 2, 3)
+
+    with pytest.raises(RuntimeError, match=_certification_error("left", IDENT, IDENT)):
+        _tampered("targets", drop).span("left")
+
+
+def test_certification_rejects_a_plain_entry_outside_every_orbit():
+    """On V the empty map acts by zero, and no orbit holds the entry
+    (row 0, col 1): the tensor 12 never goes to 11."""
+
+    def add(targets, at):
+        targets[at(EMPTY)] = (-1, 0, -1, -1)
+
+    with pytest.raises(RuntimeError, match=_certification_error("left", EMPTY)):
+        _tampered("targets", add).span("left")
+
+
+def test_certification_rejects_swapped_orbits():
+    """The identity and the swap have the same domain; with their orbits
+    exchanged, the identity's plain matrix lies in the slot of the swap,
+    which is no restriction of it."""
+
+    def swap(orbits, at):
+        a, b = at(IDENT), at(SWAP)
+        orbits[a], orbits[b] = orbits[b], orbits[a]
+
+    with pytest.raises(RuntimeError, match=_certification_error("left", IDENT, SWAP)):
+        _tampered("orbits", swap).span("left")
+
+
+def test_certification_rejects_an_element_missing_its_own_orbit():
+    """An orbit invented for the empty map, on an entry no other orbit
+    holds, is one no plain matrix meets."""
+
+    def invent(orbits, at):
+        orbits[at(EMPTY)] = (-1, 0, -1, -1)
+
+    with pytest.raises(RuntimeError, match=_certification_error("left", EMPTY)):
+        _tampered("orbits", invent).span("left")
+
+
+def test_certification_rejects_an_owner_the_order_forbids():
+    class OrderOff(DualityCell):
+        def order(self, side):
+            return lambda a, b: False
+
+    for side in ("left", "right"):
+        with pytest.raises(RuntimeError, match=rf"V\(2,2\) {side}: .*natural order"):
+            OrderOff(2, 2, "V").span(side)
 
 
 def test_span_never_exceeds_commutant():

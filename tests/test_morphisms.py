@@ -300,3 +300,19 @@ def test_inverse_ok_catches_an_extra_term(monkeypatch):
 
     monkeypatch.setattr(rookdual.morphisms, "coarsening_sum_inverse", wrong)
     assert morphism_report("coarsening_sum", 2).inverse_ok is False
+
+
+def test_inverse_ok_catches_a_wrong_forward_image(monkeypatch):
+    """The round trip sums the stored images of the inverse's terms, so
+    a coarsening sum that forgets the empty diagram in the identity's
+    image spoils it, although both inverse routes still agree."""
+    right = rookdual.morphisms.coarsening_sum
+
+    def wrong(alpha):
+        terms = right(alpha)
+        if alpha == SetPartition.identity(alpha.k):
+            del terms[SetPartition.empty(alpha.k)]
+        return terms
+
+    monkeypatch.setattr(rookdual.morphisms, "coarsening_sum", wrong)
+    assert morphism_report("coarsening_sum", 2).inverse_ok is False

@@ -20,6 +20,7 @@ from rookdual import (
     HatElement,
     PartialInjection,
     SetPartition,
+    block_union_leq,
     bullet_multiply,
     canonicalize,
     enumerate_is,
@@ -37,7 +38,7 @@ from rookdual import (
     star_multiply,
     unprimed,
 )
-from rookdual.semigroups import block_masks, from_masks
+from rookdual.semigroups import block_masks, block_union_leq_codes, from_masks
 
 
 def test_worked_product():
@@ -401,6 +402,16 @@ def test_block_masks_round_trip():
             code = block_masks(alpha)
             assert list(code) == sorted(code)
             assert from_masks(code, k) == alpha
+
+
+def test_block_union_leq_codes_matches_block_union_leq():
+    """Every pair of partial dual elements at k <= 3, and every pair of
+    diagrams at k <= 2, where blocks may miss a row."""
+    pairs = [p for k in (1, 2, 3) for p in itertools.product(enumerate_pistar(k), repeat=2)]
+    pairs += [p for k in (1, 2) for p in itertools.product(_all_diagrams(k), repeat=2)]
+    for a, b in pairs:
+        got = block_union_leq_codes(block_masks(a), block_masks(b))
+        assert got == block_union_leq(a, b), (a, b)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

@@ -31,6 +31,7 @@ from rookdual import (
     epsilon,
     multiply_istar,
     multiply_pistar,
+    orbit_targets,
     parse_element,
     primed,
     rook_action_matrix,
@@ -509,3 +510,44 @@ def test_tuple_checks_agree_with_matrix_products(space):
         mats = [matrix[t] for t in targets]
         assert cell.semigroup_faithful(side) == (len(set(mats)) == len(mats))
 
+
+
+@pytest.mark.parametrize("space", ORACLE_SPACES, ids=_space_id)
+def test_orbit_targets_match_their_definitions(space):
+    """The rook orbit keeps exactly the inputs whose non-zero digits make
+    up the domain; the diagram orbit is the hat action on U and, on V,
+    the match set restricted to inputs with distinct block digits."""
+    n = space.n
+    for pi in enumerate_is(n):
+        plain = _rook_match(pi)
+
+        def match(i, pi=pi, plain=plain):
+            return plain(i) if set(i) - {0} == pi.domain() else set()
+
+        expected = _matrix_from_match(space, match)
+        assert targets_matrix(orbit_targets(pi, space)) == expected, pi
+    if space.kind == "U":
+        for alpha in enumerate_pistar(space.k):
+            assert orbit_targets(alpha, space) == action_targets(alpha, space, "hat")
+        return
+    for alpha in enumerate_istar(space.k):
+
+        def match(i, alpha=alpha):
+            digits = {i[alpha.in_part(block)[0] - 1] for block in alpha.blocks}
+            return match_set_c(alpha, i, n) if len(digits) == len(alpha.blocks) else set()
+
+        expected = _matrix_from_match(space, match)
+        assert targets_matrix(orbit_targets(alpha, space)) == expected, alpha
+
+
+def test_orbit_targets_validation():
+    spv = ActionSpace("V", 2, 2)
+    free = canonicalize([[unprimed(1), unprimed(2), primed(1)], [primed(2)]], 2)
+    with pytest.raises(ValueError):
+        orbit_targets(free, spv)
+    with pytest.raises(ValueError):
+        orbit_targets(SetPartition.identity(3), spv)
+    with pytest.raises(ValueError):
+        orbit_targets(PartialInjection.identity(3), spv)
+    with pytest.raises(SizeGuardError):
+        orbit_targets(PartialInjection.identity(2), ActionSpace("V", 2, 13))
