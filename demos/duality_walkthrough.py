@@ -5,14 +5,13 @@ Run with: python3 demos/duality_walkthrough.py
 
 from rookdual import (
     ActionSpace,
-    action_matrix_U,
-    action_matrix_V,
+    action_targets,
     centralizer_data,
     enumerate_istar,
     enumerate_pistar,
     is_generators,
-    rook_action_matrix,
     run_full_report,
+    targets_commute,
 )
 
 n, k = 2, 2
@@ -22,20 +21,22 @@ print(f"V has dimension {ActionSpace('V', n, k).dimension}, "
       f"U has dimension {ActionSpace('U', n, k).dimension}.")
 
 # One explicit commutation check.  Partial injections act diagonally
-# on tensor factors; dual elements act by block matching.  Products of
-# matrices from the two sides agree regardless of the order.
+# on tensor factors; dual elements act by block matching.  Each action
+# sends a basis tensor to one basis tensor or to zero, so it is a tuple
+# of target ordinals, and the two sides commute when composing the
+# tuples in either order gives the same tuple.
 space = ActionSpace("V", n, k)
 pi = is_generators(n)[0]
 alpha = enumerate_istar(k)[-1]
-left = rook_action_matrix(pi, space)
-right = action_matrix_V(alpha, space)
-print(f"\n{pi} and {alpha} commute on V: {left * right == right * left}")
+left = action_targets(pi, space)
+right = action_targets(alpha, space)
+print(f"\n{pi} and {alpha} commute on V: {targets_commute(left, right)}")
 
 space = ActionSpace("U", n, k)
 beta = enumerate_pistar(k)[3]
-left = rook_action_matrix(pi, space)
-right = action_matrix_U(beta, space, "plain")
-print(f"{pi} and {beta} commute on U: {left * right == right * left}")
+left = action_targets(pi, space)
+right = action_targets(beta, space, "plain")
+print(f"{pi} and {beta} commute on U: {targets_commute(left, right)}")
 
 print("\nCentralizer dimensions on V "
       "(commutant of left, span of right, commutant of right, span of left):")

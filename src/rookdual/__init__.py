@@ -34,7 +34,6 @@ from .dualities import (
     verify_commutation,
     verify_semigroup_faithfulness,
 )
-from .exact_linalg import ExactMatrix
 from .morphisms import (
     MorphismReport,
     block_subset_sum,
@@ -68,14 +67,11 @@ from .semigroups import (
 )
 from .tensor_actions import (
     ActionSpace,
-    action_matrix_U,
-    action_matrix_V,
+    action_matrix,
     action_targets,
     orbit_targets,
-    rook_action_matrix,
     targets_commutant,
     targets_commute,
-    targets_matrix,
 )
 
 __version__ = "0.1.0"

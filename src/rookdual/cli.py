@@ -34,7 +34,7 @@ from .semigroups import (
     multiply_pistar,
     star_multiply,
 )
-from .tensor_actions import ActionSpace, action_matrix_U, action_matrix_V, rook_action_matrix
+from .tensor_actions import ActionSpace, action_matrix
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -94,8 +94,8 @@ def _build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--all", action="store_true", help="both grids plus morphism checks")
     p.add_argument("--max-n", type=int, default=None)
     p.add_argument("--max-k", type=int, default=None)
-    p.add_argument("--n", type=int, default=2, help="props mode ground set size")
-    p.add_argument("--k", type=int, default=2, help="props mode boundary size")
+    p.add_argument("--n", type=int, help="props mode ground set size (default 2)")
+    p.add_argument("--k", type=int, help="props mode boundary size (default 2)")
 
     return parser
 
@@ -189,22 +189,21 @@ def _cmd_multiply(args) -> tuple:
 def _cmd_act(args) -> tuple:
     space = ActionSpace(args.space, args.n, args.k)
     if args.rook:
+        _require("--rook supports only --variant plain", args.variant == "plain")
         element = parse_element(args.element, "is", args.n)
-        matrix = rook_action_matrix(element, space, args.unguarded)
     elif args.space == "V":
         _require("--space V supports only --variant plain", args.variant == "plain")
         element = parse_element(args.element, "composition", args.k)
-        matrix = action_matrix_V(element, space, args.unguarded)
     else:
         family = "hat" if args.variant == "hat" else "pistar"
         element = parse_element(args.element, family, args.k)
-        matrix = action_matrix_U(element, space, args.variant, args.unguarded)
-    entries = sorted(matrix.entries.items())
+    matrix = action_matrix(element, space, args.variant, args.unguarded)
+    entries = sorted(matrix.items())
     if args.format == "json":
         payload = {
             "schema_version": 1,
-            "rows": matrix.rows,
-            "cols": matrix.cols,
+            "rows": space.dimension,
+            "cols": space.dimension,
             "entries": _coordinate_triplets(entries),
         }
         return _json(payload), 0
@@ -274,6 +273,11 @@ def _morphism_text(report_dict) -> str:
 
 
 def _cmd_verify(args) -> tuple:
+    if args.thm1 or args.thm2:
+        _require(
+            "--n and --k apply only to --props and --all",
+            args.n is None and args.k is None,
+        )
     if args.thm1:
         mode, spaces, with_props = "thm1", ("V",), False
     elif args.thm2:
@@ -287,7 +291,7 @@ def _cmd_verify(args) -> tuple:
         r.to_json_dict()
         for r in run_grid(spaces=spaces, max_n=args.max_n, max_k=args.max_k)
     ] if spaces else []
-    morphisms = _props_reports(args.n, args.k) if with_props else []
+    morphisms = _props_reports(args.n or 2, args.k or 2) if with_props else []
 
     all_match = all(r["match"] for r in duality) and all(
         r["homomorphism_ok"] and r["inverse_ok"] for r in morphisms

@@ -10,19 +10,22 @@ the semigroup and algebra representations are faithful exactly when the
 size predicates say they should be.
 
 All checks at one (n, k, space) cell share one ``DualityCell``.  It
-enumerates the left generators, the left elements and the right
-elements, and builds their actions as target tuples (see
-``tensor_actions``), each at most once and only when a check first asks
-for it, so a check never pays for a size guard it does not need.  On
-the tuples, commutation is ``targets_commute`` and semigroup
+enumerates the left generators (``is_generators``), the left elements
+and the right elements, and builds their plain actions as target tuples
+(``action_targets``), each at most once and only when a check first
+asks for it, so a check never pays for a size guard it does not need.
+On the tuples, commutation is ``targets_commute`` and semigroup
 faithfulness is distinctness.
 
-Spans are counted on the orbit bases of the two actions (see
-``tensor_actions``), not row-reduced.  ``DualityCell.span`` certifies
-that every plain matrix is a unitriangular 0/1 sum of orbit matrices
-with disjoint supports, and returns the non-zero orbit supports: the
-span's dimension is their number, and a matrix lies in the span exactly
-when it is constant on every support and zero off them.
+Spans are counted on the orbit bases of the two actions
+(``orbit_targets``: the rook groupoid basis on the left, the hat action
+on the right, on V^k as on U^k), not row-reduced.  Target tuples and
+orbit tuples come from the one pair builder of ``tensor_actions``.
+``DualityCell.span`` certifies that every plain matrix is a
+unitriangular 0/1 sum of orbit matrices with disjoint supports, and
+returns the non-zero orbit supports: the span's dimension is their
+number, and a matrix lies in the span exactly when it is constant on
+every support and zero off them.
 
 A commutant is a list of classes of matrix coordinates
 (``targets_commutant``): its matrices are those constant on every class
@@ -106,16 +109,9 @@ class DualityCell:
 
     @property
     def left_generators(self) -> list:
-        """Targets of the rook-monoid generators, with the identity."""
-
-        def build():
-            gens = is_generators(self.n)
-            ident = PartialInjection.identity(self.n)
-            if ident not in gens:
-                gens = [ident] + gens
-            return self._act(gens)
-
-        return self._part("left_generators", build)
+        """Targets of the monoid generators ``is_generators(n)``: a matrix
+        commutes with the whole rook monoid when it commutes with these."""
+        return self._part("left_generators", lambda: self._act(is_generators(self.n)))
 
     @property
     def left_elements(self) -> list:

@@ -138,6 +138,28 @@ def extend_linearly(func, x: dict) -> dict:
     return {term: c for term, c in total.items() if c}
 
 
+def _indexed(elements, forward) -> tuple:
+    """The index of each element by its block masks, and each element's
+    forward image on indices, ``{index: coeff}``."""
+    index = {block_masks(alpha): i for i, alpha in enumerate(elements)}
+    return index, [_on_indices(forward(alpha), index) for alpha in elements]
+
+
+def _on_indices(terms: dict, index: dict) -> dict:
+    return {index[block_masks(beta)]: c for beta, c in terms.items()}
+
+
+def _undoes(inverse: dict, a: int, images: list) -> bool:
+    """The forward map sends the inverse of element a, given on indices,
+    back to element a: the stored forward images of the inverse's terms
+    sum to ``{a: 1}``."""
+    total: dict = {}
+    for b, c in inverse.items():
+        for r, cr in images[b].items():
+            total[r] = total.get(r, 0) + c * cr
+    return {r: c for r, c in total.items() if c} == {a: 1}
+
+
 @dataclass(frozen=True)
 class MorphismReport:
     k: int
@@ -188,12 +210,8 @@ def morphism_report(
 
     if not all(is_partial_dual_element(alpha) for alpha in elements):
         raise RuntimeError("enumerate_pistar returned a non-partial-dual element")
-    codes = [block_masks(alpha) for alpha in elements]
-    index = {code: i for i, code in enumerate(codes)}
-    images = [
-        {index[block_masks(beta)]: c for beta, c in forward(alpha).items()}
-        for alpha in elements
-    ]
+    index, images = _indexed(elements, forward)
+    codes = list(index)
     ins = [tuple(sorted(i for i, _ in code)) for code in codes]
     outs = [tuple(sorted(o for _, o in code)) for code in codes]
     by_in = []
@@ -240,11 +258,7 @@ def morphism_report(
         if solved is not None and inv != solved[alpha]:
             inverse_ok = False
             break
-        round_trip: dict = {}
-        for beta, c in inv.items():
-            for r, cr in images[index[block_masks(beta)]].items():
-                round_trip[r] = round_trip.get(r, 0) + c * cr
-        if {r: c for r, c in round_trip.items() if c} != {a: 1}:
+        if not _undoes(_on_indices(inv, index), a, images):
             inverse_ok = False
             break
 
@@ -257,12 +271,13 @@ def morphism_report(
     )
 
 
-def _combination(terms: dict, targets: dict) -> dict:
-    """Sum of coeff times the matrix of each term's target tuple, as
-    {(row, col): coeff} without zero entries."""
+def _combination(terms: dict, targets: list) -> dict:
+    """Sum of coeff times the matrix of each term's target tuple, terms
+    given on element indices, as {(row, col): coeff} without zero
+    entries."""
     total: dict = {}
-    for element, coeff in terms.items():
-        for c, t in enumerate(targets[element]):
+    for b, coeff in terms.items():
+        for c, t in enumerate(targets[b]):
             if t >= 0:
                 total[(t, c)] = total.get((t, c), 0) + coeff
     return {entry: v for entry, v in total.items() if v}
@@ -277,54 +292,58 @@ def verify_hat_consistency(n: int, k: int) -> MorphismReport:
     one diagram above alpha keeps it under the deformed action.  And
     (c) the deformed matrix of alpha equals the plain matrix of the
     inverse coarsening sum of alpha, extended linearly.  All three read
-    the action target tuples, built once per element (-1 = killed)."""
+    the action target tuples, built once per element (-1 = killed).
+    The inverse is computed once per element and serves both (c) and
+    the round trip, which sums the stored coarsening sums of its terms,
+    as in ``morphism_report``."""
     space = ActionSpace("U", n, k)
     elements = enumerate_pistar(k)
-    plain = {alpha: action_targets(alpha, space, "plain") for alpha in elements}
-    hat = {alpha: action_targets(alpha, space, "hat") for alpha in elements}
+    index, images = _indexed(elements, coarsening_sum)
+    plain = [action_targets(alpha, space, "plain") for alpha in elements]
+    hat = [action_targets(alpha, space, "hat") for alpha in elements]
     zero_ok = True
     unique_ok = True
     matrix_ok = True
-    for alpha in elements:
-        uppers = [hat[beta] for beta in natural_upper_set(alpha)]
-        for c, t in enumerate(plain[alpha]):
+    inverse_ok = True
+    for a, alpha in enumerate(elements):
+        # the coarsening sum of alpha is its up-set, with coefficients 1
+        uppers = [hat[b] for b in images[a]]
+        for c, t in enumerate(plain[a]):
             live = sum(1 for targets in uppers if targets[c] >= 0)
             if t < 0:
                 zero_ok = zero_ok and not live
             else:
                 unique_ok = unique_ok and live == 1
-        inv = coarsening_sum_inverse(alpha)
-        if _combination(inv, plain) != _combination({alpha: 1}, hat):
+        inv = _on_indices(coarsening_sum_inverse(alpha), index)
+        if _combination(inv, plain) != _combination({a: 1}, hat):
             matrix_ok = False
+        inverse_ok = inverse_ok and _undoes(inv, a, images)
     return MorphismReport(
         k=k,
         map_name="hat_consistency",
         pairs_checked=len(elements) * space.dimension,
         homomorphism_ok=zero_ok and unique_ok and matrix_ok,
-        inverse_ok=all(
-            extend_linearly(coarsening_sum, coarsening_sum_inverse(alpha))
-            == {alpha: 1}
-            for alpha in elements
-        ),
+        inverse_ok=inverse_ok,
     )
 
 
 def verify_tilde_factorization(n: int, k: int) -> MorphismReport:
     """The tilde action of a diagram equals the deformed action of its
-    block subset sum, as an exact matrix identity on U^k."""
+    block subset sum, as an exact matrix identity on U^k.  The inverse
+    round trip sums the stored block subset sums, as in
+    ``morphism_report``."""
     space = ActionSpace("U", n, k)
     elements = enumerate_pistar(k)
-    hat = {alpha: action_targets(alpha, space, "hat") for alpha in elements}
-    tilde = {alpha: action_targets(alpha, space, "tilde") for alpha in elements}
+    index, images = _indexed(elements, block_subset_sum)
+    hat = [action_targets(alpha, space, "hat") for alpha in elements]
+    tilde = [action_targets(alpha, space, "tilde") for alpha in elements]
     ok = all(
-        _combination(block_subset_sum(alpha), hat)
-        == _combination({alpha: 1}, tilde)
-        for alpha in elements
+        _combination(images[a], hat) == _combination({a: 1}, tilde)
+        for a in range(len(elements))
     )
     inverse_ok = all(
-        extend_linearly(block_subset_sum, block_subset_sum_inverse(alpha))
-        == {alpha: 1}
-        for alpha in elements
+        _undoes(_on_indices(block_subset_sum_inverse(alpha), index), a, images)
+        for a, alpha in enumerate(elements)
     )
     return MorphismReport(
         k=k,

@@ -4,18 +4,30 @@ V has basis e_1..e_n; U adjoins e_0.  A tensor index is a plain tuple
 of k digits, ordered mixed-radix with the first digit most significant,
 and its position in that order (its ordinal) is the matrix coordinate.
 
-Every rook, dual, partial dual, hat and tilde element sends each basis
-tensor to one basis tensor or to zero, so its action is stored as a
-target tuple T of length d = dim: input ordinal c goes to T[c], and
-T[c] == -1 means the tensor is killed.  The matrix has column c with
-its only 1 in row T[c].  ``action_targets`` builds the tuple once per
-element: it reads the element's blocks once, turns each into the
-weight one unit of its digit adds to the input and to the output
-ordinal, and enumerates the admissible digit assignments to the blocks
-(zero allowed or not, distinctness across blocks: this is where the
-plain, hat and tilde variants differ).  Every input no assignment
-reaches is killed.  Products of these matrices are compositions of
-tuples, and commutation is ``targets_commute``.
+Every action here is a stream of (input, output) ordinal pairs with
+coefficient 1, and one private builder, ``_pairs``, makes it: it checks
+the element against the space and the variant, reads the element's
+blocks once, turns each into the weight one unit of its digit adds to
+the input and to the output ordinal, and enumerates the admissible
+digit assignments to the blocks (zero allowed or not, distinctness
+across blocks: this is where the plain, hat and tilde variants differ).
+A partial injection's pairs come digit by digit instead.  Three
+functions sit on the stream:
+
+* ``action_targets`` stores it as a target tuple T of length d = dim:
+  input ordinal c goes to T[c], and T[c] == -1 means the tensor is
+  killed (no pair reaches it).  Every rook, dual, partial dual, hat
+  and tilde element sends each basis tensor to one basis tensor or to
+  zero, so its matrix has column c with its only 1 in row T[c].
+  Products of these matrices are compositions of tuples, and
+  commutation is ``targets_commute``.
+* ``orbit_targets`` is the orbit basis below.
+* ``action_matrix`` writes the pairs as ``{(row, col): 1}``.  Only a
+  composition element with a free output block (a block with output
+  positions but no input position) needs it: a free block adds nothing
+  to the input ordinal, so each input pairs with one output per digit
+  of the free block and goes to their sum, which ``action_targets``
+  refuses.
 
 The commutant of a set of target tuples needs no linear algebra either:
 ``targets_commutant`` splits the d*d unknown entries into union-find
@@ -33,21 +45,15 @@ the rook monoid", J. Algebra 256, 2002; B. Steinberg, "Moebius functions
 and semigroup representation theory", J. Combin. Theory Ser. A 113,
 2006): floor(pi) keeps a tensor only when its set of non-zero digits is
 exactly dom pi.  On the diagram side it is the hat action, which puts
-distinct non-zero digits on the blocks: the plain matrix of a diagram
-is the sum of the hat matrices of the diagrams made by merging and
-dropping its blocks (on V^k, where no digit is zero, by merging only).
+distinct non-zero digits on the blocks (on V^k, those of a dual
+element): the plain matrix of a diagram is the sum of the hat matrices
+of the diagrams made by merging and dropping its blocks (on V^k, where
+no digit is zero, by merging only).
 ``DualityCell.span`` checks this on every element, with three exact
 checks: the orbit supports are pairwise disjoint; every entry of a
 plain matrix lies in the orbit of an element the natural order allows;
 and every orbit a plain matrix meets is covered in full, its own
 non-zero orbit among them.
-
-Only composition elements with a free output block (a block with
-output positions but no input position) send a tensor to a sum.  A free
-block adds nothing to the input ordinal, so each input pairs with one
-output per digit of the free block; ``action_matrix_V`` writes those
-(input, output) pairs as matrix entries, from the same enumeration that
-fills the target tuples.
 
 Diagram actions are right actions, so the matrix of a product composes
 in reverse order; partial injections act on the left with the usual
@@ -64,7 +70,6 @@ from .diagrams import (
     is_dual_element,
     is_partial_dual_element,
 )
-from .exact_linalg import ExactMatrix
 from .semigroups import UnionFind
 
 TensorIndex = tuple[int, ...]
@@ -123,13 +128,6 @@ class ActionSpace:
         return tuple(reversed(digits))
 
 
-def targets_matrix(targets: Targets) -> ExactMatrix:
-    """The 0/1 matrix of a target tuple: column c holds its only 1 in
-    row ``targets[c]``, and no entry at all where that is -1."""
-    d = len(targets)
-    return ExactMatrix(d, d, {(t, c): 1 for c, t in enumerate(targets) if t >= 0})
-
-
 def targets_commute(g: Targets, a: Targets) -> bool:
     """True iff the two matrices commute, i.e. g[a[c]] == a[g[c]] for
     every input c.  Appending -1 to both tuples makes index -1 read -1,
@@ -183,11 +181,14 @@ def targets_commutant(sources, d: int, unguarded: bool = False) -> list:
     return sorted((tuple(m) for m in members.values()), key=lambda m: m[-1])
 
 
-def _rook_triples(pi: PartialInjection, space: ActionSpace) -> list:
+def _rook_triples(pi: PartialInjection, space: ActionSpace, unguarded: bool) -> list:
     """Digit by digit, most significant first: each position carries a
     live digit x to its image, and any other digit kills the tensor.
     One (input, output, used) triple per surviving tensor, where bit x
     of ``used`` says that the non-zero digit x occurs in it."""
+    if pi.n != space.n:
+        raise ValueError("injection size disagrees with the space")
+    space.guard(unguarded)
     low, base = space.low, space.n + 1 - space.low
     live = [
         (x - low, t - low, 1 << x) for x, t in enumerate(pi.targets, 1) if t is not None
@@ -222,16 +223,68 @@ def _block_weights(alpha: SetPartition, space: ActionSpace):
     return weights
 
 
-def _ordinal_pairs(space: ActionSpace, weights, assignments):
-    """The (input, output) ordinal pair of each admissible digit
-    assignment to the blocks."""
+def _nonzero_distinct(values) -> bool:
+    nonzero = [v for v in values if v]
+    return len(set(nonzero)) == len(nonzero)
+
+
+def _pairs(element, space: ActionSpace, variant: str, unguarded: bool):
+    """The one action builder: check the element against the space and
+    the variant, and return its block weights (none for a partial
+    injection or the hat zero) with the (input, output) ordinal pairs
+    of its action, one pair per admissible digit assignment to the
+    blocks.
+
+    A partial injection has only the plain action.  On V^k a diagram
+    acts plainly through its completion, every block carrying any digit
+    1..n; the hat action, distinct digits 1..n on the blocks, takes a
+    ``HatElement`` of a dual element.  On U^k a partial dual element
+    acts plainly (any digit 0..n on each block), by hat (distinct
+    non-zero digits) or by tilde (distinct non-zero digits, any number
+    of zeros); under hat a diagram is wrapped, and the adjoined zero
+    kills everything."""
+    if isinstance(element, PartialInjection):
+        if variant != "plain":
+            raise ValueError("partial injections have only the plain action")
+        return (), ((a, b) for a, b, _ in _rook_triples(element, space, unguarded))
+    if element.k != space.k:
+        raise ValueError("diagram size disagrees with the space")
+    n = space.n
+    if variant == "hat" and (space.kind == "U" or isinstance(element, HatElement)):
+        hat = element if isinstance(element, HatElement) else HatElement.wrap(element)
+        if hat.is_zero:
+            weights, assignments = (), ()
+        else:
+            if space.kind == "V" and not is_dual_element(hat.diagram):
+                raise ValueError("the hat action on V^k needs a dual element")
+            weights = _block_weights(hat.diagram, space)
+            assignments = itertools.permutations(range(1, n + 1), len(weights))
+    elif space.kind == "V":
+        if variant != "plain":
+            raise ValueError("V^k carries only the plain action")
+        weights = _block_weights(element.completed(), space)
+        assignments = itertools.product(range(1, n + 1), repeat=len(weights))
+    elif variant in ("plain", "tilde"):
+        if not is_partial_dual_element(element):
+            raise ValueError(f"the {variant} action needs a partial dual element")
+        weights = _block_weights(element, space)
+        assignments = itertools.product(range(n + 1), repeat=len(weights))
+        if variant == "tilde":
+            assignments = filter(_nonzero_distinct, assignments)
+    else:
+        raise ValueError(f"unknown variant {variant!r}")
+    space.guard(unguarded)
     low = space.low
-    for values in assignments:
-        src = dst = 0
-        for v, (w_in, w_out) in zip(values, weights):
-            src += (v - low) * w_in
-            dst += (v - low) * w_out
-        yield src, dst
+
+    def pairs():
+        for values in assignments:
+            src = dst = 0
+            for v, (w_in, w_out) in zip(values, weights):
+                src += (v - low) * w_in
+                dst += (v - low) * w_out
+            yield src, dst
+
+    return weights, pairs()
 
 
 def _fill(space: ActionSpace, pairs) -> Targets:
@@ -243,73 +296,17 @@ def _fill(space: ActionSpace, pairs) -> Targets:
     return tuple(targets)
 
 
-def _composition_pairs(alpha: SetPartition, space: ActionSpace, unguarded: bool):
-    """Block weights of a composition element on V^k and the ordinal
-    pairs of its action: every block carries any digit 1..n."""
-    if alpha.k != space.k:
-        raise ValueError("diagram size disagrees with the space")
-    space.guard(unguarded)
-    weights = _block_weights(alpha.completed(), space)
-    digits = range(1, space.n + 1)
-    assignments = itertools.product(digits, repeat=len(weights))
-    return weights, _ordinal_pairs(space, weights, assignments)
-
-
-def _nonzero_distinct(values) -> bool:
-    nonzero = [v for v in values if v]
-    return len(set(nonzero)) == len(nonzero)
-
-
-def _u_targets(element, space: ActionSpace, variant: str, unguarded: bool) -> Targets:
-    space.guard(unguarded)
-    if variant == "hat":
-        hat = element if isinstance(element, HatElement) else HatElement.wrap(element)
-        if hat.k != space.k:
-            raise ValueError("diagram size disagrees with the space")
-        if hat.is_zero:
-            return (-1,) * space.dimension
-        alpha = hat.diagram
-    elif variant in ("plain", "tilde"):
-        if element.k != space.k:
-            raise ValueError("diagram size disagrees with the space")
-        if not is_partial_dual_element(element):
-            raise ValueError(f"the {variant} action needs a partial dual element")
-        alpha = element
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    weights = _block_weights(alpha, space)
-    m, n = len(weights), space.n
-    if variant == "plain":
-        assignments = itertools.product(range(n + 1), repeat=m)
-    elif variant == "hat":
-        assignments = itertools.permutations(range(1, n + 1), m)
-    else:
-        assignments = filter(_nonzero_distinct, itertools.product(range(n + 1), repeat=m))
-    return _fill(space, _ordinal_pairs(space, weights, assignments))
-
-
 def action_targets(
     element, space: ActionSpace, variant: str = "plain", unguarded: bool = False
 ) -> Targets:
     """Target tuple of a partial injection (plain action), or of a
-    diagram: a composition element without free output blocks on V^k,
-    a partial dual or hat element on U^k under the given variant."""
-    if isinstance(element, PartialInjection):
-        if variant != "plain":
-            raise ValueError("partial injections have only the plain action")
-        if element.n != space.n:
-            raise ValueError("injection size disagrees with the space")
-        space.guard(unguarded)
-        return _fill(space, ((a, b) for a, b, _ in _rook_triples(element, space)))
-    if space.kind == "U":
-        return _u_targets(element, space, variant, unguarded)
-    if variant != "plain":
-        raise ValueError("V^k carries only the plain action")
-    weights, pairs = _composition_pairs(element, space, unguarded)
+    diagram: a composition element on V^k (the hat element of a dual
+    element under hat), a partial dual or hat element on U^k under the
+    given variant.  A free output block sends a tensor to a sum, which
+    no target tuple holds, so it is refused."""
+    weights, pairs = _pairs(element, space, variant, unguarded)
     if any(not w_in for w_in, _ in weights):
-        raise ValueError(
-            "a free output block sends a tensor to a sum; use action_matrix_V"
-        )
+        raise ValueError("a free output block sends a tensor to a sum; use action_matrix")
     return _fill(space, pairs)
 
 
@@ -319,52 +316,21 @@ def orbit_targets(element, space: ActionSpace, unguarded: bool = False) -> Targe
     proper restrictions, or of its proper block coarsenings, leave over.
 
     A partial injection pi keeps a tensor only when its set of non-zero
-    digits is exactly dom pi.  A partial dual element on U^k acts by its
-    hat action; a dual element on V^k acts by the V hat action, which
-    puts distinct digits 1..n on its blocks."""
+    digits is exactly dom pi.  A diagram acts by its hat action: a
+    partial dual element on U^k, a dual element on V^k."""
     if isinstance(element, PartialInjection):
-        if element.n != space.n:
-            raise ValueError("injection size disagrees with the space")
-        space.guard(unguarded)
         dom = sum(1 << x for x in element.domain())
-        triples = _rook_triples(element, space)
+        triples = _rook_triples(element, space, unguarded)
         return _fill(space, ((a, b) for a, b, used in triples if used == dom))
-    if space.kind == "U":
-        return _u_targets(element, space, "hat", unguarded)
-    if element.k != space.k:
-        raise ValueError("diagram size disagrees with the space")
-    if not is_dual_element(element):
-        raise ValueError("the V orbit basis needs a dual element")
-    space.guard(unguarded)
-    weights = _block_weights(element, space)
-    assignments = itertools.permutations(range(1, space.n + 1), len(weights))
-    return _fill(space, _ordinal_pairs(space, weights, assignments))
+    hat = element if isinstance(element, HatElement) else HatElement.wrap(element)
+    return _fill(space, _pairs(hat, space, "hat", unguarded)[1])
 
 
-def action_matrix_V(
-    alpha: SetPartition, space: ActionSpace, unguarded: bool = False
-) -> ExactMatrix:
-    """Matrix of a composition/dual element on V^k (columns = inputs); a
-    free output block sends a tensor to the sum over its digits."""
-    if space.kind != "V":
-        raise ValueError("action_matrix_V needs a V space")
-    _, pairs = _composition_pairs(alpha, space, unguarded)
-    d = space.dimension
-    return ExactMatrix(d, d, {(dst, src): 1 for src, dst in pairs})
-
-
-def rook_action_matrix(
-    pi: PartialInjection, space: ActionSpace, unguarded: bool = False
-) -> ExactMatrix:
-    """Entrywise action of a partial injection on V^k or U^k: digits map
-    through pi (0 is fixed on U); any undefined digit kills the vector."""
-    return targets_matrix(action_targets(pi, space, "plain", unguarded))
-
-
-def action_matrix_U(
+def action_matrix(
     element, space: ActionSpace, variant: str = "plain", unguarded: bool = False
-) -> ExactMatrix:
-    """Matrix of a partial dual element (or hat element) on U^k."""
-    if space.kind != "U":
-        raise ValueError("action_matrix_U needs a U space")
-    return targets_matrix(_u_targets(element, space, variant, unguarded))
+) -> dict:
+    """The action matrix of an element as ``{(row, col): 1}``, columns
+    the inputs.  Every entry is 1: an input goes to one output or, under
+    a free output block, to the sum over that block's digits."""
+    _, pairs = _pairs(element, space, variant, unguarded)
+    return {(dst, src): 1 for src, dst in pairs}

@@ -6,10 +6,12 @@ outer-right nodes, the way the package computed them before it moved to
 block bitmasks.  The match sets give one input tensor's image under the
 composition action on V^k and the plain, hat and tilde U-actions block
 by block, the way the package built action matrices before it moved to
-target tuples.  ``RowSpace`` and its helpers are the Fraction row
-reduction the package computed spans with before it counted them on
-orbit bases, and ``rowspace_half_centralizer`` is the span half of the
-double-centralizer check on top of it.  None of these validates its
+target tuples.  ``ExactMatrix`` is the test-side sparse matrix with
+Fraction entries, for matrix products and the null-space oracle;
+``RowSpace`` and its helpers are the Fraction row reduction the package
+computed spans with before it counted them on orbit bases, and
+``rowspace_half_centralizer`` is the span half of the double-centralizer
+check on top of it.  None of these validates its
 inputs; callers pass elements of the right family.
 """
 
@@ -18,8 +20,8 @@ from fractions import Fraction
 from typing import Iterable
 
 from rookdual import (
-    ExactMatrix,
     HatElement,
+    action_matrix,
     block_union_leq,
     canonicalize,
     primed,
@@ -255,7 +257,98 @@ def block_count_at_most(p, j: int) -> bool:
     return len(p.blocks) + uncovered <= j
 
 
-# Fraction row reduction
+# Fraction matrices and row reduction
+
+
+class ExactMatrix:
+    """Immutable sparse matrix with Fraction entries keyed by (row, col)."""
+
+    __slots__ = ("rows", "cols", "entries")
+
+    def __init__(self, rows: int, cols: int, entries: dict):
+        clean = {}
+        for (r, c), v in entries.items():
+            if not (0 <= r < rows and 0 <= c < cols):
+                raise ValueError(f"entry ({r},{c}) outside {rows}x{cols}")
+            v = Fraction(v)
+            if v:
+                clean[(r, c)] = v
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "entries", clean)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ExactMatrix is immutable")
+
+    @classmethod
+    def identity(cls, d: int):
+        return cls(d, d, {(i, i): 1 for i in range(d)})
+
+    @classmethod
+    def zero(cls, rows: int, cols: int):
+        return cls(rows, cols, {})
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, ExactMatrix)
+            and self.rows == other.rows
+            and self.cols == other.cols
+            and self.entries == other.entries
+        )
+
+    def __hash__(self):
+        return hash((self.rows, self.cols, frozenset(self.entries.items())))
+
+    def __add__(self, other):
+        self._check_shape(other)
+        out = dict(self.entries)
+        for key, v in other.entries.items():
+            out[key] = out.get(key, 0) + v
+        return ExactMatrix(self.rows, self.cols, out)
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+    def scale(self, c):
+        c = Fraction(c)
+        return ExactMatrix(
+            self.rows, self.cols, {key: c * v for key, v in self.entries.items()}
+        )
+
+    def __mul__(self, other):
+        if not isinstance(other, ExactMatrix):
+            return NotImplemented
+        if self.cols != other.rows:
+            raise ValueError("shape mismatch in matrix product")
+        by_row = {}
+        for (r, c), v in other.entries.items():
+            by_row.setdefault(r, []).append((c, v))
+        out = {}
+        for (r, m), a in self.entries.items():
+            for c, b in by_row.get(m, ()):
+                key = (r, c)
+                out[key] = out.get(key, 0) + a * b
+        return ExactMatrix(self.rows, other.cols, out)
+
+    def _check_shape(self, other):
+        if self.rows != other.rows or self.cols != other.cols:
+            raise ValueError("shape mismatch")
+
+    def __repr__(self):
+        return f"ExactMatrix({self.rows}x{self.cols}, {len(self.entries)} entries)"
+
+
+def exact_action(element, space, variant: str = "plain") -> ExactMatrix:
+    """``action_matrix`` as an ExactMatrix, for products and comparisons."""
+    d = space.dimension
+    return ExactMatrix(d, d, action_matrix(element, space, variant))
+
+
+def targets_matrix(targets) -> ExactMatrix:
+    """The 0/1 matrix of a target tuple: column c holds its only 1 in
+    row ``targets[c]``, and no entry at all where that is -1."""
+    d = len(targets)
+    return ExactMatrix(d, d, {(t, c): 1 for c, t in enumerate(targets) if t >= 0})
 
 
 def transpose(m: ExactMatrix) -> ExactMatrix:

@@ -6,7 +6,11 @@ and capture output without shelling out.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from importlib.resources import files
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -19,6 +23,8 @@ from rookdual import (
     parse_element,
 )
 from rookdual.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -271,6 +277,74 @@ def test_commutant_basis_is_golden(cell, fmt, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of the full stdout of ``rookdual act``, pinned from a run of
+# the Fraction-matrix implementation; the same under any PYTHONHASHSEED.
+ACT_SHA256 = {
+    # a free output block sends each tensor to a sum
+    ("V", "2", "2", "plain", "{1,1'}|{2}|{2'}"): (
+        "06215736d0c7bbb8c94e5b09db087e38c029594588bca66210b8d62b407f2d98",
+        "616ea5ce932d6404fc7e9ac323b087d199447283a48ea321ada6b554fad45f26",
+    ),
+    ("V", "3", "2", "plain", "{1,2'}|{2,1'}"): (
+        "189bd74781b6f265677602edd62c41d5b09ad6b0f1fc1be35b7a67c5107d7642",
+        "6aa4afea4095a333821f9d2d49a7ffa7b20d24a88fc46dffc5815558a65ba6a7",
+    ),
+    ("V", "3", "2", "rook", "[3,-,1]"): (
+        "db280ea5573d411fd705311976adc2b75234c080001eae140013b9464a602f79",
+        "0d489a98a95c46af48d9975e475fcd1c1028c4e6d129977378d100a7a680beca",
+    ),
+    ("U", "2", "2", "rook", "[2,-]"): (
+        "75b195433a91e30628946ac6bcba7f76c375777413e759d4eb0eec2195ab752e",
+        "0d41fd1e76f02bee17d3cd738a1796041c3e52bff36cbd79c67c79964d139dc6",
+    ),
+    ("U", "2", "2", "hat", "0"): (
+        "01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b",
+        "69d2dbf030d54e89e28d799ba34ecaefae6df265812d16d05956b4bb4f54973c",
+    ),
+    ("U", "2", "2", "hat", "{1,2'}|{2,1'}"): (
+        "7aad7d64065daa867a38e2d2bcbc11ddb5c3e2392d5e3d9dbd337b2bb3b9eca3",
+        "cd9bffb9090a3d1468c638ec9213dc3604ebeb893ec3b9379b7a2ac92ac35a65",
+    ),
+    ("U", "2", "2", "tilde", "{1,2,1'}"): (
+        "21f9d7f8eb4e2bd2423b31cf16116fa7d197d8377b23670beaa73f932ef22891",
+        "6e0bfc0f889c6d5b8b33257fcd5d5c21b5f1b6950f4e2a37d405e8c5f80189a9",
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("case", sorted(ACT_SHA256), ids="-".join)
+def test_act_is_golden(case, fmt, capsys):
+    space, n, k, variant, element = case
+    flags = ["--rook"] if variant == "rook" else ["--variant", variant]
+    code, out, err = run_cli(
+        capsys, "act", "--space", space, "--n", n, "--k", k, *flags,
+        "--format", fmt, element,
+    )
+    assert code == 0
+    assert err == ""
+    digest = ACT_SHA256[case][fmt == "json"]
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_import_leaves_fractions_unloaded():
+    """Every action is a stream of 0/1 entries, so neither the package
+    nor its command line needs Fraction arithmetic."""
+    done = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, rookdual, rookdual.cli; print('fractions' in sys.modules)",
+        ],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
+
+
 def test_out_writes_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = run_cli(
@@ -305,6 +379,9 @@ def test_out_writes_file(tmp_path, capsys):
         # a bound that selects no cell would check nothing
         ("verify", "--thm1", "--max-n", "0"),
         ("verify", "--thm2", "--max-k", "-3"),
+        # flags the chosen mode would otherwise ignore
+        ("act", "--space", "V", "--n", "1", "--k", "1", "--rook", "--variant", "tilde", "[1]"),
+        ("verify", "--thm2", "--n", "3", "--k", "1"),
     ],
 )
 def test_usage_errors_exit_two(argv, capsys):

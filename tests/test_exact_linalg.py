@@ -1,4 +1,4 @@
-"""Exact matrices, the Fraction rank and span oracles of ``oracles``
+"""The Fraction matrices, rank and span oracles of ``oracles``
 cross-checked against sympy on small dense instances, and the
 union-find commutant of target tuples, cross-checked against sympy and
 against the Fraction null-space solve kept here as the oracle."""
@@ -14,18 +14,25 @@ from hypothesis import strategies as st
 from rookdual import (
     ActionSpace,
     DualityCell,
-    ExactMatrix,
     SizeGuardError,
-    action_matrix_V,
     action_targets,
     default_grid,
     enumerate_istar,
     is_generators,
     targets_commutant,
-    targets_matrix,
 )
 
-from oracles import RowSpace, in_span, rank, span_dimension, transpose, vectorize
+from oracles import (
+    ExactMatrix,
+    RowSpace,
+    exact_action,
+    in_span,
+    rank,
+    span_dimension,
+    targets_matrix,
+    transpose,
+    vectorize,
+)
 
 
 def dense(m: ExactMatrix):
@@ -234,7 +241,7 @@ def test_commutant_contains_other_action():
     sp = ActionSpace("V", 3, 2)
     basis = class_matrices(targets_commutant(rook_generator_targets(sp), 9), 9)
     for alpha in enumerate_istar(2):
-        assert in_span(action_matrix_V(alpha, sp), basis)
+        assert in_span(exact_action(alpha, sp), basis)
 
 
 def test_commutant_guard():

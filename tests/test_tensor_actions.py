@@ -3,9 +3,9 @@
 The match-set oracles here scan every candidate output index and check
 the block conditions directly on the raw blocks, so they are slow but
 independent of the constraint-propagation implementation.  The target
-tuples are checked in turn against matrices built one input index at a
-time through the match sets of ``oracles``, on every space of dimension
-at most 27.
+tuples and ``action_matrix`` are checked in turn against matrices built
+one input index at a time through the match sets of ``oracles``, on
+every space of dimension at most 27.
 """
 
 import itertools
@@ -16,13 +16,11 @@ import pytest
 from rookdual import (
     ActionSpace,
     DualityCell,
-    ExactMatrix,
     HatElement,
     PartialInjection,
     SetPartition,
     SizeGuardError,
-    action_matrix_U,
-    action_matrix_V,
+    action_matrix,
     action_targets,
     canonicalize,
     enumerate_is,
@@ -34,9 +32,7 @@ from rookdual import (
     orbit_targets,
     parse_element,
     primed,
-    rook_action_matrix,
     targets_commute,
-    targets_matrix,
     unprimed,
 )
 from rookdual.diagrams import (
@@ -46,7 +42,15 @@ from rookdual.diagrams import (
 )
 from rookdual.semigroups import bullet_multiply, star_multiply
 
-from oracles import match_set_c, match_set_hat, match_set_partial, match_set_tilde
+from oracles import (
+    ExactMatrix,
+    exact_action,
+    match_set_c,
+    match_set_hat,
+    match_set_partial,
+    match_set_tilde,
+    targets_matrix,
+)
 
 
 def brute_match_c(alpha, i, n):
@@ -225,39 +229,39 @@ def test_action_space_guard():
 def test_action_matrix_V_examples():
     sp = ActionSpace("V", 2, 2)
     ident = SetPartition.identity(2)
-    assert action_matrix_V(ident, sp).entries == {(i, i): 1 for i in range(4)}
+    assert action_matrix(ident, sp) == {(i, i): 1 for i in range(4)}
     top = parse_element("{1,2,1',2'}", "composition", 2)
-    assert sorted(action_matrix_V(top, sp).entries) == [(0, 0), (3, 3)]
+    assert sorted(action_matrix(top, sp)) == [(0, 0), (3, 3)]
 
 
 def test_matrix_columns_and_entries():
     sp = ActionSpace("V", 2, 2)
     for alpha in enumerate_istar(2):
-        m = action_matrix_V(alpha, sp)
-        assert all(v == 1 for v in m.entries.values())
+        m = action_matrix(alpha, sp)
+        assert all(v == 1 for v in m.values())
         for c in range(sp.dimension):
-            assert sum(1 for (_, cc) in m.entries if cc == c) <= 1
+            assert sum(1 for (_, cc) in m if cc == c) <= 1
     spu = ActionSpace("U", 2, 2)
     for alpha in enumerate_pistar(2):
         for variant in ("plain", "tilde"):
-            m = action_matrix_U(alpha, spu, variant)
-            assert all(v == 1 for v in m.entries.values())
+            m = action_matrix(alpha, spu, variant)
+            assert all(v == 1 for v in m.values())
             for c in range(spu.dimension):
-                assert sum(1 for (_, cc) in m.entries if cc == c) <= 1
+                assert sum(1 for (_, cc) in m if cc == c) <= 1
 
 
 def test_rook_action_examples():
     sp = ActionSpace("V", 2, 2)
     e2 = epsilon(2, {1})
-    m = rook_action_matrix(e2, sp)
-    assert m.entries == {(0, 0): 1}  # fixes v_(1,1) only
+    m = action_matrix(e2, sp)
+    assert m == {(0, 0): 1}  # fixes v_(1,1) only
     zero = epsilon(2, set())
-    assert rook_action_matrix(zero, sp).entries == {}
+    assert action_matrix(zero, sp) == {}
     spu = ActionSpace("U", 2, 2)
-    mu = rook_action_matrix(zero, spu)
-    assert mu.entries == {(0, 0): 1}  # fixes v_(0,0) only
+    mu = action_matrix(zero, spu)
+    assert mu == {(0, 0): 1}  # fixes v_(0,0) only
     ident = PartialInjection.identity(2)
-    assert rook_action_matrix(ident, spu).entries == {(i, i): 1 for i in range(9)}
+    assert action_matrix(ident, spu) == {(i, i): 1 for i in range(9)}
 
 
 def test_rook_action_is_a_homomorphism():
@@ -267,9 +271,7 @@ def test_rook_action_is_a_homomorphism():
         elements = enumerate_is(n)
         for _ in range(60):
             a, b = rng.choice(elements), rng.choice(elements)
-            assert rook_action_matrix(a * b, sp) == rook_action_matrix(
-                a, sp
-            ) * rook_action_matrix(b, sp)
+            assert exact_action(a * b, sp) == exact_action(a, sp) * exact_action(b, sp)
 
 
 def test_diagram_action_reverses_products():
@@ -277,10 +279,10 @@ def test_diagram_action_reverses_products():
     product is the reversed product of the matrices."""
     for n, k in ((1, 1), (2, 1), (2, 2), (3, 2), (3, 3)):
         sp = ActionSpace("V", n, k)
-        mats = {a: action_matrix_V(a, sp) for a in enumerate_istar(k)}
+        mats = {a: exact_action(a, sp) for a in enumerate_istar(k)}
         for a in enumerate_istar(k):
             for b in enumerate_istar(k):
-                assert action_matrix_V(multiply_istar(a, b), sp) == mats[b] * mats[a]
+                assert exact_action(multiply_istar(a, b), sp) == mats[b] * mats[a]
 
 
 def test_diagram_action_direction_witness():
@@ -289,8 +291,8 @@ def test_diagram_action_direction_witness():
     sp = ActionSpace("V", 2, 3)
     a = parse_element("{1,2,1'}|{3,2',3'}", "istar", 3)
     b = parse_element("{1,1',2'}|{2,3,3'}", "istar", 3)
-    ma, mb = action_matrix_V(a, sp), action_matrix_V(b, sp)
-    mab = action_matrix_V(multiply_istar(a, b), sp)
+    ma, mb = exact_action(a, sp), exact_action(b, sp)
+    mab = exact_action(multiply_istar(a, b), sp)
     assert mab == mb * ma
     assert mab != ma * mb
 
@@ -298,10 +300,10 @@ def test_diagram_action_direction_witness():
 def test_plain_U_action_reverses_products():
     for n in (1, 2):
         sp = ActionSpace("U", n, 2)
-        mats = {a: action_matrix_U(a, sp, "plain") for a in enumerate_pistar(2)}
+        mats = {a: exact_action(a, sp, "plain") for a in enumerate_pistar(2)}
         for a in enumerate_pistar(2):
             for b in enumerate_pistar(2):
-                got = action_matrix_U(multiply_pistar(a, b), sp, "plain")
+                got = exact_action(multiply_pistar(a, b), sp, "plain")
                 assert got == mats[b] * mats[a]
 
 
@@ -309,30 +311,30 @@ def test_hat_action_reverses_star_products():
     for n in (1, 2):
         sp = ActionSpace("U", n, 2)
         hats = [HatElement.zero(2)] + [HatElement.wrap(a) for a in enumerate_pistar(2)]
-        mats = {a: action_matrix_U(a, sp, "hat") for a in hats}
+        mats = {a: exact_action(a, sp, "hat") for a in hats}
         assert mats[HatElement.zero(2)].entries == {}
         for a in hats:
             for b in hats:
-                got = action_matrix_U(star_multiply(a, b), sp, "hat")
+                got = exact_action(star_multiply(a, b), sp, "hat")
                 assert got == mats[b] * mats[a]
 
 
 def test_tilde_action_reverses_bullet_products():
     for n in (1, 2):
         sp = ActionSpace("U", n, 2)
-        mats = {a: action_matrix_U(a, sp, "tilde") for a in enumerate_pistar(2)}
+        mats = {a: exact_action(a, sp, "tilde") for a in enumerate_pistar(2)}
         for a in enumerate_pistar(2):
             for b in enumerate_pistar(2):
-                got = action_matrix_U(bullet_multiply(a, b), sp, "tilde")
+                got = exact_action(bullet_multiply(a, b), sp, "tilde")
                 assert got == mats[b] * mats[a]
 
 
 def test_rook_and_diagram_actions_commute():
     for n, k in ((2, 2), (3, 2), (2, 3)):
         sp = ActionSpace("V", n, k)
-        rooks = [rook_action_matrix(g, sp) for g in enumerate_is(n)]
+        rooks = [exact_action(g, sp) for g in enumerate_is(n)]
         for alpha in enumerate_istar(k):
-            m = action_matrix_V(alpha, sp)
+            m = exact_action(alpha, sp)
             assert all(r * m == m * r for r in rooks)
 
 
@@ -342,42 +344,44 @@ def test_V_embeds_in_U():
     n, k = 2, 2
     spv, spu = ActionSpace("V", n, k), ActionSpace("U", n, k)
     for alpha in enumerate_istar(k):
-        mv = action_matrix_V(alpha, spv)
-        mu = action_matrix_U(alpha, spu, "plain")
+        mv = action_matrix(alpha, spv)
+        mu = action_matrix(alpha, spu, "plain")
         for i in spv.indices():
             for j in spv.indices():
-                v_entry = mv.entries.get((spv.ordinal(j), spv.ordinal(i)), 0)
-                u_entry = mu.entries.get((spu.ordinal(j), spu.ordinal(i)), 0)
+                v_entry = mv.get((spv.ordinal(j), spv.ordinal(i)), 0)
+                u_entry = mu.get((spu.ordinal(j), spu.ordinal(i)), 0)
                 assert v_entry == u_entry
 
 
 def test_identity_acts_as_identity_everywhere():
     ident2 = SetPartition.identity(2)
     spu = ActionSpace("U", 2, 2)
-    assert action_matrix_U(ident2, spu, "plain").entries == {
-        (i, i): 1 for i in range(9)
-    }
-    hat_ident = action_matrix_U(HatElement.wrap(ident2), spu, "hat")
+    assert action_matrix(ident2, spu, "plain") == {(i, i): 1 for i in range(9)}
+    hat_ident = action_matrix(HatElement.wrap(ident2), spu, "hat")
     # the deformed identity keeps only all-distinct non-zero digit indices
     fixed = {spu.ordinal(i) for i in ((1, 2), (2, 1))}
-    assert hat_ident.entries == {(i, i): 1 for i in fixed}
+    assert hat_ident == {(i, i): 1 for i in fixed}
 
 
 def test_variant_validation():
     spu = ActionSpace("U", 2, 2)
     spv = ActionSpace("V", 2, 2)
     with pytest.raises(ValueError):
-        action_matrix_U(SetPartition.identity(2), spv, "plain")
+        action_matrix(SetPartition.identity(2), spv, "tilde")
     with pytest.raises(ValueError):
-        action_matrix_U(SetPartition.identity(2), spu, "nope")
+        action_matrix(SetPartition.identity(2), spu, "nope")
     with pytest.raises(ValueError):
-        action_matrix_V(SetPartition.identity(2), spu)
+        action_matrix(parse_element("{1,1'}|{2}|{2'}", "composition", 2), spu)
+    with pytest.raises(ValueError):
+        action_matrix(PartialInjection.identity(2), spu, "hat")
+    with pytest.raises(ValueError):
+        action_matrix(SetPartition.identity(3), spv)
 
 
 def test_free_output_blocks_still_act_by_sums():
     sp = ActionSpace("V", 2, 1)
     free = canonicalize([[unprimed(1)], [primed(1)]], 1)
-    assert action_matrix_V(free, sp).entries == {(r, c): 1 for r in (0, 1) for c in (0, 1)}
+    assert action_matrix(free, sp) == {(r, c): 1 for r in (0, 1) for c in (0, 1)}
     with pytest.raises(ValueError):
         action_targets(free, sp)
 
@@ -421,7 +425,7 @@ def test_action_matrix_V_matches_match_set_c_with_free_blocks():
             sp = ActionSpace("V", n, k)
             for alpha in diagrams:
                 expected = _matrix_from_match(sp, lambda i: match_set_c(alpha, i, n))
-                assert action_matrix_V(alpha, sp) == expected, (alpha, n)
+                assert exact_action(alpha, sp) == expected, (alpha, n)
 
 def _rook_match(pi):
     def match(i):
@@ -484,10 +488,12 @@ def test_target_tuples_match_the_match_set_matrices(space):
     for pi in enumerate_is(space.n):
         expected = _matrix_from_match(space, _rook_match(pi))
         assert targets_matrix(action_targets(pi, space)) == expected, pi
+        assert exact_action(pi, space) == expected, pi
     for element, variant, match in _diagram_cases(space):
         expected = _matrix_from_match(space, match)
         got = targets_matrix(action_targets(element, space, variant))
         assert got == expected, (element, variant)
+        assert exact_action(element, space, variant) == expected, (element, variant)
 
 
 @pytest.mark.parametrize("space", ORACLE_SPACES, ids=_space_id)
