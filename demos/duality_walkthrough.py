@@ -5,12 +5,12 @@ Run with: python3 demos/duality_walkthrough.py
 
 from rookdual import (
     ActionSpace,
+    DualityCell,
     action_targets,
     centralizer_data,
     enumerate_istar,
     enumerate_pistar,
     is_generators,
-    run_full_report,
     targets_commute,
 )
 
@@ -48,7 +48,7 @@ data = centralizer_data(n, k, "U")
 print(f"  {data.dims}   equalities hold: {data.ok}")
 
 print("\nFull report at this cell:")
-report = run_full_report(n, k, "V")
+report = DualityCell(n, k, "V").report()
 for key, value in report.to_json_dict().items():
     print(f"  {key}: {value}")
 
@@ -56,6 +56,6 @@ for key, value in report.to_json_dict().items():
 # algebra embeds only once k >= n, the dual algebra only once k <= n.
 print("\nAlgebra faithfulness near the diagonal (V):")
 for nn, kk in ((2, 1), (2, 2), (2, 3)):
-    r = run_full_report(nn, kk, "V", with_commutant=False)
+    r = DualityCell(nn, kk, "V").report(with_commutant=False)
     print(f"  n={nn} k={kk}: rook side {r.algebra_faithful_left}, "
           f"dual side {r.algebra_faithful_right}")

@@ -21,18 +21,13 @@ from .diagrams import (
     unprimed,
 )
 from .dualities import (
+    GRID,
     CentralizerData,
     DualityCell,
     DualityReport,
     centralizer_data,
-    default_grid,
-    predicted_algebra_faithful,
-    predicted_semigroup_faithful,
-    run_full_report,
+    predicted_faithful,
     run_grid,
-    verify_algebra_faithfulness,
-    verify_commutation,
-    verify_semigroup_faithfulness,
 )
 from .morphisms import (
     MorphismReport,

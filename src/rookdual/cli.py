@@ -5,7 +5,8 @@ and ``verify``.  All output is deterministic; JSON reports carry
 ``schema_version`` 1 and the ``verify`` report validates against the
 shipped ``schemas/verify.schema.json``.  Diagnostics go to stderr.
 Exit codes: 0 on success (for ``verify``: all checks match), 1 when a
-verification check fails, 2 on usage, notation or size-guard errors.
+verification check fails, 2 on usage, notation or size-guard errors and
+when ``--out`` cannot be written.
 Any other exception is a bug and propagates.
 """
 
@@ -102,8 +103,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _emit(text: str, out_path) -> None:
     if out_path:
-        with open(out_path, "w") as handle:
-            handle.write(text + "\n")
+        try:
+            with open(out_path, "w") as handle:
+                handle.write(text + "\n")
+        except OSError as exc:
+            raise UsageError(f"cannot write --out {out_path}: {exc.strerror}") from exc
     else:
         print(text)
 
@@ -329,10 +333,10 @@ def main(argv=None) -> int:
             flag = "--" + name.replace("_", "-")
             _require(f"{flag} must be a positive integer", value is None or value > 0)
         text, code = handlers[args.command](args)
+        _emit(text, args.out)
     except (SizeGuardError, UsageError, NotationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(text, args.out)
     return code
 
 

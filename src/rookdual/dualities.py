@@ -9,13 +9,16 @@ that each image algebra is the full commutant of the other, and that
 the semigroup and algebra representations are faithful exactly when the
 size predicates say they should be.
 
-All checks at one (n, k, space) cell share one ``DualityCell``.  It
-enumerates the left generators (``is_generators``), the left elements
-and the right elements, and builds their plain actions as target tuples
-(``action_targets``), each at most once and only when a check first
-asks for it, so a check never pays for a size guard it does not need.
-On the tuples, commutation is ``targets_commute`` and semigroup
-faithfulness is distinctness.
+Every verdict at one (n, k, space) cell is made by one ``DualityCell``,
+whose methods take a side: ``"left"`` (the rook monoid) or ``"right"``
+(the dual or partial dual monoid).  It enumerates the left generators
+(``is_generators``), the left elements and the right elements, and
+builds their plain actions as target tuples (``action_targets``), each
+at most once and only when a check first asks for it, so a check never
+pays for a size guard it does not need.  On the tuples, commutation is
+``targets_commute`` and semigroup faithfulness is distinctness.
+``DualityCell.report`` runs every check and compares the faithfulness
+verdicts with ``predicted_faithful``; ``run_grid`` reports on ``GRID``.
 
 Spans are counted on the orbit bases of the two actions
 (``orbit_targets``: the rook groupoid basis on the left, the hat action
@@ -36,10 +39,17 @@ across cells.
 """
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
-from .diagrams import PartialInjection, enumerate_is, enumerate_istar, enumerate_pistar
-from .semigroups import block_masks, block_union_leq_codes, is_generators
+from .diagrams import (
+    PartialInjection,
+    block_masks,
+    block_union_leq_codes,
+    enumerate_is,
+    enumerate_istar,
+    enumerate_pistar,
+)
+from .semigroups import is_generators
 from .tensor_actions import (
     ActionSpace,
     action_targets,
@@ -48,22 +58,22 @@ from .tensor_actions import (
     targets_commute,
 )
 
-SEMIGROUP_KINDS = ("is_on_V", "istar_on_V", "is_on_U", "pistar_on_U")
-ALGEBRA_KINDS = ("contracted_is_on_V", "istar_on_V", "is_on_U", "pistar_on_U")
+SIDES = ("left", "right")
 
-# Each kind above names one side of one space.
-KIND_SIDES = {
-    "is_on_V": ("V", "left"),
-    "contracted_is_on_V": ("V", "left"),
-    "istar_on_V": ("V", "right"),
-    "is_on_U": ("U", "left"),
-    "pistar_on_U": ("U", "right"),
-}
+# The verification grid as (space, n, k, full): full checks on the core
+# cells, spans and faithfulness only on the outliers.
+GRID = (
+    *(("V", n, k, True) for n in (1, 2, 3) for k in (1, 2, 3)),
+    *(("V", n, k, False) for n, k in ((4, 2), (2, 4), (4, 4))),
+    *(("U", n, k, True) for n in (1, 2) for k in (1, 2)),
+    *(("U", n, k, False) for n, k in ((3, 2), (2, 3))),
+)
 
-V_FULL_CELLS = tuple((n, k) for n in (1, 2, 3) for k in (1, 2, 3))
-V_SPAN_CELLS = ((4, 2), (2, 4), (4, 4))
-U_FULL_CELLS = tuple((n, k) for n in (1, 2) for k in (1, 2))
-U_SPAN_CELLS = ((3, 2), (2, 3))
+
+def _check_side(side: str) -> str:
+    if side not in SIDES:
+        raise ValueError(f"unknown side {side!r}; expected 'left' or 'right'")
+    return side
 
 
 def _support(targets) -> list:
@@ -85,6 +95,74 @@ def _unions_of(parts, pieces) -> bool:
         if None in touched or sum(len(pieces[i]) for i in touched) != len(part):
             return False
     return True
+
+
+def predicted_faithful(space: str, side: str, n: int, k: int) -> tuple:
+    """The (semigroup, algebra) faithfulness the paper predicts for one
+    side of one space.  The rook algebra (contracted on V) is faithful
+    exactly when k >= n, the dual and partial dual algebras exactly when
+    k <= n.  Every semigroup acts faithfully, except the dual monoid on
+    V with n = 1 < k, where all its elements act as the identity."""
+    if space not in ("V", "U"):
+        raise ValueError(f"unknown space {space!r}; expected 'V' or 'U'")
+    if _check_side(side) == "left":
+        return True, k >= n
+    return space == "U" or n >= 2 or k == 1, k <= n
+
+
+@dataclass(frozen=True)
+class CentralizerData:
+    dim_commutant_of_left: int
+    dim_span_of_right: int
+    dim_commutant_of_right: int
+    dim_span_of_left: int
+    right_matches_left_commutant: bool
+    left_matches_right_commutant: bool
+
+    @property
+    def dims(self):
+        return (
+            self.dim_commutant_of_left,
+            self.dim_span_of_right,
+            self.dim_commutant_of_right,
+            self.dim_span_of_left,
+        )
+
+    @property
+    def ok(self) -> bool:
+        return (
+            self.dim_commutant_of_left == self.dim_span_of_right
+            and self.dim_commutant_of_right == self.dim_span_of_left
+            and self.right_matches_left_commutant
+            and self.left_matches_right_commutant
+        )
+
+
+@dataclass(frozen=True)
+class DualityReport:
+    """Everything checked at one (n, k, space) cell, with predictions."""
+
+    n: int
+    k: int
+    space: str
+    commute_ok: bool
+    centralizer_dims: tuple | None
+    centralizer_ok: bool | None
+    semigroup_faithful_left: bool
+    semigroup_faithful_right: bool
+    algebra_faithful_left: bool
+    algebra_faithful_right: bool
+    predicted_semigroup_faithful_left: bool
+    predicted_semigroup_faithful_right: bool
+    predicted_algebra_faithful_left: bool
+    predicted_algebra_faithful_right: bool
+    match: bool
+
+    def to_json_dict(self):
+        fields = asdict(self)
+        if self.centralizer_dims is not None:
+            fields["centralizer_dims"] = list(self.centralizer_dims)
+        return fields
 
 
 class DualityCell:
@@ -113,17 +191,14 @@ class DualityCell:
         commutes with the whole rook monoid when it commutes with these."""
         return self._part("left_generators", lambda: self._act(is_generators(self.n)))
 
-    @property
-    def left_elements(self) -> list:
-        return self._part("left_elements", lambda: enumerate_is(self.n))
-
-    @property
-    def right_elements(self) -> list:
-        enum = enumerate_istar if self.space.kind == "V" else enumerate_pistar
-        return self._part("right_elements", lambda: enum(self.k))
-
     def elements(self, side: str) -> list:
-        return self.left_elements if side == "left" else self.right_elements
+        """Every element of one side, in enumeration order.  Every method
+        that takes a side reaches it through here, which refuses a side
+        other than ``"left"`` or ``"right"`` with ``ValueError``."""
+        if _check_side(side) == "left":
+            return self._part("left", lambda: enumerate_is(self.n))
+        enum = enumerate_istar if self.space.kind == "V" else enumerate_pistar
+        return self._part("right", lambda: enum(self.k))
 
     def targets(self, side: str) -> list:
         """Targets of every element of one side, in enumeration order."""
@@ -133,8 +208,7 @@ class DualityCell:
         """Orbit targets of every element of one side, in enumeration
         order (see ``orbit_targets``).  They are built one at a time and
         not kept: only their supports outlive the certification."""
-        for e in self.elements(side):
-            yield orbit_targets(e, self.space, self.unguarded)
+        return (orbit_targets(e, self.space, self.unguarded) for e in self.elements(side))
 
     def span(self, side: str) -> list:
         """The span of one side's element matrices, as the supports of
@@ -205,7 +279,7 @@ class DualityCell:
         """Commutant basis of one side as coordinate classes (see
         ``targets_commutant``): the left side through its generators,
         the right side through all of its elements."""
-        sources = self.left_generators if side == "left" else self.targets("right")
+        sources = self.left_generators if side == "left" else self.targets(side)
         return targets_commutant(sources, self.space.dimension, self.unguarded)
 
     def commutes(self) -> bool:
@@ -229,6 +303,19 @@ class DualityCell:
             _unions_of(classes, supports),
         )
 
+    def centralizer(self) -> CentralizerData:
+        """Both directions of the double centralizer."""
+        comm_left, span_right, right_in, comm_left_in = self.half_centralizer("left")
+        comm_right, span_left, left_in, comm_right_in = self.half_centralizer("right")
+        return CentralizerData(
+            dim_commutant_of_left=comm_left,
+            dim_span_of_right=span_right,
+            dim_commutant_of_right=comm_right,
+            dim_span_of_left=span_left,
+            right_matches_left_commutant=right_in and comm_left_in,
+            left_matches_right_commutant=left_in and comm_right_in,
+        )
+
     def semigroup_faithful(self, side: str) -> bool:
         """Distinct elements act by distinct target tuples."""
         targets = self.targets(side)
@@ -241,214 +328,65 @@ class DualityCell:
         zero and is left out (the contracted rook algebra)."""
         count = len(self.elements(side))
         if side == "left" and self.space.kind == "V":
-            count = sum(1 for e in self.left_elements if e.rank() > 0)
+            count = sum(1 for e in self.elements(side) if e.rank() > 0)
         return len(self.span(side)) == count
 
+    def report(self, with_commutant: bool = True) -> DualityReport:
+        """Run every check at this cell and compare the faithfulness
+        verdicts with ``predicted_faithful``.  The cell matches when the
+        actions commute, the double centralizer holds and every verdict
+        equals its prediction.
 
-def verify_commutation(n: int, k: int, space: str, unguarded=False) -> bool:
-    """Exact commutation of the two actions: every generator matrix of
-    the rook monoid commutes with every diagram matrix."""
-    return DualityCell(n, k, space, unguarded).commutes()
-
-
-@dataclass(frozen=True)
-class CentralizerData:
-    dim_commutant_of_left: int
-    dim_span_of_right: int
-    dim_commutant_of_right: int
-    dim_span_of_left: int
-    right_matches_left_commutant: bool
-    left_matches_right_commutant: bool
-
-    @property
-    def dims(self):
-        return (
-            self.dim_commutant_of_left,
-            self.dim_span_of_right,
-            self.dim_commutant_of_right,
-            self.dim_span_of_left,
+        ``with_commutant=False`` skips the two commutant solves (used on
+        the outlying grid cells where only spans and faithfulness are
+        needed)."""
+        commute_ok = self.commutes()
+        dims = centralizer_ok = None
+        if with_commutant:
+            data = self.centralizer()
+            dims, centralizer_ok = data.dims, data.ok
+        kind = self.space.kind
+        computed = [(self.semigroup_faithful(s), self.algebra_faithful(s)) for s in SIDES]
+        predicted = [predicted_faithful(kind, s, self.n, self.k) for s in SIDES]
+        (sgrp_left, alg_left), (sgrp_right, alg_right) = computed
+        (pred_sgrp_left, pred_alg_left), (pred_sgrp_right, pred_alg_right) = predicted
+        return DualityReport(
+            n=self.n,
+            k=self.k,
+            space=kind,
+            commute_ok=commute_ok,
+            centralizer_dims=dims,
+            centralizer_ok=centralizer_ok,
+            semigroup_faithful_left=sgrp_left,
+            semigroup_faithful_right=sgrp_right,
+            algebra_faithful_left=alg_left,
+            algebra_faithful_right=alg_right,
+            predicted_semigroup_faithful_left=pred_sgrp_left,
+            predicted_semigroup_faithful_right=pred_sgrp_right,
+            predicted_algebra_faithful_left=pred_alg_left,
+            predicted_algebra_faithful_right=pred_alg_right,
+            match=(
+                commute_ok
+                and (centralizer_ok is None or centralizer_ok)
+                and computed == predicted
+            ),
         )
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.dim_commutant_of_left == self.dim_span_of_right
-            and self.dim_commutant_of_right == self.dim_span_of_left
-            and self.right_matches_left_commutant
-            and self.left_matches_right_commutant
-        )
-
-
-def _centralizer(cell: DualityCell) -> CentralizerData:
-    comm_left, span_right, right_in, comm_left_in = cell.half_centralizer("left")
-    comm_right, span_left, left_in, comm_right_in = cell.half_centralizer("right")
-    return CentralizerData(
-        dim_commutant_of_left=comm_left,
-        dim_span_of_right=span_right,
-        dim_commutant_of_right=comm_right,
-        dim_span_of_left=span_left,
-        right_matches_left_commutant=right_in and comm_left_in,
-        left_matches_right_commutant=left_in and comm_right_in,
-    )
 
 
 def centralizer_data(n: int, k: int, space: str, unguarded=False) -> CentralizerData:
     """Both directions of the double-centralizer check at one size."""
-    return _centralizer(DualityCell(n, k, space, unguarded))
-
-
-def verify_semigroup_faithfulness(n: int, k: int, which: str, unguarded=False) -> bool:
-    """True iff element -> matrix is injective for the named action."""
-    if which not in SEMIGROUP_KINDS:
-        raise ValueError(f"unknown action {which!r}")
-    space, side = KIND_SIDES[which]
-    return DualityCell(n, k, space, unguarded).semigroup_faithful(side)
-
-
-def verify_algebra_faithfulness(n: int, k: int, which: str, unguarded=False) -> bool:
-    """True iff the element matrices are linearly independent (for the
-    contracted rook algebra on V, the all-undefined element maps to the
-    zero matrix and is excluded from the basis)."""
-    if which not in ALGEBRA_KINDS:
-        raise ValueError(f"unknown algebra {which!r}")
-    space, side = KIND_SIDES[which]
-    return DualityCell(n, k, space, unguarded).algebra_faithful(side)
-
-
-def predicted_semigroup_faithful(n: int, k: int, which: str) -> bool:
-    if which in ("is_on_V", "is_on_U", "pistar_on_U"):
-        return True
-    return n >= 2 or k == 1  # istar_on_V
-
-
-def predicted_algebra_faithful(n: int, k: int, which: str) -> bool:
-    if which in ("contracted_is_on_V", "is_on_U"):
-        return k >= n
-    return k <= n  # istar_on_V, pistar_on_U
-
-
-@dataclass(frozen=True)
-class DualityReport:
-    """Everything checked at one (n, k, space) cell, with predictions."""
-
-    n: int
-    k: int
-    space: str
-    commute_ok: bool
-    centralizer_dims: tuple | None
-    centralizer_ok: bool | None
-    semigroup_faithful_left: bool
-    semigroup_faithful_right: bool
-    algebra_faithful_left: bool
-    algebra_faithful_right: bool
-    predicted_semigroup_faithful_left: bool
-    predicted_semigroup_faithful_right: bool
-    predicted_algebra_faithful_left: bool
-    predicted_algebra_faithful_right: bool
-    match: bool
-
-    def to_json_dict(self):
-        return {
-            "n": self.n,
-            "k": self.k,
-            "space": self.space,
-            "commute_ok": self.commute_ok,
-            "centralizer_dims": (
-                list(self.centralizer_dims) if self.centralizer_dims else None
-            ),
-            "centralizer_ok": self.centralizer_ok,
-            "semigroup_faithful_left": self.semigroup_faithful_left,
-            "semigroup_faithful_right": self.semigroup_faithful_right,
-            "algebra_faithful_left": self.algebra_faithful_left,
-            "algebra_faithful_right": self.algebra_faithful_right,
-            "predicted_semigroup_faithful_left": self.predicted_semigroup_faithful_left,
-            "predicted_semigroup_faithful_right": self.predicted_semigroup_faithful_right,
-            "predicted_algebra_faithful_left": self.predicted_algebra_faithful_left,
-            "predicted_algebra_faithful_right": self.predicted_algebra_faithful_right,
-            "match": self.match,
-        }
-
-
-def run_full_report(
-    n: int, k: int, space: str, with_commutant: bool = True, unguarded=False
-) -> DualityReport:
-    """Run every check at one cell and compare against the predictions.
-
-    ``with_commutant=False`` skips the two commutant solves (used on the
-    outlying grid cells where only spans and faithfulness are needed)."""
-    if space == "V":
-        sgrp_left, sgrp_right = "is_on_V", "istar_on_V"
-        alg_left, alg_right = "contracted_is_on_V", "istar_on_V"
-    else:
-        sgrp_left, sgrp_right = "is_on_U", "pistar_on_U"
-        alg_left, alg_right = "is_on_U", "pistar_on_U"
-
-    cell = DualityCell(n, k, space, unguarded)
-    commute_ok = cell.commutes()
-    if with_commutant:
-        data = _centralizer(cell)
-        centralizer_dims, centralizer_ok = data.dims, data.ok
-    else:
-        centralizer_dims, centralizer_ok = None, None
-
-    computed = {
-        "sl": cell.semigroup_faithful("left"),
-        "sr": cell.semigroup_faithful("right"),
-        "al": cell.algebra_faithful("left"),
-        "ar": cell.algebra_faithful("right"),
-    }
-    predicted = {
-        "sl": predicted_semigroup_faithful(n, k, sgrp_left),
-        "sr": predicted_semigroup_faithful(n, k, sgrp_right),
-        "al": predicted_algebra_faithful(n, k, alg_left),
-        "ar": predicted_algebra_faithful(n, k, alg_right),
-    }
-    match = (
-        commute_ok
-        and (centralizer_ok is None or centralizer_ok)
-        and computed == predicted
-    )
-    return DualityReport(
-        n=n,
-        k=k,
-        space=space,
-        commute_ok=commute_ok,
-        centralizer_dims=centralizer_dims,
-        centralizer_ok=centralizer_ok,
-        semigroup_faithful_left=computed["sl"],
-        semigroup_faithful_right=computed["sr"],
-        algebra_faithful_left=computed["al"],
-        algebra_faithful_right=computed["ar"],
-        predicted_semigroup_faithful_left=predicted["sl"],
-        predicted_semigroup_faithful_right=predicted["sr"],
-        predicted_algebra_faithful_left=predicted["al"],
-        predicted_algebra_faithful_right=predicted["ar"],
-        match=match,
-    )
-
-
-def default_grid(spaces=("V", "U")) -> list:
-    """The guarded verification grid: full checks on the core cells,
-    span-and-faithfulness only on the outliers."""
-    grid = []
-    if "V" in spaces:
-        grid += [("V", n, k, True) for n, k in V_FULL_CELLS]
-        grid += [("V", n, k, False) for n, k in V_SPAN_CELLS]
-    if "U" in spaces:
-        grid += [("U", n, k, True) for n, k in U_FULL_CELLS]
-        grid += [("U", n, k, False) for n, k in U_SPAN_CELLS]
-    return grid
+    return DualityCell(n, k, space, unguarded).centralizer()
 
 
 def run_grid(
     spaces=("V", "U"), max_n: int | None = None, max_k: int | None = None
 ) -> list:
-    """Reports for every default grid cell within the requested bounds."""
-    reports = []
-    for space, n, k, with_commutant in default_grid(spaces):
-        if max_n is not None and n > max_n:
-            continue
-        if max_k is not None and k > max_k:
-            continue
-        reports.append(run_full_report(n, k, space, with_commutant))
-    return reports
+    """Reports for every ``GRID`` cell of the given spaces within the
+    requested bounds, in ``GRID`` order."""
+    return [
+        DualityCell(n, k, space).report(full)
+        for space, n, k, full in GRID
+        if space in spaces
+        and (max_n is None or n <= max_n)
+        and (max_k is None or k <= max_k)
+    ]

@@ -25,17 +25,18 @@ Moebius ones included, are integers.
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .diagrams import (
     SetPartition,
     _set_partitions,
+    block_masks,
     block_union_leq,
     canonicalize,
     enumerate_pistar,
     is_partial_dual_element,
 )
-from .semigroups import block_masks, bullet_codes, pistar_codes, star_codes
+from .semigroups import bullet_codes, pistar_codes, star_codes
 from .tensor_actions import ActionSpace, action_targets
 
 
@@ -84,27 +85,32 @@ def coarsening_sum_inverse(alpha: SetPartition) -> dict:
     return {beta: mobius_merge_drop(alpha, beta) for beta in natural_upper_set(alpha)}
 
 
-def _inverses_by_solve(diagrams) -> dict:
-    """Inverse coarsening sum of every diagram in an up-closed list, by
-    the triangular recursion inv(g) = g - sum of inv(b) over the b
-    strictly above g.  Everything strictly above a diagram has fewer
-    blocks, so in ``sort_key`` order each inverse a diagram needs is
-    solved before the diagram is reached."""
-    solved: dict = {}
-    for gamma in sorted(diagrams, key=SetPartition.sort_key):
-        total = {gamma: 1}
-        for beta in natural_upper_set(gamma):
-            if beta != gamma:
-                for delta, c in solved[beta].items():
-                    total[delta] = total.get(delta, 0) - c
-        solved[gamma] = {delta: c for delta, c in total.items() if c}
+def _inverses_by_solve(diagrams, uppers) -> list:
+    """Inverse coarsening sum of every diagram in an up-closed list, on
+    indices into the list, by the triangular recursion inv(g) = g - sum
+    of inv(b) over the b strictly above g.  ``uppers[g]`` holds the
+    indices of the up-set of diagram g (the keys of its coarsening sum
+    on indices).  Everything strictly above a diagram has fewer blocks,
+    so in ``sort_key`` order each inverse a diagram needs is solved
+    before the diagram is reached."""
+    solved: list = [None] * len(diagrams)
+    for g in sorted(range(len(diagrams)), key=lambda i: diagrams[i].sort_key()):
+        total = {g: 1}
+        for b in uppers[g]:
+            if b != g:
+                for d, c in solved[b].items():
+                    total[d] = total.get(d, 0) - c
+        solved[g] = {d: c for d, c in total.items() if c}
     return solved
 
 
 def coarsening_sum_inverse_by_solve(alpha: SetPartition) -> dict:
     """Inverse computed by the generic triangular recursion instead of
     the closed form; the two must agree on every element."""
-    return _inverses_by_solve(natural_upper_set(alpha))[alpha]
+    diagrams = natural_upper_set(alpha)
+    index, images = _indexed(diagrams, coarsening_sum)
+    solved = _inverses_by_solve(diagrams, images)
+    return {diagrams[d]: c for d, c in solved[index[block_masks(alpha)]].items()}
 
 
 def block_subset_sum(alpha: SetPartition) -> dict:
@@ -169,13 +175,7 @@ class MorphismReport:
     inverse_ok: bool
 
     def to_json_dict(self):
-        return {
-            "k": self.k,
-            "map_name": self.map_name,
-            "pairs_checked": self.pairs_checked,
-            "homomorphism_ok": self.homomorphism_ok,
-            "inverse_ok": self.inverse_ok,
-        }
+        return asdict(self)
 
 
 def morphism_report(
@@ -188,8 +188,9 @@ def morphism_report(
     checked when ``sample_pairs`` is None; otherwise that many pairs are
     drawn with a fixed seed.  ``inverse_ok`` also requires the two
     inverse routes of the coarsening sum to agree; the solved route runs
-    once, as one sweep over all elements.  The round trip of each
-    inverse through the map sums the stored images of its terms.
+    once, as one sweep over all elements that reads each up-set from the
+    stored coarsening sums.  The round trip of each inverse through the
+    map sums the stored images of its terms.
 
     The homomorphism check runs on element indices: each element is
     encoded once as block masks, each image is a ``{index: coeff}``
@@ -251,14 +252,14 @@ def morphism_report(
             break
 
     # only the coarsening sum has a second, solved inverse route
-    solved = _inverses_by_solve(elements) if map_name == "coarsening_sum" else None
+    solved = _inverses_by_solve(elements, images) if map_name == "coarsening_sum" else None
     inverse_ok = True
     for a, alpha in enumerate(elements):
-        inv = inverse(alpha)
-        if solved is not None and inv != solved[alpha]:
+        inv = _on_indices(inverse(alpha), index)
+        if solved is not None and inv != solved[a]:
             inverse_ok = False
             break
-        if not _undoes(_on_indices(inv, index), a, images):
+        if not _undoes(inv, a, images):
             inverse_ok = False
             break
 

@@ -45,7 +45,7 @@ def parse_partial_injection(text: str, n: int | None = None) -> PartialInjection
             stripped = piece.strip()
             if stripped == "-":
                 targets.append(None)
-            elif stripped.isdigit():
+            elif _is_number(stripped):
                 targets.append(int(stripped))
             else:
                 raise NotationError(f"bad target {stripped!r}", pos)
@@ -79,7 +79,7 @@ def parse_set_partition(text: str, k: int) -> SetPartition:
                 digits, maker = p[:-1], primed
             else:
                 digits, maker = p, unprimed
-            if not digits.isdigit():
+            if not _is_number(digits):
                 raise NotationError(f"bad point {p!r}", _offset(text, pos))
             block.append(maker(int(digits)))
         blocks.append(block)
@@ -114,6 +114,11 @@ def parse_element(text: str, family: str, ambient: int):
     if family == "hat":
         return HatElement.wrap(p)
     return p
+
+
+def _is_number(text: str) -> bool:
+    """ASCII digits only: ``str.isdigit`` also passes '²', which ``int`` refuses."""
+    return text.isascii() and text.isdigit()
 
 
 def _offset(text: str, stripped_pos: int) -> int:

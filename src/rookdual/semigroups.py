@@ -10,13 +10,13 @@ on partial dual elements are provided: the restricted product ``star``
 on the zero-adjoined semigroup and the exact-middle-match product
 ``bullet``.
 
-All four diagram products run on one encoding.  ``block_masks`` turns a
-diagram into its code, a sorted tuple of ``(in_mask, out_mask)`` pairs
-with bit i - 1 standing for point i (or i'), and ``from_masks`` turns a
-code back into the canonical diagram.  The gluing is ``_glue``: a's
-blocks enter as ``(in, out, 0)`` masks over the three tiers, b's as
-``(0, in, out)``, and blocks whose middle masks overlap merge into one
-component.  The ``*_codes`` functions are the products on codes; the
+All four diagram products run on one encoding, from ``diagrams``:
+``block_masks`` turns a diagram into its code, a sorted tuple of
+``(in_mask, out_mask)`` pairs with bit i - 1 standing for point i (or
+i'), and ``from_masks`` turns a code back into the canonical diagram.
+The gluing is ``_glue``: a's blocks enter as ``(in, out, 0)`` masks
+over the three tiers, b's as ``(0, in, out)``, and blocks whose middle
+masks overlap merge into one component.  The ``*_codes`` functions are the products on codes; the
 public ``multiply_*`` functions validate their diagrams, encode them
 and decode the result, while callers that multiply many times (the
 morphism checks) validate once and call the code products directly.
@@ -25,13 +25,14 @@ morphism checks) validate once and call the code products directly.
 from typing import NamedTuple
 
 from .diagrams import (
+    Code,
     HatElement,
     PartialInjection,
     SetPartition,
+    block_masks,
+    from_masks,
     is_dual_element,
     is_partial_dual_element,
-    primed,
-    unprimed,
 )
 
 
@@ -88,50 +89,6 @@ class UnionFind:
         rx, ry = self.find(x), self.find(y)
         if rx != ry:
             self.parent[ry] = rx
-
-
-Code = tuple[tuple[int, int], ...]
-
-
-def block_masks(alpha: SetPartition) -> Code:
-    """The diagram as a sorted tuple of (in_mask, out_mask) pairs, one
-    per block: bit i - 1 of in_mask is point i, of out_mask point i'."""
-    code = []
-    for block in alpha.blocks:
-        ins = outs = 0
-        for p in block:
-            if p.primed:
-                outs |= 1 << (p.index - 1)
-            else:
-                ins |= 1 << (p.index - 1)
-        code.append((ins, outs))
-    code.sort()
-    return tuple(code)
-
-
-def _points(mask: int, make) -> list:
-    return [make(i + 1) for i in range(mask.bit_length()) if mask >> i & 1]
-
-
-def from_masks(code, k: int) -> SetPartition:
-    """Inverse of :func:`block_masks` for a diagram on rows of size k."""
-    blocks = sorted(
-        tuple(_points(ins, unprimed) + _points(outs, primed)) for ins, outs in code
-    )
-    return SetPartition(k, tuple(blocks))
-
-
-def block_union_leq_codes(a, b) -> bool:
-    """:func:`~rookdual.diagrams.block_union_leq` on codes: every block
-    of b is the union of the blocks of a that meet it."""
-    for b_in, b_out in b:
-        ins = outs = 0
-        for a_in, a_out in a:
-            if a_in & b_in or a_out & b_out:
-                ins, outs = ins | a_in, outs | a_out
-        if (ins, outs) != (b_in, b_out):
-            return False
-    return True
 
 
 def _glue(a, b) -> list:

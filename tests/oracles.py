@@ -11,8 +11,10 @@ Fraction entries, for matrix products and the null-space oracle;
 ``RowSpace`` and its helpers are the Fraction row reduction the package
 computed spans with before it counted them on orbit bases, and
 ``rowspace_half_centralizer`` is the span half of the double-centralizer
-check on top of it.  None of these validates its
-inputs; callers pass elements of the right family.
+check on top of it.  ``block_union_leq_on_points`` decides the natural
+order of diagrams point by point, the reference for the block-mask
+``block_union_leq``.  None of these validates its inputs; callers pass
+elements of the right family.
 """
 
 import itertools
@@ -22,7 +24,6 @@ from typing import Iterable
 from rookdual import (
     HatElement,
     action_matrix,
-    block_union_leq,
     canonicalize,
     primed,
     unprimed,
@@ -234,6 +235,26 @@ def match_set_tilde(alpha, i, n) -> set:
 # block orders on set partitions
 
 
+def block_union_leq_on_points(alpha, beta) -> bool:
+    """The natural order point by point, as the package decided it
+    before it moved to block masks: every block of beta is a union of
+    blocks of alpha, and beta may drop alpha-blocks entirely."""
+    if alpha.k != beta.k:
+        raise ValueError("cannot compare partitions with different k")
+    owner = alpha.block_of()
+    for block in beta.blocks:
+        used = set()
+        for p in block:
+            i = owner.get(p)
+            if i is None:
+                return False
+            used.add(i)
+        covered = sum(len(alpha.blocks[i]) for i in used)
+        if covered != len(block):
+            return False
+    return True
+
+
 def coarser_leq(alpha, beta) -> bool:
     """Merging order on equal supports: every block of beta is a union of
     blocks of alpha.  Partitions of different point sets never compare."""
@@ -241,7 +262,7 @@ def coarser_leq(alpha, beta) -> bool:
         raise ValueError("cannot compare partitions with different k")
     if alpha.support() != beta.support():
         return False
-    return block_union_leq(alpha, beta)
+    return block_union_leq_on_points(alpha, beta)
 
 
 def subblocks_leq(beta, alpha) -> bool:

@@ -11,6 +11,7 @@ import time
 
 from rookdual import (
     ActionSpace,
+    DualityCell,
     bullet_multiply,
     centralizer_data,
     count_is,
@@ -23,11 +24,9 @@ from rookdual import (
     multiply_istar,
     multiply_pistar,
     parse_element,
-    predicted_algebra_faithful,
-    predicted_semigroup_faithful,
+    predicted_faithful,
     run_grid,
     star_multiply,
-    verify_commutation,
     verify_hat_consistency,
     verify_tilde_factorization,
 )
@@ -65,9 +64,9 @@ def test_criterion_2_actions_commute():
     cells_v = [(n, k) for n in (1, 2, 3) for k in (1, 2, 3)]
     cells_u = [(n, k) for n in (1, 2) for k in (1, 2)] + [(3, 2), (2, 3)]
     for n, k in cells_v:
-        assert verify_commutation(n, k, "V"), (n, k, "V")
+        assert DualityCell(n, k, "V").commutes(), (n, k, "V")
     for n, k in cells_u:
-        assert verify_commutation(n, k, "U"), (n, k, "U")
+        assert DualityCell(n, k, "U").commutes(), (n, k, "U")
     elapsed = time.monotonic() - start
     assert elapsed < 60
     print(f"criterion 2: {len(cells_v) + len(cells_u)} cells commute "
@@ -107,14 +106,12 @@ def test_criterion_4_augmented_space_centralizers():
 def test_criterion_5_faithfulness_grid(capsys):
     reports = run_grid()
     for r in reports:
-        left_s = "is_on_V" if r.space == "V" else "is_on_U"
-        right_s = "istar_on_V" if r.space == "V" else "pistar_on_U"
-        left_a = "contracted_is_on_V" if r.space == "V" else "is_on_U"
-        right_a = "istar_on_V" if r.space == "V" else "pistar_on_U"
-        assert r.semigroup_faithful_left == predicted_semigroup_faithful(r.n, r.k, left_s)
-        assert r.semigroup_faithful_right == predicted_semigroup_faithful(r.n, r.k, right_s)
-        assert r.algebra_faithful_left == predicted_algebra_faithful(r.n, r.k, left_a)
-        assert r.algebra_faithful_right == predicted_algebra_faithful(r.n, r.k, right_a)
+        left_s, left_a = predicted_faithful(r.space, "left", r.n, r.k)
+        right_s, right_a = predicted_faithful(r.space, "right", r.n, r.k)
+        assert r.semigroup_faithful_left == left_s
+        assert r.semigroup_faithful_right == right_s
+        assert r.algebra_faithful_left == left_a
+        assert r.algebra_faithful_right == right_a
         assert r.match, (r.space, r.n, r.k)
     # boundary cells the predicate table pivots on
     cells = {(r.space, r.n, r.k) for r in reports}

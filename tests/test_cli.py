@@ -56,6 +56,13 @@ def test_notation_errors_carry_positions():
         parse_element("{1,5}", "istar", 2)  # point outside the rows
     with pytest.raises(NotationError):
         parse_element("{1,2'}", "istar", 2)  # does not cover both rows
+    # Unicode digits pass str.isdigit but are not ASCII numbers
+    with pytest.raises(NotationError) as info:
+        parse_element("[1,\u00b2]", "is", 2)
+    assert info.value.position == 3
+    with pytest.raises(NotationError) as info:
+        parse_element("{1,1'}|{\u00b9,2'}", "istar", 2)
+    assert info.value.position == 7
 
 
 def test_multiply_worked_example(capsys):
@@ -382,6 +389,11 @@ def test_out_writes_file(tmp_path, capsys):
         # flags the chosen mode would otherwise ignore
         ("act", "--space", "V", "--n", "1", "--k", "1", "--rook", "--variant", "tilde", "[1]"),
         ("verify", "--thm2", "--n", "3", "--k", "1"),
+        # Unicode digits that int() refuses
+        ("multiply", "--semigroup", "is", "--n", "1", "[\u00b2]", "[1]"),
+        ("multiply", "--semigroup", "istar", "--k", "1", "{\u00b9,1'}", "{1,1'}"),
+        # an --out path that cannot be written
+        ("enumerate", "--semigroup", "is", "--n", "1", "--out", "/nonexistent/dir/x.txt"),
     ],
 )
 def test_usage_errors_exit_two(argv, capsys):

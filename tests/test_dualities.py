@@ -7,18 +7,13 @@ import re
 import pytest
 
 from rookdual import (
+    GRID,
     DualityCell,
     PartialInjection,
     centralizer_data,
-    default_grid,
     enumerate_pistar,
-    predicted_algebra_faithful,
-    predicted_semigroup_faithful,
-    run_full_report,
+    predicted_faithful,
     run_grid,
-    verify_algebra_faithfulness,
-    verify_commutation,
-    verify_semigroup_faithfulness,
 )
 
 from oracles import rowspace_half_centralizer
@@ -27,12 +22,12 @@ from oracles import rowspace_half_centralizer
 def test_commutation_on_the_core_grid():
     for n in (1, 2, 3):
         for k in (1, 2, 3):
-            assert verify_commutation(n, k, "V")
+            assert DualityCell(n, k, "V").commutes()
     for n in (1, 2):
         for k in (1, 2):
-            assert verify_commutation(n, k, "U")
-    assert verify_commutation(3, 2, "U")
-    assert verify_commutation(2, 3, "U")
+            assert DualityCell(n, k, "U").commutes()
+    assert DualityCell(3, 2, "U").commutes()
+    assert DualityCell(2, 3, "U").commutes()
 
 
 CENTRALIZER_V = {
@@ -103,7 +98,7 @@ def test_centralizer_inclusions_can_fail(right, inside):
 
 # The grid, the benchmark's centralizer cells, and two larger cells.
 CERTIFIED_CELLS = sorted(
-    {(space, n, k) for space, n, k, _ in default_grid()}
+    {(space, n, k) for space, n, k, _ in GRID}
     | {("V", 4, 3), ("U", 4, 2), ("U", 3, 3), ("V", 3, 4), ("U", 2, 4)}
 )
 
@@ -191,7 +186,7 @@ def _tampered(method, edit):
     def tampered(self, side):
         items = list(getattr(DualityCell, method)(self, side))
         if side == "left":
-            edit(items, self.left_elements.index)
+            edit(items, self.elements("left").index)
         return items
 
     setattr(Tampered, method, tampered)
@@ -273,60 +268,85 @@ def test_span_never_exceeds_commutant():
         assert data.dim_span_of_left <= data.dim_commutant_of_right
 
 
+def _semigroup_faithful(n, k, space, side):
+    return DualityCell(n, k, space).semigroup_faithful(side)
+
+
+def _algebra_faithful(n, k, space, side):
+    return DualityCell(n, k, space).algebra_faithful(side)
+
+
 def test_semigroup_faithfulness_boundaries():
     # one-point ground set: all dual elements act as the identity
-    assert not verify_semigroup_faithfulness(1, 2, "istar_on_V")
-    assert not verify_semigroup_faithfulness(1, 3, "istar_on_V")
-    assert verify_semigroup_faithfulness(1, 1, "istar_on_V")
-    assert verify_semigroup_faithfulness(2, 2, "istar_on_V")
-    assert verify_semigroup_faithfulness(2, 3, "istar_on_V")
+    assert not _semigroup_faithful(1, 2, "V", "right")
+    assert not _semigroup_faithful(1, 3, "V", "right")
+    assert _semigroup_faithful(1, 1, "V", "right")
+    assert _semigroup_faithful(2, 2, "V", "right")
+    assert _semigroup_faithful(2, 3, "V", "right")
     for n, k in ((1, 1), (1, 2), (2, 1), (3, 2)):
-        assert verify_semigroup_faithfulness(n, k, "is_on_V")
-        assert verify_semigroup_faithfulness(n, k, "is_on_U")
-        assert verify_semigroup_faithfulness(n, k, "pistar_on_U")
+        assert _semigroup_faithful(n, k, "V", "left")
+        assert _semigroup_faithful(n, k, "U", "left")
+        assert _semigroup_faithful(n, k, "U", "right")
     with pytest.raises(ValueError):
-        verify_semigroup_faithfulness(2, 2, "nonsense")
+        _semigroup_faithful(2, 2, "V", "nonsense")
 
 
 def test_algebra_faithfulness_boundaries():
     # contracted rook algebra on V: faithful exactly when k >= n
-    assert verify_algebra_faithfulness(2, 2, "contracted_is_on_V")
-    assert verify_algebra_faithfulness(2, 3, "contracted_is_on_V")
-    assert not verify_algebra_faithfulness(2, 1, "contracted_is_on_V")
-    assert not verify_algebra_faithfulness(3, 2, "contracted_is_on_V")
+    assert _algebra_faithful(2, 2, "V", "left")
+    assert _algebra_faithful(2, 3, "V", "left")
+    assert not _algebra_faithful(2, 1, "V", "left")
+    assert not _algebra_faithful(3, 2, "V", "left")
     # dual side on V: faithful exactly when k <= n
-    assert verify_algebra_faithfulness(2, 2, "istar_on_V")
-    assert verify_algebra_faithfulness(3, 2, "istar_on_V")
-    assert not verify_algebra_faithfulness(2, 3, "istar_on_V")
-    assert not verify_algebra_faithfulness(1, 2, "istar_on_V")
+    assert _algebra_faithful(2, 2, "V", "right")
+    assert _algebra_faithful(3, 2, "V", "right")
+    assert not _algebra_faithful(2, 3, "V", "right")
+    assert not _algebra_faithful(1, 2, "V", "right")
     # full rook algebra on U: k >= n
-    assert verify_algebra_faithfulness(1, 1, "is_on_U")
-    assert verify_algebra_faithfulness(2, 2, "is_on_U")
-    assert not verify_algebra_faithfulness(2, 1, "is_on_U")
+    assert _algebra_faithful(1, 1, "U", "left")
+    assert _algebra_faithful(2, 2, "U", "left")
+    assert not _algebra_faithful(2, 1, "U", "left")
     # partial dual algebra on U: k <= n
-    assert verify_algebra_faithfulness(2, 2, "pistar_on_U")
-    assert verify_algebra_faithfulness(2, 1, "pistar_on_U")
-    assert not verify_algebra_faithfulness(1, 2, "pistar_on_U")
+    assert _algebra_faithful(2, 2, "U", "right")
+    assert _algebra_faithful(2, 1, "U", "right")
+    assert not _algebra_faithful(1, 2, "U", "right")
     with pytest.raises(ValueError):
-        verify_algebra_faithfulness(2, 2, "nonsense")
+        _algebra_faithful(2, 2, "V", "nonsense")
+
+
+@pytest.mark.parametrize(
+    "method",
+    ["elements", "targets", "orbits", "span", "order", "commutant", "half_centralizer",
+     "semigroup_faithful", "algebra_faithful"],
+)
+def test_cell_methods_refuse_unknown_sides(method):
+    """Every method that takes a side refuses anything but "left" and
+    "right", rather than answering for one of them."""
+    for side in ("nonsense", "L", "Left", ""):
+        with pytest.raises(ValueError, match="unknown side"):
+            getattr(DualityCell(2, 2, "V"), method)(side)
 
 
 def test_predictions_table():
-    assert predicted_semigroup_faithful(1, 2, "is_on_V")
-    assert not predicted_semigroup_faithful(1, 2, "istar_on_V")
-    assert predicted_semigroup_faithful(1, 1, "istar_on_V")
-    assert predicted_semigroup_faithful(2, 9, "istar_on_V")
-    assert predicted_semigroup_faithful(1, 5, "pistar_on_U")
-    assert predicted_algebra_faithful(2, 3, "contracted_is_on_V")
-    assert not predicted_algebra_faithful(3, 2, "contracted_is_on_V")
-    assert predicted_algebra_faithful(3, 2, "istar_on_V")
-    assert not predicted_algebra_faithful(2, 3, "pistar_on_U")
-    assert predicted_algebra_faithful(3, 3, "is_on_U")
+    # (semigroup, algebra) per (space, side); on V the left algebra is contracted
+    assert predicted_faithful("V", "left", 1, 2)[0]
+    assert not predicted_faithful("V", "right", 1, 2)[0]
+    assert predicted_faithful("V", "right", 1, 1)[0]
+    assert predicted_faithful("V", "right", 2, 9)[0]
+    assert predicted_faithful("U", "right", 1, 5)[0]
+    assert predicted_faithful("V", "left", 2, 3)[1]
+    assert not predicted_faithful("V", "left", 3, 2)[1]
+    assert predicted_faithful("V", "right", 3, 2)[1]
+    assert not predicted_faithful("U", "right", 2, 3)[1]
+    assert predicted_faithful("U", "left", 3, 3)[1]
+    for space, side in (("V", "nonsense"), ("V", "L"), ("W", "left")):
+        with pytest.raises(ValueError):
+            predicted_faithful(space, side, 2, 2)
 
 
 def test_full_report_matches_everywhere_small():
     for n, k, space in ((1, 1, "V"), (2, 2, "V"), (1, 2, "U"), (2, 2, "U")):
-        report = run_full_report(n, k, space)
+        report = DualityCell(n, k, space).report()
         assert report.commute_ok
         assert report.centralizer_ok
         assert report.match
@@ -334,10 +354,11 @@ def test_full_report_matches_everywhere_small():
         assert d["n"] == n and d["k"] == k and d["space"] == space
         assert d["match"] is True
         assert len(d["centralizer_dims"]) == 4
+        assert d["centralizer_dims"] == list(report.centralizer_dims)
 
 
 def test_full_report_without_commutant():
-    report = run_full_report(4, 2, "V", with_commutant=False)
+    report = DualityCell(4, 2, "V").report(with_commutant=False)
     assert report.centralizer_dims is None
     assert report.centralizer_ok is None
     assert report.match
@@ -346,14 +367,13 @@ def test_full_report_without_commutant():
 
 
 def test_default_grid_shape():
-    grid = default_grid()
-    assert ("V", 3, 3, True) in grid
-    assert ("V", 4, 4, False) in grid
-    assert ("U", 2, 2, True) in grid
-    assert ("U", 3, 2, False) in grid
-    assert ("V", 4, 4, True) not in grid
-    v_only = default_grid(spaces=("V",))
-    assert all(space == "V" for space, *_ in v_only)
+    assert ("V", 3, 3, True) in GRID
+    assert ("V", 4, 4, False) in GRID
+    assert ("U", 2, 2, True) in GRID
+    assert ("U", 3, 2, False) in GRID
+    assert ("V", 4, 4, True) not in GRID
+    v_only = run_grid(spaces=("V",), max_n=1)
+    assert all(r.space == "V" for r in v_only)
 
 
 def test_run_grid_bounds():

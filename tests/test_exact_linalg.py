@@ -12,11 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rookdual import (
+    GRID,
     ActionSpace,
     DualityCell,
     SizeGuardError,
     action_targets,
-    default_grid,
     enumerate_istar,
     is_generators,
     targets_commutant,
@@ -261,7 +261,7 @@ def test_commutant_rejects_sources_that_are_not_partial_permutations():
 
 
 @pytest.mark.parametrize(
-    "cell", [(space, n, k) for space, n, k, full in default_grid() if full],
+    "cell", [(space, n, k) for space, n, k, full in GRID if full],
     ids=lambda c: f"{c[0]}{c[1]},{c[2]}",
 )
 def test_commutant_classes_match_the_fraction_oracle(cell):
