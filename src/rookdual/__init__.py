@@ -55,9 +55,11 @@ from .semigroups import (
     bullet_multiply,
     epsilon,
     is_generators,
+    istar_generators,
     multiply_composition,
     multiply_istar,
     multiply_pistar,
+    pistar_generators,
     star_multiply,
 )
 from .tensor_actions import (

@@ -282,6 +282,11 @@ def _cmd_verify(args) -> tuple:
             "--n and --k apply only to --props and --all",
             args.n is None and args.k is None,
         )
+    if args.props:
+        _require(
+            "--max-n and --max-k apply only to --thm1, --thm2 and --all",
+            args.max_n is None and args.max_k is None,
+        )
     if args.thm1:
         mode, spaces, with_props = "thm1", ("V",), False
     elif args.thm2:

@@ -11,12 +11,14 @@ size predicates say they should be.
 
 Every verdict at one (n, k, space) cell is made by one ``DualityCell``,
 whose methods take a side: ``"left"`` (the rook monoid) or ``"right"``
-(the dual or partial dual monoid).  It enumerates the left generators
-(``is_generators``), the left elements and the right elements, and
-builds their plain actions as target tuples (``action_targets``), each
-at most once and only when a check first asks for it, so a check never
-pays for a size guard it does not need.  On the tuples, commutation is
-``targets_commute`` and semigroup faithfulness is distinctness.
+(the dual or partial dual monoid).  It lists each side's generators
+(``is_generators`` on the left, ``istar_generators`` or
+``pistar_generators`` on the right) and its elements, and builds their
+plain actions as target tuples (``action_targets``), each at most once
+and only when a check first asks for it, so a check never pays for a
+size guard it does not need.  On the tuples, commutation is
+``targets_commute`` (every left generator against every right element)
+and semigroup faithfulness is distinctness.
 ``DualityCell.report`` runs every check and compares the faithfulness
 verdicts with ``predicted_faithful``; ``run_grid`` reports on ``GRID``.
 
@@ -31,11 +33,11 @@ number, and a matrix lies in the span exactly when it is constant on
 every support and zero off them.
 
 A commutant is a list of classes of matrix coordinates
-(``targets_commutant``): its matrices are those constant on every class
-and zero off them.  So the span lies in the commutant exactly when every
-orbit support is a union of classes, and the commutant lies in the span
-exactly when every class is a union of orbit supports.  Nothing is kept
-across cells.
+(``targets_commutant``), solved on one side's generators only: its
+matrices are those constant on every class and zero off them.  So the
+span lies in the commutant exactly when every orbit support is a union
+of classes, and the commutant lies in the span exactly when every class
+is a union of orbit supports.  Nothing is kept across cells.
 """
 
 from collections import Counter
@@ -49,7 +51,7 @@ from .diagrams import (
     enumerate_istar,
     enumerate_pistar,
 )
-from .semigroups import is_generators
+from .semigroups import is_generators, istar_generators, pistar_generators
 from .tensor_actions import (
     ActionSpace,
     action_targets,
@@ -185,12 +187,6 @@ class DualityCell:
     def _act(self, elements) -> list:
         return [action_targets(e, self.space, "plain", self.unguarded) for e in elements]
 
-    @property
-    def left_generators(self) -> list:
-        """Targets of the monoid generators ``is_generators(n)``: a matrix
-        commutes with the whole rook monoid when it commutes with these."""
-        return self._part("left_generators", lambda: self._act(is_generators(self.n)))
-
     def elements(self, side: str) -> list:
         """Every element of one side, in enumeration order.  Every method
         that takes a side reaches it through here, which refuses a side
@@ -203,6 +199,21 @@ class DualityCell:
     def targets(self, side: str) -> list:
         """Targets of every element of one side, in enumeration order."""
         return self._part(("targets", side), lambda: self._act(self.elements(side)))
+
+    def generators(self, side: str) -> list:
+        """Targets of a monoid generating set of one side: ``is_generators``
+        on the left, ``istar_generators`` or ``pistar_generators`` on the
+        right.  A matrix commutes with a whole side when it commutes with
+        these."""
+        _check_side(side)
+
+        def build():
+            if side == "left":
+                return self._act(is_generators(self.n))
+            gens = istar_generators if self.space.kind == "V" else pistar_generators
+            return self._act(gens(self.k, self.unguarded))
+
+        return self._part(("generators", side), build)
 
     def orbits(self, side: str):
         """Orbit targets of every element of one side, in enumeration
@@ -276,15 +287,13 @@ class DualityCell:
         return list(supports.values())
 
     def commutant(self, side: str) -> list:
-        """Commutant basis of one side as coordinate classes (see
-        ``targets_commutant``): the left side through its generators,
-        the right side through all of its elements."""
-        sources = self.left_generators if side == "left" else self.targets(side)
-        return targets_commutant(sources, self.space.dimension, self.unguarded)
+        """Commutant basis of one side as coordinate classes, solved on
+        its generators (see ``targets_commutant``)."""
+        return targets_commutant(self.generators(side), self.space.dimension, self.unguarded)
 
     def commutes(self) -> bool:
         """Every left generator commutes with every right element."""
-        lefts = self.left_generators
+        lefts = self.generators("left")
         return all(targets_commute(g, a) for g in lefts for a in self.targets("right"))
 
     def half_centralizer(self, side: str) -> tuple:

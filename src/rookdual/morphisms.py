@@ -14,8 +14,9 @@ Both are unitriangular, hence invertible over the integers.  The
 inverse of the coarsening sum has a closed form: the Moebius function
 of the merge-and-drop order, a product of partition-lattice factors
 (-1)^(m-1) (m-1)! over merged groups times (-1)^D D! for D dropped
-blocks.  A generic triangular solve is kept alongside as an
-independent route to the same coefficients.
+blocks, read off the one walk of the up-set that also lists it.  A
+generic triangular solve is kept alongside as an independent route to
+the same coefficients.
 
 Every combination of diagrams is a plain ``{SetPartition: int}`` dict
 with no zero values; ``{}`` is the zero.  All coefficients here, the
@@ -40,20 +41,33 @@ from .semigroups import bullet_codes, pistar_codes, star_codes
 from .tensor_actions import ActionSpace, action_targets
 
 
-def natural_upper_set(alpha: SetPartition) -> list:
-    """Every diagram whose blocks are unions of alpha's blocks, i.e. the
-    up-set of alpha in the natural order: merge any groups of blocks,
-    drop any others.  Includes alpha itself and the empty diagram."""
+def _upper_set_with_mobius(alpha: SetPartition):
+    """Walk the up-set of alpha in the natural order, yielding each beta
+    with the Moebius value mu(alpha, beta): for every sub-collection of
+    alpha's blocks and every grouping of it into merged blocks, the
+    diagram of the merged groups, with the product of (-1)^(m-1)(m-1)!
+    over groups of m blocks times (-1)^D D! for the D dropped blocks."""
     atoms = alpha.blocks
-    out = []
     for r in range(len(atoms) + 1):
+        dropped = len(atoms) - r
+        drop_value = (-1) ** dropped * math.factorial(dropped)
         for subset in itertools.combinations(range(len(atoms)), r):
             for grouping in _set_partitions(subset):
                 blocks = [
                     tuple(p for i in group for p in atoms[i]) for group in grouping
                 ]
-                out.append(canonicalize(blocks, alpha.k))
-    return out
+                value = drop_value
+                for group in grouping:
+                    m = len(group)
+                    value *= (-1) ** (m - 1) * math.factorial(m - 1)
+                yield canonicalize(blocks, alpha.k), value
+
+
+def natural_upper_set(alpha: SetPartition) -> list:
+    """Every diagram whose blocks are unions of alpha's blocks, i.e. the
+    up-set of alpha in the natural order: merge any groups of blocks,
+    drop any others.  Includes alpha itself and the empty diagram."""
+    return [beta for beta, _ in _upper_set_with_mobius(alpha)]
 
 
 def mobius_merge_drop(alpha: SetPartition, beta: SetPartition) -> int:
@@ -81,8 +95,8 @@ def coarsening_sum(alpha: SetPartition) -> dict:
 
 def coarsening_sum_inverse(alpha: SetPartition) -> dict:
     """Closed-form inverse via the merge-and-drop Moebius function,
-    which is never zero."""
-    return {beta: mobius_merge_drop(alpha, beta) for beta in natural_upper_set(alpha)}
+    which is never zero, read off the walk of alpha's up-set."""
+    return dict(_upper_set_with_mobius(alpha))
 
 
 def _inverses_by_solve(diagrams, uppers) -> list:

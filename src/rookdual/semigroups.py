@@ -10,6 +10,12 @@ on partial dual elements are provided: the restricted product ``star``
 on the zero-adjoined semigroup and the exact-middle-match product
 ``bullet``.
 
+The monoid generating sets live here too: ``is_generators`` for the rook
+monoid, ``istar_generators`` and ``pistar_generators`` for the dual and
+partial dual monoids.  A matrix commutes with a whole monoid's image
+when it commutes with the images of its generators, which is how the
+duality checks solve every commutant.
+
 All four diagram products run on one encoding, from ``diagrams``:
 ``block_masks`` turns a diagram into its code, a sorted tuple of
 ``(in_mask, out_mask)`` pairs with bit i - 1 standing for point i (or
@@ -25,10 +31,13 @@ morphism checks) validate once and call the code products directly.
 from typing import NamedTuple
 
 from .diagrams import (
+    ENUM_LIMIT_DUAL,
+    ENUM_LIMIT_PARTIAL_DUAL,
     Code,
     HatElement,
     PartialInjection,
     SetPartition,
+    SizeGuardError,
     block_masks,
     from_masks,
     is_dual_element,
@@ -70,25 +79,69 @@ def is_generators(n: int) -> list:
     return gens
 
 
-class UnionFind:
-    """Disjoint sets over hashable nodes, created on first ``find``."""
+def _mask(*points) -> int:
+    return sum(1 << p - 1 for p in points)
 
-    def __init__(self):
-        self.parent = {}
 
-    def find(self, x):
-        parent = self.parent
-        root = parent.setdefault(x, x)
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
+def _fixed(start: int, k: int) -> list:
+    """Codes of the blocks {i,i'} for i = start..k."""
+    return [(_mask(i), _mask(i)) for i in range(start, k + 1)]
 
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[ry] = rx
+
+def _dual_generators(name: str, k: int, limit: int, unguarded: bool, extra) -> list:
+    """The identity, the swap, the k-cycle and the merge
+    ``{1,2,1',2'}|{3,3'}|...``, then the diagrams of the ``extra`` codes,
+    without duplicates (they collapse at small k).  Refuses k above
+    ``limit`` with ``SizeGuardError`` unless ``unguarded``."""
+    if k < 1:
+        raise ValueError("k must be a positive integer")
+    if k > limit and not unguarded:
+        raise SizeGuardError(f"{name} guard: k={k} exceeds {limit}")
+    codes = [_fixed(1, k)]
+    if k >= 2:
+        codes += [
+            [(_mask(1), _mask(2)), (_mask(2), _mask(1))] + _fixed(3, k),
+            [(_mask(i), _mask(i % k + 1)) for i in range(1, k + 1)],
+            [(_mask(1, 2), _mask(1, 2))] + _fixed(3, k),
+        ]
+    gens = []
+    for code in codes + extra:
+        g = from_masks(code, k)
+        if g not in gens:
+            gens.append(g)
+    return gens
+
+
+def istar_generators(k: int, unguarded: bool = False) -> list:
+    """Monoid generating set of the dual symmetric inverse monoid I*_k:
+    the identity, the swap, the k-cycle, the merge
+    ``{1,2,1',2'}|{3,3'}|...`` and
+    ``eta = {1,2,1'}|{3,2'}|...|{k,(k-1)',k'}`` (after FitzGerald and
+    Leech, "Dual symmetric inverse monoids and representation theory",
+    J. Austral. Math. Soc. 1998).  Five elements for k >= 3.  Refuses k
+    above ``ENUM_LIMIT_DUAL``, as ``enumerate_istar`` does."""
+    eta = []
+    if k >= 3:
+        shifted = [(_mask(i + 1), _mask(i)) for i in range(2, k - 1)]
+        eta = [[(_mask(1, 2), _mask(1))] + shifted + [(_mask(k), _mask(k - 1, k))]]
+    return _dual_generators("istar_generators", k, ENUM_LIMIT_DUAL, unguarded, eta)
+
+
+def pistar_generators(k: int, unguarded: bool = False) -> list:
+    """Monoid generating set of the partial dual symmetric inverse monoid
+    P*_k: the identity, the swap, the k-cycle and the merge of
+    ``istar_generators``, the drop ``{2,2'}|...|{k,k'}``, the half-merge
+    ``{1,2,1'}|{3,3'}|...`` (2' uncovered) and its flip
+    ``{1,1',2'}|{3,3'}|...`` (2 uncovered).  Seven elements for k >= 3.
+    Refuses k above ``ENUM_LIMIT_PARTIAL_DUAL``, as ``enumerate_pistar``
+    does."""
+    extra = [_fixed(2, k)]
+    if k >= 2:
+        extra += [
+            [(_mask(1, 2), _mask(1))] + _fixed(3, k),
+            [(_mask(1), _mask(1, 2))] + _fixed(3, k),
+        ]
+    return _dual_generators("pistar_generators", k, ENUM_LIMIT_PARTIAL_DUAL, unguarded, extra)
 
 
 def _glue(a, b) -> list:

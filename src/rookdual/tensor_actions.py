@@ -30,10 +30,11 @@ functions sit on the stream:
   refuses.
 
 The commutant of a set of target tuples needs no linear algebra either:
-``targets_commutant`` splits the d*d unknown entries into union-find
-classes that every commuting matrix holds constant, drops the classes
-forced to zero, and returns the rest, whose indicator matrices are the
-commutant basis.
+``targets_commutant`` splits the d*d unknown entries into classes that
+every commuting matrix holds constant, with a union-find kept as one
+flat parent list over the entries, drops the classes forced to zero,
+and returns the rest, whose indicator matrices are the commutant basis.
+The duality checks feed it a monoid's generators, not its elements.
 
 Spans need no linear algebra because each action has an orbit basis
 (``orbit_targets``), whose matrices have pairwise disjoint 0/1 supports
@@ -70,7 +71,6 @@ from .diagrams import (
     is_dual_element,
     is_partial_dual_element,
 )
-from .semigroups import UnionFind
 
 TensorIndex = tuple[int, ...]
 Targets = tuple[int, ...]
@@ -152,8 +152,10 @@ def targets_commutant(sources, d: int, unguarded: bool = False) -> list:
         raise SizeGuardError(
             f"commutant guard: {d * d} unknowns exceed {COMMUTANT_UNKNOWN_LIMIT}"
         )
-    classes = UnionFind()
-    zero = set()
+    # union-find over the d*d coordinates: parent[x] == x at a root, and
+    # each find halves its path as it climbs
+    parent = list(range(d * d))
+    zero = []
     for g in sources:
         if len(g) != d:
             raise ValueError("source tuples must have length d")
@@ -163,21 +165,36 @@ def targets_commutant(sources, d: int, unguarded: bool = False) -> list:
                 if ginv[t] >= 0:
                     raise ValueError("a source sends two tensors to one")
                 ginv[t] = c
+        live = [(j, t) for j, t in enumerate(g) if t >= 0]
+        killed = [j for j, t in enumerate(g) if t < 0]
         for i, l in enumerate(ginv):
-            row, pre_row = i * d, l * d
-            for j, t in enumerate(g):
-                if t >= 0 and l >= 0:
-                    classes.union(row + t, pre_row + j)
-                elif t >= 0:
-                    zero.add(row + t)
-                elif l >= 0:
-                    zero.add(pre_row + j)
-    dead = {classes.find(x) for x in zero}
+            row = i * d
+            if l < 0:
+                zero.extend(row + t for _, t in live)
+                continue
+            pre_row = l * d
+            zero.extend(pre_row + j for j in killed)
+            for j, t in live:
+                x, y = row + t, pre_row + j
+                while parent[x] != x:
+                    parent[x] = parent[parent[x]]
+                    x = parent[x]
+                while parent[y] != y:
+                    parent[y] = parent[parent[y]]
+                    y = parent[y]
+                if x != y:
+                    parent[y] = x
     members = {}
     for x in range(d * d):
-        root = classes.find(x)
-        if root not in dead:
-            members.setdefault(root, []).append(x)
+        root = x
+        while parent[root] != root:
+            parent[root] = parent[parent[root]]
+            root = parent[root]
+        members.setdefault(root, []).append(x)
+    for x in zero:
+        while parent[x] != x:
+            x = parent[x]
+        members.pop(x, None)
     return sorted((tuple(m) for m in members.values()), key=lambda m: m[-1])
 
 

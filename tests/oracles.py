@@ -1,9 +1,9 @@
 """Slow reference implementations that the fast paths are tested against.
 
 The diagram products here glue two diagrams point by point with a
-union-find over ('a', i) outer-left, ('m', i) middle and ('b', i)
-outer-right nodes, the way the package computed them before it moved to
-block bitmasks.  The match sets give one input tensor's image under the
+union-find (``UnionFind``, over hashable nodes in a dict) over ('a', i)
+outer-left, ('m', i) middle and ('b', i) outer-right nodes, the way the
+package computed them before it moved to block bitmasks.  The match sets give one input tensor's image under the
 composition action on V^k and the plain, hat and tilde U-actions block
 by block, the way the package built action matrices before it moved to
 target tuples.  ``ExactMatrix`` is the test-side sparse matrix with
@@ -28,7 +28,28 @@ from rookdual import (
     primed,
     unprimed,
 )
-from rookdual.semigroups import UnionFind
+
+
+class UnionFind:
+    """Disjoint sets over hashable nodes, created on first ``find``."""
+
+    def __init__(self):
+        self.parent = {}
+
+    def find(self, x):
+        parent = self.parent
+        root = parent.setdefault(x, x)
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    def union(self, x, y):
+        rx, ry = self.find(x), self.find(y)
+        if rx != ry:
+            self.parent[ry] = rx
+
 
 # the three-tier diagram products
 

@@ -265,6 +265,20 @@ COMMUTANT_BASIS_SHA256 = {
         "49caf7be59890eddc9aa26ad0f0e8533f6d9f7f82b13b42f0e1261c7a432d01d",
         "e5e03aad3bddd7aa77f957d644a1e5bc3bbb9a345dc7df4685662e40571bc3a6",
     ),
+    # the cells where the right generating sets are furthest from all
+    # elements, pinned from the all-element union-find solve
+    ("V", "2", "4", "right-istar"): (
+        "3a8fc9851f36839cf87bf18d2ae4405dd8eb462f378f0d7934f7684119b32dd5",
+        "4f40308f874fe05563420c5e76d92e22d5f989d6e0f2efdd02caa9c22e020df5",
+    ),
+    ("U", "2", "3", "right-pistar"): (
+        "f13c79eacdf6e1d60da4747711046fadd59cdd2e7618f42b1ffd8d6aed1a29d0",
+        "bb31266d8c21d4150bd8dcbf261127072c24c6b7821be36713c0d74fe8a67168",
+    ),
+    ("U", "3", "3", "right-pistar"): (
+        "a3348336f39bca510c6d237cb66e40d62a18472d1c5c76fb4f76a5a0c6db8fc8",
+        "cb6d6212b235e9c495b67e01c5f3ab780fd8820d390b82eba16a09796bd065e3",
+    ),
 }
 
 
@@ -372,6 +386,9 @@ def test_out_writes_file(tmp_path, capsys):
         ("act", "--space", "V", "--n", "2", "--k", "2", "--variant", "hat", "{1,1'}|{2,2'}"),
         ("commutant", "--n", "1", "--k", "1", "--space", "V", "--side", "right-pistar"),
         ("commutant", "--n", "1", "--k", "1", "--space", "U", "--side", "right-istar"),
+        # the right generating sets trip the enumeration guards
+        ("commutant", "--space", "U", "--n", "1", "--k", "5", "--side", "right-pistar"),
+        ("commutant", "--space", "V", "--n", "1", "--k", "6", "--side", "right-istar"),
         ("enumerate", "--semigroup", "is", "--n", "9"),  # guard trips
         ("act", "--space", "V", "--n", "9", "--k", "9", "{1,1'}"),
         ("enumerate", "--semigroup", "is", "--n", "0"),
@@ -389,6 +406,8 @@ def test_out_writes_file(tmp_path, capsys):
         # flags the chosen mode would otherwise ignore
         ("act", "--space", "V", "--n", "1", "--k", "1", "--rook", "--variant", "tilde", "[1]"),
         ("verify", "--thm2", "--n", "3", "--k", "1"),
+        ("verify", "--props", "--max-n", "1"),
+        ("verify", "--props", "--max-k", "1"),
         # Unicode digits that int() refuses
         ("multiply", "--semigroup", "is", "--n", "1", "[\u00b2]", "[1]"),
         ("multiply", "--semigroup", "istar", "--k", "1", "{\u00b9,1'}", "{1,1'}"),

@@ -14,6 +14,7 @@ from rookdual import (
     enumerate_pistar,
     predicted_faithful,
     run_grid,
+    targets_commutant,
 )
 
 from oracles import rowspace_half_centralizer
@@ -126,6 +127,22 @@ def test_orbit_spans_match_the_rowspace_oracle(cell):
         classes = duality.commutant(side)
         expected = rowspace_half_centralizer(classes, duality.targets(other))
         assert duality.half_centralizer(side) == (len(classes), *expected), side
+
+
+@pytest.mark.parametrize(
+    "cell",
+    [c for c in CERTIFIED_CELLS if c not in (("V", 4, 4), ("U", 2, 4))],
+    ids=_cell_id,
+)
+def test_right_commutant_of_generators_is_that_of_all_elements(cell):
+    """The right commutant solved on the generating set equals, class by
+    class and in order, the one solved on every right element.  V(4,4)
+    and U(2,4) are left out for time; the closure and multiplicativity
+    tests cover them."""
+    space, n, k = cell
+    duality = DualityCell(n, k, space)
+    every = targets_commutant(duality.targets("right"), duality.space.dimension)
+    assert duality.commutant("right") == every
 
 
 def _stirling2(k, m):
@@ -316,8 +333,8 @@ def test_algebra_faithfulness_boundaries():
 
 @pytest.mark.parametrize(
     "method",
-    ["elements", "targets", "orbits", "span", "order", "commutant", "half_centralizer",
-     "semigroup_faithful", "algebra_faithful"],
+    ["elements", "targets", "generators", "orbits", "span", "order", "commutant",
+     "half_centralizer", "semigroup_faithful", "algebra_faithful"],
 )
 def test_cell_methods_refuse_unknown_sides(method):
     """Every method that takes a side refuses anything but "left" and

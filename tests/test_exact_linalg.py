@@ -268,7 +268,12 @@ def test_commutant_classes_match_the_fraction_oracle(cell):
     space, n, k = cell
     duality = DualityCell(n, k, space)
     d = duality.space.dimension
-    for sources in (duality.left_generators, duality.targets("right")):
+    sources_list = (
+        duality.generators("left"),
+        duality.generators("right"),
+        duality.targets("right"),
+    )
+    for sources in sources_list:
         expected = commutant_basis([targets_matrix(t) for t in sources], d)
         assert class_matrices(targets_commutant(sources, d), d) == expected
 

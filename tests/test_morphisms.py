@@ -101,6 +101,20 @@ def test_mobius_inverts_zeta_directly():
                 assert total == (1 if alpha == gamma else 0)
 
 
+def test_closed_form_inverse_reads_the_mobius_function():
+    """The closed-form inverse takes its coefficients from its own walk
+    of the up-set; they equal ``mobius_merge_drop`` on every pair
+    alpha <= beta, and the walk reaches exactly those beta."""
+    for k in (1, 2, 3):
+        elements = enumerate_pistar(k)
+        for alpha in elements:
+            inverse = coarsening_sum_inverse(alpha)
+            above = [beta for beta in elements if block_union_leq(alpha, beta)]
+            assert set(inverse) == set(above)
+            for beta in above:
+                assert inverse[beta] == mobius_merge_drop(alpha, beta), (alpha, beta)
+
+
 def test_two_inverse_routes_agree():
     for k in (1, 2, 3):
         for alpha in enumerate_pistar(k):
@@ -258,15 +272,17 @@ def test_tilde_factorization_catches_a_corrupt_tuple(monkeypatch):
 
 
 def test_inverse_ok_catches_a_wrong_mobius_value(monkeypatch):
-    """A Moebius function off by one on the empty diagram spoils the
+    """A Moebius value off by one on the empty diagram spoils the
     closed-form inverse: it no longer equals the solved one, and its
-    round trip is no longer the basis element."""
-    right = rookdual.morphisms.mobius_merge_drop
+    round trip is no longer the basis element.  The closed form reads
+    its values off the walk of the up-set, so the walk is corrupted."""
+    right = rookdual.morphisms._upper_set_with_mobius
 
-    def wrong(alpha, beta):
-        return right(alpha, beta) + (0 if beta.blocks else 1)
+    def wrong(alpha):
+        for beta, value in right(alpha):
+            yield beta, value + (0 if beta.blocks else 1)
 
-    monkeypatch.setattr(rookdual.morphisms, "mobius_merge_drop", wrong)
+    monkeypatch.setattr(rookdual.morphisms, "_upper_set_with_mobius", wrong)
     assert morphism_report("coarsening_sum", 2).inverse_ok is False
     assert verify_hat_consistency(2, 2).inverse_ok is False
 
@@ -305,7 +321,8 @@ def test_inverse_ok_catches_an_extra_term(monkeypatch):
 def test_inverse_ok_catches_a_wrong_forward_image(monkeypatch):
     """The round trip sums the stored images of the inverse's terms, so
     a coarsening sum that forgets the empty diagram in the identity's
-    image spoils it, although both inverse routes still agree."""
+    image spoils it.  The solved inverse reads its up-sets from the same
+    stored images, so it also stops agreeing with the closed form."""
     right = rookdual.morphisms.coarsening_sum
 
     def wrong(alpha):

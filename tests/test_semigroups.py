@@ -7,6 +7,7 @@ size up.
 """
 
 import itertools
+import operator
 import random
 
 import pytest
@@ -20,6 +21,7 @@ from rookdual import (
     HatElement,
     PartialInjection,
     SetPartition,
+    SizeGuardError,
     block_union_leq,
     bullet_multiply,
     canonicalize,
@@ -30,10 +32,12 @@ from rookdual import (
     is_dual_element,
     is_generators,
     is_partial_dual_element,
+    istar_generators,
     multiply_composition,
     multiply_istar,
     multiply_pistar,
     parse_element,
+    pistar_generators,
     primed,
     star_multiply,
     unprimed,
@@ -67,12 +71,12 @@ def test_generators():
     assert len(is_generators(2)) == 2  # the swap doubles as the 2-cycle
 
 
-def right_closure(generators) -> set:
+def right_closure(generators, multiply=operator.mul) -> set:
     """Everything a non-empty word in the generators multiplies to,
     found breadth first by multiplying on the right by one generator."""
     closure, frontier = set(generators), list(generators)
     while frontier:
-        found = {x * g for x in frontier for g in generators} - closure
+        found = {multiply(x, g) for x in frontier for g in generators} - closure
         closure |= found
         frontier = list(found)
     return closure
@@ -84,6 +88,53 @@ def test_generated_closure_is_whole_monoid():
     assert len(right_closure(gens)) == 34
     gens1 = is_generators(1)
     assert right_closure(gens1) == set(enumerate_is(1))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_istar_generators_generate_the_dual_monoid(k):
+    """One-sided closure certifies the generating set at every k the
+    enumeration guard allows."""
+    assert right_closure(istar_generators(k), multiply_istar) == set(enumerate_istar(k))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_pistar_generators_generate_the_partial_dual_monoid(k):
+    closure = right_closure(pistar_generators(k), multiply_pistar)
+    assert closure == set(enumerate_pistar(k))
+
+
+def test_dual_generating_sets():
+    assert [len(istar_generators(k)) for k in (1, 2, 3, 4, 5)] == [1, 3, 5, 5, 5]
+    assert [len(pistar_generators(k)) for k in (1, 2, 3, 4)] == [2, 6, 7, 7]
+    assert [str(g) for g in istar_generators(4)] == [
+        "{1,1'}|{2,2'}|{3,3'}|{4,4'}",
+        "{1,2'}|{2,1'}|{3,3'}|{4,4'}",
+        "{1,2'}|{2,3'}|{3,4'}|{4,1'}",
+        "{1,2,1',2'}|{3,3'}|{4,4'}",
+        "{1,2,1'}|{3,2'}|{4,3',4'}",
+    ]
+    assert [str(g) for g in pistar_generators(3)][4:] == [
+        "{2,2'}|{3,3'}",
+        "{1,2,1'}|{3,3'}",
+        "{1,1',2'}|{3,3'}",
+    ]
+    assert pistar_generators(1) == [SetPartition.identity(1), SetPartition.empty(1)]
+    # the 3-block eta is what the partial dual set can do without: the
+    # dual set plus the drop, without the half-merges, misses 48 of 128
+    partial = istar_generators(3) + [pistar_generators(3)[4]]
+    assert len(right_closure(partial, multiply_pistar)) == 80
+
+
+def test_dual_generating_sets_keep_the_enumeration_guards():
+    with pytest.raises(SizeGuardError):
+        istar_generators(6)
+    with pytest.raises(SizeGuardError):
+        pistar_generators(5)
+    assert len(istar_generators(6, unguarded=True)) == 5
+    assert len(pistar_generators(5, unguarded=True)) == 7
+    for gens in (istar_generators, pistar_generators):
+        with pytest.raises(ValueError):
+            gens(0)
 
 
 @settings(max_examples=200, deadline=None)

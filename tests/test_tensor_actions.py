@@ -27,10 +27,12 @@ from rookdual import (
     enumerate_istar,
     enumerate_pistar,
     epsilon,
+    istar_generators,
     multiply_istar,
     multiply_pistar,
     orbit_targets,
     parse_element,
+    pistar_generators,
     primed,
     targets_commute,
     unprimed,
@@ -307,6 +309,25 @@ def test_plain_U_action_reverses_products():
                 assert got == mats[b] * mats[a]
 
 
+@pytest.mark.parametrize("kind", ["V", "U"])
+def test_right_actions_are_multiplicative_on_the_generators(kind):
+    """At n = 2, k = 4 the target tuple of a * g is the tuple of a
+    followed by that of g, for every right element a and every right
+    generator g.  With the closure of the generators under the product,
+    this makes the generators' commutant that of every right element."""
+    space = ActionSpace(kind, 2, 4)
+    if kind == "V":
+        multiply, elements, gens = multiply_istar, enumerate_istar(4), istar_generators(4)
+    else:
+        multiply, elements, gens = multiply_pistar, enumerate_pistar(4), pistar_generators(4)
+    generator_targets = [(g, action_targets(g, space) + (-1,)) for g in gens]
+    for a in elements:
+        ta = action_targets(a, space)
+        for g, tg in generator_targets:
+            composed = tuple(tg[t] for t in ta)  # tg[-1] == -1 keeps kills
+            assert action_targets(multiply(a, g), space) == composed, (a, g)
+
+
 def test_hat_action_reverses_star_products():
     for n in (1, 2):
         sp = ActionSpace("U", n, 2)
@@ -505,7 +526,7 @@ def test_tuple_checks_agree_with_matrix_products(space):
     cell = DualityCell(space.n, space.k, space.kind)
     lefts, rights = cell.targets("left"), cell.targets("right")
     matrix = {t: targets_matrix(t) for t in set(lefts) | set(rights)}
-    pairs = [(g, a) for g in cell.left_generators for a in rights]
+    pairs = [(g, a) for g in cell.generators("left") for a in rights]
     for side in (lefts, rights):
         if len(side) <= 34:
             pairs += [(a, b) for a in side for b in side]
