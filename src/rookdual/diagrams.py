@@ -9,11 +9,17 @@ on 2k points, of the dual symmetric inverse monoid, or of its partial
 analogue.  All values here are immutable and canonically ordered, so
 they hash, compare and print deterministically.
 
-A diagram also has a code, ``block_masks``: a sorted tuple of
-``(in_mask, out_mask)`` pairs, one per block.  The diagram products
-(``semigroups``) and the natural order ``block_union_leq`` run on codes.
+A diagram is stored as its code: a sorted tuple of ``(in_mask,
+out_mask)`` pairs, one per block, where bit i - 1 of in_mask stands for
+point i and of out_mask for point i'.  Equality, hashing, the
+completion, the flip, the family predicates and the natural order
+``block_union_leq`` read the code, and so do the products
+(``semigroups``), the actions (``tensor_actions``) and the deformation
+walks (``morphisms``).  The point-level view, ``blocks`` with its text
+form and ``sort_key``, is derived from the code on first use.
 """
 
+import functools
 import itertools
 import math
 from typing import Iterable, NamedTuple
@@ -144,17 +150,20 @@ class PartialInjection:
 class SetPartition:
     """Canonical set partition of (a subset of) the 2k boundary points.
 
-    Blocks are stored as tuples of points in canonical point order and
-    the block list is ordered by least point, so equal partitions are
-    identical objects structurally.  Use :func:`canonicalize` to build
-    one from raw data with validation.
+    ``code`` holds one ``(in_mask, out_mask)`` pair per block, sorted;
+    the constructor sorts it and trusts it otherwise (disjoint non-empty
+    blocks on rows of size k).  ``blocks`` is the point-level view:
+    each block a tuple of points in canonical point order, the blocks
+    ordered by least point, derived from the code and cached.  Use
+    :func:`canonicalize` to build one from raw points with validation.
     """
 
-    __slots__ = ("k", "blocks")
+    __slots__ = ("k", "code", "_blocks")
 
-    def __init__(self, k: int, blocks):
+    def __init__(self, k: int, code):
         object.__setattr__(self, "k", k)
-        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "code", tuple(sorted(code)))
+        object.__setattr__(self, "_blocks", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SetPartition is immutable")
@@ -168,11 +177,19 @@ class SetPartition:
     def empty(cls, k: int):
         return canonicalize([], k)
 
+    @property
+    def blocks(self) -> tuple:
+        """The blocks as tuples of points, built from the code once."""
+        if self._blocks is None:
+            blocks = sorted(itertools.starmap(_block_points, self.code))
+            object.__setattr__(self, "_blocks", tuple(blocks))
+        return self._blocks
+
     def support(self) -> frozenset:
         return frozenset(p for block in self.blocks for p in block)
 
     def block_count(self) -> int:
-        return len(self.blocks)
+        return len(self.code)
 
     def block_of(self) -> dict:
         """Map point -> index of its block."""
@@ -188,39 +205,36 @@ class SetPartition:
 
     def completed(self):
         """Fill every uncovered point in as a singleton block (the
-        embedding of partial diagrams into partitions of all 2k points)."""
-        covered = self.support()
-        extra = [
-            (p,)
-            for i in range(1, self.k + 1)
-            for p in (unprimed(i), primed(i))
-            if p not in covered
-        ]
-        if not extra:
+        embedding of partial diagrams into partitions of all 2k points).
+        The blocks' masks are disjoint, so their sum is their union."""
+        full = (1 << self.k) - 1
+        free_in = full & ~sum(ins for ins, _ in self.code)
+        free_out = full & ~sum(outs for _, outs in self.code)
+        if not free_in | free_out:
             return self
-        return canonicalize(list(self.blocks) + extra, self.k)
+        singles = [(1 << i - 1, 0) for i in _indices(free_in)]
+        singles += [(0, 1 << i - 1) for i in _indices(free_out)]
+        return SetPartition(self.k, self.code + tuple(singles))
 
     def flip(self):
         """Exchange the rows (the inverse map in the dual monoids)."""
-        return canonicalize(
-            [tuple(p.partner() for p in block) for block in self.blocks], self.k
-        )
+        return SetPartition(self.k, [(outs, ins) for ins, outs in self.code])
 
     def __eq__(self, other):
         return (
             isinstance(other, SetPartition)
             and self.k == other.k
-            and self.blocks == other.blocks
+            and self.code == other.code
         )
 
     def __hash__(self):
-        return hash((SetPartition, self.k, self.blocks))
+        return hash((SetPartition, self.k, self.code))
 
     def sort_key(self):
-        return (len(self.blocks), self.blocks)
+        return (len(self.code), self.blocks)
 
     def __str__(self):
-        if not self.blocks:
+        if not self.code:
             return "{}"
         return "|".join(
             "{" + ",".join(str(p) for p in block) + "}" for block in self.blocks
@@ -228,6 +242,18 @@ class SetPartition:
 
     def __repr__(self):
         return f"SetPartition({self})"
+
+
+def _indices(mask: int) -> list:
+    """The points i whose bit i - 1 is set in mask, ascending."""
+    return [i + 1 for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+@functools.cache
+def _block_points(ins: int, outs: int) -> tuple:
+    """The points of a block in canonical point order; kept per block,
+    since the diagrams on rows of size k share their blocks."""
+    return tuple(map(unprimed, _indices(ins))) + tuple(map(primed, _indices(outs)))
 
 
 class HatElement:
@@ -290,12 +316,10 @@ def canonicalize(blocks, k: int) -> SetPartition:
     if k < 1:
         raise ValueError("k must be a positive integer")
     seen = set()
-    canon = []
+    code = []
     for raw in blocks:
-        block = tuple(sorted(raw))
-        if not block:
-            raise ValueError("empty block supplied")
-        for p in block:
+        ins = outs = 0
+        for p in raw:
             if not isinstance(p, BoundaryPoint):
                 raise ValueError(f"not a boundary point: {p!r}")
             if not 1 <= p.index <= k:
@@ -303,76 +327,51 @@ def canonicalize(blocks, k: int) -> SetPartition:
             if p in seen:
                 raise ValueError(f"point {p} appears in two blocks")
             seen.add(p)
-        canon.append(block)
-    canon.sort()
-    return SetPartition(k, tuple(canon))
+            if p.primed:
+                outs |= 1 << p.index - 1
+            else:
+                ins |= 1 << p.index - 1
+        if not ins | outs:
+            raise ValueError("empty block supplied")
+        code.append((ins, outs))
+    return SetPartition(k, code)
 
 
 def is_dual_element(p: SetPartition) -> bool:
     """True iff p covers all 2k points and every block meets both rows."""
-    if len(p.support()) != 2 * p.k:
-        return False
-    return all(p.in_part(b) and p.out_part(b) for b in p.blocks)
+    full = (1 << p.k) - 1
+    return (
+        is_partial_dual_element(p)
+        and sum(ins for ins, _ in p.code) == full
+        and sum(outs for _, outs in p.code) == full
+    )
 
 
 def is_partial_dual_element(p: SetPartition) -> bool:
     """True iff every block meets both rows (coverage not required)."""
-    return all(p.in_part(b) and p.out_part(b) for b in p.blocks)
+    return all(ins and outs for ins, outs in p.code)
 
 
 Code = tuple[tuple[int, int], ...]
 
 
-def block_masks(alpha: SetPartition) -> Code:
-    """The diagram as a sorted tuple of (in_mask, out_mask) pairs, one
-    per block: bit i - 1 of in_mask is point i, of out_mask point i'."""
-    code = []
-    for block in alpha.blocks:
-        ins = outs = 0
-        for p in block:
-            if p.primed:
-                outs |= 1 << (p.index - 1)
-            else:
-                ins |= 1 << (p.index - 1)
-        code.append((ins, outs))
-    code.sort()
-    return tuple(code)
-
-
-def _points(mask: int, make) -> list:
-    return [make(i + 1) for i in range(mask.bit_length()) if mask >> i & 1]
-
-
-def from_masks(code, k: int) -> SetPartition:
-    """Inverse of :func:`block_masks` for a diagram on rows of size k."""
-    blocks = sorted(
-        tuple(_points(ins, unprimed) + _points(outs, primed)) for ins, outs in code
-    )
-    return SetPartition(k, tuple(blocks))
-
-
-def block_union_leq_codes(a, b) -> bool:
-    """:func:`block_union_leq` on codes: every block of b is the union
-    of the blocks of a that meet it."""
-    for b_in, b_out in b:
-        ins = outs = 0
-        for a_in, a_out in a:
-            if a_in & b_in or a_out & b_out:
-                ins, outs = ins | a_in, outs | a_out
-        if (ins, outs) != (b_in, b_out):
-            return False
-    return True
-
-
 def block_union_leq(alpha: SetPartition, beta: SetPartition) -> bool:
-    """True iff every block of beta is a union of blocks of alpha.
+    """True iff every block of beta is a union of blocks of alpha: the
+    union of the blocks of alpha that meet a block of beta is that block.
 
     Beta may drop alpha-blocks entirely, which is how the deformation
     change-of-basis maps walk the semigroup's natural order.
     """
     if alpha.k != beta.k:
         raise ValueError("cannot compare partitions with different k")
-    return block_union_leq_codes(block_masks(alpha), block_masks(beta))
+    for b_in, b_out in beta.code:
+        ins = outs = 0
+        for a_in, a_out in alpha.code:
+            if a_in & b_in or a_out & b_out:
+                ins, outs = ins | a_in, outs | a_out
+        if (ins, outs) != (b_in, b_out):
+            return False
+    return True
 
 
 def _set_partitions(items: tuple):

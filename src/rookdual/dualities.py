@@ -45,8 +45,7 @@ from dataclasses import asdict, dataclass
 
 from .diagrams import (
     PartialInjection,
-    block_masks,
-    block_union_leq_codes,
+    block_union_leq,
     enumerate_is,
     enumerate_istar,
     enumerate_pistar,
@@ -237,8 +236,7 @@ class DualityCell:
         elements = self.elements(side)
         if side == "left":
             return lambda a, b: _restricts(elements[b], elements[a])
-        codes = [block_masks(e) for e in elements]
-        return lambda a, b: block_union_leq_codes(codes[a], codes[b])
+        return lambda a, b: block_union_leq(elements[a], elements[b])
 
     def _certify(self, side: str) -> list:
         """The non-zero orbit supports of one side, after three exact

@@ -18,9 +18,12 @@ blocks, read off the one walk of the up-set that also lists it.  A
 generic triangular solve is kept alongside as an independent route to
 the same coefficients.
 
-Every combination of diagrams is a plain ``{SetPartition: int}`` dict
-with no zero values; ``{}`` is the zero.  All coefficients here, the
-Moebius ones included, are integers.
+Both maps walk the blocks of a diagram's code (``SetPartition.code``):
+the up-set ORs the masks of each merged group, the subset sum keeps
+sub-tuples of the code, and the Moebius and sign values come from the
+same walks.  Every combination of diagrams is a plain
+``{SetPartition: int}`` dict with no zero values; ``{}`` is the zero.
+All coefficients here, the Moebius ones included, are integers.
 """
 
 import itertools
@@ -31,9 +34,7 @@ from dataclasses import asdict, dataclass
 from .diagrams import (
     SetPartition,
     _set_partitions,
-    block_masks,
     block_union_leq,
-    canonicalize,
     enumerate_pistar,
     is_partial_dual_element,
 )
@@ -45,22 +46,25 @@ def _upper_set_with_mobius(alpha: SetPartition):
     """Walk the up-set of alpha in the natural order, yielding each beta
     with the Moebius value mu(alpha, beta): for every sub-collection of
     alpha's blocks and every grouping of it into merged blocks, the
-    diagram of the merged groups, with the product of (-1)^(m-1)(m-1)!
-    over groups of m blocks times (-1)^D D! for the D dropped blocks."""
-    atoms = alpha.blocks
+    diagram whose blocks OR the masks of each group, with the product of
+    (-1)^(m-1)(m-1)! over groups of m blocks times (-1)^D D! for the D
+    dropped blocks."""
+    atoms = alpha.code
     for r in range(len(atoms) + 1):
         dropped = len(atoms) - r
         drop_value = (-1) ** dropped * math.factorial(dropped)
-        for subset in itertools.combinations(range(len(atoms)), r):
+        for subset in itertools.combinations(atoms, r):
             for grouping in _set_partitions(subset):
-                blocks = [
-                    tuple(p for i in group for p in atoms[i]) for group in grouping
-                ]
+                code = []
                 value = drop_value
                 for group in grouping:
+                    ins = outs = 0
+                    for a_in, a_out in group:
+                        ins, outs = ins | a_in, outs | a_out
+                    code.append((ins, outs))
                     m = len(group)
                     value *= (-1) ** (m - 1) * math.factorial(m - 1)
-                yield canonicalize(blocks, alpha.k), value
+                yield SetPartition(alpha.k, code), value
 
 
 def natural_upper_set(alpha: SetPartition) -> list:
@@ -77,14 +81,13 @@ def mobius_merge_drop(alpha: SetPartition, beta: SetPartition) -> int:
     the D alpha-blocks beta drops."""
     if not block_union_leq(alpha, beta):
         raise ValueError("beta is not above alpha in the natural order")
-    owner = alpha.block_of()
     used = 0
     value = 1
-    for block in beta.blocks:
-        m = len({owner[p] for p in block})
+    for b_in, b_out in beta.code:
+        m = sum(1 for a_in, a_out in alpha.code if a_in & b_in or a_out & b_out)
         used += m
         value *= (-1) ** (m - 1) * math.factorial(m - 1)
-    dropped = len(alpha.blocks) - used
+    dropped = len(alpha.code) - used
     return value * (-1) ** dropped * math.factorial(dropped)
 
 
@@ -124,29 +127,30 @@ def coarsening_sum_inverse_by_solve(alpha: SetPartition) -> dict:
     diagrams = natural_upper_set(alpha)
     index, images = _indexed(diagrams, coarsening_sum)
     solved = _inverses_by_solve(diagrams, images)
-    return {diagrams[d]: c for d, c in solved[index[block_masks(alpha)]].items()}
+    return {diagrams[d]: c for d, c in solved[index[alpha.code]].items()}
+
+
+def _subsets_with_sign(alpha: SetPartition):
+    """Walk the sub-collections of alpha's blocks, yielding each as a
+    diagram with (-1) to the number of blocks it leaves out (the Moebius
+    function of the Boolean lattice)."""
+    atoms = alpha.code
+    for r in range(len(atoms) + 1):
+        sign = (-1) ** (len(atoms) - r)
+        for subset in itertools.combinations(atoms, r):
+            yield SetPartition(alpha.k, subset), sign
 
 
 def block_subset_sum(alpha: SetPartition) -> dict:
     """The unitriangular map carrying the tilde product to star: sum
     over all sub-collections of alpha's blocks."""
-    terms = {}
-    atoms = alpha.blocks
-    for r in range(len(atoms) + 1):
-        for subset in itertools.combinations(atoms, r):
-            terms[canonicalize(subset, alpha.k)] = 1
-    return terms
+    return {beta: 1 for beta, _ in _subsets_with_sign(alpha)}
 
 
 def block_subset_sum_inverse(alpha: SetPartition) -> dict:
     """Inverse of the block subset sum: alternating signs by dropped
-    block count (Moebius function of the Boolean lattice)."""
-    terms = {}
-    atoms = alpha.blocks
-    for r in range(len(atoms) + 1):
-        for subset in itertools.combinations(atoms, r):
-            terms[canonicalize(subset, alpha.k)] = (-1) ** (len(atoms) - r)
-    return terms
+    block count."""
+    return dict(_subsets_with_sign(alpha))
 
 
 def extend_linearly(func, x: dict) -> dict:
@@ -159,14 +163,14 @@ def extend_linearly(func, x: dict) -> dict:
 
 
 def _indexed(elements, forward) -> tuple:
-    """The index of each element by its block masks, and each element's
+    """The index of each element by its code, and each element's
     forward image on indices, ``{index: coeff}``."""
-    index = {block_masks(alpha): i for i, alpha in enumerate(elements)}
+    index = {alpha.code: i for i, alpha in enumerate(elements)}
     return index, [_on_indices(forward(alpha), index) for alpha in elements]
 
 
 def _on_indices(terms: dict, index: dict) -> dict:
-    return {index[block_masks(beta)]: c for beta, c in terms.items()}
+    return {index[beta.code]: c for beta, c in terms.items()}
 
 
 def _undoes(inverse: dict, a: int, images: list) -> bool:
@@ -206,8 +210,8 @@ def morphism_report(
     stored coarsening sums.  The round trip of each inverse through the
     map sums the stored images of its terms.
 
-    The homomorphism check runs on element indices: each element is
-    encoded once as block masks, each image is a ``{index: coeff}``
+    The homomorphism check runs on element indices: each element's
+    code is looked up once, each image is a ``{index: coeff}``
     dict, and products go through the code-level products.  A star
     product of two image terms is non-zero only when the first term's
     out-masks equal the second term's in-masks, so the image terms of

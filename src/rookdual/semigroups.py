@@ -16,16 +16,16 @@ partial dual monoids.  A matrix commutes with a whole monoid's image
 when it commutes with the images of its generators, which is how the
 duality checks solve every commutant.
 
-All four diagram products run on one encoding, from ``diagrams``:
-``block_masks`` turns a diagram into its code, a sorted tuple of
-``(in_mask, out_mask)`` pairs with bit i - 1 standing for point i (or
-i'), and ``from_masks`` turns a code back into the canonical diagram.
-The gluing is ``_glue``: a's blocks enter as ``(in, out, 0)`` masks
-over the three tiers, b's as ``(0, in, out)``, and blocks whose middle
-masks overlap merge into one component.  The ``*_codes`` functions are the products on codes; the
-public ``multiply_*`` functions validate their diagrams, encode them
-and decode the result, while callers that multiply many times (the
-morphism checks) validate once and call the code products directly.
+All four diagram products run on the code a diagram is stored as
+(``SetPartition.code``): a sorted tuple of ``(in_mask, out_mask)``
+pairs with bit i - 1 standing for point i (or i').  The gluing is
+``_glue``: a's blocks enter as ``(in, out, 0)`` masks over the three
+tiers, b's as ``(0, in, out)``, and blocks whose middle masks overlap
+merge into one component.  The ``*_codes`` functions are the products
+on codes; the public ``multiply_*`` functions validate their diagrams
+and wrap the resulting code, while callers that multiply many times
+(the morphism checks) validate once and call the code products
+directly.
 """
 
 from typing import NamedTuple
@@ -38,8 +38,6 @@ from .diagrams import (
     PartialInjection,
     SetPartition,
     SizeGuardError,
-    block_masks,
-    from_masks,
     is_dual_element,
     is_partial_dual_element,
 )
@@ -89,24 +87,26 @@ def _fixed(start: int, k: int) -> list:
 
 
 def _dual_generators(name: str, k: int, limit: int, unguarded: bool, extra) -> list:
-    """The identity, the swap, the k-cycle and the merge
-    ``{1,2,1',2'}|{3,3'}|...``, then the diagrams of the ``extra`` codes,
-    without duplicates (they collapse at small k).  Refuses k above
-    ``limit`` with ``SizeGuardError`` unless ``unguarded``."""
+    """The swap, the k-cycle and the merge ``{1,2,1',2'}|{3,3'}|...``
+    (at k = 1 the identity instead: for k >= 2 it is the swap squared),
+    then the diagrams of the ``extra`` codes, without duplicates (the
+    k-cycle is the swap at k = 2).  Refuses k above ``limit`` with
+    ``SizeGuardError`` unless ``unguarded``."""
     if k < 1:
         raise ValueError("k must be a positive integer")
     if k > limit and not unguarded:
         raise SizeGuardError(f"{name} guard: k={k} exceeds {limit}")
-    codes = [_fixed(1, k)]
-    if k >= 2:
-        codes += [
+    if k == 1:
+        codes = [_fixed(1, 1)]
+    else:
+        codes = [
             [(_mask(1), _mask(2)), (_mask(2), _mask(1))] + _fixed(3, k),
             [(_mask(i), _mask(i % k + 1)) for i in range(1, k + 1)],
             [(_mask(1, 2), _mask(1, 2))] + _fixed(3, k),
         ]
     gens = []
     for code in codes + extra:
-        g = from_masks(code, k)
+        g = SetPartition(k, code)
         if g not in gens:
             gens.append(g)
     return gens
@@ -114,12 +114,12 @@ def _dual_generators(name: str, k: int, limit: int, unguarded: bool, extra) -> l
 
 def istar_generators(k: int, unguarded: bool = False) -> list:
     """Monoid generating set of the dual symmetric inverse monoid I*_k:
-    the identity, the swap, the k-cycle, the merge
-    ``{1,2,1',2'}|{3,3'}|...`` and
+    the swap, the k-cycle, the merge ``{1,2,1',2'}|{3,3'}|...`` and
     ``eta = {1,2,1'}|{3,2'}|...|{k,(k-1)',k'}`` (after FitzGerald and
     Leech, "Dual symmetric inverse monoids and representation theory",
-    J. Austral. Math. Soc. 1998).  Five elements for k >= 3.  Refuses k
-    above ``ENUM_LIMIT_DUAL``, as ``enumerate_istar`` does."""
+    J. Austral. Math. Soc. 1998); the identity alone at k = 1.  Four
+    elements for k >= 3.  Refuses k above ``ENUM_LIMIT_DUAL``, as
+    ``enumerate_istar`` does."""
     eta = []
     if k >= 3:
         shifted = [(_mask(i + 1), _mask(i)) for i in range(2, k - 1)]
@@ -129,10 +129,10 @@ def istar_generators(k: int, unguarded: bool = False) -> list:
 
 def pistar_generators(k: int, unguarded: bool = False) -> list:
     """Monoid generating set of the partial dual symmetric inverse monoid
-    P*_k: the identity, the swap, the k-cycle and the merge of
-    ``istar_generators``, the drop ``{2,2'}|...|{k,k'}``, the half-merge
-    ``{1,2,1'}|{3,3'}|...`` (2' uncovered) and its flip
-    ``{1,1',2'}|{3,3'}|...`` (2 uncovered).  Seven elements for k >= 3.
+    P*_k: the swap, the k-cycle and the merge of ``istar_generators``
+    (the identity at k = 1), the drop ``{2,2'}|...|{k,k'}``, the
+    half-merge ``{1,2,1'}|{3,3'}|...`` (2' uncovered) and its flip
+    ``{1,1',2'}|{3,3'}|...`` (2 uncovered).  Six elements for k >= 3.
     Refuses k above ``ENUM_LIMIT_PARTIAL_DUAL``, as ``enumerate_pistar``
     does."""
     extra = [_fixed(2, k)]
@@ -164,28 +164,13 @@ def _glue(a, b) -> list:
     return components
 
 
-def _cover(code, side: int) -> int:
-    """Union of the in_masks (side 0) or out_masks (side 1) of a code."""
-    mask = 0
-    for block in code:
-        mask |= block[side]
-    return mask
-
-
-def _complete(code, k: int) -> list:
-    """Add a singleton block for every point the code leaves uncovered."""
-    ins, outs = _cover(code, 0), _cover(code, 1)
-    singles = [(1 << i, 0) for i in range(k) if not ins >> i & 1]
-    singles += [(0, 1 << i) for i in range(k) if not outs >> i & 1]
-    return list(code) + singles
-
-
 def pistar_codes(a, b) -> Code:
     """Break-down product of partial dual codes.  A component breaks
     down exactly when it holds a completion singleton, i.e. when its
     middle mask leaves the points both factors cover there; the
-    singletons of the outer rows are components of their own."""
-    covered = _cover(a, 1) & _cover(b, 0)
+    singletons of the outer rows are components of their own.  The
+    blocks' masks are disjoint, so their sum is their union."""
+    covered = sum(outs for _, outs in a) & sum(ins for ins, _ in b)
     return tuple(
         sorted(
             (left, right)
@@ -219,15 +204,13 @@ def multiply_composition(alpha: SetPartition, beta: SetPartition):
     components."""
     if alpha.k != beta.k:
         raise ValueError("factors must share k")
-    k = alpha.k
     blocks, garbage = [], 0
-    a, b = _complete(block_masks(alpha), k), _complete(block_masks(beta), k)
-    for left, _, right in _glue(a, b):
+    for left, _, right in _glue(alpha.completed().code, beta.completed().code):
         if left or right:
             blocks.append((left, right))
         else:
             garbage += 1
-    return CompositionResult(from_masks(blocks, k), garbage)
+    return CompositionResult(SetPartition(alpha.k, blocks), garbage)
 
 
 def multiply_istar(alpha: SetPartition, beta: SetPartition) -> SetPartition:
@@ -254,7 +237,7 @@ def multiply_pistar(alpha: SetPartition, beta: SetPartition) -> SetPartition:
         raise ValueError("factors must share k")
     if not (is_partial_dual_element(alpha) and is_partial_dual_element(beta)):
         raise ValueError("multiply_pistar needs partial dual elements")
-    return from_masks(pistar_codes(block_masks(alpha), block_masks(beta)), alpha.k)
+    return SetPartition(alpha.k, pistar_codes(alpha.code, beta.code))
 
 
 def star_multiply(a: HatElement, b: HatElement) -> HatElement:
@@ -271,10 +254,10 @@ def star_multiply(a: HatElement, b: HatElement) -> HatElement:
         raise ValueError("factors must share k")
     if a.is_zero or b.is_zero:
         return HatElement.zero(a.k)
-    code = star_codes(block_masks(a.diagram), block_masks(b.diagram))
+    code = star_codes(a.diagram.code, b.diagram.code)
     if code is None:
         return HatElement.zero(a.k)
-    return HatElement.wrap(from_masks(code, a.k))
+    return HatElement.wrap(SetPartition(a.k, code))
 
 
 def bullet_multiply(alpha: SetPartition, beta: SetPartition) -> SetPartition:
@@ -287,4 +270,4 @@ def bullet_multiply(alpha: SetPartition, beta: SetPartition) -> SetPartition:
         raise ValueError("factors must share k")
     if not (is_partial_dual_element(alpha) and is_partial_dual_element(beta)):
         raise ValueError("bullet_multiply needs partial dual elements")
-    return from_masks(bullet_codes(block_masks(alpha), block_masks(beta)), alpha.k)
+    return SetPartition(alpha.k, bullet_codes(alpha.code, beta.code))

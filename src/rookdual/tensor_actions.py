@@ -7,10 +7,12 @@ and its position in that order (its ordinal) is the matrix coordinate.
 Every action here is a stream of (input, output) ordinal pairs with
 coefficient 1, and one private builder, ``_pairs``, makes it: it checks
 the element against the space and the variant, reads the element's
-blocks once, turns each into the weight one unit of its digit adds to
-the input and to the output ordinal, and enumerates the admissible
-digit assignments to the blocks (zero allowed or not, distinctness
-across blocks: this is where the plain, hat and tilde variants differ).
+code once (``SetPartition.code``, one pair of position masks per
+block; on V^k that of its completion), turns each block into the
+weight one unit of its digit adds to the input and to the output
+ordinal, and enumerates the admissible digit assignments to the
+blocks (zero allowed or not, distinctness across blocks: this is where
+the plain, hat and tilde variants differ).
 A partial injection's pairs come digit by digit instead.  Three
 functions sit on the stream:
 
@@ -100,9 +102,16 @@ class ActionSpace:
         raise AttributeError("ActionSpace is immutable")
 
     def guard(self, unguarded: bool = False):
+        """Refuse a dimension above ``DIMENSION_LIMIT`` unless
+        ``unguarded``.  A dimension with more decimal digits than Python
+        prints is named as base^k."""
         if self.dimension > DIMENSION_LIMIT and not unguarded:
+            try:
+                shown = str(self.dimension)
+            except ValueError:
+                shown = f"{self.n + 1 - self.low}^{self.k}"
             raise SizeGuardError(
-                f"action space dimension {self.dimension} exceeds {DIMENSION_LIMIT}"
+                f"action space dimension {shown} exceeds {DIMENSION_LIMIT}"
             )
         return self
 
@@ -224,18 +233,17 @@ def _rook_triples(pi: PartialInjection, space: ActionSpace, unguarded: bool) -> 
 
 def _block_weights(alpha: SetPartition, space: ActionSpace):
     """Per block, the amounts one unit of its digit adds to the input and
-    to the output ordinal.  The input weight is 0 for a block with
-    output positions but no input position (a free output block)."""
+    to the output ordinal: each mask read as a k-digit 0/1 numeral in
+    the space's base, position 1 (bit 0) most significant.  The input
+    weight is 0 for a block with output positions but no input position
+    (a free output block)."""
     base = space.n + 1 - space.low
     weights = []
-    for block in alpha.blocks:
+    for ins, outs in alpha.code:
         w_in = w_out = 0
-        for p in block:
-            w = base ** (space.k - p.index)
-            if p.primed:
-                w_out += w
-            else:
-                w_in += w
+        for bit in range(space.k):
+            w_in = w_in * base + (ins >> bit & 1)
+            w_out = w_out * base + (outs >> bit & 1)
         weights.append((w_in, w_out))
     return weights
 

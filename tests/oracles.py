@@ -13,11 +13,18 @@ computed spans with before it counted them on orbit bases, and
 ``rowspace_half_centralizer`` is the span half of the double-centralizer
 check on top of it.  ``block_union_leq_on_points`` decides the natural
 order of diagrams point by point, the reference for the block-mask
-``block_union_leq``.  None of these validates its inputs; callers pass
-elements of the right family.
+``block_union_leq``.  The point-level diagram operations
+(``block_masks_on_points``, ``completed_on_points``, ``flip_on_points``,
+``upper_set_on_points`` and ``subsets_on_points``) read a diagram's
+point blocks and rebuild results through ``canonicalize``, the way the
+package did before a diagram was stored as its block-mask code; the
+products and match sets here complete their factors through them.  None
+of these validates its inputs; callers pass elements of the right
+family.
 """
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Iterable
 
@@ -28,6 +35,7 @@ from rookdual import (
     primed,
     unprimed,
 )
+from rookdual.diagrams import _set_partitions
 
 
 class UnionFind:
@@ -49,6 +57,76 @@ class UnionFind:
         rx, ry = self.find(x), self.find(y)
         if rx != ry:
             self.parent[ry] = rx
+
+
+# the point-level diagram operations
+
+
+def block_masks_on_points(alpha) -> tuple:
+    """The code of a diagram read off its point blocks: a sorted tuple of
+    (in_mask, out_mask) pairs, bit i - 1 of in_mask for point i and of
+    out_mask for point i'."""
+    code = []
+    for block in alpha.blocks:
+        ins = outs = 0
+        for p in block:
+            if p.primed:
+                outs |= 1 << (p.index - 1)
+            else:
+                ins |= 1 << (p.index - 1)
+        code.append((ins, outs))
+    code.sort()
+    return tuple(code)
+
+
+def completed_on_points(alpha):
+    """Every uncovered point filled in as a singleton block."""
+    covered = alpha.support()
+    extra = [
+        (p,)
+        for i in range(1, alpha.k + 1)
+        for p in (unprimed(i), primed(i))
+        if p not in covered
+    ]
+    return canonicalize(list(alpha.blocks) + extra, alpha.k)
+
+
+def flip_on_points(alpha):
+    """The rows exchanged point by point."""
+    return canonicalize(
+        [tuple(p.partner() for p in block) for block in alpha.blocks], alpha.k
+    )
+
+
+def upper_set_on_points(alpha):
+    """The up-set of alpha in the natural order with its Moebius values,
+    merging point tuples: for every sub-collection of alpha's blocks and
+    every grouping of it, the diagram of the merged groups, with the
+    product of (-1)^(m-1)(m-1)! over groups of m blocks times
+    (-1)^D D! for the D dropped blocks."""
+    atoms = alpha.blocks
+    for r in range(len(atoms) + 1):
+        dropped = len(atoms) - r
+        drop_value = (-1) ** dropped * math.factorial(dropped)
+        for subset in itertools.combinations(range(len(atoms)), r):
+            for grouping in _set_partitions(subset):
+                blocks = [
+                    tuple(p for i in group for p in atoms[i]) for group in grouping
+                ]
+                value = drop_value
+                for group in grouping:
+                    m = len(group)
+                    value *= (-1) ** (m - 1) * math.factorial(m - 1)
+                yield canonicalize(blocks, alpha.k), value
+
+
+def subsets_on_points(alpha):
+    """Each sub-collection of alpha's point blocks as a diagram, with
+    (-1) to the number of blocks it leaves out."""
+    atoms = alpha.blocks
+    for r in range(len(atoms) + 1):
+        for subset in itertools.combinations(atoms, r):
+            yield canonicalize(subset, alpha.k), (-1) ** (len(atoms) - r)
 
 
 # the three-tier diagram products
@@ -96,7 +174,7 @@ def _in_trace(beta) -> frozenset:
 
 def composition(alpha, beta):
     """(diagram, garbage count) of the composition product."""
-    a, b = alpha.completed(), beta.completed()
+    a, b = completed_on_points(alpha), completed_on_points(beta)
     components, _ = _three_tier_components(a, b)
     blocks = []
     garbage = 0
@@ -112,7 +190,7 @@ def composition(alpha, beta):
 def pistar(alpha, beta):
     """Break-down product: components holding a completion singleton of
     either factor vanish."""
-    a, b = alpha.completed(), beta.completed()
+    a, b = completed_on_points(alpha), completed_on_points(beta)
     components, uf = _three_tier_components(a, b)
     broken = set()
     for block in a.blocks:
@@ -165,7 +243,7 @@ def match_set_c(alpha, i, n) -> set:
     2k points: each block carries one digit shared by all its input
     positions and imposed on all its output positions; blocks with no
     input position range over every digit 1..n."""
-    alpha = alpha.completed()
+    alpha = completed_on_points(alpha)
     k = alpha.k
     out = [0] * k
     free = []

@@ -29,11 +29,15 @@ from rookdual import (
     enumerate_pistar,
     is_dual_element,
     is_partial_dual_element,
+    natural_upper_set,
+    parse_element,
     primed,
     unprimed,
 )
 
+import oracles
 from oracles import block_count_at_most, coarser_leq, subblocks_leq
+from rookdual.morphisms import _subsets_with_sign, _upper_set_with_mobius
 
 
 def brute_partitions(points):
@@ -51,6 +55,20 @@ def brute_partitions(points):
 
 def raw_points(k):
     return [(False, i) for i in range(1, k + 1)] + [(True, i) for i in range(1, k + 1)]
+
+
+def all_diagrams(k):
+    """Every set partition of every subset of the 2k points: the
+    partitions of all 2k points and every partial diagram."""
+    points = raw_points(k)
+    return [
+        canonicalize(
+            [[(primed if pr else unprimed)(i) for pr, i in block] for block in part], k
+        )
+        for r in range(len(points) + 1)
+        for subset in itertools.combinations(points, r)
+        for part in brute_partitions(subset)
+    ]
 
 
 def meets_both_rows(block):
@@ -247,6 +265,42 @@ def test_identity_empty_completed_flip():
     assert partial.flip().flip() == partial
     ident = SetPartition.identity(3)
     assert ident.flip() == ident
+
+
+def _oracle_cases():
+    """Every element of I*_4 and P*_3 and every diagram at k <= 3, each
+    with its family for ``parse_element``."""
+    cases = [(alpha, "istar") for alpha in enumerate_istar(4)]
+    cases += [(alpha, "pistar") for alpha in enumerate_pistar(3)]
+    cases += [(alpha, "composition") for k in (1, 2, 3) for alpha in all_diagrams(k)]
+    return cases
+
+
+def test_codes_agree_with_the_point_level_oracles():
+    """The code-level completion, flip, predicates, natural order and
+    deformation walks of every element against the point-level
+    references, and the validating entries round-trip every element."""
+    for alpha, family in _oracle_cases():
+        k = alpha.k
+        assert alpha.code == oracles.block_masks_on_points(alpha), alpha
+        assert alpha.completed() == oracles.completed_on_points(alpha), alpha
+        assert alpha.flip() == oracles.flip_on_points(alpha), alpha
+        again = canonicalize(alpha.blocks, k)
+        assert again == alpha and hash(again) == hash(alpha), alpha
+        assert parse_element(str(alpha), family, k) == alpha
+        meets_both = all(alpha.in_part(b) and alpha.out_part(b) for b in alpha.blocks)
+        assert is_partial_dual_element(alpha) == meets_both, alpha
+        assert is_dual_element(alpha) == (meets_both and len(alpha.support()) == 2 * k)
+        for beta in (alpha, alpha.completed(), alpha.flip(), SetPartition.empty(k)):
+            expected = oracles.block_union_leq_on_points(alpha, beta)
+            assert block_union_leq(alpha, beta) == expected, (alpha, beta)
+        if family != "composition":
+            # the walks are those of the deformation maps on partial duals
+            upper = dict(oracles.upper_set_on_points(alpha))
+            assert dict(_upper_set_with_mobius(alpha)) == upper, alpha
+            assert all(block_union_leq(alpha, beta) for beta in natural_upper_set(alpha))
+            subsets = dict(oracles.subsets_on_points(alpha))
+            assert dict(_subsets_with_sign(alpha)) == subsets, alpha
 
 
 def test_block_accessors():

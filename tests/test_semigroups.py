@@ -6,6 +6,7 @@ full triple product table fits in seconds, seeded random triples one
 size up.
 """
 
+import hashlib
 import itertools
 import operator
 import random
@@ -42,7 +43,7 @@ from rookdual import (
     star_multiply,
     unprimed,
 )
-from rookdual.diagrams import block_masks, block_union_leq_codes, from_masks
+from test_diagrams import all_diagrams
 
 
 def test_worked_product():
@@ -104,16 +105,18 @@ def test_pistar_generators_generate_the_partial_dual_monoid(k):
 
 
 def test_dual_generating_sets():
-    assert [len(istar_generators(k)) for k in (1, 2, 3, 4, 5)] == [1, 3, 5, 5, 5]
-    assert [len(pistar_generators(k)) for k in (1, 2, 3, 4)] == [2, 6, 7, 7]
+    # the identity is listed only at k = 1: from k = 2 on it is swap * swap
+    assert [len(istar_generators(k)) for k in (1, 2, 3, 4, 5)] == [1, 2, 4, 4, 4]
+    assert [len(pistar_generators(k)) for k in (1, 2, 3, 4)] == [2, 5, 6, 6]
+    assert istar_generators(1) == [SetPartition.identity(1)]
+    assert [str(g) for g in istar_generators(2)] == ["{1,2'}|{2,1'}", "{1,2,1',2'}"]
     assert [str(g) for g in istar_generators(4)] == [
-        "{1,1'}|{2,2'}|{3,3'}|{4,4'}",
         "{1,2'}|{2,1'}|{3,3'}|{4,4'}",
         "{1,2'}|{2,3'}|{3,4'}|{4,1'}",
         "{1,2,1',2'}|{3,3'}|{4,4'}",
         "{1,2,1'}|{3,2'}|{4,3',4'}",
     ]
-    assert [str(g) for g in pistar_generators(3)][4:] == [
+    assert [str(g) for g in pistar_generators(3)][3:] == [
         "{2,2'}|{3,3'}",
         "{1,2,1'}|{3,3'}",
         "{1,1',2'}|{3,3'}",
@@ -121,7 +124,7 @@ def test_dual_generating_sets():
     assert pistar_generators(1) == [SetPartition.identity(1), SetPartition.empty(1)]
     # the 3-block eta is what the partial dual set can do without: the
     # dual set plus the drop, without the half-merges, misses 48 of 128
-    partial = istar_generators(3) + [pistar_generators(3)[4]]
+    partial = istar_generators(3) + [pistar_generators(3)[3]]
     assert len(right_closure(partial, multiply_pistar)) == 80
 
 
@@ -130,8 +133,8 @@ def test_dual_generating_sets_keep_the_enumeration_guards():
         istar_generators(6)
     with pytest.raises(SizeGuardError):
         pistar_generators(5)
-    assert len(istar_generators(6, unguarded=True)) == 5
-    assert len(pistar_generators(5, unguarded=True)) == 7
+    assert len(istar_generators(6, unguarded=True)) == 4
+    assert len(pistar_generators(5, unguarded=True)) == 6
     for gens in (istar_generators, pistar_generators):
         with pytest.raises(ValueError):
             gens(0)
@@ -432,48 +435,71 @@ def test_bullet_when_traces_mirror_exactly():
 # the bitmask products against the three-tier oracle
 
 
-def _all_diagrams(k):
-    """Every set partition of every subset of the 2k points."""
-    from test_diagrams import brute_partitions, raw_points
-
-    points = raw_points(k)
-    return [
-        canonicalize(
-            [[(primed if pr else unprimed)(i) for pr, i in block] for block in part], k
-        )
-        for r in range(len(points) + 1)
-        for subset in itertools.combinations(points, r)
-        for part in brute_partitions(subset)
-    ]
-
-
 def test_block_masks_round_trip():
+    """A diagram's code is sorted, equals the masks read off its point
+    blocks, and rebuilds the diagram."""
     for k in (1, 2, 3):
-        for alpha in _all_diagrams(k):
-            code = block_masks(alpha)
+        for alpha in all_diagrams(k):
+            code = alpha.code
             assert list(code) == sorted(code)
-            assert from_masks(code, k) == alpha
+            assert code == oracles.block_masks_on_points(alpha)
+            assert SetPartition(k, code) == alpha
 
 
 def test_block_union_leq_codes_matches_block_union_leq():
     """Every pair of partial dual elements at k <= 3, and every pair of
     diagrams at k <= 2, where blocks may miss a row: the order on codes
-    and the public order on diagrams both equal the point-by-point
-    reference."""
+    equals the point-by-point reference."""
     pairs = [p for k in (1, 2, 3) for p in itertools.product(enumerate_pistar(k), repeat=2)]
-    pairs += [p for k in (1, 2) for p in itertools.product(_all_diagrams(k), repeat=2)]
+    pairs += [p for k in (1, 2) for p in itertools.product(all_diagrams(k), repeat=2)]
     for a, b in pairs:
-        expected = oracles.block_union_leq_on_points(a, b)
-        got = block_union_leq_codes(block_masks(a), block_masks(b))
-        assert got == expected, (a, b)
-        assert block_union_leq(a, b) == expected, (a, b)
+        assert block_union_leq(a, b) == oracles.block_union_leq_on_points(a, b), (a, b)
+
+
+# sha256 of the printed products, one per line, pinned before diagrams
+# were stored as block-mask codes; the same under any PYTHONHASHSEED.
+PARTIAL_DUAL_PRODUCTS_K3_SHA256 = (
+    "d10cee2540d41ca6839d851bfb004cc1cd00f3d8727f0b17304abadd1d41a681"
+)
+COMPOSITION_PRODUCTS_K2_SHA256 = (
+    "aa2e0aed744e68078dacd27f556acbb7b5dce7b9a6827fe11de2f0aa210527f0"
+)
+
+
+def _digest(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_partial_dual_products_are_golden():
+    """Every pair at k = 3 under the break-down product, then under star
+    (the adjoined zero first), then under bullet."""
+    elements = enumerate_pistar(3)
+    hats = [HatElement.zero(3)] + [HatElement.wrap(a) for a in elements]
+    lines = [str(multiply_pistar(a, b)) for a in elements for b in elements]
+    lines += [str(star_multiply(a, b)) for a in hats for b in hats]
+    lines += [str(bullet_multiply(a, b)) for a in elements for b in elements]
+    assert len(lines) == 49409
+    assert _digest(lines) == PARTIAL_DUAL_PRODUCTS_K3_SHA256
+
+
+def test_composition_products_are_golden():
+    """Every pair of the 52 diagrams at k = 2, in ``sort_key`` order,
+    with the garbage count."""
+    diagrams = sorted(all_diagrams(2), key=SetPartition.sort_key)
+    lines = []
+    for a in diagrams:
+        for b in diagrams:
+            r = multiply_composition(a, b)
+            lines.append(f"{r.diagram} garbage={r.garbage_count}")
+    assert len(lines) == 2704
+    assert _digest(lines) == COMPOSITION_PRODUCTS_K2_SHA256
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_composition_matches_the_three_tier_oracle(k):
     """Every pair of diagrams, covering or not, at k <= 2; 5,000 seeded
     pairs of the 877 diagrams at k = 3."""
-    diagrams = _all_diagrams(k)
+    diagrams = all_diagrams(k)
     if k <= 2:
         pairs = itertools.product(diagrams, repeat=2)
     else:

@@ -44,6 +44,7 @@ from rookdual.diagrams import (
 )
 from rookdual.semigroups import bullet_multiply, star_multiply
 
+from test_diagrams import all_diagrams
 from oracles import (
     ExactMatrix,
     exact_action,
@@ -420,28 +421,11 @@ def _matrix_from_match(space, match):
     return ExactMatrix(space.dimension, space.dimension, entries)
 
 
-def _all_diagrams(k):
-    """Every set partition of every subset of the 2k points: the
-    partitions of all 2k points and every partial diagram."""
-    from test_diagrams import brute_partitions, raw_points
-
-    points = raw_points(k)
-    return [
-        canonicalize(
-            [[(primed if pr else unprimed)(idx) for pr, idx in block] for block in part],
-            k,
-        )
-        for r in range(len(points) + 1)
-        for subset in itertools.combinations(points, r)
-        for part in brute_partitions(subset)
-    ]
-
-
 def test_action_matrix_V_matches_match_set_c_with_free_blocks():
     """Free output blocks included: each free block's column holds one
     entry per digit, as the composition match set says."""
     for k in (1, 2):
-        diagrams = _all_diagrams(k)
+        diagrams = all_diagrams(k)
         for n in (1, 2, 3):
             sp = ActionSpace("V", n, k)
             for alpha in diagrams:
