@@ -4,13 +4,13 @@ Run with: python3 demos/deformation_maps.py
 """
 
 from rookdual import (
+    DeformationCell,
     block_subset_sum,
     block_subset_sum_inverse,
     coarsening_sum,
     coarsening_sum_inverse,
     extend_linearly,
     mobius_merge_drop,
-    morphism_report,
     parse_element,
 )
 
@@ -48,7 +48,7 @@ show(f"block_subset_sum_inverse({ident})", block_subset_sum_inverse(ident))
 print("\nHomomorphism reports (every pair at k = 2 and k = 3):")
 for map_name in ("coarsening_sum", "block_subset_sum"):
     for kk in (2, 3):
-        report = morphism_report(map_name, kk)
+        report = DeformationCell(kk).homomorphism(map_name)
         print(f"  {map_name} k={kk}: pairs={report.pairs_checked} "
               f"homomorphism={report.homomorphism_ok} "
               f"inverse={report.inverse_ok}")

@@ -30,6 +30,7 @@ from .dualities import (
     run_grid,
 )
 from .morphisms import (
+    DeformationCell,
     MorphismReport,
     block_subset_sum,
     block_subset_sum_inverse,
@@ -38,10 +39,7 @@ from .morphisms import (
     coarsening_sum_inverse_by_solve,
     extend_linearly,
     mobius_merge_drop,
-    morphism_report,
     natural_upper_set,
-    verify_hat_consistency,
-    verify_tilde_factorization,
 )
 from .notation import (
     FAMILIES,

@@ -22,11 +22,7 @@ from .diagrams import (
     enumerate_pistar,
 )
 from .dualities import DualityCell, run_grid
-from .morphisms import (
-    morphism_report,
-    verify_hat_consistency,
-    verify_tilde_factorization,
-)
+from .morphisms import DeformationCell
 from .notation import NotationError, parse_element
 from .semigroups import (
     bullet_multiply,
@@ -244,13 +240,13 @@ def _cmd_commutant(args) -> tuple:
 
 def _props_reports(n: int, k: int) -> list:
     sample = None if k <= 3 else 1_000
-    reports = [
-        morphism_report("coarsening_sum", k, sample_pairs=sample).to_json_dict(),
-        morphism_report("block_subset_sum", k, sample_pairs=sample).to_json_dict(),
-        {**verify_hat_consistency(n, k).to_json_dict(), "n": n},
-        {**verify_tilde_factorization(n, k).to_json_dict(), "n": n},
+    cell = DeformationCell(k)
+    return [
+        cell.homomorphism("coarsening_sum", sample_pairs=sample).to_json_dict(),
+        cell.homomorphism("block_subset_sum", sample_pairs=sample).to_json_dict(),
+        {**cell.hat_consistency(n).to_json_dict(), "n": n},
+        {**cell.tilde_factorization(n).to_json_dict(), "n": n},
     ]
-    return reports
 
 
 def _duality_text(report_dict) -> str:

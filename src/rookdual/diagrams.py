@@ -13,10 +13,11 @@ A diagram is stored as its code: a sorted tuple of ``(in_mask,
 out_mask)`` pairs, one per block, where bit i - 1 of in_mask stands for
 point i and of out_mask for point i'.  Equality, hashing, the
 completion, the flip, the family predicates and the natural order
-``block_union_leq`` read the code, and so do the products
-(``semigroups``), the actions (``tensor_actions``) and the deformation
-walks (``morphisms``).  The point-level view, ``blocks`` with its text
-form and ``sort_key``, is derived from the code on first use.
+``block_union_leq`` read the code, and so do ``sort_key``, the
+enumerators (which partition the row masks and pair up their blocks),
+the products (``semigroups``), the actions (``tensor_actions``) and the
+deformation walks (``morphisms``).  The point-level view, ``blocks``
+with its text form, is derived from the code on first use.
 """
 
 import functools
@@ -171,11 +172,11 @@ class SetPartition:
     @classmethod
     def identity(cls, k: int):
         """The diagram pairing each i with i'."""
-        return canonicalize([(unprimed(i), primed(i)) for i in range(1, k + 1)], k)
+        return cls(_positive_k(k), [(1 << i, 1 << i) for i in range(k)])
 
     @classmethod
     def empty(cls, k: int):
-        return canonicalize([], k)
+        return cls(_positive_k(k), ())
 
     @property
     def blocks(self) -> tuple:
@@ -231,7 +232,10 @@ class SetPartition:
         return hash((SetPartition, self.k, self.code))
 
     def sort_key(self):
-        return (len(self.code), self.blocks)
+        """Block count, then the blocks in the order of ``blocks``, each
+        as its ascending points with i read as i and i' as k + i."""
+        key = sorted(_indices(ins | outs << self.k) for ins, outs in self.code)
+        return (len(self.code), key)
 
     def __str__(self):
         if not self.code:
@@ -244,9 +248,17 @@ class SetPartition:
         return f"SetPartition({self})"
 
 
-def _indices(mask: int) -> list:
-    """The points i whose bit i - 1 is set in mask, ascending."""
-    return [i + 1 for i in range(mask.bit_length()) if mask >> i & 1]
+def _positive_k(k: int) -> int:
+    if k < 1:
+        raise ValueError("k must be a positive integer")
+    return k
+
+
+@functools.cache
+def _indices(mask: int) -> tuple:
+    """The points i whose bit i - 1 is set in mask, ascending; kept per
+    mask, since every sort key and block of every diagram reads it."""
+    return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 @functools.cache
@@ -313,8 +325,7 @@ def canonicalize(blocks, k: int) -> SetPartition:
     out-of-range points, duplicates (within or across blocks) and empty
     blocks; block presentation order is irrelevant.
     """
-    if k < 1:
-        raise ValueError("k must be a positive integer")
+    _positive_k(k)
     seen = set()
     code = []
     for raw in blocks:
@@ -387,25 +398,25 @@ def _set_partitions(items: tuple):
             yield sub[:i] + [(first,) + block] + sub[i + 1 :]
 
 
-def _matched_partitions(left_points, right_points, k):
-    """Partitions built from one partition of each side and a bijection
-    between their blocks; the shared machinery of the dual enumerators."""
-    out = []
-    left_parts = list(_set_partitions(tuple(left_points)))
-    right_parts = list(_set_partitions(tuple(right_points)))
+def _mask_partitions(mask: int) -> list:
+    """All set partitions of the bits of mask, each a list of block masks."""
+    bits = tuple(1 << i - 1 for i in _indices(mask))
+    return [list(map(sum, blocks)) for blocks in _set_partitions(bits)]
+
+
+def _matched_partitions(in_mask: int, out_mask: int, k: int) -> list:
+    """The diagrams on exactly these row masks whose every block meets
+    both rows: a partition of each mask and a bijection between their
+    blocks; the shared machinery of the dual enumerators."""
     by_count: dict[int, list] = {}
-    for q in right_parts:
+    for q in _mask_partitions(out_mask):
         by_count.setdefault(len(q), []).append(q)
-    for p in left_parts:
-        for q in by_count.get(len(p), []):
-            for perm in itertools.permutations(q):
-                out.append(
-                    canonicalize(
-                        [a + b for a, b in zip(p, perm)],
-                        k,
-                    )
-                )
-    return out
+    return [
+        SetPartition(k, zip(p, perm))
+        for p in _mask_partitions(in_mask)
+        for q in by_count.get(len(p), ())
+        for perm in itertools.permutations(q)
+    ]
 
 
 def enumerate_is(n: int, unguarded: bool = False) -> list:
@@ -433,37 +444,24 @@ def enumerate_is(n: int, unguarded: bool = False) -> list:
 def enumerate_istar(k: int, unguarded: bool = False) -> list:
     """All dual elements: partitions of all 2k points, every block meeting
     both rows."""
-    if k < 1:
-        raise ValueError("k must be a positive integer")
+    _positive_k(k)
     if k > ENUM_LIMIT_DUAL and not unguarded:
         raise SizeGuardError(f"enumerate_istar guard: k={k} exceeds {ENUM_LIMIT_DUAL}")
-    left = [unprimed(i) for i in range(1, k + 1)]
-    right = [primed(i) for i in range(1, k + 1)]
-    out = _matched_partitions(left, right, k)
-    out.sort(key=SetPartition.sort_key)
-    return out
+    full = (1 << k) - 1
+    return sorted(_matched_partitions(full, full, k), key=SetPartition.sort_key)
 
 
 def enumerate_pistar(k: int, unguarded: bool = False) -> list:
     """All partial dual elements: partitions of a subset of the 2k points,
     every block meeting both rows.  Includes the empty partition."""
-    if k < 1:
-        raise ValueError("k must be a positive integer")
+    _positive_k(k)
     if k > ENUM_LIMIT_PARTIAL_DUAL and not unguarded:
         raise SizeGuardError(
             f"enumerate_pistar guard: k={k} exceeds {ENUM_LIMIT_PARTIAL_DUAL}"
         )
-    points = list(range(1, k + 1))
-    out = []
-    for ls in range(k + 1):
-        for left_set in itertools.combinations(points, ls):
-            left = [unprimed(i) for i in left_set]
-            for rs in range(k + 1):
-                for right_set in itertools.combinations(points, rs):
-                    right = [primed(i) for i in right_set]
-                    out.extend(_matched_partitions(left, right, k))
-    out.sort(key=SetPartition.sort_key)
-    return out
+    rows = range(1 << k)
+    out = [p for ins in rows for outs in rows for p in _matched_partitions(ins, outs, k)]
+    return sorted(out, key=SetPartition.sort_key)
 
 
 def count_is(n: int) -> int:

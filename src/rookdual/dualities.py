@@ -191,9 +191,9 @@ class DualityCell:
         that takes a side reaches it through here, which refuses a side
         other than ``"left"`` or ``"right"`` with ``ValueError``."""
         if _check_side(side) == "left":
-            return self._part("left", lambda: enumerate_is(self.n))
+            return self._part("left", lambda: enumerate_is(self.n, self.unguarded))
         enum = enumerate_istar if self.space.kind == "V" else enumerate_pistar
-        return self._part("right", lambda: enum(self.k))
+        return self._part("right", lambda: enum(self.k, self.unguarded))
 
     def targets(self, side: str) -> list:
         """Targets of every element of one side, in enumeration order."""

@@ -24,6 +24,10 @@ sub-tuples of the code, and the Moebius and sign values come from the
 same walks.  Every combination of diagrams is a plain
 ``{SetPartition: int}`` dict with no zero values; ``{}`` is the zero.
 All coefficients here, the Moebius ones included, are integers.
+
+Every check of the maps is made by one ``DeformationCell`` per k, which
+enumerates P*_k once and builds each map's images, inverses and inverse
+verdict, and each U^k action, at most once for all of its reports.
 """
 
 import itertools
@@ -112,11 +116,8 @@ def _inverses_by_solve(diagrams, uppers) -> list:
     before the diagram is reached."""
     solved: list = [None] * len(diagrams)
     for g in sorted(range(len(diagrams)), key=lambda i: diagrams[i].sort_key()):
-        total = {g: 1}
-        for b in uppers[g]:
-            if b != g:
-                for d, c in solved[b].items():
-                    total[d] = total.get(d, 0) - c
+        total = _extend({b: -1 for b in uppers[g] if b != g}, solved)
+        total[g] = total.get(g, 0) + 1
         solved[g] = {d: c for d, c in total.items() if c}
     return solved
 
@@ -125,8 +126,9 @@ def coarsening_sum_inverse_by_solve(alpha: SetPartition) -> dict:
     """Inverse computed by the generic triangular recursion instead of
     the closed form; the two must agree on every element."""
     diagrams = natural_upper_set(alpha)
-    index, images = _indexed(diagrams, coarsening_sum)
-    solved = _inverses_by_solve(diagrams, images)
+    index = {beta.code: i for i, beta in enumerate(diagrams)}
+    uppers = [_on_indices(coarsening_sum(beta), index) for beta in diagrams]
+    solved = _inverses_by_solve(diagrams, uppers)
     return {diagrams[d]: c for d, c in solved[index[alpha.code]].items()}
 
 
@@ -162,26 +164,18 @@ def extend_linearly(func, x: dict) -> dict:
     return {term: c for term, c in total.items() if c}
 
 
-def _indexed(elements, forward) -> tuple:
-    """The index of each element by its code, and each element's
-    forward image on indices, ``{index: coeff}``."""
-    index = {alpha.code: i for i, alpha in enumerate(elements)}
-    return index, [_on_indices(forward(alpha), index) for alpha in elements]
-
-
 def _on_indices(terms: dict, index: dict) -> dict:
     return {index[beta.code]: c for beta, c in terms.items()}
 
 
-def _undoes(inverse: dict, a: int, images: list) -> bool:
-    """The forward map sends the inverse of element a, given on indices,
-    back to element a: the stored forward images of the inverse's terms
-    sum to ``{a: 1}``."""
+def _extend(terms: dict, images: list) -> dict:
+    """The sum of coeff times ``images[b]`` over the terms ``{b: coeff}``,
+    everything on indices, without zero values."""
     total: dict = {}
-    for b, c in inverse.items():
+    for b, c in terms.items():
         for r, cr in images[b].items():
             total[r] = total.get(r, 0) + c * cr
-    return {r: c for r, c in total.items() if c} == {a: 1}
+    return {r: c for r, c in total.items() if c}
 
 
 @dataclass(frozen=True)
@@ -196,100 +190,6 @@ class MorphismReport:
         return asdict(self)
 
 
-def morphism_report(
-    map_name: str, k: int, sample_pairs: int | None = None, seed: int = 2024
-) -> MorphismReport:
-    """Check one change-of-basis map end to end.
-
-    ``map_name`` is ``coarsening_sum`` (plain product to star) or
-    ``block_subset_sum`` (tilde product to star).  All element pairs are
-    checked when ``sample_pairs`` is None; otherwise that many pairs are
-    drawn with a fixed seed.  ``inverse_ok`` also requires the two
-    inverse routes of the coarsening sum to agree; the solved route runs
-    once, as one sweep over all elements that reads each up-set from the
-    stored coarsening sums.  The round trip of each inverse through the
-    map sums the stored images of its terms.
-
-    The homomorphism check runs on element indices: each element's
-    code is looked up once, each image is a ``{index: coeff}``
-    dict, and products go through the code-level products.  A star
-    product of two image terms is non-zero only when the first term's
-    out-masks equal the second term's in-masks, so the image terms of
-    each element are grouped by in-masks and only matching pairs are
-    multiplied."""
-    elements = enumerate_pistar(k)
-    if map_name == "coarsening_sum":
-        forward, inverse = coarsening_sum, coarsening_sum_inverse
-        multiply = pistar_codes
-    elif map_name == "block_subset_sum":
-        forward, inverse = block_subset_sum, block_subset_sum_inverse
-        multiply = bullet_codes
-    else:
-        raise ValueError(f"unknown map {map_name!r}")
-
-    if not all(is_partial_dual_element(alpha) for alpha in elements):
-        raise RuntimeError("enumerate_pistar returned a non-partial-dual element")
-    index, images = _indexed(elements, forward)
-    codes = list(index)
-    ins = [tuple(sorted(i for i, _ in code)) for code in codes]
-    outs = [tuple(sorted(o for _, o in code)) for code in codes]
-    by_in = []
-    for image in images:
-        groups: dict = {}
-        for q, cq in image.items():
-            groups.setdefault(ins[q], []).append((q, cq))
-        by_in.append(groups)
-    star_memo: dict = {}  # one memo per report
-
-    def star_index(p: int, q: int) -> int:
-        hit = star_memo.get((p, q))
-        if hit is None:
-            hit = star_memo[(p, q)] = index[star_codes(codes[p], codes[q])]
-        return hit
-
-    n = len(elements)
-    if sample_pairs is None:
-        pairs = [(a, b) for a in range(n) for b in range(n)]
-    else:
-        rng = random.Random(seed)
-        pairs = [
-            (rng.choice(range(n)), rng.choice(range(n))) for _ in range(sample_pairs)
-        ]
-
-    hom_ok = True
-    for a, b in pairs:
-        lhs = images[index[multiply(codes[a], codes[b])]]
-        rhs: dict = {}
-        groups = by_in[b]
-        for p, cp in images[a].items():
-            for q, cq in groups.get(outs[p], ()):
-                r = star_index(p, q)
-                rhs[r] = rhs.get(r, 0) + cp * cq
-        if lhs != {r: c for r, c in rhs.items() if c}:
-            hom_ok = False
-            break
-
-    # only the coarsening sum has a second, solved inverse route
-    solved = _inverses_by_solve(elements, images) if map_name == "coarsening_sum" else None
-    inverse_ok = True
-    for a, alpha in enumerate(elements):
-        inv = _on_indices(inverse(alpha), index)
-        if solved is not None and inv != solved[a]:
-            inverse_ok = False
-            break
-        if not _undoes(inv, a, images):
-            inverse_ok = False
-            break
-
-    return MorphismReport(
-        k=k,
-        map_name=map_name,
-        pairs_checked=len(pairs),
-        homomorphism_ok=hom_ok,
-        inverse_ok=inverse_ok,
-    )
-
-
 def _combination(terms: dict, targets: list) -> dict:
     """Sum of coeff times the matrix of each term's target tuple, terms
     given on element indices, as {(row, col): coeff} without zero
@@ -302,72 +202,171 @@ def _combination(terms: dict, targets: list) -> dict:
     return {entry: v for entry, v in total.items() if v}
 
 
-def verify_hat_consistency(n: int, k: int) -> MorphismReport:
-    """Tie the plain and deformed U-actions together, three ways.
-
-    For every partial dual element alpha and every input index: (a) if
-    the plain action kills the vector, so does the deformed action of
-    everything above alpha; (b) if the plain action keeps it, exactly
-    one diagram above alpha keeps it under the deformed action.  And
-    (c) the deformed matrix of alpha equals the plain matrix of the
-    inverse coarsening sum of alpha, extended linearly.  All three read
-    the action target tuples, built once per element (-1 = killed).
-    The inverse is computed once per element and serves both (c) and
-    the round trip, which sums the stored coarsening sums of its terms,
-    as in ``morphism_report``."""
-    space = ActionSpace("U", n, k)
-    elements = enumerate_pistar(k)
-    index, images = _indexed(elements, coarsening_sum)
-    plain = [action_targets(alpha, space, "plain") for alpha in elements]
-    hat = [action_targets(alpha, space, "hat") for alpha in elements]
-    zero_ok = True
-    unique_ok = True
-    matrix_ok = True
-    inverse_ok = True
-    for a, alpha in enumerate(elements):
-        # the coarsening sum of alpha is its up-set, with coefficients 1
-        uppers = [hat[b] for b in images[a]]
-        for c, t in enumerate(plain[a]):
-            live = sum(1 for targets in uppers if targets[c] >= 0)
-            if t < 0:
-                zero_ok = zero_ok and not live
-            else:
-                unique_ok = unique_ok and live == 1
-        inv = _on_indices(coarsening_sum_inverse(alpha), index)
-        if _combination(inv, plain) != _combination({a: 1}, hat):
-            matrix_ok = False
-        inverse_ok = inverse_ok and _undoes(inv, a, images)
-    return MorphismReport(
-        k=k,
-        map_name="hat_consistency",
-        pairs_checked=len(elements) * space.dimension,
-        homomorphism_ok=zero_ok and unique_ok and matrix_ok,
-        inverse_ok=inverse_ok,
-    )
+def _map_functions(map_name: str) -> tuple:
+    """The forward map, its closed-form inverse and the code-level
+    product it carries to star, looked up on every call."""
+    if map_name == "coarsening_sum":
+        return coarsening_sum, coarsening_sum_inverse, pistar_codes
+    if map_name == "block_subset_sum":
+        return block_subset_sum, block_subset_sum_inverse, bullet_codes
+    raise ValueError(f"unknown map {map_name!r}")
 
 
-def verify_tilde_factorization(n: int, k: int) -> MorphismReport:
-    """The tilde action of a diagram equals the deformed action of its
-    block subset sum, as an exact matrix identity on U^k.  The inverse
-    round trip sums the stored block subset sums, as in
-    ``morphism_report``."""
-    space = ActionSpace("U", n, k)
-    elements = enumerate_pistar(k)
-    index, images = _indexed(elements, block_subset_sum)
-    hat = [action_targets(alpha, space, "hat") for alpha in elements]
-    tilde = [action_targets(alpha, space, "tilde") for alpha in elements]
-    ok = all(
-        _combination(images[a], hat) == _combination({a: 1}, tilde)
-        for a in range(len(elements))
-    )
-    inverse_ok = all(
-        _undoes(_on_indices(block_subset_sum_inverse(alpha), index), a, images)
-        for a, alpha in enumerate(elements)
-    )
-    return MorphismReport(
-        k=k,
-        map_name="tilde_factorization",
-        pairs_checked=len(elements),
-        homomorphism_ok=ok,
-        inverse_ok=inverse_ok,
-    )
+class DeformationCell:
+    """The partial dual elements at one k, shared by every deformation
+    check there.  P*_k is enumerated and indexed by code once.  Each
+    map's forward images and closed-form inverses on indices
+    (``{index: coeff}`` dicts), each map's inverse verdict and the U^k
+    target tuples of each (n, variant) are built on first use and kept
+    for the cell's lifetime."""
+
+    def __init__(self, k: int):
+        self.k = k
+        self.elements = enumerate_pistar(k)
+        if not all(map(is_partial_dual_element, self.elements)):
+            raise RuntimeError("enumerate_pistar returned a non-partial-dual element")
+        self.index = {alpha.code: i for i, alpha in enumerate(self.elements)}
+        self._parts = {}
+
+    def _part(self, key, build):
+        if key not in self._parts:
+            self._parts[key] = build()
+        return self._parts[key]
+
+    def _map(self, map_name: str) -> tuple:
+        """Each element's forward image and closed-form inverse on
+        indices, and the map's inverse verdict: the stored images carry
+        every inverse back to its element, and the closed-form inverse
+        of the coarsening sum equals the solved one, which
+        ``_inverses_by_solve`` reads off the stored images."""
+        forward, inverse, _ = _map_functions(map_name)
+
+        def build():
+            images = [_on_indices(forward(alpha), self.index) for alpha in self.elements]
+            inverses = [_on_indices(inverse(alpha), self.index) for alpha in self.elements]
+            ok = all(_extend(inv, images) == {a: 1} for a, inv in enumerate(inverses))
+            if map_name == "coarsening_sum":
+                ok = ok and inverses == _inverses_by_solve(self.elements, images)
+            return images, inverses, ok
+
+        return self._part(map_name, build)
+
+    def _targets(self, space: ActionSpace, variant: str) -> list:
+        return self._part(
+            (space.n, variant),
+            lambda: [action_targets(alpha, space, variant) for alpha in self.elements],
+        )
+
+    def homomorphism(
+        self, map_name: str, sample_pairs: int | None = None, seed: int = 2024
+    ) -> MorphismReport:
+        """Check one change-of-basis map end to end.
+
+        ``map_name`` is ``coarsening_sum`` (plain product to star) or
+        ``block_subset_sum`` (tilde product to star).  All element pairs
+        are checked when ``sample_pairs`` is None; otherwise that many
+        pairs are drawn with a fixed seed.  ``inverse_ok`` is the map's
+        inverse verdict.
+
+        The check runs on element indices, and products go through the
+        code-level products.  A star product of two image terms is
+        non-zero only when the first term's out-masks equal the second
+        term's in-masks, so the image terms of each element are grouped
+        by in-masks and only matching pairs are multiplied."""
+        multiply = _map_functions(map_name)[2]
+        images, _, inverse_ok = self._map(map_name)
+        index, codes = self.index, list(self.index)
+        star = self._part("star", dict)  # (p, q) -> index of their star product
+        ins = [tuple(sorted(i for i, _ in code)) for code in codes]
+        outs = [tuple(sorted(o for _, o in code)) for code in codes]
+        by_in = []
+        for image in images:
+            groups: dict = {}
+            for q, cq in image.items():
+                groups.setdefault(ins[q], []).append((q, cq))
+            by_in.append(groups)
+
+        n = len(codes)
+        if sample_pairs is None:
+            pairs = [(a, b) for a in range(n) for b in range(n)]
+        else:
+            rng = random.Random(seed)
+            pairs = [
+                (rng.choice(range(n)), rng.choice(range(n))) for _ in range(sample_pairs)
+            ]
+
+        hom_ok = True
+        for a, b in pairs:
+            lhs = images[index[multiply(codes[a], codes[b])]]
+            rhs: dict = {}
+            groups = by_in[b]
+            for p, cp in images[a].items():
+                for q, cq in groups.get(outs[p], ()):
+                    r = star.get((p, q))
+                    if r is None:
+                        r = star[p, q] = index[star_codes(codes[p], codes[q])]
+                    rhs[r] = rhs.get(r, 0) + cp * cq
+            if lhs != {r: c for r, c in rhs.items() if c}:
+                hom_ok = False
+                break
+
+        return MorphismReport(
+            k=self.k,
+            map_name=map_name,
+            pairs_checked=len(pairs),
+            homomorphism_ok=hom_ok,
+            inverse_ok=inverse_ok,
+        )
+
+    def hat_consistency(self, n: int) -> MorphismReport:
+        """Tie the plain and deformed U-actions together, three ways.
+
+        For every partial dual element alpha and every input index: (a)
+        if the plain action kills the vector, so does the deformed action
+        of everything above alpha; (b) if the plain action keeps it,
+        exactly one diagram above alpha keeps it under the deformed
+        action.  And (c) the deformed matrix of alpha equals the plain
+        matrix of the inverse coarsening sum of alpha, extended linearly.
+        All three read the action target tuples (-1 = killed).
+        ``inverse_ok`` is the coarsening sum's inverse verdict."""
+        space = ActionSpace("U", n, self.k)
+        plain, hat = self._targets(space, "plain"), self._targets(space, "hat")
+        images, inverses, inverse_ok = self._map("coarsening_sum")
+        zero_ok = unique_ok = matrix_ok = True
+        for a, inv in enumerate(inverses):
+            # the coarsening sum of alpha is its up-set, with coefficients 1
+            uppers = [hat[b] for b in images[a]]
+            for c, t in enumerate(plain[a]):
+                live = sum(1 for targets in uppers if targets[c] >= 0)
+                if t < 0:
+                    zero_ok = zero_ok and not live
+                else:
+                    unique_ok = unique_ok and live == 1
+            if _combination(inv, plain) != _combination({a: 1}, hat):
+                matrix_ok = False
+        return MorphismReport(
+            k=self.k,
+            map_name="hat_consistency",
+            pairs_checked=len(self.elements) * space.dimension,
+            homomorphism_ok=zero_ok and unique_ok and matrix_ok,
+            inverse_ok=inverse_ok,
+        )
+
+    def tilde_factorization(self, n: int) -> MorphismReport:
+        """The tilde action of a diagram equals the deformed action of its
+        block subset sum, as an exact matrix identity on U^k.
+        ``inverse_ok`` is the block subset sum's inverse verdict."""
+        space = ActionSpace("U", n, self.k)
+        hat, tilde = self._targets(space, "hat"), self._targets(space, "tilde")
+        images, _, inverse_ok = self._map("block_subset_sum")
+        ok = all(
+            _combination(image, hat) == _combination({a: 1}, tilde)
+            for a, image in enumerate(images)
+        )
+        return MorphismReport(
+            k=self.k,
+            map_name="tilde_factorization",
+            pairs_checked=len(self.elements),
+            homomorphism_ok=ok,
+            inverse_ok=inverse_ok,
+        )

@@ -81,6 +81,14 @@ DIMENSION_LIMIT = 4096
 COMMUTANT_UNKNOWN_LIMIT = 70_000
 
 
+def _decimal(count: int, fallback: str) -> str:
+    """count in decimal, or fallback past the digits Python converts to text."""
+    try:
+        return str(count)
+    except ValueError:
+        return fallback
+
+
 class ActionSpace:
     """Tensor power of V (digits 1..n) or U (digits 0..n)."""
 
@@ -106,10 +114,7 @@ class ActionSpace:
         ``unguarded``.  A dimension with more decimal digits than Python
         prints is named as base^k."""
         if self.dimension > DIMENSION_LIMIT and not unguarded:
-            try:
-                shown = str(self.dimension)
-            except ValueError:
-                shown = f"{self.n + 1 - self.low}^{self.k}"
+            shown = _decimal(self.dimension, f"{self.n + 1 - self.low}^{self.k}")
             raise SizeGuardError(
                 f"action space dimension {shown} exceeds {DIMENSION_LIMIT}"
             )
@@ -156,10 +161,12 @@ def targets_commutant(sources, d: int, unguarded: bool = False) -> list:
     class, to zero.  The non-zero classes come back as ascending tuples
     sorted by their largest coordinate.  Because the sources are monoid
     images in this package, commuting with a generating set is the same
-    as commuting with the whole image algebra."""
+    as commuting with the whole image algebra.  Above
+    ``COMMUTANT_UNKNOWN_LIMIT`` unknowns it raises ``SizeGuardError``."""
     if d * d > COMMUTANT_UNKNOWN_LIMIT and not unguarded:
+        shown = _decimal(d * d, f"d^2 (d of {d.bit_length()} bits)")
         raise SizeGuardError(
-            f"commutant guard: {d * d} unknowns exceed {COMMUTANT_UNKNOWN_LIMIT}"
+            f"commutant guard: {shown} unknowns exceed {COMMUTANT_UNKNOWN_LIMIT}"
         )
     # union-find over the d*d coordinates: parent[x] == x at a root, and
     # each find halves its path as it climbs

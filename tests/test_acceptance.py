@@ -11,6 +11,7 @@ import time
 
 from rookdual import (
     ActionSpace,
+    DeformationCell,
     DualityCell,
     bullet_multiply,
     centralizer_data,
@@ -19,7 +20,6 @@ from rookdual import (
     enumerate_is,
     enumerate_istar,
     enumerate_pistar,
-    morphism_report,
     multiply_composition,
     multiply_istar,
     multiply_pistar,
@@ -27,8 +27,6 @@ from rookdual import (
     predicted_faithful,
     run_grid,
     star_multiply,
-    verify_hat_consistency,
-    verify_tilde_factorization,
 )
 from rookdual.cli import main
 from rookdual.diagrams import HatElement
@@ -127,8 +125,8 @@ def test_criterion_5_faithfulness_grid(capsys):
 def test_criterion_6_deformed_action_identities():
     start = time.monotonic()
     for n, k in ((1, 1), (1, 2), (2, 1), (2, 2), (3, 2)):
-        hat = verify_hat_consistency(n, k)
-        tilde = verify_tilde_factorization(n, k)
+        hat = DeformationCell(k).hat_consistency(n)
+        tilde = DeformationCell(k).tilde_factorization(n)
         assert hat.homomorphism_ok, (n, k)
         assert tilde.homomorphism_ok, (n, k)
     elapsed = time.monotonic() - start
@@ -139,11 +137,11 @@ def test_criterion_6_deformed_action_identities():
 def test_criterion_7_morphism_suite():
     for map_name in ("coarsening_sum", "block_subset_sum"):
         for k in (1, 2):
-            report = morphism_report(map_name, k)
+            report = DeformationCell(k).homomorphism(map_name)
             assert report.homomorphism_ok and report.inverse_ok
             if k == 2:
                 assert report.pairs_checked == 144
-        report = morphism_report(map_name, 3, sample_pairs=10_000)
+        report = DeformationCell(3).homomorphism(map_name, sample_pairs=10_000)
         assert report.pairs_checked == 10_000
         assert report.homomorphism_ok and report.inverse_ok
     print("criterion 7: both deformation maps are homomorphisms with "

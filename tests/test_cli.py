@@ -9,12 +9,14 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from importlib.resources import files
 from pathlib import Path
 
 import jsonschema
 import pytest
 
+import rookdual.morphisms
 from rookdual import (
     NotationError,
     enumerate_is,
@@ -222,12 +224,14 @@ def test_verify_all_report_is_golden(fmt, capsys):
 
 # sha256 of the full stdout of ``rookdual verify --props --n 2 --k K``;
 # the same under any PYTHONHASHSEED.  Both morphism reports check every
-# pair through k = 3, so k = 3 reads pairs=16384.
+# pair through k = 3, so k = 3 reads pairs=16384; k = 4 pins the path
+# that samples 1,000 seeded pairs.
 VERIFY_PROPS_SHA256 = {
     ("2", "json"): "cc62318b037aebf690a3d8f5b533b28b0123695398793534d7747f2c829be510",
     ("2", "text"): "2a1169e634ef834e0fc5f5711d7c277e87f01b1270a5b5f9c25ef0dce9a117eb",
     ("3", "json"): "64702fb228840f399154722ed31b70991b4ed93f5aa60641329fddc445b8bbfe",
     ("3", "text"): "d17554d9240d00f67b1e0e93f5013f6caa7a87497e9586789b92dff9091f0b9e",
+    ("4", "text"): "b677c0e1b3ab492bc9c19af8303e7b49fafd30d8962c72ed4241ff6f160cf31a",
 }
 
 
@@ -239,6 +243,36 @@ def test_verify_props_report_is_golden(k, fmt, capsys):
     assert code == 0
     assert err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_PROPS_SHA256[(k, fmt)]
+
+
+def test_verify_props_builds_each_deformation_part_once(capsys, monkeypatch):
+    """One ``verify --props`` run enumerates P*_k once, applies each map
+    and each closed-form inverse once per element, and builds each
+    action variant once per element, however many reports read them."""
+    calls = Counter()
+
+    def counted(name):
+        right = getattr(rookdual.morphisms, name)
+
+        def wrapper(*args):
+            # keyed without an action's space, which each report makes anew
+            calls[name, *args[:1], *args[2:]] += 1
+            return right(*args)
+
+        monkeypatch.setattr(rookdual.morphisms, name, wrapper)
+
+    maps = ("coarsening_sum", "coarsening_sum_inverse",
+            "block_subset_sum", "block_subset_sum_inverse")
+    for name in ("enumerate_pistar", "action_targets", *maps):
+        counted(name)
+    code, _, _ = run_cli(capsys, "verify", "--props", "--n", "2", "--k", "3")
+    assert code == 0
+    assert max(calls.values()) == 1
+    per_name = Counter(key[0] for key in calls)
+    assert per_name["enumerate_pistar"] == 1
+    assert all(per_name[name] == 128 for name in maps)
+    variants = Counter(key[2] for key in calls if key[0] == "action_targets")
+    assert variants == {"plain": 128, "hat": 128, "tilde": 128}
 
 
 # sha256 of the full stdout of ``rookdual commutant ... --basis``,

@@ -6,10 +6,12 @@ import re
 
 import pytest
 
+import rookdual.diagrams
 from rookdual import (
     GRID,
     DualityCell,
     PartialInjection,
+    SizeGuardError,
     centralizer_data,
     enumerate_pistar,
     predicted_faithful,
@@ -342,6 +344,23 @@ def test_cell_methods_refuse_unknown_sides(method):
     for side in ("nonsense", "L", "Left", ""):
         with pytest.raises(ValueError, match="unknown side"):
             getattr(DualityCell(2, 2, "V"), method)(side)
+
+
+@pytest.mark.parametrize(
+    "limit,space,side,count",
+    [
+        ("ENUM_LIMIT_INJECTIONS", "V", "left", 7),
+        ("ENUM_LIMIT_DUAL", "V", "right", 3),
+        ("ENUM_LIMIT_PARTIAL_DUAL", "U", "right", 12),
+    ],
+)
+def test_cell_elements_honour_unguarded(limit, space, side, count, monkeypatch):
+    """With the enumeration guards lowered below n = k = 2, a guarded
+    cell refuses to list a side and an unguarded one lists it."""
+    monkeypatch.setattr(rookdual.diagrams, limit, 1)
+    with pytest.raises(SizeGuardError):
+        DualityCell(2, 2, space).elements(side)
+    assert len(DualityCell(2, 2, space, unguarded=True).elements(side)) == count
 
 
 def test_predictions_table():

@@ -249,6 +249,8 @@ def test_commutant_guard():
         targets_commutant([tuple(range(300))], 300)
     with pytest.raises(SizeGuardError):
         targets_commutant([], 265)  # 70,225 unknowns, just over the limit
+    with pytest.raises(SizeGuardError, match=r"d\^2 \(d of 8001 bits\)"):
+        targets_commutant([], 2**8000)  # d * d has too many digits to print
     assert len(targets_commutant([], 264)) == 264 * 264
     assert len(targets_commutant([], 265, unguarded=True)) == 265 * 265
 

@@ -9,6 +9,7 @@ import pytest
 import rookdual.morphisms
 import rookdual.semigroups
 from rookdual import (
+    DeformationCell,
     SetPartition,
     block_subset_sum,
     block_subset_sum_inverse,
@@ -20,13 +21,10 @@ from rookdual import (
     enumerate_pistar,
     extend_linearly,
     mobius_merge_drop,
-    morphism_report,
     natural_upper_set,
     parse_element,
     primed,
     unprimed,
-    verify_hat_consistency,
-    verify_tilde_factorization,
 )
 
 
@@ -181,33 +179,33 @@ def test_extend_linearly_is_linear():
 def test_homomorphism_reports_exhaustive():
     for k in (1, 2):
         for name in ("coarsening_sum", "block_subset_sum"):
-            report = morphism_report(name, k)
+            report = DeformationCell(k).homomorphism(name)
             assert report.homomorphism_ok and report.inverse_ok
             assert report.pairs_checked == len(enumerate_pistar(k)) ** 2
-    assert morphism_report("coarsening_sum", 2).pairs_checked == 144
+    assert DeformationCell(2).homomorphism("coarsening_sum").pairs_checked == 144
 
 
 def test_homomorphism_reports_sampled_k3():
     for name in ("coarsening_sum", "block_subset_sum"):
-        report = morphism_report(name, 3, sample_pairs=2000, seed=7)
+        report = DeformationCell(3).homomorphism(name, sample_pairs=2000, seed=7)
         assert report.homomorphism_ok and report.inverse_ok
         assert report.pairs_checked == 2000
 
 
 def test_morphism_report_rejects_unknown_map():
     with pytest.raises(ValueError):
-        morphism_report("zeta", 2)
+        DeformationCell(2).homomorphism("zeta")
 
 
 def test_sampling_is_seed_deterministic():
-    a = morphism_report("coarsening_sum", 3, sample_pairs=100, seed=3)
-    b = morphism_report("coarsening_sum", 3, sample_pairs=100, seed=3)
+    a = DeformationCell(3).homomorphism("coarsening_sum", sample_pairs=100, seed=3)
+    b = DeformationCell(3).homomorphism("coarsening_sum", sample_pairs=100, seed=3)
     assert a == b
 
 
 @pytest.mark.parametrize("n,k", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 2)])
 def test_hat_consistency(n, k):
-    report = verify_hat_consistency(n, k)
+    report = DeformationCell(k).hat_consistency(n)
     assert report.homomorphism_ok
     assert report.inverse_ok
     assert report.pairs_checked == len(enumerate_pistar(k)) * (n + 1) ** k
@@ -215,13 +213,13 @@ def test_hat_consistency(n, k):
 
 @pytest.mark.parametrize("n,k", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 2)])
 def test_tilde_factorization(n, k):
-    report = verify_tilde_factorization(n, k)
+    report = DeformationCell(k).tilde_factorization(n)
     assert report.homomorphism_ok
     assert report.inverse_ok
 
 
 def test_report_serialization():
-    report = morphism_report("block_subset_sum", 1)
+    report = DeformationCell(1).homomorphism("block_subset_sum")
     d = report.to_json_dict()
     assert d["map_name"] == "block_subset_sum"
     assert d["k"] == 1
@@ -240,7 +238,7 @@ def test_morphism_report_catches_a_wrong_product(map_name, product, monkeypatch)
     no longer carries over to star."""
     right = getattr(rookdual.semigroups, product)
     monkeypatch.setattr(rookdual.morphisms, product, lambda a, b: right(a, b)[:-1])
-    report = morphism_report(map_name, 2)
+    report = DeformationCell(2).homomorphism(map_name)
     assert report.homomorphism_ok is False
     assert report.inverse_ok is True
 
@@ -263,12 +261,12 @@ def _corrupt_targets(monkeypatch, variant):
 
 def test_hat_consistency_catches_a_corrupt_tuple(monkeypatch):
     _corrupt_targets(monkeypatch, "hat")
-    assert verify_hat_consistency(2, 2).homomorphism_ok is False
+    assert DeformationCell(2).hat_consistency(2).homomorphism_ok is False
 
 
 def test_tilde_factorization_catches_a_corrupt_tuple(monkeypatch):
     _corrupt_targets(monkeypatch, "tilde")
-    assert verify_tilde_factorization(2, 2).homomorphism_ok is False
+    assert DeformationCell(2).tilde_factorization(2).homomorphism_ok is False
 
 
 def test_inverse_ok_catches_a_wrong_mobius_value(monkeypatch):
@@ -283,8 +281,8 @@ def test_inverse_ok_catches_a_wrong_mobius_value(monkeypatch):
             yield beta, value + (0 if beta.blocks else 1)
 
     monkeypatch.setattr(rookdual.morphisms, "_upper_set_with_mobius", wrong)
-    assert morphism_report("coarsening_sum", 2).inverse_ok is False
-    assert verify_hat_consistency(2, 2).inverse_ok is False
+    assert DeformationCell(2).homomorphism("coarsening_sum").inverse_ok is False
+    assert DeformationCell(2).hat_consistency(2).inverse_ok is False
 
 
 def test_inverse_ok_catches_a_flipped_sign(monkeypatch):
@@ -299,8 +297,8 @@ def test_inverse_ok_catches_a_flipped_sign(monkeypatch):
         return terms
 
     monkeypatch.setattr(rookdual.morphisms, "block_subset_sum_inverse", wrong)
-    assert morphism_report("block_subset_sum", 2).inverse_ok is False
-    assert verify_tilde_factorization(2, 2).inverse_ok is False
+    assert DeformationCell(2).homomorphism("block_subset_sum").inverse_ok is False
+    assert DeformationCell(2).tilde_factorization(2).inverse_ok is False
 
 
 def test_inverse_ok_catches_an_extra_term(monkeypatch):
@@ -315,7 +313,7 @@ def test_inverse_ok_catches_an_extra_term(monkeypatch):
         return terms
 
     monkeypatch.setattr(rookdual.morphisms, "coarsening_sum_inverse", wrong)
-    assert morphism_report("coarsening_sum", 2).inverse_ok is False
+    assert DeformationCell(2).homomorphism("coarsening_sum").inverse_ok is False
 
 
 def test_inverse_ok_catches_a_wrong_forward_image(monkeypatch):
@@ -332,4 +330,4 @@ def test_inverse_ok_catches_a_wrong_forward_image(monkeypatch):
         return terms
 
     monkeypatch.setattr(rookdual.morphisms, "coarsening_sum", wrong)
-    assert morphism_report("coarsening_sum", 2).inverse_ok is False
+    assert DeformationCell(2).homomorphism("coarsening_sum").inverse_ok is False
