@@ -214,11 +214,11 @@ def _map_functions(map_name: str) -> tuple:
 
 class DeformationCell:
     """The partial dual elements at one k, shared by every deformation
-    check there.  P*_k is enumerated and indexed by code once.  Each
-    map's forward images and closed-form inverses on indices
-    (``{index: coeff}`` dicts), each map's inverse verdict and the U^k
-    target tuples of each (n, variant) are built on first use and kept
-    for the cell's lifetime."""
+    check there; the twin of ``dualities.DualityCell``.  P*_k is
+    enumerated and indexed by code once.  Each map's forward images and
+    closed-form inverses on indices (``{index: coeff}`` dicts), each
+    map's inverse verdict and the U^k target tuples of each (n, variant)
+    are built on first use and kept for the cell's lifetime."""
 
     def __init__(self, k: int):
         self.k = k
