@@ -56,6 +56,6 @@ for key, value in report.to_json_dict().items():
 # algebra embeds only once k >= n, the dual algebra only once k <= n.
 print("\nAlgebra faithfulness near the diagonal (V):")
 for nn, kk in ((2, 1), (2, 2), (2, 3)):
-    r = DualityCell(nn, kk, "V").report(with_commutant=False)
+    r = DualityCell(nn, kk, "V").report()
     print(f"  n={nn} k={kk}: rook side {r.algebra_faithful_left}, "
           f"dual side {r.algebra_faithful_right}")

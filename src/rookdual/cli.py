@@ -238,9 +238,9 @@ def _cmd_commutant(args) -> tuple:
     return "\n".join(lines), 0
 
 
-def _props_reports(n: int, k: int) -> list:
+def _props_reports(n: int, k: int, unguarded: bool) -> list:
     sample = None if k <= 3 else 1_000
-    cell = DeformationCell(k)
+    cell = DeformationCell(k, unguarded)
     return [
         cell.homomorphism("coarsening_sum", sample_pairs=sample).to_json_dict(),
         cell.homomorphism("block_subset_sum", sample_pairs=sample).to_json_dict(),
@@ -250,12 +250,10 @@ def _props_reports(n: int, k: int) -> list:
 
 
 def _duality_text(report_dict) -> str:
-    dims = report_dict["centralizer_dims"]
-    dims_text = "skipped" if dims is None else "(" + ",".join(map(str, dims)) + ")"
     return (
         f"{report_dict['space']} n={report_dict['n']} k={report_dict['k']}"
         f" commute={'ok' if report_dict['commute_ok'] else 'FAIL'}"
-        f" centralizer={dims_text}"
+        f" centralizer=({','.join(map(str, report_dict['centralizer_dims']))})"
         f" match={'yes' if report_dict['match'] else 'NO'}"
     )
 
@@ -296,7 +294,7 @@ def _cmd_verify(args) -> tuple:
         r.to_json_dict()
         for r in run_grid(spaces=spaces, max_n=args.max_n, max_k=args.max_k)
     ] if spaces else []
-    morphisms = _props_reports(args.n or 2, args.k or 2) if with_props else []
+    morphisms = _props_reports(args.n or 2, args.k or 2, args.unguarded) if with_props else []
 
     all_match = all(r["match"] for r in duality) and all(
         r["homomorphism_ok"] and r["inverse_ok"] for r in morphisms

@@ -218,11 +218,13 @@ class DeformationCell:
     enumerated and indexed by code once.  Each map's forward images and
     closed-form inverses on indices (``{index: coeff}`` dicts), each
     map's inverse verdict and the U^k target tuples of each (n, variant)
-    are built on first use and kept for the cell's lifetime."""
+    are built on first use and kept for the cell's lifetime.  ``unguarded``
+    lifts the size guards, as on ``DualityCell``."""
 
-    def __init__(self, k: int):
+    def __init__(self, k: int, unguarded: bool = False):
         self.k = k
-        self.elements = enumerate_pistar(k)
+        self.unguarded = unguarded
+        self.elements = enumerate_pistar(k, unguarded)
         if not all(map(is_partial_dual_element, self.elements)):
             raise RuntimeError("enumerate_pistar returned a non-partial-dual element")
         self.index = {alpha.code: i for i, alpha in enumerate(self.elements)}
@@ -254,7 +256,7 @@ class DeformationCell:
     def _targets(self, space: ActionSpace, variant: str) -> list:
         return self._part(
             (space.n, variant),
-            lambda: [action_targets(alpha, space, variant) for alpha in self.elements],
+            lambda: [action_targets(a, space, variant, self.unguarded) for a in self.elements],
         )
 
     def homomorphism(

@@ -33,9 +33,10 @@ functions sit on the stream:
 
 The commutant of a set of target tuples needs no linear algebra either:
 ``targets_commutant`` splits the d*d unknown entries into classes that
-every commuting matrix holds constant, with a union-find kept as one
-flat parent list over the entries, drops the classes forced to zero,
+every commuting matrix holds constant, drops the classes forced to zero,
 and returns the rest, whose indicator matrices are the commutant basis.
+It solves only the entries that the sources' diagonal idempotents
+leave live, and its size guard counts those.
 The duality checks feed it a monoid's generators, not its elements.
 
 Spans need no linear algebra because each action has an orbit basis
@@ -161,57 +162,70 @@ def targets_commutant(sources, d: int, unguarded: bool = False) -> list:
     class, to zero.  The non-zero classes come back as ascending tuples
     sorted by their largest coordinate.  Because the sources are monoid
     images in this package, commuting with a generating set is the same
-    as commuting with the whole image algebra.  Above
-    ``COMMUTANT_UNKNOWN_LIMIT`` unknowns it raises ``SizeGuardError``."""
-    if d * d > COMMUTANT_UNKNOWN_LIMIT and not unguarded:
-        shown = _decimal(d * d, f"d^2 (d of {d.bit_length()} bits)")
-        raise SizeGuardError(
-            f"commutant guard: {shown} unknowns exceed {COMMUTANT_UNKNOWN_LIMIT}"
-        )
-    # union-find over the d*d coordinates: parent[x] == x at a root, and
-    # each find halves its path as it climbs
-    parent = list(range(d * d))
-    zero = []
+    as commuting with the whole image algebra.
+
+    A diagonal idempotent source keeping the set K, and its conjugate by
+    each permutation source P (keeping P(K); X commutes with P^-1 too),
+    force x[i, j] = 0 unless each kept set holds both i and j or neither,
+    which is all a diagonal source says.  The union-find runs over the
+    other, live, coordinates plus a node for zero, and refuses above
+    ``COMMUTANT_UNKNOWN_LIMIT`` live unknowns with ``SizeGuardError``."""
+    inverses = []
     for g in sources:
-        if len(g) != d:
-            raise ValueError("source tuples must have length d")
         ginv = [-1] * d
         for c, t in enumerate(g):
             if t >= 0:
-                if ginv[t] >= 0:
-                    raise ValueError("a source sends two tensors to one")
                 ginv[t] = c
-        live = [(j, t) for j, t in enumerate(g) if t >= 0]
-        killed = [j for j, t in enumerate(g) if t < 0]
-        for i, l in enumerate(ginv):
-            row = i * d
-            if l < 0:
-                zero.extend(row + t for _, t in live)
-                continue
-            pre_row = l * d
-            zero.extend(pre_row + j for j in killed)
-            for j, t in live:
-                x, y = row + t, pre_row + j
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                while parent[y] != y:
-                    parent[y] = parent[parent[y]]
-                    y = parent[y]
-                if x != y:
-                    parent[y] = x
-    members = {}
-    for x in range(d * d):
-        root = x
-        while parent[root] != root:
-            parent[root] = parent[parent[root]]
-            root = parent[root]
-        members.setdefault(root, []).append(x)
-    for x in zero:
+        if len(g) != d or ginv.count(-1) != g.count(-1):  # two tensors sent to one
+            raise ValueError("sources must be partial permutations of length d")
+        inverses.append((g, ginv))
+    diagonal = [g for g, _ in inverses if all(t in (j, -1) for j, t in enumerate(g))]
+    kept = list({frozenset(j for j, t in enumerate(g) if t == j) for g in diagonal})
+    perms = [g for g, _ in inverses if -1 not in g]
+    for members in kept:  # grows until closed under the permutation sources
+        kept.extend({frozenset(p[j] for j in members) for p in perms} - set(kept))
+    covered = set().union(*kept)
+    blocks = {}  # tensors by the kept sets that hold them
+    for j in covered:
+        blocks.setdefault(frozenset(b for b, m in enumerate(kept) if j in m), []).append(j)
+    live = (d - len(covered)) ** 2 + sum(len(m) ** 2 for m in blocks.values())
+    if live > COMMUTANT_UNKNOWN_LIMIT and not unguarded:
+        shown = _decimal(live, f"up to d^2 (d of {d.bit_length()} bits)")
+        raise SizeGuardError(
+            f"commutant guard: {shown} live unknowns exceed {COMMUTANT_UNKNOWN_LIMIT}"
+        )
+    blocks[frozenset()] = [j for j in range(d) if j not in covered]
+    # live (a, b) is number row[a] + pos[b]; missing tensor -1 is in block -1
+    block, row, pos, cells = [0] * d + [-1], [0] * d, [0] * d, []
+    for b, members in enumerate(blocks.values()):
+        for p, j in enumerate(members):
+            block[j], row[j], pos[j] = b, len(cells) + p * len(members), p
+        cells.extend((i, j) for i in members for j in members)
+    zero = len(cells)
+    parent = list(range(zero + 1))
+
+    def number(a, b):
+        return row[a] + pos[b] if block[a] == block[b] else zero
+
+    def find(x):  # halves the path as it climbs
         while parent[x] != x:
-            x = parent[x]
-        members.pop(x, None)
-    return sorted((tuple(m) for m in members.values()), key=lambda m: m[-1])
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    for g, ginv in (source for source in inverses if source[0] not in diagonal):
+        backward = -1 in g  # a permutation's forward joins hold its backward ones
+        for x, (a, b) in enumerate(cells):
+            # x[a, b] = x[g a, g b] when a is in dom g, and x[ginv a, ginv b]
+            # when b is in im g; a missing or dead partner reads 0
+            if g[a] >= 0:
+                parent[find(number(g[a], g[b]))] = find(x)
+            if backward and ginv[b] >= 0:
+                parent[find(number(ginv[a], ginv[b]))] = find(x)
+    classes = {}
+    for x, (a, b) in enumerate(cells):
+        classes.setdefault(find(x), []).append(a * d + b)
+    classes.pop(find(zero), None)
+    return sorted((tuple(sorted(m)) for m in classes.values()), key=lambda m: m[-1])
 
 
 def _rook_triples(pi: PartialInjection, space: ActionSpace, unguarded: bool) -> list:

@@ -33,6 +33,7 @@ from rookdual import (
     action_matrix,
     canonicalize,
     primed,
+    targets_commute,
     unprimed,
 )
 from rookdual.diagrams import _set_partitions
@@ -583,3 +584,44 @@ def rowspace_half_centralizer(classes, plain_targets) -> tuple:
         all(in_commutant(target_vector(t)) for t in plain_targets),
         all(span.contains(dict.fromkeys(members, 1)) for members in classes),
     )
+
+
+# the flat commutant solve and all-element commutation
+
+
+def flat_targets_commutant(sources, d: int) -> list:
+    """The commutant classes of ``targets_commutant``, solved the way the
+    package did before it graded the unknowns by signature: one flat
+    union-find over all d*d coordinates row*d + col, where equation
+    (i, j) of XG = GX joins x[i, g[j]] with x[ginv[i], j] and a missing
+    term forces the other unknown's class to zero.  The non-zero classes
+    come back as ascending tuples sorted by their largest coordinate."""
+    uf = UnionFind()
+    zero = []
+    for g in sources:
+        ginv = [-1] * d
+        for c, t in enumerate(g):
+            if t >= 0:
+                ginv[t] = c
+        live = [(j, t) for j, t in enumerate(g) if t >= 0]
+        killed = [j for j, t in enumerate(g) if t < 0]
+        for i, l in enumerate(ginv):
+            if l < 0:
+                zero.extend(i * d + t for _, t in live)
+                continue
+            zero.extend(l * d + j for j in killed)
+            for j, t in live:
+                uf.union(i * d + t, l * d + j)
+    members = {}
+    for x in range(d * d):
+        members.setdefault(uf.find(x), []).append(x)
+    for x in zero:
+        members.pop(uf.find(x), None)
+    return sorted((tuple(m) for m in members.values()), key=lambda m: m[-1])
+
+
+def all_elements_commute(cell) -> bool:
+    """Every left element of a ``DualityCell`` commutes with every right
+    element, pair by pair through ``targets_commute``."""
+    rights = cell.targets("right")
+    return all(targets_commute(g, a) for g in cell.targets("left") for a in rights)

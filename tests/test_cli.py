@@ -16,6 +16,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+import rookdual.diagrams
 import rookdual.morphisms
 from rookdual import (
     NotationError,
@@ -170,6 +171,23 @@ def test_verify_props_exit_zero(capsys):
     assert out.splitlines()[-1] == "all_match=true"
 
 
+def test_verify_all_json_validates_and_carries_every_centralizer(capsys):
+    """Every cell of ``verify --all`` carries its four dims, and the
+    schema refuses a report without them."""
+    schema = json.loads(
+        files("rookdual").joinpath("schemas/verify.schema.json").read_text()
+    )
+    code, out, _ = run_cli(capsys, "verify", "--all", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    jsonschema.validate(payload, schema)
+    assert all(len(r["centralizer_dims"]) == 4 for r in payload["duality"])
+    assert all(r["centralizer_ok"] is True for r in payload["duality"])
+    payload["duality"][0].update(centralizer_dims=None, centralizer_ok=None)
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(payload, schema)
+
+
 def test_verify_thm_json_validates(capsys):
     schema = json.loads(
         files("rookdual").joinpath("schemas/verify.schema.json").read_text()
@@ -205,12 +223,11 @@ def test_verify_json_is_byte_identical(capsys):
     assert first == second
 
 
-# sha256 of the full stdout of ``rookdual verify --all``, pinned from a
-# run of the Fraction-matrix implementation; the same under any
-# PYTHONHASHSEED.
+# sha256 of the full stdout of ``rookdual verify --all``, every cell run
+# in full; the same under any PYTHONHASHSEED.
 VERIFY_ALL_SHA256 = {
-    "json": "290148f50502d3f05f57e051758a03b2a86bf6f08a7fce16fed7612a4e6e96ac",
-    "text": "bce49dbd8e0b79dcb15e2b90c588d4452dec42d82e18ad313f75c67b8311f5f6",
+    "json": "17e8d30c986492a93177457e71136442ebb6c602c3824f85f9a98c6e277a1baa",
+    "text": "dbc47715dfd86b30a58dcaf27813f0c8b5f086f02090d436460a1f2fcfb6de34",
 }
 
 
@@ -468,7 +485,7 @@ def test_out_writes_file(tmp_path, capsys):
         # dimensions of more decimal digits than Python prints: 2^20000
         ("commutant", "--space", "V", "--n", "2", "--k", "20000", "--side", "left-is"),
         ("act", "--space", "V", "--n", "2", "--k", "20000", "--rook", "[1,2]"),
-        # commutant guard: 512**2 = 262,144 unknowns
+        # commutant guard: 260,102 live unknowns
         ("commutant", "--n", "2", "--k", "9", "--space", "V", "--side", "left-is"),
         # a bound that selects no cell would check nothing
         ("verify", "--thm1", "--max-n", "0"),
@@ -500,6 +517,26 @@ def test_library_errors_are_not_usage_errors(monkeypatch):
     monkeypatch.setattr("rookdual.cli.enumerate_is", broken)
     with pytest.raises(ValueError, match="library bug"):
         main(["enumerate", "--semigroup", "is", "--n", "2"])
+
+
+@pytest.mark.parametrize("side,dimension", [("left-is", 339), ("right-istar", 1425)])
+def test_commutant_past_the_flat_guard(side, dimension, capsys):
+    """V(5,4) has d = 625, so 390,625 unknowns, but only 17,805 live ones
+    on the left and 38,825 on the right, under the commutant guard."""
+    code, out, _ = run_cli(
+        capsys, "commutant", "--space", "V", "--n", "5", "--k", "4", "--side", side
+    )
+    assert code == 0
+    assert out == f"dimension={dimension}\n"
+
+
+def test_verify_props_honours_unguarded(capsys, monkeypatch):
+    """With the P*_k enumeration guard lowered below k = 2, ``verify
+    --props`` refuses, and lists the elements under --unsafe-no-guards."""
+    monkeypatch.setattr(rookdual.diagrams, "ENUM_LIMIT_PARTIAL_DUAL", 1)
+    argv = ("verify", "--props", "--n", "1", "--k", "2")
+    assert run_cli(capsys, *argv)[0] == 2
+    assert run_cli(capsys, *argv, "--unsafe-no-guards")[0] == 0
 
 
 def test_guard_override(capsys):

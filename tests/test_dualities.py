@@ -9,6 +9,7 @@ import pytest
 import rookdual.diagrams
 from rookdual import (
     GRID,
+    ActionSpace,
     DualityCell,
     PartialInjection,
     SizeGuardError,
@@ -19,18 +20,44 @@ from rookdual import (
     targets_commutant,
 )
 
-from oracles import rowspace_half_centralizer
+from oracles import all_elements_commute, rowspace_half_centralizer
 
 
 def test_commutation_on_the_core_grid():
+    """Every left element commutes with every right element, pair by
+    pair; at U(3,2) and U(2,3) the report's verdict, read off the left
+    commutant, agrees."""
     for n in (1, 2, 3):
         for k in (1, 2, 3):
-            assert DualityCell(n, k, "V").commutes()
+            assert all_elements_commute(DualityCell(n, k, "V"))
     for n in (1, 2):
         for k in (1, 2):
-            assert DualityCell(n, k, "U").commutes()
-    assert DualityCell(3, 2, "U").commutes()
-    assert DualityCell(2, 3, "U").commutes()
+            assert all_elements_commute(DualityCell(n, k, "U"))
+    for n, k in ((3, 2), (2, 3)):
+        cell = DualityCell(n, k, "U")
+        assert all_elements_commute(cell)
+        assert cell.report().commute_ok
+
+
+def test_commute_ok_fails_on_a_left_generator_outside_the_right_commutant(monkeypatch):
+    """The 3-cycle of tensor positions, the action of a permutation in
+    I*_3, does not commute with all of I*_3.  Added to the left
+    generators of V(2,3), it leaves the right span outside the left
+    commutant, so the cell neither commutes nor matches."""
+    space = ActionSpace("V", 2, 3)
+    cycle = tuple(
+        space.ordinal(space.index_at(c)[1:] + space.index_at(c)[:1])
+        for c in range(space.dimension)
+    )
+    generators = DualityCell.generators
+
+    def with_cycle(self, side):
+        return generators(self, side) + ([cycle] if side == "left" else [])
+
+    monkeypatch.setattr(DualityCell, "generators", with_cycle)
+    report = DualityCell(2, 3, "V").report()
+    assert report.commute_ok is False
+    assert report.match is False
 
 
 CENTRALIZER_V = {
@@ -101,7 +128,7 @@ def test_centralizer_inclusions_can_fail(right, inside):
 
 # The grid, the benchmark's centralizer cells, and two larger cells.
 CERTIFIED_CELLS = sorted(
-    {(space, n, k) for space, n, k, _ in GRID}
+    set(GRID)
     | {("V", 4, 3), ("U", 4, 2), ("U", 3, 3), ("V", 3, 4), ("U", 2, 4)}
 )
 
@@ -393,21 +420,33 @@ def test_full_report_matches_everywhere_small():
         assert d["centralizer_dims"] == list(report.centralizer_dims)
 
 
-def test_full_report_without_commutant():
-    report = DualityCell(4, 2, "V").report(with_commutant=False)
-    assert report.centralizer_dims is None
-    assert report.centralizer_ok is None
+def test_outlying_report_runs_in_full():
+    report = DualityCell(4, 2, "V").report()
+    assert report.centralizer_dims == (3, 3, 88, 88)
+    assert report.centralizer_ok
     assert report.match
     assert not report.algebra_faithful_left  # k < n kills the contracted algebra
-    assert report.to_json_dict()["centralizer_dims"] is None
+    assert report.to_json_dict()["centralizer_dims"] == [3, 3, 88, 88]
+
+
+@pytest.mark.parametrize("cell", GRID, ids=_cell_id)
+def test_grid_centralizer_dims_match_closed_forms(cell):
+    """The four dims equal the closed forms of the orbit counts: each
+    commutant has the dimension of the other side's span."""
+    space, n, k = cell
+    report = DualityCell(n, k, space).report()
+    left, right = predicted_orbit_counts(space, n, k)
+    assert report.centralizer_dims == (right, right, left, left)
+    assert report.centralizer_ok
 
 
 def test_default_grid_shape():
-    assert ("V", 3, 3, True) in GRID
-    assert ("V", 4, 4, False) in GRID
-    assert ("U", 2, 2, True) in GRID
-    assert ("U", 3, 2, False) in GRID
-    assert ("V", 4, 4, True) not in GRID
+    assert len(GRID) == 18
+    assert ("V", 3, 3) in GRID
+    assert ("V", 4, 4) in GRID
+    assert ("U", 2, 2) in GRID
+    assert ("U", 3, 2) in GRID
+    assert all(len(cell) == 3 for cell in GRID)
     v_only = run_grid(spaces=("V",), max_n=1)
     assert all(r.space == "V" for r in v_only)
 

@@ -1,7 +1,8 @@
 """The Fraction matrices, rank and span oracles of ``oracles``
 cross-checked against sympy on small dense instances, and the
-union-find commutant of target tuples, cross-checked against sympy and
-against the Fraction null-space solve kept here as the oracle."""
+graded union-find commutant of target tuples, cross-checked against
+sympy, against the Fraction null-space solve kept here as the oracle
+and against the flat union-find of ``oracles``."""
 
 import random
 from fractions import Fraction
@@ -26,6 +27,7 @@ from oracles import (
     ExactMatrix,
     RowSpace,
     exact_action,
+    flat_targets_commutant,
     in_span,
     rank,
     span_dimension,
@@ -262,9 +264,12 @@ def test_commutant_rejects_sources_that_are_not_partial_permutations():
         targets_commutant([(0, 1)], 3)
 
 
+def _cell_id(cell):
+    return f"{cell[0]}{cell[1]},{cell[2]}"
+
+
 @pytest.mark.parametrize(
-    "cell", [(space, n, k) for space, n, k, full in GRID if full],
-    ids=lambda c: f"{c[0]}{c[1]},{c[2]}",
+    "cell", [cell for cell in GRID if ActionSpace(*cell).dimension <= 27], ids=_cell_id
 )
 def test_commutant_classes_match_the_fraction_oracle(cell):
     space, n, k = cell
@@ -279,3 +284,23 @@ def test_commutant_classes_match_the_fraction_oracle(cell):
         expected = commutant_basis([targets_matrix(t) for t in sources], d)
         assert class_matrices(targets_commutant(sources, d), d) == expected
 
+
+# The grid, the benchmark's centralizer cells, and larger cells up to
+# d = 256 (U(3,4)) and d = 243 (V(3,5)).
+GRADED_CELLS = (
+    *GRID,
+    *(("V", 4, 3), ("U", 3, 3), ("U", 4, 2), ("V", 3, 4)),
+    *(("U", 2, 4), ("U", 3, 4), ("V", 3, 5)),
+)
+
+
+@pytest.mark.parametrize("cell", GRADED_CELLS, ids=_cell_id)
+def test_graded_commutant_equals_the_flat_solve(cell):
+    """The graded solve returns the flat union-find's class list, in the
+    same order, for both sides' generators."""
+    space, n, k = cell
+    duality = DualityCell(n, k, space)
+    d = duality.space.dimension
+    for side in ("left", "right"):
+        sources = duality.generators(side)
+        assert targets_commutant(sources, d) == flat_targets_commutant(sources, d), side
