@@ -46,9 +46,10 @@ show(f"\nblock_subset_sum({ident})", block_subset_sum(ident))
 show(f"block_subset_sum_inverse({ident})", block_subset_sum_inverse(ident))
 
 print("\nHomomorphism reports (every pair at k = 2 and k = 3):")
+cells = {kk: DeformationCell(kk) for kk in (2, 3)}
 for map_name in ("coarsening_sum", "block_subset_sum"):
-    for kk in (2, 3):
-        report = DeformationCell(kk).homomorphism(map_name)
+    for kk, cell in cells.items():
+        report = cell.homomorphism(map_name)
         print(f"  {map_name} k={kk}: pairs={report.pairs_checked} "
               f"homomorphism={report.homomorphism_ok} "
               f"inverse={report.inverse_ok}")

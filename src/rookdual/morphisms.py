@@ -27,9 +27,13 @@ All coefficients here, the Moebius ones included, are integers.
 
 Every check of the maps is made by one ``DeformationCell`` per k, which
 enumerates P*_k once and builds each map's images, inverses and inverse
-verdict, and each U^k action, at most once for all of its reports.
+verdict, and each U^k action, at most once for all of its reports.  Its
+homomorphism check relabels every domain product from a generic product
+of the two factors' middle rows, made once per pair of rows; the verdict
+rests on the naturality test that pins this to the direct products.
 """
 
+import functools
 import itertools
 import math
 import random
@@ -116,7 +120,7 @@ def _inverses_by_solve(diagrams, uppers) -> list:
     before the diagram is reached."""
     solved: list = [None] * len(diagrams)
     for g in sorted(range(len(diagrams)), key=lambda i: diagrams[i].sort_key()):
-        total = _extend({b: -1 for b in uppers[g] if b != g}, solved)
+        total = extend_linearly(solved.__getitem__, {b: -1 for b in uppers[g] if b != g})
         total[g] = total.get(g, 0) + 1
         solved[g] = {d: c for d, c in total.items() if c}
     return solved
@@ -166,16 +170,6 @@ def extend_linearly(func, x: dict) -> dict:
 
 def _on_indices(terms: dict, index: dict) -> dict:
     return {index[beta.code]: c for beta, c in terms.items()}
-
-
-def _extend(terms: dict, images: list) -> dict:
-    """The sum of coeff times ``images[b]`` over the terms ``{b: coeff}``,
-    everything on indices, without zero values."""
-    total: dict = {}
-    for b, c in terms.items():
-        for r, cr in images[b].items():
-            total[r] = total.get(r, 0) + c * cr
-    return {r: c for r, c in total.items() if c}
 
 
 @dataclass(frozen=True)
@@ -246,7 +240,8 @@ class DeformationCell:
         def build():
             images = [_on_indices(forward(alpha), self.index) for alpha in self.elements]
             inverses = [_on_indices(inverse(alpha), self.index) for alpha in self.elements]
-            ok = all(_extend(inv, images) == {a: 1} for a, inv in enumerate(inverses))
+            trips = (extend_linearly(images.__getitem__, inv) for inv in inverses)
+            ok = all(trip == {a: 1} for a, trip in enumerate(trips))
             if map_name == "coarsening_sum":
                 ok = ok and inverses == _inverses_by_solve(self.elements, images)
             return images, inverses, ok
@@ -259,6 +254,47 @@ class DeformationCell:
             lambda: [action_targets(a, space, variant, self.unguarded) for a in self.elements],
         )
 
+    def _middle(self) -> tuple:
+        """The cell's ``"middle"`` part: the sorted middle rows (keys), each
+        element's out-key and in-key id, and the ORs of its in-masks (out-mask
+        order) and out-masks (code order) over each subset, by bitmask."""
+
+        @functools.cache
+        def ors(masks):
+            table = [0]
+            for mask in masks:
+                table += [t | mask for t in table]
+            return table
+
+        keys: dict = {}
+        out_id, in_id, in_ors, out_ors = [], [], [], []
+        for code in self.index:
+            by_out = sorted(code, key=lambda block: block[1])
+            out_id.append(keys.setdefault(tuple(o for _, o in by_out), len(keys)))
+            in_id.append(keys.setdefault(tuple(i for i, _ in code), len(keys)))
+            in_ors.append(ors(tuple(i for i, _ in by_out)))
+            out_ors.append(ors(tuple(o for _, o in code)))
+        return list(keys), out_id, in_id, in_ors, out_ors
+
+    def _products(self, multiply, pairs):
+        """Yield ``(a, b, multiply(code of a, code of b))`` for pairs of
+        element indices, relabelled from a recipe made once per (product,
+        out-key K of a, in-key L of b): the product of the generic codes
+        ``((1<<i, K[i]), ...)`` and ``((L[j], 1<<j), ...)``, whose bits
+        stand for a's blocks in out-mask order and b's in code order; the
+        code products read only middle masks and OR the outer ones."""
+        keys, out_id, in_id, in_ors, out_ors = self._part("middle", self._middle)
+        recipes = self._part(("recipes", multiply), dict)
+        for a, b in pairs:
+            key = out_id[a], in_id[b]
+            if key not in recipes:
+                recipes[key] = multiply(
+                    tuple((1 << i, o) for i, o in enumerate(keys[key[0]])),
+                    tuple((i, 1 << j) for j, i in enumerate(keys[key[1]])),
+                )
+            ins, outs, recipe = in_ors[a], out_ors[b], recipes[key]
+            yield a, b, recipe and tuple(sorted([(ins[x], outs[y]) for x, y in recipe]))
+
     def homomorphism(
         self, map_name: str, sample_pairs: int | None = None, seed: int = 2024
     ) -> MorphismReport:
@@ -270,27 +306,25 @@ class DeformationCell:
         pairs are drawn with a fixed seed.  ``inverse_ok`` is the map's
         inverse verdict.
 
-        The check runs on element indices, and products go through the
-        code-level products.  A star product of two image terms is
-        non-zero only when the first term's out-masks equal the second
-        term's in-masks, so the image terms of each element are grouped
-        by in-masks and only matching pairs are multiplied."""
+        Each domain product is read off a generic middle-row recipe
+        (``_products``), so the verdict rests on ``test_products_are_natural``.
+        A star product of image terms is non-zero only when the first's
+        out-key is the second's in-key; only such pairs are multiplied."""
         multiply = _map_functions(map_name)[2]
         images, _, inverse_ok = self._map(map_name)
         index, codes = self.index, list(self.index)
-        star = self._part("star", dict)  # (p, q) -> index of their star product
-        ins = [tuple(sorted(i for i, _ in code)) for code in codes]
-        outs = [tuple(sorted(o for _, o in code)) for code in codes]
+        keys, out_id, in_id = self._part("middle", self._middle)[:3]
+        star = self._part("star", dict)  # p * n + q -> index of their star product
         by_in = []
         for image in images:
-            groups: dict = {}
+            groups: list = [()] * len(keys)
             for q, cq in image.items():
-                groups.setdefault(ins[q], []).append((q, cq))
+                groups[in_id[q]] += ((q, cq),)
             by_in.append(groups)
 
         n = len(codes)
         if sample_pairs is None:
-            pairs = [(a, b) for a in range(n) for b in range(n)]
+            pairs = itertools.product(range(n), repeat=2)
         else:
             rng = random.Random(seed)
             pairs = [
@@ -298,15 +332,15 @@ class DeformationCell:
             ]
 
         hom_ok = True
-        for a, b in pairs:
-            lhs = images[index[multiply(codes[a], codes[b])]]
+        for a, b, ab in self._products(multiply, pairs):
+            lhs = images[index[ab]]
             rhs: dict = {}
             groups = by_in[b]
             for p, cp in images[a].items():
-                for q, cq in groups.get(outs[p], ()):
-                    r = star.get((p, q))
+                for q, cq in groups[out_id[p]]:
+                    r = star.get(p * n + q)
                     if r is None:
-                        r = star[p, q] = index[star_codes(codes[p], codes[q])]
+                        r = star[p * n + q] = index[star_codes(codes[p], codes[q])]
                     rhs[r] = rhs.get(r, 0) + cp * cq
             if lhs != {r: c for r, c in rhs.items() if c}:
                 hom_ok = False
@@ -315,7 +349,7 @@ class DeformationCell:
         return MorphismReport(
             k=self.k,
             map_name=map_name,
-            pairs_checked=len(pairs),
+            pairs_checked=n * n if sample_pairs is None else sample_pairs,
             homomorphism_ok=hom_ok,
             inverse_ok=inverse_ok,
         )

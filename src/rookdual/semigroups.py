@@ -23,9 +23,9 @@ pairs with bit i - 1 standing for point i (or i').  The gluing is
 tiers, b's as ``(0, in, out)``, and blocks whose middle masks overlap
 merge into one component.  The ``*_codes`` functions are the products
 on codes; the public ``multiply_*`` functions validate their diagrams
-and wrap the resulting code, while callers that multiply many times
-(the morphism checks) validate once and call the code products
-directly.
+and wrap the resulting code, while the morphism checks validate once
+and call the code products on generic codes of middle rows, whose
+results they relabel.
 """
 
 from typing import NamedTuple

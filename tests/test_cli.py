@@ -292,6 +292,45 @@ def test_verify_props_builds_each_deformation_part_once(capsys, monkeypatch):
     assert variants == {"plain": 128, "hat": 128, "tilde": 128}
 
 
+def test_verify_props_multiplies_each_middle_pair_once(capsys, monkeypatch):
+    """One ``verify --props --n 2 --k 3`` run calls each domain product
+    only for its generic recipes, at most once per pair of middle rows
+    (15 rows at k = 3), and the star product at most once per pair of
+    image terms."""
+    calls = Counter()
+
+    def counted(name):
+        right = getattr(rookdual.morphisms, name)
+
+        def wrapper(a, b):
+            calls[name, a, b] += 1
+            return right(a, b)
+
+        monkeypatch.setattr(rookdual.morphisms, name, wrapper)
+
+    for name in ("pistar_codes", "bullet_codes", "star_codes"):
+        counted(name)
+    code, _, _ = run_cli(capsys, "verify", "--props", "--n", "2", "--k", "3")
+    assert code == 0
+    assert max(calls.values()) == 1
+    per_name = Counter(key[0] for key in calls)
+    assert 0 < per_name["pistar_codes"] <= 15 * 15
+    assert 0 < per_name["bullet_codes"] <= 15 * 15
+    assert per_name["star_codes"] > 0
+
+
+def test_module_entry_point_runs_the_cli():
+    done = subprocess.run(
+        [sys.executable, "-m", "rookdual", "verify", "--props", "--n", "2", "--k", "2"],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.endswith("all_match=true\n")
+
+
 # sha256 of the full stdout of ``rookdual commutant ... --basis``,
 # pinned from a run of the Fraction null-space solver; the same under any
 # PYTHONHASHSEED.

@@ -2,6 +2,8 @@
 inverses, and the exact matrix identities tying the three U-actions
 together."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -197,6 +199,32 @@ def test_morphism_report_rejects_unknown_map():
         DeformationCell(2).homomorphism("zeta")
 
 
+def _natural_cases():
+    """Every pair of P*_k for k <= 3; at k = 4 the 1,000 pairs the CLI
+    samples (seed 2024) and 10,000 more seeded pairs."""
+    for k in (1, 2, 3):
+        n = len(enumerate_pistar(k))
+        yield k, itertools.product(range(n), repeat=2)
+    n = len(enumerate_pistar(4))
+    cli, more = random.Random(2024), random.Random(13)
+    yield 4, [(cli.choice(range(n)), cli.choice(range(n))) for _ in range(1000)]
+    yield 4, [(more.randrange(n), more.randrange(n)) for _ in range(10_000)]
+
+
+@pytest.mark.parametrize("product", ["pistar_codes", "bullet_codes", "star_codes"])
+def test_products_are_natural(product):
+    """The lemma the homomorphism check rests on: each code product
+    depends on its factors' outer rows only through the OR of the blocks
+    it joins, so relabelling the generic product of the two middle rows
+    gives the direct product on every pair checked."""
+    multiply = getattr(rookdual.semigroups, product)
+    for k, pairs in _natural_cases():
+        cell = DeformationCell(k)
+        codes = list(cell.index)
+        for a, b, ab in cell._products(multiply, pairs):
+            assert ab == multiply(codes[a], codes[b]), (k, codes[a], codes[b])
+
+
 def test_sampling_is_seed_deterministic():
     a = DeformationCell(3).homomorphism("coarsening_sum", sample_pairs=100, seed=3)
     b = DeformationCell(3).homomorphism("coarsening_sum", sample_pairs=100, seed=3)
@@ -238,6 +266,29 @@ def test_morphism_report_catches_a_wrong_product(map_name, product, monkeypatch)
     no longer carries over to star."""
     right = getattr(rookdual.semigroups, product)
     monkeypatch.setattr(rookdual.morphisms, product, lambda a, b: right(a, b)[:-1])
+    report = DeformationCell(2).homomorphism(map_name)
+    assert report.homomorphism_ok is False
+    assert report.inverse_ok is True
+
+
+@pytest.mark.parametrize(
+    "map_name,product",
+    [("coarsening_sum", "pistar_codes"), ("block_subset_sum", "bullet_codes")],
+)
+def test_morphism_report_catches_a_product_wrong_on_one_shape(
+    map_name, product, monkeypatch
+):
+    """A product that drops the last block only when the left factor's
+    out-masks are those of the identity is wrong on one middle shape;
+    the recipe for that shape carries the fault to every such pair."""
+    right = getattr(rookdual.semigroups, product)
+
+    def wrong(a, b):
+        ab = right(a, b)
+        identity = sorted(o for _, o in a) == [1 << i for i in range(2)]
+        return ab[:-1] if identity else ab
+
+    monkeypatch.setattr(rookdual.morphisms, product, wrong)
     report = DeformationCell(2).homomorphism(map_name)
     assert report.homomorphism_ok is False
     assert report.inverse_ok is True
