@@ -63,6 +63,7 @@ from .semigroups import (
 from .tensor_actions import (
     ActionSpace,
     action_matrix,
+    action_supports,
     action_targets,
     orbit_targets,
     targets_commutant,

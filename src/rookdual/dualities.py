@@ -13,18 +13,17 @@ Every verdict at one (n, k, space) cell is made by one ``DualityCell``,
 whose methods take a side: ``"left"`` (the rook monoid) or ``"right"``
 (the dual or partial dual monoid).  It lists each side's generators
 (``is_generators`` on the left, ``istar_generators`` or
-``pistar_generators`` on the right) and its elements, and builds their
-plain actions as target tuples (``action_targets``), each at most once
-and only when a check first asks for it, so a check never pays for a
-size guard it does not need.  On the tuples, semigroup faithfulness is
-distinctness.  ``DualityCell.report`` runs every check and compares
-the faithfulness verdicts with ``predicted_faithful``; ``run_grid``
-reports on ``GRID``, where every cell runs in full.
+``pistar_generators`` on the right) and its elements, and expands each
+element's action once (``action_supports``: target tuple, plain support
+and orbit support) when a check first asks for it, so a check never
+pays for a size guard it does not need.  On the tuples, semigroup
+faithfulness is distinctness.  ``DualityCell.report`` runs every check
+and compares the faithfulness verdicts with ``predicted_faithful``;
+``run_grid`` reports on ``GRID``, where every cell runs in full.
 
 Spans are counted on the orbit bases of the two actions
 (``orbit_targets``: the rook groupoid basis on the left, the hat action
-on the right, on V^k as on U^k), not row-reduced.  Target tuples and
-orbit tuples come from the one pair builder of ``tensor_actions``.
+on the right, on V^k as on U^k), not row-reduced.
 ``DualityCell.span`` certifies that every plain matrix is a
 unitriangular 0/1 sum of orbit matrices with disjoint supports, and
 returns the non-zero orbit supports: the span's dimension is their
@@ -53,12 +52,7 @@ from .diagrams import (
     enumerate_pistar,
 )
 from .semigroups import is_generators, istar_generators, pistar_generators
-from .tensor_actions import (
-    ActionSpace,
-    action_targets,
-    orbit_targets,
-    targets_commutant,
-)
+from .tensor_actions import ActionSpace, action_supports, action_targets, targets_commutant
 
 SIDES = ("left", "right")
 
@@ -77,20 +71,14 @@ def _check_side(side: str) -> str:
     return side
 
 
-def _support(targets) -> list:
-    """Coordinates row*d + col of the 1s of a target tuple's matrix."""
-    d = len(targets)
-    return [t * d + c for c, t in enumerate(targets) if t >= 0]
-
-
 def _restricts(sigma: PartialInjection, pi: PartialInjection) -> bool:
     """sigma is pi restricted to a subset of its domain."""
     return all(s is None or s == p for s, p in zip(sigma.targets, pi.targets))
 
 
-def _unions_of(parts, pieces) -> bool:
-    """Every part is a union of pieces; the pieces must be disjoint."""
-    piece_of = {x: i for i, piece in enumerate(pieces) for x in piece}
+def _unions_of(parts, pieces, piece_of) -> bool:
+    """Every part is a union of the disjoint pieces; ``piece_of`` maps
+    each coordinate of a piece to the piece's index."""
     for part in parts:
         touched = {piece_of.get(x) for x in part}
         if None in touched or sum(len(pieces[i]) for i in touched) != len(part):
@@ -180,8 +168,14 @@ class DualityCell:
             self._parts[key] = build()
         return self._parts[key]
 
-    def _act(self, elements) -> list:
-        return [action_targets(e, self.space, "plain", self.unguarded) for e in elements]
+    def _expanded(self, key: str, side: str) -> list:
+        """One of a side's three ``action_supports`` lists, built together."""
+        if (key, side) not in self._parts:
+            built = zip(*(action_supports(e, self.space, "plain", self.unguarded)
+                          for e in self.elements(side)))
+            for name, column in zip(("targets", "supports", "orbits"), built):
+                self._parts[name, side] = list(column)
+        return self._parts[key, side]
 
     def elements(self, side: str) -> list:
         """Every element of one side, in enumeration order.  Every method
@@ -194,7 +188,12 @@ class DualityCell:
 
     def targets(self, side: str) -> list:
         """Targets of every element of one side, in enumeration order."""
-        return self._part(("targets", side), lambda: self._act(self.elements(side)))
+        return self._expanded("targets", side)
+
+    def supports(self, side: str) -> list:
+        """Plain supports (coordinates row*d + col of the 1s) of one side;
+        the certification reads and drops them, so they never outlive it."""
+        return self._expanded("supports", side)
 
     def generators(self, side: str) -> list:
         """Targets of a monoid generating set of one side: ``is_generators``
@@ -204,23 +203,25 @@ class DualityCell:
         _check_side(side)
 
         def build():
-            if side == "left":
-                return self._act(is_generators(self.n))
-            gens = istar_generators if self.space.kind == "V" else pistar_generators
-            return self._act(gens(self.k, self.unguarded))
+            make = istar_generators if self.space.kind == "V" else pistar_generators
+            gens = is_generators(self.n) if side == "left" else make(self.k, self.unguarded)
+            return [action_targets(g, self.space, "plain", self.unguarded) for g in gens]
 
         return self._part(("generators", side), build)
 
-    def orbits(self, side: str):
-        """Orbit targets of every element of one side, in enumeration
-        order (see ``orbit_targets``).  They are built one at a time and
-        not kept: only their supports outlive the certification."""
-        return (orbit_targets(e, self.space, self.unguarded) for e in self.elements(side))
+    def orbits(self, side: str) -> list:
+        """Orbit supports of one side (see ``orbit_targets``), built with the
+        plain tuples and supports and kept for the cell's lifetime."""
+        return self._expanded("orbits", side)
 
     def span(self, side: str) -> list:
         """The span of one side's element matrices, as the supports of
         its non-zero orbit matrices, in enumeration order, certified by
         ``_certify``."""
+        return self._certified(side)[0]
+
+    def _certified(self, side: str) -> tuple:
+        """The span and its coordinate map, until ``half_centralizer`` reads it."""
         return self._part(("span", side), lambda: self._certify(side))
 
     def order(self, side: str):
@@ -235,9 +236,10 @@ class DualityCell:
             return lambda a, b: _restricts(elements[b], elements[a])
         return lambda a, b: block_union_leq(elements[a], elements[b])
 
-    def _certify(self, side: str) -> list:
-        """The non-zero orbit supports of one side, after three exact
-        checks that make them a basis of the span of the plain matrices:
+    def _certify(self, side: str) -> tuple:
+        """The non-zero orbit supports of one side and the map from their
+        coordinates to their positions, after three exact checks that
+        make them a basis of the span of the plain matrices:
 
         1. the orbit supports are pairwise disjoint;
         2. every coordinate of each plain matrix lies in the orbit of an
@@ -249,37 +251,38 @@ class DualityCell:
         the cell, the side and the element or pair of elements."""
         elements = self.elements(side)
         where = f"orbit certification at {self.space.kind}({self.n},{self.k}) {side}"
+        plain = self.supports(side)
+        self._parts.pop(("supports", side), None)
+        orbits = self.orbits(side)
+        of = [b for b, orbit in enumerate(orbits) if orbit]  # the element at each position
         owner = {}
-        supports = {}
-        for b, orbit in enumerate(self.orbits(side)):
-            support = _support(orbit)
-            for x in support:
-                if owner.setdefault(x, b) != b:
+        for p, b in enumerate(of):
+            for x in orbits[b]:
+                if owner.setdefault(x, p) != p:
                     raise RuntimeError(
-                        f"{where}: the orbits of {elements[owner[x]]} and "
+                        f"{where}: the orbits of {elements[of[owner[x]]]} and "
                         f"{elements[b]} overlap"
                     )
-            if support:
-                supports[b] = support
         allowed = self.order(side)
-        for a, targets in enumerate(self.targets(side)):
-            touched = Counter(map(owner.get, _support(targets)))
+        for a, support in enumerate(plain):
+            touched = Counter(map(owner.get, support))
             if None in touched:
                 raise RuntimeError(f"{where}: {elements[a]} leaves every orbit")
-            for b, count in touched.items():
+            for p, count in touched.items():
+                b = of[p]
                 if not allowed(a, b):
                     raise RuntimeError(
                         f"{where}: {elements[a]} meets the orbit of {elements[b]}, "
                         "which the natural order does not allow"
                     )
-                if count != len(supports[b]):
+                if count != len(orbits[b]):
                     raise RuntimeError(
                         f"{where}: {elements[a]} covers part of the orbit of "
                         f"{elements[b]}"
                     )
-            if a in supports and a not in touched:
+            if orbits[a] and owner[orbits[a][0]] not in touched:
                 raise RuntimeError(f"{where}: {elements[a]} misses its own orbit")
-        return list(supports.values())
+        return [orbits[b] for b in of], owner
 
     def commutant(self, side: str) -> list:
         """Commutant basis of one side as coordinate classes, solved on
@@ -296,12 +299,15 @@ class DualityCell:
 
         def build():
             classes = self.commutant(side)
-            supports = self.span("right" if side == "left" else "left")
+            other = "right" if side == "left" else "left"
+            supports, owner = self._certified(other)
+            self._parts["span", other] = supports, None
+            class_of = {x: i for i, members in enumerate(classes) for x in members}
             return (
                 len(classes),
                 len(supports),
-                _unions_of(supports, classes),
-                _unions_of(classes, supports),
+                _unions_of(supports, classes, class_of),
+                _unions_of(classes, supports, owner),
             )
 
         return self._part(("half", side), build)

@@ -4,30 +4,31 @@ V has basis e_1..e_n; U adjoins e_0.  A tensor index is a plain tuple
 of k digits, ordered mixed-radix with the first digit most significant,
 and its position in that order (its ordinal) is the matrix coordinate.
 
-Every action here is a stream of (input, output) ordinal pairs with
-coefficient 1, and one private builder, ``_pairs``, makes it: it checks
-the element against the space and the variant, reads the element's
-code once (``SetPartition.code``, one pair of position masks per
-block; on V^k that of its completion), turns each block into the
-weight one unit of its digit adds to the input and to the output
-ordinal, and enumerates the admissible digit assignments to the
-blocks (zero allowed or not, distinctness across blocks: this is where
-the plain, hat and tilde variants differ).
-A partial injection's pairs come digit by digit instead.  Three
-functions sit on the stream:
+Every action here comes from one layered expansion, ``_expand``, of the
+layers that ``_layers`` makes after checking the element against the
+space and the variant.  A layer is a position of a partial injection or
+a block of a diagram (of its ``SetPartition.code``; on V^k, of its
+completion's), and each of its choices is one digit: what it adds to the
+input and to the output ordinal, and its bit among the non-zero digits
+used.  One list comprehension per layer extends every row by every
+choice, so the rows (input, output, used) come out flat; hat and tilde
+skip a choice whose digit is used.  Four functions read the rows:
 
-* ``action_targets`` stores it as a target tuple T of length d = dim:
+* ``action_targets`` stores them as a target tuple T of length d = dim:
   input ordinal c goes to T[c], and T[c] == -1 means the tensor is
-  killed (no pair reaches it).  Every rook, dual, partial dual, hat
+  killed (no row reaches it).  Every rook, dual, partial dual, hat
   and tilde element sends each basis tensor to one basis tensor or to
   zero, so its matrix has column c with its only 1 in row T[c].
   Products of these matrices are compositions of tuples, and
   commutation is ``targets_commute``.
-* ``orbit_targets`` is the orbit basis below.
-* ``action_matrix`` writes the pairs as ``{(row, col): 1}``.  Only a
+* ``action_supports`` gives, from one expansion, the target tuple, its
+  support (the coordinates row*d + col of its 1s) and its orbit
+  support (below), read off the rows; ``orbit_targets`` is filled from
+  the orbit support.
+* ``action_matrix`` writes the rows as ``{(row, col): 1}``.  Only a
   composition element with a free output block (a block with output
   positions but no input position) needs it: a free block adds nothing
-  to the input ordinal, so each input pairs with one output per digit
+  to the input ordinal, so each input meets one output per digit
   of the free block and goes to their sum, which ``action_targets``
   refuses.
 
@@ -65,11 +66,11 @@ order.
 """
 
 import itertools
+from array import array
 
 from .diagrams import (
     HatElement,
     PartialInjection,
-    SetPartition,
     SizeGuardError,
     is_dual_element,
     is_partial_dual_element,
@@ -228,116 +229,98 @@ def targets_commutant(sources, d: int, unguarded: bool = False) -> list:
     return sorted((tuple(sorted(m)) for m in classes.values()), key=lambda m: m[-1])
 
 
-def _rook_triples(pi: PartialInjection, space: ActionSpace, unguarded: bool) -> list:
-    """Digit by digit, most significant first: each position carries a
-    live digit x to its image, and any other digit kills the tensor.
-    One (input, output, used) triple per surviving tensor, where bit x
-    of ``used`` says that the non-zero digit x occurs in it."""
-    if pi.n != space.n:
-        raise ValueError("injection size disagrees with the space")
+def _layers(element, space: ActionSpace, variant: str, unguarded: bool):
+    """Check the element against the space and the variant; return its
+    layers, whether their digits must be distinct, and its rank, the
+    number of distinct non-zero digits on a tensor of its orbit (the
+    domain's size or the block count), or None under a free output block.
+    A choice of digit v is (in_step, out_step, used_bit), bit v - 1 for
+    a non-zero v and none for 0.
+
+    A partial injection has only the plain action: each position carries
+    a live digit x to its image and U's digit 0 to itself, and any other
+    digit kills the tensor.  On V^k a diagram acts plainly through its
+    completion, every block carrying any digit 1..n; the hat action,
+    distinct digits 1..n on the blocks, takes a ``HatElement`` of a dual
+    element.  On U^k a partial dual element acts plainly (any digit 0..n
+    on each block), by hat (distinct non-zero digits) or by tilde
+    (distinct non-zero digits, any number of zeros); under hat a diagram
+    is wrapped, and the adjoined zero kills everything."""
+    low, n, base = space.low, space.n, space.n + 1 - space.low
+    if isinstance(element, PartialInjection):
+        if variant != "plain":
+            raise ValueError("partial injections have only the plain action")
+        if element.n != n:
+            raise ValueError("injection size disagrees with the space")
+        space.guard(unguarded)
+        images = enumerate((None if low else 0, *element.targets))  # U's digit 0 stays
+        live = [(x - low, t - low, 1 << x >> 1) for x, t in images if t is not None]
+        units = [base**p for p in reversed(range(space.k))]  # position 1 first
+        layers = [[(i * w, o * w, bit) for i, o, bit in live] for w in units]
+        return layers, False, element.rank()
+    if element.k != space.k:
+        raise ValueError("diagram size disagrees with the space")
+    if variant == "hat" and (space.kind == "U" or isinstance(element, HatElement)):
+        hat = element if isinstance(element, HatElement) else HatElement.wrap(element)
+        diagram = hat.diagram
+        if diagram is not None and space.kind == "V" and not is_dual_element(diagram):
+            raise ValueError("the hat action on V^k needs a dual element")
+    elif space.kind == "V":
+        if variant != "plain":
+            raise ValueError("V^k carries only the plain action")
+        diagram = element.completed()
+    elif variant in ("plain", "tilde"):
+        if not is_partial_dual_element(element):
+            raise ValueError(f"the {variant} action needs a partial dual element")
+        diagram = element
+    else:
+        raise ValueError(f"unknown variant {variant!r}")
     space.guard(unguarded)
-    low, base = space.low, space.n + 1 - space.low
-    live = [
-        (x - low, t - low, 1 << x) for x, t in enumerate(pi.targets, 1) if t is not None
-    ]
-    if low == 0:
-        live.insert(0, (0, 0, 0))
-    triples = [(0, 0, 0)]
-    for _ in range(space.k):
-        triples = [
-            (a * base + x, b * base + y, used | bit)
-            for a, b, used in triples
-            for x, y, bit in live
-        ]
-    return triples
-
-
-def _block_weights(alpha: SetPartition, space: ActionSpace):
-    """Per block, the amounts one unit of its digit adds to the input and
-    to the output ordinal: each mask read as a k-digit 0/1 numeral in
-    the space's base, position 1 (bit 0) most significant.  The input
-    weight is 0 for a block with output positions but no input position
-    (a free output block)."""
-    base = space.n + 1 - space.low
-    weights = []
-    for ins, outs in alpha.code:
+    if diagram is None:  # the adjoined zero kills everything
+        return [[]], True, 0
+    weights = []  # each mask read as a k-digit 0/1 numeral, bit 0 most significant
+    for ins, outs in diagram.code:
         w_in = w_out = 0
         for bit in range(space.k):
             w_in = w_in * base + (ins >> bit & 1)
             w_out = w_out * base + (outs >> bit & 1)
         weights.append((w_in, w_out))
-    return weights
+    digits = range(1 if variant == "hat" else low, n + 1)
+    layers = [
+        [((v - low) * w_in, (v - low) * w_out, 1 << v >> 1) for v in digits]
+        for w_in, w_out in weights
+    ]
+    free = any(not w_in for w_in, _ in weights)  # a block with no input position
+    return layers, variant != "plain", None if free else len(layers)
 
 
-def _nonzero_distinct(values) -> bool:
-    nonzero = [v for v in values if v]
-    return len(set(nonzero)) == len(nonzero)
+def _expand(layers, distinct: bool) -> list:
+    """The one action builder: every way to take one choice per layer, as
+    rows (src, dst, used) of the sums of the chosen steps and the union of
+    the chosen bits, skipping under ``distinct`` a bit already used."""
+    rows = [(0, 0, 0)]
+    for layer in layers:
+        rows = [
+            (src + i, dst + o, used | bit)
+            for src, dst, used in rows
+            for i, o, bit in layer
+            if not (distinct and used & bit)
+        ]
+    return rows
 
 
-def _pairs(element, space: ActionSpace, variant: str, unguarded: bool):
-    """The one action builder: check the element against the space and
-    the variant, and return its block weights (none for a partial
-    injection or the hat zero) with the (input, output) ordinal pairs
-    of its action, one pair per admissible digit assignment to the
-    blocks.
-
-    A partial injection has only the plain action.  On V^k a diagram
-    acts plainly through its completion, every block carrying any digit
-    1..n; the hat action, distinct digits 1..n on the blocks, takes a
-    ``HatElement`` of a dual element.  On U^k a partial dual element
-    acts plainly (any digit 0..n on each block), by hat (distinct
-    non-zero digits) or by tilde (distinct non-zero digits, any number
-    of zeros); under hat a diagram is wrapped, and the adjoined zero
-    kills everything."""
-    if isinstance(element, PartialInjection):
-        if variant != "plain":
-            raise ValueError("partial injections have only the plain action")
-        return (), ((a, b) for a, b, _ in _rook_triples(element, space, unguarded))
-    if element.k != space.k:
-        raise ValueError("diagram size disagrees with the space")
-    n = space.n
-    if variant == "hat" and (space.kind == "U" or isinstance(element, HatElement)):
-        hat = element if isinstance(element, HatElement) else HatElement.wrap(element)
-        if hat.is_zero:
-            weights, assignments = (), ()
-        else:
-            if space.kind == "V" and not is_dual_element(hat.diagram):
-                raise ValueError("the hat action on V^k needs a dual element")
-            weights = _block_weights(hat.diagram, space)
-            assignments = itertools.permutations(range(1, n + 1), len(weights))
-    elif space.kind == "V":
-        if variant != "plain":
-            raise ValueError("V^k carries only the plain action")
-        weights = _block_weights(element.completed(), space)
-        assignments = itertools.product(range(1, n + 1), repeat=len(weights))
-    elif variant in ("plain", "tilde"):
-        if not is_partial_dual_element(element):
-            raise ValueError(f"the {variant} action needs a partial dual element")
-        weights = _block_weights(element, space)
-        assignments = itertools.product(range(n + 1), repeat=len(weights))
-        if variant == "tilde":
-            assignments = filter(_nonzero_distinct, assignments)
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    space.guard(unguarded)
-    low = space.low
-
-    def pairs():
-        for values in assignments:
-            src = dst = 0
-            for v, (w_in, w_out) in zip(values, weights):
-                src += (v - low) * w_in
-                dst += (v - low) * w_out
-            yield src, dst
-
-    return weights, pairs()
+def _target_rows(element, space: ActionSpace, variant: str, unguarded: bool):
+    """The rows and the rank of an element that a target tuple holds."""
+    layers, distinct, rank = _layers(element, space, variant, unguarded)
+    if rank is None:
+        raise ValueError("a free output block sends a tensor to a sum; use action_matrix")
+    return _expand(layers, distinct), rank
 
 
-def _fill(space: ActionSpace, pairs) -> Targets:
-    """Target tuple from (input, output) ordinal pairs; every input no
-    pair reaches is killed."""
-    targets = [-1] * space.dimension
-    for src, dst in pairs:
+def _fill(d: int, rows) -> Targets:
+    """Target tuple of length d; every input no row reaches is killed."""
+    targets = [-1] * d
+    for src, dst, _ in rows:
         targets[src] = dst
     return tuple(targets)
 
@@ -348,12 +331,22 @@ def action_targets(
     """Target tuple of a partial injection (plain action), or of a
     diagram: a composition element on V^k (the hat element of a dual
     element under hat), a partial dual or hat element on U^k under the
-    given variant.  A free output block sends a tensor to a sum, which
-    no target tuple holds, so it is refused."""
-    weights, pairs = _pairs(element, space, variant, unguarded)
-    if any(not w_in for w_in, _ in weights):
-        raise ValueError("a free output block sends a tensor to a sum; use action_matrix")
-    return _fill(space, pairs)
+    given variant.  A free output block is refused."""
+    return _fill(space.dimension, _target_rows(element, space, variant, unguarded)[0])
+
+
+def action_supports(
+    element, space: ActionSpace, variant: str = "plain", unguarded: bool = False
+) -> tuple:
+    """From one expansion: the target tuple of ``action_targets``, its
+    support (an ``array`` of coordinates row*d + col) and its orbit
+    support, the list of those whose rows carry distinct non-zero
+    digits numbering the rank (for a partial injection, its domain)."""
+    rows, rank = _target_rows(element, space, variant, unguarded)
+    d = space.dimension
+    support = [dst * d + src for src, dst, _ in rows]
+    orbit = [c for c, (_, _, used) in zip(support, rows) if used.bit_count() == rank]
+    return _fill(d, rows), array("q", support), orbit  # 8 bytes a coordinate, not 32
 
 
 def orbit_targets(element, space: ActionSpace, unguarded: bool = False) -> Targets:
@@ -364,12 +357,12 @@ def orbit_targets(element, space: ActionSpace, unguarded: bool = False) -> Targe
     A partial injection pi keeps a tensor only when its set of non-zero
     digits is exactly dom pi.  A diagram acts by its hat action: a
     partial dual element on U^k, a dual element on V^k."""
-    if isinstance(element, PartialInjection):
-        dom = sum(1 << x for x in element.domain())
-        triples = _rook_triples(element, space, unguarded)
-        return _fill(space, ((a, b) for a, b, used in triples if used == dom))
-    hat = element if isinstance(element, HatElement) else HatElement.wrap(element)
-    return _fill(space, _pairs(hat, space, "hat", unguarded)[1])
+    variant = "plain" if isinstance(element, PartialInjection) else "hat"
+    if not isinstance(element, (PartialInjection, HatElement)):
+        element = HatElement.wrap(element)
+    d = space.dimension
+    orbit = action_supports(element, space, variant, unguarded)[2]
+    return _fill(d, [(c % d, c // d, 0) for c in orbit])
 
 
 def action_matrix(
@@ -378,5 +371,5 @@ def action_matrix(
     """The action matrix of an element as ``{(row, col): 1}``, columns
     the inputs.  Every entry is 1: an input goes to one output or, under
     a free output block, to the sum over that block's digits."""
-    _, pairs = _pairs(element, space, variant, unguarded)
-    return {(dst, src): 1 for src, dst in pairs}
+    layers, distinct, _ = _layers(element, space, variant, unguarded)
+    return {(dst, src): 1 for src, dst, _ in _expand(layers, distinct)}

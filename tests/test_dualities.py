@@ -7,14 +7,19 @@ import re
 import pytest
 
 import rookdual.diagrams
+import rookdual.tensor_actions
 from rookdual import (
     GRID,
     ActionSpace,
     DualityCell,
     PartialInjection,
     SizeGuardError,
+    action_targets,
     centralizer_data,
     enumerate_pistar,
+    is_generators,
+    istar_generators,
+    orbit_targets,
     predicted_faithful,
     run_grid,
     targets_commutant,
@@ -119,8 +124,10 @@ def test_centralizer_inclusions_can_fail(right, inside):
     supports = [[t * 4 + c for c, t in enumerate(r) if t >= 0] for r in right]
 
     class Tampered(DualityCell):
-        def span(self, side):
-            return supports if side == "right" else super().span(side)
+        def _certified(self, side):
+            if side == "left":
+                return super()._certified(side)
+            return supports, {x: p for p, support in enumerate(supports) for x in support}
 
     comm, span, right_in, comm_in = Tampered(2, 2, "V").half_centralizer("left")
     assert (comm, span, right_in, comm_in) == (3, len(right), inside, False)
@@ -213,6 +220,43 @@ def test_orbit_count_closed_form_for_U_right_counts_diagrams():
             assert predicted_orbit_counts("U", n, k)[1] == expected
 
 
+def _nonzero(targets):
+    """Coordinates row*d + col of the 1s of a target tuple's matrix."""
+    return {t * len(targets) + c for c, t in enumerate(targets) if t >= 0}
+
+
+@pytest.mark.parametrize(
+    "cell", [("V", 4, 4), ("V", 2, 4), ("V", 4, 3), ("U", 3, 3), ("U", 2, 3)], ids=_cell_id
+)
+def test_cell_supports_match_the_target_tuples(cell):
+    """Above the oracle sizes, every element's plain support in the cell
+    holds exactly the 1s of its ``action_targets`` tuple, and its orbit
+    support those of its ``orbit_targets`` tuple, on both sides."""
+    space, n, k = cell
+    duality = DualityCell(n, k, space)
+    for side in ("left", "right"):
+        parts = zip(duality.elements(side), duality.supports(side), duality.orbits(side))
+        for element, support, orbit in parts:
+            assert set(support) == _nonzero(action_targets(element, duality.space)), element
+            assert set(orbit) == _nonzero(orbit_targets(element, duality.space)), element
+
+
+def test_cell_expands_each_element_once(monkeypatch):
+    """One report at V(4,4) runs the layered expansion once per element
+    of each side and once per generator, and no more."""
+    calls = []
+    expand = rookdual.tensor_actions._expand
+
+    def counted(*args):
+        calls.append(args)
+        return expand(*args)
+
+    monkeypatch.setattr(rookdual.tensor_actions, "_expand", counted)
+    assert DualityCell(4, 4, "V").report().match
+    generators = len(is_generators(4)) + len(istar_generators(4))
+    assert len(calls) == 209 + 339 + generators  # |IS_4| + |I*_4| + generators
+
+
 IDENT, SWAP, EMPTY = (PartialInjection(t) for t in ([1, 2], [2, 1], [None, None]))
 
 
@@ -223,8 +267,10 @@ def _certification_error(side, *elements):
 
 
 def _tampered(method, edit):
-    """V(2,2) whose left ``targets`` or ``orbits`` list first goes
-    through ``edit(items, position_of_element)``."""
+    """V(2,2) whose left ``supports`` (plain) or ``orbits`` list, the
+    two that the certification reads, first goes through
+    ``edit(items, position_of_element)``.  A support is a list of
+    coordinates row*4 + col."""
 
     class Tampered(DualityCell):
         pass
@@ -250,25 +296,25 @@ def test_certification_rejects_overlapping_orbits():
 
 
 def test_certification_rejects_a_plain_tuple_missing_a_coordinate():
-    """Dropping the tensor 12 from the identity's plain tuple leaves the
-    identity's own orbit {12, 21} half covered."""
+    """Dropping the tensor 12 (coordinate 1*4 + 1) from the identity's
+    plain support leaves the identity's own orbit {12, 21} half covered."""
 
-    def drop(targets, at):
-        targets[at(IDENT)] = (0, -1, 2, 3)
+    def drop(supports, at):
+        supports[at(IDENT)] = [0 * 4 + 0, 2 * 4 + 2, 3 * 4 + 3]
 
     with pytest.raises(RuntimeError, match=_certification_error("left", IDENT, IDENT)):
-        _tampered("targets", drop).span("left")
+        _tampered("supports", drop).span("left")
 
 
 def test_certification_rejects_a_plain_entry_outside_every_orbit():
     """On V the empty map acts by zero, and no orbit holds the entry
     (row 0, col 1): the tensor 12 never goes to 11."""
 
-    def add(targets, at):
-        targets[at(EMPTY)] = (-1, 0, -1, -1)
+    def add(supports, at):
+        supports[at(EMPTY)] = [0 * 4 + 1]
 
     with pytest.raises(RuntimeError, match=_certification_error("left", EMPTY)):
-        _tampered("targets", add).span("left")
+        _tampered("supports", add).span("left")
 
 
 def test_certification_rejects_swapped_orbits():
@@ -289,7 +335,7 @@ def test_certification_rejects_an_element_missing_its_own_orbit():
     holds, is one no plain matrix meets."""
 
     def invent(orbits, at):
-        orbits[at(EMPTY)] = (-1, 0, -1, -1)
+        orbits[at(EMPTY)] = [0 * 4 + 1]
 
     with pytest.raises(RuntimeError, match=_certification_error("left", EMPTY)):
         _tampered("orbits", invent).span("left")
