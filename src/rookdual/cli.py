@@ -192,8 +192,9 @@ def _cmd_act(args) -> tuple:
         _require("--rook supports only --variant plain", args.variant == "plain")
         element = parse_element(args.element, "is", args.n)
     elif args.space == "V":
-        _require("--space V supports only --variant plain", args.variant == "plain")
-        element = parse_element(args.element, "composition", args.k)
+        _require("--space V supports only --variant plain or hat", args.variant != "tilde")
+        family = "istar" if args.variant == "hat" else "composition"
+        element = parse_element(args.element, family, args.k)
     else:
         family = "hat" if args.variant == "hat" else "pistar"
         element = parse_element(args.element, family, args.k)

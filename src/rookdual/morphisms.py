@@ -26,11 +26,15 @@ same walks.  Every combination of diagrams is a plain
 All coefficients here, the Moebius ones included, are integers.
 
 Every check of the maps is made by one ``DeformationCell`` per k, which
-enumerates P*_k once and builds each map's images, inverses and inverse
-verdict, and each U^k action, at most once for all of its reports.  Its
+enumerates P*_k once and builds each map's images and inverse verdict,
+and each U^k action support, at most once for all of its reports.  Its
 homomorphism check relabels every domain product from a generic product
 of the two factors' middle rows, made once per pair of rows; the verdict
 rests on the naturality test that pins this to the direct products.
+
+On U^k each map is also an identity of 0/1 matrices: an element's plain
+(tilde) action is the sum of the hat actions of its coarsening sum (block
+subset sum), checked as an equality of sorted supports.
 """
 
 import functools
@@ -184,18 +188,6 @@ class MorphismReport:
         return asdict(self)
 
 
-def _combination(terms: dict, targets: list) -> dict:
-    """Sum of coeff times the matrix of each term's target tuple, terms
-    given on element indices, as {(row, col): coeff} without zero
-    entries."""
-    total: dict = {}
-    for b, coeff in terms.items():
-        for c, t in enumerate(targets[b]):
-            if t >= 0:
-                total[(t, c)] = total.get((t, c), 0) + coeff
-    return {entry: v for entry, v in total.items() if v}
-
-
 def _map_functions(map_name: str) -> tuple:
     """The forward map, its closed-form inverse and the code-level
     product it carries to star, looked up on every call."""
@@ -209,11 +201,11 @@ def _map_functions(map_name: str) -> tuple:
 class DeformationCell:
     """The partial dual elements at one k, shared by every deformation
     check there; the twin of ``dualities.DualityCell``.  P*_k is
-    enumerated and indexed by code once.  Each map's forward images and
-    closed-form inverses on indices (``{index: coeff}`` dicts), each
-    map's inverse verdict and the U^k target tuples of each (n, variant)
-    are built on first use and kept for the cell's lifetime.  ``unguarded``
-    lifts the size guards, as on ``DualityCell``."""
+    enumerated and indexed by code once.  Each map's forward images on
+    indices (``{index: coeff}`` dicts) with its inverse verdict, and the
+    sorted U^k action supports of each (n, variant), are built on first
+    use and kept for the cell's lifetime.  ``unguarded`` lifts the size
+    guards, as on ``DualityCell``."""
 
     def __init__(self, k: int, unguarded: bool = False):
         self.k = k
@@ -230,11 +222,11 @@ class DeformationCell:
         return self._parts[key]
 
     def _map(self, map_name: str) -> tuple:
-        """Each element's forward image and closed-form inverse on
-        indices, and the map's inverse verdict: the stored images carry
-        every inverse back to its element, and the closed-form inverse
-        of the coarsening sum equals the solved one, which
-        ``_inverses_by_solve`` reads off the stored images."""
+        """Each element's forward image on indices, and the map's inverse
+        verdict: the stored images carry every closed-form inverse back
+        to its element, and the closed-form inverse of the coarsening sum
+        equals the solved one, which ``_inverses_by_solve`` reads off the
+        stored images.  The inverses are checked here and not kept."""
         forward, inverse, _ = _map_functions(map_name)
 
         def build():
@@ -244,15 +236,37 @@ class DeformationCell:
             ok = all(trip == {a: 1} for a, trip in enumerate(trips))
             if map_name == "coarsening_sum":
                 ok = ok and inverses == _inverses_by_solve(self.elements, images)
-            return images, inverses, ok
+            return images, ok
 
         return self._part(map_name, build)
 
-    def _targets(self, space: ActionSpace, variant: str) -> list:
-        return self._part(
-            (space.n, variant),
-            lambda: [action_targets(a, space, variant, self.unguarded) for a in self.elements],
+    def _supports(self, n: int, variant: str) -> list:
+        """Each element's action support on U^k under the variant: the
+        sorted coordinates row*d + col of its 1s."""
+        space = ActionSpace("U", n, self.k)
+        d = space.dimension
+
+        def support(alpha):
+            targets = action_targets(alpha, space, variant, self.unguarded)
+            return sorted(t * d + c for c, t in enumerate(targets) if t >= 0)
+
+        return self._part((n, variant), lambda: [support(a) for a in self.elements])
+
+    def _support_sum(self, n: int, variant: str, map_name: str) -> tuple:
+        """Whether every element's action under the variant is the sum of
+        the hat actions of its image's terms, and the map's inverse
+        verdict.  With every coefficient 1 and every term a 0/1 matrix,
+        the sum is exact iff the element's sorted support equals the
+        sorted concatenation of the terms' hat supports: an overlap
+        repeats a coordinate and a gap drops one."""
+        whole, hat = self._supports(n, variant), self._supports(n, "hat")
+        images, inverse_ok = self._map(map_name)
+        ok = all(
+            all(c == 1 for c in image.values())
+            and support == sorted(x for b in image for x in hat[b])
+            for support, image in zip(whole, images)
         )
+        return ok, inverse_ok
 
     def _middle(self) -> tuple:
         """The cell's ``"middle"`` part: the sorted middle rows (keys), each
@@ -311,7 +325,7 @@ class DeformationCell:
         A star product of image terms is non-zero only when the first's
         out-key is the second's in-key; only such pairs are multiplied."""
         multiply = _map_functions(map_name)[2]
-        images, _, inverse_ok = self._map(map_name)
+        images, inverse_ok = self._map(map_name)
         index, codes = self.index, list(self.index)
         keys, out_id, in_id = self._part("middle", self._middle)[:3]
         star = self._part("star", dict)  # p * n + q -> index of their star product
@@ -355,50 +369,28 @@ class DeformationCell:
         )
 
     def hat_consistency(self, n: int) -> MorphismReport:
-        """Tie the plain and deformed U-actions together, three ways.
-
-        For every partial dual element alpha and every input index: (a)
-        if the plain action kills the vector, so does the deformed action
-        of everything above alpha; (b) if the plain action keeps it,
-        exactly one diagram above alpha keeps it under the deformed
-        action.  And (c) the deformed matrix of alpha equals the plain
-        matrix of the inverse coarsening sum of alpha, extended linearly.
-        All three read the action target tuples (-1 = killed).
-        ``inverse_ok`` is the coarsening sum's inverse verdict."""
-        space = ActionSpace("U", n, self.k)
-        plain, hat = self._targets(space, "plain"), self._targets(space, "hat")
-        images, inverses, inverse_ok = self._map("coarsening_sum")
-        zero_ok = unique_ok = matrix_ok = True
-        for a, inv in enumerate(inverses):
-            # the coarsening sum of alpha is its up-set, with coefficients 1
-            uppers = [hat[b] for b in images[a]]
-            for c, t in enumerate(plain[a]):
-                live = sum(1 for targets in uppers if targets[c] >= 0)
-                if t < 0:
-                    zero_ok = zero_ok and not live
-                else:
-                    unique_ok = unique_ok and live == 1
-            if _combination(inv, plain) != _combination({a: 1}, hat):
-                matrix_ok = False
+        """The plain U-action of every partial dual element alpha is the
+        sum of the hat actions of the diagrams above it (its coarsening
+        sum), as an exact sum of 0/1 matrices (``_support_sum``).
+        ``inverse_ok`` is the coarsening sum's inverse verdict: D C = I
+        for the closed-form inverse D, and C is square unitriangular, so
+        C D = I too; with the sum above, the hat action of alpha is then
+        the plain action of its inverse coarsening sum."""
+        ok, inverse_ok = self._support_sum(n, "plain", "coarsening_sum")
         return MorphismReport(
             k=self.k,
             map_name="hat_consistency",
-            pairs_checked=len(self.elements) * space.dimension,
-            homomorphism_ok=zero_ok and unique_ok and matrix_ok,
+            pairs_checked=len(self.elements) * (n + 1) ** self.k,
+            homomorphism_ok=ok,
             inverse_ok=inverse_ok,
         )
 
     def tilde_factorization(self, n: int) -> MorphismReport:
-        """The tilde action of a diagram equals the deformed action of its
-        block subset sum, as an exact matrix identity on U^k.
+        """The tilde U-action of every partial dual element is the sum of
+        the hat actions of its block sub-collections (its block subset
+        sum), as an exact sum of 0/1 matrices (``_support_sum``).
         ``inverse_ok`` is the block subset sum's inverse verdict."""
-        space = ActionSpace("U", n, self.k)
-        hat, tilde = self._targets(space, "hat"), self._targets(space, "tilde")
-        images, _, inverse_ok = self._map("block_subset_sum")
-        ok = all(
-            _combination(image, hat) == _combination({a: 1}, tilde)
-            for a, image in enumerate(images)
-        )
+        ok, inverse_ok = self._support_sum(n, "tilde", "block_subset_sum")
         return MorphismReport(
             k=self.k,
             map_name="tilde_factorization",

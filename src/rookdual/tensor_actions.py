@@ -240,12 +240,12 @@ def _layers(element, space: ActionSpace, variant: str, unguarded: bool):
     A partial injection has only the plain action: each position carries
     a live digit x to its image and U's digit 0 to itself, and any other
     digit kills the tensor.  On V^k a diagram acts plainly through its
-    completion, every block carrying any digit 1..n; the hat action,
-    distinct digits 1..n on the blocks, takes a ``HatElement`` of a dual
-    element.  On U^k a partial dual element acts plainly (any digit 0..n
-    on each block), by hat (distinct non-zero digits) or by tilde
-    (distinct non-zero digits, any number of zeros); under hat a diagram
-    is wrapped, and the adjoined zero kills everything."""
+    completion, every block carrying any digit 1..n, and a dual element
+    acts by hat, distinct digits 1..n on the blocks.  On U^k a partial
+    dual element acts plainly (any digit 0..n on each block), by hat
+    (distinct non-zero digits) or by tilde (distinct non-zero digits, any
+    number of zeros).  Under hat, on either space, a diagram is wrapped as
+    a ``HatElement``, and the adjoined zero kills everything."""
     low, n, base = space.low, space.n, space.n + 1 - space.low
     if isinstance(element, PartialInjection):
         if variant != "plain":
@@ -260,14 +260,14 @@ def _layers(element, space: ActionSpace, variant: str, unguarded: bool):
         return layers, False, element.rank()
     if element.k != space.k:
         raise ValueError("diagram size disagrees with the space")
-    if variant == "hat" and (space.kind == "U" or isinstance(element, HatElement)):
+    if variant == "hat":
         hat = element if isinstance(element, HatElement) else HatElement.wrap(element)
         diagram = hat.diagram
         if diagram is not None and space.kind == "V" and not is_dual_element(diagram):
             raise ValueError("the hat action on V^k needs a dual element")
     elif space.kind == "V":
         if variant != "plain":
-            raise ValueError("V^k carries only the plain action")
+            raise ValueError("V^k carries only the plain and hat actions")
         diagram = element.completed()
     elif variant in ("plain", "tilde"):
         if not is_partial_dual_element(element):
@@ -329,9 +329,9 @@ def action_targets(
     element, space: ActionSpace, variant: str = "plain", unguarded: bool = False
 ) -> Targets:
     """Target tuple of a partial injection (plain action), or of a
-    diagram: a composition element on V^k (the hat element of a dual
-    element under hat), a partial dual or hat element on U^k under the
-    given variant.  A free output block is refused."""
+    diagram: a composition element on V^k under plain, a dual element or
+    its hat element on V^k under hat, a partial dual or hat element on
+    U^k under the given variant.  A free output block is refused."""
     return _fill(space.dimension, _target_rows(element, space, variant, unguarded)[0])
 
 

@@ -21,6 +21,10 @@ package did before a diagram was stored as its block-mask code; the
 products and match sets here complete their factors through them.  None
 of these validates its inputs; callers pass elements of the right
 family.
+``hat_consistency_by_dicts`` and ``tilde_factorization_by_dicts`` check
+the two U-action identities of the deformation maps on
+``{(row, col): coeff}`` matrices, the way the package did before it
+compared sorted 0/1 supports.
 """
 
 import itertools
@@ -31,7 +35,10 @@ from typing import Iterable
 from rookdual import (
     HatElement,
     action_matrix,
+    block_subset_sum,
     canonicalize,
+    coarsening_sum,
+    coarsening_sum_inverse,
     primed,
     targets_commute,
     unprimed,
@@ -625,3 +632,53 @@ def all_elements_commute(cell) -> bool:
     element, pair by pair through ``targets_commute``."""
     rights = cell.targets("right")
     return all(targets_commute(g, a) for g in cell.targets("left") for a in rights)
+
+
+# the deformation identities on coefficient dicts
+
+
+def combination(terms: dict, targets: list) -> dict:
+    """Sum of coeff times the matrix of each term's target tuple, terms
+    given on element indices, as {(row, col): coeff} without zero
+    entries."""
+    total: dict = {}
+    for b, coeff in terms.items():
+        for c, t in enumerate(targets[b]):
+            if t >= 0:
+                total[(t, c)] = total.get((t, c), 0) + coeff
+    return {entry: v for entry, v in total.items() if v}
+
+
+def _on_indices(terms: dict, index: dict) -> dict:
+    return {index[beta.code]: c for beta, c in terms.items()}
+
+
+def hat_consistency_by_dicts(elements, plain, hat) -> bool:
+    """The three old checks tying the plain and hat target tuples of the
+    listed elements: (a) a tensor the plain action kills is killed by
+    the hat action of everything above the element; (b) a tensor it
+    keeps is kept by the hat action of exactly one diagram above; (c)
+    the hat matrix of the element equals the plain matrix of its
+    inverse coarsening sum."""
+    index = {alpha.code: i for i, alpha in enumerate(elements)}
+    for a, alpha in enumerate(elements):
+        uppers = [hat[b] for b in _on_indices(coarsening_sum(alpha), index)]
+        for c, t in enumerate(plain[a]):
+            live = sum(1 for targets in uppers if targets[c] >= 0)
+            if live != (t >= 0):
+                return False
+        inverse = _on_indices(coarsening_sum_inverse(alpha), index)
+        if combination(inverse, plain) != combination({a: 1}, hat):
+            return False
+    return True
+
+
+def tilde_factorization_by_dicts(elements, hat, tilde) -> bool:
+    """The tilde matrix of every listed element equals the hat matrix of
+    its block subset sum, extended linearly."""
+    index = {alpha.code: i for i, alpha in enumerate(elements)}
+    return all(
+        combination(_on_indices(block_subset_sum(alpha), index), hat)
+        == combination({a: 1}, tilde)
+        for a, alpha in enumerate(elements)
+    )

@@ -134,6 +134,16 @@ def test_act_rook_flag(capsys):
     assert out.splitlines() == ["0 0 1"]
 
 
+def test_act_tilde_on_v_names_the_actions_it_has(capsys):
+    code, out, err = run_cli(
+        capsys, "act", "--space", "V", "--n", "2", "--k", "2",
+        "--variant", "tilde", "{1,1'}|{2,2'}",
+    )
+    assert code == 2
+    assert out == ""
+    assert "plain" in err and "hat" in err
+
+
 def test_act_json_entries_are_strings(capsys):
     code, out, _ = run_cli(
         capsys, "act", "--space", "U", "--n", "1", "--k", "1",
@@ -248,6 +258,7 @@ VERIFY_PROPS_SHA256 = {
     ("2", "text"): "2a1169e634ef834e0fc5f5711d7c277e87f01b1270a5b5f9c25ef0dce9a117eb",
     ("3", "json"): "64702fb228840f399154722ed31b70991b4ed93f5aa60641329fddc445b8bbfe",
     ("3", "text"): "d17554d9240d00f67b1e0e93f5013f6caa7a87497e9586789b92dff9091f0b9e",
+    ("4", "json"): "5ea2c2f4d629dfdb8ce64393731cd0cc74d4b46465671fc78b25f251d1ea8f29",
     ("4", "text"): "b677c0e1b3ab492bc9c19af8303e7b49fafd30d8962c72ed4241ff6f160cf31a",
 }
 
@@ -400,6 +411,11 @@ ACT_SHA256 = {
         "189bd74781b6f265677602edd62c41d5b09ad6b0f1fc1be35b7a67c5107d7642",
         "6aa4afea4095a333821f9d2d49a7ffa7b20d24a88fc46dffc5815558a65ba6a7",
     ),
+    # pinned when V took the hat action of a dual element (the orbit basis)
+    ("V", "2", "2", "hat", "{1,1'}|{2,2'}"): (
+        "5574b6a953ab5ddf891961447b8b8f5a198d045561a28d636f52709dfe1bacaf",
+        "55914cd7d3f13ee5743bc578a045b8dae545dd956e7264a90177026359ea46df",
+    ),
     ("V", "3", "2", "rook", "[3,-,1]"): (
         "db280ea5573d411fd705311976adc2b75234c080001eae140013b9464a602f79",
         "0d489a98a95c46af48d9975e475fcd1c1028c4e6d129977378d100a7a680beca",
@@ -506,7 +522,7 @@ def test_out_writes_file(tmp_path, capsys):
     [
         ("enumerate", "--semigroup", "is"),  # missing --n
         ("multiply", "--semigroup", "istar", "--k", "2", "{1,5}", "{1,1',2'}"),
-        ("act", "--space", "V", "--n", "2", "--k", "2", "--variant", "hat", "{1,1'}|{2,2'}"),
+        ("act", "--space", "V", "--n", "2", "--k", "2", "--variant", "tilde", "{1,1'}|{2,2'}"),
         ("commutant", "--n", "1", "--k", "1", "--space", "V", "--side", "right-pistar"),
         ("commutant", "--n", "1", "--k", "1", "--space", "U", "--side", "right-istar"),
         # the right generating sets trip the enumeration guards
@@ -539,6 +555,9 @@ def test_out_writes_file(tmp_path, capsys):
         ("multiply", "--semigroup", "istar", "--k", "1", "{\u00b9,1'}", "{1,1'}"),
         # an --out path that cannot be written
         ("enumerate", "--semigroup", "is", "--n", "1", "--out", "/nonexistent/dir/x.txt"),
+        # the hat action on V takes only a dual element
+        ("act", "--space", "V", "--n", "2", "--k", "2", "--variant", "hat", "{1,1'}|{2}|{2'}"),
+        ("act", "--space", "V", "--n", "2", "--k", "2", "--variant", "hat", "{1,1'}"),
     ],
 )
 def test_usage_errors_exit_two(argv, capsys):

@@ -11,6 +11,7 @@ import pytest
 import rookdual.morphisms
 import rookdual.semigroups
 from rookdual import (
+    ActionSpace,
     DeformationCell,
     SetPartition,
     block_subset_sum,
@@ -28,6 +29,8 @@ from rookdual import (
     primed,
     unprimed,
 )
+
+from oracles import hat_consistency_by_dicts, tilde_factorization_by_dicts
 
 
 def by_text(x: dict) -> dict:
@@ -294,30 +297,108 @@ def test_morphism_report_catches_a_product_wrong_on_one_shape(
     assert report.inverse_ok is True
 
 
-def _corrupt_targets(monkeypatch, variant):
-    """Make the action tuple of the identity under one variant kill the
-    last tensor it keeps."""
+def _kill(targets):
+    """Kill the last tensor the tuple keeps."""
+    c = max(c for c, t in enumerate(targets) if t >= 0)
+    return targets[:c] + (-1,) + targets[c + 1 :]
+
+
+def _swap(targets):
+    """Exchange the outputs of the first two tensors the tuple keeps."""
+    c, e = [c for c, t in enumerate(targets) if t >= 0][:2]
+    wrong = list(targets)
+    wrong[c], wrong[e] = targets[e], targets[c]
+    return tuple(wrong)
+
+
+def _keep(targets):
+    """Keep the first tensor the tuple kills, in place; on the hat action
+    of the identity at U(2, 2) that is (0, 0), which the empty diagram's
+    hat action already keeps."""
+    c = targets.index(-1)
+    return targets[:c] + (c,) + targets[c + 1 :]
+
+
+EDITS = {"kill": _kill, "swap": _swap, "keep": _keep}
+
+
+def _corrupt_targets(monkeypatch, variant, edit=_kill):
+    """Make the action tuple of the identity under one variant go wrong
+    by ``edit``."""
     right = rookdual.morphisms.action_targets
     ident = SetPartition.identity(2)
 
     def wrong(element, space, v="plain", unguarded=False):
         targets = right(element, space, v, unguarded)
         if v == variant and element == ident:
-            c = max(c for c, t in enumerate(targets) if t >= 0)
-            targets = targets[:c] + (-1,) + targets[c + 1 :]
+            targets = edit(targets)
         return targets
 
     monkeypatch.setattr(rookdual.morphisms, "action_targets", wrong)
 
 
-def test_hat_consistency_catches_a_corrupt_tuple(monkeypatch):
-    _corrupt_targets(monkeypatch, "hat")
+@pytest.mark.parametrize("edit", sorted(EDITS))
+def test_hat_consistency_catches_a_corrupt_tuple(edit, monkeypatch):
+    _corrupt_targets(monkeypatch, "hat", EDITS[edit])
     assert DeformationCell(2).hat_consistency(2).homomorphism_ok is False
 
 
-def test_tilde_factorization_catches_a_corrupt_tuple(monkeypatch):
-    _corrupt_targets(monkeypatch, "tilde")
+@pytest.mark.parametrize("edit", sorted(EDITS))
+def test_tilde_factorization_catches_a_corrupt_tuple(edit, monkeypatch):
+    _corrupt_targets(monkeypatch, "tilde", EDITS[edit])
     assert DeformationCell(2).tilde_factorization(2).homomorphism_ok is False
+
+
+def test_tilde_factorization_catches_a_coefficient_two(monkeypatch):
+    """A block subset sum that counts the empty diagram twice in the
+    identity's image no longer gives the tilde action."""
+    right = rookdual.morphisms.block_subset_sum
+
+    def wrong(alpha):
+        terms = right(alpha)
+        if alpha == SetPartition.identity(alpha.k):
+            terms[SetPartition.empty(alpha.k)] = 2
+        return terms
+
+    monkeypatch.setattr(rookdual.morphisms, "block_subset_sum", wrong)
+    assert DeformationCell(2).tilde_factorization(2).homomorphism_ok is False
+
+
+def _dict_verdicts(cell, n):
+    """Both identities checked on coefficient dicts by the oracle, from
+    target tuples read through ``rookdual.morphisms.action_targets``."""
+    space = ActionSpace("U", n, cell.k)
+    plain, hat, tilde = (
+        [rookdual.morphisms.action_targets(a, space, v) for a in cell.elements]
+        for v in ("plain", "hat", "tilde")
+    )
+    return (
+        hat_consistency_by_dicts(cell.elements, plain, hat),
+        tilde_factorization_by_dicts(cell.elements, hat, tilde),
+    )
+
+
+def _support_verdicts(cell, n):
+    return (
+        cell.hat_consistency(n).homomorphism_ok,
+        cell.tilde_factorization(n).homomorphism_ok,
+    )
+
+
+@pytest.mark.parametrize("n,k", [*itertools.product((1, 2, 3), (1, 2, 3)), (2, 4)])
+def test_support_sums_agree_with_the_dict_oracle(n, k):
+    cell = DeformationCell(k)
+    assert _support_verdicts(cell, n) == _dict_verdicts(cell, n) == (True, True)
+
+
+@pytest.mark.parametrize("variant,verdict", [("hat", 0), ("tilde", 1)])
+def test_support_sums_and_the_dict_oracle_both_catch_a_swap(variant, verdict, monkeypatch):
+    """Swapping two outputs of the identity's hat tuple spoils
+    ``hat_consistency``, of its tilde tuple ``tilde_factorization``."""
+    _corrupt_targets(monkeypatch, variant, _swap)
+    cell = DeformationCell(2)
+    assert _support_verdicts(cell, 2)[verdict] is False
+    assert _dict_verdicts(cell, 2)[verdict] is False
 
 
 def test_inverse_ok_catches_a_wrong_mobius_value(monkeypatch):

@@ -385,6 +385,19 @@ def test_identity_acts_as_identity_everywhere():
     assert hat_ident == {(i, i): 1 for i in fixed}
 
 
+def test_hat_action_on_v_takes_a_plain_dual_element():
+    """On V^k, as on U^k, the hat action wraps a plain diagram; the
+    element must still be dual."""
+    spv = ActionSpace("V", 2, 2)
+    ident2 = SetPartition.identity(2)
+    assert action_targets(ident2, spv, "hat") == (-1, 1, 2, -1)
+    assert action_targets(HatElement.wrap(ident2), spv, "hat") == (-1, 1, 2, -1)
+    with pytest.raises(ValueError, match="dual element"):
+        action_targets(parse_element("{1,1'}", "pistar", 2), spv, "hat")
+    with pytest.raises(ValueError, match="plain and hat"):
+        action_targets(ident2, spv, "tilde")
+
+
 def test_variant_validation():
     spu = ActionSpace("U", 2, 2)
     spv = ActionSpace("V", 2, 2)
