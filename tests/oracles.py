@@ -44,6 +44,7 @@ from rookdual import (
     unprimed,
 )
 from rookdual.diagrams import _set_partitions
+from rookdual.morphisms import _on_indices
 
 
 class UnionFind:
@@ -647,10 +648,6 @@ def combination(terms: dict, targets: list) -> dict:
             if t >= 0:
                 total[(t, c)] = total.get((t, c), 0) + coeff
     return {entry: v for entry, v in total.items() if v}
-
-
-def _on_indices(terms: dict, index: dict) -> dict:
-    return {index[beta.code]: c for beta, c in terms.items()}
 
 
 def hat_consistency_by_dicts(elements, plain, hat) -> bool:
