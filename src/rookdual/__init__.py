@@ -36,7 +36,6 @@ from .morphisms import (
     block_subset_sum_inverse,
     coarsening_sum,
     coarsening_sum_inverse,
-    coarsening_sum_inverse_by_solve,
     extend_linearly,
     mobius_merge_drop,
     natural_upper_set,

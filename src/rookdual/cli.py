@@ -20,6 +20,7 @@ from .diagrams import (
     enumerate_is,
     enumerate_istar,
     enumerate_pistar,
+    is_dual_element,
 )
 from .dualities import DualityCell, run_grid
 from .morphisms import DeformationCell
@@ -191,13 +192,15 @@ def _cmd_act(args) -> tuple:
     if args.rook:
         _require("--rook supports only --variant plain", args.variant == "plain")
         element = parse_element(args.element, "is", args.n)
+    elif args.variant == "hat":
+        element = parse_element(args.element, "hat", args.k)
+        dual = args.space == "U" or element.diagram is None or is_dual_element(element.diagram)
+        _require("the hat action on V^k needs a dual element or 0", dual)
     elif args.space == "V":
         _require("--space V supports only --variant plain or hat", args.variant != "tilde")
-        family = "istar" if args.variant == "hat" else "composition"
-        element = parse_element(args.element, family, args.k)
+        element = parse_element(args.element, "composition", args.k)
     else:
-        family = "hat" if args.variant == "hat" else "pistar"
-        element = parse_element(args.element, family, args.k)
+        element = parse_element(args.element, "pistar", args.k)
     matrix = action_matrix(element, space, args.variant, args.unguarded)
     entries = sorted(matrix.items())
     if args.format == "json":

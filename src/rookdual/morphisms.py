@@ -14,9 +14,7 @@ Both are unitriangular, hence invertible over the integers.  The
 inverse of the coarsening sum has a closed form: the Moebius function
 of the merge-and-drop order, a product of partition-lattice factors
 (-1)^(m-1) (m-1)! over merged groups times (-1)^D D! for D dropped
-blocks, read off the one walk of the up-set that also lists it.  A
-generic triangular solve is kept alongside as an independent route to
-the same coefficients.
+blocks, read off the one walk of the up-set that also lists it.
 
 Both maps walk the blocks of a diagram's code (``SetPartition.code``):
 the up-set ORs the masks of each merged group, the subset sum keeps
@@ -28,9 +26,11 @@ All coefficients here, the Moebius ones included, are integers.
 Every check of the maps is made by one ``DeformationCell`` per k, which
 enumerates P*_k once and builds each map's images and inverse verdict,
 and each U^k action support, at most once for all of its reports.  Its
-homomorphism check relabels every domain product from a generic product
-of the two factors' middle rows, made once per pair of rows; the verdict
-rests on the naturality test that pins this to the direct products.
+homomorphism check encodes each 0/1 combination as one exact integer,
+compares all pairs row by row with sums of a table of star products (or
+sampled pairs one by one), and relabels each domain product from a
+generic product of the factors' middle rows, made once per pair of rows,
+which the naturality test pins to the direct products.
 
 On U^k each map is also an identity of 0/1 matrices: an element's plain
 (tilde) action is the sum of the hat actions of its coarsening sum (block
@@ -112,32 +112,6 @@ def coarsening_sum_inverse(alpha: SetPartition) -> dict:
     """Closed-form inverse via the merge-and-drop Moebius function,
     which is never zero, read off the walk of alpha's up-set."""
     return dict(_upper_set_with_mobius(alpha))
-
-
-def _inverses_by_solve(diagrams, uppers) -> list:
-    """Inverse coarsening sum of every diagram in an up-closed list, on
-    indices into the list, by the triangular recursion inv(g) = g - sum
-    of inv(b) over the b strictly above g.  ``uppers[g]`` holds the
-    indices of the up-set of diagram g (the keys of its coarsening sum
-    on indices).  Everything strictly above a diagram has fewer blocks,
-    so in ``sort_key`` order each inverse a diagram needs is solved
-    before the diagram is reached."""
-    solved: list = [None] * len(diagrams)
-    for g in sorted(range(len(diagrams)), key=lambda i: diagrams[i].sort_key()):
-        total = extend_linearly(solved.__getitem__, {b: -1 for b in uppers[g] if b != g})
-        total[g] = total.get(g, 0) + 1
-        solved[g] = {d: c for d, c in total.items() if c}
-    return solved
-
-
-def coarsening_sum_inverse_by_solve(alpha: SetPartition) -> dict:
-    """Inverse computed by the generic triangular recursion instead of
-    the closed form; the two must agree on every element."""
-    diagrams = natural_upper_set(alpha)
-    index = {beta.code: i for i, beta in enumerate(diagrams)}
-    uppers = [_on_indices(coarsening_sum(beta), index) for beta in diagrams]
-    solved = _inverses_by_solve(diagrams, uppers)
-    return {diagrams[d]: c for d, c in solved[index[alpha.code]].items()}
 
 
 def _subsets_with_sign(alpha: SetPartition):
@@ -223,20 +197,16 @@ class DeformationCell:
 
     def _map(self, map_name: str) -> tuple:
         """Each element's forward image on indices, and the map's inverse
-        verdict: the stored images carry every closed-form inverse back
-        to its element, and the closed-form inverse of the coarsening sum
-        equals the solved one, which ``_inverses_by_solve`` reads off the
-        stored images.  The inverses are checked here and not kept."""
+        verdict: the stored images carry every closed-form inverse back to
+        its element, which on all of P*_k proves the closed form is the
+        inverse (D C = I, C square).  The inverses are not kept."""
         forward, inverse, _ = _map_functions(map_name)
 
         def build():
             images = [_on_indices(forward(alpha), self.index) for alpha in self.elements]
-            inverses = [_on_indices(inverse(alpha), self.index) for alpha in self.elements]
+            inverses = (_on_indices(inverse(alpha), self.index) for alpha in self.elements)
             trips = (extend_linearly(images.__getitem__, inv) for inv in inverses)
-            ok = all(trip == {a: 1} for a, trip in enumerate(trips))
-            if map_name == "coarsening_sum":
-                ok = ok and inverses == _inverses_by_solve(self.elements, images)
-            return images, ok
+            return images, all(trip == {a: 1} for a, trip in enumerate(trips))
 
         return self._part(map_name, build)
 
@@ -320,45 +290,73 @@ class DeformationCell:
         pairs are drawn with a fixed seed.  ``inverse_ok`` is the map's
         inverse verdict.
 
-        Each domain product is read off a generic middle-row recipe
-        (``_products``), so the verdict rests on ``test_products_are_natural``.
-        A star product of image terms is non-zero only when the first's
-        out-key is the second's in-key; only such pairs are multiplied."""
+        Every image coefficient must be 1, else the verdict is False.  With
+        m the largest image size and W = (m*m).bit_length(), a combination
+        is then encoded as the integer sum of coeff << (index * W).  Each
+        coefficient of phi(a) * phi(b) counts pairs of image terms, so it
+        is at most m*m < 2**W: the base-2**W digits of every integer
+        compared are its coefficients, and equal integers are equal
+        combinations.  A star product p * q of image terms, non-zero only
+        when p's out-key is q's in-key, is made once per cell and adds the
+        unit 1 << (index * W).
+
+        Exhaustive mode checks one row a at a time: the encodings of
+        phi(ab) over all b, read from ``_products`` in a-major order, must
+        equal the column sums of the table rows of phi(a)'s terms; row p
+        holds, for each b, the units of p times phi(b)'s terms.  Sampled
+        mode compares each drawn pair's sum of units with the encoding of
+        phi(ab).  ``_products`` reads each domain product off a generic
+        middle-row recipe, so the verdict rests on
+        ``test_products_are_natural``."""
         multiply = _map_functions(map_name)[2]
         images, inverse_ok = self._map(map_name)
         index, codes = self.index, list(self.index)
         keys, out_id, in_id = self._part("middle", self._middle)[:3]
         star = self._part("star", dict)  # p * n + q -> index of their star product
-        by_in = []
-        for image in images:
-            groups: list = [()] * len(keys)
-            for q, cq in image.items():
-                groups[in_id[q]] += ((q, cq),)
-            by_in.append(groups)
-
         n = len(codes)
-        if sample_pairs is None:
-            pairs = itertools.product(range(n), repeat=2)
-        else:
-            rng = random.Random(seed)
-            pairs = [
-                (rng.choice(range(n)), rng.choice(range(n))) for _ in range(sample_pairs)
-            ]
+        width = (max(map(len, images)) ** 2).bit_length()
 
-        hom_ok = True
-        for a, b, ab in self._products(multiply, pairs):
-            lhs = images[index[ab]]
-            rhs: dict = {}
-            groups = by_in[b]
-            for p, cp in images[a].items():
-                for q, cq in groups[out_id[p]]:
-                    r = star.get(p * n + q)
-                    if r is None:
-                        r = star[p * n + q] = index[star_codes(codes[p], codes[q])]
-                    rhs[r] = rhs.get(r, 0) + cp * cq
-            if lhs != {r: c for r, c in rhs.items() if c}:
-                hom_ok = False
-                break
+        def unit(p, q):
+            r = star.get(p * n + q)
+            if r is None:
+                r = star[p * n + q] = index[star_codes(codes[p], codes[q])]
+            return 1 << r * width
+
+        def encode(image):
+            return sum(1 << r * width for r in image)
+
+        by_in: list = [[()] * len(keys) for _ in images]  # [b][L]: phi(b)'s terms of in-key L
+        for groups, image in zip(by_in, images):
+            for q in image:
+                groups[in_id[q]] += (q,)
+
+        hom_ok = all(c == 1 for image in images for c in image.values())
+        if hom_ok and sample_pairs is None:
+            encodings = [encode(image) for image in images]
+            shared = {e: e for e in encodings}  # equal sums share one int, to save memory
+            users = [[(b, g[L]) for b, g in enumerate(by_in) if g[L]] for L in range(len(keys))]
+            table = []  # table[p][b]: the sum of the units of p times by_in[b][out_id[p]]
+            for p in range(n):
+                units = {q: unit(p, q) for _, qs in users[out_id[p]] for q in qs}
+                row = [0] * n
+                for b, qs in users[out_id[p]]:
+                    total = sum(map(units.__getitem__, qs))
+                    row[b] = shared.setdefault(total, total)
+                table.append(row)
+            products = self._products(multiply, itertools.product(range(n), repeat=2))
+            hom_ok = all(
+                [encodings[index[ab]] for _, _, ab in itertools.islice(products, n)]
+                == list(map(sum, zip(*(table[p] for p in image))))
+                for image in images
+            )
+        elif hom_ok:
+            rng = random.Random(seed)
+            pairs = [(rng.choice(range(n)), rng.choice(range(n))) for _ in range(sample_pairs)]
+            hom_ok = all(
+                encode(images[index[ab]])
+                == sum(unit(p, q) for p in images[a] for q in by_in[b][out_id[p]])
+                for a, b, ab in self._products(multiply, pairs)
+            )
 
         return MorphismReport(
             k=self.k,

@@ -24,9 +24,14 @@ family.
 ``hat_consistency_by_dicts`` and ``tilde_factorization_by_dicts`` check
 the two U-action identities of the deformation maps on
 ``{(row, col): coeff}`` matrices, the way the package did before it
-compared sorted 0/1 supports.
+compared sorted 0/1 supports, and ``homomorphism_by_dicts`` checks a
+deformation map's homomorphism identity pair by pair on ``{index:
+coeff}`` dicts, the way it did before it encoded 0/1 combinations as
+integers.  ``coarsening_sum_inverse_by_solve`` inverts the coarsening
+sum by the generic triangular recursion instead of the closed form.
 """
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -39,6 +44,8 @@ from rookdual import (
     canonicalize,
     coarsening_sum,
     coarsening_sum_inverse,
+    extend_linearly,
+    natural_upper_set,
     primed,
     targets_commute,
     unprimed,
@@ -679,3 +686,45 @@ def tilde_factorization_by_dicts(elements, hat, tilde) -> bool:
         == combination({a: 1}, tilde)
         for a, alpha in enumerate(elements)
     )
+
+
+def homomorphism_by_dicts(elements, forward, multiply, star, pairs) -> bool:
+    """phi(ab) = phi(a) * phi(b) on every listed pair of element indices,
+    for phi = ``forward``: the right side summed over every pair of image
+    terms as an ``{index: coeff}`` dict, the domain product ``multiply``
+    and the star product ``star`` (None for the zero) applied to codes
+    directly."""
+    index = {alpha.code: i for i, alpha in enumerate(elements)}
+    codes = list(index)
+    image = functools.cache(lambda a: _on_indices(forward(elements[a]), index))
+    for a, b in pairs:
+        rhs: dict = {}
+        for p, cp in image(a).items():
+            for q, cq in image(b).items():
+                pq = star(codes[p], codes[q])
+                if pq is not None:
+                    rhs[index[pq]] = rhs.get(index[pq], 0) + cp * cq
+        if image(index[multiply(codes[a], codes[b])]) != {r: c for r, c in rhs.items() if c}:
+            return False
+    return True
+
+
+# the coarsening sum inverted by a triangular solve
+
+
+def coarsening_sum_inverse_by_solve(alpha) -> dict:
+    """Inverse coarsening sum of alpha by the generic triangular recursion
+    inv(g) = g - sum of inv(b) over the b strictly above g, over the
+    up-set of alpha, instead of the closed form; the two must agree on
+    every element.  Everything strictly above a diagram has fewer blocks,
+    so in ``sort_key`` order each inverse a diagram needs is solved before
+    the diagram is reached."""
+    diagrams = natural_upper_set(alpha)
+    index = {beta.code: i for i, beta in enumerate(diagrams)}
+    solved: list = [None] * len(diagrams)
+    for g in sorted(range(len(diagrams)), key=lambda i: diagrams[i].sort_key()):
+        above = {b: -1 for b in _on_indices(coarsening_sum(diagrams[g]), index) if b != g}
+        total = extend_linearly(solved.__getitem__, above)
+        total[g] = total.get(g, 0) + 1
+        solved[g] = {d: c for d, c in total.items() if c}
+    return {diagrams[d]: c for d, c in solved[index[alpha.code]].items()}

@@ -144,6 +144,28 @@ def test_act_tilde_on_v_names_the_actions_it_has(capsys):
     assert "plain" in err and "hat" in err
 
 
+def test_act_hat_on_v_takes_the_zero_and_refuses_a_non_dual_element(capsys):
+    """Under hat, V parses its element as U does: the adjoined zero kills
+    every tensor, while a partial dual element that is not dual is a
+    usage error."""
+    for space in ("V", "U"):
+        code, out, err = run_cli(
+            capsys, "act", "--space", space, "--n", "2", "--k", "2",
+            "--variant", "hat", "--format", "json", "0",
+        )
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        assert payload["entries"] == []
+        assert payload["rows"] == (4 if space == "V" else 9)
+    code, out, err = run_cli(
+        capsys, "act", "--space", "V", "--n", "2", "--k", "2",
+        "--variant", "hat", "{1,1'}",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: the hat action on V^k needs a dual element or 0\n"
+
+
 def test_act_json_entries_are_strings(capsys):
     code, out, _ = run_cli(
         capsys, "act", "--space", "U", "--n", "1", "--k", "1",

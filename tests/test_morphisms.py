@@ -20,7 +20,6 @@ from rookdual import (
     canonicalize,
     coarsening_sum,
     coarsening_sum_inverse,
-    coarsening_sum_inverse_by_solve,
     enumerate_pistar,
     extend_linearly,
     mobius_merge_drop,
@@ -30,7 +29,12 @@ from rookdual import (
     unprimed,
 )
 
-from oracles import hat_consistency_by_dicts, tilde_factorization_by_dicts
+from oracles import (
+    coarsening_sum_inverse_by_solve,
+    hat_consistency_by_dicts,
+    homomorphism_by_dicts,
+    tilde_factorization_by_dicts,
+)
 
 
 def by_text(x: dict) -> dict:
@@ -297,6 +301,100 @@ def test_morphism_report_catches_a_product_wrong_on_one_shape(
     assert report.inverse_ok is True
 
 
+MAPS = {"coarsening_sum": "pistar_codes", "block_subset_sum": "bullet_codes"}
+
+
+def _wrong_star(monkeypatch, k, map_name=None):
+    """Make the star product of {1,1'} with itself, and of no other pair
+    of codes, drop its last block."""
+    one = parse_element("{1,1'}", "pistar", k).code
+    right = rookdual.morphisms.star_codes
+
+    def wrong(a, b):
+        return right(a, b)[:-1] if a == b == one else right(a, b)
+
+    monkeypatch.setattr(rookdual.morphisms, "star_codes", wrong)
+
+
+def _last_block_product(monkeypatch, k, map_name):
+    product = MAPS[map_name]
+    right = getattr(rookdual.morphisms, product)
+    monkeypatch.setattr(rookdual.morphisms, product, lambda a, b: right(a, b)[:-1])
+
+
+FAULTS = {"none": lambda *args: None, "star": _wrong_star, "product": _last_block_product}
+
+
+@pytest.mark.parametrize("sample_pairs", [None, 2000])
+@pytest.mark.parametrize("map_name", sorted(MAPS))
+def test_homomorphism_catches_a_star_product_wrong_on_one_pair(
+    map_name, sample_pairs, monkeypatch
+):
+    """At k = 3 the term {1,1'} lies in the images of the 12 elements with
+    that block, so 144 of all pairs, and about 17 of 2,000 seeded ones,
+    multiply it by itself; a star product wrong only on that pair of
+    terms spoils the row check and the sampled check."""
+    _wrong_star(monkeypatch, 3)
+    report = DeformationCell(3).homomorphism(map_name, sample_pairs, seed=7)
+    assert report.homomorphism_ok is False
+    assert report.inverse_ok is True
+
+
+@pytest.mark.parametrize("sample_pairs", [None, 200])
+@pytest.mark.parametrize("map_name", sorted(MAPS))
+def test_homomorphism_catches_a_coefficient_two(map_name, sample_pairs, monkeypatch):
+    """A forward map that counts the empty diagram twice in the
+    identity's image has left the 0/1 combinations the integer encoding
+    is exact on, so the verdict is False, not a silent pass."""
+    right = getattr(rookdual.morphisms, map_name)
+
+    def wrong(alpha):
+        terms = right(alpha)
+        if alpha == SetPartition.identity(alpha.k):
+            terms[SetPartition.empty(alpha.k)] = 2
+        return terms
+
+    monkeypatch.setattr(rookdual.morphisms, map_name, wrong)
+    report = DeformationCell(2).homomorphism(map_name, sample_pairs=sample_pairs)
+    assert report.homomorphism_ok is False
+
+
+def _dict_homomorphism(cell, map_name, pairs):
+    """The oracle's verdict, through the functions ``rookdual.morphisms``
+    looks up, so a fault patched there reaches both routes."""
+    return homomorphism_by_dicts(
+        cell.elements,
+        getattr(rookdual.morphisms, map_name),
+        getattr(rookdual.morphisms, MAPS[map_name]),
+        rookdual.morphisms.star_codes,
+        pairs,
+    )
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+@pytest.mark.parametrize("map_name", sorted(MAPS))
+@pytest.mark.parametrize("k", [1, 2])
+def test_row_check_agrees_with_the_dict_oracle(k, map_name, fault, monkeypatch):
+    """Every pair at k <= 2: the encoded row check and the per-pair
+    coefficient dicts give the same verdict, right or faulted."""
+    FAULTS[fault](monkeypatch, k, map_name)
+    cell = DeformationCell(k)
+    pairs = itertools.product(range(len(cell.elements)), repeat=2)
+    verdict = cell.homomorphism(map_name).homomorphism_ok
+    assert verdict == _dict_homomorphism(cell, map_name, pairs) == (fault == "none")
+
+
+@pytest.mark.parametrize("map_name", sorted(MAPS))
+def test_sampled_check_agrees_with_the_dict_oracle_at_k4(map_name):
+    """The 1,000 pairs the CLI samples at k = 4 (seed 2024)."""
+    cell = DeformationCell(4)
+    n = len(cell.elements)
+    rng = random.Random(2024)
+    pairs = [(rng.choice(range(n)), rng.choice(range(n))) for _ in range(1000)]
+    verdict = cell.homomorphism(map_name, sample_pairs=1000).homomorphism_ok
+    assert verdict == _dict_homomorphism(cell, map_name, pairs) is True
+
+
 def _kill(targets):
     """Kill the last tensor the tuple keeps."""
     c = max(c for c, t in enumerate(targets) if t >= 0)
@@ -403,9 +501,9 @@ def test_support_sums_and_the_dict_oracle_both_catch_a_swap(variant, verdict, mo
 
 def test_inverse_ok_catches_a_wrong_mobius_value(monkeypatch):
     """A Moebius value off by one on the empty diagram spoils the
-    closed-form inverse: it no longer equals the solved one, and its
-    round trip is no longer the basis element.  The closed form reads
-    its values off the walk of the up-set, so the walk is corrupted."""
+    closed-form inverse: its round trip is no longer the basis element.
+    The closed form reads its values off the walk of the up-set, so the
+    walk is corrupted."""
     right = rookdual.morphisms._upper_set_with_mobius
 
     def wrong(alpha):
@@ -434,8 +532,8 @@ def test_inverse_ok_catches_a_flipped_sign(monkeypatch):
 
 
 def test_inverse_ok_catches_an_extra_term(monkeypatch):
-    """A closed-form coarsening sum inverse with one term too many
-    differs from the solved inverse."""
+    """A closed-form coarsening sum inverse with one term too many no
+    longer carries the empty diagram back to itself."""
     right = rookdual.morphisms.coarsening_sum_inverse
 
     def wrong(alpha):
@@ -451,8 +549,7 @@ def test_inverse_ok_catches_an_extra_term(monkeypatch):
 def test_inverse_ok_catches_a_wrong_forward_image(monkeypatch):
     """The round trip sums the stored images of the inverse's terms, so
     a coarsening sum that forgets the empty diagram in the identity's
-    image spoils it.  The solved inverse reads its up-sets from the same
-    stored images, so it also stops agreeing with the closed form."""
+    image spoils it."""
     right = rookdual.morphisms.coarsening_sum
 
     def wrong(alpha):
