@@ -189,21 +189,6 @@ class SetPartition:
     def support(self) -> frozenset:
         return frozenset(p for block in self.blocks for p in block)
 
-    def block_count(self) -> int:
-        return len(self.code)
-
-    def block_of(self) -> dict:
-        """Map point -> index of its block."""
-        return {p: i for i, block in enumerate(self.blocks) for p in block}
-
-    def in_part(self, block) -> tuple:
-        """Unprimed indices of a block, ascending."""
-        return tuple(p.index for p in block if not p.primed)
-
-    def out_part(self, block) -> tuple:
-        """Primed indices of a block, ascending."""
-        return tuple(p.index for p in block if p.primed)
-
     def completed(self):
         """Fill every uncovered point in as a singleton block (the
         embedding of partial diagrams into partitions of all 2k points).

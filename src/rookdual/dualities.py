@@ -13,13 +13,13 @@ Every verdict at one (n, k, space) cell is made by one ``DualityCell``,
 whose methods take a side: ``"left"`` (the rook monoid) or ``"right"``
 (the dual or partial dual monoid).  It lists each side's generators
 (``is_generators`` on the left, ``istar_generators`` or
-``pistar_generators`` on the right) and its elements, and expands each
-element's action once (``action_supports``: target tuple, plain support
-and orbit support) when a check first asks for it, so a check never
-pays for a size guard it does not need.  On the tuples, semigroup
-faithfulness is distinctness.  ``DualityCell.report`` runs every check
-and compares the faithfulness verdicts with ``predicted_faithful``;
-``run_grid`` reports on ``GRID``, where every cell runs in full.
+``pistar_generators`` on the right) and its elements.  It expands
+each element's action once, into its plain and orbit supports
+(``action_supports``), when a check first asks for its span, so a check
+never pays for a size guard it does not need; no element's target tuple
+is built or kept.  ``DualityCell.report`` runs every check and compares
+the faithfulness verdicts with ``predicted_faithful``; ``run_grid``
+reports on ``GRID``, where every cell runs in full.
 
 Spans are counted on the orbit bases of the two actions
 (``orbit_targets``: the rook groupoid basis on the left, the hat action
@@ -28,7 +28,9 @@ on the right, on V^k as on U^k), not row-reduced.
 unitriangular 0/1 sum of orbit matrices with disjoint supports, and
 returns the non-zero orbit supports: the span's dimension is their
 number, and a matrix lies in the span exactly when it is constant on
-every support and zero off them.
+every support and zero off them.  Each plain matrix is then the sum of
+the orbit matrices it touches, so semigroup faithfulness is a count of
+the distinct sets of orbits that the elements touch.
 
 A commutant is a list of classes of matrix coordinates
 (``targets_commutant``, a union-find graded by the generators'
@@ -153,8 +155,9 @@ class DualityReport:
 
 class DualityCell:
     """The two actions at one (n, k, space) cell, shared by every check
-    there.  Element lists, target tuples and orbit supports are built on
-    first use and kept for the cell's lifetime."""
+    there.  Element lists, generator tuples and the certified orbit
+    supports are built on first use and kept for the cell's lifetime;
+    the elements' plain supports live only while ``_certify`` runs."""
 
     def __init__(self, n: int, k: int, space: str, unguarded=False):
         self.n = n
@@ -168,15 +171,6 @@ class DualityCell:
             self._parts[key] = build()
         return self._parts[key]
 
-    def _expanded(self, key: str, side: str) -> list:
-        """One of a side's three ``action_supports`` lists, built together."""
-        if (key, side) not in self._parts:
-            built = zip(*(action_supports(e, self.space, "plain", self.unguarded)
-                          for e in self.elements(side)))
-            for name, column in zip(("targets", "supports", "orbits"), built):
-                self._parts[name, side] = list(column)
-        return self._parts[key, side]
-
     def elements(self, side: str) -> list:
         """Every element of one side, in enumeration order.  Every method
         that takes a side reaches it through here, which refuses a side
@@ -185,15 +179,6 @@ class DualityCell:
             return self._part("left", lambda: enumerate_is(self.n, self.unguarded))
         enum = enumerate_istar if self.space.kind == "V" else enumerate_pistar
         return self._part("right", lambda: enum(self.k, self.unguarded))
-
-    def targets(self, side: str) -> list:
-        """Targets of every element of one side, in enumeration order."""
-        return self._expanded("targets", side)
-
-    def supports(self, side: str) -> list:
-        """Plain supports (coordinates row*d + col of the 1s) of one side;
-        the certification reads and drops them, so they never outlive it."""
-        return self._expanded("supports", side)
 
     def generators(self, side: str) -> list:
         """Targets of a monoid generating set of one side: ``is_generators``
@@ -209,10 +194,12 @@ class DualityCell:
 
         return self._part(("generators", side), build)
 
-    def orbits(self, side: str) -> list:
-        """Orbit supports of one side (see ``orbit_targets``), built with the
-        plain tuples and supports and kept for the cell's lifetime."""
-        return self._expanded("orbits", side)
+    def _expansions(self, side: str) -> list:
+        """The (plain support, orbit support) pair of ``action_supports``
+        for every element of one side, in enumeration order, built afresh
+        on each call; ``_certify`` is its only reader."""
+        return [action_supports(e, self.space, "plain", self.unguarded)
+                for e in self.elements(side)]
 
     def span(self, side: str) -> list:
         """The span of one side's element matrices, as the supports of
@@ -221,7 +208,8 @@ class DualityCell:
         return self._certified(side)[0]
 
     def _certified(self, side: str) -> tuple:
-        """The span and its coordinate map, until ``half_centralizer`` reads it."""
+        """The span, its coordinate map (until ``half_centralizer`` reads
+        it) and the number of distinct touched sets."""
         return self._part(("span", side), lambda: self._certify(side))
 
     def order(self, side: str):
@@ -237,9 +225,11 @@ class DualityCell:
         return lambda a, b: block_union_leq(elements[a], elements[b])
 
     def _certify(self, side: str) -> tuple:
-        """The non-zero orbit supports of one side and the map from their
-        coordinates to their positions, after three exact checks that
-        make them a basis of the span of the plain matrices:
+        """The non-zero orbit supports of one side, the map from their
+        coordinates to their positions, and the number of distinct sets
+        of positions that the plain matrices touch, after three exact
+        checks that make the supports a basis of the span of the plain
+        matrices:
 
         1. the orbit supports are pairwise disjoint;
         2. every coordinate of each plain matrix lies in the orbit of an
@@ -251,9 +241,7 @@ class DualityCell:
         the cell, the side and the element or pair of elements."""
         elements = self.elements(side)
         where = f"orbit certification at {self.space.kind}({self.n},{self.k}) {side}"
-        plain = self.supports(side)
-        self._parts.pop(("supports", side), None)
-        orbits = self.orbits(side)
+        plain, orbits = zip(*self._expansions(side))
         of = [b for b, orbit in enumerate(orbits) if orbit]  # the element at each position
         owner = {}
         for p, b in enumerate(of):
@@ -263,7 +251,7 @@ class DualityCell:
                         f"{where}: the orbits of {elements[of[owner[x]]]} and "
                         f"{elements[b]} overlap"
                     )
-        allowed = self.order(side)
+        allowed, touched_sets = self.order(side), set()
         for a, support in enumerate(plain):
             touched = Counter(map(owner.get, support))
             if None in touched:
@@ -282,7 +270,8 @@ class DualityCell:
                     )
             if orbits[a] and owner[orbits[a][0]] not in touched:
                 raise RuntimeError(f"{where}: {elements[a]} misses its own orbit")
-        return [orbits[b] for b in of], owner
+            touched_sets.add(frozenset(touched))
+        return [orbits[b] for b in of], owner, len(touched_sets)
 
     def commutant(self, side: str) -> list:
         """Commutant basis of one side as coordinate classes, solved on
@@ -300,8 +289,8 @@ class DualityCell:
         def build():
             classes = self.commutant(side)
             other = "right" if side == "left" else "left"
-            supports, owner = self._certified(other)
-            self._parts["span", other] = supports, None
+            supports, owner, distinct = self._certified(other)
+            self._parts["span", other] = supports, None, distinct
             class_of = {x: i for i, members in enumerate(classes) for x in members}
             return (
                 len(classes),
@@ -326,9 +315,13 @@ class DualityCell:
         )
 
     def semigroup_faithful(self, side: str) -> bool:
-        """Distinct elements act by distinct target tuples."""
-        targets = self.targets(side)
-        return len(set(targets)) == len(targets)
+        """Distinct elements act by distinct matrices.  ``_certify``
+        proves that every plain matrix is the sum of the orbit matrices
+        it touches, and that these have disjoint non-empty supports; so
+        two elements act alike exactly when they touch the same set of
+        orbits, and the side acts faithfully when its elements touch as
+        many distinct sets as there are elements."""
+        return self._certified(side)[2] == len(self.elements(side))
 
     def algebra_faithful(self, side: str) -> bool:
         """The element matrices are linearly independent, i.e. every

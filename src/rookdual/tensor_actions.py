@@ -21,10 +21,10 @@ skip a choice whose digit is used.  Four functions read the rows:
   zero, so its matrix has column c with its only 1 in row T[c].
   Products of these matrices are compositions of tuples, and
   commutation is ``targets_commute``.
-* ``action_supports`` gives, from one expansion, the target tuple, its
-  support (the coordinates row*d + col of its 1s) and its orbit
-  support (below), read off the rows; ``orbit_targets`` is filled from
-  the orbit support.
+* ``action_supports`` gives, from one expansion, the support of the
+  matrix that ``action_targets`` stores (the coordinates row*d + col of
+  its 1s) and its orbit support (below), read off the rows;
+  ``orbit_targets`` is filled from the orbit support.
 * ``action_matrix`` writes the rows as ``{(row, col): 1}``.  Only a
   composition element with a free output block (a block with output
   positions but no input position) needs it: a free block adds nothing
@@ -134,14 +134,6 @@ class ActionSpace:
                 raise ValueError(f"digit {digit} outside {self.low}..{self.n}")
             o = o * base + (digit - self.low)
         return o
-
-    def index_at(self, ordinal: int) -> TensorIndex:
-        base = self.n + 1 - self.low
-        digits = []
-        for _ in range(self.k):
-            ordinal, d = divmod(ordinal, base)
-            digits.append(d + self.low)
-        return tuple(reversed(digits))
 
 
 def targets_commute(g: Targets, a: Targets) -> bool:
@@ -338,15 +330,16 @@ def action_targets(
 def action_supports(
     element, space: ActionSpace, variant: str = "plain", unguarded: bool = False
 ) -> tuple:
-    """From one expansion: the target tuple of ``action_targets``, its
-    support (an ``array`` of coordinates row*d + col) and its orbit
-    support, the list of those whose rows carry distinct non-zero
-    digits numbering the rank (for a partial injection, its domain)."""
+    """From one expansion: the support of the matrix of
+    ``action_targets`` (an ``array`` of coordinates row*d + col, one per
+    input the action keeps) and its orbit support, the list of those
+    whose rows carry distinct non-zero digits numbering the rank (for a
+    partial injection, its domain)."""
     rows, rank = _target_rows(element, space, variant, unguarded)
     d = space.dimension
     support = [dst * d + src for src, dst, _ in rows]
     orbit = [c for c, (_, _, used) in zip(support, rows) if used.bit_count() == rank]
-    return _fill(d, rows), array("q", support), orbit  # 8 bytes a coordinate, not 32
+    return array("q", support), orbit  # 8 bytes a coordinate, not 32
 
 
 def orbit_targets(element, space: ActionSpace, unguarded: bool = False) -> Targets:
@@ -361,7 +354,7 @@ def orbit_targets(element, space: ActionSpace, unguarded: bool = False) -> Targe
     if not isinstance(element, (PartialInjection, HatElement)):
         element = HatElement.wrap(element)
     d = space.dimension
-    orbit = action_supports(element, space, variant, unguarded)[2]
+    orbit = action_supports(element, space, variant, unguarded)[1]
     return _fill(d, [(c % d, c // d, 0) for c in orbit])
 
 

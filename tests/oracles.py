@@ -20,7 +20,10 @@ point blocks and rebuild results through ``canonicalize``, the way the
 package did before a diagram was stored as its block-mask code; the
 products and match sets here complete their factors through them.  None
 of these validates its inputs; callers pass elements of the right
-family.
+family.  ``block_of``, ``in_part``, ``out_part``, ``block_count`` and
+``index_at`` are the point-level and tensor-index readers that only the
+tests use.  ``cell_targets`` lists the target tuples of a
+``DualityCell`` side for the oracles that read tuples.
 ``hat_consistency_by_dicts`` and ``tilde_factorization_by_dicts`` check
 the two U-action identities of the deformation maps on
 ``{(row, col): coeff}`` matrices, the way the package did before it
@@ -40,6 +43,7 @@ from typing import Iterable
 from rookdual import (
     HatElement,
     action_matrix,
+    action_targets,
     block_subset_sum,
     canonicalize,
     coarsening_sum,
@@ -76,6 +80,25 @@ class UnionFind:
 
 
 # the point-level diagram operations
+
+
+def block_of(alpha) -> dict:
+    """Map point -> index of its block in ``alpha.blocks``."""
+    return {p: i for i, block in enumerate(alpha.blocks) for p in block}
+
+
+def in_part(block) -> tuple:
+    """Unprimed indices of a block, ascending."""
+    return tuple(p.index for p in block if not p.primed)
+
+
+def out_part(block) -> tuple:
+    """Primed indices of a block, ascending."""
+    return tuple(p.index for p in block if p.primed)
+
+
+def block_count(alpha) -> int:
+    return len(alpha.code)
 
 
 def block_masks_on_points(alpha) -> tuple:
@@ -264,8 +287,8 @@ def match_set_c(alpha, i, n) -> set:
     out = [0] * k
     free = []
     for block in alpha.blocks:
-        ins = alpha.in_part(block)
-        outs = alpha.out_part(block)
+        ins = in_part(block)
+        outs = out_part(block)
         if ins:
             v = i[ins[0] - 1]
             if any(i[a - 1] != v for a in ins[1:]):
@@ -290,7 +313,7 @@ def _block_values(alpha, i):
     """Per-block digit forced by the input positions, or None on clash."""
     values = []
     for block in alpha.blocks:
-        ins = alpha.in_part(block)
+        ins = in_part(block)
         v = i[ins[0] - 1]
         if any(i[a - 1] != v for a in ins[1:]):
             return None
@@ -306,7 +329,7 @@ def _uncovered_inputs_zero(alpha, i) -> bool:
 def _assemble_output(alpha, values):
     out = [0] * alpha.k
     for block, v in zip(alpha.blocks, values):
-        for b in alpha.out_part(block):
+        for b in out_part(block):
             out[b - 1] = v
     return tuple(out)
 
@@ -356,7 +379,7 @@ def block_union_leq_on_points(alpha, beta) -> bool:
     blocks of alpha, and beta may drop alpha-blocks entirely."""
     if alpha.k != beta.k:
         raise ValueError("cannot compare partitions with different k")
-    owner = alpha.block_of()
+    owner = block_of(alpha)
     for block in beta.blocks:
         used = set()
         for p in block:
@@ -635,11 +658,28 @@ def flat_targets_commutant(sources, d: int) -> list:
     return sorted((tuple(m) for m in members.values()), key=lambda m: m[-1])
 
 
+def index_at(space, ordinal: int) -> tuple:
+    """The tensor index at an ordinal of an ``ActionSpace``, the inverse
+    of ``space.ordinal``."""
+    base = space.n + 1 - space.low
+    digits = []
+    for _ in range(space.k):
+        ordinal, d = divmod(ordinal, base)
+        digits.append(d + space.low)
+    return tuple(reversed(digits))
+
+
+def cell_targets(cell, side: str) -> list:
+    """The plain ``action_targets`` tuple of every element of one side of
+    a ``DualityCell``, in enumeration order; the cell keeps none."""
+    return [action_targets(e, cell.space, "plain", cell.unguarded) for e in cell.elements(side)]
+
+
 def all_elements_commute(cell) -> bool:
     """Every left element of a ``DualityCell`` commutes with every right
     element, pair by pair through ``targets_commute``."""
-    rights = cell.targets("right")
-    return all(targets_commute(g, a) for g in cell.targets("left") for a in rights)
+    rights = cell_targets(cell, "right")
+    return all(targets_commute(g, a) for g in cell_targets(cell, "left") for a in rights)
 
 
 # the deformation identities on coefficient dicts

@@ -3,6 +3,7 @@ the spans, and the grid runner."""
 
 import math
 import re
+import tracemalloc
 
 import pytest
 
@@ -25,7 +26,7 @@ from rookdual import (
     targets_commutant,
 )
 
-from oracles import all_elements_commute, rowspace_half_centralizer
+from oracles import all_elements_commute, cell_targets, index_at, rowspace_half_centralizer
 
 
 def test_commutation_on_the_core_grid():
@@ -51,7 +52,7 @@ def test_commute_ok_fails_on_a_left_generator_outside_the_right_commutant(monkey
     commutant, so the cell neither commutes nor matches."""
     space = ActionSpace("V", 2, 3)
     cycle = tuple(
-        space.ordinal(space.index_at(c)[1:] + space.index_at(c)[:1])
+        space.ordinal(index_at(space, c)[1:] + index_at(space, c)[:1])
         for c in range(space.dimension)
     )
     generators = DualityCell.generators
@@ -127,7 +128,8 @@ def test_centralizer_inclusions_can_fail(right, inside):
         def _certified(self, side):
             if side == "left":
                 return super()._certified(side)
-            return supports, {x: p for p, support in enumerate(supports) for x in support}
+            owner = {x: p for p, support in enumerate(supports) for x in support}
+            return supports, owner, len(supports)
 
     comm, span, right_in, comm_in = Tampered(2, 2, "V").half_centralizer("left")
     assert (comm, span, right_in, comm_in) == (3, len(right), inside, False)
@@ -161,7 +163,7 @@ def test_orbit_spans_match_the_rowspace_oracle(cell):
     duality = OneSolve(n, k, space)
     for side, other in (("left", "right"), ("right", "left")):
         classes = duality.commutant(side)
-        expected = rowspace_half_centralizer(classes, duality.targets(other))
+        expected = rowspace_half_centralizer(classes, cell_targets(duality, other))
         assert duality.half_centralizer(side) == (len(classes), *expected), side
 
 
@@ -177,7 +179,7 @@ def test_right_commutant_of_generators_is_that_of_all_elements(cell):
     tests cover them."""
     space, n, k = cell
     duality = DualityCell(n, k, space)
-    every = targets_commutant(duality.targets("right"), duality.space.dimension)
+    every = targets_commutant(cell_targets(duality, "right"), duality.space.dimension)
     assert duality.commutant("right") == every
 
 
@@ -231,30 +233,58 @@ def _nonzero(targets):
 def test_cell_supports_match_the_target_tuples(cell):
     """Above the oracle sizes, every element's plain support in the cell
     holds exactly the 1s of its ``action_targets`` tuple, and its orbit
-    support those of its ``orbit_targets`` tuple, on both sides."""
+    support those of its ``orbit_targets`` tuple, on both sides; and the
+    semigroup faithfulness read off the certified orbits is the
+    distinctness of those tuples."""
     space, n, k = cell
     duality = DualityCell(n, k, space)
     for side in ("left", "right"):
-        parts = zip(duality.elements(side), duality.supports(side), duality.orbits(side))
-        for element, support, orbit in parts:
-            assert set(support) == _nonzero(action_targets(element, duality.space)), element
+        tuples = []
+        for element, (support, orbit) in zip(duality.elements(side), duality._expansions(side)):
+            tuples.append(action_targets(element, duality.space))
+            assert set(support) == _nonzero(tuples[-1]), element
             assert set(orbit) == _nonzero(orbit_targets(element, duality.space)), element
+        distinct = len(set(tuples)) == len(tuples)
+        assert duality.semigroup_faithful(side) == distinct, side
 
 
 def test_cell_expands_each_element_once(monkeypatch):
     """One report at V(4,4) runs the layered expansion once per element
-    of each side and once per generator, and no more."""
-    calls = []
-    expand = rookdual.tensor_actions._expand
+    of each side and once per generator, and no more, and fills a target
+    tuple for the generators only."""
+    calls = {"_expand": 0, "_fill": 0}
 
-    def counted(*args):
-        calls.append(args)
-        return expand(*args)
+    def count(name):
+        original = getattr(rookdual.tensor_actions, name)
 
-    monkeypatch.setattr(rookdual.tensor_actions, "_expand", counted)
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(rookdual.tensor_actions, name, counted)
+
+    count("_expand")
+    count("_fill")
     assert DualityCell(4, 4, "V").report().match
     generators = len(is_generators(4)) + len(istar_generators(4))
-    assert len(calls) == 209 + 339 + generators  # |IS_4| + |I*_4| + generators
+    assert calls["_expand"] == 209 + 339 + generators  # |IS_4| + |I*_4| + generators
+    assert calls["_fill"] == generators
+
+
+def test_cell_keeps_no_tuple_per_element():
+    """With both sides' elements built first, the memory a V(4,4)
+    report leaves allocated (the generators' tuples, the certified
+    orbit supports and the verdicts) stays below 1.2 MB; d-length
+    target tuples of the 209 + 339 elements would add about 1.1 MB."""
+    cell = DualityCell(4, 4, "V")
+    cell.elements("left"), cell.elements("right")
+    tracemalloc.start()
+    try:
+        assert cell.report().match
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < 1_200_000
 
 
 IDENT, SWAP, EMPTY = (PartialInjection(t) for t in ([1, 2], [2, 1], [None, None]))
@@ -266,22 +296,22 @@ def _certification_error(side, *elements):
     return rf"V\(2,2\) {side}: .*{names}"
 
 
-def _tampered(method, edit):
-    """V(2,2) whose left ``supports`` (plain) or ``orbits`` list, the
-    two that the certification reads, first goes through
-    ``edit(items, position_of_element)``.  A support is a list of
-    coordinates row*4 + col."""
+PLAIN, ORBIT = 0, 1  # the two supports of each pair in ``_expansions``
+
+
+def _tampered(part, edit):
+    """V(2,2) whose left plain supports (``PLAIN``) or orbit supports
+    (``ORBIT``), as the certification reads them from ``_expansions``,
+    first go through ``edit(items, position_of_element)``.  A support is
+    a list of coordinates row*4 + col."""
 
     class Tampered(DualityCell):
-        pass
+        def _expansions(self, side):
+            columns = [list(column) for column in zip(*super()._expansions(side))]
+            if side == "left":
+                edit(columns[part], self.elements("left").index)
+            return list(zip(*columns))
 
-    def tampered(self, side):
-        items = list(getattr(DualityCell, method)(self, side))
-        if side == "left":
-            edit(items, self.elements("left").index)
-        return items
-
-    setattr(Tampered, method, tampered)
     return Tampered(2, 2, "V")
 
 
@@ -289,7 +319,7 @@ def test_certification_rejects_overlapping_orbits():
     def overlap(orbits, at):
         orbits[at(SWAP)] = orbits[at(IDENT)]
 
-    cell = _tampered("orbits", overlap)
+    cell = _tampered(ORBIT, overlap)
     with pytest.raises(RuntimeError, match=_certification_error("left", IDENT, SWAP)):
         cell.half_centralizer("right")
     assert cell.half_centralizer("left")[:2] == (3, 3)  # the right side is intact
@@ -303,7 +333,7 @@ def test_certification_rejects_a_plain_tuple_missing_a_coordinate():
         supports[at(IDENT)] = [0 * 4 + 0, 2 * 4 + 2, 3 * 4 + 3]
 
     with pytest.raises(RuntimeError, match=_certification_error("left", IDENT, IDENT)):
-        _tampered("supports", drop).span("left")
+        _tampered(PLAIN, drop).span("left")
 
 
 def test_certification_rejects_a_plain_entry_outside_every_orbit():
@@ -314,7 +344,7 @@ def test_certification_rejects_a_plain_entry_outside_every_orbit():
         supports[at(EMPTY)] = [0 * 4 + 1]
 
     with pytest.raises(RuntimeError, match=_certification_error("left", EMPTY)):
-        _tampered("supports", add).span("left")
+        _tampered(PLAIN, add).span("left")
 
 
 def test_certification_rejects_swapped_orbits():
@@ -327,7 +357,7 @@ def test_certification_rejects_swapped_orbits():
         orbits[a], orbits[b] = orbits[b], orbits[a]
 
     with pytest.raises(RuntimeError, match=_certification_error("left", IDENT, SWAP)):
-        _tampered("orbits", swap).span("left")
+        _tampered(ORBIT, swap).span("left")
 
 
 def test_certification_rejects_an_element_missing_its_own_orbit():
@@ -338,7 +368,7 @@ def test_certification_rejects_an_element_missing_its_own_orbit():
         orbits[at(EMPTY)] = [0 * 4 + 1]
 
     with pytest.raises(RuntimeError, match=_certification_error("left", EMPTY)):
-        _tampered("orbits", invent).span("left")
+        _tampered(ORBIT, invent).span("left")
 
 
 def test_certification_rejects_an_owner_the_order_forbids():
@@ -408,7 +438,7 @@ def test_algebra_faithfulness_boundaries():
 
 @pytest.mark.parametrize(
     "method",
-    ["elements", "targets", "generators", "orbits", "span", "order", "commutant",
+    ["elements", "generators", "_expansions", "span", "order", "commutant",
      "half_centralizer", "semigroup_faithful", "algebra_faithful"],
 )
 def test_cell_methods_refuse_unknown_sides(method):

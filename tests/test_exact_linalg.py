@@ -26,6 +26,7 @@ from rookdual import (
 from oracles import (
     ExactMatrix,
     RowSpace,
+    cell_targets,
     exact_action,
     flat_targets_commutant,
     in_span,
@@ -278,7 +279,7 @@ def test_commutant_classes_match_the_fraction_oracle(cell):
     sources_list = (
         duality.generators("left"),
         duality.generators("right"),
-        duality.targets("right"),
+        cell_targets(duality, "right"),
     )
     for sources in sources_list:
         expected = commutant_basis([targets_matrix(t) for t in sources], d)

@@ -47,7 +47,10 @@ from rookdual.semigroups import bullet_multiply, star_multiply
 from test_diagrams import all_diagrams
 from oracles import (
     ExactMatrix,
+    cell_targets,
     exact_action,
+    in_part,
+    index_at,
     match_set_c,
     match_set_hat,
     match_set_partial,
@@ -208,12 +211,20 @@ def test_match_set_hat_and_tilde_against_brute_force():
 # action spaces and matrices
 
 
+@pytest.mark.parametrize("kind,n,k", [("V", 3, 2), ("U", 2, 3), ("V", 1, 3)])
+def test_index_at_inverts_the_ordinal(kind, n, k):
+    """The test-side ``index_at`` lists the tensor indices in ordinal
+    order, so the tests that read it match ``ActionSpace.ordinal``."""
+    sp = ActionSpace(kind, n, k)
+    assert [index_at(sp, c) for c in range(sp.dimension)] == list(sp.indices())
+
+
 def test_action_space_layout():
     sp = ActionSpace("V", 3, 2)
     assert sp.dimension == 9
     assert list(sp.indices())[:4] == [(1, 1), (1, 2), (1, 3), (2, 1)]
     assert sp.ordinal((2, 3)) == 5
-    assert sp.index_at(5) == (2, 3)
+    assert index_at(sp, 5) == (2, 3)
     spu = ActionSpace("U", 2, 2)
     assert spu.dimension == 9
     assert list(spu.indices())[0] == (0, 0)
@@ -518,10 +529,10 @@ def test_target_tuples_match_the_match_set_matrices(space):
 def test_tuple_checks_agree_with_matrix_products(space):
     """Tuple commutation against products of matrices, on the cell's
     generator/element pairs and, where the sides are small, on pairs
-    from one side (which need not commute); tuple distinctness against
-    distinctness of the matrices."""
+    from one side (which need not commute); the cell's semigroup
+    faithfulness against distinctness of the matrices."""
     cell = DualityCell(space.n, space.k, space.kind)
-    lefts, rights = cell.targets("left"), cell.targets("right")
+    lefts, rights = cell_targets(cell, "left"), cell_targets(cell, "right")
     matrix = {t: targets_matrix(t) for t in set(lefts) | set(rights)}
     pairs = [(g, a) for g in cell.generators("left") for a in rights]
     for side in (lefts, rights):
@@ -557,7 +568,7 @@ def test_orbit_targets_match_their_definitions(space):
     for alpha in enumerate_istar(space.k):
 
         def match(i, alpha=alpha):
-            digits = {i[alpha.in_part(block)[0] - 1] for block in alpha.blocks}
+            digits = {i[in_part(block)[0] - 1] for block in alpha.blocks}
             return match_set_c(alpha, i, n) if len(digits) == len(alpha.blocks) else set()
 
         expected = _matrix_from_match(space, match)
