@@ -28,9 +28,11 @@ enumerates P*_k once and builds each map's images and inverse verdict,
 and each U^k action support, at most once for all of its reports.  Its
 homomorphism check encodes each 0/1 combination as one exact integer,
 compares all pairs row by row with sums of a table of star products (or
-sampled pairs one by one), and relabels each domain product from a
-generic product of the factors' middle rows, made once per pair of rows,
-which the naturality test pins to the direct products.
+sampled pairs one by one).  It relabels the domain products of a left
+element with every right element of one in-key at once, from a generic
+product of the two middle rows made once per pair of rows, which the
+naturality test pins to the direct products; in exhaustive mode each
+distinct relabelled segment of products is looked up once per cell.
 
 On U^k each map is also an identity of 0/1 matrices: an element's plain
 (tilde) action is the sum of the hat actions of its coarsening sum (block
@@ -260,24 +262,33 @@ class DeformationCell:
             out_ors.append(ors(tuple(o for _, o in code)))
         return list(keys), out_id, in_id, in_ors, out_ors
 
-    def _products(self, multiply, pairs):
-        """Yield ``(a, b, multiply(code of a, code of b))`` for pairs of
-        element indices, relabelled from a recipe made once per (product,
-        out-key K of a, in-key L of b): the product of the generic codes
-        ``((1<<i, K[i]), ...)`` and ``((L[j], 1<<j), ...)``, whose bits
-        stand for a's blocks in out-mask order and b's in code order; the
-        code products read only middle masks and OR the outer ones."""
-        keys, out_id, in_id, in_ors, out_ors = self._part("middle", self._middle)
+    def _relabeller(self, multiply):
+        """``relabel(a, L)``: the product of element a with any element b of
+        in-key L, as sorted pairs ``(in-mask, y)``, one per block, with y the
+        bitmask of b's blocks (code order) whose out-masks the block ORs;
+        None for the adjoined zero.  It relabels a recipe made once per
+        (product, out-key K of a, L): the product of the generic codes
+        ``((1<<i, K[i]), ...)`` and ``((L[j], 1<<j), ...)``, whose bits stand
+        for a's blocks in out-mask order and b's in code order; the code
+        products read only middle masks and OR the outer ones.  Each product
+        block ORs a non-empty set of a's disjoint blocks, so the in-masks are
+        distinct and the pairs are in the product code's own order."""
+        keys, out_id, _, in_ors = self._part("middle", self._middle)[:4]
         recipes = self._part(("recipes", multiply), dict)
-        for a, b in pairs:
-            key = out_id[a], in_id[b]
+
+        def relabel(a, L):
+            key = out_id[a], L
             if key not in recipes:
                 recipes[key] = multiply(
                     tuple((1 << i, o) for i, o in enumerate(keys[key[0]])),
-                    tuple((i, 1 << j) for j, i in enumerate(keys[key[1]])),
+                    tuple((i, 1 << j) for j, i in enumerate(keys[L])),
                 )
-            ins, outs, recipe = in_ors[a], out_ors[b], recipes[key]
-            yield a, b, recipe and tuple(sorted([(ins[x], outs[y]) for x, y in recipe]))
+            recipe, ins = recipes[key], in_ors[a]
+            if recipe is None:
+                return None
+            return tuple(sorted([(ins[x], y) for x, y in recipe]))
+
+        return relabel
 
     def homomorphism(
         self, map_name: str, sample_pairs: int | None = None, seed: int = 2024
@@ -300,18 +311,20 @@ class DeformationCell:
         when p's out-key is q's in-key, is made once per cell and adds the
         unit 1 << (index * W).
 
-        Exhaustive mode checks one row a at a time: the encodings of
-        phi(ab) over all b, read from ``_products`` in a-major order, must
-        equal the column sums of the table rows of phi(a)'s terms; row p
-        holds, for each b, the units of p times phi(b)'s terms.  Sampled
-        mode compares each drawn pair's sum of units with the encoding of
-        phi(ab).  ``_products`` reads each domain product off a generic
-        middle-row recipe, so the verdict rests on
+        Exhaustive mode orders the columns b by in-key and checks one row a
+        at a time: the encodings of phi(ab) over all b must equal the column
+        sums of the table rows of phi(a)'s terms; row p holds, for each b,
+        the units of p times phi(b)'s terms.  The products of a with the b
+        of one in-key L form a segment, read off ``_relabeller`` once per
+        (a, L) and built once per cell for each (L, relabelled product).
+        Sampled mode relabels each drawn pair alone and compares its sum of
+        units with the encoding of phi(ab).  Each domain product is read
+        off a generic middle-row recipe, so the verdict rests on
         ``test_products_are_natural``."""
-        multiply = _map_functions(map_name)[2]
         images, inverse_ok = self._map(map_name)
         index, codes = self.index, list(self.index)
-        keys, out_id, in_id = self._part("middle", self._middle)[:3]
+        keys, out_id, in_id, _, out_ors = self._part("middle", self._middle)
+        relabel = self._relabeller(_map_functions(map_name)[2])
         star = self._part("star", dict)  # p * n + q -> index of their star product
         n = len(codes)
         width = (max(map(len, images)) ** 2).bit_length()
@@ -325,6 +338,10 @@ class DeformationCell:
         def encode(image):
             return sum(1 << r * width for r in image)
 
+        def find(relabelled, b):  # the index of the relabelled product with b
+            outs = out_ors[b]
+            return index[tuple([(i, outs[y]) for i, y in relabelled])]
+
         by_in: list = [[()] * len(keys) for _ in images]  # [b][L]: phi(b)'s terms of in-key L
         for groups, image in zip(by_in, images):
             for q in image:
@@ -334,28 +351,41 @@ class DeformationCell:
         if hom_ok and sample_pairs is None:
             encodings = [encode(image) for image in images]
             shared = {e: e for e in encodings}  # equal sums share one int, to save memory
-            users = [[(b, g[L]) for b, g in enumerate(by_in) if g[L]] for L in range(len(keys))]
-            table = []  # table[p][b]: the sum of the units of p times by_in[b][out_id[p]]
+            of_key = [[] for _ in keys]  # of_key[L]: the elements of in-key L
+            for b, L in enumerate(in_id):
+                of_key[L].append(b)
+            columns = [by_in[b] for group in of_key for b in group]
+            users = [[(c, g[L]) for c, g in enumerate(columns) if g[L]] for L in range(len(keys))]
+            table = []  # table[p][c]: the sum of the units of p times columns[c][out_id[p]]
             for p in range(n):
                 units = {q: unit(p, q) for _, qs in users[out_id[p]] for q in qs}
                 row = [0] * n
-                for b, qs in users[out_id[p]]:
+                for c, qs in users[out_id[p]]:
                     total = sum(map(units.__getitem__, qs))
-                    row[b] = shared.setdefault(total, total)
+                    row[c] = shared.setdefault(total, total)
                 table.append(row)
-            products = self._products(multiply, itertools.product(range(n), repeat=2))
+            segments = self._part("segments", dict)  # (L, relabelled) -> product indices
+
+            def products(a):  # the encodings of phi(ab) in column order
+                row = []
+                for L, group in enumerate(of_key):
+                    key = L, relabel(a, L)
+                    if key not in segments:
+                        segments[key] = [find(key[1], b) for b in group]
+                    row += segments[key]
+                return list(map(encodings.__getitem__, row))
+
             hom_ok = all(
-                [encodings[index[ab]] for _, _, ab in itertools.islice(products, n)]
-                == list(map(sum, zip(*(table[p] for p in image))))
-                for image in images
+                products(a) == list(map(sum, zip(*(table[p] for p in image))))
+                for a, image in enumerate(images)
             )
         elif hom_ok:
             rng = random.Random(seed)
             pairs = [(rng.choice(range(n)), rng.choice(range(n))) for _ in range(sample_pairs)]
             hom_ok = all(
-                encode(images[index[ab]])
+                encode(images[find(relabel(a, in_id[b]), b)])
                 == sum(unit(p, q) for p in images[a] for q in by_in[b][out_id[p]])
-                for a, b, ab in self._products(multiply, pairs)
+                for a, b in pairs
             )
 
         return MorphismReport(

@@ -223,13 +223,51 @@ def test_products_are_natural(product):
     """The lemma the homomorphism check rests on: each code product
     depends on its factors' outer rows only through the OR of the blocks
     it joins, so relabelling the generic product of the two middle rows
-    gives the direct product on every pair checked."""
+    gives the direct product, blocks in code order, on every pair checked,
+    and the adjoined zero where the direct star product is None."""
     multiply = getattr(rookdual.semigroups, product)
     for k, pairs in _natural_cases():
         cell = DeformationCell(k)
         codes = list(cell.index)
-        for a, b, ab in cell._products(multiply, pairs):
-            assert ab == multiply(codes[a], codes[b]), (k, codes[a], codes[b])
+        _, _, in_id, _, out_ors = cell._part("middle", cell._middle)
+        relabel = cell._relabeller(multiply)
+        for a, b in pairs:
+            direct, relabelled = multiply(codes[a], codes[b]), relabel(a, in_id[b])
+            if direct is None:
+                assert relabelled is None, (k, codes[a], codes[b])
+                continue
+            ab = tuple((i, out_ors[b][y]) for i, y in relabelled)
+            assert ab == direct, (k, codes[a], codes[b])
+
+
+@pytest.mark.parametrize("map_name", ["block_subset_sum", "coarsening_sum"])
+def test_exhaustive_check_relabels_once_per_element_and_in_key(map_name, monkeypatch):
+    """At k = 3 the row check relabels each left element once per in-key
+    (128 elements, 15 in-keys) instead of once per pair, and builds the
+    products of each distinct (in-key, relabelled product) segment once."""
+    calls = []
+    right = DeformationCell._relabeller
+
+    def counted(cell, multiply):
+        relabel = right(cell, multiply)
+
+        def wrapper(a, L):
+            calls.append((L, relabel(a, L)))
+            return calls[-1][1]
+
+        return wrapper
+
+    class Segments(dict):
+        def __setitem__(self, key, value):
+            assert key not in self, key
+            super().__setitem__(key, value)
+
+    monkeypatch.setattr(DeformationCell, "_relabeller", counted)
+    cell = DeformationCell(3)
+    segments = cell._parts["segments"] = Segments()
+    assert cell.homomorphism(map_name).homomorphism_ok
+    assert 0 < len(calls) <= 128 * 15
+    assert set(segments) == set(calls)
 
 
 def test_sampling_is_seed_deterministic():
@@ -287,18 +325,21 @@ def test_morphism_report_catches_a_product_wrong_on_one_shape(
 ):
     """A product that drops the last block only when the left factor's
     out-masks are those of the identity is wrong on one middle shape;
-    the recipe for that shape carries the fault to every such pair."""
+    the recipe for that shape carries the fault to every such pair, in
+    the exhaustive segments at k = 2 and in the pairs relabelled one by
+    one among 2,000 seeded ones at k = 3."""
     right = getattr(rookdual.semigroups, product)
+    for k, sample_pairs in ((2, None), (3, 2000)):
+        identity = [1 << i for i in range(k)]
 
-    def wrong(a, b):
-        ab = right(a, b)
-        identity = sorted(o for _, o in a) == [1 << i for i in range(2)]
-        return ab[:-1] if identity else ab
+        def wrong(a, b, identity=identity):
+            ab = right(a, b)
+            return ab[:-1] if sorted(o for _, o in a) == identity else ab
 
-    monkeypatch.setattr(rookdual.morphisms, product, wrong)
-    report = DeformationCell(2).homomorphism(map_name)
-    assert report.homomorphism_ok is False
-    assert report.inverse_ok is True
+        monkeypatch.setattr(rookdual.morphisms, product, wrong)
+        report = DeformationCell(k).homomorphism(map_name, sample_pairs, seed=7)
+        assert report.homomorphism_ok is False, k
+        assert report.inverse_ok is True
 
 
 MAPS = {"coarsening_sum": "pistar_codes", "block_subset_sum": "bullet_codes"}
