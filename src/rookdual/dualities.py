@@ -37,10 +37,12 @@ A commutant is a list of classes of matrix coordinates
 diagonal idempotents), solved on one side's generators only: its
 matrices are those constant on every class and zero off them.  So the
 span lies in the commutant exactly when every orbit support is a union
-of classes, and the commutant lies in the span exactly when every class
-is a union of orbit supports.  The right span lying in the left
-generators' commutant is also the commutation verdict, as the plain
-and orbit matrices span the same space.  Nothing is kept across cells.
+of classes.  The classes and the orbit supports are exact bases, so
+their numbers are the two dimensions, and the span equals the commutant
+exactly when it lies in it and the dimensions agree.  The right span
+lying in the left generators' commutant is also the commutation
+verdict, as the plain and orbit matrices span the same space.  Nothing
+is kept across cells.
 """
 
 from collections import Counter
@@ -78,9 +80,9 @@ def _restricts(sigma: PartialInjection, pi: PartialInjection) -> bool:
     return all(s is None or s == p for s, p in zip(sigma.targets, pi.targets))
 
 
-def _unions_of(parts, pieces, piece_of) -> bool:
-    """Every part is a union of the disjoint pieces; ``piece_of`` maps
-    each coordinate of a piece to the piece's index."""
+def _unions_of(parts, pieces) -> bool:
+    """Every part is a union of the disjoint pieces."""
+    piece_of = {x: i for i, piece in enumerate(pieces) for x in piece}
     for part in parts:
         touched = {piece_of.get(x) for x in part}
         if None in touched or sum(len(pieces[i]) for i in touched) != len(part):
@@ -121,12 +123,7 @@ class CentralizerData:
 
     @property
     def ok(self) -> bool:
-        return (
-            self.dim_commutant_of_left == self.dim_span_of_right
-            and self.dim_commutant_of_right == self.dim_span_of_left
-            and self.right_matches_left_commutant
-            and self.left_matches_right_commutant
-        )
+        return self.right_matches_left_commutant and self.left_matches_right_commutant
 
 
 @dataclass(frozen=True)
@@ -208,8 +205,7 @@ class DualityCell:
         return self._certified(side)[0]
 
     def _certified(self, side: str) -> tuple:
-        """The span, its coordinate map (until ``half_centralizer`` reads
-        it) and the number of distinct touched sets."""
+        """The span and the number of distinct touched sets."""
         return self._part(("span", side), lambda: self._certify(side))
 
     def order(self, side: str):
@@ -225,11 +221,10 @@ class DualityCell:
         return lambda a, b: block_union_leq(elements[a], elements[b])
 
     def _certify(self, side: str) -> tuple:
-        """The non-zero orbit supports of one side, the map from their
-        coordinates to their positions, and the number of distinct sets
-        of positions that the plain matrices touch, after three exact
-        checks that make the supports a basis of the span of the plain
-        matrices:
+        """The non-zero orbit supports of one side and the number of
+        distinct sets of them that the plain matrices touch, after three
+        exact checks that make the supports a basis of the span of the
+        plain matrices:
 
         1. the orbit supports are pairwise disjoint;
         2. every coordinate of each plain matrix lies in the orbit of an
@@ -271,7 +266,7 @@ class DualityCell:
             if orbits[a] and owner[orbits[a][0]] not in touched:
                 raise RuntimeError(f"{where}: {elements[a]} misses its own orbit")
             touched_sets.add(frozenset(touched))
-        return [orbits[b] for b in of], owner, len(touched_sets)
+        return [orbits[b] for b in of], len(touched_sets)
 
     def commutant(self, side: str) -> list:
         """Commutant basis of one side as coordinate classes, solved on
@@ -280,38 +275,31 @@ class DualityCell:
 
     def half_centralizer(self, side: str) -> tuple:
         """One direction of the double centralizer: the commutant
-        dimension of ``side``, the span dimension of the other side,
-        whether that span lies in the commutant (every orbit support is
-        a union of classes) and whether the commutant lies in the span
-        (every class is a union of orbit supports).  Kept for the
-        cell's lifetime; the classes are not."""
+        dimension of ``side`` (its number of classes), the span dimension
+        of the other side (its number of orbit supports) and whether that
+        span lies in the commutant (every orbit support is a union of
+        classes).  Both dimensions are exact basis counts, so the span is
+        the commutant exactly when it lies in it and they are equal.
+        Kept for the cell's lifetime; the classes are not."""
 
         def build():
             classes = self.commutant(side)
-            other = "right" if side == "left" else "left"
-            supports, owner, distinct = self._certified(other)
-            self._parts["span", other] = supports, None, distinct
-            class_of = {x: i for i, members in enumerate(classes) for x in members}
-            return (
-                len(classes),
-                len(supports),
-                _unions_of(supports, classes, class_of),
-                _unions_of(classes, supports, owner),
-            )
+            supports = self.span("right" if side == "left" else "left")
+            return len(classes), len(supports), _unions_of(supports, classes)
 
         return self._part(("half", side), build)
 
     def centralizer(self) -> CentralizerData:
         """Both directions of the double centralizer."""
-        comm_left, span_right, right_in, comm_left_in = self.half_centralizer("left")
-        comm_right, span_left, left_in, comm_right_in = self.half_centralizer("right")
+        comm_left, span_right, right_in = self.half_centralizer("left")
+        comm_right, span_left, left_in = self.half_centralizer("right")
         return CentralizerData(
             dim_commutant_of_left=comm_left,
             dim_span_of_right=span_right,
             dim_commutant_of_right=comm_right,
             dim_span_of_left=span_left,
-            right_matches_left_commutant=right_in and comm_left_in,
-            left_matches_right_commutant=left_in and comm_right_in,
+            right_matches_left_commutant=right_in and comm_left == span_right,
+            left_matches_right_commutant=left_in and comm_right == span_left,
         )
 
     def semigroup_faithful(self, side: str) -> bool:
@@ -321,7 +309,7 @@ class DualityCell:
         two elements act alike exactly when they touch the same set of
         orbits, and the side acts faithfully when its elements touch as
         many distinct sets as there are elements."""
-        return self._certified(side)[2] == len(self.elements(side))
+        return self._certified(side)[1] == len(self.elements(side))
 
     def algebra_faithful(self, side: str) -> bool:
         """The element matrices are linearly independent, i.e. every

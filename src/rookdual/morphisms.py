@@ -24,11 +24,12 @@ same walks.  Every combination of diagrams is a plain
 All coefficients here, the Moebius ones included, are integers.
 
 Every check of the maps is made by one ``DeformationCell`` per k, which
-enumerates P*_k once and builds each map's images and inverse verdict,
-and each U^k action support, at most once for all of its reports.  Its
-homomorphism check encodes each 0/1 combination as one exact integer,
-compares all pairs row by row with sums of a table of star products (or
-sampled pairs one by one).  It relabels the domain products of a left
+enumerates P*_k once and builds each map's images and inverse verdict
+from one walk per element, and each U^k action support from one
+expansion, at most once for all of its reports.  Its homomorphism check
+encodes each combination as one exact integer, compares all pairs row
+by row with sums of a table of star products (or sampled pairs one by
+one).  It relabels the domain products of a left
 element with every right element of one in-key at once, from a generic
 product of the two middle rows made once per pair of rows, which the
 naturality test pins to the direct products; in exhaustive mode each
@@ -53,7 +54,7 @@ from .diagrams import (
     is_partial_dual_element,
 )
 from .semigroups import bullet_codes, pistar_codes, star_codes
-from .tensor_actions import ActionSpace, action_targets
+from .tensor_actions import ActionSpace, action_supports
 
 
 def _upper_set_with_mobius(alpha: SetPartition):
@@ -148,10 +149,6 @@ def extend_linearly(func, x: dict) -> dict:
     return {term: c for term, c in total.items() if c}
 
 
-def _on_indices(terms: dict, index: dict) -> dict:
-    return {index[beta.code]: c for beta, c in terms.items()}
-
-
 @dataclass(frozen=True)
 class MorphismReport:
     k: int
@@ -165,23 +162,24 @@ class MorphismReport:
 
 
 def _map_functions(map_name: str) -> tuple:
-    """The forward map, its closed-form inverse and the code-level
-    product it carries to star, looked up on every call."""
+    """The walk of the map (its image's terms, each with its coefficient
+    in the closed-form inverse) and the code-level product it carries to
+    star, looked up on every call."""
     if map_name == "coarsening_sum":
-        return coarsening_sum, coarsening_sum_inverse, pistar_codes
+        return _upper_set_with_mobius, pistar_codes
     if map_name == "block_subset_sum":
-        return block_subset_sum, block_subset_sum_inverse, bullet_codes
+        return _subsets_with_sign, bullet_codes
     raise ValueError(f"unknown map {map_name!r}")
 
 
 class DeformationCell:
     """The partial dual elements at one k, shared by every deformation
     check there; the twin of ``dualities.DualityCell``.  P*_k is
-    enumerated and indexed by code once.  Each map's forward images on
-    indices (``{index: coeff}`` dicts) with its inverse verdict, and the
-    sorted U^k action supports of each (n, variant), are built on first
-    use and kept for the cell's lifetime.  ``unguarded`` lifts the size
-    guards, as on ``DualityCell``."""
+    enumerated and indexed by code once.  Each map's forward images, as
+    tuples of their terms' element indices, with its inverse verdict, and
+    the sorted U^k action supports of each (n, variant), are built on
+    first use and kept for the cell's lifetime.  ``unguarded`` lifts the
+    size guards, as on ``DualityCell``."""
 
     def __init__(self, k: int, unguarded: bool = False):
         self.k = k
@@ -198,17 +196,29 @@ class DeformationCell:
         return self._parts[key]
 
     def _map(self, map_name: str) -> tuple:
-        """Each element's forward image on indices, and the map's inverse
-        verdict: the stored images carry every closed-form inverse back to
-        its element, which on all of P*_k proves the closed form is the
-        inverse (D C = I, C square).  The inverses are not kept."""
-        forward, inverse, _ = _map_functions(map_name)
+        """Each element's forward image, as the tuple of its terms' element
+        indices from one walk, and the map's inverse verdict: the stored
+        images carry every closed-form inverse (the same terms with the
+        walk's values) back to its element, which on all of P*_k proves the
+        closed form is the inverse (D C = I, C square).  The values are not
+        kept, and every image is stored before the first round trip."""
+        walk = _map_functions(map_name)[0]
 
         def build():
-            images = [_on_indices(forward(alpha), self.index) for alpha in self.elements]
-            inverses = (_on_indices(inverse(alpha), self.index) for alpha in self.elements)
-            trips = (extend_linearly(images.__getitem__, inv) for inv in inverses)
-            return images, all(trip == {a: 1} for a, trip in enumerate(trips))
+            images, values = [], []
+            for alpha in self.elements:
+                betas, coeffs = zip(*walk(alpha))
+                images.append(tuple(self.index[beta.code] for beta in betas))
+                values.append(coeffs)
+
+            def trip(a):  # D C applied to element a, without zero values
+                total: dict = {}
+                for b, value in zip(images[a], values[a]):
+                    for q in images[b]:
+                        total[q] = total.get(q, 0) + value
+                return {q: c for q, c in total.items() if c}
+
+            return images, all(trip(a) == {a: 1} for a in range(len(images)))
 
         return self._part(map_name, build)
 
@@ -216,26 +226,20 @@ class DeformationCell:
         """Each element's action support on U^k under the variant: the
         sorted coordinates row*d + col of its 1s."""
         space = ActionSpace("U", n, self.k)
-        d = space.dimension
-
-        def support(alpha):
-            targets = action_targets(alpha, space, variant, self.unguarded)
-            return sorted(t * d + c for c, t in enumerate(targets) if t >= 0)
-
-        return self._part((n, variant), lambda: [support(a) for a in self.elements])
+        expand = (action_supports(a, space, variant, self.unguarded)[0] for a in self.elements)
+        return self._part((n, variant), lambda: list(map(sorted, expand)))
 
     def _support_sum(self, n: int, variant: str, map_name: str) -> tuple:
         """Whether every element's action under the variant is the sum of
         the hat actions of its image's terms, and the map's inverse
-        verdict.  With every coefficient 1 and every term a 0/1 matrix,
-        the sum is exact iff the element's sorted support equals the
-        sorted concatenation of the terms' hat supports: an overlap
-        repeats a coordinate and a gap drops one."""
+        verdict.  Every term is a 0/1 matrix, so the sum is exact iff the
+        element's sorted support equals the sorted concatenation of the
+        terms' hat supports: an overlap or a repeated term repeats a
+        coordinate and a gap drops one."""
         whole, hat = self._supports(n, variant), self._supports(n, "hat")
         images, inverse_ok = self._map(map_name)
         ok = all(
-            all(c == 1 for c in image.values())
-            and support == sorted(x for b in image for x in hat[b])
+            support == sorted(x for b in image for x in hat[b])
             for support, image in zip(whole, images)
         )
         return ok, inverse_ok
@@ -301,15 +305,17 @@ class DeformationCell:
         pairs are drawn with a fixed seed.  ``inverse_ok`` is the map's
         inverse verdict.
 
-        Every image coefficient must be 1, else the verdict is False.  With
-        m the largest image size and W = (m*m).bit_length(), a combination
-        is then encoded as the integer sum of coeff << (index * W).  Each
-        coefficient of phi(a) * phi(b) counts pairs of image terms, so it
-        is at most m*m < 2**W: the base-2**W digits of every integer
-        compared are its coefficients, and equal integers are equal
-        combinations.  A star product p * q of image terms, non-zero only
-        when p's out-key is q's in-key, is made once per cell and adds the
-        unit 1 << (index * W).
+        An image is a tuple of term indices, each term with coefficient 1,
+        so a repeated index stands for a larger coefficient.  With m the
+        largest image length and W = (m*m).bit_length(), a combination is
+        encoded as the integer sum of 1 << (index * W) over its terms.
+        Each coefficient of phi(a) * phi(b) counts pairs of image terms,
+        and each coefficient of an image counts its terms, so every one is
+        at most m*m < 2**W: the base-2**W digits of every integer compared
+        are its coefficients, and equal integers are equal combinations,
+        for any multiset of terms.  A star product p * q of image terms,
+        non-zero only when p's out-key is q's in-key, is made once per cell
+        and adds the unit 1 << (index * W).
 
         Exhaustive mode orders the columns b by in-key and checks one row a
         at a time: the encodings of phi(ab) over all b must equal the column
@@ -324,7 +330,7 @@ class DeformationCell:
         images, inverse_ok = self._map(map_name)
         index, codes = self.index, list(self.index)
         keys, out_id, in_id, _, out_ors = self._part("middle", self._middle)
-        relabel = self._relabeller(_map_functions(map_name)[2])
+        relabel = self._relabeller(_map_functions(map_name)[1])
         star = self._part("star", dict)  # p * n + q -> index of their star product
         n = len(codes)
         width = (max(map(len, images)) ** 2).bit_length()
@@ -347,8 +353,7 @@ class DeformationCell:
             for q in image:
                 groups[in_id[q]] += (q,)
 
-        hom_ok = all(c == 1 for image in images for c in image.values())
-        if hom_ok and sample_pairs is None:
+        if sample_pairs is None:
             encodings = [encode(image) for image in images]
             shared = {e: e for e in encodings}  # equal sums share one int, to save memory
             of_key = [[] for _ in keys]  # of_key[L]: the elements of in-key L
@@ -379,7 +384,7 @@ class DeformationCell:
                 products(a) == list(map(sum, zip(*(table[p] for p in image))))
                 for a, image in enumerate(images)
             )
-        elif hom_ok:
+        else:
             rng = random.Random(seed)
             pairs = [(rng.choice(range(n)), rng.choice(range(n))) for _ in range(sample_pairs)]
             hom_ok = all(

@@ -139,7 +139,10 @@ class ActionSpace:
 def targets_commute(g: Targets, a: Targets) -> bool:
     """True iff the two matrices commute, i.e. g[a[c]] == a[g[c]] for
     every input c.  Appending -1 to both tuples makes index -1 read -1,
-    so a killed tensor stays killed through the second map."""
+    so a killed tensor stays killed through the second map.  Tuples of
+    different lengths raise ``ValueError``."""
+    if len(g) != len(a):
+        raise ValueError("target tuples of different lengths")
     g_ext, a_ext = g + (-1,), a + (-1,)
     return all(g_ext[x] == a_ext[y] for x, y in zip(a, g))
 
@@ -165,11 +168,13 @@ def targets_commutant(sources, d: int, unguarded: bool = False) -> list:
     ``COMMUTANT_UNKNOWN_LIMIT`` live unknowns with ``SizeGuardError``."""
     inverses = []
     for g in sources:
+        if len(g) != d or not all(-1 <= t < d for t in g):
+            raise ValueError("sources must be partial permutations of length d")
         ginv = [-1] * d
         for c, t in enumerate(g):
             if t >= 0:
                 ginv[t] = c
-        if len(g) != d or ginv.count(-1) != g.count(-1):  # two tensors sent to one
+        if ginv.count(-1) != g.count(-1):  # two tensors sent to one
             raise ValueError("sources must be partial permutations of length d")
         inverses.append((g, ginv))
     diagonal = [g for g, _ in inverses if all(t in (j, -1) for j, t in enumerate(g))]

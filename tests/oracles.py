@@ -55,7 +55,6 @@ from rookdual import (
     unprimed,
 )
 from rookdual.diagrams import _set_partitions
-from rookdual.morphisms import _on_indices
 
 
 class UnionFind:
@@ -683,6 +682,10 @@ def all_elements_commute(cell) -> bool:
 
 
 # the deformation identities on coefficient dicts
+
+
+def _on_indices(terms: dict, index: dict) -> dict:
+    return {index[beta.code]: c for beta, c in terms.items()}
 
 
 def combination(terms: dict, targets: list) -> dict:

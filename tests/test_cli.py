@@ -296,9 +296,10 @@ def test_verify_props_report_is_golden(k, fmt, capsys):
 
 
 def test_verify_props_builds_each_deformation_part_once(capsys, monkeypatch):
-    """One ``verify --props`` run enumerates P*_k once, applies each map
-    and each closed-form inverse once per element, and builds each
-    action variant once per element, however many reports read them."""
+    """One ``verify --props`` run enumerates P*_k once, walks each
+    element once per map (the walk gives both the image and the
+    closed-form inverse), and expands each action variant once per
+    element, however many reports read them."""
     calls = Counter()
 
     def counted(name):
@@ -311,17 +312,16 @@ def test_verify_props_builds_each_deformation_part_once(capsys, monkeypatch):
 
         monkeypatch.setattr(rookdual.morphisms, name, wrapper)
 
-    maps = ("coarsening_sum", "coarsening_sum_inverse",
-            "block_subset_sum", "block_subset_sum_inverse")
-    for name in ("enumerate_pistar", "action_targets", *maps):
+    walks = ("_upper_set_with_mobius", "_subsets_with_sign")
+    for name in ("enumerate_pistar", "action_supports", *walks):
         counted(name)
     code, _, _ = run_cli(capsys, "verify", "--props", "--n", "2", "--k", "3")
     assert code == 0
     assert max(calls.values()) == 1
     per_name = Counter(key[0] for key in calls)
     assert per_name["enumerate_pistar"] == 1
-    assert all(per_name[name] == 128 for name in maps)
-    variants = Counter(key[2] for key in calls if key[0] == "action_targets")
+    assert all(per_name[name] == 128 for name in walks)
+    variants = Counter(key[2] for key in calls if key[0] == "action_supports")
     assert variants == {"plain": 128, "hat": 128, "tilde": 128}
 
 

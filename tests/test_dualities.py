@@ -87,18 +87,18 @@ CENTRALIZER_U = {
 def test_centralizer_on_V(cell, expected):
     n, k = cell
     duality = DualityCell(n, k, "V")
-    dim_comm, dim_span, right_in_comm, comm_in_right = duality.half_centralizer("left")
+    dim_comm, dim_span, right_in_comm = duality.half_centralizer("left")
     assert (dim_comm, dim_span) == expected
-    assert right_in_comm and comm_in_right
+    assert right_in_comm
 
 
 @pytest.mark.parametrize("cell,expected", sorted(CENTRALIZER_U.items()))
 def test_centralizer_on_U(cell, expected):
     n, k = cell
     duality = DualityCell(n, k, "U")
-    dim_comm, dim_span, right_in_comm, comm_in_right = duality.half_centralizer("left")
+    dim_comm, dim_span, right_in_comm = duality.half_centralizer("left")
     assert (dim_comm, dim_span) == expected
-    assert right_in_comm and comm_in_right
+    assert right_in_comm
 
 
 def test_centralizer_both_directions():
@@ -121,18 +121,20 @@ def test_centralizer_both_directions():
 def test_centralizer_inclusions_can_fail(right, inside):
     """The left commutant of V(2,2) has the classes (0,15), (5,10) and
     (6,9).  A right span swapped for the supports of tuples that leave
-    it, or that span too little of it, must fail the inclusions."""
+    it must fail the inclusion, and one that spans too little of it the
+    dimension count; neither matches the commutant."""
     supports = [[t * 4 + c for c, t in enumerate(r) if t >= 0] for r in right]
 
     class Tampered(DualityCell):
         def _certified(self, side):
             if side == "left":
                 return super()._certified(side)
-            owner = {x: p for p, support in enumerate(supports) for x in support}
-            return supports, owner, len(supports)
+            return supports, len(supports)
 
-    comm, span, right_in, comm_in = Tampered(2, 2, "V").half_centralizer("left")
-    assert (comm, span, right_in, comm_in) == (3, len(right), inside, False)
+    cell = Tampered(2, 2, "V")
+    assert cell.half_centralizer("left") == (3, len(right), inside)
+    assert not cell.centralizer().right_matches_left_commutant
+    assert not cell.centralizer().ok
 
 
 # The grid, the benchmark's centralizer cells, and two larger cells.
@@ -148,9 +150,12 @@ def _cell_id(cell):
 
 @pytest.mark.parametrize("cell", CERTIFIED_CELLS, ids=_cell_id)
 def test_orbit_spans_match_the_rowspace_oracle(cell):
-    """Both halves of the double centralizer, span dimension and both
-    inclusions, equal the Fraction row reduction of the plain tuples
-    against the same commutant classes."""
+    """Both halves of the double centralizer, span dimension and the
+    inclusion of the span in the commutant, equal the Fraction row
+    reduction of the plain tuples against the same commutant classes;
+    and the row reduction's own reverse inclusion, the commutant in the
+    span, holds exactly when the span lies in the commutant with as many
+    basis matrices as it has classes."""
     space, n, k = cell
     commutants = {}
 
@@ -163,8 +168,9 @@ def test_orbit_spans_match_the_rowspace_oracle(cell):
     duality = OneSolve(n, k, space)
     for side, other in (("left", "right"), ("right", "left")):
         classes = duality.commutant(side)
-        expected = rowspace_half_centralizer(classes, cell_targets(duality, other))
-        assert duality.half_centralizer(side) == (len(classes), *expected), side
+        dim, span_in, comm_in = rowspace_half_centralizer(classes, cell_targets(duality, other))
+        assert duality.half_centralizer(side) == (len(classes), dim, span_in), side
+        assert comm_in == (span_in and len(classes) == dim), side
 
 
 @pytest.mark.parametrize(

@@ -263,6 +263,10 @@ def test_commutant_rejects_sources_that_are_not_partial_permutations():
         targets_commutant([(0, 0, 2)], 3)
     with pytest.raises(ValueError):
         targets_commutant([(0, 1)], 3)
+    with pytest.raises(ValueError):  # a target past d - 1
+        targets_commutant([(5, 0)], 2)
+    with pytest.raises(ValueError):  # a tuple longer than d
+        targets_commutant([(0, 1, 2)], 2)
 
 
 def _cell_id(cell):

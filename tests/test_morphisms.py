@@ -10,6 +10,7 @@ import pytest
 
 import rookdual.morphisms
 import rookdual.semigroups
+import rookdual.tensor_actions
 from rookdual import (
     ActionSpace,
     DeformationCell,
@@ -381,21 +382,30 @@ def test_homomorphism_catches_a_star_product_wrong_on_one_pair(
     assert report.inverse_ok is True
 
 
+WALKS = {"coarsening_sum": "_upper_set_with_mobius", "block_subset_sum": "_subsets_with_sign"}
+
+
+def _repeat_empty_in_identity(monkeypatch, map_name):
+    """Make the map's walk list the empty diagram twice in the identity's
+    image, so its forward image counts it with coefficient 2."""
+    right = getattr(rookdual.morphisms, WALKS[map_name])
+
+    def wrong(alpha):
+        for beta, value in right(alpha):
+            yield beta, value
+            if alpha == SetPartition.identity(alpha.k) and not beta.blocks:
+                yield beta, value
+
+    monkeypatch.setattr(rookdual.morphisms, WALKS[map_name], wrong)
+
+
 @pytest.mark.parametrize("sample_pairs", [None, 200])
 @pytest.mark.parametrize("map_name", sorted(MAPS))
 def test_homomorphism_catches_a_coefficient_two(map_name, sample_pairs, monkeypatch):
-    """A forward map that counts the empty diagram twice in the
-    identity's image has left the 0/1 combinations the integer encoding
-    is exact on, so the verdict is False, not a silent pass."""
-    right = getattr(rookdual.morphisms, map_name)
-
-    def wrong(alpha):
-        terms = right(alpha)
-        if alpha == SetPartition.identity(alpha.k):
-            terms[SetPartition.empty(alpha.k)] = 2
-        return terms
-
-    monkeypatch.setattr(rookdual.morphisms, map_name, wrong)
+    """A walk that lists the empty diagram twice in the identity's image
+    gives an image that is no 0/1 combination; the integer encoding is
+    exact on it too, so the verdict is False, not a silent pass."""
+    _repeat_empty_in_identity(monkeypatch, map_name)
     report = DeformationCell(2).homomorphism(map_name, sample_pairs=sample_pairs)
     assert report.homomorphism_ok is False
 
@@ -462,18 +472,20 @@ EDITS = {"kill": _kill, "swap": _swap, "keep": _keep}
 
 
 def _corrupt_targets(monkeypatch, variant, edit=_kill):
-    """Make the action tuple of the identity under one variant go wrong
-    by ``edit``."""
-    right = rookdual.morphisms.action_targets
+    """Make the action of the identity under one variant go wrong by
+    ``edit`` of its target tuple, in the expansion rows that
+    ``action_supports`` and ``action_targets`` both read."""
+    right = rookdual.tensor_actions._target_rows
     ident = SetPartition.identity(2)
 
-    def wrong(element, space, v="plain", unguarded=False):
-        targets = right(element, space, v, unguarded)
+    def wrong(element, space, v, unguarded):
+        rows, rank = right(element, space, v, unguarded)
         if v == variant and element == ident:
-            targets = edit(targets)
-        return targets
+            targets = edit(rookdual.tensor_actions._fill(space.dimension, rows))
+            rows = [(c, t, 0) for c, t in enumerate(targets) if t >= 0]
+        return rows, rank
 
-    monkeypatch.setattr(rookdual.morphisms, "action_targets", wrong)
+    monkeypatch.setattr(rookdual.tensor_actions, "_target_rows", wrong)
 
 
 @pytest.mark.parametrize("edit", sorted(EDITS))
@@ -489,26 +501,18 @@ def test_tilde_factorization_catches_a_corrupt_tuple(edit, monkeypatch):
 
 
 def test_tilde_factorization_catches_a_coefficient_two(monkeypatch):
-    """A block subset sum that counts the empty diagram twice in the
+    """A block subset sum walk that lists the empty diagram twice in the
     identity's image no longer gives the tilde action."""
-    right = rookdual.morphisms.block_subset_sum
-
-    def wrong(alpha):
-        terms = right(alpha)
-        if alpha == SetPartition.identity(alpha.k):
-            terms[SetPartition.empty(alpha.k)] = 2
-        return terms
-
-    monkeypatch.setattr(rookdual.morphisms, "block_subset_sum", wrong)
+    _repeat_empty_in_identity(monkeypatch, "block_subset_sum")
     assert DeformationCell(2).tilde_factorization(2).homomorphism_ok is False
 
 
 def _dict_verdicts(cell, n):
     """Both identities checked on coefficient dicts by the oracle, from
-    target tuples read through ``rookdual.morphisms.action_targets``."""
+    target tuples read through ``rookdual.tensor_actions.action_targets``."""
     space = ActionSpace("U", n, cell.k)
     plain, hat, tilde = (
-        [rookdual.morphisms.action_targets(a, space, v) for a in cell.elements]
+        [rookdual.tensor_actions.action_targets(a, space, v) for a in cell.elements]
         for v in ("plain", "hat", "tilde")
     )
     return (
@@ -557,47 +561,46 @@ def test_inverse_ok_catches_a_wrong_mobius_value(monkeypatch):
 
 
 def test_inverse_ok_catches_a_flipped_sign(monkeypatch):
-    """A block subset sum inverse with the sign of its empty-diagram
-    term flipped no longer inverts the block subset sum."""
-    right = rookdual.morphisms.block_subset_sum_inverse
+    """A block subset sum walk with the sign of its empty-diagram term
+    flipped gives an inverse that no longer inverts the block subset
+    sum."""
+    right = rookdual.morphisms._subsets_with_sign
 
     def wrong(alpha):
-        terms = right(alpha)
-        empty = SetPartition.empty(alpha.k)
-        terms[empty] = -terms[empty]
-        return terms
+        for beta, sign in right(alpha):
+            yield beta, -sign if not beta.blocks else sign
 
-    monkeypatch.setattr(rookdual.morphisms, "block_subset_sum_inverse", wrong)
+    monkeypatch.setattr(rookdual.morphisms, "_subsets_with_sign", wrong)
     assert DeformationCell(2).homomorphism("block_subset_sum").inverse_ok is False
     assert DeformationCell(2).tilde_factorization(2).inverse_ok is False
 
 
 def test_inverse_ok_catches_an_extra_term(monkeypatch):
-    """A closed-form coarsening sum inverse with one term too many no
-    longer carries the empty diagram back to itself."""
-    right = rookdual.morphisms.coarsening_sum_inverse
+    """An up-set walk with one term too many, the identity listed after
+    the empty diagram in the empty diagram's walk, no longer carries the
+    empty diagram back to itself, although the extra term's image is
+    stored after the empty diagram's."""
+    right = rookdual.morphisms._upper_set_with_mobius
 
     def wrong(alpha):
-        terms = right(alpha)
+        yield from right(alpha)
         if not alpha.blocks:
-            terms[SetPartition.identity(alpha.k)] = 1
-        return terms
+            yield SetPartition.identity(alpha.k), 1
 
-    monkeypatch.setattr(rookdual.morphisms, "coarsening_sum_inverse", wrong)
+    monkeypatch.setattr(rookdual.morphisms, "_upper_set_with_mobius", wrong)
     assert DeformationCell(2).homomorphism("coarsening_sum").inverse_ok is False
 
 
 def test_inverse_ok_catches_a_wrong_forward_image(monkeypatch):
     """The round trip sums the stored images of the inverse's terms, so
-    a coarsening sum that forgets the empty diagram in the identity's
-    image spoils it."""
-    right = rookdual.morphisms.coarsening_sum
+    an up-set walk that forgets the empty diagram in the identity's image
+    spoils it."""
+    right = rookdual.morphisms._upper_set_with_mobius
 
     def wrong(alpha):
-        terms = right(alpha)
-        if alpha == SetPartition.identity(alpha.k):
-            del terms[SetPartition.empty(alpha.k)]
-        return terms
+        for beta, value in right(alpha):
+            if beta.blocks or alpha != SetPartition.identity(alpha.k):
+                yield beta, value
 
-    monkeypatch.setattr(rookdual.morphisms, "coarsening_sum", wrong)
+    monkeypatch.setattr(rookdual.morphisms, "_upper_set_with_mobius", wrong)
     assert DeformationCell(2).homomorphism("coarsening_sum").inverse_ok is False

@@ -362,6 +362,13 @@ def test_tilde_action_reverses_bullet_products():
                 assert got == mats[b] * mats[a]
 
 
+def test_targets_commute_rejects_tuples_of_different_lengths():
+    with pytest.raises(ValueError):
+        targets_commute((1, 0, 2), (0, 1))
+    with pytest.raises(ValueError):
+        targets_commute((0, 1), (1, 0, 2))
+
+
 def test_rook_and_diagram_actions_commute():
     for n, k in ((2, 2), (3, 2), (2, 3)):
         sp = ActionSpace("V", n, k)
