@@ -28,9 +28,12 @@ on the right, on V^k as on U^k), not row-reduced.
 unitriangular 0/1 sum of orbit matrices with disjoint supports, and
 returns the non-zero orbit supports: the span's dimension is their
 number, and a matrix lies in the span exactly when it is constant on
-every support and zero off them.  Each plain matrix is then the sum of
-the orbit matrices it touches, so semigroup faithfulness is a count of
-the distinct sets of orbits that the elements touch.
+every support and zero off them.  The checks run on whole coordinate
+lists: one dict gives each coordinate's orbit, the order is read off
+per-element bitmasks, and a plain support covers the orbits it touches
+when their sizes sum to its length.  Each plain matrix is then the sum
+of the orbit matrices it touches, so semigroup faithfulness is a count
+of the distinct sets of orbits that the elements touch.
 
 A commutant is a list of classes of matrix coordinates
 (``targets_commutant``, a union-find graded by the generators'
@@ -41,20 +44,15 @@ of classes.  The classes and the orbit supports are exact bases, so
 their numbers are the two dimensions, and the span equals the commutant
 exactly when it lies in it and the dimensions agree.  The right span
 lying in the left generators' commutant is also the commutation
-verdict, as the plain and orbit matrices span the same space.  Nothing
-is kept across cells.
+verdict, as the plain and orbit matrices span the same space.  Only the
+actions' step tables are kept across cells.
 """
 
 from collections import Counter
-from dataclasses import asdict, dataclass
+from itertools import chain, repeat
+from typing import NamedTuple
 
-from .diagrams import (
-    PartialInjection,
-    block_union_leq,
-    enumerate_is,
-    enumerate_istar,
-    enumerate_pistar,
-)
+from .diagrams import enumerate_is, enumerate_istar, enumerate_pistar
 from .semigroups import is_generators, istar_generators, pistar_generators
 from .tensor_actions import ActionSpace, action_supports, action_targets, targets_commutant
 
@@ -73,11 +71,6 @@ def _check_side(side: str) -> str:
     if side not in SIDES:
         raise ValueError(f"unknown side {side!r}; expected 'left' or 'right'")
     return side
-
-
-def _restricts(sigma: PartialInjection, pi: PartialInjection) -> bool:
-    """sigma is pi restricted to a subset of its domain."""
-    return all(s is None or s == p for s, p in zip(sigma.targets, pi.targets))
 
 
 def _unions_of(parts, pieces) -> bool:
@@ -103,8 +96,7 @@ def predicted_faithful(space: str, side: str, n: int, k: int) -> tuple:
     return space == "U" or n >= 2 or k == 1, k <= n
 
 
-@dataclass(frozen=True)
-class CentralizerData:
+class CentralizerData(NamedTuple):
     dim_commutant_of_left: int
     dim_span_of_right: int
     dim_commutant_of_right: int
@@ -114,20 +106,14 @@ class CentralizerData:
 
     @property
     def dims(self):
-        return (
-            self.dim_commutant_of_left,
-            self.dim_span_of_right,
-            self.dim_commutant_of_right,
-            self.dim_span_of_left,
-        )
+        return self[:4]  # the four dims, in field order
 
     @property
     def ok(self) -> bool:
         return self.right_matches_left_commutant and self.left_matches_right_commutant
 
 
-@dataclass(frozen=True)
-class DualityReport:
+class DualityReport(NamedTuple):
     """Everything checked at one (n, k, space) cell, with predictions."""
 
     n: int
@@ -147,7 +133,7 @@ class DualityReport:
     match: bool
 
     def to_json_dict(self):
-        return {**asdict(self), "centralizer_dims": list(self.centralizer_dims)}
+        return {**self._asdict(), "centralizer_dims": list(self.centralizer_dims)}
 
 
 class DualityCell:
@@ -210,15 +196,30 @@ class DualityCell:
 
     def order(self, side: str):
         """The partial order the plain matrices are triangular in, on
-        element indices: ``allowed(a, b)`` says that the orbit of element
-        b may carry part of the plain matrix of element a.  On the left
-        b must be a restriction of a (b <= a in the rook monoid's natural
-        order); on the right every block of b must be a union of blocks
-        of a (b lies in ``morphisms.natural_upper_set`` of a)."""
-        elements = self.elements(side)
+        element indices: ``allowed(a, bs)`` says that the orbit of every
+        element b in bs may carry part of the plain matrix of element a.
+        On the left b must be a restriction of a: its graph, bits
+        x*n + pi(x+1) - 1, lies in a's.  On the right every block of b
+        must be a union of blocks of a (b lies in
+        ``morphisms.natural_upper_set`` of a): b's points, as rows x*2k..
+        of a 2k by 2k bit matrix, are a's, and on those rows a's
+        same-block pairs are b's.  Point x is i - 1 for i, k + i - 1 for i'."""
+        elements, n, k = self.elements(side), self.n, self.k
         if side == "left":
-            return lambda a, b: _restricts(elements[b], elements[a])
-        return lambda a, b: block_union_leq(elements[a], elements[b])
+            bit = [{None: 0, **{t: 1 << x * n + t - 1 for t in range(1, n + 1)}} for x in range(n)]
+            graph = [sum(map(dict.__getitem__, bit, e.targets)) for e in elements]
+            return lambda a, bs: not any(map((~graph[a]).__and__, map(graph.__getitem__, bs)))
+        pair_of, row_of, row = {}, {}, ~(-1 << 2 * k)
+        for block in {block for e in elements for block in e.code}:
+            points = block[0] | block[1] << k
+            shifts = [x * 2 * k for x in range(2 * k) if points >> x & 1]
+            pair_of[block] = sum(points << s for s in shifts)
+            row_of[block] = sum(row << s for s in shifts)
+        pairs = [sum(map(pair_of.__getitem__, e.code)) for e in elements]
+        rows = [sum(map(row_of.__getitem__, e.code)) for e in elements]
+        unpaired = [r & ~p for p, r in zip(pairs, rows)]  # rows of b minus b's pairs
+        return lambda a, bs: not (any(map((~rows[a]).__and__, map(rows.__getitem__, bs)))
+                                  or any(map(pairs[a].__and__, map(unpaired.__getitem__, bs))))
 
     def _certify(self, side: str) -> tuple:
         """The non-zero orbit supports of one side and the number of
@@ -226,47 +227,48 @@ class DualityCell:
         exact checks that make the supports a basis of the span of the
         plain matrices:
 
-        1. the orbit supports are pairwise disjoint;
+        1. the orbit supports are pairwise disjoint: the map from each
+           of their coordinates to its element keeps every coordinate;
         2. every coordinate of each plain matrix lies in the orbit of an
            element that ``order`` allows for it;
         3. every orbit a plain matrix touches is covered in full, and an
-           element with a non-zero orbit touches its own.
+           element with a non-zero orbit touches its own.  A plain support
+           repeats no coordinate, as each of its inputs has one output, so
+           full cover is the touched orbits' sizes summing to its length.
 
         A failure is an internal bug: it raises ``RuntimeError`` naming
         the cell, the side and the element or pair of elements."""
         elements = self.elements(side)
         where = f"orbit certification at {self.space.kind}({self.n},{self.k}) {side}"
         plain, orbits = zip(*self._expansions(side))
-        of = [b for b, orbit in enumerate(orbits) if orbit]  # the element at each position
-        owner = {}
-        for p, b in enumerate(of):
-            for x in orbits[b]:
-                if owner.setdefault(x, p) != p:
-                    raise RuntimeError(
-                        f"{where}: the orbits of {elements[of[owner[x]]]} and "
-                        f"{elements[b]} overlap"
-                    )
+        sizes = list(map(len, orbits))
+        at = chain.from_iterable(map(repeat, range(len(orbits)), sizes))
+        owner = dict(zip(chain.from_iterable(orbits), at))
+        if len(owner) != sum(sizes):  # a coordinate lies in two orbits, or twice in one
+            twice = next(x for x, c in Counter(chain.from_iterable(orbits)).items() if c > 1)
+            a, b = [b for b, orbit in enumerate(orbits) for x in orbit if x == twice][:2]
+            raise RuntimeError(f"{where}: the orbits of {elements[a]} and {elements[b]} overlap")
         allowed, touched_sets = self.order(side), set()
         for a, support in enumerate(plain):
-            touched = Counter(map(owner.get, support))
+            touched = frozenset(map(owner.get, support))
             if None in touched:
                 raise RuntimeError(f"{where}: {elements[a]} leaves every orbit")
-            for p, count in touched.items():
-                b = of[p]
-                if not allowed(a, b):
-                    raise RuntimeError(
-                        f"{where}: {elements[a]} meets the orbit of {elements[b]}, "
-                        "which the natural order does not allow"
-                    )
-                if count != len(orbits[b]):
-                    raise RuntimeError(
-                        f"{where}: {elements[a]} covers part of the orbit of "
-                        f"{elements[b]}"
-                    )
-            if orbits[a] and owner[orbits[a][0]] not in touched:
+            if touched and not allowed(a, touched):
+                b = next(b for b in touched if not allowed(a, (b,)))
+                raise RuntimeError(
+                    f"{where}: {elements[a]} meets the orbit of {elements[b]}, "
+                    "which the natural order does not allow"
+                )
+            if sum(map(sizes.__getitem__, touched)) != len(support):
+                count = Counter(map(owner.get, support))
+                b = next(b for b in touched if count[b] != sizes[b])
+                raise RuntimeError(
+                    f"{where}: {elements[a]} covers part of the orbit of {elements[b]}"
+                )
+            if orbits[a] and a not in touched:
                 raise RuntimeError(f"{where}: {elements[a]} misses its own orbit")
-            touched_sets.add(frozenset(touched))
-        return [orbits[b] for b in of], len(touched_sets)
+            touched_sets.add(touched)
+        return [orbit for orbit in orbits if orbit], len(touched_sets)
 
     def commutant(self, side: str) -> list:
         """Commutant basis of one side as coordinate classes, solved on
@@ -294,12 +296,8 @@ class DualityCell:
         comm_left, span_right, right_in = self.half_centralizer("left")
         comm_right, span_left, left_in = self.half_centralizer("right")
         return CentralizerData(
-            dim_commutant_of_left=comm_left,
-            dim_span_of_right=span_right,
-            dim_commutant_of_right=comm_right,
-            dim_span_of_left=span_left,
-            right_matches_left_commutant=right_in and comm_left == span_right,
-            left_matches_right_commutant=left_in and comm_right == span_left,
+            comm_left, span_right, comm_right, span_left,
+            right_in and comm_left == span_right, left_in and comm_right == span_left,
         )
 
     def semigroup_faithful(self, side: str) -> bool:
@@ -335,20 +333,9 @@ class DualityCell:
         (sgrp_left, alg_left), (sgrp_right, alg_right) = computed
         (pred_sgrp_left, pred_alg_left), (pred_sgrp_right, pred_alg_right) = predicted
         return DualityReport(
-            n=self.n,
-            k=self.k,
-            space=kind,
-            commute_ok=commute_ok,
-            centralizer_dims=data.dims,
-            centralizer_ok=data.ok,
-            semigroup_faithful_left=sgrp_left,
-            semigroup_faithful_right=sgrp_right,
-            algebra_faithful_left=alg_left,
-            algebra_faithful_right=alg_right,
-            predicted_semigroup_faithful_left=pred_sgrp_left,
-            predicted_semigroup_faithful_right=pred_sgrp_right,
-            predicted_algebra_faithful_left=pred_alg_left,
-            predicted_algebra_faithful_right=pred_alg_right,
+            self.n, self.k, kind, commute_ok, data.dims, data.ok,
+            sgrp_left, sgrp_right, alg_left, alg_right,
+            pred_sgrp_left, pred_sgrp_right, pred_alg_left, pred_alg_right,
             match=commute_ok and data.ok and computed == predicted,
         )
 

@@ -44,7 +44,7 @@ import functools
 import itertools
 import math
 import random
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from .diagrams import (
     SetPartition,
@@ -149,8 +149,7 @@ def extend_linearly(func, x: dict) -> dict:
     return {term: c for term, c in total.items() if c}
 
 
-@dataclass(frozen=True)
-class MorphismReport:
+class MorphismReport(NamedTuple):
     k: int
     map_name: str
     pairs_checked: int
@@ -158,7 +157,7 @@ class MorphismReport:
     inverse_ok: bool
 
     def to_json_dict(self):
-        return asdict(self)
+        return self._asdict()
 
 
 def _map_functions(map_name: str) -> tuple:
@@ -302,8 +301,8 @@ class DeformationCell:
         ``map_name`` is ``coarsening_sum`` (plain product to star) or
         ``block_subset_sum`` (tilde product to star).  All element pairs
         are checked when ``sample_pairs`` is None; otherwise that many
-        pairs are drawn with a fixed seed.  ``inverse_ok`` is the map's
-        inverse verdict.
+        pairs are drawn with a fixed seed, and a count below 1 is refused
+        with ``ValueError``.  ``inverse_ok`` is the map's inverse verdict.
 
         An image is a tuple of term indices, each term with coefficient 1,
         so a repeated index stands for a larger coefficient.  With m the
@@ -327,6 +326,8 @@ class DeformationCell:
         units with the encoding of phi(ab).  Each domain product is read
         off a generic middle-row recipe, so the verdict rests on
         ``test_products_are_natural``."""
+        if sample_pairs is not None and sample_pairs < 1:
+            raise ValueError(f"sample_pairs must be at least 1, got {sample_pairs}")
         images, inverse_ok = self._map(map_name)
         index, codes = self.index, list(self.index)
         keys, out_id, in_id, _, out_ors = self._part("middle", self._middle)

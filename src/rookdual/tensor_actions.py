@@ -8,11 +8,13 @@ Every action here comes from one layered expansion, ``_expand``, of the
 layers that ``_layers`` makes after checking the element against the
 space and the variant.  A layer is a position of a partial injection or
 a block of a diagram (of its ``SetPartition.code``; on V^k, of its
-completion's), and each of its choices is one digit: what it adds to the
-input and to the output ordinal, and its bit among the non-zero digits
-used.  One list comprehension per layer extends every row by every
-choice, so the rows (input, output, used) come out flat; hat and tilde
-skip a choice whose digit is used.  Four functions read the rows:
+completion's), and each of its choices is one digit.  A row is one
+matrix coordinate dst*d + src, linear in the digits, so a choice adds
+one step o*d + i, from tables kept per space (``_tables``).  The rows
+that hat and tilde keep (no non-zero digit twice) and the orbit rows
+(below) depend only on the layers' shape, so ``_kept`` lists their
+positions once per shape.  Four functions read the rows (``divmod`` by
+d splits a coordinate):
 
 * ``action_targets`` stores them as a target tuple T of length d = dim:
   input ordinal c goes to T[c], and T[c] == -1 means the tensor is
@@ -21,10 +23,8 @@ skip a choice whose digit is used.  Four functions read the rows:
   zero, so its matrix has column c with its only 1 in row T[c].
   Products of these matrices are compositions of tuples, and
   commutation is ``targets_commute``.
-* ``action_supports`` gives, from one expansion, the support of the
-  matrix that ``action_targets`` stores (the coordinates row*d + col of
-  its 1s) and its orbit support (below), read off the rows;
-  ``orbit_targets`` is filled from the orbit support.
+* ``action_supports`` returns the rows (the support of that matrix) and
+  the orbit support; ``orbit_targets`` is filled from the orbit support.
 * ``action_matrix`` writes the rows as ``{(row, col): 1}``.  Only a
   composition element with a free output block (a block with output
   positions but no input position) needs it: a free block adds nothing
@@ -54,19 +54,17 @@ distinct non-zero digits on the blocks (on V^k, those of a dual
 element): the plain matrix of a diagram is the sum of the hat matrices
 of the diagrams made by merging and dropping its blocks (on V^k, where
 no digit is zero, by merging only).
-``DualityCell.span`` checks this on every element, with three exact
-checks: the orbit supports are pairwise disjoint; every entry of a
-plain matrix lies in the orbit of an element the natural order allows;
-and every orbit a plain matrix meets is covered in full, its own
-non-zero orbit among them.
+``DualityCell.span`` checks this on every element.
 
 Diagram actions are right actions, so the matrix of a product composes
 in reverse order; partial injections act on the left with the usual
 order.
 """
 
+import functools
 import itertools
 from array import array
+from operator import itemgetter
 
 from .diagrams import (
     HatElement,
@@ -226,13 +224,20 @@ def targets_commutant(sources, d: int, unguarded: bool = False) -> list:
     return sorted((tuple(sorted(m)) for m in classes.values()), key=lambda m: m[-1])
 
 
+@functools.cache
+def _tables(kind: str, n: int, k: int) -> tuple:
+    """The weights base**(k - p) of the positions p, and a memo, shared by all callers,
+    of block (ins, outs) -> steps c*(w(outs)*d + w(ins)), c < base, w summing weights."""
+    return [(n + (kind == "U")) ** p for p in reversed(range(k))], {}
+
+
 def _layers(element, space: ActionSpace, variant: str, unguarded: bool):
     """Check the element against the space and the variant; return its
-    layers, whether their digits must be distinct, and its rank, the
-    number of distinct non-zero digits on a tensor of its orbit (the
-    domain's size or the block count), or None under a free output block.
-    A choice of digit v is (in_step, out_step, used_bit), bit v - 1 for
-    a non-zero v and none for 0.
+    layers, whether choice 0 of a layer is U's digit 0 (the other choices
+    are distinct non-zero digits), whether the non-zero digits must be
+    distinct, and its rank, the number of distinct non-zero digits on a
+    tensor of its orbit (the domain's size or the block count), or None
+    under a free output block.
 
     A partial injection has only the plain action: each position carries
     a live digit x to its image and U's digit 0 to itself, and any other
@@ -243,18 +248,16 @@ def _layers(element, space: ActionSpace, variant: str, unguarded: bool):
     (distinct non-zero digits) or by tilde (distinct non-zero digits, any
     number of zeros).  Under hat, on either space, a diagram is wrapped as
     a ``HatElement``, and the adjoined zero kills everything."""
-    low, n, base = space.low, space.n, space.n + 1 - space.low
+    low, n, d = space.low, space.n, space.dimension
     if isinstance(element, PartialInjection):
         if variant != "plain":
             raise ValueError("partial injections have only the plain action")
         if element.n != n:
             raise ValueError("injection size disagrees with the space")
-        space.guard(unguarded)
+        weights = _tables(space.kind, n, space.guard(unguarded).k)[0]
         images = enumerate((None if low else 0, *element.targets))  # U's digit 0 stays
-        live = [(x - low, t - low, 1 << x >> 1) for x, t in images if t is not None]
-        units = [base**p for p in reversed(range(space.k))]  # position 1 first
-        layers = [[(i * w, o * w, bit) for i, o, bit in live] for w in units]
-        return layers, False, element.rank()
+        units = [(t - low) * d + x - low for x, t in images if t is not None]
+        return [[w * u for u in units] for w in weights], not low, False, len(units) - (not low)
     if element.k != space.k:
         raise ValueError("diagram size disagrees with the space")
     if variant == "hat":
@@ -274,50 +277,64 @@ def _layers(element, space: ActionSpace, variant: str, unguarded: bool):
         raise ValueError(f"unknown variant {variant!r}")
     space.guard(unguarded)
     if diagram is None:  # the adjoined zero kills everything
-        return [[]], True, 0
-    weights = []  # each mask read as a k-digit 0/1 numeral, bit 0 most significant
-    for ins, outs in diagram.code:
-        w_in = w_out = 0
-        for bit in range(space.k):
-            w_in = w_in * base + (ins >> bit & 1)
-            w_out = w_out * base + (outs >> bit & 1)
-        weights.append((w_in, w_out))
-    digits = range(1 if variant == "hat" else low, n + 1)
-    layers = [
-        [((v - low) * w_in, (v - low) * w_out, 1 << v >> 1) for v in digits]
-        for w_in, w_out in weights
-    ]
-    free = any(not w_in for w_in, _ in weights)  # a block with no input position
-    return layers, variant != "plain", None if free else len(layers)
+        return [[]], False, True, 0
+    weights, known = _tables(space.kind, n, space.k)
+    for block in diagram.code:
+        if block not in known:
+            ins, outs = (sum(w for p, w in enumerate(weights) if m >> p & 1) for m in block)
+            known[block] = [c * (outs * d + ins) for c in range(n + 1 - low)]
+    layers = list(map(known.__getitem__, diagram.code))
+    if low == 0 and variant == "hat":  # hat puts no digit 0 on a block
+        return [layer[1:] for layer in layers], False, True, len(layers)
+    free = not all(map(itemgetter(0), diagram.code))  # a block with no input position
+    return layers, not low, variant != "plain", None if free else len(layers)
 
 
-def _expand(layers, distinct: bool) -> list:
+@functools.cache
+def _kept(layers: int, choices: int, zero: bool, distinct: bool, rank) -> tuple:
+    """Positions in an expansion of the rows kept (None: all of them) and
+    of the orbit rows.  A position spells one choice per layer, the first
+    most significant; choice 0 is U's digit 0 when ``zero``.  A kept row
+    repeats no non-zero digit under ``distinct``; an orbit row has
+    ``rank`` distinct non-zero digits."""
+    kept, orbit = [], []
+    for position, row in enumerate(itertools.product(range(choices), repeat=layers)):
+        live = [c for c in row if c or not zero]
+        seen = len(set(live))
+        if not distinct or seen == len(live):
+            kept.append(position)
+            if seen == rank:
+                orbit.append(position)
+    return (tuple(kept) if distinct else None), tuple(orbit)
+
+
+def _expand(layers) -> list:
     """The one action builder: every way to take one choice per layer, as
-    rows (src, dst, used) of the sums of the chosen steps and the union of
-    the chosen bits, skipping under ``distinct`` a bit already used."""
-    rows = [(0, 0, 0)]
+    the sum of the chosen steps."""
+    rows = [0]
     for layer in layers:
-        rows = [
-            (src + i, dst + o, used | bit)
-            for src, dst, used in rows
-            for i, o, bit in layer
-            if not (distinct and used & bit)
-        ]
+        rows = [row + step for row in rows for step in layer]
     return rows
 
 
-def _target_rows(element, space: ActionSpace, variant: str, unguarded: bool):
-    """The rows and the rank of an element that a target tuple holds."""
-    layers, distinct, rank = _layers(element, space, variant, unguarded)
-    if rank is None:
+def _rows(element, space: ActionSpace, variant: str, unguarded: bool, sums=False):
+    """From one expansion: the coordinates of the 1s of the element's
+    matrix and its orbit coordinates.  A free output block is refused
+    unless ``sums`` (``action_matrix``)."""
+    layers, zero, distinct, rank = _layers(element, space, variant, unguarded)
+    if rank is None and not sums:
         raise ValueError("a free output block sends a tensor to a sum; use action_matrix")
-    return _expand(layers, distinct), rank
+    rows = _expand(layers)
+    kept, orbit = _kept(len(layers), len(layers[0]) if layers else 0, zero, distinct, rank)
+    pick = rows.__getitem__
+    return (rows if kept is None else list(map(pick, kept))), list(map(pick, orbit))
 
 
-def _fill(d: int, rows) -> Targets:
-    """Target tuple of length d; every input no row reaches is killed."""
+def _fill(d: int, coordinates) -> Targets:
+    """Target tuple of length d; every input no coordinate reaches is killed."""
     targets = [-1] * d
-    for src, dst, _ in rows:
+    for c in coordinates:
+        dst, src = divmod(c, d)
         targets[src] = dst
     return tuple(targets)
 
@@ -329,7 +346,7 @@ def action_targets(
     diagram: a composition element on V^k under plain, a dual element or
     its hat element on V^k under hat, a partial dual or hat element on
     U^k under the given variant.  A free output block is refused."""
-    return _fill(space.dimension, _target_rows(element, space, variant, unguarded)[0])
+    return _fill(space.dimension, _rows(element, space, variant, unguarded)[0])
 
 
 def action_supports(
@@ -338,12 +355,8 @@ def action_supports(
     """From one expansion: the support of the matrix of
     ``action_targets`` (an ``array`` of coordinates row*d + col, one per
     input the action keeps) and its orbit support, the list of those
-    whose rows carry distinct non-zero digits numbering the rank (for a
-    partial injection, its domain)."""
-    rows, rank = _target_rows(element, space, variant, unguarded)
-    d = space.dimension
-    support = [dst * d + src for src, dst, _ in rows]
-    orbit = [c for c, (_, _, used) in zip(support, rows) if used.bit_count() == rank]
+    whose inputs carry as many distinct non-zero digits as the rank."""
+    support, orbit = _rows(element, space, variant, unguarded)
     return array("q", support), orbit  # 8 bytes a coordinate, not 32
 
 
@@ -358,9 +371,7 @@ def orbit_targets(element, space: ActionSpace, unguarded: bool = False) -> Targe
     variant = "plain" if isinstance(element, PartialInjection) else "hat"
     if not isinstance(element, (PartialInjection, HatElement)):
         element = HatElement.wrap(element)
-    d = space.dimension
-    orbit = action_supports(element, space, variant, unguarded)[1]
-    return _fill(d, [(c % d, c // d, 0) for c in orbit])
+    return _fill(space.dimension, _rows(element, space, variant, unguarded)[1])
 
 
 def action_matrix(
@@ -369,5 +380,5 @@ def action_matrix(
     """The action matrix of an element as ``{(row, col): 1}``, columns
     the inputs.  Every entry is 1: an input goes to one output or, under
     a free output block, to the sum over that block's digits."""
-    layers, distinct, _ = _layers(element, space, variant, unguarded)
-    return {(dst, src): 1 for src, dst, _ in _expand(layers, distinct)}
+    support = _rows(element, space, variant, unguarded, sums=True)[0]
+    return dict.fromkeys(map(divmod, support, itertools.repeat(space.dimension)), 1)

@@ -32,6 +32,11 @@ deformation map's homomorphism identity pair by pair on ``{index:
 coeff}`` dicts, the way it did before it encoded 0/1 combinations as
 integers.  ``coarsening_sum_inverse_by_solve`` inverts the coarsening
 sum by the generic triangular recursion instead of the closed form.
+``triple_supports`` expands an action into flat (input, output, used)
+rows and reads its plain and orbit supports off them, the way the
+package did before each row became one matrix coordinate, and
+``restricts`` is the rook monoid's natural order on target tuples, the
+reference for the graph bitmasks of ``DualityCell.order``.
 """
 
 import functools
@@ -42,6 +47,7 @@ from typing import Iterable
 
 from rookdual import (
     HatElement,
+    PartialInjection,
     action_matrix,
     action_targets,
     block_subset_sum,
@@ -679,6 +685,76 @@ def all_elements_commute(cell) -> bool:
     element, pair by pair through ``targets_commute``."""
     rights = cell_targets(cell, "right")
     return all(targets_commute(g, a) for g in cell_targets(cell, "left") for a in rights)
+
+
+# the layered expansion on (input, output, used) rows
+
+
+def triple_layers(element, space, variant: str = "plain") -> tuple:
+    """The layers of an element's action, whether their non-zero digits
+    must be distinct, and its rank (None under a free output block).  A
+    layer is a position of a partial injection or a block of a diagram,
+    and each of its choices is one digit v as (in_step, out_step,
+    used_bit): what v adds to the input and output ordinals, and bit
+    v - 1 for a non-zero v, none for 0."""
+    low, n, base = space.low, space.n, space.n + 1 - space.low
+    units = [base**p for p in reversed(range(space.k))]  # position 1 first
+    if isinstance(element, PartialInjection):
+        images = enumerate((None if low else 0, *element.targets))
+        live = [(x - low, t - low, 1 << x >> 1) for x, t in images if t is not None]
+        return [[(i * w, o * w, bit) for i, o, bit in live] for w in units], False, element.rank()
+    if variant == "hat":
+        hat = element if isinstance(element, HatElement) else HatElement.wrap(element)
+        if hat.diagram is None:
+            return [[]], True, 0
+        diagram = hat.diagram
+    else:
+        diagram = element.completed() if space.kind == "V" else element
+    weights = [
+        (sum(w for p, w in enumerate(units) if ins >> p & 1),
+         sum(w for p, w in enumerate(units) if outs >> p & 1))
+        for ins, outs in diagram.code
+    ]
+    digits = range(1 if variant == "hat" else low, n + 1)
+    layers = [
+        [((v - low) * w_in, (v - low) * w_out, 1 << v >> 1) for v in digits]
+        for w_in, w_out in weights
+    ]
+    free = any(not w_in for w_in, _ in weights)
+    return layers, variant != "plain", None if free else len(layers)
+
+
+def triple_rows(layers, distinct: bool) -> list:
+    """Every way to take one choice per layer, as rows (input, output,
+    used) of the sums of the chosen steps and the union of the chosen
+    bits, skipping under ``distinct`` a bit already used."""
+    rows = [(0, 0, 0)]
+    for layer in layers:
+        rows = [
+            (src + i, dst + o, used | bit)
+            for src, dst, used in rows
+            for i, o, bit in layer
+            if not (distinct and used & bit)
+        ]
+    return rows
+
+
+def triple_supports(element, space, variant: str = "plain") -> tuple:
+    """The plain and the orbit support of ``action_supports``, as sets of
+    coordinates row*d + col: every row, and the rows whose used bits
+    number the rank."""
+    layers, distinct, rank = triple_layers(element, space, variant)
+    d = space.dimension
+    rows = triple_rows(layers, distinct)
+    return (
+        {dst * d + src for src, dst, _ in rows},
+        {dst * d + src for src, dst, used in rows if used.bit_count() == rank},
+    )
+
+
+def restricts(sigma, pi) -> bool:
+    """sigma is pi restricted to a subset of its domain."""
+    return all(s is None or s == p for s, p in zip(sigma.targets, pi.targets))
 
 
 # the deformation identities on coefficient dicts

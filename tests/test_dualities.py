@@ -2,6 +2,7 @@
 the spans, and the grid runner."""
 
 import math
+import random
 import re
 import tracemalloc
 
@@ -15,18 +16,24 @@ from rookdual import (
     DualityCell,
     PartialInjection,
     SizeGuardError,
-    action_targets,
+    block_union_leq,
     centralizer_data,
     enumerate_pistar,
     is_generators,
     istar_generators,
-    orbit_targets,
     predicted_faithful,
     run_grid,
     targets_commutant,
 )
 
-from oracles import all_elements_commute, cell_targets, index_at, rowspace_half_centralizer
+from oracles import (
+    all_elements_commute,
+    cell_targets,
+    index_at,
+    restricts,
+    rowspace_half_centralizer,
+    triple_supports,
+)
 
 
 def test_commutation_on_the_core_grid():
@@ -228,30 +235,44 @@ def test_orbit_count_closed_form_for_U_right_counts_diagrams():
             assert predicted_orbit_counts("U", n, k)[1] == expected
 
 
-def _nonzero(targets):
-    """Coordinates row*d + col of the 1s of a target tuple's matrix."""
-    return {t * len(targets) + c for c, t in enumerate(targets) if t >= 0}
-
-
-@pytest.mark.parametrize(
-    "cell", [("V", 4, 4), ("V", 2, 4), ("V", 4, 3), ("U", 3, 3), ("U", 2, 3)], ids=_cell_id
-)
+@pytest.mark.parametrize("cell", CERTIFIED_CELLS, ids=_cell_id)
 def test_cell_supports_match_the_target_tuples(cell):
-    """Above the oracle sizes, every element's plain support in the cell
-    holds exactly the 1s of its ``action_targets`` tuple, and its orbit
-    support those of its ``orbit_targets`` tuple, on both sides; and the
-    semigroup faithfulness read off the certified orbits is the
-    distinctness of those tuples."""
+    """Every element's plain and orbit supports, as the cell expands them,
+    are the oracle's, read off flat (input, output, used) rows, on both
+    sides of the grid, the benchmark's centralizer cells and two larger
+    cells; and the semigroup faithfulness read off the certified orbits
+    is the distinctness of the oracle's plain matrices."""
     space, n, k = cell
     duality = DualityCell(n, k, space)
     for side in ("left", "right"):
-        tuples = []
+        matrices = set()
         for element, (support, orbit) in zip(duality.elements(side), duality._expansions(side)):
-            tuples.append(action_targets(element, duality.space))
-            assert set(support) == _nonzero(tuples[-1]), element
-            assert set(orbit) == _nonzero(orbit_targets(element, duality.space)), element
-        distinct = len(set(tuples)) == len(tuples)
+            expected = triple_supports(element, duality.space)
+            assert (set(support), set(orbit)) == expected, element
+            matrices.add(frozenset(expected[0]))
+        distinct = len(matrices) == len(duality.elements(side))
         assert duality.semigroup_faithful(side) == distinct, side
+
+
+@pytest.mark.parametrize(
+    "cell", [("V", 3, 3), ("V", 2, 4), ("U", 2, 3), ("U", 3, 2), ("U", 4, 2)], ids=_cell_id
+)
+def test_bitmask_order_is_the_natural_order(cell):
+    """On every pair of elements, ``order`` read off the bitmasks agrees
+    with restriction of partial injections on the left and with
+    ``block_union_leq`` on the right; on a set of elements it allows
+    exactly when it allows each."""
+    space, n, k = cell
+    duality = DualityCell(n, k, space)
+    for side, leq in (("left", lambda a, b: restricts(b, a)), ("right", block_union_leq)):
+        elements, allowed = duality.elements(side), duality.order(side)
+        for a in range(len(elements)):
+            below = {b for b in range(len(elements)) if leq(elements[a], elements[b])}
+            for b in range(len(elements)):
+                assert allowed(a, (b,)) == (b in below), (side, a, b)
+            others = set(random.Random(a).sample(range(len(elements)), min(3, len(elements))))
+            assert allowed(a, below), (side, a)
+            assert allowed(a, below | others) == (others <= below), (side, a)
 
 
 def test_cell_expands_each_element_once(monkeypatch):
@@ -375,6 +396,23 @@ def test_certification_rejects_an_element_missing_its_own_orbit():
 
     with pytest.raises(RuntimeError, match=_certification_error("left", EMPTY)):
         _tampered(ORBIT, invent).span("left")
+
+
+def test_certification_reports_each_overlap_as_one():
+    """An orbit that shares a coordinate with an earlier one, or lists
+    one twice, is reported as an overlap before any plain support is
+    read, whatever the later checks would say."""
+
+    def overlap(orbits, at):
+        orbits[at(SWAP)] = orbits[at(IDENT)]
+
+    def twice(orbits, at):
+        orbits[at(IDENT)] = orbits[at(IDENT)] * 2
+
+    for edit, names in ((overlap, (IDENT, SWAP)), (twice, (IDENT, IDENT))):
+        pattern = _certification_error("left", *names) + " overlap$"
+        with pytest.raises(RuntimeError, match=pattern):
+            _tampered(ORBIT, edit).span("left")
 
 
 def test_certification_rejects_an_owner_the_order_forbids():

@@ -207,6 +207,17 @@ def test_morphism_report_rejects_unknown_map():
         DeformationCell(2).homomorphism("zeta")
 
 
+@pytest.mark.parametrize("sample_pairs", [0, -3])
+@pytest.mark.parametrize("map_name", ["coarsening_sum", "block_subset_sum"])
+def test_homomorphism_refuses_a_sample_below_one(map_name, sample_pairs):
+    """A sample of no pairs checks nothing, so it is refused rather than
+    reported as a pass; one pair is the smallest sample."""
+    cell = DeformationCell(2)
+    with pytest.raises(ValueError, match="sample_pairs must be at least 1"):
+        cell.homomorphism(map_name, sample_pairs=sample_pairs)
+    assert cell.homomorphism(map_name, sample_pairs=1).pairs_checked == 1
+
+
 def _natural_cases():
     """Every pair of P*_k for k <= 3; at k = 4 the 1,000 pairs the CLI
     samples (seed 2024) and 10,000 more seeded pairs."""
@@ -473,19 +484,20 @@ EDITS = {"kill": _kill, "swap": _swap, "keep": _keep}
 
 def _corrupt_targets(monkeypatch, variant, edit=_kill):
     """Make the action of the identity under one variant go wrong by
-    ``edit`` of its target tuple, in the expansion rows that
+    ``edit`` of its target tuple, in the coordinate rows dst*d + src that
     ``action_supports`` and ``action_targets`` both read."""
-    right = rookdual.tensor_actions._target_rows
+    right = rookdual.tensor_actions._rows
     ident = SetPartition.identity(2)
 
-    def wrong(element, space, v, unguarded):
-        rows, rank = right(element, space, v, unguarded)
+    def wrong(element, space, v, unguarded, sums=False):
+        rows, orbit = right(element, space, v, unguarded, sums)
         if v == variant and element == ident:
-            targets = edit(rookdual.tensor_actions._fill(space.dimension, rows))
-            rows = [(c, t, 0) for c, t in enumerate(targets) if t >= 0]
-        return rows, rank
+            d = space.dimension
+            targets = edit(rookdual.tensor_actions._fill(d, rows))
+            rows = [t * d + c for c, t in enumerate(targets) if t >= 0]
+        return rows, orbit
 
-    monkeypatch.setattr(rookdual.tensor_actions, "_target_rows", wrong)
+    monkeypatch.setattr(rookdual.tensor_actions, "_rows", wrong)
 
 
 @pytest.mark.parametrize("edit", sorted(EDITS))

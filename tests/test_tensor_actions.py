@@ -21,6 +21,7 @@ from rookdual import (
     SetPartition,
     SizeGuardError,
     action_matrix,
+    action_supports,
     action_targets,
     canonicalize,
     enumerate_is,
@@ -56,6 +57,7 @@ from oracles import (
     match_set_partial,
     match_set_tilde,
     targets_matrix,
+    triple_supports,
 )
 
 
@@ -580,6 +582,23 @@ def test_orbit_targets_match_their_definitions(space):
 
         expected = _matrix_from_match(space, match)
         assert targets_matrix(orbit_targets(alpha, space)) == expected, alpha
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_supports_match_the_triple_rows_under_every_variant(k):
+    """On U(2, k) the plain and orbit supports of every rook element, of
+    every partial dual element under plain, hat and tilde, and of the
+    adjoined zero under hat are the oracle's, read off flat (input,
+    output, used) rows."""
+    space = ActionSpace("U", 2, k)
+    cases = [(pi, "plain") for pi in enumerate_is(2)] + [(HatElement.zero(k), "hat")]
+    for alpha in enumerate_pistar(k):
+        cases += [(alpha, "plain"), (HatElement.wrap(alpha), "hat"), (alpha, "tilde")]
+    for element, variant in cases:
+        support, orbit = action_supports(element, space, variant)
+        expected = triple_supports(element, space, variant)
+        assert (set(support), set(orbit)) == expected, (element, variant)
+        assert len(support) == len(expected[0]), (element, variant)
 
 
 def test_orbit_targets_validation():
