@@ -51,6 +51,7 @@ from .semigroups import (
     CompositionResult,
     bullet_multiply,
     epsilon,
+    family,
     is_generators,
     istar_generators,
     multiply_composition,
@@ -64,7 +65,6 @@ from .tensor_actions import (
     action_matrix,
     action_supports,
     action_targets,
-    orbit_targets,
     targets_commutant,
     targets_commute,
 )

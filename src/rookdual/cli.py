@@ -14,19 +14,13 @@ import argparse
 import json
 import sys
 
-from .diagrams import (
-    HatElement,
-    SizeGuardError,
-    enumerate_is,
-    enumerate_istar,
-    enumerate_pistar,
-    is_dual_element,
-)
+from .diagrams import HatElement, SizeGuardError, is_dual_element
 from .dualities import DualityCell, run_grid
 from .morphisms import DeformationCell
 from .notation import NotationError, parse_element
 from .semigroups import (
     bullet_multiply,
+    family,
     multiply_composition,
     multiply_istar,
     multiply_pistar,
@@ -133,13 +127,11 @@ def _coordinate_triplets(entries) -> list:
 def _cmd_enumerate(args) -> tuple:
     if args.semigroup == "is":
         _require("--n is required for --semigroup is", args.n is not None)
-        elements = enumerate_is(args.n, args.unguarded)
         size = {"n": args.n}
     else:
         _require("--k is required for this family", args.k is not None)
-        enum = enumerate_istar if args.semigroup == "istar" else enumerate_pistar
-        elements = enum(args.k, args.unguarded)
         size = {"k": args.k}
+    elements = family(args.semigroup, *size.values(), args.unguarded)
     if args.format == "json":
         payload = {
             "schema_version": 1,

@@ -404,14 +404,25 @@ def _matched_partitions(in_mask: int, out_mask: int, k: int) -> list:
     ]
 
 
+def _guard(name: str, size: int, unguarded: bool, caller: str = "") -> None:
+    """Refuse a size of the family ``name`` below 1 (``ValueError``), and
+    above its ``ENUM_LIMIT_*``, read when called, unless ``unguarded``
+    (``SizeGuardError`` naming ``caller``, by default the enumerator)."""
+    limit = {"is": ENUM_LIMIT_INJECTIONS, "istar": ENUM_LIMIT_DUAL,
+             "pistar": ENUM_LIMIT_PARTIAL_DUAL}.get(name)
+    if limit is None:
+        raise ValueError(f"unknown family {name!r}; expected 'is', 'istar' or 'pistar'")
+    variable = "n" if name == "is" else "k"
+    if size < 1:
+        raise ValueError(f"{variable} must be a positive integer")
+    if size > limit and not unguarded:
+        caller = caller or f"enumerate_{name}"
+        raise SizeGuardError(f"{caller} guard: {variable}={size} exceeds {limit}")
+
+
 def enumerate_is(n: int, unguarded: bool = False) -> list:
     """All partial injections on {1..n}, deterministically ordered."""
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    if n > ENUM_LIMIT_INJECTIONS and not unguarded:
-        raise SizeGuardError(
-            f"enumerate_is guard: n={n} exceeds {ENUM_LIMIT_INJECTIONS}"
-        )
+    _guard("is", n, unguarded)
     points = list(range(1, n + 1))
     out = []
     for r in range(n + 1):
@@ -429,9 +440,7 @@ def enumerate_is(n: int, unguarded: bool = False) -> list:
 def enumerate_istar(k: int, unguarded: bool = False) -> list:
     """All dual elements: partitions of all 2k points, every block meeting
     both rows."""
-    _positive_k(k)
-    if k > ENUM_LIMIT_DUAL and not unguarded:
-        raise SizeGuardError(f"enumerate_istar guard: k={k} exceeds {ENUM_LIMIT_DUAL}")
+    _guard("istar", k, unguarded)
     full = (1 << k) - 1
     return sorted(_matched_partitions(full, full, k), key=SetPartition.sort_key)
 
@@ -439,11 +448,7 @@ def enumerate_istar(k: int, unguarded: bool = False) -> list:
 def enumerate_pistar(k: int, unguarded: bool = False) -> list:
     """All partial dual elements: partitions of a subset of the 2k points,
     every block meeting both rows.  Includes the empty partition."""
-    _positive_k(k)
-    if k > ENUM_LIMIT_PARTIAL_DUAL and not unguarded:
-        raise SizeGuardError(
-            f"enumerate_pistar guard: k={k} exceeds {ENUM_LIMIT_PARTIAL_DUAL}"
-        )
+    _guard("pistar", k, unguarded)
     rows = range(1 << k)
     out = [p for ins in rows for outs in rows for p in _matched_partitions(ins, outs, k)]
     return sorted(out, key=SetPartition.sort_key)

@@ -11,19 +11,20 @@ size predicates say they should be.
 
 Every verdict at one (n, k, space) cell is made by one ``DualityCell``,
 whose methods take a side: ``"left"`` (the rook monoid) or ``"right"``
-(the dual or partial dual monoid).  It lists each side's generators
-(``is_generators`` on the left, ``istar_generators`` or
-``pistar_generators`` on the right) and its elements.  It expands
-each element's action once, into its plain and orbit supports
+(the dual or partial dual monoid).  It reads each side's elements from
+``semigroups.family``, which builds each monoid once per size for all
+cells, and builds its generators (``is_generators`` on the left,
+``istar_generators`` or ``pistar_generators`` on the right) apart.  It
+expands each element's action once, into its plain and orbit supports
 (``action_supports``), when a check first asks for its span, so a check
 never pays for a size guard it does not need; no element's target tuple
 is built or kept.  ``DualityCell.report`` runs every check and compares
 the faithfulness verdicts with ``predicted_faithful``; ``run_grid``
 reports on ``GRID``, where every cell runs in full.
 
-Spans are counted on the orbit bases of the two actions
-(``orbit_targets``: the rook groupoid basis on the left, the hat action
-on the right, on V^k as on U^k), not row-reduced.
+Spans are counted on the orbit bases of the two actions (the orbit
+support of ``action_supports``: the rook groupoid basis on the left,
+the hat action on the right, on V^k as on U^k), not row-reduced.
 ``DualityCell.span`` certifies that every plain matrix is a
 unitriangular 0/1 sum of orbit matrices with disjoint supports, and
 returns the non-zero orbit supports: the span's dimension is their
@@ -44,16 +45,15 @@ of classes.  The classes and the orbit supports are exact bases, so
 their numbers are the two dimensions, and the span equals the commutant
 exactly when it lies in it and the dimensions agree.  The right span
 lying in the left generators' commutant is also the commutation
-verdict, as the plain and orbit matrices span the same space.  Only the
-actions' step tables are kept across cells.
+verdict, as the plain and orbit matrices span the same space.  Across
+cells only the families and the actions' step tables are kept.
 """
 
 from collections import Counter
 from itertools import chain, repeat
 from typing import NamedTuple
 
-from .diagrams import enumerate_is, enumerate_istar, enumerate_pistar
-from .semigroups import is_generators, istar_generators, pistar_generators
+from .semigroups import _MONOIDS, family
 from .tensor_actions import ActionSpace, action_supports, action_targets, targets_commutant
 
 SIDES = ("left", "right")
@@ -138,15 +138,17 @@ class DualityReport(NamedTuple):
 
 class DualityCell:
     """The two actions at one (n, k, space) cell, shared by every check
-    there.  Element lists, generator tuples and the certified orbit
-    supports are built on first use and kept for the cell's lifetime;
-    the elements' plain supports live only while ``_certify`` runs."""
+    there.  Each side's elements are its ``family``, which every cell of
+    the same monoid and size shares; the certified orbit supports and the
+    verdicts are built on first use and kept for the cell's lifetime, the
+    generators' targets and the plain supports only while a check reads them."""
 
     def __init__(self, n: int, k: int, space: str, unguarded=False):
         self.n = n
         self.k = k
         self.space = ActionSpace(space, n, k)
         self.unguarded = unguarded
+        self._families = {"left": ("is", n), "right": ("istar" if space == "V" else "pistar", k)}
         self._parts = {}
 
     def _part(self, key, build):
@@ -154,28 +156,20 @@ class DualityCell:
             self._parts[key] = build()
         return self._parts[key]
 
-    def elements(self, side: str) -> list:
-        """Every element of one side, in enumeration order.  Every method
-        that takes a side reaches it through here, which refuses a side
-        other than ``"left"`` or ``"right"`` with ``ValueError``."""
-        if _check_side(side) == "left":
-            return self._part("left", lambda: enumerate_is(self.n, self.unguarded))
-        enum = enumerate_istar if self.space.kind == "V" else enumerate_pistar
-        return self._part("right", lambda: enum(self.k, self.unguarded))
+    def elements(self, side: str) -> tuple:
+        """Every element of one side's ``family`` (IS_n on the left, I*_k
+        on V or P*_k on U on the right), in enumeration order.  It and
+        ``generators`` refuse a side but "left" or "right" (``ValueError``)."""
+        return family(*self._families[_check_side(side)], self.unguarded)
 
     def generators(self, side: str) -> list:
         """Targets of a monoid generating set of one side: ``is_generators``
         on the left, ``istar_generators`` or ``pistar_generators`` on the
         right.  A matrix commutes with a whole side when it commutes with
         these."""
-        _check_side(side)
-
-        def build():
-            make = istar_generators if self.space.kind == "V" else pistar_generators
-            gens = is_generators(self.n) if side == "left" else make(self.k, self.unguarded)
-            return [action_targets(g, self.space, "plain", self.unguarded) for g in gens]
-
-        return self._part(("generators", side), build)
+        name, size = self._families[_check_side(side)]
+        gens = _MONOIDS[name][1](size, self.unguarded)
+        return [action_targets(g, self.space, "plain", self.unguarded) for g in gens]
 
     def _expansions(self, side: str) -> list:
         """The (plain support, orbit support) pair of ``action_supports``

@@ -24,12 +24,12 @@ same walks.  Every combination of diagrams is a plain
 All coefficients here, the Moebius ones included, are integers.
 
 Every check of the maps is made by one ``DeformationCell`` per k, which
-enumerates P*_k once and builds each map's images and inverse verdict
-from one walk per element, and each U^k action support from one
-expansion, at most once for all of its reports.  Its homomorphism check
-encodes each combination as one exact integer, compares all pairs row
-by row with sums of a table of star products (or sampled pairs one by
-one).  It relabels the domain products of a left
+reads P*_k from ``semigroups.family`` and builds each map's images and
+inverse verdict from one walk per element, and each U^k action support
+from one expansion, at most once for all of its reports.  Its
+homomorphism check encodes each combination as one exact integer,
+compares all pairs row by row with sums of a table of star products (or
+sampled pairs one by one).  It relabels the domain products of a left
 element with every right element of one in-key at once, from a generic
 product of the two middle rows made once per pair of rows, which the
 naturality test pins to the direct products; in exhaustive mode each
@@ -50,10 +50,9 @@ from .diagrams import (
     SetPartition,
     _set_partitions,
     block_union_leq,
-    enumerate_pistar,
     is_partial_dual_element,
 )
-from .semigroups import bullet_codes, pistar_codes, star_codes
+from .semigroups import bullet_codes, family, pistar_codes, star_codes
 from .tensor_actions import ActionSpace, action_supports
 
 
@@ -173,17 +172,18 @@ def _map_functions(map_name: str) -> tuple:
 
 class DeformationCell:
     """The partial dual elements at one k, shared by every deformation
-    check there; the twin of ``dualities.DualityCell``.  P*_k is
-    enumerated and indexed by code once.  Each map's forward images, as
-    tuples of their terms' element indices, with its inverse verdict, and
-    the sorted U^k action supports of each (n, variant), are built on
-    first use and kept for the cell's lifetime.  ``unguarded`` lifts the
+    check there; the twin of ``dualities.DualityCell``.  P*_k is read
+    from ``semigroups.family``, which every cell shares, and indexed by
+    code once.  Each map's forward images, as tuples of their terms'
+    element indices, with its inverse verdict, and the sorted U^k action
+    supports of each (n, variant), are built on first use and kept for
+    the cell's lifetime.  ``unguarded`` lifts the
     size guards, as on ``DualityCell``."""
 
     def __init__(self, k: int, unguarded: bool = False):
         self.k = k
         self.unguarded = unguarded
-        self.elements = enumerate_pistar(k, unguarded)
+        self.elements = family("pistar", k, unguarded)
         if not all(map(is_partial_dual_element, self.elements)):
             raise RuntimeError("enumerate_pistar returned a non-partial-dual element")
         self.index = {alpha.code: i for i, alpha in enumerate(self.elements)}

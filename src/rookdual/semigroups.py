@@ -14,7 +14,8 @@ The monoid generating sets live here too: ``is_generators`` for the rook
 monoid, ``istar_generators`` and ``pistar_generators`` for the dual and
 partial dual monoids.  A matrix commutes with a whole monoid's image
 when it commutes with the images of its generators, which is how the
-duality checks solve every commutant.
+duality checks solve every commutant.  ``family`` lists a monoid's
+elements, built once per (monoid, size).
 
 All four diagram products run on the code a diagram is stored as
 (``SetPartition.code``): a sorted tuple of ``(in_mask, out_mask)``
@@ -28,16 +29,18 @@ and call the code products on generic codes of middle rows, whose
 results they relabel.
 """
 
+import functools
 from typing import NamedTuple
 
 from .diagrams import (
-    ENUM_LIMIT_DUAL,
-    ENUM_LIMIT_PARTIAL_DUAL,
     Code,
     HatElement,
     PartialInjection,
     SetPartition,
-    SizeGuardError,
+    _guard,
+    enumerate_is,
+    enumerate_istar,
+    enumerate_pistar,
     is_dual_element,
     is_partial_dual_element,
 )
@@ -70,11 +73,7 @@ def is_generators(n: int) -> list:
     swap = PartialInjection([2, 1] + list(range(3, n + 1)), n)
     cycle = PartialInjection(list(range(2, n + 1)) + [1], n)
     eps = epsilon(n, frozenset(range(1, n)))
-    gens = []
-    for g in (swap, cycle, eps):
-        if g not in gens:
-            gens.append(g)
-    return gens
+    return list(dict.fromkeys((swap, cycle, eps)))
 
 
 def _mask(*points) -> int:
@@ -86,16 +85,12 @@ def _fixed(start: int, k: int) -> list:
     return [(_mask(i), _mask(i)) for i in range(start, k + 1)]
 
 
-def _dual_generators(name: str, k: int, limit: int, unguarded: bool, extra) -> list:
+def _dual_generators(name: str, k: int, unguarded: bool, extra) -> list:
     """The swap, the k-cycle and the merge ``{1,2,1',2'}|{3,3'}|...``
     (at k = 1 the identity instead: for k >= 2 it is the swap squared),
     then the diagrams of the ``extra`` codes, without duplicates (the
-    k-cycle is the swap at k = 2).  Refuses k above ``limit`` with
-    ``SizeGuardError`` unless ``unguarded``."""
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    if k > limit and not unguarded:
-        raise SizeGuardError(f"{name} guard: k={k} exceeds {limit}")
+    k-cycle is the swap at k = 2), guarded as ``enumerate_<name>`` is."""
+    _guard(name, k, unguarded, f"{name}_generators")
     if k == 1:
         codes = [_fixed(1, 1)]
     else:
@@ -104,12 +99,7 @@ def _dual_generators(name: str, k: int, limit: int, unguarded: bool, extra) -> l
             [(_mask(i), _mask(i % k + 1)) for i in range(1, k + 1)],
             [(_mask(1, 2), _mask(1, 2))] + _fixed(3, k),
         ]
-    gens = []
-    for code in codes + extra:
-        g = SetPartition(k, code)
-        if g not in gens:
-            gens.append(g)
-    return gens
+    return list(dict.fromkeys(SetPartition(k, code) for code in codes + extra))
 
 
 def istar_generators(k: int, unguarded: bool = False) -> list:
@@ -124,7 +114,7 @@ def istar_generators(k: int, unguarded: bool = False) -> list:
     if k >= 3:
         shifted = [(_mask(i + 1), _mask(i)) for i in range(2, k - 1)]
         eta = [[(_mask(1, 2), _mask(1))] + shifted + [(_mask(k), _mask(k - 1, k))]]
-    return _dual_generators("istar_generators", k, ENUM_LIMIT_DUAL, unguarded, eta)
+    return _dual_generators("istar", k, unguarded, eta)
 
 
 def pistar_generators(k: int, unguarded: bool = False) -> list:
@@ -141,7 +131,24 @@ def pistar_generators(k: int, unguarded: bool = False) -> list:
             [(_mask(1, 2), _mask(1))] + _fixed(3, k),
             [(_mask(1), _mask(1, 2))] + _fixed(3, k),
         ]
-    return _dual_generators("pistar_generators", k, ENUM_LIMIT_PARTIAL_DUAL, unguarded, extra)
+    return _dual_generators("pistar", k, unguarded, extra)
+
+
+_MONOIDS = {
+    "is": (enumerate_is, lambda n, unguarded=False: is_generators(n)),
+    "istar": (enumerate_istar, istar_generators),
+    "pistar": (enumerate_pistar, pistar_generators),
+}
+_family = functools.cache(lambda name, size: tuple(_MONOIDS[name][0](size, True)))
+
+
+def family(name: str, size: int, unguarded: bool = False) -> tuple:
+    """The elements of IS_n (``"is"``), I*_k (``"istar"``) or P*_k
+    (``"pistar"``), as ``_MONOIDS`` enumerates them, built once per (name,
+    size), kept for the whole process and shared by every caller.  The size
+    guard runs on every call, before the cache; generating sets stay apart."""
+    _guard(name, size, unguarded)
+    return _family(name, size)
 
 
 def _glue(a, b) -> list:

@@ -24,7 +24,7 @@ d splits a coordinate):
   Products of these matrices are compositions of tuples, and
   commutation is ``targets_commute``.
 * ``action_supports`` returns the rows (the support of that matrix) and
-  the orbit support; ``orbit_targets`` is filled from the orbit support.
+  the orbit support.
 * ``action_matrix`` writes the rows as ``{(row, col): 1}``.  Only a
   composition element with a free output block (a block with output
   positions but no input position) needs it: a free block adds nothing
@@ -41,9 +41,9 @@ leave live, and its size guard counts those.
 The duality checks feed it a monoid's generators, not its elements.
 
 Spans need no linear algebra because each action has an orbit basis
-(``orbit_targets``), whose matrices have pairwise disjoint 0/1 supports
-and of which every plain matrix is a unitriangular 0/1 sum.  On the
-rook side it is the groupoid basis
+(the orbit supports of ``action_supports``), whose matrices have
+pairwise disjoint 0/1 supports and of which every plain matrix is a
+unitriangular 0/1 sum.  On the rook side it is the groupoid basis
 ``floor(pi) = sum over sigma <= pi of mu(sigma, pi) sigma``, with sigma
 running over the restrictions of pi (L. Solomon, "Representations of
 the rook monoid", J. Algebra 256, 2002; B. Steinberg, "Moebius functions
@@ -358,20 +358,6 @@ def action_supports(
     whose inputs carry as many distinct non-zero digits as the rank."""
     support, orbit = _rows(element, space, variant, unguarded)
     return array("q", support), orbit  # 8 bytes a coordinate, not 32
-
-
-def orbit_targets(element, space: ActionSpace, unguarded: bool = False) -> Targets:
-    """Target tuple of the orbit-basis element of a partial injection or
-    a diagram: the part of its plain action that the orbits of its
-    proper restrictions, or of its proper block coarsenings, leave over.
-
-    A partial injection pi keeps a tensor only when its set of non-zero
-    digits is exactly dom pi.  A diagram acts by its hat action: a
-    partial dual element on U^k, a dual element on V^k."""
-    variant = "plain" if isinstance(element, PartialInjection) else "hat"
-    if not isinstance(element, (PartialInjection, HatElement)):
-        element = HatElement.wrap(element)
-    return _fill(space.dimension, _rows(element, space, variant, unguarded)[1])
 
 
 def action_matrix(

@@ -37,6 +37,8 @@ rows and reads its plain and orbit supports off them, the way the
 package did before each row became one matrix coordinate, and
 ``restricts`` is the rook monoid's natural order on target tuples, the
 reference for the graph bitmasks of ``DualityCell.order``.
+``orbit_targets`` writes an element's orbit support as a target tuple,
+for the tests that compare orbit bases with their definitions.
 """
 
 import functools
@@ -49,6 +51,7 @@ from rookdual import (
     HatElement,
     PartialInjection,
     action_matrix,
+    action_supports,
     action_targets,
     block_subset_sum,
     canonicalize,
@@ -750,6 +753,26 @@ def triple_supports(element, space, variant: str = "plain") -> tuple:
         {dst * d + src for src, dst, _ in rows},
         {dst * d + src for src, dst, used in rows if used.bit_count() == rank},
     )
+
+
+def orbit_targets(element, space, unguarded: bool = False) -> tuple:
+    """Target tuple of the orbit-basis element of a partial injection or
+    a diagram, filled from the orbit support of ``action_supports``: the
+    part of its plain action that the orbits of its proper restrictions,
+    or of its proper block coarsenings, leave over.
+
+    A partial injection pi keeps a tensor only when its set of non-zero
+    digits is exactly dom pi.  A diagram acts by its hat action: a
+    partial dual element on U^k, a dual element on V^k."""
+    variant = "plain" if isinstance(element, PartialInjection) else "hat"
+    if not isinstance(element, (PartialInjection, HatElement)):
+        element = HatElement.wrap(element)
+    d = space.dimension
+    targets = [-1] * d
+    for coordinate in action_supports(element, space, variant, unguarded)[1]:
+        dst, src = divmod(coordinate, d)
+        targets[src] = dst
+    return tuple(targets)
 
 
 def restricts(sigma, pi) -> bool:

@@ -18,7 +18,9 @@ import pytest
 
 import rookdual.diagrams
 import rookdual.morphisms
+import rookdual.semigroups
 from rookdual import (
+    DualityCell,
     NotationError,
     enumerate_is,
     enumerate_istar,
@@ -299,22 +301,26 @@ def test_verify_props_builds_each_deformation_part_once(capsys, monkeypatch):
     """One ``verify --props`` run enumerates P*_k once, walks each
     element once per map (the walk gives both the image and the
     closed-form inverse), and expands each action variant once per
-    element, however many reports read them."""
+    element, however many reports read them.  The family cache starts
+    empty, so the run builds P*_3 itself."""
     calls = Counter()
 
-    def counted(name):
-        right = getattr(rookdual.morphisms, name)
-
+    def counted(name, right):
         def wrapper(*args):
             # keyed without an action's space, which each report makes anew
             calls[name, *args[:1], *args[2:]] += 1
             return right(*args)
 
-        monkeypatch.setattr(rookdual.morphisms, name, wrapper)
+        return wrapper
 
     walks = ("_upper_set_with_mobius", "_subsets_with_sign")
-    for name in ("enumerate_pistar", "action_supports", *walks):
-        counted(name)
+    enumerate_, generators = rookdual.semigroups._MONOIDS["pistar"]
+    pistar = (counted("enumerate_pistar", enumerate_), generators)
+    monkeypatch.setitem(rookdual.semigroups._MONOIDS, "pistar", pistar)
+    for name in ("action_supports", *walks):
+        right = getattr(rookdual.morphisms, name)
+        monkeypatch.setattr(rookdual.morphisms, name, counted(name, right))
+    rookdual.semigroups._family.cache_clear()
     code, _, _ = run_cli(capsys, "verify", "--props", "--n", "2", "--k", "3")
     assert code == 0
     assert max(calls.values()) == 1
@@ -323,6 +329,28 @@ def test_verify_props_builds_each_deformation_part_once(capsys, monkeypatch):
     assert all(per_name[name] == 128 for name in walks)
     variants = Counter(key[2] for key in calls if key[0] == "action_supports")
     assert variants == {"plain": 128, "hat": 128, "tilde": 128}
+
+
+def test_verify_all_builds_each_family_once(capsys, monkeypatch):
+    """From an empty family cache, one ``verify --all`` run enumerates
+    each of its 11 (monoid, size) pairs once: IS_1..IS_4, I*_1..I*_4 and
+    P*_1..P*_3 (the props reports read P*_2 again).  Cells of one monoid
+    and size share its element list."""
+    calls = Counter()
+    for name, (right, generators) in list(rookdual.semigroups._MONOIDS.items()):
+
+        def wrapper(size, unguarded=False, name=f"enumerate_{name}", right=right):
+            calls[name] += 1
+            return right(size, unguarded)
+
+        monkeypatch.setitem(rookdual.semigroups._MONOIDS, name, (wrapper, generators))
+    rookdual.semigroups._family.cache_clear()
+    code, _, _ = run_cli(capsys, "verify", "--all")
+    assert code == 0
+    assert calls == {"enumerate_is": 4, "enumerate_istar": 4, "enumerate_pistar": 3}
+    v, u = DualityCell(2, 3, "V"), DualityCell(2, 1, "U")
+    assert v.elements("left") is u.elements("left")
+    assert v.elements("right") is DualityCell(4, 3, "V").elements("right")
 
 
 def test_verify_props_multiplies_each_middle_pair_once(capsys, monkeypatch):
@@ -594,9 +622,30 @@ def test_library_errors_are_not_usage_errors(monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("library bug")
 
-    monkeypatch.setattr("rookdual.cli.enumerate_is", broken)
+    is_generators = rookdual.semigroups._MONOIDS["is"][1]
+    monkeypatch.setitem(rookdual.semigroups._MONOIDS, "is", (broken, is_generators))
+    rookdual.semigroups._family.cache_clear()  # else a cached IS_2 hides the bug
     with pytest.raises(ValueError, match="library bug"):
         main(["enumerate", "--semigroup", "is", "--n", "2"])
+
+
+def test_commutant_reads_only_the_generators(capsys, monkeypatch):
+    """A commutant is solved on a generating set alone: it enumerates no
+    monoid, so IS_7 passes on the left although ``enumerate_is`` refuses
+    n = 7, and a lowered limit trips the generating set's own guard."""
+
+    def refused(*args):
+        raise AssertionError("a commutant enumerated its monoid")
+
+    for name, (_, generators) in list(rookdual.semigroups._MONOIDS.items()):
+        monkeypatch.setitem(rookdual.semigroups._MONOIDS, name, (refused, generators))
+    argv = ("commutant", "--space", "V", "--n", "7", "--k", "2", "--side", "left-is")
+    assert run_cli(capsys, *argv) == (0, "dimension=3\n", "")
+    monkeypatch.setattr(rookdual.diagrams, "ENUM_LIMIT_DUAL", 1)
+    argv = ("commutant", "--space", "V", "--n", "2", "--k", "2", "--side", "right-istar")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "istar_generators guard: k=2 exceeds 1" in err
 
 
 @pytest.mark.parametrize("side,dimension", [("left-is", 339), ("right-istar", 1425)])

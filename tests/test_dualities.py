@@ -300,9 +300,9 @@ def test_cell_expands_each_element_once(monkeypatch):
 
 def test_cell_keeps_no_tuple_per_element():
     """With both sides' elements built first, the memory a V(4,4)
-    report leaves allocated (the generators' tuples, the certified
-    orbit supports and the verdicts) stays below 1.2 MB; d-length
-    target tuples of the 209 + 339 elements would add about 1.1 MB."""
+    report leaves allocated (the certified orbit supports and the
+    verdicts) stays below 1.2 MB; d-length target tuples of the
+    209 + 339 elements would add about 1.1 MB."""
     cell = DualityCell(4, 4, "V")
     cell.elements("left"), cell.elements("right")
     tracemalloc.start()

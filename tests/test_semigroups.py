@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+import rookdual.diagrams
 import rookdual.semigroups
 from rookdual import (
     CompositionResult,
@@ -30,6 +31,7 @@ from rookdual import (
     enumerate_istar,
     enumerate_pistar,
     epsilon,
+    family,
     is_dual_element,
     is_generators,
     is_partial_dual_element,
@@ -138,6 +140,59 @@ def test_dual_generating_sets_keep_the_enumeration_guards():
     for gens in (istar_generators, pistar_generators):
         with pytest.raises(ValueError):
             gens(0)
+
+
+@pytest.mark.parametrize(
+    "limit,enumerate_,generators",
+    [
+        ("ENUM_LIMIT_DUAL", enumerate_istar, istar_generators),
+        ("ENUM_LIMIT_PARTIAL_DUAL", enumerate_pistar, pistar_generators),
+    ],
+)
+def test_generating_sets_read_the_limit_when_called(
+    limit, enumerate_, generators, monkeypatch
+):
+    """A lowered enumeration limit refuses the generating set as it
+    refuses the enumeration, and ``unguarded`` lifts both."""
+    monkeypatch.setattr(rookdual.diagrams, limit, 1)
+    for build in (enumerate_, generators):
+        with pytest.raises(SizeGuardError, match=f"{build.__name__} guard: k=2 exceeds 1"):
+            build(2)
+        assert build(2, unguarded=True)
+
+
+@pytest.mark.parametrize(
+    "name,limit,enumerate_,generators",
+    [
+        ("is", "ENUM_LIMIT_INJECTIONS", enumerate_is, is_generators),
+        ("istar", "ENUM_LIMIT_DUAL", enumerate_istar, istar_generators),
+        ("pistar", "ENUM_LIMIT_PARTIAL_DUAL", enumerate_pistar, pistar_generators),
+    ],
+)
+def test_family_guards_every_call(name, limit, enumerate_, generators, monkeypatch):
+    """``family`` is the enumeration, built once; a guarded call still
+    trips after an unguarded one has cached the family under a lowered
+    limit, with the enumerator's message.  The table ``family`` reads
+    pairs each monoid with its own generating set."""
+    elements = family(name, 2)
+    assert elements == tuple(enumerate_(2))
+    assert rookdual.semigroups._MONOIDS[name][1](2) == generators(2)
+    monkeypatch.setattr(rookdual.diagrams, limit, 1)
+    rookdual.semigroups._family.cache_clear()
+    built = family(name, 2, unguarded=True)
+    assert built == elements
+    assert family(name, 2, unguarded=True) is built
+    variable = "n" if name == "is" else "k"
+    with pytest.raises(SizeGuardError, match=f"^enumerate_{name} guard: {variable}=2 exceeds 1$"):
+        family(name, 2)
+
+
+def test_family_refuses_unknown_names_and_sizes():
+    with pytest.raises(ValueError, match="unknown family"):
+        family("composition", 2)
+    for name in ("is", "istar", "pistar"):
+        with pytest.raises(ValueError, match="positive"):
+            family(name, 0)
 
 
 @settings(max_examples=200, deadline=None)

@@ -31,7 +31,6 @@ from rookdual import (
     istar_generators,
     multiply_istar,
     multiply_pistar,
-    orbit_targets,
     parse_element,
     pistar_generators,
     primed,
@@ -56,6 +55,7 @@ from oracles import (
     match_set_hat,
     match_set_partial,
     match_set_tilde,
+    orbit_targets,
     targets_matrix,
     triple_supports,
 )
