@@ -31,30 +31,31 @@ returns the non-zero orbit supports: the span's dimension is their
 number, and a matrix lies in the span exactly when it is constant on
 every support and zero off them.  The checks run on whole coordinate
 lists: one dict gives each coordinate's orbit, the order is read off
-per-element bitmasks, and a plain support covers the orbits it touches
-when their sizes sum to its length.  Each plain matrix is then the sum
-of the orbit matrices it touches, so semigroup faithfulness is a count
-of the distinct sets of orbits that the elements touch.
+per-element bitmasks built once per family, and a plain support covers
+the orbits it touches when their sizes sum to its length.  Each plain
+matrix is then the sum of the orbit matrices it touches, so semigroup
+faithfulness is a count of the distinct sets of orbits the elements touch.
 
-A commutant is a list of classes of matrix coordinates
-(``targets_commutant``, a union-find graded by the generators'
-diagonal idempotents), solved on one side's generators only: its
-matrices are those constant on every class and zero off them.  So the
-span lies in the commutant exactly when every orbit support is a union
-of classes.  The classes and the orbit supports are exact bases, so
-their numbers are the two dimensions, and the span equals the commutant
-exactly when it lies in it and the dimensions agree.  The right span
-lying in the left generators' commutant is also the commutation
+A commutant labels matrix coordinates by class (``targets_commutant``:
+orbits of the permutation generators, joined by the others' equations),
+solved on one side's generators only: its matrices are those constant
+on every class and zero off them.  So the span lies in the commutant
+exactly when every orbit support has non-zero labels only and covers
+each class it touches.  The classes and the orbit supports are exact
+bases, so their numbers are the two dimensions, and the span equals the
+commutant exactly when it lies in it and the dimensions agree.  The right
+span lying in the left generators' commutant is also the commutation
 verdict, as the plain and orbit matrices span the same space.  Across
-cells only the families and the actions' step tables are kept.
+cells only the families, their orders and the actions' tables are kept.
 """
 
 from collections import Counter
 from itertools import chain, repeat
 from typing import NamedTuple
 
-from .semigroups import _MONOIDS, family
-from .tensor_actions import ActionSpace, action_supports, action_targets, targets_commutant
+from .semigroups import _MONOIDS, _natural_order, family
+from .tensor_actions import ActionSpace, _commutant_labels, action_supports, action_targets
+from .tensor_actions import targets_commutant
 
 SIDES = ("left", "right")
 
@@ -71,16 +72,6 @@ def _check_side(side: str) -> str:
     if side not in SIDES:
         raise ValueError(f"unknown side {side!r}; expected 'left' or 'right'")
     return side
-
-
-def _unions_of(parts, pieces) -> bool:
-    """Every part is a union of the disjoint pieces."""
-    piece_of = {x: i for i, piece in enumerate(pieces) for x in piece}
-    for part in parts:
-        touched = {piece_of.get(x) for x in part}
-        if None in touched or sum(len(pieces[i]) for i in touched) != len(part):
-            return False
-    return True
 
 
 def predicted_faithful(space: str, side: str, n: int, k: int) -> tuple:
@@ -189,31 +180,10 @@ class DualityCell:
         return self._part(("span", side), lambda: self._certify(side))
 
     def order(self, side: str):
-        """The partial order the plain matrices are triangular in, on
-        element indices: ``allowed(a, bs)`` says that the orbit of every
-        element b in bs may carry part of the plain matrix of element a.
-        On the left b must be a restriction of a: its graph, bits
-        x*n + pi(x+1) - 1, lies in a's.  On the right every block of b
-        must be a union of blocks of a (b lies in
-        ``morphisms.natural_upper_set`` of a): b's points, as rows x*2k..
-        of a 2k by 2k bit matrix, are a's, and on those rows a's
-        same-block pairs are b's.  Point x is i - 1 for i, k + i - 1 for i'."""
-        elements, n, k = self.elements(side), self.n, self.k
-        if side == "left":
-            bit = [{None: 0, **{t: 1 << x * n + t - 1 for t in range(1, n + 1)}} for x in range(n)]
-            graph = [sum(map(dict.__getitem__, bit, e.targets)) for e in elements]
-            return lambda a, bs: not any(map((~graph[a]).__and__, map(graph.__getitem__, bs)))
-        pair_of, row_of, row = {}, {}, ~(-1 << 2 * k)
-        for block in {block for e in elements for block in e.code}:
-            points = block[0] | block[1] << k
-            shifts = [x * 2 * k for x in range(2 * k) if points >> x & 1]
-            pair_of[block] = sum(points << s for s in shifts)
-            row_of[block] = sum(row << s for s in shifts)
-        pairs = [sum(map(pair_of.__getitem__, e.code)) for e in elements]
-        rows = [sum(map(row_of.__getitem__, e.code)) for e in elements]
-        unpaired = [r & ~p for p, r in zip(pairs, rows)]  # rows of b minus b's pairs
-        return lambda a, bs: not (any(map((~rows[a]).__and__, map(rows.__getitem__, bs)))
-                                  or any(map(pairs[a].__and__, map(unpaired.__getitem__, bs))))
+        """``allowed(a, bs)``: every b in bs lies below a in the natural order
+        (``semigroups._natural_order``), so b's orbit may carry part of a's plain matrix."""
+        self.elements(side)  # the side and size checks
+        return _natural_order(*self._families[side])
 
     def _certify(self, side: str) -> tuple:
         """The non-zero orbit supports of one side and the number of
@@ -270,18 +240,26 @@ class DualityCell:
         return targets_commutant(self.generators(side), self.space.dimension, self.unguarded)
 
     def half_centralizer(self, side: str) -> tuple:
-        """One direction of the double centralizer: the commutant
-        dimension of ``side`` (its number of classes), the span dimension
-        of the other side (its number of orbit supports) and whether that
-        span lies in the commutant (every orbit support is a union of
-        classes).  Both dimensions are exact basis counts, so the span is
-        the commutant exactly when it lies in it and they are equal.
-        Kept for the cell's lifetime; the classes are not."""
+        """One direction of the double centralizer: the commutant dimension
+        of ``side`` (its non-zero class labels), the span dimension of the
+        other side (its orbit supports) and whether that span lies in the
+        commutant (``_certify``'s cover test on the labels).  Both are exact
+        basis counts, so the span is the commutant when it lies in it and
+        they agree.  Kept; the labels are not, and their dict waits for the
+        span, so as not to add to its peak memory."""
 
         def build():
-            classes = self.commutant(side)
+            gens, d = self.generators(side), self.space.dimension
+            cells, labels, zero = _commutant_labels(gens, d, self.unguarded)
             supports = self.span("right" if side == "left" else "left")
-            return len(classes), len(supports), _unions_of(supports, classes)
+            label_of, sizes = dict(zip(cells, labels)), Counter(labels)
+            sizes.pop(zero, None)
+
+            def covered(support):  # labels non-zero (a dead coordinate has none), sizes sum
+                touched = set(map(label_of.get, support))
+                return touched <= sizes.keys() and sum(map(sizes.get, touched)) == len(support)
+
+            return len(sizes), len(supports), all(map(covered, supports))
 
         return self._part(("half", side), build)
 

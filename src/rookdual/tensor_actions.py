@@ -37,8 +37,9 @@ The commutant of a set of target tuples needs no linear algebra either:
 every commuting matrix holds constant, drops the classes forced to zero,
 and returns the rest, whose indicator matrices are the commutant basis.
 It solves only the entries that the sources' diagonal idempotents
-leave live, and its size guard counts those.
-The duality checks feed it a monoid's generators, not its elements.
+leave live, and its size guard counts those; the permutation sources'
+orbits, joined by the others in a union-find, label them by class
+(``_commutant_labels``).  The duality checks feed it generators only.
 
 Spans need no linear algebra because each action has an orbit basis
 (the orbit supports of ``action_supports``), whose matrices have
@@ -125,6 +126,8 @@ class ActionSpace:
         return itertools.product(range(self.low, self.n + 1), repeat=self.k)
 
     def ordinal(self, index: TensorIndex) -> int:
+        if len(index) != self.k:
+            raise ValueError(f"index of {len(index)} digits, not k = {self.k}")
         base = self.n + 1 - self.low
         o = 0
         for digit in index:
@@ -145,6 +148,77 @@ def targets_commute(g: Targets, a: Targets) -> bool:
     return all(g_ext[x] == a_ext[y] for x, y in zip(a, g))
 
 
+def _commutant_labels(sources, d: int, unguarded: bool = False) -> tuple:
+    """``targets_commutant``'s solve: live coordinates (lazily), their labels, the zero label."""
+    sources = list(sources)
+    for g in sources:  # in range, and no two tensors sent to one
+        if len(g) != d or not -1 <= min(g) <= max(g) < d or len({*g, -1}) != d + 1 - g.count(-1):
+            raise ValueError("sources must be partial permutations of length d")
+    diagonal = [g for g in sources if all(t in (j, -1) for j, t in enumerate(g))]
+    kept = list({frozenset(j for j, t in enumerate(g) if t == j) for g in diagonal})
+    perms = [g for g in sources if -1 not in g]
+    for members in kept:  # grows until closed under the permutation sources
+        kept.extend({frozenset(p[j] for j in members) for p in perms} - set(kept))
+    covered = set().union(*kept)
+    blocks = {}  # tensors by the kept sets that hold them
+    for j in covered:
+        blocks.setdefault(frozenset(b for b, m in enumerate(kept) if j in m), []).append(j)
+    live = (d - len(covered)) ** 2 + sum(len(m) ** 2 for m in blocks.values())
+    if live > COMMUTANT_UNKNOWN_LIMIT and not unguarded:
+        shown = _decimal(live, f"up to d^2 (d of {d.bit_length()} bits)")
+        raise SizeGuardError(
+            f"commutant guard: {shown} live unknowns exceed {COMMUTANT_UNKNOWN_LIMIT}"
+        )
+    groups = [*blocks.values(), [j for j in range(d) if j not in covered]]
+    # live (a, b) is number row[a] + pos[b]; missing tensor -1 is in block -1
+    block, row, pos, start = [0] * d + [-1], [0] * d, [0] * d, 0
+    for b, m in enumerate(groups):
+        for p, j in enumerate(m):
+            block[j], row[j], pos[j] = b, start + p * len(m), p
+        start += len(m) ** 2
+    zero, none = live, live + 1
+
+    def partners(h, fwd):  # x[a, b] = x[h a, h b] if h a exists (fwd), or h b (backward)
+        hb, hr, out = [block[t] for t in h], [row[t] for t in h], []
+        for m in groups:  # none: no equation; zero: a missing or dead partner
+            cols = [(hb[b], pos[h[b]], zero) if fwd or h[b] >= 0 else (-2, 0, none) for b in m]
+            for a, ra, ba in zip(m, map(hr.__getitem__, m), map(hb.__getitem__, m)):
+                out += ([none] * len(m) if fwd and h[a] < 0
+                        else [ra + q if bb == ba else z for bb, q, z in cols])
+        return out
+
+    # a permutation moves each block's cells onto one block; its cycles hold its backward joins
+    moves = [[r + q for m in groups for qs in [[pos[g[b]] for b in m]]
+              for r in [row[g[a]] for a in m] for q in qs] for g in perms if g not in diagonal]
+    rep = [-1] * zero + [zero, none]
+    for x in range(zero):  # one walk per orbit
+        if rep[x] < 0:
+            rep[x], orbit = x, [x]
+            for y in orbit:
+                for move in moves:
+                    if rep[move[y]] < 0:
+                        rep[move[y]] = x
+                        orbit.append(move[y])
+    parent = rep[: zero + 1]  # the union-find joins orbits
+
+    def find(x):  # halves the path as it climbs
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    for g in sources:
+        if -1 in g and g not in diagonal:  # by the other sources' equations
+            inverse = {t: c for c, t in enumerate(g)}
+            for h, fwd in ((g, True), ([inverse.get(t, -1) for t in range(d)], False)):
+                for r, s in set(zip(rep, map(rep.__getitem__, partners(h, fwd)))):
+                    if s not in (r, none):
+                        parent[find(r)] = find(s)
+    for r in set(rep[: zero + 1]):
+        parent[r] = find(r)
+    cells = (r + j for m in groups for r in [i * d for i in m] for j in m)
+    return cells, list(map(parent.__getitem__, rep[:zero])), parent[zero]
+
+
 def targets_commutant(sources, d: int, unguarded: bool = False) -> list:
     """Basis of {X : XG = GX for every source G}, as classes of
     coordinates row*d + col; the basis matrix of a class has a 1 on each
@@ -161,66 +235,14 @@ def targets_commutant(sources, d: int, unguarded: bool = False) -> list:
     A diagonal idempotent source keeping the set K, and its conjugate by
     each permutation source P (keeping P(K); X commutes with P^-1 too),
     force x[i, j] = 0 unless each kept set holds both i and j or neither,
-    which is all a diagonal source says.  The union-find runs over the
-    other, live, coordinates plus a node for zero, and refuses above
-    ``COMMUTANT_UNKNOWN_LIMIT`` live unknowns with ``SizeGuardError``."""
-    inverses = []
-    for g in sources:
-        if len(g) != d or not all(-1 <= t < d for t in g):
-            raise ValueError("sources must be partial permutations of length d")
-        ginv = [-1] * d
-        for c, t in enumerate(g):
-            if t >= 0:
-                ginv[t] = c
-        if ginv.count(-1) != g.count(-1):  # two tensors sent to one
-            raise ValueError("sources must be partial permutations of length d")
-        inverses.append((g, ginv))
-    diagonal = [g for g, _ in inverses if all(t in (j, -1) for j, t in enumerate(g))]
-    kept = list({frozenset(j for j, t in enumerate(g) if t == j) for g in diagonal})
-    perms = [g for g, _ in inverses if -1 not in g]
-    for members in kept:  # grows until closed under the permutation sources
-        kept.extend({frozenset(p[j] for j in members) for p in perms} - set(kept))
-    covered = set().union(*kept)
-    blocks = {}  # tensors by the kept sets that hold them
-    for j in covered:
-        blocks.setdefault(frozenset(b for b, m in enumerate(kept) if j in m), []).append(j)
-    live = (d - len(covered)) ** 2 + sum(len(m) ** 2 for m in blocks.values())
-    if live > COMMUTANT_UNKNOWN_LIMIT and not unguarded:
-        shown = _decimal(live, f"up to d^2 (d of {d.bit_length()} bits)")
-        raise SizeGuardError(
-            f"commutant guard: {shown} live unknowns exceed {COMMUTANT_UNKNOWN_LIMIT}"
-        )
-    blocks[frozenset()] = [j for j in range(d) if j not in covered]
-    # live (a, b) is number row[a] + pos[b]; missing tensor -1 is in block -1
-    block, row, pos, cells = [0] * d + [-1], [0] * d, [0] * d, []
-    for b, members in enumerate(blocks.values()):
-        for p, j in enumerate(members):
-            block[j], row[j], pos[j] = b, len(cells) + p * len(members), p
-        cells.extend((i, j) for i in members for j in members)
-    zero = len(cells)
-    parent = list(range(zero + 1))
-
-    def number(a, b):
-        return row[a] + pos[b] if block[a] == block[b] else zero
-
-    def find(x):  # halves the path as it climbs
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        return x
-
-    for g, ginv in (source for source in inverses if source[0] not in diagonal):
-        backward = -1 in g  # a permutation's forward joins hold its backward ones
-        for x, (a, b) in enumerate(cells):
-            # x[a, b] = x[g a, g b] when a is in dom g, and x[ginv a, ginv b]
-            # when b is in im g; a missing or dead partner reads 0
-            if g[a] >= 0:
-                parent[find(number(g[a], g[b]))] = find(x)
-            if backward and ginv[b] >= 0:
-                parent[find(number(ginv[a], ginv[b]))] = find(x)
+    which is all a diagonal source says.  The live coordinates left
+    (``SizeGuardError`` above ``COMMUTANT_UNKNOWN_LIMIT``) fall into the
+    permutation sources' orbits, joined by the others in a union-find."""
+    cells, labels, zero = _commutant_labels(sources, d, unguarded)
     classes = {}
-    for x, (a, b) in enumerate(cells):
-        classes.setdefault(find(x), []).append(a * d + b)
-    classes.pop(find(zero), None)
+    for c, label in zip(cells, labels):
+        classes.setdefault(label, []).append(c)
+    classes.pop(zero, None)
     return sorted((tuple(sorted(m)) for m in classes.values()), key=lambda m: m[-1])
 
 

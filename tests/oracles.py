@@ -32,6 +32,10 @@ deformation map's homomorphism identity pair by pair on ``{index:
 coeff}`` dicts, the way it did before it encoded 0/1 combinations as
 integers.  ``coarsening_sum_inverse_by_solve`` inverts the coarsening
 sum by the generic triangular recursion instead of the closed form.
+``graded_targets_commutant`` is the commutant solve with one
+union-find call per equation term, the way the package solved it before
+it walked the permutation sources' orbits and labelled the classes, and
+``unions_of`` is the inclusion test it read the classes with.
 ``triple_supports`` expands an action into flat (input, output, used)
 rows and reads its plain and orbit supports off them, the way the
 package did before each row became one matrix coordinate, and
@@ -664,6 +668,74 @@ def flat_targets_commutant(sources, d: int) -> list:
     for x in zero:
         members.pop(uf.find(x), None)
     return sorted((tuple(m) for m in members.values()), key=lambda m: m[-1])
+
+
+def graded_targets_commutant(sources, d: int) -> list:
+    """The commutant classes of ``targets_commutant``, solved the way the
+    package did before it walked the permutation sources' orbits: the
+    kept sets of the diagonal sources, closed under the permutation
+    sources, grade the tensors into blocks, and one union-find runs over
+    the live coordinates (a, b) of equal grade plus a zero node, with one
+    call per equation term.  A permutation needs only its forward joins;
+    another source joins forward where a is in its domain and backward
+    where b is in its image.  Same order as ``flat_targets_commutant``."""
+    inverses = []
+    for g in sources:
+        ginv = [-1] * d
+        for c, t in enumerate(g):
+            if t >= 0:
+                ginv[t] = c
+        inverses.append((g, ginv))
+    diagonal = [g for g, _ in inverses if all(t in (j, -1) for j, t in enumerate(g))]
+    kept = list({frozenset(j for j, t in enumerate(g) if t == j) for g in diagonal})
+    perms = [g for g, _ in inverses if -1 not in g]
+    for members in kept:
+        kept.extend({frozenset(p[j] for j in members) for p in perms} - set(kept))
+    covered = set().union(*kept)
+    blocks = {}
+    for j in covered:
+        blocks.setdefault(frozenset(b for b, m in enumerate(kept) if j in m), []).append(j)
+    blocks[frozenset()] = [j for j in range(d) if j not in covered]
+    block, row, pos, cells = [0] * d + [-1], [0] * d, [0] * d, []
+    for b, members in enumerate(blocks.values()):
+        for p, j in enumerate(members):
+            block[j], row[j], pos[j] = b, len(cells) + p * len(members), p
+        cells.extend((i, j) for i in members for j in members)
+    zero = len(cells)
+    parent = list(range(zero + 1))
+
+    def number(a, b):
+        return row[a] + pos[b] if block[a] == block[b] else zero
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    for g, ginv in (source for source in inverses if source[0] not in diagonal):
+        backward = -1 in g
+        for x, (a, b) in enumerate(cells):
+            if g[a] >= 0:
+                parent[find(number(g[a], g[b]))] = find(x)
+            if backward and ginv[b] >= 0:
+                parent[find(number(ginv[a], ginv[b]))] = find(x)
+    classes = {}
+    for x, (a, b) in enumerate(cells):
+        classes.setdefault(find(x), []).append(a * d + b)
+    classes.pop(find(zero), None)
+    return sorted((tuple(sorted(m)) for m in classes.values()), key=lambda m: m[-1])
+
+
+def unions_of(parts, pieces) -> bool:
+    """Every part is a union of the disjoint pieces: the inclusion test
+    ``DualityCell.half_centralizer`` made on sorted class tuples before
+    it read class labels."""
+    piece_of = {x: i for i, piece in enumerate(pieces) for x in piece}
+    for part in parts:
+        touched = {piece_of.get(x) for x in part}
+        if None in touched or sum(len(pieces[i]) for i in touched) != len(part):
+            return False
+    return True
 
 
 def index_at(space, ordinal: int) -> tuple:

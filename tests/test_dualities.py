@@ -29,10 +29,12 @@ from rookdual import (
 from oracles import (
     all_elements_commute,
     cell_targets,
+    graded_targets_commutant,
     index_at,
     restricts,
     rowspace_half_centralizer,
     triple_supports,
+    unions_of,
 )
 
 
@@ -194,6 +196,36 @@ def test_right_commutant_of_generators_is_that_of_all_elements(cell):
     duality = DualityCell(n, k, space)
     every = targets_commutant(cell_targets(duality, "right"), duality.space.dimension)
     assert duality.commutant("right") == every
+
+
+# every certified cell, plus three larger ones run unguarded
+LABELLED_CELLS = (*CERTIFIED_CELLS, ("V", 5, 4), ("U", 4, 4), ("V", 3, 5))
+
+
+@pytest.mark.parametrize("cell", LABELLED_CELLS, ids=_cell_id)
+def test_orbit_labels_equal_the_graded_union_find(cell):
+    """On both sides, ``targets_commutant`` (orbits of the permutation
+    generators, joined by a union-find) lists the classes of the graded
+    union-find with one call per equation term, class by class and in
+    order; and ``half_centralizer``, which reads the class labels, equals
+    the count of those classes, the count of orbit supports and the test
+    that every support is a union of the classes.  Read against a side's
+    own span, which mostly lies outside its commutant, it agrees too."""
+
+    class OwnSpan(DualityCell):
+        def span(self, side):
+            return super().span("left" if side == "right" else "right")
+
+    space, n, k = cell
+    duality = DualityCell(n, k, space, unguarded=True)
+    own = OwnSpan(n, k, space, unguarded=True)
+    d = duality.space.dimension
+    for side, other in (("left", "right"), ("right", "left")):
+        classes = graded_targets_commutant(duality.generators(side), d)
+        assert duality.commutant(side) == classes, side
+        for checked, supports in ((duality, duality.span(other)), (own, duality.span(side))):
+            expected = (len(classes), len(supports), unions_of(supports, classes))
+            assert checked.half_centralizer(side) == expected, side
 
 
 def _stirling2(k, m):

@@ -1,8 +1,10 @@
 """The Fraction matrices, rank and span oracles of ``oracles``
 cross-checked against sympy on small dense instances, and the
-graded union-find commutant of target tuples, cross-checked against
+commutant of target tuples (orbits of the permutation sources joined
+by a union-find over the graded live entries), cross-checked against
 sympy, against the Fraction null-space solve kept here as the oracle
-and against the flat union-find of ``oracles``."""
+and against the flat union-find of ``oracles``, also on random partial
+permutations."""
 
 import random
 from fractions import Fraction
@@ -309,3 +311,31 @@ def test_graded_commutant_equals_the_flat_solve(cell):
     for side in ("left", "right"):
         sources = duality.generators(side)
         assert targets_commutant(sources, d) == flat_targets_commutant(sources, d), side
+
+
+@st.composite
+def partial_permutations(draw):
+    """A size d <= 7 and a few target tuples of length d, each a diagonal
+    idempotent (j -> j on a kept set), a permutation, or a permutation
+    restricted to part of its domain (a partial map)."""
+    d = draw(st.integers(1, 7))
+    sources = []
+    for kind in draw(st.lists(st.sampled_from(("diagonal", "perm", "partial")), max_size=4)):
+        perm = list(range(d)) if kind == "diagonal" else draw(st.permutations(range(d)))
+        keep = draw(st.lists(st.booleans(), min_size=d, max_size=d))
+        if kind == "perm":
+            keep = [True] * d
+        sources.append(tuple(t if kept else -1 for t, kept in zip(perm, keep)))
+    return sources, d
+
+
+@settings(max_examples=300, deadline=None)
+@given(partial_permutations())
+def test_orbit_solve_equals_the_flat_solve_on_random_partial_permutations(case):
+    """The orbit walk plus the union-find over orbits gives the flat
+    solve's classes, in the same order, on random mixes of diagonal
+    idempotents, permutations and partial maps; a partial map has a
+    missing forward image (no equation) and a missing backward image
+    (the unknown is forced to zero)."""
+    sources, d = case
+    assert targets_commutant(sources, d) == flat_targets_commutant(sources, d)

@@ -233,6 +233,15 @@ def test_action_space_layout():
     assert spu.ordinal((1, 2)) == 5
 
 
+@pytest.mark.parametrize("index", [(), (1,), (1, 1), (1, 1, 1, 2), (2, 2, 2, 2, 2)])
+def test_ordinal_refuses_an_index_of_the_wrong_length(index):
+    """An index of fewer or more than k digits is no tensor of the space:
+    on V(2,3) a short or long index must not read as some ordinal."""
+    with pytest.raises(ValueError, match="not k = 3"):
+        ActionSpace("V", 2, 3).ordinal(index)
+    assert ActionSpace("V", 2, 3).ordinal((1, 1, 2)) == 1
+
+
 def test_action_space_guard():
     with pytest.raises(SizeGuardError):
         ActionSpace("V", 9, 4).guard()
