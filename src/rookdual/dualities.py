@@ -53,7 +53,7 @@ from collections import Counter
 from itertools import chain, repeat
 from typing import NamedTuple
 
-from .semigroups import _MONOIDS, _natural_order, family
+from .semigroups import _MONOIDS, _natural_order, _Parts, family
 from .tensor_actions import ActionSpace, _commutant_labels, action_supports, action_targets
 from .tensor_actions import targets_commutant
 
@@ -127,7 +127,7 @@ class DualityReport(NamedTuple):
         return {**self._asdict(), "centralizer_dims": list(self.centralizer_dims)}
 
 
-class DualityCell:
+class DualityCell(_Parts):
     """The two actions at one (n, k, space) cell, shared by every check
     there.  Each side's elements are its ``family``, which every cell of
     the same monoid and size shares; the certified orbit supports and the
@@ -140,12 +140,7 @@ class DualityCell:
         self.space = ActionSpace(space, n, k)
         self.unguarded = unguarded
         self._families = {"left": ("is", n), "right": ("istar" if space == "V" else "pistar", k)}
-        self._parts = {}
-
-    def _part(self, key, build):
-        if key not in self._parts:
-            self._parts[key] = build()
-        return self._parts[key]
+        super().__init__()
 
     def elements(self, side: str) -> tuple:
         """Every element of one side's ``family`` (IS_n on the left, I*_k

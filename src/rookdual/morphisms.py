@@ -24,16 +24,18 @@ same walks.  Every combination of diagrams is a plain
 All coefficients here, the Moebius ones included, are integers.
 
 Every check of the maps is made by one ``DeformationCell`` per k, which
-reads P*_k from ``semigroups.family`` and builds each map's images and
-inverse verdict from one walk per element, and each U^k action support
-from one expansion, at most once for all of its reports.  Its
-homomorphism check encodes each combination as one exact integer,
+reads P*_k and its code index from ``semigroups`` and builds each map's
+images and inverse verdict from one walk per element, and each U^k
+action support from one expansion, at most once for all of its reports.
+Its homomorphism check encodes each combination as one exact integer and
 compares all pairs row by row with sums of a table of star products (or
-sampled pairs one by one).  It relabels the domain products of a left
-element with every right element of one in-key at once, from a generic
-product of the two middle rows made once per pair of rows, which the
-naturality test pins to the direct products; in exhaustive mode each
-distinct relabelled segment of products is looked up once per cell.
+sampled pairs one by one).  Every product it reads, domain and star
+alike, is relabelled from a generic product of the two middle rows made
+once per pair of rows, which the naturality test pins to the direct
+products: the products of a left element with every right element of
+one in-key are relabelled at once, and in exhaustive mode each distinct
+relabelled segment of products is looked up once per cell, whichever
+product's recipe made it.
 
 On U^k each map is also an identity of 0/1 matrices: an element's plain
 (tilde) action is the sum of the hat actions of its coarsening sum (block
@@ -52,7 +54,7 @@ from .diagrams import (
     block_union_leq,
     is_partial_dual_element,
 )
-from .semigroups import bullet_codes, family, pistar_codes, star_codes
+from .semigroups import _family_index, _Parts, bullet_codes, family, pistar_codes, star_codes
 from .tensor_actions import ActionSpace, action_supports
 
 
@@ -170,15 +172,15 @@ def _map_functions(map_name: str) -> tuple:
     raise ValueError(f"unknown map {map_name!r}")
 
 
-class DeformationCell:
+class DeformationCell(_Parts):
     """The partial dual elements at one k, shared by every deformation
-    check there; the twin of ``dualities.DualityCell``.  P*_k is read
-    from ``semigroups.family``, which every cell shares, and indexed by
-    code once.  Each map's forward images, as tuples of their terms'
-    element indices, with its inverse verdict, and the sorted U^k action
-    supports of each (n, variant), are built on first use and kept for
-    the cell's lifetime.  ``unguarded`` lifts the
-    size guards, as on ``DualityCell``."""
+    check there; the twin of ``dualities.DualityCell``.  P*_k and its
+    ``{code: index}`` are read from ``semigroups.family`` and
+    ``semigroups._family_index``, which every cell shares.  Each map's
+    forward images, as tuples of their terms' element indices, with its
+    inverse verdict, and the sorted U^k action supports of each (n,
+    variant), are built on first use and kept for the cell's lifetime.
+    ``unguarded`` lifts the size guards, as on ``DualityCell``."""
 
     def __init__(self, k: int, unguarded: bool = False):
         self.k = k
@@ -186,13 +188,8 @@ class DeformationCell:
         self.elements = family("pistar", k, unguarded)
         if not all(map(is_partial_dual_element, self.elements)):
             raise RuntimeError("enumerate_pistar returned a non-partial-dual element")
-        self.index = {alpha.code: i for i, alpha in enumerate(self.elements)}
-        self._parts = {}
-
-    def _part(self, key, build):
-        if key not in self._parts:
-            self._parts[key] = build()
-        return self._parts[key]
+        self.index = _family_index("pistar", k)
+        super().__init__()
 
     def _map(self, map_name: str) -> tuple:
         """Each element's forward image, as the tuple of its terms' element
@@ -312,9 +309,10 @@ class DeformationCell:
         and each coefficient of an image counts its terms, so every one is
         at most m*m < 2**W: the base-2**W digits of every integer compared
         are its coefficients, and equal integers are equal combinations,
-        for any multiset of terms.  A star product p * q of image terms,
-        non-zero only when p's out-key is q's in-key, is made once per cell
-        and adds the unit 1 << (index * W).
+        for any multiset of terms.  A star product p * q of image terms is
+        non-zero only when q's in-key is p's out-key, and adds the unit
+        1 << (index * W).  The star recipe of that middle row is relabelled
+        for p once per cell and gives p * q for every such q.
 
         Exhaustive mode orders the columns b by in-key and checks one row a
         at a time: the encodings of phi(ab) over all b must equal the column
@@ -322,25 +320,21 @@ class DeformationCell:
         the units of p times phi(b)'s terms.  The products of a with the b
         of one in-key L form a segment, read off ``_relabeller`` once per
         (a, L) and built once per cell for each (L, relabelled product).
-        Sampled mode relabels each drawn pair alone and compares its sum of
-        units with the encoding of phi(ab).  Each domain product is read
-        off a generic middle-row recipe, so the verdict rests on
-        ``test_products_are_natural``."""
+        The table reads p's star products with every q of in-key p's
+        out-key as one such segment, p's star row.  Sampled mode relabels
+        each drawn pair alone and compares the encoding of phi(ab) with the
+        sum of the units of its terms' star products.  Every product, domain
+        and star, is read off a generic middle-row recipe, so the verdict
+        rests on ``test_products_are_natural``."""
         if sample_pairs is not None and sample_pairs < 1:
             raise ValueError(f"sample_pairs must be at least 1, got {sample_pairs}")
         images, inverse_ok = self._map(map_name)
-        index, codes = self.index, list(self.index)
+        index, n = self.index, len(self.elements)
         keys, out_id, in_id, _, out_ors = self._part("middle", self._middle)
         relabel = self._relabeller(_map_functions(map_name)[1])
-        star = self._part("star", dict)  # p * n + q -> index of their star product
-        n = len(codes)
+        star_relabel = self._relabeller(star_codes)  # the module's star_codes when called
+        stars = self._part(("stars", star_codes), dict)  # p -> its relabelled star recipe
         width = (max(map(len, images)) ** 2).bit_length()
-
-        def unit(p, q):
-            r = star.get(p * n + q)
-            if r is None:
-                r = star[p * n + q] = index[star_codes(codes[p], codes[q])]
-            return 1 << r * width
 
         def encode(image):
             return sum(1 << r * width for r in image)
@@ -349,36 +343,51 @@ class DeformationCell:
             outs = out_ors[b]
             return index[tuple([(i, outs[y]) for i, y in relabelled])]
 
-        by_in: list = [[()] * len(keys) for _ in images]  # [b][L]: phi(b)'s terms of in-key L
-        for groups, image in zip(by_in, images):
-            for q in image:
+        def star(p):  # p's star products with any q of in-key p's out-key, relabelled
+            if p not in stars:
+                stars[p] = star_relabel(p, out_id[p])
+            return stars[p]
+
+        def terms_by_in(b):  # [L]: phi(b)'s terms of in-key L
+            groups = [()] * len(keys)
+            for q in images[b]:
                 groups[in_id[q]] += (q,)
+            return groups
 
         if sample_pairs is None:
             encodings = [encode(image) for image in images]
             shared = {e: e for e in encodings}  # equal sums share one int, to save memory
             of_key = [[] for _ in keys]  # of_key[L]: the elements of in-key L
+            slot = [0] * n  # slot[b]: b's place in of_key[in_id[b]]
             for b, L in enumerate(in_id):
+                slot[b] = len(of_key[L])
                 of_key[L].append(b)
-            columns = [by_in[b] for group in of_key for b in group]
-            users = [[(c, g[L]) for c, g in enumerate(columns) if g[L]] for L in range(len(keys))]
+            columns = [terms_by_in(b) for group in of_key for b in group]
+            users = [  # users[L]: each column with terms of in-key L, and their slots
+                [(c, [slot[q] for q in g[L]]) for c, g in enumerate(columns) if g[L]]
+                for L in range(len(keys))
+            ]
+            segments = self._part("segments", dict)  # (L, relabelled) -> product indices
+
+            def segment(L, relabelled):  # the products with every b of in-key L
+                key = L, relabelled
+                if key not in segments:
+                    segments[key] = [find(relabelled, b) for b in of_key[L]]
+                return segments[key]
+
             table = []  # table[p][c]: the sum of the units of p times columns[c][out_id[p]]
-            for p in range(n):
-                units = {q: unit(p, q) for _, qs in users[out_id[p]] for q in qs}
+            for p, L in enumerate(out_id):
+                units = [1 << r * width for r in segment(L, star(p))]
                 row = [0] * n
-                for c, qs in users[out_id[p]]:
-                    total = sum(map(units.__getitem__, qs))
+                for c, slots in users[L]:
+                    total = sum(map(units.__getitem__, slots))
                     row[c] = shared.setdefault(total, total)
                 table.append(row)
-            segments = self._part("segments", dict)  # (L, relabelled) -> product indices
 
             def products(a):  # the encodings of phi(ab) in column order
                 row = []
-                for L, group in enumerate(of_key):
-                    key = L, relabel(a, L)
-                    if key not in segments:
-                        segments[key] = [find(key[1], b) for b in group]
-                    row += segments[key]
+                for L in range(len(keys)):
+                    row += segment(L, relabel(a, L))
                 return list(map(encodings.__getitem__, row))
 
             hom_ok = all(
@@ -388,10 +397,13 @@ class DeformationCell:
         else:
             rng = random.Random(seed)
             pairs = [(rng.choice(range(n)), rng.choice(range(n))) for _ in range(sample_pairs)]
+
+            def star_sum(a, b):  # the sum of the units of phi(a)'s terms times phi(b)'s
+                groups = terms_by_in(b)
+                return sum(1 << find(star(p), q) * width for p in images[a] for q in groups[out_id[p]])
+
             hom_ok = all(
-                encode(images[find(relabel(a, in_id[b]), b)])
-                == sum(unit(p, q) for p in images[a] for q in by_in[b][out_id[p]])
-                for a, b in pairs
+                encode(images[find(relabel(a, in_id[b]), b)]) == star_sum(a, b) for a, b in pairs
             )
 
         return MorphismReport(

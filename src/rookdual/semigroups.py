@@ -15,7 +15,8 @@ monoid, ``istar_generators`` and ``pistar_generators`` for the dual and
 partial dual monoids.  A matrix commutes with a whole monoid's image
 when it commutes with the images of its generators, which is how the
 duality checks solve every commutant.  ``family`` lists a monoid's
-elements and ``_natural_order`` its order, each built once per size.
+elements, ``_family_index`` numbers a diagram monoid's codes and
+``_natural_order`` gives its order, each built once per size.
 
 All four diagram products run on the code a diagram is stored as
 (``SetPartition.code``): a sorted tuple of ``(in_mask, out_mask)``
@@ -149,6 +150,26 @@ def family(name: str, size: int, unguarded: bool = False) -> tuple:
     guard runs on every call, before the cache; generating sets stay apart."""
     _guard(name, size, unguarded)
     return _family(name, size)
+
+
+@functools.cache
+def _family_index(name: str, size: int) -> dict:
+    """``{code: position}`` over the diagram monoid ``family(name, size)``,
+    built once per (name, size) next to it; callers run the guard first."""
+    return {e.code: i for i, e in enumerate(_family(name, size))}
+
+
+class _Parts:
+    """The memo of a cell (``DualityCell``, ``DeformationCell``): each part
+    is built on first use by ``_part`` and kept for the cell's lifetime."""
+
+    def __init__(self):
+        self._parts = {}
+
+    def _part(self, key, build):
+        if key not in self._parts:
+            self._parts[key] = build()
+        return self._parts[key]
 
 
 @functools.cache

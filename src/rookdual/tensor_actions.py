@@ -178,13 +178,24 @@ def _commutant_labels(sources, d: int, unguarded: bool = False) -> tuple:
         start += len(m) ** 2
     zero, none = live, live + 1
 
-    def partners(h, fwd):  # x[a, b] = x[h a, h b] if h a exists (fwd), or h b (backward)
-        hb, hr, out = [block[t] for t in h], [row[t] for t in h], []
+    def partners(g):  # forward: x[a, b] = x[g a, g b] where g a exists
+        gb, gr, out = [block[t] for t in g], [row[t] for t in g], []
         for m in groups:  # none: no equation; zero: a missing or dead partner
-            cols = [(hb[b], pos[h[b]], zero) if fwd or h[b] >= 0 else (-2, 0, none) for b in m]
-            for a, ra, ba in zip(m, map(hr.__getitem__, m), map(hb.__getitem__, m)):
-                out += ([none] * len(m) if fwd and h[a] < 0
-                        else [ra + q if bb == ba else z for bb, q, z in cols])
+            cols = [(gb[b], pos[g[b]]) for b in m]
+            for a, ra, ba in zip(m, map(gr.__getitem__, m), map(gb.__getitem__, m)):
+                out += ([none] * len(m) if g[a] < 0
+                        else [ra + q if bb == ba else zero for bb, q in cols])
+        return out
+
+    def forced(h):  # backward, h = g^-1: x[a, b] = x[h a, h b] where h b exists
+        # g's forward list already joins the live partners, so keep the cells this
+        # forces to zero: h a missing, or (h a, h b) dead
+        hb, out = [block[t] for t in h], set()
+        for m in groups:
+            cols = [(pos[b], hb[b]) for b in m if h[b] >= 0]
+            for a in m:
+                ra, ba = row[a], hb[a]
+                out.update([ra + q for q, bb in cols if bb != ba])
         return out
 
     # a permutation moves each block's cells onto one block; its cycles hold its backward joins
@@ -208,11 +219,12 @@ def _commutant_labels(sources, d: int, unguarded: bool = False) -> tuple:
 
     for g in sources:
         if -1 in g and g not in diagonal:  # by the other sources' equations
+            for r, s in set(zip(rep, map(rep.__getitem__, partners(g)))):
+                if s not in (r, none):
+                    parent[find(r)] = find(s)
             inverse = {t: c for c, t in enumerate(g)}
-            for h, fwd in ((g, True), ([inverse.get(t, -1) for t in range(d)], False)):
-                for r, s in set(zip(rep, map(rep.__getitem__, partners(h, fwd)))):
-                    if s not in (r, none):
-                        parent[find(r)] = find(s)
+            for r in set(map(rep.__getitem__, forced([inverse.get(t, -1) for t in range(d)]))):
+                parent[find(r)] = find(zero)
     for r in set(rep[: zero + 1]):
         parent[r] = find(r)
     cells = (r + j for m in groups for r in [i * d for i in m] for j in m)

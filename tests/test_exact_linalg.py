@@ -271,6 +271,18 @@ def test_commutant_rejects_sources_that_are_not_partial_permutations():
         targets_commutant([(0, 1, 2)], 2)
 
 
+def test_commutant_forces_a_cell_whose_backward_partner_is_dead():
+    """Backward equation (1, 1) of the partial map g = 0->1, 2->2 reads
+    x[1, 2] = x[0, 2], and the diagonal idempotent keeping {0} forces
+    x[0, 2] to zero; no forward equation of g reaches x[1, 2] (1 has no
+    image), so the backward pass forces it even though both 1 and 2 have
+    preimages under g."""
+    sources = [(0, -1, -1, -1), (1, -1, 2, -1)]
+    classes = targets_commutant(sources, 4)
+    assert classes == flat_targets_commutant(sources, 4) == [(0, 5), (7,), (10,), (15,)]
+    assert 1 * 4 + 2 not in {c for m in classes for c in m}
+
+
 def _cell_id(cell):
     return f"{cell[0]}{cell[1]},{cell[2]}"
 

@@ -252,34 +252,94 @@ def test_products_are_natural(product):
             assert ab == direct, (k, codes[a], codes[b])
 
 
+def _count_relabels(monkeypatch):
+    """Record every relabelling ``homomorphism`` reads, as (product, a, L,
+    relabelled), and every argument pair of ``star_codes``, which is
+    wrapped where ``rookdual.morphisms`` looks it up."""
+    relabels, star_calls = [], []
+    right_relabeller, right_star = DeformationCell._relabeller, rookdual.morphisms.star_codes
+
+    def star(a, b):
+        star_calls.append((a, b))
+        return right_star(a, b)
+
+    def counted(cell, multiply):
+        relabel = right_relabeller(cell, multiply)
+        name = "star" if multiply is star else "domain"
+
+        def wrapper(a, L):
+            relabels.append((name, a, L, relabel(a, L)))
+            return relabels[-1][3]
+
+        return wrapper
+
+    monkeypatch.setattr(rookdual.morphisms, "star_codes", star)
+    monkeypatch.setattr(DeformationCell, "_relabeller", counted)
+    return relabels, star_calls
+
+
+def _is_generic(a, b):
+    """Whether a and b are generic codes of two middle rows: a's in-masks
+    and b's out-masks are the bits 1, 2, 4, ... in code order."""
+    ins, outs = [i for i, _ in a], [o for _, o in b]
+    return ins == [1 << i for i in range(len(a))] and outs == [1 << j for j in range(len(b))]
+
+
 @pytest.mark.parametrize("map_name", ["block_subset_sum", "coarsening_sum"])
 def test_exhaustive_check_relabels_once_per_element_and_in_key(map_name, monkeypatch):
     """At k = 3 the row check relabels each left element once per in-key
-    (128 elements, 15 in-keys) instead of once per pair, and builds the
-    products of each distinct (in-key, relabelled product) segment once."""
-    calls = []
-    right = DeformationCell._relabeller
-
-    def counted(cell, multiply):
-        relabel = right(cell, multiply)
-
-        def wrapper(a, L):
-            calls.append((L, relabel(a, L)))
-            return calls[-1][1]
-
-        return wrapper
+    (128 elements, 15 in-keys) for the domain product and once for its
+    star row, instead of once per pair; it calls ``star_codes`` only on
+    the generic codes of the 15 middle rows; and it builds the products
+    of each distinct (in-key, relabelled product) segment once, whichever
+    product's recipe made it."""
+    relabels, star_calls = _count_relabels(monkeypatch)
 
     class Segments(dict):
         def __setitem__(self, key, value):
             assert key not in self, key
             super().__setitem__(key, value)
 
-    monkeypatch.setattr(DeformationCell, "_relabeller", counted)
     cell = DeformationCell(3)
     segments = cell._parts["segments"] = Segments()
     assert cell.homomorphism(map_name).homomorphism_ok
-    assert 0 < len(calls) <= 128 * 15
-    assert set(segments) == set(calls)
+    domain = [r for r in relabels if r[0] == "domain"]
+    star = [r for r in relabels if r[0] == "star"]
+    assert 0 < len(domain) <= 128 * 15
+    assert 0 < len(star) <= 128
+    assert 0 < len(star_calls) <= 15
+    assert all(_is_generic(a, b) for a, b in star_calls)
+    assert set(segments) == {(L, relabelled) for _, _, L, relabelled in relabels}
+
+
+@pytest.mark.parametrize("map_name", ["block_subset_sum", "coarsening_sum"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_star_rows_equal_the_direct_star_products(k, map_name, monkeypatch):
+    """Every star product the exhaustive table reads, the star row of each
+    left term p over the elements q of p's out-key as in-key, equals
+    ``star_codes`` applied directly to the codes of p and q."""
+    relabels, _ = _count_relabels(monkeypatch)
+    cell = DeformationCell(k)
+    assert cell.homomorphism(map_name).homomorphism_ok
+    codes = list(cell.index)
+    in_id = cell._part("middle", cell._middle)[2]
+    star = [r for r in relabels if r[0] == "star"]
+    assert sorted(p for _, p, _, _ in star) == list(range(len(codes)))
+    for _, p, L, relabelled in star:
+        row = cell._parts["segments"][L, relabelled]
+        group = [q for q in range(len(codes)) if in_id[q] == L]
+        direct = [rookdual.semigroups.star_codes(codes[p], codes[q]) for q in group]
+        assert [codes[r] for r in row] == direct, (k, codes[p])
+
+
+def test_cells_share_one_code_index():
+    """Every ``DeformationCell`` of one k reads one ``{code: index}``,
+    built once next to the family and numbering it in enumeration order."""
+    rookdual.semigroups._family_index.cache_clear()
+    a, b = DeformationCell(3), DeformationCell(3)
+    assert a.index is b.index
+    assert list(a.index.items()) == [(e.code, i) for i, e in enumerate(a.elements)]
+    assert rookdual.semigroups._family_index.cache_info().misses == 1
 
 
 def test_sampling_is_seed_deterministic():
@@ -354,6 +414,27 @@ def test_morphism_report_catches_a_product_wrong_on_one_shape(
         assert report.inverse_ok is True
 
 
+@pytest.mark.parametrize("map_name", ["coarsening_sum", "block_subset_sum"])
+def test_homomorphism_catches_a_star_product_wrong_on_one_shape(map_name, monkeypatch):
+    """A star product that drops the last block only when the left
+    factor's out-masks are those of the identity is wrong on one middle
+    shape; its recipe carries the fault to every star product of that
+    shape, in the exhaustive star rows at k = 2 and in the products
+    relabelled one by one among 2,000 seeded pairs at k = 3."""
+    right = rookdual.semigroups.star_codes
+    for k, sample_pairs in ((2, None), (3, 2000)):
+        identity = [1 << i for i in range(k)]
+
+        def wrong(a, b, identity=identity):
+            ab = right(a, b)
+            return ab[:-1] if ab and sorted(o for _, o in a) == identity else ab
+
+        monkeypatch.setattr(rookdual.morphisms, "star_codes", wrong)
+        report = DeformationCell(k).homomorphism(map_name, sample_pairs, seed=7)
+        assert report.homomorphism_ok is False, k
+        assert report.inverse_ok is True
+
+
 MAPS = {"coarsening_sum": "pistar_codes", "block_subset_sum": "bullet_codes"}
 
 
@@ -383,10 +464,11 @@ FAULTS = {"none": lambda *args: None, "star": _wrong_star, "product": _last_bloc
 def test_homomorphism_catches_a_star_product_wrong_on_one_pair(
     map_name, sample_pairs, monkeypatch
 ):
-    """At k = 3 the term {1,1'} lies in the images of the 12 elements with
-    that block, so 144 of all pairs, and about 17 of 2,000 seeded ones,
-    multiply it by itself; a star product wrong only on that pair of
-    terms spoils the row check and the sampled check."""
+    """The codes of {1,1'} are also the generic codes of the middle row
+    {1}, so a star product wrong only on that pair of codes spoils the
+    recipe of that row, and through it every star product whose middle
+    row is {1}: at k = 3 the terms with out-key {1} times those with
+    in-key {1}.  The row check and the sampled check both fail."""
     _wrong_star(monkeypatch, 3)
     report = DeformationCell(3).homomorphism(map_name, sample_pairs, seed=7)
     assert report.homomorphism_ok is False
