@@ -16,11 +16,12 @@ whose methods take a side: ``"left"`` (the rook monoid) or ``"right"``
 cells, and builds its generators (``is_generators`` on the left,
 ``istar_generators`` or ``pistar_generators`` on the right) apart.  It
 expands each element's action once, into its plain and orbit supports
-(``action_supports``), when a check first asks for its span, so a check
-never pays for a size guard it does not need; no element's target tuple
-is built or kept.  ``DualityCell.report`` runs every check and compares
-the faithfulness verdicts with ``predicted_faithful``; ``run_grid``
-reports on ``GRID``, where every cell runs in full.
+(one batched ``_action_rows`` per side), when a check first asks for its
+span, so a check never pays for a size guard it does not need; no
+element's target tuple is built or kept.  ``DualityCell.report`` runs
+every check and compares the faithfulness verdicts with
+``predicted_faithful``; ``run_grid`` reports on ``GRID``, where every
+cell runs in full.
 
 Spans are counted on the orbit bases of the two actions (the orbit
 support of ``action_supports``: the rook groupoid basis on the left,
@@ -29,12 +30,15 @@ the hat action on the right, on V^k as on U^k), not row-reduced.
 unitriangular 0/1 sum of orbit matrices with disjoint supports, and
 returns the non-zero orbit supports: the span's dimension is their
 number, and a matrix lies in the span exactly when it is constant on
-every support and zero off them.  The checks run on whole coordinate
-lists: one dict gives each coordinate's orbit, the order is read off
-per-element bitmasks built once per family, and a plain support covers
-the orbits it touches when their sizes sum to its length.  Each plain
-matrix is then the sum of the orbit matrices it touches, so semigroup
-faithfulness is a count of the distinct sets of orbits the elements touch.
+every support and zero off them.  The checks run in one pass over the
+expansions in enumeration order, which extends the natural order: one
+dict, grown orbit by orbit, gives each coordinate's orbit, the order is
+read off per-element bitmasks built once per family, and a plain support
+covers the orbits it touches when their sizes sum to its length; each
+plain support is dropped once it is checked, so only the orbits are
+kept.  Each plain matrix is then the sum of the orbit matrices it
+touches, so semigroup faithfulness is a count of the distinct sets of
+orbits the elements touch.
 
 A commutant labels matrix coordinates by class (``targets_commutant``:
 orbits of the permutation generators, joined by the others' equations),
@@ -54,7 +58,7 @@ from itertools import chain, repeat
 from typing import NamedTuple
 
 from .semigroups import _MONOIDS, _natural_order, _Parts, family
-from .tensor_actions import ActionSpace, _commutant_labels, action_supports, action_targets
+from .tensor_actions import ActionSpace, _action_rows, _commutant_labels, _targets
 from .tensor_actions import targets_commutant
 
 SIDES = ("left", "right")
@@ -132,7 +136,8 @@ class DualityCell(_Parts):
     there.  Each side's elements are its ``family``, which every cell of
     the same monoid and size shares; the certified orbit supports and the
     verdicts are built on first use and kept for the cell's lifetime, the
-    generators' targets and the plain supports only while a check reads them."""
+    generators' targets only while a check reads them and each plain
+    support only while ``_certify`` checks it."""
 
     def __init__(self, n: int, k: int, space: str, unguarded=False):
         self.n = n
@@ -155,14 +160,13 @@ class DualityCell(_Parts):
         these."""
         name, size = self._families[_check_side(side)]
         gens = _MONOIDS[name][1](size, self.unguarded)
-        return [action_targets(g, self.space, "plain", self.unguarded) for g in gens]
+        return _targets(gens, self.space, "plain", self.unguarded)
 
-    def _expansions(self, side: str) -> list:
-        """The (plain support, orbit support) pair of ``action_supports``
-        for every element of one side, in enumeration order, built afresh
-        on each call; ``_certify`` is its only reader."""
-        return [action_supports(e, self.space, "plain", self.unguarded)
-                for e in self.elements(side)]
+    def _expansions(self, side: str):
+        """The (plain support, orbit support) rows of every element of one
+        side, in enumeration order, expanded lazily from one call of
+        ``_action_rows``; ``_certify`` is its only reader."""
+        return _action_rows(self.elements(side), self.space, "plain", self.unguarded)
 
     def span(self, side: str) -> list:
         """The span of one side's element matrices, as the supports of
@@ -195,11 +199,45 @@ class DualityCell(_Parts):
            repeats no coordinate, as each of its inputs has one output, so
            full cover is the touched orbits' sizes summing to its length.
 
+        One pass over the expansions in enumeration order makes all three:
+        it adds each element's orbit to the coordinate map, checks that the
+        map grew by the orbit's size, then checks the element's plain
+        support and drops it.  Enumeration order is a linear extension of
+        the natural order (no element allows a later one), so every orbit a
+        plain support may meet is already in the map.  A later orbit cannot
+        take a checked coordinate away without failing the growth check, so
+        a pass with no failure gives the verdicts of the whole map.  On the
+        first failed check the pass reads the remaining expansions and
+        ``_diagnose`` makes the checks again against the whole map.
+
         A failure is an internal bug: it raises ``RuntimeError`` naming
         the cell, the side and the element or pair of elements."""
+        allowed, owner, orbits, sizes, touched_sets = self.order(side), {}, [], [], set()
+        expansions = enumerate(self._expansions(side))
+        for a, (support, orbit) in expansions:
+            orbits.append(orbit)
+            sizes.append(len(orbit))
+            size = len(owner) + len(orbit)
+            owner.update(zip(orbit, repeat(a)))
+            touched = frozenset(map(owner.get, support))
+            if (len(owner) != size or None in touched or not allowed(a, touched)
+                    or sum(map(sizes.__getitem__, touched)) != len(support)
+                    or orbit and a not in touched):
+                rest = list(expansions)
+                orbits += [orbit for _, (_, orbit) in rest]
+                plain = [(a, support), *((b, support) for b, (support, _) in rest)]
+                touched_sets |= self._diagnose(side, orbits, plain)
+                break
+            touched_sets.add(touched)
+        return [orbit for orbit in orbits if orbit], len(touched_sets)
+
+    def _diagnose(self, side: str, orbits: list, plain: list) -> set:
+        """``_certify``'s three checks against the map of all the orbits,
+        on the (position, plain support) pairs from its first failure on,
+        with the message of the first that fails; the touched sets if none
+        does.  An overlap is reported before any plain support is read."""
         elements = self.elements(side)
         where = f"orbit certification at {self.space.kind}({self.n},{self.k}) {side}"
-        plain, orbits = zip(*self._expansions(side))
         sizes = list(map(len, orbits))
         at = chain.from_iterable(map(repeat, range(len(orbits)), sizes))
         owner = dict(zip(chain.from_iterable(orbits), at))
@@ -208,7 +246,7 @@ class DualityCell(_Parts):
             a, b = [b for b, orbit in enumerate(orbits) for x in orbit if x == twice][:2]
             raise RuntimeError(f"{where}: the orbits of {elements[a]} and {elements[b]} overlap")
         allowed, touched_sets = self.order(side), set()
-        for a, support in enumerate(plain):
+        for a, support in plain:
             touched = frozenset(map(owner.get, support))
             if None in touched:
                 raise RuntimeError(f"{where}: {elements[a]} leaves every orbit")
@@ -227,7 +265,7 @@ class DualityCell(_Parts):
             if orbits[a] and a not in touched:
                 raise RuntimeError(f"{where}: {elements[a]} misses its own orbit")
             touched_sets.add(touched)
-        return [orbit for orbit in orbits if orbit], len(touched_sets)
+        return touched_sets
 
     def commutant(self, side: str) -> list:
         """Commutant basis of one side as coordinate classes, solved on

@@ -16,11 +16,13 @@ of the merge-and-drop order, a product of partition-lattice factors
 (-1)^(m-1) (m-1)! over merged groups times (-1)^D D! for D dropped
 blocks, read off the one walk of the up-set that also lists it.
 
-Both maps walk the blocks of a diagram's code (``SetPartition.code``):
-the up-set ORs the masks of each merged group, the subset sum keeps
-sub-tuples of the code, and the Moebius and sign values come from the
-same walks.  Every combination of diagrams is a plain
+Both maps walk the blocks of a diagram's code (``SetPartition.code``)
+and yield codes: the up-set ORs the masks of each merged group, the
+subset sum keeps sub-tuples of the code, and the Moebius and sign values
+come from the same walks.  Every combination of diagrams is a plain
 ``{SetPartition: int}`` dict with no zero values; ``{}`` is the zero.
+The public functions wrap the walks' codes as diagrams, and
+``DeformationCell`` looks them up in its code index.
 All coefficients here, the Moebius ones included, are integers.
 
 Every check of the maps is made by one ``DeformationCell`` per k, which
@@ -55,16 +57,16 @@ from .diagrams import (
     is_partial_dual_element,
 )
 from .semigroups import _family_index, _Parts, bullet_codes, family, pistar_codes, star_codes
-from .tensor_actions import ActionSpace, action_supports
+from .tensor_actions import ActionSpace, _action_rows
 
 
 def _upper_set_with_mobius(alpha: SetPartition):
-    """Walk the up-set of alpha in the natural order, yielding each beta
-    with the Moebius value mu(alpha, beta): for every sub-collection of
-    alpha's blocks and every grouping of it into merged blocks, the
-    diagram whose blocks OR the masks of each group, with the product of
-    (-1)^(m-1)(m-1)! over groups of m blocks times (-1)^D D! for the D
-    dropped blocks."""
+    """Walk the up-set of alpha in the natural order, yielding the code of
+    each beta with the Moebius value mu(alpha, beta): for every
+    sub-collection of alpha's blocks and every grouping of it into merged
+    blocks, the sorted code whose blocks OR the masks of each group, with
+    the product of (-1)^(m-1)(m-1)! over groups of m blocks times
+    (-1)^D D! for the D dropped blocks."""
     atoms = alpha.code
     for r in range(len(atoms) + 1):
         dropped = len(atoms) - r
@@ -80,14 +82,14 @@ def _upper_set_with_mobius(alpha: SetPartition):
                     code.append((ins, outs))
                     m = len(group)
                     value *= (-1) ** (m - 1) * math.factorial(m - 1)
-                yield SetPartition(alpha.k, code), value
+                yield tuple(sorted(code)), value
 
 
 def natural_upper_set(alpha: SetPartition) -> list:
     """Every diagram whose blocks are unions of alpha's blocks, i.e. the
     up-set of alpha in the natural order: merge any groups of blocks,
     drop any others.  Includes alpha itself and the empty diagram."""
-    return [beta for beta, _ in _upper_set_with_mobius(alpha)]
+    return [SetPartition(alpha.k, code) for code, _ in _upper_set_with_mobius(alpha)]
 
 
 def mobius_merge_drop(alpha: SetPartition, beta: SetPartition) -> int:
@@ -115,30 +117,31 @@ def coarsening_sum(alpha: SetPartition) -> dict:
 def coarsening_sum_inverse(alpha: SetPartition) -> dict:
     """Closed-form inverse via the merge-and-drop Moebius function,
     which is never zero, read off the walk of alpha's up-set."""
-    return dict(_upper_set_with_mobius(alpha))
+    return {SetPartition(alpha.k, code): value for code, value in _upper_set_with_mobius(alpha)}
 
 
 def _subsets_with_sign(alpha: SetPartition):
-    """Walk the sub-collections of alpha's blocks, yielding each as a
-    diagram with (-1) to the number of blocks it leaves out (the Moebius
-    function of the Boolean lattice)."""
+    """Walk the sub-collections of alpha's blocks, yielding the code of
+    each (a sub-tuple of alpha's sorted code, so sorted) with (-1) to the
+    number of blocks it leaves out (the Moebius function of the Boolean
+    lattice)."""
     atoms = alpha.code
     for r in range(len(atoms) + 1):
         sign = (-1) ** (len(atoms) - r)
         for subset in itertools.combinations(atoms, r):
-            yield SetPartition(alpha.k, subset), sign
+            yield subset, sign
 
 
 def block_subset_sum(alpha: SetPartition) -> dict:
     """The unitriangular map carrying the tilde product to star: sum
     over all sub-collections of alpha's blocks."""
-    return {beta: 1 for beta, _ in _subsets_with_sign(alpha)}
+    return {SetPartition(alpha.k, code): 1 for code, _ in _subsets_with_sign(alpha)}
 
 
 def block_subset_sum_inverse(alpha: SetPartition) -> dict:
     """Inverse of the block subset sum: alternating signs by dropped
     block count."""
-    return dict(_subsets_with_sign(alpha))
+    return {SetPartition(alpha.k, code): sign for code, sign in _subsets_with_sign(alpha)}
 
 
 def extend_linearly(func, x: dict) -> dict:
@@ -162,7 +165,7 @@ class MorphismReport(NamedTuple):
 
 
 def _map_functions(map_name: str) -> tuple:
-    """The walk of the map (its image's terms, each with its coefficient
+    """The walk of the map (its image's term codes, each with its coefficient
     in the closed-form inverse) and the code-level product it carries to
     star, looked up on every call."""
     if map_name == "coarsening_sum":
@@ -193,18 +196,19 @@ class DeformationCell(_Parts):
 
     def _map(self, map_name: str) -> tuple:
         """Each element's forward image, as the tuple of its terms' element
-        indices from one walk, and the map's inverse verdict: the stored
-        images carry every closed-form inverse (the same terms with the
-        walk's values) back to its element, which on all of P*_k proves the
-        closed form is the inverse (D C = I, C square).  The values are not
-        kept, and every image is stored before the first round trip."""
+        indices from one walk (its codes looked up in ``index``), and the
+        map's inverse verdict: the stored images carry every closed-form
+        inverse (the same terms with the walk's values) back to its
+        element, which on all of P*_k proves the closed form is the inverse
+        (D C = I, C square).  The values are not kept, and every image is
+        stored before the first round trip."""
         walk = _map_functions(map_name)[0]
 
         def build():
             images, values = [], []
             for alpha in self.elements:
-                betas, coeffs = zip(*walk(alpha))
-                images.append(tuple(self.index[beta.code] for beta in betas))
+                codes, coeffs = zip(*walk(alpha))
+                images.append(tuple(map(self.index.__getitem__, codes)))
                 values.append(coeffs)
 
             def trip(a):  # D C applied to element a, without zero values
@@ -222,8 +226,8 @@ class DeformationCell(_Parts):
         """Each element's action support on U^k under the variant: the
         sorted coordinates row*d + col of its 1s."""
         space = ActionSpace("U", n, self.k)
-        expand = (action_supports(a, space, variant, self.unguarded)[0] for a in self.elements)
-        return self._part((n, variant), lambda: list(map(sorted, expand)))
+        expand = _action_rows(self.elements, space, variant, self.unguarded)
+        return self._part((n, variant), lambda: [sorted(rows) for rows, _ in expand])
 
     def _support_sum(self, n: int, variant: str, map_name: str) -> tuple:
         """Whether every element's action under the variant is the sum of

@@ -4,17 +4,21 @@ V has basis e_1..e_n; U adjoins e_0.  A tensor index is a plain tuple
 of k digits, ordered mixed-radix with the first digit most significant,
 and its position in that order (its ordinal) is the matrix coordinate.
 
-Every action here comes from one layered expansion, ``_expand``, of the
-layers that ``_layers`` makes after checking the element against the
-space and the variant.  A layer is a position of a partial injection or
-a block of a diagram (of its ``SetPartition.code``; on V^k, of its
-completion's), and each of its choices is one digit.  A row is one
-matrix coordinate dst*d + src, linear in the digits, so a choice adds
-one step o*d + i, from tables kept per space (``_tables``).  The rows
-that hat and tilde keep (no non-zero digit twice) and the orbit rows
-(below) depend only on the layers' shape, so ``_kept`` lists their
-positions once per shape.  Four functions read the rows (``divmod`` by
-d splits a coordinate):
+Every action here comes from one batched expansion, ``_action_rows``: a
+generator over a sequence of elements that checks each one against the
+space and the variant (a diagram through ``_acted``) and yields its rows
+and orbit rows from one layered expansion, ``_expand``.  A layer is a
+position of a partial injection or a block of a diagram (of its
+``SetPartition.code``; on V^k, of its completion's), and each of its
+choices is one digit.  A row is one matrix coordinate dst*d + src,
+linear in the digits, so a choice adds one step o*d + i, from tables
+kept per space (``_tables``).  The rows that hat and tilde keep (no
+non-zero digit twice) and the orbit rows (below) depend only on the
+layers' shape, so ``_kept`` lists their positions once per shape.  The
+guard, the tables and each shape's positions are looked up once per
+sequence; the one-element functions below pass a sequence of one, and
+``DualityCell`` and ``DeformationCell`` pass a whole family.  Four
+functions read the rows (``divmod`` by d splits a coordinate):
 
 * ``action_targets`` stores them as a target tuple T of length d = dim:
   input ordinal c goes to T[c], and T[c] == -1 means the tensor is
@@ -55,7 +59,8 @@ distinct non-zero digits on the blocks (on V^k, those of a dual
 element): the plain matrix of a diagram is the sum of the hat matrices
 of the diagrams made by merging and dropping its blocks (on V^k, where
 no digit is zero, by merging only).
-``DualityCell.span`` checks this on every element.
+``DualityCell.span`` checks this on every element, in one pass over
+the expansions in enumeration order (``DualityCell._certify``).
 
 Diagram actions are right actions, so the matrix of a product composes
 in reverse order; partial injections act on the left with the usual
@@ -265,33 +270,16 @@ def _tables(kind: str, n: int, k: int) -> tuple:
     return [(n + (kind == "U")) ** p for p in reversed(range(k))], {}
 
 
-def _layers(element, space: ActionSpace, variant: str, unguarded: bool):
-    """Check the element against the space and the variant; return its
-    layers, whether choice 0 of a layer is U's digit 0 (the other choices
-    are distinct non-zero digits), whether the non-zero digits must be
-    distinct, and its rank, the number of distinct non-zero digits on a
-    tensor of its orbit (the domain's size or the block count), or None
-    under a free output block.
-
-    A partial injection has only the plain action: each position carries
-    a live digit x to its image and U's digit 0 to itself, and any other
-    digit kills the tensor.  On V^k a diagram acts plainly through its
-    completion, every block carrying any digit 1..n, and a dual element
-    acts by hat, distinct digits 1..n on the blocks.  On U^k a partial
-    dual element acts plainly (any digit 0..n on each block), by hat
-    (distinct non-zero digits) or by tilde (distinct non-zero digits, any
-    number of zeros).  Under hat, on either space, a diagram is wrapped as
-    a ``HatElement``, and the adjoined zero kills everything."""
-    low, n, d = space.low, space.n, space.dimension
-    if isinstance(element, PartialInjection):
-        if variant != "plain":
-            raise ValueError("partial injections have only the plain action")
-        if element.n != n:
-            raise ValueError("injection size disagrees with the space")
-        weights = _tables(space.kind, n, space.guard(unguarded).k)[0]
-        images = enumerate((None if low else 0, *element.targets))  # U's digit 0 stays
-        units = [(t - low) * d + x - low for x, t in images if t is not None]
-        return [[w * u for u in units] for w in weights], not low, False, len(units) - (not low)
+def _acted(element, space: ActionSpace, variant: str):
+    """Check a diagram against the space and the variant; return the code
+    its action expands, or None for the adjoined zero.  On V^k a diagram
+    acts plainly through its completion, every block carrying any digit
+    1..n, and a dual element acts by hat, distinct digits 1..n on the
+    blocks.  On U^k a partial dual element acts plainly (any digit 0..n
+    on each block), by hat (distinct non-zero digits) or by tilde
+    (distinct non-zero digits, any number of zeros).  Under hat, on either
+    space, a diagram is wrapped as a ``HatElement``, and the adjoined zero
+    kills everything."""
     if element.k != space.k:
         raise ValueError("diagram size disagrees with the space")
     if variant == "hat":
@@ -299,29 +287,16 @@ def _layers(element, space: ActionSpace, variant: str, unguarded: bool):
         diagram = hat.diagram
         if diagram is not None and space.kind == "V" and not is_dual_element(diagram):
             raise ValueError("the hat action on V^k needs a dual element")
-    elif space.kind == "V":
+        return None if diagram is None else diagram.code
+    if space.kind == "V":
         if variant != "plain":
             raise ValueError("V^k carries only the plain and hat actions")
-        diagram = element.completed()
-    elif variant in ("plain", "tilde"):
-        if not is_partial_dual_element(element):
-            raise ValueError(f"the {variant} action needs a partial dual element")
-        diagram = element
-    else:
+        return element.completed().code
+    if variant not in ("plain", "tilde"):
         raise ValueError(f"unknown variant {variant!r}")
-    space.guard(unguarded)
-    if diagram is None:  # the adjoined zero kills everything
-        return [[]], False, True, 0
-    weights, known = _tables(space.kind, n, space.k)
-    for block in diagram.code:
-        if block not in known:
-            ins, outs = (sum(w for p, w in enumerate(weights) if m >> p & 1) for m in block)
-            known[block] = [c * (outs * d + ins) for c in range(n + 1 - low)]
-    layers = list(map(known.__getitem__, diagram.code))
-    if low == 0 and variant == "hat":  # hat puts no digit 0 on a block
-        return [layer[1:] for layer in layers], False, True, len(layers)
-    free = not all(map(itemgetter(0), diagram.code))  # a block with no input position
-    return layers, not low, variant != "plain", None if free else len(layers)
+    if not is_partial_dual_element(element):
+        raise ValueError(f"the {variant} action needs a partial dual element")
+    return element.code
 
 
 @functools.cache
@@ -351,17 +326,59 @@ def _expand(layers) -> list:
     return rows
 
 
-def _rows(element, space: ActionSpace, variant: str, unguarded: bool, sums=False):
-    """From one expansion: the coordinates of the 1s of the element's
-    matrix and its orbit coordinates.  A free output block is refused
-    unless ``sums`` (``action_matrix``)."""
-    layers, zero, distinct, rank = _layers(element, space, variant, unguarded)
-    if rank is None and not sums:
-        raise ValueError("a free output block sends a tensor to a sum; use action_matrix")
-    rows = _expand(layers)
-    kept, orbit = _kept(len(layers), len(layers[0]) if layers else 0, zero, distinct, rank)
-    pick = rows.__getitem__
-    return (rows if kept is None else list(map(pick, kept))), list(map(pick, orbit))
+def _action_rows(elements, space: ActionSpace, variant: str, unguarded: bool, sums=False):
+    """The one action path: for each element of the sequence in turn, the
+    coordinates of the 1s of its matrix and its orbit coordinates, from
+    one ``_expand`` of its layers.  The guard, the space's tables and each
+    shape's ``_kept`` positions are looked up once per call.  A free
+    output block is refused unless ``sums`` (``action_matrix``).
+
+    A partial injection has only the plain action: its layers are the
+    positions, each carrying a live digit x to its image and U's digit 0
+    to itself (any other digit kills the tensor), so its rank is its
+    domain's size.  A diagram's layers are the blocks of the code
+    ``_acted`` checks and returns, each choice a digit, and its rank is
+    its block count, or None under a free output block; choice 0 is U's
+    digit 0 except under hat, which puts no digit 0 on a block, and the
+    non-zero digits must be distinct except under plain."""
+    low, n, k, d = space.low, space.n, space.k, space.dimension
+    weights, known = _tables(space.kind, n, space.guard(unguarded).k)
+    zero, distinct, drop_zero = not low, variant != "plain", not low and variant == "hat"
+    shapes = {}
+    for element in elements:
+        if isinstance(element, PartialInjection):
+            if variant != "plain":
+                raise ValueError("partial injections have only the plain action")
+            if element.n != n:
+                raise ValueError("injection size disagrees with the space")
+            images = enumerate((None if low else 0, *element.targets))  # U's digit 0 stays
+            units = [(t - low) * d + x - low for x, t in images if t is not None]
+            layers = [[w * u for u in units] for w in weights]
+            shape = k, len(units), zero, False, len(units) - zero
+        else:
+            code = _acted(element, space, variant)
+            if code is None:
+                layers, shape = [[]], (1, 0, False, True, 0)
+            else:
+                for block in code:
+                    if block not in known:
+                        ins, outs = (sum(w for p, w in enumerate(weights) if m >> p & 1)
+                                     for m in block)
+                        known[block] = [c * (outs * d + ins) for c in range(n + 1 - low)]
+                layers = list(map(known.__getitem__, code))
+                if drop_zero:  # hat puts no digit 0 on a block
+                    layers = [layer[1:] for layer in layers]
+                # None: a free output block, one with no input position
+                rank = len(code) if all(map(itemgetter(0), code)) else None
+                shape = len(code), n + 1 - low - drop_zero, zero and not drop_zero, distinct, rank
+        if shape[4] is None and not sums:
+            raise ValueError("a free output block sends a tensor to a sum; use action_matrix")
+        if shape not in shapes:
+            shapes[shape] = _kept(*shape)
+        kept, orbit = shapes[shape]
+        rows = _expand(layers)
+        pick = rows.__getitem__
+        yield (rows if kept is None else list(map(pick, kept))), list(map(pick, orbit))
 
 
 def _fill(d: int, coordinates) -> Targets:
@@ -373,6 +390,12 @@ def _fill(d: int, coordinates) -> Targets:
     return tuple(targets)
 
 
+def _targets(elements, space: ActionSpace, variant: str, unguarded: bool) -> list:
+    """The target tuple of each element, from ``_action_rows``."""
+    d = space.dimension
+    return [_fill(d, rows) for rows, _ in _action_rows(elements, space, variant, unguarded)]
+
+
 def action_targets(
     element, space: ActionSpace, variant: str = "plain", unguarded: bool = False
 ) -> Targets:
@@ -380,7 +403,7 @@ def action_targets(
     diagram: a composition element on V^k under plain, a dual element or
     its hat element on V^k under hat, a partial dual or hat element on
     U^k under the given variant.  A free output block is refused."""
-    return _fill(space.dimension, _rows(element, space, variant, unguarded)[0])
+    return _targets((element,), space, variant, unguarded)[0]
 
 
 def action_supports(
@@ -390,7 +413,7 @@ def action_supports(
     ``action_targets`` (an ``array`` of coordinates row*d + col, one per
     input the action keeps) and its orbit support, the list of those
     whose inputs carry as many distinct non-zero digits as the rank."""
-    support, orbit = _rows(element, space, variant, unguarded)
+    support, orbit = next(_action_rows((element,), space, variant, unguarded))
     return array("q", support), orbit  # 8 bytes a coordinate, not 32
 
 
@@ -400,5 +423,5 @@ def action_matrix(
     """The action matrix of an element as ``{(row, col): 1}``, columns
     the inputs.  Every entry is 1: an input goes to one output or, under
     a free output block, to the sum over that block's digits."""
-    support = _rows(element, space, variant, unguarded, sums=True)[0]
+    support = next(_action_rows((element,), space, variant, unguarded, sums=True))[0]
     return dict.fromkeys(map(divmod, support, itertools.repeat(space.dimension)), 1)

@@ -317,9 +317,17 @@ def test_verify_props_builds_each_deformation_part_once(capsys, monkeypatch):
     enumerate_, generators = rookdual.semigroups._MONOIDS["pistar"]
     pistar = (counted("enumerate_pistar", enumerate_), generators)
     monkeypatch.setitem(rookdual.semigroups._MONOIDS, "pistar", pistar)
-    for name in ("action_supports", *walks):
+    for name in walks:
         right = getattr(rookdual.morphisms, name)
         monkeypatch.setattr(rookdual.morphisms, name, counted(name, right))
+    expand = rookdual.morphisms._action_rows
+
+    def expanded(elements, space, variant, unguarded):  # counted per element it yields
+        for element, rows in zip(elements, expand(elements, space, variant, unguarded)):
+            calls["_action_rows", element, variant, unguarded] += 1
+            yield rows
+
+    monkeypatch.setattr(rookdual.morphisms, "_action_rows", expanded)
     rookdual.semigroups._family.cache_clear()
     code, _, _ = run_cli(capsys, "verify", "--props", "--n", "2", "--k", "3")
     assert code == 0
@@ -327,7 +335,7 @@ def test_verify_props_builds_each_deformation_part_once(capsys, monkeypatch):
     per_name = Counter(key[0] for key in calls)
     assert per_name["enumerate_pistar"] == 1
     assert all(per_name[name] == 128 for name in walks)
-    variants = Counter(key[2] for key in calls if key[0] == "action_supports")
+    variants = Counter(key[2] for key in calls if key[0] == "_action_rows")
     assert variants == {"plain": 128, "hat": 128, "tilde": 128}
 
 

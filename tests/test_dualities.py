@@ -1,6 +1,7 @@
 """Double-centralizer checks, faithfulness, the orbit certification of
 the spans, and the grid runner."""
 
+import itertools
 import math
 import random
 import re
@@ -25,6 +26,8 @@ from rookdual import (
     run_grid,
     targets_commutant,
 )
+from rookdual.morphisms import _upper_set_with_mobius
+from rookdual.semigroups import _family_index, _natural_order, family
 
 from oracles import (
     all_elements_commute,
@@ -307,6 +310,50 @@ def test_bitmask_order_is_the_natural_order(cell):
             assert allowed(a, below | others) == (others <= below), (side, a)
 
 
+GUARDED_FAMILIES = [
+    *(("is", n) for n in range(1, rookdual.diagrams.ENUM_LIMIT_INJECTIONS + 1)),
+    *(("istar", k) for k in range(1, rookdual.diagrams.ENUM_LIMIT_DUAL + 1)),
+    *(("pistar", k) for k in range(1, rookdual.diagrams.ENUM_LIMIT_PARTIAL_DUAL + 1)),
+]
+
+
+def _down_set(name, size):
+    """``below(a)``: the positions of the elements below element a in the
+    natural order, listed from their definitions: a's restrictions on IS_n,
+    the codes of a's up-set walk that lie in the family otherwise (each
+    block a union of a's blocks)."""
+    elements = family(name, size)
+    if name == "is":
+        position = {e.targets: i for i, e in enumerate(elements)}
+
+        def below(a):
+            targets = elements[a].targets
+            domain = [x for x, t in enumerate(targets) if t is not None]
+            for r in range(len(domain) + 1):
+                for kept in map(set, itertools.combinations(domain, r)):
+                    yield position[tuple(t if x in kept else None for x, t in enumerate(targets))]
+
+        return below
+    index = _family_index(name, size)
+    return lambda a: (index[c] for c, _ in _upper_set_with_mobius(elements[a]) if c in index)
+
+
+@pytest.mark.parametrize("name,size", GUARDED_FAMILIES, ids=str)
+def test_enumeration_order_extends_the_natural_order(name, size):
+    """No element of a guarded family allows a later one under
+    ``_natural_order``: the precondition of ``_certify``'s one pass in
+    enumeration order.  Every element's down-set lies at or before it, and
+    the order allows all of it; on the families of up to 400 elements
+    (IS_1..4, I*_1..4, P*_1..3, all the grid's) the order also allows no
+    later element, pair by pair."""
+    elements, allowed, below = family(name, size), _natural_order(name, size), _down_set(name, size)
+    for a in range(len(elements)):
+        down = list(below(a))
+        assert max(down) == a and allowed(a, down), (name, size, a)
+        if len(elements) <= 400:
+            assert not any(allowed(a, (b,)) for b in range(a + 1, len(elements))), (name, size, a)
+
+
 def test_cell_expands_each_element_once(monkeypatch):
     """One report at V(4,4) runs the layered expansion once per element
     of each side and once per generator, and no more, and fills a target
@@ -344,6 +391,22 @@ def test_cell_keeps_no_tuple_per_element():
     finally:
         tracemalloc.stop()
     assert kept < 1_200_000
+
+
+def test_span_streams_the_plain_supports():
+    """With V(5,4)'s rook monoid and its order built first, certifying the
+    left span peaks below 5.5 MB of traced memory: the pass drops each
+    plain support once it is checked.  Holding every plain support of the
+    side until the end peaked at 6.82 MB, the one pass at 4.40 MB."""
+    cell = DualityCell(5, 4, "V")
+    cell.elements("left"), cell.order("left")
+    tracemalloc.start()
+    try:
+        cell.span("left")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_500_000
 
 
 IDENT, SWAP, EMPTY = (PartialInjection(t) for t in ([1, 2], [2, 1], [None, None]))
@@ -445,6 +508,53 @@ def test_certification_reports_each_overlap_as_one():
         pattern = _certification_error("left", *names) + " overlap$"
         with pytest.raises(RuntimeError, match=pattern):
             _tampered(ORBIT, edit).span("left")
+
+
+def test_certification_rejects_an_overlap_the_plain_supports_hide():
+    """SWAP's orbit and its plain support both gain a coordinate of the
+    identity's orbit (tensor 12 kept in place, coordinate 1*4 + 1), after
+    the identity's plain support was checked: every later sum of orbit
+    sizes still matches, so only the overlap check of the one pass sees
+    it, and the overlap is what is reported."""
+
+    class Tampered(DualityCell):
+        def _expansions(self, side):
+            for element, (plain, orbit) in zip(self.elements(side), super()._expansions(side)):
+                if side == "left" and element == SWAP:
+                    plain, orbit = [*plain, 1 * 4 + 1], [*orbit, 1 * 4 + 1]
+                yield plain, orbit
+
+    pattern = _certification_error("left", IDENT, SWAP) + " overlap$"
+    with pytest.raises(RuntimeError, match=pattern):
+        Tampered(2, 2, "V").span("left")
+
+
+@pytest.mark.parametrize("cell", [("V", 3, 3), ("U", 2, 3)], ids=_cell_id)
+def test_certification_out_of_order_checks_against_the_whole_map(cell):
+    """Listed in reverse, a plain support meets orbits that come later in
+    the pass, so the first check fails; the pass then reads the rest and
+    ``_diagnose`` checks them against the map of all the orbits, which
+    gives the spans and faithfulness of enumeration order."""
+    space, n, k = cell
+    diagnosed = []
+
+    class Reversed(DualityCell):
+        def elements(self, side):
+            return super().elements(side)[::-1]
+
+        def order(self, side):
+            allowed, last = super().order(side), len(self.elements(side)) - 1
+            return lambda a, bs: allowed(last - a, [last - b for b in bs])
+
+        def _diagnose(self, side, orbits, plain):
+            diagnosed.append(side)
+            return super()._diagnose(side, orbits, plain)
+
+    reversed_cell, cell = Reversed(n, k, space), DualityCell(n, k, space)
+    for side in ("left", "right"):
+        assert sorted(map(sorted, reversed_cell.span(side))) == sorted(map(sorted, cell.span(side)))
+        assert reversed_cell.semigroup_faithful(side) == cell.semigroup_faithful(side)
+    assert diagnosed == ["left", "right"]
 
 
 def test_certification_rejects_an_owner_the_order_forbids():

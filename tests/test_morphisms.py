@@ -484,10 +484,10 @@ def _repeat_empty_in_identity(monkeypatch, map_name):
     right = getattr(rookdual.morphisms, WALKS[map_name])
 
     def wrong(alpha):
-        for beta, value in right(alpha):
-            yield beta, value
-            if alpha == SetPartition.identity(alpha.k) and not beta.blocks:
-                yield beta, value
+        for code, value in right(alpha):
+            yield code, value
+            if alpha == SetPartition.identity(alpha.k) and not code:
+                yield code, value
 
     monkeypatch.setattr(rookdual.morphisms, WALKS[map_name], wrong)
 
@@ -566,20 +566,22 @@ EDITS = {"kill": _kill, "swap": _swap, "keep": _keep}
 
 def _corrupt_targets(monkeypatch, variant, edit=_kill):
     """Make the action of the identity under one variant go wrong by
-    ``edit`` of its target tuple, in the coordinate rows dst*d + src that
-    ``action_supports`` and ``action_targets`` both read."""
-    right = rookdual.tensor_actions._rows
+    ``edit`` of its target tuple, in the coordinate rows dst*d + src of
+    ``_action_rows``, which ``action_targets`` and
+    ``DeformationCell._supports`` both read."""
+    right = rookdual.tensor_actions._action_rows
     ident = SetPartition.identity(2)
 
-    def wrong(element, space, v, unguarded, sums=False):
-        rows, orbit = right(element, space, v, unguarded, sums)
-        if v == variant and element == ident:
-            d = space.dimension
-            targets = edit(rookdual.tensor_actions._fill(d, rows))
-            rows = [t * d + c for c, t in enumerate(targets) if t >= 0]
-        return rows, orbit
+    def wrong(elements, space, v, unguarded, sums=False):
+        for element, (rows, orbit) in zip(elements, right(elements, space, v, unguarded, sums)):
+            if v == variant and element == ident:
+                d = space.dimension
+                targets = edit(rookdual.tensor_actions._fill(d, rows))
+                rows = [t * d + c for c, t in enumerate(targets) if t >= 0]
+            yield rows, orbit
 
-    monkeypatch.setattr(rookdual.tensor_actions, "_rows", wrong)
+    monkeypatch.setattr(rookdual.tensor_actions, "_action_rows", wrong)
+    monkeypatch.setattr(rookdual.morphisms, "_action_rows", wrong)
 
 
 @pytest.mark.parametrize("edit", sorted(EDITS))
@@ -646,8 +648,8 @@ def test_inverse_ok_catches_a_wrong_mobius_value(monkeypatch):
     right = rookdual.morphisms._upper_set_with_mobius
 
     def wrong(alpha):
-        for beta, value in right(alpha):
-            yield beta, value + (0 if beta.blocks else 1)
+        for code, value in right(alpha):
+            yield code, value + (0 if code else 1)
 
     monkeypatch.setattr(rookdual.morphisms, "_upper_set_with_mobius", wrong)
     assert DeformationCell(2).homomorphism("coarsening_sum").inverse_ok is False
@@ -661,8 +663,8 @@ def test_inverse_ok_catches_a_flipped_sign(monkeypatch):
     right = rookdual.morphisms._subsets_with_sign
 
     def wrong(alpha):
-        for beta, sign in right(alpha):
-            yield beta, -sign if not beta.blocks else sign
+        for code, sign in right(alpha):
+            yield code, -sign if not code else sign
 
     monkeypatch.setattr(rookdual.morphisms, "_subsets_with_sign", wrong)
     assert DeformationCell(2).homomorphism("block_subset_sum").inverse_ok is False
@@ -679,7 +681,7 @@ def test_inverse_ok_catches_an_extra_term(monkeypatch):
     def wrong(alpha):
         yield from right(alpha)
         if not alpha.blocks:
-            yield SetPartition.identity(alpha.k), 1
+            yield SetPartition.identity(alpha.k).code, 1
 
     monkeypatch.setattr(rookdual.morphisms, "_upper_set_with_mobius", wrong)
     assert DeformationCell(2).homomorphism("coarsening_sum").inverse_ok is False
@@ -692,9 +694,9 @@ def test_inverse_ok_catches_a_wrong_forward_image(monkeypatch):
     right = rookdual.morphisms._upper_set_with_mobius
 
     def wrong(alpha):
-        for beta, value in right(alpha):
-            if beta.blocks or alpha != SetPartition.identity(alpha.k):
-                yield beta, value
+        for code, value in right(alpha):
+            if code or alpha != SetPartition.identity(alpha.k):
+                yield code, value
 
     monkeypatch.setattr(rookdual.morphisms, "_upper_set_with_mobius", wrong)
     assert DeformationCell(2).homomorphism("coarsening_sum").inverse_ok is False
