@@ -124,19 +124,23 @@ def _coordinate_triplets(entries) -> list:
     return [[r, c, str(v)] for (r, c), v in entries]
 
 
-def _cmd_enumerate(args) -> tuple:
+def _ambient(args) -> int:
+    """The --n of --semigroup is, else the --k every other family needs."""
     if args.semigroup == "is":
         _require("--n is required for --semigroup is", args.n is not None)
-        size = {"n": args.n}
-    else:
-        _require("--k is required for this family", args.k is not None)
-        size = {"k": args.k}
-    elements = family(args.semigroup, *size.values(), args.unguarded)
+        return args.n
+    _require("--k is required for this family", args.k is not None)
+    return args.k
+
+
+def _cmd_enumerate(args) -> tuple:
+    size = _ambient(args)
+    elements = family(args.semigroup, size, args.unguarded)
     if args.format == "json":
         payload = {
             "schema_version": 1,
             "family": args.semigroup,
-            **size,
+            "n" if args.semigroup == "is" else "k": size,
             "count": len(elements),
             "elements": [str(e) for e in elements],
         }
@@ -145,31 +149,25 @@ def _cmd_enumerate(args) -> tuple:
 
 
 def _cmd_multiply(args) -> tuple:
-    family = args.semigroup
-    if family == "is":
-        _require("--n is required for --semigroup is", args.n is not None)
-        ambient = args.n
-    else:
-        _require("--k is required for this family", args.k is not None)
-        ambient = args.k
-    lhs = parse_element(args.lhs, family, ambient)
-    rhs = parse_element(args.rhs, family, ambient)
+    name, ambient = args.semigroup, _ambient(args)
+    lhs = parse_element(args.lhs, name, ambient)
+    rhs = parse_element(args.rhs, name, ambient)
     garbage = None
-    if family == "is":
+    if name == "is":
         result = lhs * rhs
-    elif family == "istar":
+    elif name == "istar":
         result = multiply_istar(lhs, rhs)
-    elif family == "pistar":
+    elif name == "pistar":
         result = multiply_pistar(lhs, rhs)
-    elif family == "hat":
+    elif name == "hat":
         result = star_multiply(lhs, rhs)
-    elif family == "tilde":
+    elif name == "tilde":
         result = bullet_multiply(lhs, rhs)
     else:
         outcome = multiply_composition(lhs, rhs)
         result, garbage = outcome.diagram, outcome.garbage_count
     if args.format == "json":
-        payload = {"schema_version": 1, "family": family, "result": str(result)}
+        payload = {"schema_version": 1, "family": name, "result": str(result)}
         if garbage is not None:
             payload["garbage"] = garbage
         return _json(payload), 0

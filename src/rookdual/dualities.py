@@ -25,19 +25,25 @@ cell runs in full.
 
 Spans are counted on the orbit bases of the two actions (the orbit
 support of ``action_supports``: the rook groupoid basis on the left,
-the hat action on the right, on V^k as on U^k), not row-reduced.
-``DualityCell.span`` certifies that every plain matrix is a
-unitriangular 0/1 sum of orbit matrices with disjoint supports, and
-returns the non-zero orbit supports: the span's dimension is their
-number, and a matrix lies in the span exactly when it is constant on
-every support and zero off them.  The checks run in one pass over the
-expansions in enumeration order, which extends the natural order: one
-dict, grown orbit by orbit, gives each coordinate's orbit, the order is
-read off per-element bitmasks built once per family, and a plain support
-covers the orbits it touches when their sizes sum to its length; each
+the hat action on the right, on V^k as on U^k), not row-reduced.  Both
+are unitriangular against the plain matrices by Moebius inversion: the
+plain matrix of a is the sum of the orbit matrices of a's restrictions
+on the left and of a's coarsenings on the right.  ``DualityCell.span``
+certifies what the verdicts need of this in one pass over the
+expansions in enumeration order: each plain matrix is a 0/1 sum of
+whole orbit matrices with disjoint supports, of its own element and of
+earlier ones, its own among them when that is non-zero.  By induction
+each orbit matrix is its plain matrix minus the earlier ones it meets,
+so the non-zero orbit supports are a basis of the span: the span's
+dimension is their number, and a matrix lies in the span exactly when
+it is constant on every support and zero off them.  Any total order
+would do for the argument, and enumeration order makes it hold on
+correct data: ``PartialInjection.sort_key`` reads an undefined point as
+0, so a proper restriction sorts first, and ``SetPartition.sort_key``
+starts with the block count, which a proper coarsening lowers.  Each
 plain support is dropped once it is checked, so only the orbits are
-kept.  Each plain matrix is then the sum of the orbit matrices it
-touches, so semigroup faithfulness is a count of the distinct sets of
+kept.  Two elements then act alike exactly when they touch the same
+orbits, so semigroup faithfulness is a count of the distinct sets of
 orbits the elements touch.
 
 A commutant labels matrix coordinates by class (``targets_commutant``:
@@ -50,14 +56,14 @@ bases, so their numbers are the two dimensions, and the span equals the
 commutant exactly when it lies in it and the dimensions agree.  The right
 span lying in the left generators' commutant is also the commutation
 verdict, as the plain and orbit matrices span the same space.  Across
-cells only the families, their orders and the actions' tables are kept.
+cells only the families and the actions' tables are kept.
 """
 
 from collections import Counter
 from itertools import chain, repeat
 from typing import NamedTuple
 
-from .semigroups import _MONOIDS, _natural_order, _Parts, family
+from .semigroups import _MONOIDS, _Parts, family
 from .tensor_actions import ActionSpace, _action_rows, _commutant_labels, _targets
 from .tensor_actions import targets_commutant
 
@@ -178,41 +184,37 @@ class DualityCell(_Parts):
         """The span and the number of distinct touched sets."""
         return self._part(("span", side), lambda: self._certify(side))
 
-    def order(self, side: str):
-        """``allowed(a, bs)``: every b in bs lies below a in the natural order
-        (``semigroups._natural_order``), so b's orbit may carry part of a's plain matrix."""
-        self.elements(side)  # the side and size checks
-        return _natural_order(*self._families[side])
-
     def _certify(self, side: str) -> tuple:
         """The non-zero orbit supports of one side and the number of
-        distinct sets of them that the plain matrices touch, after three
-        exact checks that make the supports a basis of the span of the
-        plain matrices:
+        distinct sets of them that the plain matrices touch, certified in
+        one pass over the expansions in enumeration order.  The pass adds
+        each element's orbit to a map from coordinates to elements, so the
+        map holds the orbits of the element and of those before it, and
+        checks that:
 
-        1. the orbit supports are pairwise disjoint: the map from each
-           of their coordinates to its element keeps every coordinate;
-        2. every coordinate of each plain matrix lies in the orbit of an
-           element that ``order`` allows for it;
-        3. every orbit a plain matrix touches is covered in full, and an
-           element with a non-zero orbit touches its own.  A plain support
-           repeats no coordinate, as each of its inputs has one output, so
-           full cover is the touched orbits' sizes summing to its length.
+        1. the map grew by the orbit's size: no two orbits overlap, and a
+           later orbit cannot take a checked coordinate away;
+        2. every coordinate of the element's plain support is in the map;
+        3. the sizes of the orbits the plain support touches sum to its
+           length: a plain support repeats no coordinate, as each of its
+           inputs has one output, so each touched orbit is covered in full;
+        4. an element with a non-empty orbit touches its own.
 
-        One pass over the expansions in enumeration order makes all three:
-        it adds each element's orbit to the coordinate map, checks that the
-        map grew by the orbit's size, then checks the element's plain
-        support and drops it.  Enumeration order is a linear extension of
-        the natural order (no element allows a later one), so every orbit a
-        plain support may meet is already in the map.  A later orbit cannot
-        take a checked coordinate away without failing the growth check, so
-        a pass with no failure gives the verdicts of the whole map.  On the
-        first failed check the pass reads the remaining expansions and
-        ``_diagnose`` makes the checks again against the whole map.
+        Then each plain matrix is a 0/1 sum of whole, disjoint orbit
+        matrices of its own element and earlier ones, its own among them
+        when that is non-zero, and by induction each non-zero orbit matrix
+        is its plain matrix minus the earlier orbit matrices it touches:
+        the non-zero orbits are a basis of the span, and two elements act
+        alike exactly when they touch the same orbits.  On correct data no
+        check fails: a plain matrix is the sum of the orbit matrices of the
+        element's restrictions (left) or coarsenings (right), and ``sort_key``
+        lists a proper restriction (an undefined point reads as 0) or a
+        proper coarsening (fewer blocks) first.  Each plain support is
+        dropped once it is checked.
 
-        A failure is an internal bug: it raises ``RuntimeError`` naming
-        the cell, the side and the element or pair of elements."""
-        allowed, owner, orbits, sizes, touched_sets = self.order(side), {}, [], [], set()
+        A failure is an internal bug: ``_fail`` raises ``RuntimeError``
+        naming the cell, the side and the element or pair of elements."""
+        owner, orbits, sizes, touched_sets = {}, [], [], set()
         expansions = enumerate(self._expansions(side))
         for a, (support, orbit) in expansions:
             orbits.append(orbit)
@@ -220,52 +222,36 @@ class DualityCell(_Parts):
             size = len(owner) + len(orbit)
             owner.update(zip(orbit, repeat(a)))
             touched = frozenset(map(owner.get, support))
-            if (len(owner) != size or None in touched or not allowed(a, touched)
+            if (len(owner) != size or None in touched
                     or sum(map(sizes.__getitem__, touched)) != len(support)
                     or orbit and a not in touched):
-                rest = list(expansions)
-                orbits += [orbit for _, (_, orbit) in rest]
-                plain = [(a, support), *((b, support) for b, (support, _) in rest)]
-                touched_sets |= self._diagnose(side, orbits, plain)
-                break
+                self._fail(side, a, support, orbits, owner, expansions)
             touched_sets.add(touched)
         return [orbit for orbit in orbits if orbit], len(touched_sets)
 
-    def _diagnose(self, side: str, orbits: list, plain: list) -> set:
-        """``_certify``'s three checks against the map of all the orbits,
-        on the (position, plain support) pairs from its first failure on,
-        with the message of the first that fails; the touched sets if none
-        does.  An overlap is reported before any plain support is read."""
+    def _fail(self, side: str, a: int, support, orbits: list, owner: dict, rest):
+        """Raise the ``RuntimeError`` of ``_certify``'s first failed check at
+        element a, whose orbit is the last of ``orbits`` and already in
+        ``owner``; ``rest`` yields the (position, expansion) pairs after a.
+        A plain coordinate outside the map is named by the later orbit that
+        holds it, if one does."""
         elements = self.elements(side)
         where = f"orbit certification at {self.space.kind}({self.n},{self.k}) {side}"
-        sizes = list(map(len, orbits))
-        at = chain.from_iterable(map(repeat, range(len(orbits)), sizes))
-        owner = dict(zip(chain.from_iterable(orbits), at))
-        if len(owner) != sum(sizes):  # a coordinate lies in two orbits, or twice in one
+        missing = [x for x in support if x not in owner]
+        if len(owner) != sum(map(len, orbits)):  # a coordinate lies in two orbits, or twice in one
             twice = next(x for x, c in Counter(chain.from_iterable(orbits)).items() if c > 1)
-            a, b = [b for b, orbit in enumerate(orbits) for x in orbit if x == twice][:2]
-            raise RuntimeError(f"{where}: the orbits of {elements[a]} and {elements[b]} overlap")
-        allowed, touched_sets = self.order(side), set()
-        for a, support in plain:
-            touched = frozenset(map(owner.get, support))
-            if None in touched:
-                raise RuntimeError(f"{where}: {elements[a]} leaves every orbit")
-            if touched and not allowed(a, touched):
-                b = next(b for b in touched if not allowed(a, (b,)))
-                raise RuntimeError(
-                    f"{where}: {elements[a]} meets the orbit of {elements[b]}, "
-                    "which the natural order does not allow"
-                )
-            if sum(map(sizes.__getitem__, touched)) != len(support):
-                count = Counter(map(owner.get, support))
-                b = next(b for b in touched if count[b] != sizes[b])
-                raise RuntimeError(
-                    f"{where}: {elements[a]} covers part of the orbit of {elements[b]}"
-                )
-            if orbits[a] and a not in touched:
-                raise RuntimeError(f"{where}: {elements[a]} misses its own orbit")
-            touched_sets.add(touched)
-        return touched_sets
+            b, c = [b for b, orbit in enumerate(orbits) for x in orbit if x == twice][:2]
+            problem = f"the orbits of {elements[b]} and {elements[c]} overlap"
+        elif missing:
+            later = next((b for b, (_, orbit) in rest if missing[0] in orbit), None)
+            problem = (f"{elements[a]} leaves every orbit" if later is None
+                       else f"{elements[a]} meets the orbit of {elements[later]}, a later element")
+        else:
+            count = Counter(map(owner.get, support))
+            part = [b for b in count if count[b] != len(orbits[b])]
+            problem = (f"{elements[a]} covers part of the orbit of {elements[part[0]]}" if part
+                       else f"{elements[a]} misses its own orbit")
+        raise RuntimeError(f"{where}: {problem}")
 
     def commutant(self, side: str) -> list:
         """Commutant basis of one side as coordinate classes, solved on

@@ -15,8 +15,8 @@ monoid, ``istar_generators`` and ``pistar_generators`` for the dual and
 partial dual monoids.  A matrix commutes with a whole monoid's image
 when it commutes with the images of its generators, which is how the
 duality checks solve every commutant.  ``family`` lists a monoid's
-elements, ``_family_index`` numbers a diagram monoid's codes and
-``_natural_order`` gives its order, each built once per size.
+elements and ``_family_index`` numbers a diagram monoid's codes, each
+built once per size.
 
 All four diagram products run on the code a diagram is stored as
 (``SetPartition.code``): a sorted tuple of ``(in_mask, out_mask)``
@@ -170,31 +170,6 @@ class _Parts:
         if key not in self._parts:
             self._parts[key] = build()
         return self._parts[key]
-
-
-@functools.cache
-def _natural_order(name: str, size: int):
-    """``allowed(a, bs)``: every b in bs lies below a in ``family(name, size)``.
-    On IS_n b's graph, bits x*n + pi(x+1) - 1, lies in a's (a restriction).
-    On a diagram monoid each block of b is a union of blocks of a: b's points,
-    as rows x*2k.. of a 2k by 2k bit matrix (point x is i - 1 for i, k + i - 1
-    for i'), are a's, and on those rows a's same-block pairs are b's."""
-    elements, n, k = _family(name, size), size, size
-    if name == "is":
-        bit = [{None: 0, **{t: 1 << x * n + t - 1 for t in range(1, n + 1)}} for x in range(n)]
-        graph = [sum(map(dict.__getitem__, bit, e.targets)) for e in elements]
-        return lambda a, bs: not any(map((~graph[a]).__and__, map(graph.__getitem__, bs)))
-    pair_of, row_of, row = {}, {}, ~(-1 << 2 * k)
-    for block in {block for e in elements for block in e.code}:
-        points = block[0] | block[1] << k
-        shifts = [x * 2 * k for x in range(2 * k) if points >> x & 1]
-        pair_of[block] = sum(points << s for s in shifts)
-        row_of[block] = sum(row << s for s in shifts)
-    pairs = [sum(map(pair_of.__getitem__, e.code)) for e in elements]
-    rows = [sum(map(row_of.__getitem__, e.code)) for e in elements]
-    unpaired = [r & ~p for p, r in zip(pairs, rows)]  # rows of b minus b's pairs
-    return lambda a, bs: not (any(map((~rows[a]).__and__, map(rows.__getitem__, bs)))
-                              or any(map(pairs[a].__and__, map(unpaired.__getitem__, bs))))
 
 
 def _glue(a, b) -> list:

@@ -279,7 +279,7 @@ def _acted(element, space: ActionSpace, variant: str):
     on each block), by hat (distinct non-zero digits) or by tilde
     (distinct non-zero digits, any number of zeros).  Under hat, on either
     space, a diagram is wrapped as a ``HatElement``, and the adjoined zero
-    kills everything."""
+    kills everything; a ``HatElement`` has no other action."""
     if element.k != space.k:
         raise ValueError("diagram size disagrees with the space")
     if variant == "hat":
@@ -288,6 +288,8 @@ def _acted(element, space: ActionSpace, variant: str):
         if diagram is not None and space.kind == "V" and not is_dual_element(diagram):
             raise ValueError("the hat action on V^k needs a dual element")
         return None if diagram is None else diagram.code
+    if isinstance(element, HatElement):
+        raise ValueError("a HatElement has only the hat action")
     if space.kind == "V":
         if variant != "plain":
             raise ValueError("V^k carries only the plain and hat actions")

@@ -40,7 +40,7 @@ it walked the permutation sources' orbits and labelled the classes, and
 rows and reads its plain and orbit supports off them, the way the
 package did before each row became one matrix coordinate, and
 ``restricts`` is the rook monoid's natural order on target tuples, the
-reference for the graph bitmasks of ``DualityCell.order``.
+restrictions whose orbits an element's plain matrix may meet.
 ``orbit_targets`` writes an element's orbit support as a target tuple,
 for the tests that compare orbit bases with their definitions.
 """

@@ -361,18 +361,6 @@ def test_verify_all_builds_each_family_once(capsys, monkeypatch):
     assert v.elements("right") is DualityCell(4, 3, "V").elements("right")
 
 
-def test_verify_all_builds_each_order_table_once(capsys):
-    """From an empty cache, one ``verify --all`` run builds the natural
-    order bitmasks of each of its 11 (monoid, size) pairs once, and its 36
-    cell sides read them."""
-    rookdual.semigroups._natural_order.cache_clear()
-    code, _, _ = run_cli(capsys, "verify", "--all")
-    assert code == 0
-    info = rookdual.semigroups._natural_order.cache_info()
-    assert (info.misses, info.hits + info.misses) == (11, 36)
-    assert DualityCell(2, 3, "V").order("left") is DualityCell(2, 1, "U").order("left")
-
-
 def test_verify_props_multiplies_each_middle_pair_once(capsys, monkeypatch):
     """One ``verify --props --n 2 --k 3`` run calls each domain product
     only for its generic recipes, at most once per pair of middle rows

@@ -440,6 +440,10 @@ def test_variant_validation():
         action_matrix(PartialInjection.identity(2), spu, "hat")
     with pytest.raises(ValueError):
         action_matrix(SetPartition.identity(3), spv)
+    hat = HatElement.wrap(SetPartition.identity(2))  # acts only by hat
+    for space, variant in ((ActionSpace("U", 1, 2), "plain"), (spu, "tilde"), (spv, "plain")):
+        with pytest.raises(ValueError, match="only the hat action"):
+            action_targets(hat, space, variant)
 
 
 def test_free_output_blocks_still_act_by_sums():
