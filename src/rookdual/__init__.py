@@ -12,6 +12,7 @@ from .diagrams import (
     canonicalize,
     count_is,
     count_istar,
+    count_pistar,
     enumerate_is,
     enumerate_istar,
     enumerate_pistar,

@@ -14,12 +14,14 @@ out_mask)`` pairs, one per block, where bit i - 1 of in_mask stands for
 point i and of out_mask for point i'.  Equality, hashing, the
 completion, the flip, the family predicates and the natural order
 ``block_union_leq`` read the code, and so do ``sort_key``, the
-enumerators (which partition the row masks and pair up their blocks),
-the products (``semigroups``), the actions (``tensor_actions``) and the
-deformation walks (``morphisms``).  The point-level view, ``blocks``
-with its text form, is derived from the code on first use.
+enumerators (which walk the blocks in ``sort_key`` order and build each
+code already sorted), the products (``semigroups``), the actions
+(``tensor_actions``) and the deformation walks (``morphisms``).  The
+point-level view, ``blocks`` with its text form, is derived from the
+code on first use.
 """
 
+import bisect
 import functools
 import itertools
 import math
@@ -153,8 +155,9 @@ class SetPartition:
 
     ``code`` holds one ``(in_mask, out_mask)`` pair per block, sorted;
     the constructor sorts it and trusts it otherwise (disjoint non-empty
-    blocks on rows of size k).  ``blocks`` is the point-level view:
-    each block a tuple of points in canonical point order, the blocks
+    blocks on rows of size k); the enumerators skip the sort
+    (``_diagram``).  ``blocks`` is the point-level view: each block a
+    tuple of points in canonical point order, the blocks
     ordered by least point, derived from the code and cached.  Use
     :func:`canonicalize` to build one from raw points with validation.
     """
@@ -383,27 +386,6 @@ def _set_partitions(items: tuple):
             yield sub[:i] + [(first,) + block] + sub[i + 1 :]
 
 
-def _mask_partitions(mask: int) -> list:
-    """All set partitions of the bits of mask, each a list of block masks."""
-    bits = tuple(1 << i - 1 for i in _indices(mask))
-    return [list(map(sum, blocks)) for blocks in _set_partitions(bits)]
-
-
-def _matched_partitions(in_mask: int, out_mask: int, k: int) -> list:
-    """The diagrams on exactly these row masks whose every block meets
-    both rows: a partition of each mask and a bijection between their
-    blocks; the shared machinery of the dual enumerators."""
-    by_count: dict[int, list] = {}
-    for q in _mask_partitions(out_mask):
-        by_count.setdefault(len(q), []).append(q)
-    return [
-        SetPartition(k, zip(p, perm))
-        for p in _mask_partitions(in_mask)
-        for q in by_count.get(len(p), ())
-        for perm in itertools.permutations(q)
-    ]
-
-
 def _guard(name: str, size: int, unguarded: bool, caller: str = "") -> None:
     """Refuse a size of the family ``name`` below 1 (``ValueError``), and
     above its ``ENUM_LIMIT_*``, read when called, unless ``unguarded``
@@ -420,38 +402,100 @@ def _guard(name: str, size: int, unguarded: bool, caller: str = "") -> None:
         raise SizeGuardError(f"{caller} guard: {variable}={size} exceeds {limit}")
 
 
+_set_n, _set_targets = (getattr(PartialInjection, s).__set__ for s in PartialInjection.__slots__)
+_set_k, _set_code, _set_blocks = (getattr(SetPartition, s).__set__ for s in SetPartition.__slots__)
+
+
+def _injection(n: int, targets: tuple) -> PartialInjection:
+    """The walk's partial injection, valid by construction: unchecked."""
+    element = object.__new__(PartialInjection)
+    _set_n(element, n)
+    _set_targets(element, targets)
+    return element
+
+
+def _diagram(k: int, code: tuple) -> SetPartition:
+    """The walk's diagram, its code valid and sorted by construction."""
+    element = object.__new__(SetPartition)
+    _set_k(element, k)
+    _set_code(element, code)
+    _set_blocks(element, None)
+    return element
+
+
 def enumerate_is(n: int, unguarded: bool = False) -> list:
-    """All partial injections on {1..n}, deterministically ordered."""
+    """All partial injections on {1..n}, in ``sort_key`` order: the
+    target tuples grow position by position, each taking "undefined" (0)
+    and then every unused target, ascending."""
     _guard("is", n, unguarded)
-    points = list(range(1, n + 1))
-    out = []
-    for r in range(n + 1):
-        for dom in itertools.combinations(points, r):
-            for img in itertools.combinations(points, r):
-                for perm in itertools.permutations(img):
-                    targets = [None] * n
-                    for d, t in zip(dom, perm):
-                        targets[d - 1] = t
-                    out.append(PartialInjection(targets, n))
-    out.sort(key=PartialInjection.sort_key)
-    return out
+    prefixes = [((), 0)]  # the targets so far and the mask of those used
+    choices = [(None, 0)] + [(t, 1 << t) for t in range(1, n + 1)]
+    for _ in range(n):
+        prefixes = [(targets + (t,), used | bit) for targets, used in prefixes
+                    for t, bit in choices if not used & bit]
+    return [_injection(n, targets) for targets, _ in prefixes]
+
+
+def _diagrams(k: int, cover: bool) -> list:
+    """The diagrams on rows of size k whose every block meets both rows,
+    covering all 2k points when ``cover``, in ``sort_key`` order.
+
+    A depth-first walk on one 2k-bit mask, i as bit i - 1 and i' as bit
+    k + i - 1, the order ``sort_key`` reads points in.  It picks blocks
+    by ascending least point, unprimed (under ``cover``, the least free
+    point), and grows each block one larger point at a time; a block
+    comes before its extensions, and every way to finish the diagram
+    with it before it grows.  That is ascending order of the blocks'
+    point tuples, block by block: ``sort_key`` order within each block
+    count, one bucket per count.  A free point below a new block's least
+    point stays uncovered.  A block's ``(in_mask, out_mask)`` pair enters
+    the code at its sorted place."""
+    full = (1 << k) - 1
+    buckets = [[] for _ in range(k + 1)]
+
+    def finish(code, free):  # free: the points later blocks may take
+        starts = free & full
+        if not cover or not free:
+            buckets[len(code)].append(_diagram(k, code))
+        if cover:
+            starts &= -starts
+        while starts:
+            least = starts & -starts
+            starts ^= least
+            grow(code, free & ~(2 * least - 1), least, least)
+
+    def grow(code, free, block, top):  # top: the block's highest point
+        if cover and not free & full:  # no unprimed point left: the block takes the rest
+            if free & (2 * top - 1):  # a free primed point below top cannot join
+                return
+            block, free = block | free, 0
+        if block >> k and (not cover or not free or free >> k):  # later blocks need a primed point
+            pair = (block & full, block >> k)
+            at = bisect.bisect(code, pair)
+            finish(code[:at] + (pair,) + code[at:], free)
+        larger = free & ~(2 * top - 1)
+        while larger:
+            point = larger & -larger
+            larger ^= point
+            grow(code, free ^ point, block | point, point)
+
+    finish((), (1 << 2 * k) - 1)
+    return [diagram for bucket in buckets for diagram in bucket]
 
 
 def enumerate_istar(k: int, unguarded: bool = False) -> list:
-    """All dual elements: partitions of all 2k points, every block meeting
-    both rows."""
+    """All dual elements (partitions of all 2k points, every block
+    meeting both rows), walked in ``sort_key`` order by ``_diagrams``."""
     _guard("istar", k, unguarded)
-    full = (1 << k) - 1
-    return sorted(_matched_partitions(full, full, k), key=SetPartition.sort_key)
+    return _diagrams(k, cover=True)
 
 
 def enumerate_pistar(k: int, unguarded: bool = False) -> list:
-    """All partial dual elements: partitions of a subset of the 2k points,
-    every block meeting both rows.  Includes the empty partition."""
+    """All partial dual elements (partitions of a subset of the 2k
+    points, every block meeting both rows, the empty one first), walked
+    in ``sort_key`` order by ``_diagrams``."""
     _guard("pistar", k, unguarded)
-    rows = range(1 << k)
-    out = [p for ins in rows for outs in rows for p in _matched_partitions(ins, outs, k)]
-    return sorted(out, key=SetPartition.sort_key)
+    return _diagrams(k, cover=False)
 
 
 def count_is(n: int) -> int:
@@ -462,6 +506,18 @@ def count_is(n: int) -> int:
 def count_istar(k: int) -> int:
     """Closed-form size of the dual symmetric inverse monoid."""
     return sum(_stirling2(k, m) ** 2 * math.factorial(m) for m in range(1, k + 1))
+
+
+def count_pistar(k: int) -> int:
+    """Closed-form size of the partial dual symmetric inverse monoid:
+    for each set of a unprimed and b primed points, a partition of each
+    into m blocks and a bijection between the blocks."""
+    return sum(
+        math.comb(k, a) * math.comb(k, b)
+        * sum(_stirling2(a, m) * _stirling2(b, m) * math.factorial(m) for m in range(k + 1))
+        for a in range(k + 1)
+        for b in range(k + 1)
+    )
 
 
 def _stirling2(n: int, m: int) -> int:

@@ -196,8 +196,9 @@ class DualityCell(_Parts):
            later orbit cannot take a checked coordinate away;
         2. every coordinate of the element's plain support is in the map;
         3. the sizes of the orbits the plain support touches sum to its
-           length: a plain support repeats no coordinate, as each of its
-           inputs has one output, so each touched orbit is covered in full;
+           length: a plain support repeats no coordinate (no two of its
+           rows share an input, as ``tensor_actions._expand`` proves), so
+           each touched orbit is covered in full;
         4. an element with a non-empty orbit touches its own.
 
         Then each plain matrix is a 0/1 sum of whole, disjoint orbit

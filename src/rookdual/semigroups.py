@@ -15,8 +15,8 @@ monoid, ``istar_generators`` and ``pistar_generators`` for the dual and
 partial dual monoids.  A matrix commutes with a whole monoid's image
 when it commutes with the images of its generators, which is how the
 duality checks solve every commutant.  ``family`` lists a monoid's
-elements and ``_family_index`` numbers a diagram monoid's codes, each
-built once per size.
+elements, checked against its closed-form size, and ``_family_index``
+numbers a diagram monoid's codes, each built once per size.
 
 All four diagram products run on the code a diagram is stored as
 (``SetPartition.code``): a sorted tuple of ``(in_mask, out_mask)``
@@ -39,6 +39,9 @@ from .diagrams import (
     PartialInjection,
     SetPartition,
     _guard,
+    count_is,
+    count_istar,
+    count_pistar,
     enumerate_is,
     enumerate_istar,
     enumerate_pistar,
@@ -140,7 +143,17 @@ _MONOIDS = {
     "istar": (enumerate_istar, istar_generators),
     "pistar": (enumerate_pistar, pistar_generators),
 }
-_family = functools.cache(lambda name, size: tuple(_MONOIDS[name][0](size, True)))
+_COUNTS = {"is": count_is, "istar": count_istar, "pistar": count_pistar}
+
+
+@functools.cache
+def _family(name: str, size: int) -> tuple:
+    """The enumeration behind ``family``, checked against its closed-form
+    size (``RuntimeError`` naming the family and the size on a mismatch)."""
+    elements, count = tuple(_MONOIDS[name][0](size, True)), _COUNTS[name](size)
+    if len(elements) != count:
+        raise RuntimeError(f"{name} at size {size} enumerated {len(elements)} elements, not {count}")
+    return elements
 
 
 def family(name: str, size: int, unguarded: bool = False) -> tuple:

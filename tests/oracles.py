@@ -43,6 +43,11 @@ package did before each row became one matrix coordinate, and
 restrictions whose orbits an element's plain matrix may meet.
 ``orbit_targets`` writes an element's orbit support as a target tuple,
 for the tests that compare orbit bases with their definitions.
+``sorted_is``, ``sorted_istar`` and ``sorted_pistar`` list the three
+families the way the package did before it walked them in ``sort_key``
+order: every element built (a dual one by partitioning the row masks
+and pairing up their blocks), then the whole list sorted by
+``sort_key``.
 """
 
 import functools
@@ -54,6 +59,7 @@ from typing import Iterable
 from rookdual import (
     HatElement,
     PartialInjection,
+    SetPartition,
     action_matrix,
     action_supports,
     action_targets,
@@ -942,3 +948,53 @@ def coarsening_sum_inverse_by_solve(alpha) -> dict:
         total[g] = total.get(g, 0) + 1
         solved[g] = {d: c for d, c in total.items() if c}
     return {diagrams[d]: c for d, c in solved[index[alpha.code]].items()}
+
+
+def sorted_is(n: int) -> list:
+    """Every partial injection on {1..n}, by domain, image and
+    permutation, then sorted."""
+    points = range(1, n + 1)
+    out = []
+    for r in range(n + 1):
+        for dom in itertools.combinations(points, r):
+            for img in itertools.combinations(points, r):
+                for perm in itertools.permutations(img):
+                    targets = [None] * n
+                    for d, t in zip(dom, perm):
+                        targets[d - 1] = t
+                    out.append(PartialInjection(targets, n))
+    return sorted(out, key=PartialInjection.sort_key)
+
+
+def _mask_partitions(mask: int) -> list:
+    """All set partitions of the bits of mask, each a list of block masks."""
+    bits = [1 << i for i in range(mask.bit_length()) if mask >> i & 1]
+    return [list(map(sum, blocks)) for blocks in _set_partitions(tuple(bits))]
+
+
+def _matched_partitions(in_mask: int, out_mask: int, k: int) -> list:
+    """The diagrams on exactly these row masks whose every block meets
+    both rows: a partition of each mask and a bijection between their
+    blocks."""
+    by_count = {}
+    for q in _mask_partitions(out_mask):
+        by_count.setdefault(len(q), []).append(q)
+    return [
+        SetPartition(k, zip(p, perm))
+        for p in _mask_partitions(in_mask)
+        for q in by_count.get(len(p), ())
+        for perm in itertools.permutations(q)
+    ]
+
+
+def sorted_istar(k: int) -> list:
+    """Every dual element on rows of size k, sorted."""
+    full = (1 << k) - 1
+    return sorted(_matched_partitions(full, full, k), key=SetPartition.sort_key)
+
+
+def sorted_pistar(k: int) -> list:
+    """Every partial dual element on rows of size k, sorted."""
+    rows = range(1 << k)
+    out = [p for ins in rows for outs in rows for p in _matched_partitions(ins, outs, k)]
+    return sorted(out, key=SetPartition.sort_key)

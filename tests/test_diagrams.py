@@ -9,6 +9,7 @@ so the two computations share no code.
 import itertools
 import math
 import random
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,7 @@ from rookdual import (
     canonicalize,
     count_is,
     count_istar,
+    count_pistar,
     enumerate_is,
     enumerate_istar,
     enumerate_pistar,
@@ -183,11 +185,27 @@ def test_is_counts():
 
 
 def test_enumerate_is_sorted_and_unique():
+    """Each family's walk is the sorted oracle, element by element, and
+    ``sort_key`` rises along it.  P*_5 (48,032 elements) is too large for
+    the oracle here, so its walk is checked to rise strictly, to hold
+    partial dual elements with sorted codes only, and to be as long as
+    ``count_pistar(5)``: then it is the family, sorted."""
     out = enumerate_is(3)
-    keys = [e.sort_key() for e in out]
-    assert keys == sorted(keys)
     assert len(set(out)) == len(out)
     assert out[0] == PartialInjection([None, None, None])
+    cases = [(enumerate_is, oracles.sorted_is, n, attrgetter("targets")) for n in range(1, 7)]
+    cases += [(enumerate_istar, oracles.sorted_istar, k, attrgetter("code")) for k in range(1, 6)]
+    cases += [(enumerate_pistar, oracles.sorted_pistar, k, attrgetter("code")) for k in range(1, 5)]
+    for walk, oracle, size, code in cases:
+        got, want = walk(size, unguarded=True), oracle(size)
+        assert list(map(code, got)) == list(map(code, want)), (walk.__name__, size)
+        assert list(map(str, got)) == list(map(str, want)), (walk.__name__, size)
+        keys = list(map(type(got[0]).sort_key, got))
+        assert all(a < b for a, b in zip(keys, keys[1:])), (walk.__name__, size)
+    got = enumerate_pistar(5, unguarded=True)
+    keys = list(map(SetPartition.sort_key, got))
+    assert all(a < b for a, b in zip(keys, keys[1:])) and len(got) == count_pistar(5)
+    assert all(is_partial_dual_element(e) and list(e.code) == sorted(e.code) for e in got)
 
 
 def test_canonicalize_examples():
@@ -234,6 +252,10 @@ def test_dual_elements_against_brute_force():
 def test_istar_counts_closed_form():
     assert [count_istar(k) for k in (1, 2, 3, 4)] == [1, 3, 25, 339]
     assert len(enumerate_istar(4)) == 339
+
+
+def test_pistar_counts_closed_form():
+    assert [count_pistar(k) for k in range(1, 6)] == [2, 12, 128, 2100, 48032]
 
 
 def test_partial_dual_elements_against_brute_force():

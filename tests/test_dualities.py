@@ -288,6 +288,22 @@ def test_cell_supports_match_the_target_tuples(cell):
         assert duality.semigroup_faithful(side) == distinct, side
 
 
+@pytest.mark.parametrize("cell", CERTIFIED_CELLS, ids=_cell_id)
+def test_plain_supports_have_distinct_columns(cell):
+    """No two coordinates of an element's plain support share a column
+    (an input, the coordinate mod d), as ``tensor_actions._expand``
+    proves, so no plain support repeats a coordinate, which check 3 of
+    ``DualityCell._certify`` relies on: both sides of every ``GRID``
+    cell, of the benchmark's eight centralizer cells and of two larger
+    cells."""
+    space, n, k = cell
+    duality = DualityCell(n, k, space)
+    d = duality.space.dimension
+    for side in ("left", "right"):
+        for element, (support, _) in zip(duality.elements(side), duality._expansions(side)):
+            assert len({c % d for c in support}) == len(support), (side, element)
+
+
 @pytest.mark.parametrize(
     "cell", [("V", 3, 3), ("V", 2, 4), ("U", 2, 3), ("U", 3, 2), ("U", 4, 2)], ids=_cell_id
 )

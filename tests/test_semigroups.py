@@ -195,6 +195,24 @@ def test_family_refuses_unknown_names_and_sizes():
             family(name, 0)
 
 
+@pytest.mark.parametrize("name,count", [("is", 34), ("istar", 25), ("pistar", 128)])
+def test_family_checks_its_closed_form_size(name, count, monkeypatch):
+    """An enumeration that loses an element is refused when ``family``
+    builds it, naming the family and the size; nothing is cached."""
+    enumerate_, generators = rookdual.semigroups._MONOIDS[name]
+
+    def short(size, unguarded=False):
+        return enumerate_(size, unguarded)[1:]
+
+    monkeypatch.setitem(rookdual.semigroups._MONOIDS, name, (short, generators))
+    rookdual.semigroups._family.cache_clear()
+    message = f"^{name} at size 3 enumerated {count - 1} elements, not {count}$"
+    with pytest.raises(RuntimeError, match=message):
+        family(name, 3)
+    monkeypatch.undo()
+    assert len(family(name, 3)) == count
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_is_product_against_pointwise_oracle(data):
