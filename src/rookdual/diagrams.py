@@ -14,14 +14,12 @@ out_mask)`` pairs, one per block, where bit i - 1 of in_mask stands for
 point i and of out_mask for point i'.  Equality, hashing, the
 completion, the flip, the family predicates and the natural order
 ``block_union_leq`` read the code, and so do ``sort_key``, the
-enumerators (which walk the blocks in ``sort_key`` order and build each
-code already sorted), the products (``semigroups``), the actions
-(``tensor_actions``) and the deformation walks (``morphisms``).  The
-point-level view, ``blocks`` with its text form, is derived from the
-code on first use.
+enumerators (which walk the blocks in ``sort_key`` order), the
+products (``semigroups``), the actions (``tensor_actions``) and the
+deformation walks (``morphisms``).  The point-level view, ``blocks``
+with its text form, is derived from the code on first use.
 """
 
-import bisect
 import functools
 import itertools
 import math
@@ -155,9 +153,8 @@ class SetPartition:
 
     ``code`` holds one ``(in_mask, out_mask)`` pair per block, sorted;
     the constructor sorts it and trusts it otherwise (disjoint non-empty
-    blocks on rows of size k); the enumerators skip the sort
-    (``_diagram``).  ``blocks`` is the point-level view: each block a
-    tuple of points in canonical point order, the blocks
+    blocks on rows of size k).  ``blocks`` is the point-level view:
+    each block a tuple of points in canonical point order, the blocks
     ordered by least point, derived from the code and cached.  Use
     :func:`canonicalize` to build one from raw points with validation.
     """
@@ -402,31 +399,17 @@ def _guard(name: str, size: int, unguarded: bool, caller: str = "") -> None:
         raise SizeGuardError(f"{caller} guard: {variable}={size} exceeds {limit}")
 
 
-_set_n, _set_targets = (getattr(PartialInjection, s).__set__ for s in PartialInjection.__slots__)
-_set_k, _set_code, _set_blocks = (getattr(SetPartition, s).__set__ for s in SetPartition.__slots__)
-
-
 def _injection(n: int, targets: tuple) -> PartialInjection:
     """The walk's partial injection, valid by construction: unchecked."""
     element = object.__new__(PartialInjection)
-    _set_n(element, n)
-    _set_targets(element, targets)
-    return element
-
-
-def _diagram(k: int, code: tuple) -> SetPartition:
-    """The walk's diagram, its code valid and sorted by construction."""
-    element = object.__new__(SetPartition)
-    _set_k(element, k)
-    _set_code(element, code)
-    _set_blocks(element, None)
+    object.__setattr__(element, "n", n)
+    object.__setattr__(element, "targets", targets)
     return element
 
 
 def enumerate_is(n: int, unguarded: bool = False) -> list:
-    """All partial injections on {1..n}, in ``sort_key`` order: the
-    target tuples grow position by position, each taking "undefined" (0)
-    and then every unused target, ascending."""
+    """All partial injections on {1..n}, in ``sort_key`` order: each
+    position takes "undefined", then every unused target, ascending."""
     _guard("is", n, unguarded)
     prefixes = [((), 0)]  # the targets so far and the mask of those used
     choices = [(None, 0)] + [(t, 1 << t) for t in range(1, n + 1)]
@@ -438,25 +421,18 @@ def enumerate_is(n: int, unguarded: bool = False) -> list:
 
 def _diagrams(k: int, cover: bool) -> list:
     """The diagrams on rows of size k whose every block meets both rows,
-    covering all 2k points when ``cover``, in ``sort_key`` order.
-
-    A depth-first walk on one 2k-bit mask, i as bit i - 1 and i' as bit
-    k + i - 1, the order ``sort_key`` reads points in.  It picks blocks
-    by ascending least point, unprimed (under ``cover``, the least free
-    point), and grows each block one larger point at a time; a block
-    comes before its extensions, and every way to finish the diagram
-    with it before it grows.  That is ascending order of the blocks'
-    point tuples, block by block: ``sort_key`` order within each block
-    count, one bucket per count.  A free point below a new block's least
-    point stays uncovered.  A block's ``(in_mask, out_mask)`` pair enters
-    the code at its sorted place."""
+    covering all 2k points when ``cover``, in ``sort_key`` order: a
+    depth-first walk on a 2k-bit mask (i as bit i - 1, i' as bit k + i - 1)
+    that picks blocks by ascending least point (under ``cover``, the least
+    free one) and grows each block one larger point at a time, a block
+    before its extensions; one bucket per block count."""
     full = (1 << k) - 1
     buckets = [[] for _ in range(k + 1)]
 
     def finish(code, free):  # free: the points later blocks may take
         starts = free & full
         if not cover or not free:
-            buckets[len(code)].append(_diagram(k, code))
+            buckets[len(code)].append(SetPartition(k, code))
         if cover:
             starts &= -starts
         while starts:
@@ -470,9 +446,7 @@ def _diagrams(k: int, cover: bool) -> list:
                 return
             block, free = block | free, 0
         if block >> k and (not cover or not free or free >> k):  # later blocks need a primed point
-            pair = (block & full, block >> k)
-            at = bisect.bisect(code, pair)
-            finish(code[:at] + (pair,) + code[at:], free)
+            finish(code + ((block & full, block >> k),), free)
         larger = free & ~(2 * top - 1)
         while larger:
             point = larger & -larger
@@ -485,15 +459,14 @@ def _diagrams(k: int, cover: bool) -> list:
 
 def enumerate_istar(k: int, unguarded: bool = False) -> list:
     """All dual elements (partitions of all 2k points, every block
-    meeting both rows), walked in ``sort_key`` order by ``_diagrams``."""
+    meeting both rows), in ``sort_key`` order."""
     _guard("istar", k, unguarded)
     return _diagrams(k, cover=True)
 
 
 def enumerate_pistar(k: int, unguarded: bool = False) -> list:
-    """All partial dual elements (partitions of a subset of the 2k
-    points, every block meeting both rows, the empty one first), walked
-    in ``sort_key`` order by ``_diagrams``."""
+    """All partial dual elements (partitions of a subset of the 2k points,
+    every block meeting both rows), in ``sort_key`` order."""
     _guard("pistar", k, unguarded)
     return _diagrams(k, cover=False)
 
@@ -509,14 +482,10 @@ def count_istar(k: int) -> int:
 
 
 def count_pistar(k: int) -> int:
-    """Closed-form size of the partial dual symmetric inverse monoid:
-    for each set of a unprimed and b primed points, a partition of each
-    into m blocks and a bijection between the blocks."""
+    """Closed-form size of the partial dual symmetric inverse monoid."""
     return sum(
-        math.comb(k, a) * math.comb(k, b)
-        * sum(_stirling2(a, m) * _stirling2(b, m) * math.factorial(m) for m in range(k + 1))
-        for a in range(k + 1)
-        for b in range(k + 1)
+        math.comb(k, a) * math.comb(k, b) * _stirling2(a, m) * _stirling2(b, m) * math.factorial(m)
+        for a, b, m in itertools.product(range(k + 1), repeat=3)
     )
 
 

@@ -148,8 +148,7 @@ _COUNTS = {"is": count_is, "istar": count_istar, "pistar": count_pistar}
 
 @functools.cache
 def _family(name: str, size: int) -> tuple:
-    """The enumeration behind ``family``, checked against its closed-form
-    size (``RuntimeError`` naming the family and the size on a mismatch)."""
+    """The enumeration behind ``family``, refused unless of its closed-form size."""
     elements, count = tuple(_MONOIDS[name][0](size, True)), _COUNTS[name](size)
     if len(elements) != count:
         raise RuntimeError(f"{name} at size {size} enumerated {len(elements)} elements, not {count}")

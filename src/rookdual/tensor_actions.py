@@ -76,6 +76,7 @@ from .diagrams import (
     HatElement,
     PartialInjection,
     SizeGuardError,
+    _indices,
     is_dual_element,
     is_partial_dual_element,
 )
@@ -265,14 +266,9 @@ def targets_commutant(sources, d: int, unguarded: bool = False) -> list:
 
 @functools.cache
 def _tables(kind: str, n: int, k: int) -> tuple:
-    """The weights base**(k - p) of the positions p, the weight sum of
-    every k-bit mask (bit p - 1 for position p, built by doubling), and a
-    memo, shared by all callers, of block (ins, outs) -> steps
-    c*(wsum[outs]*d + wsum[ins]), c < base."""
-    weights, wsum = [(n + (kind == "U")) ** p for p in reversed(range(k))], [0]
-    for w in weights:
-        wsum += [s + w for s in wsum]
-    return weights, wsum, {}
+    """The weights base**(k - p) of the positions p, and a memo, shared by all callers,
+    of block (ins, outs) -> steps c*(w(outs)*d + w(ins)), c < base, w summing weights."""
+    return [(n + (kind == "U")) ** p for p in reversed(range(k))], {}
 
 
 def _acted(element, space: ActionSpace, variant: str):
@@ -312,9 +308,7 @@ def _kept(layers: int, choices: int, zero: bool, distinct: bool, rank) -> tuple:
     of the orbit rows.  A position spells one choice per layer, the first
     most significant; choice 0 is U's digit 0 when ``zero``.  A kept row
     repeats no non-zero digit under ``distinct``; an orbit row has
-    ``rank`` distinct non-zero digits.  The positions grow layer by
-    layer, as ``_expand`` grows rows, each with the mask of the non-zero
-    digits it spells, and under ``distinct`` no choice repeats one."""
+    ``rank`` distinct non-zero digits.  Positions grow as ``_expand``'s rows do."""
     digits = [(c, 0 if zero and not c else 1 << c) for c in range(choices)]
     rows = [(0, 0)]
     for _ in range(layers):
@@ -326,18 +320,11 @@ def _kept(layers: int, choices: int, zero: bool, distinct: bool, rank) -> tuple:
 
 def _expand(layers) -> list:
     """The one action builder: every way to take one choice per layer, as
-    the sum of the chosen steps.
-
-    Within one element's rows no two share a column (the input ordinal,
-    the row mod d), so none repeats.  A row's column is a positional
-    numeral in the space's base: a layer's step puts its choice's digit
-    on the input positions the layer owns, and the layers own disjoint
-    positions (a partial injection's layer owns its one position, a
-    block its input positions), so the numeral's digit at each position
-    is that of the one choice made there, 0 where no layer owns it, and
-    distinct choices give distinct columns.  A block with no input
-    position owns none, so its choices share a column; ``_action_rows``
-    refuses such a block unless ``sums``."""
+    the sum of the chosen steps.  No two rows share a column (row mod d):
+    a column is a numeral in the space's base whose digit at each input
+    position is the choice of the one layer owning it (layers own disjoint
+    positions), so distinct choices differ in it, except at a block with
+    no input position, which ``_action_rows`` refuses unless ``sums``."""
     rows = [0]
     for layer in layers:
         rows = [row + step for row in rows for step in layer]
@@ -360,7 +347,7 @@ def _action_rows(elements, space: ActionSpace, variant: str, unguarded: bool, su
     digit 0 except under hat, which puts no digit 0 on a block, and the
     non-zero digits must be distinct except under plain."""
     low, n, k, d = space.low, space.n, space.k, space.dimension
-    weights, wsum, known = _tables(space.kind, n, space.guard(unguarded).k)
+    weights, known = _tables(space.kind, n, space.guard(unguarded).k)
     zero, distinct, drop_zero = not low, variant != "plain", not low and variant == "hat"
     shapes = {}
     for element in elements:
@@ -380,8 +367,8 @@ def _action_rows(elements, space: ActionSpace, variant: str, unguarded: bool, su
             else:
                 for block in code:
                     if block not in known:
-                        step = wsum[block[1]] * d + wsum[block[0]]
-                        known[block] = [c * step for c in range(n + 1 - low)]
+                        ins, outs = (sum(weights[i - 1] for i in _indices(m)) for m in block)
+                        known[block] = [c * (outs * d + ins) for c in range(n + 1 - low)]
                 layers = list(map(known.__getitem__, code))
                 if drop_zero:  # hat puts no digit 0 on a block
                     layers = [layer[1:] for layer in layers]

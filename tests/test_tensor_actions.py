@@ -251,6 +251,20 @@ def test_action_space_guard():
         ActionSpace("W", 2, 2)
 
 
+def test_one_point_space_acts_at_large_k():
+    """V(1, k) has dimension 1 at every k, so the guard admits it; its
+    actions must cost no more than k does (a table over all k-bit masks
+    would take 2^40 entries here)."""
+    k = 40
+    space = ActionSpace("V", 1, k).guard()
+    identity, merged = SetPartition.identity(k), SetPartition(k, [(2**k - 1, 2**k - 1)])
+    assert action_targets(PartialInjection.identity(1), space) == (0,)
+    for diagram, orbit in ((identity, []), (merged, [0])):
+        assert action_targets(diagram, space) == (0,)
+        assert list(map(list, action_supports(diagram, space))) == [[0], orbit]
+    assert action_targets(merged, space, "hat") == (0,)
+
+
 def test_action_matrix_V_examples():
     sp = ActionSpace("V", 2, 2)
     ident = SetPartition.identity(2)
