@@ -30,31 +30,24 @@ are unitriangular against the plain matrices by Moebius inversion: the
 plain matrix of a is the sum of the orbit matrices of a's restrictions
 on the left and of a's coarsenings on the right.  ``DualityCell.span``
 certifies what the verdicts need of this in one pass over the
-expansions in enumeration order: each plain matrix is a 0/1 sum of
-whole orbit matrices with disjoint supports, of its own element and of
-earlier ones, its own among them when that is non-zero.  By induction
-each orbit matrix is its plain matrix minus the earlier ones it meets,
-so the non-zero orbit supports are a basis of the span: the span's
-dimension is their number, and a matrix lies in the span exactly when
-it is constant on every support and zero off them.  Any total order
-would do for the argument, and enumeration order makes it hold on
-correct data: ``PartialInjection.sort_key`` reads an undefined point as
-0, so a proper restriction sorts first, and ``SetPartition.sort_key``
-starts with the block count, which a proper coarsening lowers.  Each
-plain support is dropped once it is checked, so only the orbits are
-kept.  Two elements then act alike exactly when they touch the same
-orbits, so semigroup faithfulness is a count of the distinct sets of
-orbits the elements touch.
+expansions in enumeration order (``_certify``): each plain support is a
+disjoint union of whole orbit supports, of its own element and of
+earlier ones, its own among them when that is non-zero.  So the
+non-zero orbit supports are a basis of the span, a matrix lies in the
+span exactly when it is constant on every support and zero off them,
+and two elements act alike exactly when they touch the same orbits:
+semigroup faithfulness is a count of the distinct sets touched.
 
 A commutant labels matrix coordinates by class (``targets_commutant``:
 orbits of the permutation generators, joined by the others' equations),
 solved on one side's generators only: its matrices are those constant
 on every class and zero off them.  So the span lies in the commutant
-exactly when every orbit support has non-zero labels only and covers
-each class it touches.  The classes and the orbit supports are exact
-bases, so their numbers are the two dimensions, and the span equals the
-commutant exactly when it lies in it and the dimensions agree.  The right
-span lying in the left generators' commutant is also the commutation
+exactly when every orbit support is a disjoint union of whole non-zero
+classes: the certification's test (``_whole_classes``), with classes for
+orbits.  The classes and the orbit supports are exact bases, so their
+numbers are the two dimensions, and the span equals the commutant
+exactly when it lies in it and the dimensions agree.  The right span
+lying in the left generators' commutant is also the commutation
 verdict, as the plain and orbit matrices span the same space.  Across
 cells only the families and the actions' tables are kept.
 """
@@ -82,6 +75,16 @@ def _check_side(side: str) -> str:
     if side not in SIDES:
         raise ValueError(f"unknown side {side!r}; expected 'left' or 'right'")
     return side
+
+
+def _whole_classes(support, label_of: dict, sizes):
+    """The labels ``support`` touches if it is a disjoint union of whole
+    classes of ``label_of`` (coordinate to label; ``sizes[label]`` is a class's
+    size), else None.  A support repeats no coordinate, so it is one exactly
+    when every coordinate has a label and the touched sizes sum to its length."""
+    touched = frozenset(map(label_of.get, support))
+    whole = None not in touched and sum(map(sizes.__getitem__, touched)) == len(support)
+    return touched if whole else None
 
 
 def predicted_faithful(space: str, side: str, n: int, k: int) -> tuple:
@@ -194,12 +197,10 @@ class DualityCell(_Parts):
 
         1. the map grew by the orbit's size: no two orbits overlap, and a
            later orbit cannot take a checked coordinate away;
-        2. every coordinate of the element's plain support is in the map;
-        3. the sizes of the orbits the plain support touches sum to its
-           length: a plain support repeats no coordinate (no two of its
-           rows share an input, as ``tensor_actions._expand`` proves), so
-           each touched orbit is covered in full;
-        4. an element with a non-empty orbit touches its own.
+        2. the element's plain support is a disjoint union of whole orbits
+           in the map (``_whole_classes``; no two of its rows share an
+           input, as ``tensor_actions._expand`` proves);
+        3. an element with a non-empty orbit touches its own.
 
         Then each plain matrix is a 0/1 sum of whole, disjoint orbit
         matrices of its own element and earlier ones, its own among them
@@ -222,10 +223,8 @@ class DualityCell(_Parts):
             sizes.append(len(orbit))
             size = len(owner) + len(orbit)
             owner.update(zip(orbit, repeat(a)))
-            touched = frozenset(map(owner.get, support))
-            if (len(owner) != size or None in touched
-                    or sum(map(sizes.__getitem__, touched)) != len(support)
-                    or orbit and a not in touched):
+            touched = _whole_classes(support, owner, sizes)
+            if len(owner) != size or touched is None or orbit and a not in touched:
                 self._fail(side, a, support, orbits, owner, expansions)
             touched_sets.add(touched)
         return [orbit for orbit in orbits if orbit], len(touched_sets)
@@ -263,23 +262,20 @@ class DualityCell(_Parts):
         """One direction of the double centralizer: the commutant dimension
         of ``side`` (its non-zero class labels), the span dimension of the
         other side (its orbit supports) and whether that span lies in the
-        commutant (``_certify``'s cover test on the labels).  Both are exact
-        basis counts, so the span is the commutant when it lies in it and
-        they agree.  Kept; the labels are not, and their dict waits for the
-        span, so as not to add to its peak memory."""
+        commutant: each support a union of whole non-zero classes
+        (``_whole_classes``; a dead or zero coordinate has no label).  Both
+        are exact basis counts, so the span is the commutant when it lies
+        in it and they agree.  Kept; the labels are not, and their dict
+        waits for the span, so as not to add to its peak memory."""
 
         def build():
             gens, d = self.generators(side), self.space.dimension
             cells, labels, zero = _commutant_labels(gens, d, self.unguarded)
             supports = self.span("right" if side == "left" else "left")
-            label_of, sizes = dict(zip(cells, labels)), Counter(labels)
-            sizes.pop(zero, None)
-
-            def covered(support):  # labels non-zero (a dead coordinate has none), sizes sum
-                touched = set(map(label_of.get, support))
-                return touched <= sizes.keys() and sum(map(sizes.get, touched)) == len(support)
-
-            return len(sizes), len(supports), all(map(covered, supports))
+            label_of = {c: label for c, label in zip(cells, labels) if label != zero}
+            sizes = Counter(label_of.values())
+            inside = all(_whole_classes(s, label_of, sizes) is not None for s in supports)
+            return len(sizes), len(supports), inside
 
         return self._part(("half", side), build)
 

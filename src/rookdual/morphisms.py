@@ -41,7 +41,8 @@ product's recipe made it.
 
 On U^k each map is also an identity of 0/1 matrices: an element's plain
 (tilde) action is the sum of the hat actions of its coarsening sum (block
-subset sum), checked as an equality of sorted supports.
+subset sum), checked as an equality of sorted supports.  The hat actions
+are the orbit rows of the plain expansion, so P*_k is expanded twice.
 """
 
 import functools
@@ -181,9 +182,10 @@ class DeformationCell(_Parts):
     ``{code: index}`` are read from ``semigroups.family`` and
     ``semigroups._family_index``, which every cell shares.  Each map's
     forward images, as tuples of their terms' element indices, with its
-    inverse verdict, and the sorted U^k action supports of each (n,
-    variant), are built on first use and kept for the cell's lifetime.
-    ``unguarded`` lifts the size guards, as on ``DualityCell``."""
+    inverse verdict, and at each n the sorted plain and tilde U^k action
+    supports and the hat supports, are built on first use and kept for the
+    cell's lifetime.  ``unguarded`` lifts the size guards, as on
+    ``DualityCell``."""
 
     def __init__(self, k: int, unguarded: bool = False):
         self.k = k
@@ -222,27 +224,36 @@ class DeformationCell(_Parts):
 
         return self._part(map_name, build)
 
-    def _supports(self, n: int, variant: str) -> list:
-        """Each element's action support on U^k under the variant: the
-        sorted coordinates row*d + col of its 1s."""
+    def _supports(self, n: int, variant: str) -> tuple:
+        """Each element's action support on U^k under plain or tilde, the
+        sorted coordinates row*d + col of its 1s, and under plain also its
+        hat support: the orbit rows of the same expansion."""
         space = ActionSpace("U", n, self.k)
-        expand = _action_rows(self.elements, space, variant, self.unguarded)
-        return self._part((n, variant), lambda: [sorted(rows) for rows, _ in expand])
 
-    def _support_sum(self, n: int, variant: str, map_name: str) -> tuple:
-        """Whether every element's action under the variant is the sum of
-        the hat actions of its image's terms, and the map's inverse
-        verdict.  Every term is a 0/1 matrix, so the sum is exact iff the
-        element's sorted support equals the sorted concatenation of the
-        terms' hat supports: an overlap or a repeated term repeats a
-        coordinate and a gap drops one."""
-        whole, hat = self._supports(n, variant), self._supports(n, "hat")
+        def build():
+            whole, hat = [], []
+            for rows, orbit in _action_rows(self.elements, space, variant, self.unguarded):
+                whole.append(sorted(rows))
+                if variant == "plain":
+                    hat.append(orbit)
+            return whole, hat
+
+        return self._part((n, variant), build)
+
+    def _support_sum(self, name: str, n: int, variant: str, map_name: str, pairs: int):
+        """The report ``name``: whether every element's action under the
+        variant is the sum of the hat actions of its image's terms, and the
+        map's inverse verdict.  Every term is a 0/1 matrix, so the sum is
+        exact iff the element's sorted support equals the sorted
+        concatenation of the terms' hat supports: an overlap or a repeated
+        term repeats a coordinate and a gap drops one."""
+        whole, hat = self._supports(n, variant)[0], self._supports(n, "plain")[1]
         images, inverse_ok = self._map(map_name)
         ok = all(
             support == sorted(x for b in image for x in hat[b])
             for support, image in zip(whole, images)
         )
-        return ok, inverse_ok
+        return MorphismReport(self.k, name, pairs, ok, inverse_ok)
 
     def _middle(self) -> tuple:
         """The cell's ``"middle"`` part: the sorted middle rows (keys), each
@@ -426,25 +437,13 @@ class DeformationCell(_Parts):
         for the closed-form inverse D, and C is square unitriangular, so
         C D = I too; with the sum above, the hat action of alpha is then
         the plain action of its inverse coarsening sum."""
-        ok, inverse_ok = self._support_sum(n, "plain", "coarsening_sum")
-        return MorphismReport(
-            k=self.k,
-            map_name="hat_consistency",
-            pairs_checked=len(self.elements) * (n + 1) ** self.k,
-            homomorphism_ok=ok,
-            inverse_ok=inverse_ok,
-        )
+        pairs = len(self.elements) * (n + 1) ** self.k
+        return self._support_sum("hat_consistency", n, "plain", "coarsening_sum", pairs)
 
     def tilde_factorization(self, n: int) -> MorphismReport:
         """The tilde U-action of every partial dual element is the sum of
         the hat actions of its block sub-collections (its block subset
         sum), as an exact sum of 0/1 matrices (``_support_sum``).
         ``inverse_ok`` is the block subset sum's inverse verdict."""
-        ok, inverse_ok = self._support_sum(n, "tilde", "block_subset_sum")
-        return MorphismReport(
-            k=self.k,
-            map_name="tilde_factorization",
-            pairs_checked=len(self.elements),
-            homomorphism_ok=ok,
-            inverse_ok=inverse_ok,
-        )
+        pairs = len(self.elements)
+        return self._support_sum("tilde_factorization", n, "tilde", "block_subset_sum", pairs)

@@ -7,18 +7,19 @@ and its position in that order (its ordinal) is the matrix coordinate.
 Every action here comes from one batched expansion, ``_action_rows``: a
 generator over a sequence of elements that checks each one against the
 space and the variant (a diagram through ``_acted``) and yields its rows
-and orbit rows from one layered expansion, ``_expand``.  A layer is a
-position of a partial injection or a block of a diagram (of its
-``SetPartition.code``; on V^k, of its completion's), and each of its
-choices is one digit.  A row is one matrix coordinate dst*d + src,
-linear in the digits, so a choice adds one step o*d + i, from tables
-kept per space (``_tables``).  The rows that hat and tilde keep (no
-non-zero digit twice) and the orbit rows (below) depend only on the
-layers' shape, so ``_kept`` lists their positions once per shape.  The
-guard, the tables and each shape's positions are looked up once per
-sequence; the one-element functions below pass a sequence of one, and
-``DualityCell`` and ``DeformationCell`` pass a whole family.  Four
-functions read the rows (``divmod`` by d splits a coordinate):
+and orbit rows, every variant picking them from one plain layered
+expansion, ``_expand``.  A layer is a position of a partial injection
+or a block of a diagram (of its ``SetPartition.code``; on V^k, of its
+completion's), and each of its choices is one digit.  A row is one
+matrix coordinate dst*d + src, linear in the digits, so a choice adds
+one step o*d + i, from tables kept per space (``_tables``).  The rows
+tilde keeps (no non-zero digit twice) and the orbit rows (below), which
+are hat's rows, depend only on the layers' shape, so ``_kept`` lists
+their positions once per shape.  The guard, the tables and each shape's
+positions are looked up once per sequence; the one-element functions
+below pass a sequence of one, and ``DualityCell`` and
+``DeformationCell`` pass a whole family.  Three functions read the rows
+(``divmod`` by d splits a coordinate):
 
 * ``action_targets`` stores them as a target tuple T of length d = dim:
   input ordinal c goes to T[c], and T[c] == -1 means the tensor is
@@ -303,19 +304,20 @@ def _acted(element, space: ActionSpace, variant: str):
 
 
 @functools.cache
-def _kept(layers: int, choices: int, zero: bool, distinct: bool, rank) -> tuple:
-    """Positions in an expansion of the rows kept (None: all of them) and
-    of the orbit rows.  A position spells one choice per layer, the first
-    most significant; choice 0 is U's digit 0 when ``zero``.  A kept row
-    repeats no non-zero digit under ``distinct``; an orbit row has
-    ``rank`` distinct non-zero digits.  Positions grow as ``_expand``'s rows do."""
-    digits = [(c, 0 if zero and not c else 1 << c) for c in range(choices)]
-    rows = [(0, 0)]
+def _kept(layers: int, choices: int, zero: bool, variant: str, rank) -> tuple:
+    """Positions in a plain expansion of the rows the variant keeps (None
+    under plain: all) and of the orbit rows, which have ``rank`` distinct
+    non-zero digits and are hat's rows.  A position spells one choice per
+    layer, the first most significant; choice 0 is U's digit 0 when
+    ``zero``.  Tilde keeps the rows that repeat no non-zero digit."""
+    digits = [(0, 0) if zero and not c else (1 << c, 1) for c in range(choices)]
+    rows = [(0, 0)]  # per position: its non-zero digits as a mask, and their count
     for _ in range(layers):
-        rows = [(position * choices + c, seen | bit) for position, seen in rows
-                for c, bit in digits if not (distinct and seen & bit)]
-    orbit = tuple(position for position, seen in rows if seen.bit_count() == rank)
-    return (tuple(position for position, _ in rows) if distinct else None), orbit
+        rows = [(seen | bit, count + one) for seen, count in rows for bit, one in digits]
+    orbit = tuple(p for p, (seen, _) in enumerate(rows) if seen.bit_count() == rank)
+    if variant == "tilde":
+        return tuple(p for p, (seen, count) in enumerate(rows) if seen.bit_count() == count), orbit
+    return (orbit if variant == "hat" else None), orbit
 
 
 def _expand(layers) -> list:
@@ -333,22 +335,22 @@ def _expand(layers) -> list:
 
 def _action_rows(elements, space: ActionSpace, variant: str, unguarded: bool, sums=False):
     """The one action path: for each element of the sequence in turn, the
-    coordinates of the 1s of its matrix and its orbit coordinates, from
-    one ``_expand`` of its layers.  The guard, the space's tables and each
-    shape's ``_kept`` positions are looked up once per call.  A free
-    output block is refused unless ``sums`` (``action_matrix``).
+    coordinates of the 1s of its matrix and its orbit coordinates, picked
+    by the shape's ``_kept`` positions from one plain ``_expand`` of its
+    layers.  The guard, the space's tables and each shape's positions are
+    looked up once per call.  A free output block is refused unless
+    ``sums`` (``action_matrix``).
 
     A partial injection has only the plain action: its layers are the
     positions, each carrying a live digit x to its image and U's digit 0
     to itself (any other digit kills the tensor), so its rank is its
     domain's size.  A diagram's layers are the blocks of the code
-    ``_acted`` checks and returns, each choice a digit, and its rank is
-    its block count, or None under a free output block; choice 0 is U's
-    digit 0 except under hat, which puts no digit 0 on a block, and the
-    non-zero digits must be distinct except under plain."""
+    ``_acted`` checks and returns, each choice a digit (choice 0 is U's
+    digit 0), and its rank is its block count, or None under a free
+    output block."""
     low, n, k, d = space.low, space.n, space.k, space.dimension
     weights, known = _tables(space.kind, n, space.guard(unguarded).k)
-    zero, distinct, drop_zero = not low, variant != "plain", not low and variant == "hat"
+    zero = not low
     shapes = {}
     for element in elements:
         if isinstance(element, PartialInjection):
@@ -359,22 +361,20 @@ def _action_rows(elements, space: ActionSpace, variant: str, unguarded: bool, su
             images = enumerate((None if low else 0, *element.targets))  # U's digit 0 stays
             units = [(t - low) * d + x - low for x, t in images if t is not None]
             layers = [[w * u for u in units] for w in weights]
-            shape = k, len(units), zero, False, len(units) - zero
+            shape = k, len(units), zero, "plain", len(units) - zero
         else:
             code = _acted(element, space, variant)
             if code is None:
-                layers, shape = [[]], (1, 0, False, True, 0)
+                layers, shape = [[]], (1, 0, False, variant, 0)
             else:
                 for block in code:
                     if block not in known:
                         ins, outs = (sum(weights[i - 1] for i in _indices(m)) for m in block)
                         known[block] = [c * (outs * d + ins) for c in range(n + 1 - low)]
                 layers = list(map(known.__getitem__, code))
-                if drop_zero:  # hat puts no digit 0 on a block
-                    layers = [layer[1:] for layer in layers]
                 # None: a free output block, one with no input position
                 rank = len(code) if all(map(itemgetter(0), code)) else None
-                shape = len(code), n + 1 - low - drop_zero, zero and not drop_zero, distinct, rank
+                shape = len(code), n + 1 - low, zero, variant, rank
         if shape[4] is None and not sums:
             raise ValueError("a free output block sends a tensor to a sum; use action_matrix")
         if shape not in shapes:

@@ -148,6 +148,25 @@ def test_centralizer_inclusions_can_fail(right, inside):
     assert not cell.centralizer().ok
 
 
+def test_centralizer_inclusion_rejects_a_class_forced_to_zero():
+    """A left source sending the tensor 11 to 12 and killing the rest
+    forces V(2,2)'s left class (6,9) to zero and joins (0,15) to (5,10).
+    A right span whose one support is exactly {6, 9} covers that class
+    whole, but a zero-labelled coordinate counts as outside the
+    commutant, so the span does not lie in it."""
+
+    class Tampered(DualityCell):
+        def generators(self, side):
+            return super().generators(side) + ([(1, -1, -1, -1)] if side == "left" else [])
+
+        def _certified(self, side):
+            if side == "left":
+                return super()._certified(side)
+            return [[1 * 4 + 2, 2 * 4 + 1]], 1
+
+    assert Tampered(2, 2, "V").half_centralizer("left") == (1, 1, False)
+
+
 # The grid, the benchmark's centralizer cells, and two larger cells.
 CERTIFIED_CELLS = sorted(
     set(GRID)
@@ -298,10 +317,16 @@ def test_plain_supports_have_distinct_columns(cell):
     cells."""
     space, n, k = cell
     duality = DualityCell(n, k, space)
-    d = duality.space.dimension
     for side in ("left", "right"):
-        for element, (support, _) in zip(duality.elements(side), duality._expansions(side)):
-            assert len({c % d for c in support}) == len(support), (side, element)
+        assert _repeated_columns(duality, side) == [], side
+
+
+def _repeated_columns(duality, side):
+    """The elements of one side whose plain support, as the certification
+    reads it from ``_expansions``, has two coordinates in one column."""
+    d = duality.space.dimension
+    pairs = zip(duality.elements(side), duality._expansions(side))
+    return [e for e, (support, _) in pairs if len({c % d for c in support}) != len(support)]
 
 
 @pytest.mark.parametrize(
@@ -487,6 +512,24 @@ def test_certification_rejects_swapped_orbits():
 
     with pytest.raises(RuntimeError, match=_certification_error("left", IDENT, SWAP)):
         _tampered(ORBIT, swap).span("left")
+
+
+def test_distinct_columns_check_catches_a_repeated_coordinate():
+    """The identity's plain support with the tensor 12 (coordinate 1*4 + 1)
+    sent to 22 as well as 21 repeats coordinate 2*4 + 2.  The orbits it
+    touches, of the two idempotents and the identity, still have sizes
+    1 + 2 + 1 = 4, its length, so certification passes it; only the
+    distinct-columns check of ``test_plain_supports_have_distinct_columns``
+    sees the fault."""
+
+    def repeat(supports, at):
+        assert supports[at(IDENT)] == [0 * 4 + 0, 1 * 4 + 1, 2 * 4 + 2, 3 * 4 + 3]
+        supports[at(IDENT)] = [0, 10, 10, 15]
+
+    cell = _tampered(PLAIN, repeat)
+    assert _repeated_columns(cell, "left") == [IDENT]
+    assert _repeated_columns(cell, "right") == []
+    assert cell.span("left") == DualityCell(2, 2, "V").span("left")
 
 
 def test_certification_rejects_an_element_missing_its_own_orbit():

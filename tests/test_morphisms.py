@@ -567,21 +567,29 @@ EDITS = {"kill": _kill, "swap": _swap, "keep": _keep}
 def _corrupt_targets(monkeypatch, variant, edit=_kill):
     """Make the action of the identity under one variant go wrong by
     ``edit`` of its target tuple, in the coordinate rows dst*d + src of
-    ``_action_rows``, which ``action_targets`` and
-    ``DeformationCell._supports`` both read."""
+    ``_action_rows``.  Under tilde the edit reaches the rows of the tilde
+    pass.  Under hat it reaches the orbit rows of every pass, which are
+    the hat rows: ``DeformationCell`` reads them off its plain pass, and
+    ``action_targets(..., "hat")`` as the rows of the hat pass."""
     right = rookdual.tensor_actions._action_rows
     ident = SetPartition.identity(2)
 
     def wrong(elements, space, v, unguarded, sums=False):
-        for element, (rows, orbit) in zip(elements, right(elements, space, v, unguarded, sums)):
-            if v == variant and element == ident:
-                d = space.dimension
-                targets = edit(rookdual.tensor_actions._fill(d, rows))
-                rows = [t * d + c for c, t in enumerate(targets) if t >= 0]
-            yield rows, orbit
+        d = space.dimension
+        for element, pair in zip(elements, right(elements, space, v, unguarded, sums)):
+            if element == ident:  # (rows, orbit), each edited where the variant reads it
+                hit = v == variant, variant == "hat"
+                pair = [_edited(rows, d, edit) if h else rows for rows, h in zip(pair, hit)]
+            yield pair
 
     monkeypatch.setattr(rookdual.tensor_actions, "_action_rows", wrong)
     monkeypatch.setattr(rookdual.morphisms, "_action_rows", wrong)
+
+
+def _edited(rows, d, edit):
+    """The coordinate rows of ``edit`` of the target tuple that ``rows`` fill."""
+    targets = edit(rookdual.tensor_actions._fill(d, rows))
+    return [t * d + c for c, t in enumerate(targets) if t >= 0]
 
 
 @pytest.mark.parametrize("edit", sorted(EDITS))
