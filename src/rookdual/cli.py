@@ -233,7 +233,7 @@ def _cmd_commutant(args) -> tuple:
 
 
 def _props_reports(n: int, k: int, unguarded: bool) -> list:
-    sample = None if k <= 3 else 1_000
+    sample = None if k <= 4 else 1_000
     cell = DeformationCell(k, unguarded)
     return [
         cell.homomorphism("coarsening_sum", sample_pairs=sample).to_json_dict(),

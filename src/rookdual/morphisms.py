@@ -30,7 +30,7 @@ reads P*_k and its code index from ``semigroups`` and builds each map's
 images and inverse verdict from one walk per element, and each U^k
 action support from one expansion, at most once for all of its reports.
 Its homomorphism check encodes each combination as one exact integer and
-compares all pairs row by row with sums of a table of star products (or
+compares pairs row by row with sums of a table of star products (or
 sampled pairs one by one).  Every product it reads, domain and star
 alike, is relabelled from a generic product of the two middle rows made
 once per pair of rows, which the naturality test pins to the direct
@@ -38,6 +38,18 @@ products: the products of a left element with every right element of
 one in-key are relabelled at once, and in exhaustive mode each distinct
 relabelled segment of products is looked up once per cell, whichever
 product's recipe made it.
+
+The exhaustive check compares one row per S_k orbit of left factors
+(S_k permuting their top points) and one column per S_k orbit of right
+factors (permuting their bottom points), and its verdict covers every
+pair.  Every product commutes with those permutations, (s a)(b r) =
+s (ab) r, since it only ORs the left factor's in-masks and the right
+factor's out-masks; and before any row is compared, each map's images
+are certified equivariant on every element, phi(s a) = s phi(a) and
+phi(a r) = phi(a) r as multisets of terms, for s and r the swap and the
+k-cycle, hence for all of S_k.  So the row of s a and the column of b r
+are the images under s and r of the checked ones, and a wrong image
+anywhere fails the certificate or a checked pair.
 
 On U^k each map is also an identity of 0/1 matrices: an element's plain
 (tilde) action is the sum of the hat actions of its coarsening sum (block
@@ -277,6 +289,30 @@ class DeformationCell(_Parts):
             out_ors.append(ors(tuple(o for _, o in code)))
         return list(keys), out_id, in_id, in_ors, out_ors
 
+    def _orbits(self) -> tuple:
+        """The cell's ``"orbits"`` part: the index permutations of P*_k by the
+        swap and the k-cycle of the top points (in-masks), the same of the
+        bottom points (out-masks), and the first element of each S_k orbit
+        in index order on the top side, then on the bottom side."""
+        k, index = self.k, self.index
+        gens = dict.fromkeys([(1, 0, *range(2, k)), (*range(1, k), 0)] if k > 1 else [])
+        moves = [[sum(1 << g[i] for i in range(k) if m >> i & 1) for m in range(1 << k)] for g in gens]
+        sides = (
+            [[index[tuple(sorted((m[i], o) for i, o in c))] for c in index] for m in moves],
+            [[index[tuple(sorted((i, m[o]) for i, o in c))] for c in index] for m in moves],
+        )
+        reps = ([], [])
+        for perms, first in zip(sides, reps):
+            seen = set()
+            for a in range(len(index)):
+                if a not in seen:
+                    first.append(a)
+                    orbit = [a]
+                    for x in orbit:  # the list grows while it is read, to the whole orbit
+                        orbit += {p[x] for p in perms}.difference(orbit)
+                    seen.update(orbit)
+        return *sides, *reps
+
     def _relabeller(self, multiply):
         """``relabel(a, L)``: the product of element a with any element b of
         in-key L, as sorted pairs ``(in-mask, y)``, one per block, with y the
@@ -329,18 +365,29 @@ class DeformationCell(_Parts):
         1 << (index * W).  The star recipe of that middle row is relabelled
         for p once per cell and gives p * q for every such q.
 
-        Exhaustive mode orders the columns b by in-key and checks one row a
-        at a time: the encodings of phi(ab) over all b must equal the column
-        sums of the table rows of phi(a)'s terms; row p holds, for each b,
-        the units of p times phi(b)'s terms.  The products of a with the b
-        of one in-key L form a segment, read off ``_relabeller`` once per
-        (a, L) and built once per cell for each (L, relabelled product).
-        The table reads p's star products with every q of in-key p's
-        out-key as one such segment, p's star row.  Sampled mode relabels
-        each drawn pair alone and compares the encoding of phi(ab) with the
-        sum of the units of its terms' star products.  Every product, domain
-        and star, is read off a generic middle-row recipe, so the verdict
-        rests on ``test_products_are_natural``."""
+        Exhaustive mode first certifies the images equivariant under the
+        swap and the k-cycle of the top points and of the bottom points
+        (``"orbits"``): phi(s a) = s phi(a) and phi(a r) = phi(a) r as
+        multisets of term indices, on every element.  It then checks one row
+        a per orbit of the top points against one column b per orbit of the
+        bottom points, the first element of each in index order; with the
+        products' naturality (s a)(b r) = s (ab) r, for the domain and the
+        star product alike, each pair (s a, b r) is the image of a checked
+        pair (a, b) under s and r, so the verdict covers all n*n pairs.
+        The columns are ordered by in-key: the encodings of phi(ab) over the
+        checked b must equal the column sums of the table rows of phi(a)'s
+        terms; row p holds, for each checked b, the units of p times
+        phi(b)'s terms, for every element p, since image terms are
+        arbitrary.  The products of a with the b of one in-key L form a
+        segment over every b of L, read off ``_relabeller`` once per (a, L)
+        and built once per cell for each (L, relabelled product).  The table
+        reads p's star products with every q of in-key p's out-key as one
+        such segment, p's star row.  Sampled mode relabels each drawn pair
+        alone and compares the encoding of phi(ab) with the sum of the units
+        of its terms' star products.  Every product, domain and star, is read
+        off a generic middle-row recipe, so the verdict rests on
+        ``test_products_are_natural``, and exhaustive mode also on
+        ``test_products_commute_with_outer_permutations``."""
         if sample_pairs is not None and sample_pairs < 1:
             raise ValueError(f"sample_pairs must be at least 1, got {sample_pairs}")
         images, inverse_ok = self._map(map_name)
@@ -370,6 +417,13 @@ class DeformationCell(_Parts):
             return groups
 
         if sample_pairs is None:
+            top, bottom, rows, cols = self._part("orbits", self._orbits)
+            ordered = [sorted(image) for image in images]
+            equivariant = all(  # phi(g a) = g phi(a) as multisets, g a generator of a side
+                sorted(map(perm.__getitem__, image)) == ordered[perm[a]]
+                for perm in top + bottom
+                for a, image in enumerate(images)
+            )
             encodings = [encode(image) for image in images]
             shared = {e: e for e in encodings}  # equal sums share one int, to save memory
             of_key = [[] for _ in keys]  # of_key[L]: the elements of in-key L
@@ -377,7 +431,10 @@ class DeformationCell(_Parts):
             for b, L in enumerate(in_id):
                 slot[b] = len(of_key[L])
                 of_key[L].append(b)
-            columns = [terms_by_in(b) for group in of_key for b in group]
+            picked = [[] for _ in keys]  # picked[L]: the slots of the columns of in-key L
+            for b in cols:
+                picked[in_id[b]].append(slot[b])
+            columns = [terms_by_in(of_key[L][s]) for L, slots in enumerate(picked) for s in slots]
             users = [  # users[L]: each column with terms of in-key L, and their slots
                 [(c, [slot[q] for q in g[L]]) for c, g in enumerate(columns) if g[L]]
                 for L in range(len(keys))
@@ -393,7 +450,7 @@ class DeformationCell(_Parts):
             table = []  # table[p][c]: the sum of the units of p times columns[c][out_id[p]]
             for p, L in enumerate(out_id):
                 units = [1 << r * width for r in segment(L, star(p))]
-                row = [0] * n
+                row = [0] * len(columns)
                 for c, slots in users[L]:
                     total = sum(map(units.__getitem__, slots))
                     row[c] = shared.setdefault(total, total)
@@ -401,13 +458,12 @@ class DeformationCell(_Parts):
 
             def products(a):  # the encodings of phi(ab) in column order
                 row = []
-                for L in range(len(keys)):
-                    row += segment(L, relabel(a, L))
+                for L, slots in enumerate(picked):
+                    row += map(segment(L, relabel(a, L)).__getitem__, slots)
                 return list(map(encodings.__getitem__, row))
 
-            hom_ok = all(
-                products(a) == list(map(sum, zip(*(table[p] for p in image))))
-                for a, image in enumerate(images)
+            hom_ok = equivariant and all(
+                products(a) == list(map(sum, zip(*(table[p] for p in images[a])))) for a in rows
             )
         else:
             rng = random.Random(seed)

@@ -275,15 +275,15 @@ def test_verify_all_report_is_golden(fmt, capsys):
 
 # sha256 of the full stdout of ``rookdual verify --props --n 2 --k K``;
 # the same under any PYTHONHASHSEED.  Both morphism reports check every
-# pair through k = 3, so k = 3 reads pairs=16384; k = 4 pins the path
-# that samples 1,000 seeded pairs.
+# pair through k = 4, so k = 3 reads pairs=16384 and k = 4 pairs=4410000,
+# each checked once per S_k orbit of rows and of columns.
 VERIFY_PROPS_SHA256 = {
     ("2", "json"): "cc62318b037aebf690a3d8f5b533b28b0123695398793534d7747f2c829be510",
     ("2", "text"): "2a1169e634ef834e0fc5f5711d7c277e87f01b1270a5b5f9c25ef0dce9a117eb",
     ("3", "json"): "64702fb228840f399154722ed31b70991b4ed93f5aa60641329fddc445b8bbfe",
     ("3", "text"): "d17554d9240d00f67b1e0e93f5013f6caa7a87497e9586789b92dff9091f0b9e",
-    ("4", "json"): "5ea2c2f4d629dfdb8ce64393731cd0cc74d4b46465671fc78b25f251d1ea8f29",
-    ("4", "text"): "b677c0e1b3ab492bc9c19af8303e7b49fafd30d8962c72ed4241ff6f160cf31a",
+    ("4", "json"): "39fa972e06355de4350fc185fbb33df96b9a7992bb0d06af7a99868f0b13a1ed",
+    ("4", "text"): "641ecf8366de536fa2f3edbc93f10da2c2de780f3a73733bef65ea4d90fbf2e2",
 }
 
 

@@ -252,6 +252,66 @@ def test_products_are_natural(product):
             assert ab == direct, (k, codes[a], codes[b])
 
 
+def _mask_images(g, k):
+    """Each mask's image under the permutation g of the points 0..k-1, by mask."""
+    return [sum(1 << g[i] for i in range(k) if m >> i & 1) for m in range(1 << k)]
+
+
+def _generator_moves(k):
+    """The mask images of the swap and the k-cycle (none at k = 1)."""
+    gens = [(1, 0, *range(2, k)), (*range(1, k), 0)] if k > 1 else []
+    return [_mask_images(g, k) for g in gens]
+
+
+def _permuted(code, moved, side):
+    """The code with its in-masks (side 0, the top points) or out-masks
+    (side 1, the bottom points) sent through ``moved``, re-sorted."""
+    return tuple(sorted((moved[i], o) if side == 0 else (i, moved[o]) for i, o in code))
+
+
+@pytest.mark.parametrize("product", ["pistar_codes", "bullet_codes", "star_codes"])
+def test_products_commute_with_outer_permutations(product):
+    """The lemma the orbit reduction of the exhaustive check rests on, on
+    every pair at k <= 3: permuting the left factor's top points by the
+    swap or the k-cycle permutes the product's top points alike, permuting
+    the right factor's bottom points permutes the product's bottom points
+    alike, and the adjoined zero stays the zero.  The two generate S_k, so
+    (s a)(b r) = s (ab) r for all s and r in S_k."""
+    multiply = getattr(rookdual.semigroups, product)
+    for k in (1, 2, 3):
+        codes = [e.code for e in enumerate_pistar(k)]
+        moves = _generator_moves(k)
+        for a, b in itertools.product(codes, repeat=2):
+            ab = multiply(a, b)
+            for moved in moves:
+                for side, left, right in ((0, _permuted(a, moved, 0), b), (1, a, _permuted(b, moved, 1))):
+                    expected = None if ab is None else _permuted(ab, moved, side)
+                    assert multiply(left, right) == expected, (k, a, b, side)
+
+
+@pytest.mark.parametrize("k,count", [(1, 2), (2, 8), (3, 41), (4, 252)])
+def test_representatives_are_one_per_orbit(k, count):
+    """The ``"orbits"`` part holds the index permutations of P*_k by the
+    swap and the k-cycle of the top points and of the bottom points, and
+    on each side the first element of each S_k orbit in index order: 2, 8,
+    41 and 252 at k = 1..4.  The orbits, closed under all of S_k here,
+    partition P*_k, and each holds exactly one representative."""
+    cell = DeformationCell(k)
+    codes = list(cell.index)
+    top, bottom, rows, cols = cell._part("orbits", cell._orbits)
+    moves = _generator_moves(k)
+    group = [_mask_images(g, k) for g in itertools.permutations(range(k))]
+    for side, perms, reps in ((0, top, rows), (1, bottom, cols)):
+        assert {tuple(p) for p in perms} == {
+            tuple(cell.index[_permuted(c, moved, side)] for c in codes) for moved in moves
+        }
+        orbits = {frozenset(cell.index[_permuted(c, moved, side)] for moved in group) for c in codes}
+        assert len(reps) == len(orbits) == count
+        assert sum(map(len, orbits)) == len(codes)
+        assert all(len(orbit & set(reps)) == 1 for orbit in orbits)
+        assert reps == sorted(min(orbit) for orbit in orbits)
+
+
 def _count_relabels(monkeypatch):
     """Record every relabelling ``homomorphism`` reads, as (product, a, L,
     relabelled), and every argument pair of ``star_codes``, which is
@@ -287,9 +347,10 @@ def _is_generic(a, b):
 
 @pytest.mark.parametrize("map_name", ["block_subset_sum", "coarsening_sum"])
 def test_exhaustive_check_relabels_once_per_element_and_in_key(map_name, monkeypatch):
-    """At k = 3 the row check relabels each left element once per in-key
-    (128 elements, 15 in-keys) for the domain product and once for its
-    star row, instead of once per pair; it calls ``star_codes`` only on
+    """At k = 3 the row check relabels each row representative once per
+    in-key (41 of the 128 elements, one per S_3 orbit of top points; 15
+    in-keys) for the domain product, and each of the 128 elements once for
+    its star row, instead of once per pair; it calls ``star_codes`` only on
     the generic codes of the 15 middle rows; and it builds the products
     of each distinct (in-key, relabelled product) segment once, whichever
     product's recipe made it."""
@@ -305,7 +366,7 @@ def test_exhaustive_check_relabels_once_per_element_and_in_key(map_name, monkeyp
     assert cell.homomorphism(map_name).homomorphism_ok
     domain = [r for r in relabels if r[0] == "domain"]
     star = [r for r in relabels if r[0] == "star"]
-    assert 0 < len(domain) <= 128 * 15
+    assert 0 < len(domain) <= 41 * 15
     assert 0 < len(star) <= 128
     assert 0 < len(star_calls) <= 15
     assert all(_is_generic(a, b) for a, b in star_calls)
@@ -478,15 +539,16 @@ def test_homomorphism_catches_a_star_product_wrong_on_one_pair(
 WALKS = {"coarsening_sum": "_upper_set_with_mobius", "block_subset_sum": "_subsets_with_sign"}
 
 
-def _repeat_empty_in_identity(monkeypatch, map_name):
-    """Make the map's walk list the empty diagram twice in the identity's
-    image, so its forward image counts it with coefficient 2."""
+def _repeat_empty_in(monkeypatch, map_name, chosen=SetPartition.identity):
+    """Make the map's walk list the empty diagram twice in the image of
+    ``chosen(k)``, the identity by default, so its forward image counts it
+    with coefficient 2."""
     right = getattr(rookdual.morphisms, WALKS[map_name])
 
     def wrong(alpha):
         for code, value in right(alpha):
             yield code, value
-            if alpha == SetPartition.identity(alpha.k) and not code:
+            if alpha == chosen(alpha.k) and not code:
                 yield code, value
 
     monkeypatch.setattr(rookdual.morphisms, WALKS[map_name], wrong)
@@ -498,9 +560,24 @@ def test_homomorphism_catches_a_coefficient_two(map_name, sample_pairs, monkeypa
     """A walk that lists the empty diagram twice in the identity's image
     gives an image that is no 0/1 combination; the integer encoding is
     exact on it too, so the verdict is False, not a silent pass."""
-    _repeat_empty_in_identity(monkeypatch, map_name)
+    _repeat_empty_in(monkeypatch, map_name)
     report = DeformationCell(2).homomorphism(map_name, sample_pairs=sample_pairs)
     assert report.homomorphism_ok is False
+
+
+@pytest.mark.parametrize("map_name", sorted(MAPS))
+def test_homomorphism_catches_a_coefficient_two_off_the_representatives(map_name, monkeypatch):
+    """At k = 3 a walk that lists the empty diagram twice in the image of
+    an element that is neither a row nor a column representative spoils
+    the equivariance certificate, so the exhaustive verdict is False.  (The
+    dict oracle reads the maps as dicts, where a repeated term counts
+    once, so it cannot see this fault.)"""
+    cell = DeformationCell(3)
+    _, _, rows, cols = cell._part("orbits", cell._orbits)
+    n = len(cell.elements)
+    chosen = cell.elements[max(set(range(n)) - set(rows) - set(cols))]
+    _repeat_empty_in(monkeypatch, map_name, lambda k: chosen)
+    assert cell.homomorphism(map_name).homomorphism_ok is False
 
 
 def _dict_homomorphism(cell, map_name, pairs):
@@ -515,12 +592,14 @@ def _dict_homomorphism(cell, map_name, pairs):
     )
 
 
-@pytest.mark.parametrize("fault", sorted(FAULTS))
-@pytest.mark.parametrize("map_name", sorted(MAPS))
-@pytest.mark.parametrize("k", [1, 2])
+ROW_CASES = [(k, m, f) for k in (1, 2) for m in sorted(MAPS) for f in sorted(FAULTS)]
+
+
+@pytest.mark.parametrize("k,map_name,fault", ROW_CASES + [(3, m, "none") for m in sorted(MAPS)])
 def test_row_check_agrees_with_the_dict_oracle(k, map_name, fault, monkeypatch):
-    """Every pair at k <= 2: the encoded row check and the per-pair
-    coefficient dicts give the same verdict, right or faulted."""
+    """Every pair at k <= 2 right or faulted, and at k = 3 right: the
+    encoded row check over the orbit representatives and the per-pair
+    coefficient dicts over all pairs give the same verdict."""
     FAULTS[fault](monkeypatch, k, map_name)
     cell = DeformationCell(k)
     pairs = itertools.product(range(len(cell.elements)), repeat=2)
@@ -607,7 +686,7 @@ def test_tilde_factorization_catches_a_corrupt_tuple(edit, monkeypatch):
 def test_tilde_factorization_catches_a_coefficient_two(monkeypatch):
     """A block subset sum walk that lists the empty diagram twice in the
     identity's image no longer gives the tilde action."""
-    _repeat_empty_in_identity(monkeypatch, "block_subset_sum")
+    _repeat_empty_in(monkeypatch, "block_subset_sum")
     assert DeformationCell(2).tilde_factorization(2).homomorphism_ok is False
 
 
