@@ -39,17 +39,19 @@ one in-key are relabelled at once, and in exhaustive mode each distinct
 relabelled segment of products is looked up once per cell, whichever
 product's recipe made it.
 
-The exhaustive check compares one row per S_k orbit of left factors
-(S_k permuting their top points) and one column per S_k orbit of right
-factors (permuting their bottom points), and its verdict covers every
-pair.  Every product commutes with those permutations, (s a)(b r) =
-s (ab) r, since it only ORs the left factor's in-masks and the right
-factor's out-masks; and before any row is compared, each map's images
-are certified equivariant on every element, phi(s a) = s phi(a) and
+The exhaustive check compares one row per two-sided orbit s a t^-1 of
+left factors (s in S_k permuting their top points, t their bottom
+points) against one column per orbit b r of right factors (r permuting
+their bottom points), and its verdict covers every pair.  Every product
+ORs the left factor's in-masks and the right factor's out-masks and reads
+the middle row only up to relabelling, so (s a)(b r) = s (ab) r and
+(a t^-1)(t b) = ab; and before any row is compared, each map's images are
+certified equivariant on every element, phi(s a) = s phi(a) and
 phi(a r) = phi(a) r as multisets of terms, for s and r the swap and the
-k-cycle, hence for all of S_k.  So the row of s a and the column of b r
-are the images under s and r of the checked ones, and a wrong image
-anywhere fails the certificate or a checked pair.
+k-cycle, hence for all of S_k.  So (s a t^-1, t b r) is the image under
+s and r of the checked pair (a, b), on the domain and the star side
+alike, and a wrong image anywhere fails the certificate or a checked
+pair.  The star table has rows only for the terms the checked rows read.
 
 On U^k each map is also an identity of 0/1 matrices: an element's plain
 (tilde) action is the sum of the hat actions of its coarsening sum (block
@@ -292,26 +294,28 @@ class DeformationCell(_Parts):
     def _orbits(self) -> tuple:
         """The cell's ``"orbits"`` part: the index permutations of P*_k by the
         swap and the k-cycle of the top points (in-masks), the same of the
-        bottom points (out-masks), and the first element of each S_k orbit
-        in index order on the top side, then on the bottom side."""
+        bottom points (out-masks), and the first element in index order of
+        each orbit of both sides together (rows), then of the bottom side."""
         k, index = self.k, self.index
         gens = dict.fromkeys([(1, 0, *range(2, k)), (*range(1, k), 0)] if k > 1 else [])
         moves = [[sum(1 << g[i] for i in range(k) if m >> i & 1) for m in range(1 << k)] for g in gens]
-        sides = (
-            [[index[tuple(sorted((m[i], o) for i, o in c))] for c in index] for m in moves],
-            [[index[tuple(sorted((i, m[o]) for i, o in c))] for c in index] for m in moves],
-        )
-        reps = ([], [])
-        for perms, first in zip(sides, reps):
-            seen = set()
+        top = [[index[tuple(sorted((m[i], o) for i, o in c))] for c in index] for m in moves]
+        bottom = [[index[tuple(sorted((i, m[o]) for i, o in c))] for c in index] for m in moves]
+
+        def firsts(perms):  # the first element of each orbit under perms, in index order
+            seen, first = set(), []
             for a in range(len(index)):
                 if a not in seen:
                     first.append(a)
-                    orbit = [a]
-                    for x in orbit:  # the list grows while it is read, to the whole orbit
-                        orbit += {p[x] for p in perms}.difference(orbit)
-                    seen.update(orbit)
-        return *sides, *reps
+                    todo = [a]
+                    while todo:
+                        x = todo.pop()
+                        if x not in seen:
+                            seen.add(x)
+                            todo += [p[x] for p in perms]
+            return first
+
+        return top, bottom, firsts(top + bottom), firsts(bottom)
 
     def _relabeller(self, multiply):
         """``relabel(a, L)``: the product of element a with any element b of
@@ -369,16 +373,19 @@ class DeformationCell(_Parts):
         swap and the k-cycle of the top points and of the bottom points
         (``"orbits"``): phi(s a) = s phi(a) and phi(a r) = phi(a) r as
         multisets of term indices, on every element.  It then checks one row
-        a per orbit of the top points against one column b per orbit of the
-        bottom points, the first element of each in index order; with the
-        products' naturality (s a)(b r) = s (ab) r, for the domain and the
-        star product alike, each pair (s a, b r) is the image of a checked
-        pair (a, b) under s and r, so the verdict covers all n*n pairs.
-        The columns are ordered by in-key: the encodings of phi(ab) over the
-        checked b must equal the column sums of the table rows of phi(a)'s
-        terms; row p holds, for each checked b, the units of p times
-        phi(b)'s terms, for every element p, since image terms are
-        arbitrary.  The products of a with the b of one in-key L form a
+        a per two-sided orbit s a t^-1 (s and t permuting the top and the
+        bottom points) against one column b per orbit b r of the bottom
+        points, the first element of each in index order.  Every pair is
+        (s a t^-1, t b r) for a row a and a column b, and by the products'
+        outer naturality (s x)(y r) = s (xy) r and middle naturality
+        (x t^-1)(t y) = xy, for the domain and the star product alike, and
+        the certificate, both sides of phi(xy) = phi(x) * phi(y) there are
+        s times those at (a, b) times r; so the verdict covers all n*n
+        pairs.  The columns are ordered by in-key: the encodings of phi(ab)
+        over the checked b must equal the column sums of the table rows of
+        phi(a)'s terms; row p holds, for each checked b, the units of p
+        times phi(b)'s terms, and is built when a checked row's image first
+        reads p.  The products of a with the b of one in-key L form a
         segment over every b of L, read off ``_relabeller`` once per (a, L)
         and built once per cell for each (L, relabelled product).  The table
         reads p's star products with every q of in-key p's out-key as one
@@ -387,7 +394,8 @@ class DeformationCell(_Parts):
         of its terms' star products.  Every product, domain and star, is read
         off a generic middle-row recipe, so the verdict rests on
         ``test_products_are_natural``, and exhaustive mode also on
-        ``test_products_commute_with_outer_permutations``."""
+        ``test_products_commute_with_outer_permutations`` and
+        ``test_products_commute_with_middle_permutations``."""
         if sample_pairs is not None and sample_pairs < 1:
             raise ValueError(f"sample_pairs must be at least 1, got {sample_pairs}")
         images, inverse_ok = self._map(map_name)
@@ -447,14 +455,17 @@ class DeformationCell(_Parts):
                     segments[key] = [find(relabelled, b) for b in of_key[L]]
                 return segments[key]
 
-            table = []  # table[p][c]: the sum of the units of p times columns[c][out_id[p]]
-            for p, L in enumerate(out_id):
-                units = [1 << r * width for r in segment(L, star(p))]
-                row = [0] * len(columns)
-                for c, slots in users[L]:
-                    total = sum(map(units.__getitem__, slots))
-                    row[c] = shared.setdefault(total, total)
-                table.append(row)
+            table = {}  # table[p][c]: the sum of the units of p times columns[c][out_id[p]]
+
+            def table_row(p):  # built when a checked row's image first reads p
+                if p not in table:
+                    L = out_id[p]
+                    units = [1 << r * width for r in segment(L, star(p))]
+                    row = table[p] = [0] * len(columns)
+                    for c, slots in users[L]:
+                        total = sum(map(units.__getitem__, slots))
+                        row[c] = shared.setdefault(total, total)
+                return table[p]
 
             def products(a):  # the encodings of phi(ab) in column order
                 row = []
@@ -463,7 +474,7 @@ class DeformationCell(_Parts):
                 return list(map(encodings.__getitem__, row))
 
             hom_ok = equivariant and all(
-                products(a) == list(map(sum, zip(*(table[p] for p in images[a])))) for a in rows
+                products(a) == list(map(sum, zip(*map(table_row, images[a])))) for a in rows
             )
         else:
             rng = random.Random(seed)

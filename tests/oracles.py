@@ -29,9 +29,10 @@ the two U-action identities of the deformation maps on
 ``{(row, col): coeff}`` matrices, the way the package did before it
 compared sorted 0/1 supports, and ``homomorphism_by_dicts`` checks a
 deformation map's homomorphism identity pair by pair on ``{index:
-coeff}`` dicts, the way it did before it encoded 0/1 combinations as
-integers.  ``coarsening_sum_inverse_by_solve`` inverts the coarsening
-sum by the generic triangular recursion instead of the closed form.
+coeff}`` dicts, each image counted off the map's walk term by term, the
+way it did before it encoded combinations as integers.
+``coarsening_sum_inverse_by_solve`` inverts the coarsening sum by the
+generic triangular recursion instead of the closed form.
 ``graded_targets_commutant`` is the commutant solve with one
 union-find call per equation term, the way the package solved it before
 it walked the permutation sources' orbits and labelled the classes, and
@@ -53,6 +54,7 @@ and pairing up their blocks), then the whole list sorted by
 import functools
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 from typing import Iterable
 
@@ -908,15 +910,16 @@ def tilde_factorization_by_dicts(elements, hat, tilde) -> bool:
     )
 
 
-def homomorphism_by_dicts(elements, forward, multiply, star, pairs) -> bool:
+def homomorphism_by_dicts(elements, walk, multiply, star, pairs) -> bool:
     """phi(ab) = phi(a) * phi(b) on every listed pair of element indices,
-    for phi = ``forward``: the right side summed over every pair of image
-    terms as an ``{index: coeff}`` dict, the domain product ``multiply``
-    and the star product ``star`` (None for the zero) applied to codes
-    directly."""
+    for the map phi whose ``walk`` lists each term code of an image once
+    per unit of its coefficient, so a repeated term counts as often as it
+    is listed: the right side summed over every pair of image terms as an
+    ``{index: coeff}`` dict, the domain product ``multiply`` and the star
+    product ``star`` (None for the zero) applied to codes directly."""
     index = {alpha.code: i for i, alpha in enumerate(elements)}
     codes = list(index)
-    image = functools.cache(lambda a: _on_indices(forward(elements[a]), index))
+    image = functools.cache(lambda a: Counter(index[code] for code, _ in walk(elements[a])))
     for a, b in pairs:
         rhs: dict = {}
         for p, cp in image(a).items():

@@ -276,7 +276,7 @@ def test_verify_all_report_is_golden(fmt, capsys):
 # sha256 of the full stdout of ``rookdual verify --props --n 2 --k K``;
 # the same under any PYTHONHASHSEED.  Both morphism reports check every
 # pair through k = 4, so k = 3 reads pairs=16384 and k = 4 pairs=4410000,
-# each checked once per S_k orbit of rows and of columns.
+# each checked once per S_k x S_k orbit of rows and S_k orbit of columns.
 VERIFY_PROPS_SHA256 = {
     ("2", "json"): "cc62318b037aebf690a3d8f5b533b28b0123695398793534d7747f2c829be510",
     ("2", "text"): "2a1169e634ef834e0fc5f5711d7c277e87f01b1270a5b5f9c25ef0dce9a117eb",

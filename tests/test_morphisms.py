@@ -289,24 +289,52 @@ def test_products_commute_with_outer_permutations(product):
                     assert multiply(left, right) == expected, (k, a, b, side)
 
 
+@pytest.mark.parametrize("product", ["pistar_codes", "bullet_codes", "star_codes"])
+def test_products_commute_with_middle_permutations(product):
+    """The lemma the two-sided reduction of the exhaustive rows rests on, on
+    every pair at k <= 3: permuting the left factor's bottom points (its
+    out-masks) and the right factor's top points (its in-masks) by the same
+    swap or k-cycle relabels the middle row only, so the product does not
+    change, and the adjoined zero stays the zero.  The two generate S_k, so
+    (a t^-1)(t b) = ab for all t in S_k."""
+    multiply = getattr(rookdual.semigroups, product)
+    for k in (1, 2, 3):
+        codes = [e.code for e in enumerate_pistar(k)]
+        moves = _generator_moves(k)
+        for a, b in itertools.product(codes, repeat=2):
+            ab = multiply(a, b)
+            for moved in moves:
+                assert multiply(_permuted(a, moved, 1), _permuted(b, moved, 0)) == ab, (k, a, b)
+
+
+ROW_ORBITS = {1: 2, 2: 6, 3: 16, 4: 43}
+
+
 @pytest.mark.parametrize("k,count", [(1, 2), (2, 8), (3, 41), (4, 252)])
 def test_representatives_are_one_per_orbit(k, count):
     """The ``"orbits"`` part holds the index permutations of P*_k by the
-    swap and the k-cycle of the top points and of the bottom points, and
-    on each side the first element of each S_k orbit in index order: 2, 8,
-    41 and 252 at k = 1..4.  The orbits, closed under all of S_k here,
-    partition P*_k, and each holds exactly one representative."""
+    swap and the k-cycle of the top points and of the bottom points; as
+    rows, the first element in index order of each two-sided S_k x S_k
+    orbit (both sides permuted): 2, 6, 16 and 43 at k = 1..4; and as
+    columns, the same of each S_k orbit of the bottom points: 2, 8, 41 and
+    252.  The orbits, closed under all of S_k (on both sides for the rows)
+    here, partition P*_k, and each holds exactly one representative."""
     cell = DeformationCell(k)
     codes = list(cell.index)
     top, bottom, rows, cols = cell._part("orbits", cell._orbits)
     moves = _generator_moves(k)
     group = [_mask_images(g, k) for g in itertools.permutations(range(k))]
-    for side, perms, reps in ((0, top, rows), (1, bottom, cols)):
+    for side, perms in ((0, top), (1, bottom)):
         assert {tuple(p) for p in perms} == {
             tuple(cell.index[_permuted(c, moved, side)] for c in codes) for moved in moves
         }
-        orbits = {frozenset(cell.index[_permuted(c, moved, side)] for moved in group) for c in codes}
-        assert len(reps) == len(orbits) == count
+    row_orbits = {
+        frozenset(cell.index[_permuted(_permuted(c, s, 0), t, 1)] for s in group for t in group)
+        for c in codes
+    }
+    col_orbits = {frozenset(cell.index[_permuted(c, moved, 1)] for moved in group) for c in codes}
+    for reps, orbits, size in ((rows, row_orbits, ROW_ORBITS[k]), (cols, col_orbits, count)):
+        assert len(reps) == len(orbits) == size
         assert sum(map(len, orbits)) == len(codes)
         assert all(len(orbit & set(reps)) == 1 for orbit in orbits)
         assert reps == sorted(min(orbit) for orbit in orbits)
@@ -345,15 +373,25 @@ def _is_generic(a, b):
     return ins == [1 << i for i in range(len(a))] and outs == [1 << j for j in range(len(b))]
 
 
+TERMS_READ = {"block_subset_sum": 23, "coarsening_sum": 27}
+
+
+def _terms_read(cell, map_name):
+    """The distinct terms of the images of the exhaustive check's rows."""
+    images = cell._map(map_name)[0]
+    return {p for a in cell._part("orbits", cell._orbits)[2] for p in images[a]}
+
+
 @pytest.mark.parametrize("map_name", ["block_subset_sum", "coarsening_sum"])
 def test_exhaustive_check_relabels_once_per_element_and_in_key(map_name, monkeypatch):
     """At k = 3 the row check relabels each row representative once per
-    in-key (41 of the 128 elements, one per S_3 orbit of top points; 15
-    in-keys) for the domain product, and each of the 128 elements once for
-    its star row, instead of once per pair; it calls ``star_codes`` only on
-    the generic codes of the 15 middle rows; and it builds the products
-    of each distinct (in-key, relabelled product) segment once, whichever
-    product's recipe made it."""
+    in-key (16 of the 128 elements, one per two-sided S_3 x S_3 orbit; 15
+    in-keys) for the domain product, and for its star row each distinct
+    term of those rows' images once (23 for the block subset sum, 27 for
+    the coarsening sum), instead of once per pair or once per element; it
+    calls ``star_codes`` only on the generic codes of the 15 middle rows;
+    and it builds the products of each distinct (in-key, relabelled
+    product) segment once, whichever product's recipe made it."""
     relabels, star_calls = _count_relabels(monkeypatch)
 
     class Segments(dict):
@@ -366,8 +404,8 @@ def test_exhaustive_check_relabels_once_per_element_and_in_key(map_name, monkeyp
     assert cell.homomorphism(map_name).homomorphism_ok
     domain = [r for r in relabels if r[0] == "domain"]
     star = [r for r in relabels if r[0] == "star"]
-    assert 0 < len(domain) <= 41 * 15
-    assert 0 < len(star) <= 128
+    assert 0 < len(domain) <= 16 * 15
+    assert len(star) == len(_terms_read(cell, map_name)) == TERMS_READ[map_name]
     assert 0 < len(star_calls) <= 15
     assert all(_is_generic(a, b) for a, b in star_calls)
     assert set(segments) == {(L, relabelled) for _, _, L, relabelled in relabels}
@@ -376,8 +414,9 @@ def test_exhaustive_check_relabels_once_per_element_and_in_key(map_name, monkeyp
 @pytest.mark.parametrize("map_name", ["block_subset_sum", "coarsening_sum"])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_star_rows_equal_the_direct_star_products(k, map_name, monkeypatch):
-    """Every star product the exhaustive table reads, the star row of each
-    left term p over the elements q of p's out-key as in-key, equals
+    """The exhaustive table builds the star row of exactly the distinct
+    terms p of the checked rows' images, and every star product it reads,
+    p's star row over the elements q of p's out-key as in-key, equals
     ``star_codes`` applied directly to the codes of p and q."""
     relabels, _ = _count_relabels(monkeypatch)
     cell = DeformationCell(k)
@@ -385,7 +424,7 @@ def test_star_rows_equal_the_direct_star_products(k, map_name, monkeypatch):
     codes = list(cell.index)
     in_id = cell._part("middle", cell._middle)[2]
     star = [r for r in relabels if r[0] == "star"]
-    assert sorted(p for _, p, _, _ in star) == list(range(len(codes)))
+    assert sorted(p for _, p, _, _ in star) == sorted(_terms_read(cell, map_name))
     for _, p, L, relabelled in star:
         row = cell._parts["segments"][L, relabelled]
         group = [q for q in range(len(codes)) if in_id[q] == L]
@@ -517,7 +556,21 @@ def _last_block_product(monkeypatch, k, map_name):
     monkeypatch.setattr(rookdual.morphisms, product, lambda a, b: right(a, b)[:-1])
 
 
-FAULTS = {"none": lambda *args: None, "star": _wrong_star, "product": _last_block_product}
+def _repeat_empty_off_the_representatives(monkeypatch, k, map_name):
+    """``_repeat_empty_in`` the last element of P*_k that is neither a row
+    nor a column representative of the exhaustive check."""
+    cell = DeformationCell(k)
+    _, _, rows, cols = cell._part("orbits", cell._orbits)
+    chosen = cell.elements[max(set(range(len(cell.elements))) - set(rows) - set(cols))]
+    _repeat_empty_in(monkeypatch, map_name, lambda k: chosen)
+
+
+FAULTS = {
+    "none": lambda *args: None,
+    "star": _wrong_star,
+    "product": _last_block_product,
+    "twice": _repeat_empty_off_the_representatives,
+}
 
 
 @pytest.mark.parametrize("sample_pairs", [None, 2000])
@@ -569,14 +622,60 @@ def test_homomorphism_catches_a_coefficient_two(map_name, sample_pairs, monkeypa
 def test_homomorphism_catches_a_coefficient_two_off_the_representatives(map_name, monkeypatch):
     """At k = 3 a walk that lists the empty diagram twice in the image of
     an element that is neither a row nor a column representative spoils
-    the equivariance certificate, so the exhaustive verdict is False.  (The
-    dict oracle reads the maps as dicts, where a repeated term counts
-    once, so it cannot see this fault.)"""
+    the equivariance certificate, so the exhaustive verdict is False."""
+    _repeat_empty_off_the_representatives(monkeypatch, 3, map_name)
+    assert DeformationCell(3).homomorphism(map_name).homomorphism_ok is False
+
+
+def _drop_own_term_on_orbit(monkeypatch, map_name, text, side):
+    """Make the map's walk leave each element of the S_3 orbit of ``text``
+    (its top points permuted on side 0, its bottom points on side 1) out
+    of its own image.  The fault is equivariant on ``side``, since each
+    permutation there carries an element of the orbit and its own term
+    together, so only the certificate of the other side can see it."""
+    code = parse_element(text, "pistar", 3).code
+    group = [_mask_images(g, 3) for g in itertools.permutations(range(3))]
+    orbit = {_permuted(code, moved, side) for moved in group}
+    right = getattr(rookdual.morphisms, WALKS[map_name])
+
+    def wrong(alpha):
+        return ((c, v) for c, v in right(alpha) if not (alpha.code in orbit and c == alpha.code))
+
+    monkeypatch.setattr(rookdual.morphisms, WALKS[map_name], wrong)
+    return orbit
+
+
+@pytest.mark.parametrize("map_name", sorted(MAPS))
+def test_homomorphism_catches_a_fault_only_the_bottom_certificate_sees(map_name, monkeypatch):
+    """At k = 3 the elements {i,1',3'} form one S_3 orbit of top points,
+    none of them a row or column representative or a product of a checked
+    pair.  Leaving each out of its own image keeps the images equivariant
+    on the top side and breaks them on the bottom side, so only the
+    bottom half of the certificate rejects it, and the verdict is False."""
+    orbit = _drop_own_term_on_orbit(monkeypatch, map_name, "{1,1',3'}", 0)
     cell = DeformationCell(3)
     _, _, rows, cols = cell._part("orbits", cell._orbits)
-    n = len(cell.elements)
-    chosen = cell.elements[max(set(range(n)) - set(rows) - set(cols))]
-    _repeat_empty_in(monkeypatch, map_name, lambda k: chosen)
+    assert not {cell.index[c] for c in orbit} & set(rows + cols)
+    assert cell.homomorphism(map_name).homomorphism_ok is False
+
+
+@pytest.mark.parametrize("map_name", sorted(MAPS))
+def test_homomorphism_catches_a_fault_only_the_top_certificate_sees(map_name, monkeypatch):
+    """The mirror fault: leaving each of the S_3 orbit {1,3,j'} of bottom
+    points out of its own image keeps the images equivariant on the bottom
+    side and breaks them on the top side.  A bottom-equivariant fault
+    reaches the column representative of its orbit, here {1,3,1'}, but the
+    checked pairs read it alike on both sides: under the coarsening sum
+    only the identity's row meets that column, through its term
+    {1,3,1',3'}, and the identity times {1,3,1'} is {1,3,1'}, so both
+    sides lose the same term; under the block subset sum no checked row
+    meets it.  Only the top half of the certificate rejects the fault, and
+    the verdict is False."""
+    orbit = _drop_own_term_on_orbit(monkeypatch, map_name, "{1,3,1'}", 1)
+    cell = DeformationCell(3)
+    _, _, rows, cols = cell._part("orbits", cell._orbits)
+    first = cell.index[parse_element("{1,3,1'}", "pistar", 3).code]
+    assert {cell.index[c] for c in orbit} & set(rows + cols) == {first}
     assert cell.homomorphism(map_name).homomorphism_ok is False
 
 
@@ -585,21 +684,24 @@ def _dict_homomorphism(cell, map_name, pairs):
     looks up, so a fault patched there reaches both routes."""
     return homomorphism_by_dicts(
         cell.elements,
-        getattr(rookdual.morphisms, map_name),
+        getattr(rookdual.morphisms, WALKS[map_name]),
         getattr(rookdual.morphisms, MAPS[map_name]),
         rookdual.morphisms.star_codes,
         pairs,
     )
 
 
-ROW_CASES = [(k, m, f) for k in (1, 2) for m in sorted(MAPS) for f in sorted(FAULTS)]
+ROW_CASES = [(k, m, f) for k in (1, 2) for m in sorted(MAPS) for f in ("none", "product", "star")]
+ROW_CASES += [(3, m, f) for m in sorted(MAPS) for f in ("none", "twice")]
 
 
-@pytest.mark.parametrize("k,map_name,fault", ROW_CASES + [(3, m, "none") for m in sorted(MAPS)])
+@pytest.mark.parametrize("k,map_name,fault", ROW_CASES)
 def test_row_check_agrees_with_the_dict_oracle(k, map_name, fault, monkeypatch):
-    """Every pair at k <= 2 right or faulted, and at k = 3 right: the
-    encoded row check over the orbit representatives and the per-pair
-    coefficient dicts over all pairs give the same verdict."""
+    """Every pair at k <= 2 right or faulted, and at k = 3 right or with
+    the empty diagram listed twice off the representatives: the encoded
+    row check over the orbit representatives and the per-pair coefficient
+    dicts over all pairs, which count every term as often as the walk
+    lists it, give the same verdict."""
     FAULTS[fault](monkeypatch, k, map_name)
     cell = DeformationCell(k)
     pairs = itertools.product(range(len(cell.elements)), repeat=2)
