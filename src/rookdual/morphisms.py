@@ -35,9 +35,8 @@ sampled pairs one by one).  Every product it reads, domain and star
 alike, is relabelled from a generic product of the two middle rows made
 once per pair of rows, which the naturality test pins to the direct
 products: the products of a left element with every right element of
-one in-key are relabelled at once, and in exhaustive mode each distinct
-relabelled segment of products is looked up once per cell, whichever
-product's recipe made it.
+one in-key are relabelled at once, and each product the check compares
+is then one lookup in the code index.
 
 The exhaustive check compares one row per two-sided orbit s a t^-1 of
 left factors (s in S_k permuting their top points, t their bottom
@@ -385,15 +384,14 @@ class DeformationCell(_Parts):
         over the checked b must equal the column sums of the table rows of
         phi(a)'s terms; row p holds, for each checked b, the units of p
         times phi(b)'s terms, and is built when a checked row's image first
-        reads p.  The products of a with the b of one in-key L form a
-        segment over every b of L, read off ``_relabeller`` once per (a, L)
-        and built once per cell for each (L, relabelled product).  The table
-        reads p's star products with every q of in-key p's out-key as one
-        such segment, p's star row.  Sampled mode relabels each drawn pair
-        alone and compares the encoding of phi(ab) with the sum of the units
-        of its terms' star products.  Every product, domain and star, is read
-        off a generic middle-row recipe, so the verdict rests on
-        ``test_products_are_natural``, and exhaustive mode also on
+        reads p.  ``_relabeller`` relabels a once per in-key L of the
+        columns and p once, for its out-key, and each product compared, ab
+        for a column b of in-key L or p * q for a distinct term q of the
+        columns' images, is one lookup in ``index``.  Sampled mode relabels
+        each drawn pair alone and compares the encoding of phi(ab) with the
+        sum of the units of its terms' star products.  Every product, domain
+        and star, is read off a generic middle-row recipe, so the verdict
+        rests on ``test_products_are_natural``, and exhaustive mode also on
         ``test_products_commute_with_outer_permutations`` and
         ``test_products_commute_with_middle_permutations``."""
         if sample_pairs is not None and sample_pairs < 1:
@@ -434,44 +432,30 @@ class DeformationCell(_Parts):
             )
             encodings = [encode(image) for image in images]
             shared = {e: e for e in encodings}  # equal sums share one int, to save memory
-            of_key = [[] for _ in keys]  # of_key[L]: the elements of in-key L
-            slot = [0] * n  # slot[b]: b's place in of_key[in_id[b]]
-            for b, L in enumerate(in_id):
-                slot[b] = len(of_key[L])
-                of_key[L].append(b)
-            picked = [[] for _ in keys]  # picked[L]: the slots of the columns of in-key L
-            for b in cols:
-                picked[in_id[b]].append(slot[b])
-            columns = [terms_by_in(of_key[L][s]) for L, slots in enumerate(picked) for s in slots]
-            users = [  # users[L]: each column with terms of in-key L, and their slots
-                [(c, [slot[q] for q in g[L]]) for c, g in enumerate(columns) if g[L]]
-                for L in range(len(keys))
+            cols = sorted(cols, key=in_id.__getitem__)  # by in-key; a copy of the cached part
+            columns = [terms_by_in(b) for b in cols]
+            users = [  # users[L]: each column with terms of in-key L, and those terms
+                [(c, g[L]) for c, g in enumerate(columns) if g[L]] for L in range(len(keys))
             ]
-            segments = self._part("segments", dict)  # (L, relabelled) -> product indices
-
-            def segment(L, relabelled):  # the products with every b of in-key L
-                key = L, relabelled
-                if key not in segments:
-                    segments[key] = [find(relabelled, b) for b in of_key[L]]
-                return segments[key]
-
             table = {}  # table[p][c]: the sum of the units of p times columns[c][out_id[p]]
 
             def table_row(p):  # built when a checked row's image first reads p
                 if p not in table:
-                    L = out_id[p]
-                    units = [1 << r * width for r in segment(L, star(p))]
+                    relabelled, L = star(p), out_id[p]
+                    terms = {q for _, g in users[L] for q in g}
+                    units = {q: 1 << find(relabelled, q) * width for q in terms}
                     row = table[p] = [0] * len(columns)
-                    for c, slots in users[L]:
-                        total = sum(map(units.__getitem__, slots))
+                    for c, g in users[L]:
+                        total = sum(map(units.__getitem__, g))
                         row[c] = shared.setdefault(total, total)
                 return table[p]
 
             def products(a):  # the encodings of phi(ab) in column order
                 row = []
-                for L, slots in enumerate(picked):
-                    row += map(segment(L, relabel(a, L)).__getitem__, slots)
-                return list(map(encodings.__getitem__, row))
+                for L, group in itertools.groupby(cols, in_id.__getitem__):
+                    relabelled = relabel(a, L)
+                    row += [encodings[find(relabelled, b)] for b in group]
+                return row
 
             hom_ok = equivariant and all(
                 products(a) == list(map(sum, zip(*map(table_row, images[a])))) for a in rows

@@ -335,7 +335,7 @@ def _expand(layers) -> list:
 
 def _action_rows(elements, space: ActionSpace, variant: str, unguarded: bool, sums=False):
     """The one action path: for each element of the sequence in turn, the
-    coordinates of the 1s of its matrix and its orbit coordinates, picked
+    coordinates of the 1s of its matrix and its orbit coordinates, chosen
     by the shape's ``_kept`` positions from one plain ``_expand`` of its
     layers.  The guard, the space's tables and each shape's positions are
     looked up once per call.  A free output block is refused unless

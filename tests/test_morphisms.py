@@ -374,6 +374,17 @@ def _is_generic(a, b):
 
 
 TERMS_READ = {"block_subset_sum": 23, "coarsening_sum": 27}
+LOOKUPS = {"block_subset_sum": 738, "coarsening_sum": 755}
+
+
+class _CountedIndex(dict):
+    """A code index that counts its lookups."""
+
+    lookups = 0
+
+    def __getitem__(self, code):
+        self.lookups += 1
+        return super().__getitem__(code)
 
 
 def _terms_read(cell, map_name):
@@ -390,17 +401,15 @@ def test_exhaustive_check_relabels_once_per_element_and_in_key(map_name, monkeyp
     term of those rows' images once (23 for the block subset sum, 27 for
     the coarsening sum), instead of once per pair or once per element; it
     calls ``star_codes`` only on the generic codes of the 15 middle rows;
-    and it builds the products of each distinct (in-key, relabelled
-    product) segment once, whichever product's recipe made it."""
+    and it looks up in the code index only the products it compares: the
+    16 x 41 products of the rows with the columns, and each star row's
+    products with the distinct terms of the columns' images (99 for the
+    coarsening sum, 82 for the block subset sum)."""
     relabels, star_calls = _count_relabels(monkeypatch)
-
-    class Segments(dict):
-        def __setitem__(self, key, value):
-            assert key not in self, key
-            super().__setitem__(key, value)
-
     cell = DeformationCell(3)
-    segments = cell._parts["segments"] = Segments()
+    cell._map(map_name)  # the images and the orbits look codes up too: build them first
+    cell._part("orbits", cell._orbits)
+    cell.index = _CountedIndex(cell.index)
     assert cell.homomorphism(map_name).homomorphism_ok
     domain = [r for r in relabels if r[0] == "domain"]
     star = [r for r in relabels if r[0] == "star"]
@@ -408,28 +417,28 @@ def test_exhaustive_check_relabels_once_per_element_and_in_key(map_name, monkeyp
     assert len(star) == len(_terms_read(cell, map_name)) == TERMS_READ[map_name]
     assert 0 < len(star_calls) <= 15
     assert all(_is_generic(a, b) for a, b in star_calls)
-    assert set(segments) == {(L, relabelled) for _, _, L, relabelled in relabels}
+    assert cell.index.lookups == LOOKUPS[map_name]
 
 
 @pytest.mark.parametrize("map_name", ["block_subset_sum", "coarsening_sum"])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_star_rows_equal_the_direct_star_products(k, map_name, monkeypatch):
     """The exhaustive table builds the star row of exactly the distinct
-    terms p of the checked rows' images, and every star product it reads,
-    p's star row over the elements q of p's out-key as in-key, equals
-    ``star_codes`` applied directly to the codes of p and q."""
+    terms p of the checked rows' images, and each star relabelling it
+    records, read with the out-masks of every element q of p's out-key as
+    in-key, equals ``star_codes`` applied directly to the codes of p and q."""
     relabels, _ = _count_relabels(monkeypatch)
     cell = DeformationCell(k)
     assert cell.homomorphism(map_name).homomorphism_ok
     codes = list(cell.index)
-    in_id = cell._part("middle", cell._middle)[2]
+    _, out_id, in_id, _, out_ors = cell._part("middle", cell._middle)
     star = [r for r in relabels if r[0] == "star"]
     assert sorted(p for _, p, _, _ in star) == sorted(_terms_read(cell, map_name))
     for _, p, L, relabelled in star:
-        row = cell._parts["segments"][L, relabelled]
-        group = [q for q in range(len(codes)) if in_id[q] == L]
-        direct = [rookdual.semigroups.star_codes(codes[p], codes[q]) for q in group]
-        assert [codes[r] for r in row] == direct, (k, codes[p])
+        assert L == out_id[p]
+        for q in (q for q in range(len(codes)) if in_id[q] == L):
+            pq = tuple((i, out_ors[q][y]) for i, y in relabelled)
+            assert pq == rookdual.semigroups.star_codes(codes[p], codes[q]), (k, codes[p], codes[q])
 
 
 def test_cells_share_one_code_index():
@@ -498,10 +507,11 @@ def test_morphism_report_catches_a_product_wrong_on_one_shape(
     """A product that drops the last block only when the left factor's
     out-masks are those of the identity is wrong on one middle shape;
     the recipe for that shape carries the fault to every such pair, in
-    the exhaustive segments at k = 2 and in the pairs relabelled one by
-    one among 2,000 seeded ones at k = 3."""
+    the exhaustive check at k = 2 and at k = 4, whose columns span all 52
+    in-keys, and in the pairs relabelled one by one among 2,000 seeded
+    ones at k = 3."""
     right = getattr(rookdual.semigroups, product)
-    for k, sample_pairs in ((2, None), (3, 2000)):
+    for k, sample_pairs in ((2, None), (3, 2000), (4, None)):
         identity = [1 << i for i in range(k)]
 
         def wrong(a, b, identity=identity):
@@ -519,10 +529,11 @@ def test_homomorphism_catches_a_star_product_wrong_on_one_shape(map_name, monkey
     """A star product that drops the last block only when the left
     factor's out-masks are those of the identity is wrong on one middle
     shape; its recipe carries the fault to every star product of that
-    shape, in the exhaustive star rows at k = 2 and in the products
-    relabelled one by one among 2,000 seeded pairs at k = 3."""
+    shape, in the exhaustive star rows at k = 2 and at k = 4, whose
+    columns span all 52 in-keys, and in the products relabelled one by
+    one among 2,000 seeded pairs at k = 3."""
     right = rookdual.semigroups.star_codes
-    for k, sample_pairs in ((2, None), (3, 2000)):
+    for k, sample_pairs in ((2, None), (3, 2000), (4, None)):
         identity = [1 << i for i in range(k)]
 
         def wrong(a, b, identity=identity):
