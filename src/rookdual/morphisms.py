@@ -26,17 +26,21 @@ The public functions wrap the walks' codes as diagrams, and
 All coefficients here, the Moebius ones included, are integers.
 
 Every check of the maps is made by one ``DeformationCell`` per k, which
-reads P*_k and its code index from ``semigroups`` and builds each map's
-images and inverse verdict from one walk per element, and each U^k
+reads P*_k, its code index and its S_k x S_k symmetry from
+``semigroups`` and builds each map's images and inverse verdict from one
+walk per two-sided orbit, moved to the rest of the orbit, and each U^k
 action support from one expansion, at most once for all of its reports.
-Its homomorphism check encodes each combination as one exact integer and
-compares pairs row by row with sums of a table of star products (or
-sampled pairs one by one).  Every product it reads, domain and star
-alike, is relabelled from a generic product of the two middle rows made
-once per pair of rows, which the naturality test pins to the direct
-products: the products of a left element with every right element of
-one in-key are relabelled at once, and each product the check compares
-is then one lookup in the code index.
+The walks never read a point's label, so the moved images are the walked
+ones, and every verdict covers the maps as ``coarsening_sum`` and
+``block_subset_sum`` define them.  Its homomorphism check encodes each
+combination as one exact integer and compares pairs row by row with sums
+of a table of star products (or sampled pairs one by one).  Every
+product it reads, domain and star alike, is relabelled from a generic
+product of the two middle rows made once per pair of rows, which the
+naturality test pins to the direct products: the products of a left
+element with every right element of one in-key are relabelled at once,
+and each product the check compares is then one lookup in the code
+index.
 
 The exhaustive check compares one row per two-sided orbit s a t^-1 of
 left factors (s in S_k permuting their top points, t their bottom
@@ -44,13 +48,14 @@ points) against one column per orbit b r of right factors (r permuting
 their bottom points), and its verdict covers every pair.  Every product
 ORs the left factor's in-masks and the right factor's out-masks and reads
 the middle row only up to relabelling, so (s a)(b r) = s (ab) r and
-(a t^-1)(t b) = ab; and before any row is compared, each map's images are
-certified equivariant on every element, phi(s a) = s phi(a) and
+(a t^-1)(t b) = ab; and before any verdict reads them, each map's images
+are certified equivariant on every element, phi(s a) = s phi(a) and
 phi(a r) = phi(a) r as multisets of terms, for s and r the swap and the
 k-cycle, hence for all of S_k.  So (s a t^-1, t b r) is the image under
 s and r of the checked pair (a, b), on the domain and the star side
 alike, and a wrong image anywhere fails the certificate or a checked
-pair.  The star table has rows only for the terms the checked rows read.
+pair.  The star table has rows only for the terms the checked rows read,
+and an image is encoded only when a checked product first reads it.
 
 On U^k each map is also an identity of 0/1 matrices: an element's plain
 (tilde) action is the sum of the hat actions of its coarsening sum (block
@@ -70,7 +75,15 @@ from .diagrams import (
     block_union_leq,
     is_partial_dual_element,
 )
-from .semigroups import _family_index, _Parts, bullet_codes, family, pistar_codes, star_codes
+from .semigroups import (
+    _family_index,
+    _family_orbits,
+    _Parts,
+    bullet_codes,
+    family,
+    pistar_codes,
+    star_codes,
+)
 from .tensor_actions import ActionSpace, _action_rows
 
 
@@ -189,15 +202,19 @@ def _map_functions(map_name: str) -> tuple:
     raise ValueError(f"unknown map {map_name!r}")
 
 
+def _encode(image: tuple, width: int) -> int:
+    """The sum of 1 << (index * width) over the terms of ``image``."""
+    return sum(1 << r * width for r in image)
+
+
 class DeformationCell(_Parts):
-    """The partial dual elements at one k, shared by every deformation
-    check there; the twin of ``dualities.DualityCell``.  P*_k and its
-    ``{code: index}`` are read from ``semigroups.family`` and
-    ``semigroups._family_index``, which every cell shares.  Each map's
-    forward images, as tuples of their terms' element indices, with its
-    inverse verdict, and at each n the sorted plain and tilde U^k action
-    supports and the hat supports, are built on first use and kept for the
-    cell's lifetime.  ``unguarded`` lifts the size guards, as on
+    """The partial dual elements at one k, shared by every deformation check
+    there; the twin of ``dualities.DualityCell``.  P*_k, its
+    ``{code: index}`` and its symmetry are read from ``semigroups.family``,
+    ``_family_index`` and ``_family_orbits``, which every cell shares.
+    Each map's ``_map`` part, and at each n the sorted plain and tilde U^k
+    action supports and the hat supports, are built on first use and kept
+    for the cell's lifetime.  ``unguarded`` lifts the size guards, as on
     ``DualityCell``."""
 
     def __init__(self, k: int, unguarded: bool = False):
@@ -210,21 +227,38 @@ class DeformationCell(_Parts):
         super().__init__()
 
     def _map(self, map_name: str) -> tuple:
-        """Each element's forward image, as the tuple of its terms' element
-        indices from one walk (its codes looked up in ``index``), and the
-        map's inverse verdict: the stored images carry every closed-form
-        inverse (the same terms with the walk's values) back to its
-        element, which on all of P*_k proves the closed form is the inverse
-        (D C = I, C square).  The values are not kept, and every image is
-        stored before the first round trip."""
+        """Each element's forward image (its terms' element indices), its
+        terms' closed-form inverse values, the equivariance certificate and
+        the inverse verdict.  Only the first element of each two-sided
+        S_k x S_k orbit (``_family_orbits``) is walked.  Each other x = g y
+        of the orbit tree takes y's terms moved by the index permutation g,
+        with their values: the walks only OR masks and never read a point's
+        label, so that is x's walk (pinned by
+        ``test_transported_images_equal_the_walked_ones``).  The
+        certificate, g phi(a) = phi(g a) as multisets for the swap and the
+        k-cycle g of either side, is checked on every edge the tree did not
+        make, and every verdict is False without it.  The round trip
+        (D C = I, C square) runs at the walked elements: D(g r) = g D(r) by
+        construction and C is equivariant, so (D C)(g r) = g r."""
         walk = _map_functions(map_name)[0]
 
         def build():
-            images, values = [], []
-            for alpha in self.elements:
-                codes, coeffs = zip(*walk(alpha))
-                images.append(tuple(map(self.index.__getitem__, codes)))
-                values.append(coeffs)
+            top, bottom, rows, _, tree = _family_orbits("pistar", self.k)
+            perms = top + bottom
+            images, values = [None] * len(self.elements), [None] * len(self.elements)
+            for a in rows:
+                codes, values[a] = zip(*walk(self.elements[a]))
+                images[a] = tuple(map(self.index.__getitem__, codes))
+            for x, g, y in tree:  # x = g y takes y's terms moved by g, with their values
+                images[x], values[x] = tuple(map(perms[g].__getitem__, images[y])), values[y]
+            made = {(g, y): x for x, g, y in tree}
+            ordered = [sorted(image) for image in images]
+            equivariant = all(  # g phi(a) = phi(g a) on every edge the tree did not make
+                sorted(map(perm.__getitem__, image)) == ordered[perm[a]]
+                for g, perm in enumerate(perms)
+                for a, image in enumerate(images)
+                if made.get((g, a)) != perm[a]
+            )
 
             def trip(a):  # D C applied to element a, without zero values
                 total: dict = {}
@@ -233,7 +267,7 @@ class DeformationCell(_Parts):
                         total[q] = total.get(q, 0) + value
                 return {q: c for q, c in total.items() if c}
 
-            return images, all(trip(a) == {a: 1} for a in range(len(images)))
+            return images, values, equivariant, equivariant and all(trip(a) == {a: 1} for a in rows)
 
         return self._part(map_name, build)
 
@@ -259,10 +293,11 @@ class DeformationCell(_Parts):
         map's inverse verdict.  Every term is a 0/1 matrix, so the sum is
         exact iff the element's sorted support equals the sorted
         concatenation of the terms' hat supports: an overlap or a repeated
-        term repeats a coordinate and a gap drops one."""
+        term repeats a coordinate and a gap drops one.  False unless the
+        images are certified equivariant (``_map``)."""
         whole, hat = self._supports(n, variant)[0], self._supports(n, "plain")[1]
-        images, inverse_ok = self._map(map_name)
-        ok = all(
+        images, _, equivariant, inverse_ok = self._map(map_name)
+        ok = equivariant and all(
             support == sorted(x for b in image for x in hat[b])
             for support, image in zip(whole, images)
         )
@@ -289,32 +324,6 @@ class DeformationCell(_Parts):
             in_ors.append(ors(tuple(i for i, _ in by_out)))
             out_ors.append(ors(tuple(o for _, o in code)))
         return list(keys), out_id, in_id, in_ors, out_ors
-
-    def _orbits(self) -> tuple:
-        """The cell's ``"orbits"`` part: the index permutations of P*_k by the
-        swap and the k-cycle of the top points (in-masks), the same of the
-        bottom points (out-masks), and the first element in index order of
-        each orbit of both sides together (rows), then of the bottom side."""
-        k, index = self.k, self.index
-        gens = dict.fromkeys([(1, 0, *range(2, k)), (*range(1, k), 0)] if k > 1 else [])
-        moves = [[sum(1 << g[i] for i in range(k) if m >> i & 1) for m in range(1 << k)] for g in gens]
-        top = [[index[tuple(sorted((m[i], o) for i, o in c))] for c in index] for m in moves]
-        bottom = [[index[tuple(sorted((i, m[o]) for i, o in c))] for c in index] for m in moves]
-
-        def firsts(perms):  # the first element of each orbit under perms, in index order
-            seen, first = set(), []
-            for a in range(len(index)):
-                if a not in seen:
-                    first.append(a)
-                    todo = [a]
-                    while todo:
-                        x = todo.pop()
-                        if x not in seen:
-                            seen.add(x)
-                            todo += [p[x] for p in perms]
-            return first
-
-        return top, bottom, firsts(top + bottom), firsts(bottom)
 
     def _relabeller(self, multiply):
         """``relabel(a, L)``: the product of element a with any element b of
@@ -368,20 +377,21 @@ class DeformationCell(_Parts):
         1 << (index * W).  The star recipe of that middle row is relabelled
         for p once per cell and gives p * q for every such q.
 
-        Exhaustive mode first certifies the images equivariant under the
-        swap and the k-cycle of the top points and of the bottom points
-        (``"orbits"``): phi(s a) = s phi(a) and phi(a r) = phi(a) r as
-        multisets of term indices, on every element.  It then checks one row
-        a per two-sided orbit s a t^-1 (s and t permuting the top and the
-        bottom points) against one column b per orbit b r of the bottom
-        points, the first element of each in index order.  Every pair is
-        (s a t^-1, t b r) for a row a and a column b, and by the products'
-        outer naturality (s x)(y r) = s (xy) r and middle naturality
-        (x t^-1)(t y) = xy, for the domain and the star product alike, and
-        the certificate, both sides of phi(xy) = phi(x) * phi(y) there are
-        s times those at (a, b) times r; so the verdict covers all n*n
-        pairs.  The columns are ordered by in-key: the encodings of phi(ab)
-        over the checked b must equal the column sums of the table rows of
+        Both modes read the images only when ``_map`` has certified them
+        equivariant under the swap and the k-cycle of the top points and of
+        the bottom points: phi(s a) = s phi(a) and phi(a r) = phi(a) r as
+        multisets of term indices, on every element.  Exhaustive mode checks
+        one row a per two-sided orbit s a t^-1 (s and t permuting the top
+        and the bottom points) against one column b per orbit b r of the
+        bottom points, the first of each in index order
+        (``_family_orbits``).  Every pair is (s a t^-1, t b r) for a row a
+        and a column b, and by the products' outer naturality (s x)(y r) = s
+        (xy) r and middle naturality (x t^-1)(t y) = xy, for the domain and
+        the star product alike, and the certificate, both sides of phi(xy) =
+        phi(x) * phi(y) there are s times those at (a, b) times r; so the
+        verdict covers all n*n pairs.  The columns are ordered by in-key:
+        the encodings of phi(ab) over the checked b, each made when a row
+        first reads ab, must equal the column sums of the table rows of
         phi(a)'s terms; row p holds, for each checked b, the units of p
         times phi(b)'s terms, and is built when a checked row's image first
         reads p.  ``_relabeller`` relabels a once per in-key L of the
@@ -396,16 +406,13 @@ class DeformationCell(_Parts):
         ``test_products_commute_with_middle_permutations``."""
         if sample_pairs is not None and sample_pairs < 1:
             raise ValueError(f"sample_pairs must be at least 1, got {sample_pairs}")
-        images, inverse_ok = self._map(map_name)
+        images, _, equivariant, inverse_ok = self._map(map_name)
         index, n = self.index, len(self.elements)
         keys, out_id, in_id, _, out_ors = self._part("middle", self._middle)
         relabel = self._relabeller(_map_functions(map_name)[1])
         star_relabel = self._relabeller(star_codes)  # the module's star_codes when called
         stars = self._part(("stars", star_codes), dict)  # p -> its relabelled star recipe
         width = (max(map(len, images)) ** 2).bit_length()
-
-        def encode(image):
-            return sum(1 << r * width for r in image)
 
         def find(relabelled, b):  # the index of the relabelled product with b
             outs = out_ors[b]
@@ -423,15 +430,16 @@ class DeformationCell(_Parts):
             return groups
 
         if sample_pairs is None:
-            top, bottom, rows, cols = self._part("orbits", self._orbits)
-            ordered = [sorted(image) for image in images]
-            equivariant = all(  # phi(g a) = g phi(a) as multisets, g a generator of a side
-                sorted(map(perm.__getitem__, image)) == ordered[perm[a]]
-                for perm in top + bottom
-                for a, image in enumerate(images)
-            )
-            encodings = [encode(image) for image in images]
-            shared = {e: e for e in encodings}  # equal sums share one int, to save memory
+            rows, cols = _family_orbits("pistar", self.k)[2:4]
+            encodings: dict = {}  # x -> the encoding of phi(x), made when a product first reads it
+            shared: dict = {}  # equal sums share one int, to save memory
+
+            def encoding(x):
+                if x not in encodings:
+                    e = _encode(images[x], width)
+                    encodings[x] = shared.setdefault(e, e)
+                return encodings[x]
+
             cols = sorted(cols, key=in_id.__getitem__)  # by in-key; a copy of the cached part
             columns = [terms_by_in(b) for b in cols]
             users = [  # users[L]: each column with terms of in-key L, and those terms
@@ -454,7 +462,7 @@ class DeformationCell(_Parts):
                 row = []
                 for L, group in itertools.groupby(cols, in_id.__getitem__):
                     relabelled = relabel(a, L)
-                    row += [encodings[find(relabelled, b)] for b in group]
+                    row += [encoding(find(relabelled, b)) for b in group]
                 return row
 
             hom_ok = equivariant and all(
@@ -468,8 +476,9 @@ class DeformationCell(_Parts):
                 groups = terms_by_in(b)
                 return sum(1 << find(star(p), q) * width for p in images[a] for q in groups[out_id[p]])
 
-            hom_ok = all(
-                encode(images[find(relabel(a, in_id[b]), b)]) == star_sum(a, b) for a, b in pairs
+            hom_ok = equivariant and all(
+                _encode(images[find(relabel(a, in_id[b]), b)], width) == star_sum(a, b)
+                for a, b in pairs
             )
 
         return MorphismReport(
@@ -487,7 +496,12 @@ class DeformationCell(_Parts):
         ``inverse_ok`` is the coarsening sum's inverse verdict: D C = I
         for the closed-form inverse D, and C is square unitriangular, so
         C D = I too; with the sum above, the hat action of alpha is then
-        the plain action of its inverse coarsening sum."""
+        the plain action of its inverse coarsening sum.  The hat action of
+        a diagram with r blocks is zero on U(n, k) when r > n, since hat
+        puts distinct non-zero digits on the blocks, so the identity reads
+        only the terms with at most n blocks; at n >= k it reads every
+        term, and distinct diagrams have disjoint hat supports there, so
+        it pins every term and its coefficient."""
         pairs = len(self.elements) * (n + 1) ** self.k
         return self._support_sum("hat_consistency", n, "plain", "coarsening_sum", pairs)
 
@@ -495,6 +509,7 @@ class DeformationCell(_Parts):
         """The tilde U-action of every partial dual element is the sum of
         the hat actions of its block sub-collections (its block subset
         sum), as an exact sum of 0/1 matrices (``_support_sum``).
-        ``inverse_ok`` is the block subset sum's inverse verdict."""
+        ``inverse_ok`` is the block subset sum's inverse verdict.  As in
+        ``hat_consistency``, only the terms with at most n blocks are read."""
         pairs = len(self.elements)
         return self._support_sum("tilde_factorization", n, "tilde", "block_subset_sum", pairs)

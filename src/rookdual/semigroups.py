@@ -15,8 +15,9 @@ monoid, ``istar_generators`` and ``pistar_generators`` for the dual and
 partial dual monoids.  A matrix commutes with a whole monoid's image
 when it commutes with the images of its generators, which is how the
 duality checks solve every commutant.  ``family`` lists a monoid's
-elements, checked against its closed-form size, and ``_family_index``
-numbers a diagram monoid's codes, each built once per size.
+elements, checked against its closed-form size, ``_family_index``
+numbers a diagram monoid's codes and ``_family_orbits`` holds their
+S_k x S_k symmetry, each built once per size.
 
 All four diagram products run on the code a diagram is stored as
 (``SetPartition.code``): a sorted tuple of ``(in_mask, out_mask)``
@@ -169,6 +170,40 @@ def _family_index(name: str, size: int) -> dict:
     """``{code: position}`` over the diagram monoid ``family(name, size)``,
     built once per (name, size) next to it; callers run the guard first."""
     return {e.code: i for i, e in enumerate(_family(name, size))}
+
+
+def _orbit_tree(perms: list, n: int) -> tuple:
+    """The first of 0..n-1 in each orbit under ``perms``, and a breadth-first
+    tree of the rest: (x, g, y) with x = perms[g][y], y listed before x."""
+    seen, firsts, tree = [False] * n, [], []
+    for a in range(n):
+        if not seen[a]:
+            seen[a] = True
+            firsts.append(a)
+            queue = [a]
+            for y in queue:
+                for g, perm in enumerate(perms):
+                    if not seen[x := perm[y]]:
+                        seen[x] = True
+                        queue.append(x)
+                        tree.append((x, g, y))
+    return firsts, tree
+
+
+@functools.cache
+def _family_orbits(name: str, size: int) -> tuple:
+    """The index permutations of ``family(name, size)`` by the swap and the
+    k-cycle of the top points (in-masks), the same of the bottom points
+    (out-masks), the first element of each two-sided S_k x S_k orbit, the
+    first of each bottom orbit, and the two-sided ``_orbit_tree``; built
+    once per (name, size), callers run the guard first."""
+    index, k = _family_index(name, size), size
+    gens = dict.fromkeys([(1, 0, *range(2, k)), (*range(1, k), 0)] if k > 1 else [])
+    moves = [[sum(1 << g[i] for i in range(k) if m >> i & 1) for m in range(1 << k)] for g in gens]
+    top = [[index[tuple(sorted((m[i], o) for i, o in c))] for c in index] for m in moves]
+    bottom = [[index[tuple(sorted((i, m[o]) for i, o in c))] for c in index] for m in moves]
+    rows, tree = _orbit_tree(top + bottom, len(index))
+    return top, bottom, rows, _orbit_tree(bottom, len(index))[0], tree
 
 
 class _Parts:

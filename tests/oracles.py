@@ -30,7 +30,12 @@ the two U-action identities of the deformation maps on
 compared sorted 0/1 supports, and ``homomorphism_by_dicts`` checks a
 deformation map's homomorphism identity pair by pair on ``{index:
 coeff}`` dicts, each image counted off the map's walk term by term, the
-way it did before it encoded combinations as integers.
+way it did before it encoded combinations as integers, and
+``walked_images`` walks a map on every element, the way the package did
+before it walked one element per orbit and moved the images to the rest.
+``mask_images``, ``generator_moves`` and ``permuted`` move a code's top
+or bottom points by a permutation of S_k, for the tests of the orbit
+reductions.
 ``coarsening_sum_inverse_by_solve`` inverts the coarsening sum by the
 generic triangular recursion instead of the closed form.
 ``graded_targets_commutant`` is the commutant solve with one
@@ -930,6 +935,35 @@ def homomorphism_by_dicts(elements, walk, multiply, star, pairs) -> bool:
         if image(index[multiply(codes[a], codes[b])]) != {r: c for r, c in rhs.items() if c}:
             return False
     return True
+
+
+def walked_images(elements, walk) -> list:
+    """Each listed element's image under the map whose ``walk`` lists its
+    terms' codes with their closed-form inverse values, walked on every
+    element: a Counter of (term index, value) pairs, the way the package
+    built the images before it walked one element per orbit."""
+    index = {alpha.code: i for i, alpha in enumerate(elements)}
+    return [Counter((index[code], value) for code, value in walk(alpha)) for alpha in elements]
+
+
+# the S_k symmetry of diagram codes, point by point
+
+
+def mask_images(g, k) -> list:
+    """Each mask's image under the permutation g of the points 0..k-1, by mask."""
+    return [sum(1 << g[i] for i in range(k) if m >> i & 1) for m in range(1 << k)]
+
+
+def generator_moves(k) -> list:
+    """The mask images of the swap and the k-cycle (none at k = 1)."""
+    gens = [(1, 0, *range(2, k)), (*range(1, k), 0)] if k > 1 else []
+    return [mask_images(g, k) for g in gens]
+
+
+def permuted(code, moved, side) -> tuple:
+    """The code with its in-masks (side 0, the top points) or out-masks
+    (side 1, the bottom points) sent through ``moved``, re-sorted."""
+    return tuple(sorted((moved[i], o) if side == 0 else (i, moved[o]) for i, o in code))
 
 
 # the coarsening sum inverted by a triangular solve

@@ -298,12 +298,14 @@ def test_verify_props_report_is_golden(k, fmt, capsys):
 
 
 def test_verify_props_builds_each_deformation_part_once(capsys, monkeypatch):
-    """One ``verify --props`` run enumerates P*_k once, walks each
-    element once per map (the walk gives both the image and the
-    closed-form inverse), and expands each element once under plain and
-    once under tilde, however many reports read them: the hat supports
-    are the plain expansion's orbit rows.  The family cache starts
-    empty, so the run builds P*_3 itself."""
+    """One ``verify --props`` run enumerates P*_k once, walks once per map
+    each of the 16 representatives of the two-sided S_3 x S_3 orbits of
+    P*_3 and no other element (the walk gives both the image and the
+    closed-form inverse, which the rest of each orbit takes moved from
+    it), and expands each element once under plain and once under tilde,
+    however many reports read them: the hat supports are the plain
+    expansion's orbit rows.  The family cache starts empty, so the run
+    builds P*_3 itself."""
     calls = Counter()
 
     def counted(name, right):
@@ -335,7 +337,10 @@ def test_verify_props_builds_each_deformation_part_once(capsys, monkeypatch):
     assert max(calls.values()) == 1
     per_name = Counter(key[0] for key in calls)
     assert per_name["enumerate_pistar"] == 1
-    assert all(per_name[name] == 128 for name in walks)
+    assert all(per_name[name] == 16 for name in walks)
+    rows = rookdual.semigroups._family_orbits("pistar", 3)[2]
+    walked = {key[1] for key in calls if key[0] in walks}
+    assert walked == {enumerate_pistar(3)[a] for a in rows}
     variants = Counter(key[2] for key in calls if key[0] == "_action_rows")
     assert variants == {"plain": 128, "tilde": 128}
 

@@ -4,6 +4,7 @@ together."""
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -32,9 +33,13 @@ from rookdual import (
 
 from oracles import (
     coarsening_sum_inverse_by_solve,
+    generator_moves,
     hat_consistency_by_dicts,
     homomorphism_by_dicts,
+    mask_images,
+    permuted,
     tilde_factorization_by_dicts,
+    walked_images,
 )
 
 
@@ -252,23 +257,6 @@ def test_products_are_natural(product):
             assert ab == direct, (k, codes[a], codes[b])
 
 
-def _mask_images(g, k):
-    """Each mask's image under the permutation g of the points 0..k-1, by mask."""
-    return [sum(1 << g[i] for i in range(k) if m >> i & 1) for m in range(1 << k)]
-
-
-def _generator_moves(k):
-    """The mask images of the swap and the k-cycle (none at k = 1)."""
-    gens = [(1, 0, *range(2, k)), (*range(1, k), 0)] if k > 1 else []
-    return [_mask_images(g, k) for g in gens]
-
-
-def _permuted(code, moved, side):
-    """The code with its in-masks (side 0, the top points) or out-masks
-    (side 1, the bottom points) sent through ``moved``, re-sorted."""
-    return tuple(sorted((moved[i], o) if side == 0 else (i, moved[o]) for i, o in code))
-
-
 @pytest.mark.parametrize("product", ["pistar_codes", "bullet_codes", "star_codes"])
 def test_products_commute_with_outer_permutations(product):
     """The lemma the orbit reduction of the exhaustive check rests on, on
@@ -280,12 +268,12 @@ def test_products_commute_with_outer_permutations(product):
     multiply = getattr(rookdual.semigroups, product)
     for k in (1, 2, 3):
         codes = [e.code for e in enumerate_pistar(k)]
-        moves = _generator_moves(k)
+        moves = generator_moves(k)
         for a, b in itertools.product(codes, repeat=2):
             ab = multiply(a, b)
             for moved in moves:
-                for side, left, right in ((0, _permuted(a, moved, 0), b), (1, a, _permuted(b, moved, 1))):
-                    expected = None if ab is None else _permuted(ab, moved, side)
+                for side, left, right in ((0, permuted(a, moved, 0), b), (1, a, permuted(b, moved, 1))):
+                    expected = None if ab is None else permuted(ab, moved, side)
                     assert multiply(left, right) == expected, (k, a, b, side)
 
 
@@ -300,44 +288,11 @@ def test_products_commute_with_middle_permutations(product):
     multiply = getattr(rookdual.semigroups, product)
     for k in (1, 2, 3):
         codes = [e.code for e in enumerate_pistar(k)]
-        moves = _generator_moves(k)
+        moves = generator_moves(k)
         for a, b in itertools.product(codes, repeat=2):
             ab = multiply(a, b)
             for moved in moves:
-                assert multiply(_permuted(a, moved, 1), _permuted(b, moved, 0)) == ab, (k, a, b)
-
-
-ROW_ORBITS = {1: 2, 2: 6, 3: 16, 4: 43}
-
-
-@pytest.mark.parametrize("k,count", [(1, 2), (2, 8), (3, 41), (4, 252)])
-def test_representatives_are_one_per_orbit(k, count):
-    """The ``"orbits"`` part holds the index permutations of P*_k by the
-    swap and the k-cycle of the top points and of the bottom points; as
-    rows, the first element in index order of each two-sided S_k x S_k
-    orbit (both sides permuted): 2, 6, 16 and 43 at k = 1..4; and as
-    columns, the same of each S_k orbit of the bottom points: 2, 8, 41 and
-    252.  The orbits, closed under all of S_k (on both sides for the rows)
-    here, partition P*_k, and each holds exactly one representative."""
-    cell = DeformationCell(k)
-    codes = list(cell.index)
-    top, bottom, rows, cols = cell._part("orbits", cell._orbits)
-    moves = _generator_moves(k)
-    group = [_mask_images(g, k) for g in itertools.permutations(range(k))]
-    for side, perms in ((0, top), (1, bottom)):
-        assert {tuple(p) for p in perms} == {
-            tuple(cell.index[_permuted(c, moved, side)] for c in codes) for moved in moves
-        }
-    row_orbits = {
-        frozenset(cell.index[_permuted(_permuted(c, s, 0), t, 1)] for s in group for t in group)
-        for c in codes
-    }
-    col_orbits = {frozenset(cell.index[_permuted(c, moved, 1)] for moved in group) for c in codes}
-    for reps, orbits, size in ((rows, row_orbits, ROW_ORBITS[k]), (cols, col_orbits, count)):
-        assert len(reps) == len(orbits) == size
-        assert sum(map(len, orbits)) == len(codes)
-        assert all(len(orbit & set(reps)) == 1 for orbit in orbits)
-        assert reps == sorted(min(orbit) for orbit in orbits)
+                assert multiply(permuted(a, moved, 1), permuted(b, moved, 0)) == ab, (k, a, b)
 
 
 def _count_relabels(monkeypatch):
@@ -390,7 +345,7 @@ class _CountedIndex(dict):
 def _terms_read(cell, map_name):
     """The distinct terms of the images of the exhaustive check's rows."""
     images = cell._map(map_name)[0]
-    return {p for a in cell._part("orbits", cell._orbits)[2] for p in images[a]}
+    return {p for a in rookdual.semigroups._family_orbits("pistar", cell.k)[2] for p in images[a]}
 
 
 @pytest.mark.parametrize("map_name", ["block_subset_sum", "coarsening_sum"])
@@ -408,7 +363,6 @@ def test_exhaustive_check_relabels_once_per_element_and_in_key(map_name, monkeyp
     relabels, star_calls = _count_relabels(monkeypatch)
     cell = DeformationCell(3)
     cell._map(map_name)  # the images and the orbits look codes up too: build them first
-    cell._part("orbits", cell._orbits)
     cell.index = _CountedIndex(cell.index)
     assert cell.homomorphism(map_name).homomorphism_ok
     domain = [r for r in relabels if r[0] == "domain"]
@@ -418,6 +372,36 @@ def test_exhaustive_check_relabels_once_per_element_and_in_key(map_name, monkeyp
     assert 0 < len(star_calls) <= 15
     assert all(_is_generic(a, b) for a, b in star_calls)
     assert cell.index.lookups == LOOKUPS[map_name]
+
+
+ENCODINGS = {
+    (3, "block_subset_sum"): 35,
+    (3, "coarsening_sum"): 47,
+    (4, "block_subset_sum"): 162,
+    (4, "coarsening_sum"): 306,
+}
+
+
+@pytest.mark.parametrize("k,map_name", sorted(ENCODINGS))
+def test_exhaustive_check_encodes_only_the_products_it_compares(k, map_name, monkeypatch):
+    """The exhaustive check encodes phi(ab) once for each distinct product
+    ab of a row with a column, when a row first reads it, and no other
+    image: at k = 3, 35 (block subset sum) and 47 (coarsening sum) of the
+    128 images; at k = 4, 162 and 306 of 2,100."""
+    encoded = []
+    right = rookdual.morphisms._encode
+
+    def counted(image, width):
+        encoded.append(image)
+        return right(image, width)
+
+    monkeypatch.setattr(rookdual.morphisms, "_encode", counted)
+    cell = DeformationCell(k)
+    _, _, rows, cols, _ = rookdual.semigroups._family_orbits("pistar", k)
+    multiply, codes = getattr(rookdual.semigroups, MAPS[map_name]), list(cell.index)
+    products = {cell.index[multiply(codes[a], codes[b])] for a in rows for b in cols}
+    assert cell.homomorphism(map_name).homomorphism_ok
+    assert len(encoded) == len(products) == ENCODINGS[k, map_name]
 
 
 @pytest.mark.parametrize("map_name", ["block_subset_sum", "coarsening_sum"])
@@ -567,20 +551,26 @@ def _last_block_product(monkeypatch, k, map_name):
     monkeypatch.setattr(rookdual.morphisms, product, lambda a, b: right(a, b)[:-1])
 
 
-def _repeat_empty_off_the_representatives(monkeypatch, k, map_name):
-    """``_repeat_empty_in`` the last element of P*_k that is neither a row
-    nor a column representative of the exhaustive check."""
-    cell = DeformationCell(k)
-    _, _, rows, cols = cell._part("orbits", cell._orbits)
-    chosen = cell.elements[max(set(range(len(cell.elements))) - set(rows) - set(cols))]
-    _repeat_empty_in(monkeypatch, map_name, lambda k: chosen)
+def _repeat_empty_on_an_orbit(monkeypatch, k, map_name):
+    """``_repeat_empty_in`` every element of the two-sided S_k x S_k orbit
+    of the last row representative of the exhaustive check.  The fault is
+    the same on the whole orbit, so the images moved from the
+    representative's walk are the walked ones, and every route judges the
+    same faulty map."""
+    _, _, rows, _, tree = rookdual.semigroups._family_orbits("pistar", k)
+    orbit = {rows[-1]}
+    for x, _, y in tree:  # each parent is listed before its children
+        if y in orbit:
+            orbit.add(x)
+    elements = DeformationCell(k).elements
+    _repeat_empty_in(monkeypatch, map_name, {elements[x] for x in orbit}.__contains__)
 
 
 FAULTS = {
     "none": lambda *args: None,
     "star": _wrong_star,
     "product": _last_block_product,
-    "twice": _repeat_empty_off_the_representatives,
+    "twice": _repeat_empty_on_an_orbit,
 }
 
 
@@ -603,16 +593,20 @@ def test_homomorphism_catches_a_star_product_wrong_on_one_pair(
 WALKS = {"coarsening_sum": "_upper_set_with_mobius", "block_subset_sum": "_subsets_with_sign"}
 
 
-def _repeat_empty_in(monkeypatch, map_name, chosen=SetPartition.identity):
+def _is_identity(alpha):
+    return alpha == SetPartition.identity(alpha.k)
+
+
+def _repeat_empty_in(monkeypatch, map_name, hit=_is_identity):
     """Make the map's walk list the empty diagram twice in the image of
-    ``chosen(k)``, the identity by default, so its forward image counts it
-    with coefficient 2."""
+    every element ``hit`` accepts, the identity by default, so its forward
+    image counts it with coefficient 2."""
     right = getattr(rookdual.morphisms, WALKS[map_name])
 
     def wrong(alpha):
         for code, value in right(alpha):
             yield code, value
-            if alpha == chosen(alpha.k) and not code:
+            if hit(alpha) and not code:
                 yield code, value
 
     monkeypatch.setattr(rookdual.morphisms, WALKS[map_name], wrong)
@@ -629,65 +623,122 @@ def test_homomorphism_catches_a_coefficient_two(map_name, sample_pairs, monkeypa
     assert report.homomorphism_ok is False
 
 
+def _corrupt_orbits(monkeypatch, side, edit):
+    """Hand ``rookdual.morphisms`` the symmetry of P*_k with the swap's index
+    permutation on ``side`` (0 the top points, 1 the bottom points)
+    replaced by ``edit`` of a copy of it; the representatives and the tree
+    stay those of the true permutations."""
+    right = rookdual.semigroups._family_orbits
+
+    def wrong(name, size):
+        parts = list(right(name, size))
+        parts[side] = [edit(list(parts[side][0])), *parts[side][1:]]
+        return tuple(parts)
+
+    monkeypatch.setattr(rookdual.morphisms, "_family_orbits", wrong)
+
+
+def _certificate_halves(cell, map_name):
+    """Whether the cell's images are equivariant under the top and under the
+    bottom permutations that ``rookdual.morphisms`` reads, on every edge the
+    tree did not make: the two halves of the certificate."""
+    images = cell._map(map_name)[0]
+    top, bottom, _, _, tree = rookdual.morphisms._family_orbits("pistar", cell.k)
+    made = {(g, y): x for x, g, y in tree}
+    return tuple(
+        all(
+            sorted(map(perm.__getitem__, images[a])) == sorted(images[perm[a]])
+            for g, perm in enumerate(top + bottom)
+            if (g < len(top)) == (side == 0)
+            for a in range(len(images))
+            if made.get((g, a)) != perm[a]
+        )
+        for side in (0, 1)
+    )
+
+
 @pytest.mark.parametrize("map_name", sorted(MAPS))
 def test_homomorphism_catches_a_coefficient_two_off_the_representatives(map_name, monkeypatch):
-    """At k = 3 a walk that lists the empty diagram twice in the image of
-    an element that is neither a row nor a column representative spoils
-    the equivariance certificate, so the exhaustive verdict is False."""
-    _repeat_empty_off_the_representatives(monkeypatch, 3, map_name)
-    assert DeformationCell(3).homomorphism(map_name).homomorphism_ok is False
+    """At k = 3 a top-swap permutation corrupted to send the last row
+    representative to the empty diagram, which the swap fixes, moves the
+    images along its tree edges wrongly: some elements, none of them a row
+    or column representative, list the empty diagram twice.  The
+    certificate rejects the corrupted permutation, so the exhaustive verdict
+    and the inverse verdict are False."""
+    _, _, rows, cols, _ = rookdual.semigroups._family_orbits("pistar", 3)
+    empty = rookdual.semigroups._family_index("pistar", 3)[()]
+
+    def edit(perm):
+        perm[rows[-1]] = perm[empty]
+        return perm
+
+    _corrupt_orbits(monkeypatch, 0, edit)
+    cell = DeformationCell(3)
+    images, _, equivariant, inverse_ok = cell._map(map_name)
+    twice = {x for x, image in enumerate(images) if image.count(empty) > 1}
+    assert twice and not twice & set(rows + cols)
+    assert equivariant is False and inverse_ok is False
+    assert cell.homomorphism(map_name).homomorphism_ok is False
 
 
-def _drop_own_term_on_orbit(monkeypatch, map_name, text, side):
-    """Make the map's walk leave each element of the S_3 orbit of ``text``
-    (its top points permuted on side 0, its bottom points on side 1) out
-    of its own image.  The fault is equivariant on ``side``, since each
-    permutation there carries an element of the orbit and its own term
-    together, so only the certificate of the other side can see it."""
-    code = parse_element(text, "pistar", 3).code
-    group = [_mask_images(g, 3) for g in itertools.permutations(range(3))]
-    orbit = {_permuted(code, moved, side) for moved in group}
-    right = getattr(rookdual.morphisms, WALKS[map_name])
+SUPPORT_SUMS = {"coarsening_sum": "hat_consistency", "block_subset_sum": "tilde_factorization"}
 
-    def wrong(alpha):
-        return ((c, v) for c, v in right(alpha) if not (alpha.code in orbit and c == alpha.code))
 
-    monkeypatch.setattr(rookdual.morphisms, WALKS[map_name], wrong)
-    return orbit
+def _verdicts(cell, map_name):
+    """Every verdict that reads the map's images: the exhaustive and a
+    sampled homomorphism check, and the map's support sum at n = 2."""
+    return (
+        cell.homomorphism(map_name).homomorphism_ok,
+        cell.homomorphism(map_name, sample_pairs=2000).homomorphism_ok,
+        getattr(cell, SUPPORT_SUMS[map_name])(2).homomorphism_ok,
+    )
+
+
+def _check_a_swap_fixing(monkeypatch, map_name, text, side):
+    """Corrupt the swap's permutation on ``side`` to fix the element of
+    ``text`` and its partner, neither a row nor a column representative,
+    instead of exchanging them.  Assert that only that side's half of the
+    certificate rejects the moved images, that every verdict reading them
+    is False, and that each would pass with the certificate taken away."""
+    k = 3
+    top, bottom, rows, cols, _ = rookdual.semigroups._family_orbits("pistar", k)
+    u = rookdual.semigroups._family_index("pistar", k)[parse_element(text, "pistar", k).code]
+    v = (top, bottom)[side][0][u]
+    assert u != v and not {u, v} & set(rows + cols)
+
+    def edit(perm):
+        perm[u], perm[v] = u, v
+        return perm
+
+    _corrupt_orbits(monkeypatch, side, edit)
+    cell = DeformationCell(k)
+    assert _certificate_halves(cell, map_name) == ((False, True) if side == 0 else (True, False))
+    assert _verdicts(cell, map_name) == (False, False, False)
+    images, values, _, inverse_ok = cell._map(map_name)
+    cell._parts[map_name] = images, values, True, inverse_ok
+    assert _verdicts(cell, map_name) == (True, True, True)
 
 
 @pytest.mark.parametrize("map_name", sorted(MAPS))
 def test_homomorphism_catches_a_fault_only_the_bottom_certificate_sees(map_name, monkeypatch):
-    """At k = 3 the elements {i,1',3'} form one S_3 orbit of top points,
-    none of them a row or column representative or a product of a checked
-    pair.  Leaving each out of its own image keeps the images equivariant
-    on the top side and breaks them on the bottom side, so only the
-    bottom half of the certificate rejects it, and the verdict is False."""
-    orbit = _drop_own_term_on_orbit(monkeypatch, map_name, "{1,1',3'}", 0)
-    cell = DeformationCell(3)
-    _, _, rows, cols = cell._part("orbits", cell._orbits)
-    assert not {cell.index[c] for c in orbit} & set(rows + cols)
-    assert cell.homomorphism(map_name).homomorphism_ok is False
+    """At k = 3 the bottom swap exchanges {1,3,3'}|{2,1'} and
+    {1,3,3'}|{2,2'}.  A bottom-swap permutation corrupted to fix both moves
+    the images along its tree edges wrongly.  The moved images stay
+    equivariant under the top permutations and break under the bottom ones.
+    The row check, 2,000 sampled pairs and the support sum at n = 2 all
+    pass them, so only the bottom half of the certificate rejects the
+    corrupted permutation, and every verdict is False."""
+    _check_a_swap_fixing(monkeypatch, map_name, "{1,3,3'}|{2,1'}", 1)
 
 
 @pytest.mark.parametrize("map_name", sorted(MAPS))
 def test_homomorphism_catches_a_fault_only_the_top_certificate_sees(map_name, monkeypatch):
-    """The mirror fault: leaving each of the S_3 orbit {1,3,j'} of bottom
-    points out of its own image keeps the images equivariant on the bottom
-    side and breaks them on the top side.  A bottom-equivariant fault
-    reaches the column representative of its orbit, here {1,3,1'}, but the
-    checked pairs read it alike on both sides: under the coarsening sum
-    only the identity's row meets that column, through its term
-    {1,3,1',3'}, and the identity times {1,3,1'} is {1,3,1'}, so both
-    sides lose the same term; under the block subset sum no checked row
-    meets it.  Only the top half of the certificate rejects the fault, and
-    the verdict is False."""
-    orbit = _drop_own_term_on_orbit(monkeypatch, map_name, "{1,3,1'}", 1)
-    cell = DeformationCell(3)
-    _, _, rows, cols = cell._part("orbits", cell._orbits)
-    first = cell.index[parse_element("{1,3,1'}", "pistar", 3).code]
-    assert {cell.index[c] for c in orbit} & set(rows + cols) == {first}
-    assert cell.homomorphism(map_name).homomorphism_ok is False
+    """The mirror fault: a top-swap permutation corrupted to fix {1,1',3'}
+    and {2,1',3'}, which the top swap exchanges, keeps the moved images
+    equivariant under the bottom permutations and breaks them under the top
+    ones; the other checks pass them, so only the top half of the
+    certificate rejects it, and every verdict is False."""
+    _check_a_swap_fixing(monkeypatch, map_name, "{1,1',3'}", 0)
 
 
 def _dict_homomorphism(cell, map_name, pairs):
@@ -709,10 +760,12 @@ ROW_CASES += [(3, m, f) for m in sorted(MAPS) for f in ("none", "twice")]
 @pytest.mark.parametrize("k,map_name,fault", ROW_CASES)
 def test_row_check_agrees_with_the_dict_oracle(k, map_name, fault, monkeypatch):
     """Every pair at k <= 2 right or faulted, and at k = 3 right or with
-    the empty diagram listed twice off the representatives: the encoded
-    row check over the orbit representatives and the per-pair coefficient
-    dicts over all pairs, which count every term as often as the walk
-    lists it, give the same verdict."""
+    the empty diagram listed twice in the images of one whole two-sided
+    orbit, which the row check reads at its representative: the encoded
+    row check over the orbit representatives, on images moved from their
+    walks, and the per-pair coefficient dicts over all pairs, on every
+    element's walk, which count every term as often as the walk lists it,
+    give the same verdict."""
     FAULTS[fault](monkeypatch, k, map_name)
     cell = DeformationCell(k)
     pairs = itertools.product(range(len(cell.elements)), repeat=2)
@@ -729,6 +782,54 @@ def test_sampled_check_agrees_with_the_dict_oracle_at_k4(map_name):
     pairs = [(rng.choice(range(n)), rng.choice(range(n))) for _ in range(1000)]
     verdict = cell.homomorphism(map_name, sample_pairs=1000).homomorphism_ok
     assert verdict == _dict_homomorphism(cell, map_name, pairs) is True
+
+
+@pytest.mark.parametrize("map_name", sorted(MAPS))
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_transported_images_equal_the_walked_ones(k, map_name):
+    """The naturality lemma the transport rests on: the walks OR masks and
+    never read a point's label, so the images moved along the orbit tree
+    from the representatives' walks are the walks of every element of
+    P*_k, as multisets of (term, closed-form inverse value) pairs."""
+    cell = DeformationCell(k)
+    images, values, equivariant, inverse_ok = cell._map(map_name)
+    assert equivariant and inverse_ok
+    walked = walked_images(cell.elements, getattr(rookdual.morphisms, WALKS[map_name]))
+    assert [Counter(zip(image, value)) for image, value in zip(images, values)] == walked
+
+
+@pytest.mark.parametrize("map_name", sorted(MAPS))
+def test_the_naturality_pin_catches_a_walk_fault_off_the_representatives(map_name, monkeypatch):
+    """At k = 3 a walk that lists the empty diagram twice in the image of
+    the last element that is neither a row nor a column representative is
+    not natural.  The transport never walks that element, so every verdict
+    passes; the walk of every element differs from the moved images there
+    and nowhere else.  The verdicts cover the maps as the walks define them
+    only because the pin holds."""
+    _, _, rows, cols, _ = rookdual.semigroups._family_orbits("pistar", 3)
+    cell = DeformationCell(3)
+    chosen = max(set(range(len(cell.elements))) - set(rows) - set(cols))
+    _repeat_empty_in(monkeypatch, map_name, cell.elements[chosen].__eq__)
+    images, values, equivariant, inverse_ok = cell._map(map_name)
+    walked = walked_images(cell.elements, getattr(rookdual.morphisms, WALKS[map_name]))
+    moved = [Counter(zip(image, value)) for image, value in zip(images, values)]
+    assert [x for x in range(len(moved)) if moved[x] != walked[x]] == [chosen]
+    assert equivariant and inverse_ok and cell.homomorphism(map_name).homomorphism_ok
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_hat_consistency_sees_a_term_only_where_n_covers_its_blocks(k):
+    """The hat matrix of a diagram with more than n blocks is zero on U(n, k),
+    so ``hat_consistency(n)`` reads only the terms with at most n blocks,
+    and every term at n >= k.  The identity's own term, with k blocks,
+    dropped from its coarsening-sum image after the map is built, is
+    missed at every n < k and caught at n = k."""
+    cell = DeformationCell(k)
+    images = cell._map("coarsening_sum")[0]
+    identity = cell.index[SetPartition.identity(k).code]
+    images[identity] = tuple(t for t in images[identity] if t != identity)
+    verdicts = [cell.hat_consistency(n).homomorphism_ok for n in range(1, k + 1)]
+    assert verdicts == [True] * (k - 1) + [False]
 
 
 def _kill(targets):

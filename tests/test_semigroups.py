@@ -213,6 +213,53 @@ def test_family_checks_its_closed_form_size(name, count, monkeypatch):
     assert len(family(name, 3)) == count
 
 
+ORBIT_CASES = [("istar", 1, 1, 1), ("istar", 2, 2, 2), ("istar", 3, 4, 8), ("istar", 4, 9, 41)]
+ORBIT_CASES += [("pistar", 1, 2, 2), ("pistar", 2, 6, 8), ("pistar", 3, 16, 41), ("pistar", 4, 43, 252)]
+
+
+@pytest.mark.parametrize("name,k,rows_count,cols_count", ORBIT_CASES)
+def test_representatives_are_one_per_orbit(name, k, rows_count, cols_count):
+    """``_family_orbits`` holds the index permutations of I*_k or P*_k by
+    the swap and the k-cycle of the top points and of the bottom points;
+    as rows, the first element in index order of each two-sided S_k x S_k
+    orbit (both sides permuted): 1, 2, 4 and 9 for I*_k and 2, 6, 16 and
+    43 for P*_k at k = 1..4; and as columns, the same of each S_k orbit of
+    the bottom points: 1, 2, 8 and 41, and 2, 8, 41 and 252.  The orbits,
+    closed under all of S_k (on both sides for the rows) here, partition
+    the family, and each holds exactly one representative.  The tree lists
+    every element but the rows once, as x = (top + bottom)[g][y] after its
+    parent y."""
+    family(name, k)
+    index = rookdual.semigroups._family_index(name, k)
+    codes = list(index)
+    top, bottom, rows, cols, tree = rookdual.semigroups._family_orbits(name, k)
+    moves = oracles.generator_moves(k)
+    group = [oracles.mask_images(g, k) for g in itertools.permutations(range(k))]
+    for side, perms in ((0, top), (1, bottom)):
+        assert {tuple(p) for p in perms} == {
+            tuple(index[oracles.permuted(c, moved, side)] for c in codes) for moved in moves
+        }
+    row_orbits = {
+        frozenset(
+            index[oracles.permuted(oracles.permuted(c, s, 0), t, 1)] for s in group for t in group
+        )
+        for c in codes
+    }
+    col_orbits = {
+        frozenset(index[oracles.permuted(c, moved, 1)] for moved in group) for c in codes
+    }
+    for reps, orbits, size in ((rows, row_orbits, rows_count), (cols, col_orbits, cols_count)):
+        assert len(reps) == len(orbits) == size
+        assert sum(map(len, orbits)) == len(codes)
+        assert all(len(orbit & set(reps)) == 1 for orbit in orbits)
+        assert reps == sorted(min(orbit) for orbit in orbits)
+    listed = set(rows)
+    for x, g, y in tree:
+        assert y in listed and x not in listed and (top + bottom)[g][y] == x
+        listed.add(x)
+    assert listed == set(range(len(codes)))
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_is_product_against_pointwise_oracle(data):
