@@ -86,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--all", action="store_true", help="both grids plus morphism checks")
     p.add_argument("--max-n", type=int, default=None)
     p.add_argument("--max-k", type=int, default=None)
-    p.add_argument("--n", type=int, help="props mode ground set size (default 2)")
+    p.add_argument("--n", type=int, help="props mode ground set size (default --k)")
     p.add_argument("--k", type=int, help="props mode boundary size (default 2)")
 
     return parser
@@ -288,7 +288,9 @@ def _cmd_verify(args) -> tuple:
         r.to_json_dict()
         for r in run_grid(spaces=spaces, max_n=args.max_n, max_k=args.max_k)
     ] if spaces else []
-    morphisms = _props_reports(args.n or 2, args.k or 2, args.unguarded) if with_props else []
+    k = args.k or 2
+    n = args.n or k  # at n = k the support sums read every term (hat_consistency)
+    morphisms = _props_reports(n, k, args.unguarded) if with_props else []
 
     all_match = all(r["match"] for r in duality) and all(
         r["homomorphism_ok"] and r["inverse_ok"] for r in morphisms

@@ -59,8 +59,12 @@ and an image is encoded only when a checked product first reads it.
 
 On U^k each map is also an identity of 0/1 matrices: an element's plain
 (tilde) action is the sum of the hat actions of its coarsening sum (block
-subset sum), checked as an equality of sorted supports.  The hat actions
-are the orbit rows of the plain expansion, so P*_k is expanded twice.
+subset sum), checked as an equality of sorted supports at the two-sided
+representatives only; the expansions read points only through position
+weights, so the supports move with the images along each orbit.  The
+hat actions are the orbit rows of the plain expansion, so only the
+representatives and their images' terms are expanded (27 and 16 of 128
+at k = 3, under plain and tilde).
 """
 
 import functools
@@ -213,9 +217,9 @@ class DeformationCell(_Parts):
     ``{code: index}`` and its symmetry are read from ``semigroups.family``,
     ``_family_index`` and ``_family_orbits``, which every cell shares.
     Each map's ``_map`` part, and at each n the sorted plain and tilde U^k
-    action supports and the hat supports, are built on first use and kept
-    for the cell's lifetime.  ``unguarded`` lifts the size guards, as on
-    ``DualityCell``."""
+    action supports and the hat supports of the elements the support sums
+    read, are built on first use and kept for the cell's lifetime.
+    ``unguarded`` lifts the size guards, as on ``DualityCell``."""
 
     def __init__(self, k: int, unguarded: bool = False):
         self.k = k
@@ -271,21 +275,19 @@ class DeformationCell(_Parts):
 
         return self._part(map_name, build)
 
-    def _supports(self, n: int, variant: str) -> tuple:
-        """Each element's action support on U^k under plain or tilde, the
-        sorted coordinates row*d + col of its 1s, and under plain also its
-        hat support: the orbit rows of the same expansion."""
+    def _supports(self, n: int, variant: str, wanted) -> dict:
+        """The ``(n, variant)`` part, ``{index: (support, orbit rows)}`` on
+        U(n, k) under plain or tilde: an element's sorted coordinates
+        row*d + col of its 1s, and its orbit rows, under plain its hat
+        support.  The wanted elements not in it yet are expanded in one
+        batch, so each is expanded at most once per (n, variant)."""
+        known = self._part((n, variant), dict)
+        missing = sorted(set(wanted).difference(known))
         space = ActionSpace("U", n, self.k)
-
-        def build():
-            whole, hat = [], []
-            for rows, orbit in _action_rows(self.elements, space, variant, self.unguarded):
-                whole.append(sorted(rows))
-                if variant == "plain":
-                    hat.append(orbit)
-            return whole, hat
-
-        return self._part((n, variant), build)
+        expanded = _action_rows([self.elements[a] for a in missing], space, variant, self.unguarded)
+        for a, (rows, orbit) in zip(missing, expanded):
+            known[a] = sorted(rows), orbit
+        return known
 
     def _support_sum(self, name: str, n: int, variant: str, map_name: str, pairs: int):
         """The report ``name``: whether every element's action under the
@@ -293,13 +295,25 @@ class DeformationCell(_Parts):
         map's inverse verdict.  Every term is a 0/1 matrix, so the sum is
         exact iff the element's sorted support equals the sorted
         concatenation of the terms' hat supports: an overlap or a repeated
-        term repeats a coordinate and a gap drops one.  False unless the
-        images are certified equivariant (``_map``)."""
-        whole, hat = self._supports(n, variant)[0], self._supports(n, "plain")[1]
+        term repeats a coordinate and a gap drops one.
+
+        It is compared at the two-sided representatives y only
+        (``_family_orbits``), which expand under the variant, with the hat
+        supports of their images' terms, which expand under plain.
+        That covers every element g y, g in S_k x S_k: the images are
+        certified equivariant, phi(g y) = g phi(y) (``_map``; False without
+        the certificate); ``_acted`` and ``_expand`` read a block's points
+        only through per-position weights, so permuting the top (bottom)
+        points permutes the input (output) positions of every plain, tilde
+        and hat row, supp(g x) = g supp(x) (pinned by
+        ``test_expansions_are_natural``); and g, a bijection on
+        coordinates, keeps two sorted lists equal."""
         images, _, equivariant, inverse_ok = self._map(map_name)
+        rows = _family_orbits("pistar", self.k)[2]
+        hat = self._supports(n, "plain", {b for a in rows for b in images[a]}.union(rows))
+        whole = self._supports(n, variant, rows)
         ok = equivariant and all(
-            support == sorted(x for b in image for x in hat[b])
-            for support, image in zip(whole, images)
+            whole[a][0] == sorted(x for b in images[a] for x in hat[b][1]) for a in rows
         )
         return MorphismReport(self.k, name, pairs, ok, inverse_ok)
 
@@ -492,7 +506,8 @@ class DeformationCell(_Parts):
     def hat_consistency(self, n: int) -> MorphismReport:
         """The plain U-action of every partial dual element alpha is the
         sum of the hat actions of the diagrams above it (its coarsening
-        sum), as an exact sum of 0/1 matrices (``_support_sum``).
+        sum), as an exact sum of 0/1 matrices (``_support_sum``, which
+        compares at the representatives and covers their orbits).
         ``inverse_ok`` is the coarsening sum's inverse verdict: D C = I
         for the closed-form inverse D, and C is square unitriangular, so
         C D = I too; with the sum above, the hat action of alpha is then
@@ -508,8 +523,9 @@ class DeformationCell(_Parts):
     def tilde_factorization(self, n: int) -> MorphismReport:
         """The tilde U-action of every partial dual element is the sum of
         the hat actions of its block sub-collections (its block subset
-        sum), as an exact sum of 0/1 matrices (``_support_sum``).
-        ``inverse_ok`` is the block subset sum's inverse verdict.  As in
-        ``hat_consistency``, only the terms with at most n blocks are read."""
+        sum), as an exact sum of 0/1 matrices (``_support_sum``, as in
+        ``hat_consistency``).  ``inverse_ok`` is the block subset sum's
+        inverse verdict.  As in ``hat_consistency``, only the terms with at
+        most n blocks are read."""
         pairs = len(self.elements)
         return self._support_sum("tilde_factorization", n, "tilde", "block_subset_sum", pairs)

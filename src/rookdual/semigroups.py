@@ -196,12 +196,15 @@ def _family_orbits(name: str, size: int) -> tuple:
     k-cycle of the top points (in-masks), the same of the bottom points
     (out-masks), the first element of each two-sided S_k x S_k orbit, the
     first of each bottom orbit, and the two-sided ``_orbit_tree``; built
-    once per (name, size), callers run the guard first."""
+    once per (name, size), callers run the guard first.  I*_k and P*_k are
+    closed under exchanging the rows (``flip``), so a bottom permutation is
+    the top one conjugated by it: bottom[g][x] = flip[top[g][flip[x]]]."""
     index, k = _family_index(name, size), size
     gens = dict.fromkeys([(1, 0, *range(2, k)), (*range(1, k), 0)] if k > 1 else [])
     moves = [[sum(1 << g[i] for i in range(k) if m >> i & 1) for m in range(1 << k)] for g in gens]
     top = [[index[tuple(sorted((m[i], o) for i, o in c))] for c in index] for m in moves]
-    bottom = [[index[tuple(sorted((i, m[o]) for i, o in c))] for c in index] for m in moves]
+    flip = [index[tuple(sorted((o, i) for i, o in c))] for c in index]
+    bottom = [[flip[t[x]] for x in flip] for t in top]
     rows, tree = _orbit_tree(top + bottom, len(index))
     return top, bottom, rows, _orbit_tree(bottom, len(index))[0], tree
 

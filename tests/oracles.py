@@ -27,15 +27,17 @@ tests use.  ``cell_targets`` lists the target tuples of a
 ``hat_consistency_by_dicts`` and ``tilde_factorization_by_dicts`` check
 the two U-action identities of the deformation maps on
 ``{(row, col): coeff}`` matrices, the way the package did before it
-compared sorted 0/1 supports, and ``homomorphism_by_dicts`` checks a
+compared sorted 0/1 supports, ``support_sums_by_element`` compares the
+sorted supports on every element, the way it did before it compared at
+the orbit representatives only, and ``homomorphism_by_dicts`` checks a
 deformation map's homomorphism identity pair by pair on ``{index:
 coeff}`` dicts, each image counted off the map's walk term by term, the
 way it did before it encoded combinations as integers, and
 ``walked_images`` walks a map on every element, the way the package did
 before it walked one element per orbit and moved the images to the rest.
 ``mask_images``, ``generator_moves`` and ``permuted`` move a code's top
-or bottom points by a permutation of S_k, for the tests of the orbit
-reductions.
+or bottom points by a permutation of S_k, and ``tensor_moves`` the
+positions of a tensor of U(n, k), for the tests of the orbit reductions.
 ``coarsening_sum_inverse_by_solve`` inverts the coarsening sum by the
 generic triangular recursion instead of the closed form.
 ``graded_targets_commutant`` is the commutant solve with one
@@ -915,6 +917,18 @@ def tilde_factorization_by_dicts(elements, hat, tilde) -> bool:
     )
 
 
+def support_sums_by_element(images, supports, hats) -> bool:
+    """One support-sum identity on every element: its action support (the
+    coordinates of its 1s) sorted equals the sorted concatenation of the
+    hat supports of its image's terms (tuples of term indices), the way
+    ``DeformationCell`` checked it before it compared at the two-sided
+    S_k x S_k orbit representatives only."""
+    return all(
+        sorted(support) == sorted(x for b in image for x in hats[b])
+        for support, image in zip(supports, images)
+    )
+
+
 def homomorphism_by_dicts(elements, walk, multiply, star, pairs) -> bool:
     """phi(ab) = phi(a) * phi(b) on every listed pair of element indices,
     for the map phi whose ``walk`` lists each term code of an image once
@@ -958,6 +972,18 @@ def generator_moves(k) -> list:
     """The mask images of the swap and the k-cycle (none at k = 1)."""
     gens = [(1, 0, *range(2, k)), (*range(1, k), 0)] if k > 1 else []
     return [mask_images(g, k) for g in gens]
+
+
+def tensor_moves(moved, n, k) -> list:
+    """The permutation of the ordinals of U(n, k) that a permutation g of
+    the positions, given by its mask images ``moved``, makes: the tensor
+    whose digit at position g(i) is the digit at i of the tensor listed."""
+    base, to = n + 1, [moved[1 << i].bit_length() - 1 for i in range(k)]
+    weights = [base ** (k - 1 - p) for p in range(k)]
+    return [
+        sum(digit * weights[to[p]] for p, digit in enumerate(digits))
+        for digits in itertools.product(range(base), repeat=k)
+    ]
 
 
 def permuted(code, moved, side) -> tuple:

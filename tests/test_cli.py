@@ -22,6 +22,7 @@ import rookdual.semigroups
 from rookdual import (
     DualityCell,
     NotationError,
+    SetPartition,
     enumerate_is,
     enumerate_istar,
     enumerate_pistar,
@@ -302,10 +303,13 @@ def test_verify_props_builds_each_deformation_part_once(capsys, monkeypatch):
     each of the 16 representatives of the two-sided S_3 x S_3 orbits of
     P*_3 and no other element (the walk gives both the image and the
     closed-form inverse, which the rest of each orbit takes moved from
-    it), and expands each element once under plain and once under tilde,
-    however many reports read them: the hat supports are the plain
-    expansion's orbit rows.  The family cache starts empty, so the run
-    builds P*_3 itself."""
+    it).  The support sums compare only at those representatives: it
+    expands the 16 under tilde, and under plain the 27 elements that are a
+    representative or a term of a representative's image (every
+    representative is a term of its own coarsening sum, and every block
+    subset sum term is a coarsening sum term), each once however many
+    reports read it: the hat supports are the plain expansion's orbit
+    rows.  The family cache starts empty, so the run builds P*_3 itself."""
     calls = Counter()
 
     def counted(name, right):
@@ -317,6 +321,12 @@ def test_verify_props_builds_each_deformation_part_once(capsys, monkeypatch):
         return wrapper
 
     walks = ("_upper_set_with_mobius", "_subsets_with_sign")
+    rows = rookdual.semigroups._family_orbits("pistar", 3)[2]
+    representatives = [enumerate_pistar(3)[a] for a in rows]
+    read = {  # the terms of the representatives' images
+        SetPartition(3, code) for name in walks for y in representatives
+        for code, _ in getattr(rookdual.morphisms, name)(y)
+    }
     enumerate_, generators = rookdual.semigroups._MONOIDS["pistar"]
     pistar = (counted("enumerate_pistar", enumerate_), generators)
     monkeypatch.setitem(rookdual.semigroups._MONOIDS, "pistar", pistar)
@@ -338,11 +348,24 @@ def test_verify_props_builds_each_deformation_part_once(capsys, monkeypatch):
     per_name = Counter(key[0] for key in calls)
     assert per_name["enumerate_pistar"] == 1
     assert all(per_name[name] == 16 for name in walks)
-    rows = rookdual.semigroups._family_orbits("pistar", 3)[2]
-    walked = {key[1] for key in calls if key[0] in walks}
-    assert walked == {enumerate_pistar(3)[a] for a in rows}
-    variants = Counter(key[2] for key in calls if key[0] == "_action_rows")
-    assert variants == {"plain": 128, "tilde": 128}
+    assert {key[1] for key in calls if key[0] in walks} == set(representatives)
+    by_variant = {"plain": set(), "tilde": set()}
+    for key in calls:
+        if key[0] == "_action_rows":
+            by_variant[key[2]].add(key[1])
+    assert by_variant == {"plain": read.union(representatives), "tilde": set(representatives)}
+    assert (len(by_variant["plain"]), len(by_variant["tilde"])) == (27, 16)
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_verify_props_defaults_n_to_k(fmt, capsys):
+    """Without ``--n``, ``verify --props`` runs the support sums at n = k,
+    where they read every term; with neither flag both stay 2."""
+    props = ("verify", "--props", "--format", fmt)
+    at_k3 = run_cli(capsys, *props, "--k", "3")
+    assert at_k3 == run_cli(capsys, *props, "--n", "3", "--k", "3")
+    assert at_k3 != run_cli(capsys, *props, "--n", "2", "--k", "3")
+    assert run_cli(capsys, *props) == run_cli(capsys, *props, "--n", "2", "--k", "2")
 
 
 def test_verify_all_builds_each_family_once(capsys, monkeypatch):

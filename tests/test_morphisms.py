@@ -38,6 +38,8 @@ from oracles import (
     homomorphism_by_dicts,
     mask_images,
     permuted,
+    support_sums_by_element,
+    tensor_moves,
     tilde_factorization_by_dicts,
     walked_images,
 )
@@ -857,20 +859,20 @@ def _keep(targets):
 EDITS = {"kill": _kill, "swap": _swap, "keep": _keep}
 
 
-def _corrupt_targets(monkeypatch, variant, edit=_kill):
-    """Make the action of the identity under one variant go wrong by
-    ``edit`` of its target tuple, in the coordinate rows dst*d + src of
-    ``_action_rows``.  Under tilde the edit reaches the rows of the tilde
-    pass.  Under hat it reaches the orbit rows of every pass, which are
-    the hat rows: ``DeformationCell`` reads them off its plain pass, and
-    ``action_targets(..., "hat")`` as the rows of the hat pass."""
+def _corrupt_targets(monkeypatch, variant, edit=_kill, victim=SetPartition.identity(2)):
+    """Make the action of ``victim`` (the identity at k = 2) under one
+    variant go wrong by ``edit`` of its target tuple, in the coordinate
+    rows dst*d + src of ``_action_rows``.  Under tilde the edit reaches the
+    rows of the tilde pass.  Under hat it reaches the orbit rows of every
+    pass, which are the hat rows: ``DeformationCell`` reads them off its
+    plain pass, and ``action_targets(..., "hat")`` as the rows of the hat
+    pass."""
     right = rookdual.tensor_actions._action_rows
-    ident = SetPartition.identity(2)
 
     def wrong(elements, space, v, unguarded, sums=False):
         d = space.dimension
         for element, pair in zip(elements, right(elements, space, v, unguarded, sums)):
-            if element == ident:  # (rows, orbit), each edited where the variant reads it
+            if element == victim:  # (rows, orbit), each edited where the variant reads it
                 hit = v == variant, variant == "hat"
                 pair = [_edited(rows, d, edit) if h else rows for rows, h in zip(pair, hit)]
             yield pair
@@ -925,10 +927,104 @@ def _support_verdicts(cell, n):
     )
 
 
+def _element_verdicts(cell, own):
+    """Both identities checked on every element by the oracle, from the
+    supports ``own`` of ``_natural_supports`` and the walked images."""
+
+    def walked(map_name):  # each element's term indices, each listed once per unit
+        walk = getattr(rookdual.morphisms, WALKS[map_name])
+        return [[t for t, _ in c.elements()] for c in walked_images(cell.elements, walk)]
+
+    return (
+        support_sums_by_element(walked("coarsening_sum"), own["plain"], own["hat"]),
+        support_sums_by_element(walked("block_subset_sum"), own["tilde"], own["hat"]),
+    )
+
+
+def _natural_supports(cell, n):
+    """Each element's plain, tilde and hat supports on U(n, k) as
+    ``rookdual.morphisms._action_rows`` expands them (``own``, the hat ones
+    the plain pass's orbit rows); the same moved from the two-sided
+    representatives' own along the orbit tree of ``_family_orbits``, a
+    top (bottom) generator permuting the input (output) positions of every
+    coordinate (``moved``); and whether the moved supports are equivariant
+    on every edge, g supp(x) = supp(g x) for every generator g and element
+    x.  Each support is sorted."""
+    space, k = ActionSpace("U", n, cell.k), cell.k
+    d = space.dimension
+    plain, tilde = (
+        list(rookdual.morphisms._action_rows(cell.elements, space, v, False))
+        for v in ("plain", "tilde")
+    )
+    own = {
+        "plain": [sorted(rows) for rows, _ in plain],
+        "hat": [sorted(orbit) for _, orbit in plain],
+        "tilde": [sorted(rows) for rows, _ in tilde],
+    }
+    top, bottom, rows, _, tree = rookdual.semigroups._family_orbits("pistar", k)
+    moves = [tensor_moves(m, n, k) for m in dict.fromkeys(map(tuple, generator_moves(k)))]
+    steps = [  # each generator on the coordinates dst*d + src, top then bottom
+        *(lambda c, t=t: c - c % d + t[c % d] for t in moves),
+        *(lambda c, t=t: t[c // d] * d + c % d for t in moves),
+    ]
+    moved = {variant: [None] * len(cell.elements) for variant in own}
+    equivariant = True
+    for variant, supports in own.items():
+        for a in rows:
+            moved[variant][a] = supports[a]
+        for x, g, y in tree:
+            moved[variant][x] = sorted(map(steps[g], moved[variant][y]))
+        equivariant &= all(
+            sorted(map(step, moved[variant][a])) == moved[variant][perm[a]]
+            for step, perm in zip(steps, top + bottom)
+            for a in range(len(cell.elements))
+        )
+    return own, moved, equivariant
+
+
+@pytest.mark.parametrize("n,k", list(itertools.product((1, 2, 3), (1, 2, 3, 4))))
+def test_expansions_are_natural(n, k):
+    """The lemma the support sums rest on: ``_acted`` and ``_expand`` read a
+    block's points only through per-position weights, so permuting the top
+    (bottom) points permutes the input (output) positions of every plain,
+    tilde and hat row, supp(g x) = g supp(x).  Every element's own
+    supports equal those moved from its representative along the orbit
+    tree, and the moved ones are equivariant on every edge."""
+    own, moved, equivariant = _natural_supports(DeformationCell(k), n)
+    assert equivariant and own == moved
+
+
 @pytest.mark.parametrize("n,k", [*itertools.product((1, 2, 3), (1, 2, 3)), (2, 4)])
 def test_support_sums_agree_with_the_dict_oracle(n, k):
+    """The support sums, compared at the representatives, read as the
+    identities do on every element, by coefficient dicts and by sorted
+    supports."""
     cell = DeformationCell(k)
+    own = _natural_supports(cell, n)[0]
     assert _support_verdicts(cell, n) == _dict_verdicts(cell, n) == (True, True)
+    assert _element_verdicts(cell, own) == (True, True)
+
+
+def test_the_support_pin_catches_a_tilde_fault_off_the_representatives(monkeypatch):
+    """At k = 3 the tilde rows of the last element that is not a two-sided
+    representative, with one tensor killed, are not natural.  The support
+    sums never expand that element under tilde, so every verdict passes;
+    the every-element oracle fails, and the element's own supports differ
+    from the moved ones there and nowhere else.  The verdicts cover every
+    element only because the pin holds."""
+    rows = rookdual.semigroups._family_orbits("pistar", 3)[2]
+    cell = DeformationCell(3)
+    chosen = max(set(range(len(cell.elements))) - set(rows))
+    _corrupt_targets(monkeypatch, "tilde", _kill, cell.elements[chosen])
+    for map_name in sorted(MAPS):
+        report = cell.homomorphism(map_name)
+        assert report.homomorphism_ok and report.inverse_ok
+    assert _support_verdicts(cell, 2) == (True, True)
+    own, moved, equivariant = _natural_supports(cell, 2)
+    assert equivariant
+    assert _element_verdicts(cell, own) == (True, False)
+    unnatural = [(v, x) for v in own for x, s in enumerate(own[v]) if s != moved[v][x]]
+    assert unnatural == [("tilde", chosen)]
 
 
 @pytest.mark.parametrize("variant,verdict", [("hat", 0), ("tilde", 1)])

@@ -220,11 +220,14 @@ ORBIT_CASES += [("pistar", 1, 2, 2), ("pistar", 2, 6, 8), ("pistar", 3, 16, 41),
 @pytest.mark.parametrize("name,k,rows_count,cols_count", ORBIT_CASES)
 def test_representatives_are_one_per_orbit(name, k, rows_count, cols_count):
     """``_family_orbits`` holds the index permutations of I*_k or P*_k by
-    the swap and the k-cycle of the top points and of the bottom points;
-    as rows, the first element in index order of each two-sided S_k x S_k
-    orbit (both sides permuted): 1, 2, 4 and 9 for I*_k and 2, 6, 16 and
-    43 for P*_k at k = 1..4; and as columns, the same of each S_k orbit of
-    the bottom points: 1, 2, 8 and 41, and 2, 8, 41 and 252.  The orbits,
+    the swap and the k-cycle of the top points and of the bottom points,
+    in that order, each as re-sorting every code with its points moved
+    makes it (the bottom ones are built as the top ones conjugated by the
+    row exchange); as rows, the first element in index order of each
+    two-sided S_k x S_k orbit (both sides permuted): 1, 2, 4 and 9 for
+    I*_k and 2, 6, 16 and 43 for P*_k at k = 1..4; and as columns, the
+    same of each S_k orbit of the bottom points: 1, 2, 8 and 41, and 2, 8,
+    41 and 252.  The orbits,
     closed under all of S_k (on both sides for the rows) here, partition
     the family, and each holds exactly one representative.  The tree lists
     every element but the rows once, as x = (top + bottom)[g][y] after its
@@ -235,10 +238,10 @@ def test_representatives_are_one_per_orbit(name, k, rows_count, cols_count):
     top, bottom, rows, cols, tree = rookdual.semigroups._family_orbits(name, k)
     moves = oracles.generator_moves(k)
     group = [oracles.mask_images(g, k) for g in itertools.permutations(range(k))]
-    for side, perms in ((0, top), (1, bottom)):
-        assert {tuple(p) for p in perms} == {
+    for side, perms in ((0, top), (1, bottom)):  # the swap and the k-cycle coincide at k = 2
+        assert list(map(tuple, perms)) == list(dict.fromkeys(
             tuple(index[oracles.permuted(c, moved, side)] for c in codes) for moved in moves
-        }
+        ))
     row_orbits = {
         frozenset(
             index[oracles.permuted(oracles.permuted(c, s, 0), t, 1)] for s in group for t in group
