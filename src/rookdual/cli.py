@@ -6,12 +6,15 @@ and ``verify``.  All output is deterministic; JSON reports carry
 shipped ``schemas/verify.schema.json``.  Diagnostics go to stderr.
 Exit codes: 0 on success (for ``verify``: all checks match), 1 when a
 verification check fails, 2 on usage, notation or size-guard errors and
-when ``--out`` cannot be written.
+when ``--out`` cannot be written, and ``EXIT_BROKEN_PIPE`` (141, what a
+shell reports for a writer that SIGPIPE stops), quietly, when stdout is
+closed before the report is written, as by ``| head -1``.
 Any other exception is a bug and propagates.
 """
 
 import argparse
 import json
+import os
 import sys
 
 from .diagrams import HatElement, SizeGuardError, is_dual_element
@@ -27,6 +30,8 @@ from .semigroups import (
     star_multiply,
 )
 from .tensor_actions import ActionSpace, action_matrix
+
+EXIT_BROKEN_PIPE = 141
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -329,9 +334,13 @@ def main(argv=None) -> int:
             _require(f"{flag} must be a positive integer", value is None or value > 0)
         text, code = handlers[args.command](args)
         _emit(text, args.out)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
     except (SizeGuardError, UsageError, NotationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:  # the reader stopped; what is left buffered goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     return code
 
 

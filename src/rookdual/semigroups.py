@@ -167,9 +167,10 @@ def family(name: str, size: int, unguarded: bool = False) -> tuple:
 
 @functools.cache
 def _family_index(name: str, size: int) -> dict:
-    """``{code: position}`` over the diagram monoid ``family(name, size)``,
-    built once per (name, size) next to it; callers run the guard first."""
-    return {e.code: i for i, e in enumerate(_family(name, size))}
+    """``{key: position}`` over ``family(name, size)``, keyed by a partial
+    injection's target tuple or a diagram's code, built once per (name,
+    size) next to it; callers run the guard first."""
+    return {e.targets if name == "is" else e.code: i for i, e in enumerate(_family(name, size))}
 
 
 def _orbit_tree(perms: list, n: int) -> tuple:
@@ -193,20 +194,34 @@ def _orbit_tree(perms: list, n: int) -> tuple:
 @functools.cache
 def _family_orbits(name: str, size: int) -> tuple:
     """The index permutations of ``family(name, size)`` by the swap and the
-    k-cycle of the top points (in-masks), the same of the bottom points
-    (out-masks), the first element of each two-sided S_k x S_k orbit, the
-    first of each bottom orbit, and the two-sided ``_orbit_tree``; built
-    once per (name, size), callers run the guard first.  I*_k and P*_k are
-    closed under exchanging the rows (``flip``), so a bottom permutation is
-    the top one conjugated by it: bottom[g][x] = flip[top[g][flip[x]]]."""
+    size-cycle of the top points (a diagram's in-masks, a partial
+    injection's domain: pi to pi g^-1), the same of the bottom points
+    (out-masks; the image: pi to g pi), the first element of each
+    two-sided orbit, the first of each bottom orbit, and the two-sided
+    ``_orbit_tree``; built once per (name, size), callers run the guard
+    first.  Each family is closed under exchanging the rows (``flip``: a
+    diagram's rows, a partial injection's inverse), so a bottom
+    permutation is the top one conjugated by it: bottom[g][x] =
+    flip[top[g][flip[x]]].  Two elements share a bottom orbit exactly when
+    they have the same key: the in-masks with their blocks' out-mask sizes
+    (a bottom permutation can send each block's out-mask to any disjoint
+    set of its size), or the domain."""
     index, k = _family_index(name, size), size
     gens = dict.fromkeys([(1, 0, *range(2, k)), (*range(1, k), 0)] if k > 1 else [])
     moves = [[sum(1 << g[i] for i in range(k) if m >> i & 1) for m in range(1 << k)] for g in gens]
-    top = [[index[tuple(sorted((m[i], o) for i, o in c))] for c in index] for m in moves]
-    flip = [index[tuple(sorted((o, i) for i, o in c))] for c in index]
+    if name == "is":  # pi g^-1 reads pi at g^-1(i); the inverse sends pi(i) to i
+        top = [[index[tuple(t[g.index(i)] for i in range(k))] for t in index] for g in gens]
+        flip = [index[tuple(t.index(j) + 1 if j in t else None for j in range(1, k + 1))]
+                for t in index]
+        keys = [tuple(t is None for t in ts) for ts in index]
+    else:
+        top = [[index[tuple(sorted((m[i], o) for i, o in c))] for c in index] for m in moves]
+        flip = [index[tuple(sorted((o, i) for i, o in c))] for c in index]
+        keys = [tuple((i, o.bit_count()) for i, o in c) for c in index]
     bottom = [[flip[t[x]] for x in flip] for t in top]
     rows, tree = _orbit_tree(top + bottom, len(index))
-    return top, bottom, rows, _orbit_tree(bottom, len(index))[0], tree
+    cols = sorted({key: x for x, key in reversed(list(enumerate(keys)))}.values())  # keys' firsts
+    return top, bottom, rows, cols, tree
 
 
 class _Parts:

@@ -18,7 +18,8 @@ are hat's rows, depend only on the layers' shape, so ``_kept`` lists
 their positions once per shape.  The guard, the tables and each shape's
 positions are looked up once per sequence; the one-element functions
 below pass a sequence of one, and ``DualityCell`` and
-``DeformationCell`` pass a whole family.  Three functions read the rows
+``DeformationCell`` pass the representatives of a family's orbits and
+the elements those read.  Three functions read the rows
 (``divmod`` by d splits a coordinate):
 
 * ``action_targets`` stores them as a target tuple T of length d = dim:
@@ -60,8 +61,12 @@ distinct non-zero digits on the blocks (on V^k, those of a dual
 element): the plain matrix of a diagram is the sum of the hat matrices
 of the diagrams made by merging and dropping its blocks (on V^k, where
 no digit is zero, by merging only).
-``DualityCell.span`` checks this on every element, in one pass over
-the expansions in enumeration order (``DualityCell._certify``).
+``DualityCell.span`` checks this at one element per two-sided orbit of
+each side (``DualityCell._certify``): both actions are natural, the
+rook action under relabelling the digits 1..n and the diagram actions
+under permuting the positions, since an expansion reads a digit only as
+a choice and a point only through its position's weight, so what holds
+at a representative holds along its orbit.
 
 Diagram actions are right actions, so the matrix of a product composes
 in reverse order; partial injections act on the left with the usual

@@ -23,7 +23,11 @@ of these validates its inputs; callers pass elements of the right
 family.  ``block_of``, ``in_part``, ``out_part``, ``block_count`` and
 ``index_at`` are the point-level and tensor-index readers that only the
 tests use.  ``cell_targets`` lists the target tuples of a
-``DualityCell`` side for the oracles that read tuples.
+``DualityCell`` side for the oracles that read tuples, and
+``cell_expansions`` the plain and orbit supports of its every element;
+``certify_every_element`` certifies a side's spans on every element in
+one pass in enumeration order, the way the cell did before it certified
+one element per two-sided orbit.
 ``hat_consistency_by_dicts`` and ``tilde_factorization_by_dicts`` check
 the two U-action identities of the deformation maps on
 ``{(row, col): coeff}`` matrices, the way the package did before it
@@ -36,7 +40,9 @@ way it did before it encoded combinations as integers, and
 ``walked_images`` walks a map on every element, the way the package did
 before it walked one element per orbit and moved the images to the rest.
 ``mask_images``, ``generator_moves`` and ``permuted`` move a code's top
-or bottom points by a permutation of S_k, and ``tensor_moves`` the
+or bottom points by a permutation of S_k, ``symmetric_generators`` lists
+the swap and the cycle, ``relabelled`` moves the positions or relabels
+the digits of every tensor of a space, and ``tensor_moves`` the
 positions of a tensor of U(n, k), for the tests of the orbit reductions.
 ``coarsening_sum_inverse_by_solve`` inverts the coarsening sum by the
 generic triangular recursion instead of the closed form.
@@ -83,6 +89,8 @@ from rookdual import (
     unprimed,
 )
 from rookdual.diagrams import _set_partitions
+from rookdual.dualities import _whole_classes
+from rookdual.tensor_actions import _action_rows
 
 
 class UnionFind:
@@ -777,6 +785,78 @@ def all_elements_commute(cell) -> bool:
     return all(targets_commute(g, a) for g in cell_targets(cell, "left") for a in rights)
 
 
+
+def cell_expansions(cell, side: str) -> list:
+    """The (plain support, orbit support) rows of every element of one
+    side of a ``DualityCell``, in enumeration order, from one
+    ``_action_rows`` call, the way the cell expanded them before it
+    expanded one element per two-sided orbit."""
+    return list(_action_rows(cell.elements(side), cell.space, "plain", cell.unguarded))
+
+
+def certify_every_element(cell, side: str, expansions=None) -> tuple:
+    """The non-zero orbit supports of one side of a ``DualityCell``, in
+    enumeration order, and the number of distinct sets of them that the
+    plain matrices touch, certified in one pass over every element's
+    expansion (``cell_expansions``, unless ``expansions`` are given) in
+    enumeration order, the way the cell certified its spans before it
+    certified one element per two-sided orbit.  The pass adds each
+    element's orbit to a map from coordinates to elements, so the map
+    holds the orbits of the element and of those before it, and checks
+    that:
+
+    1. the map grew by the orbit's size: no two orbits overlap, and a
+       later orbit cannot take a checked coordinate away;
+    2. the element's plain support is a disjoint union of whole orbits in
+       the map (``_whole_classes``);
+    3. an element with a non-empty orbit touches its own.
+
+    Then each plain matrix is a 0/1 sum of whole, disjoint orbit matrices
+    of its own element and earlier ones, its own among them when that is
+    non-zero: the non-zero orbits are a basis of the span, and two
+    elements act alike exactly when they touch the same orbits.  A failed
+    check raises ``RuntimeError`` naming the cell, the side and the
+    element or pair of elements (``_fail_every_element``)."""
+    rows = cell_expansions(cell, side) if expansions is None else expansions
+    owner, orbits, sizes, touched_sets = {}, [], [], set()
+    expanded = enumerate(rows)
+    for a, (support, orbit) in expanded:
+        orbits.append(orbit)
+        sizes.append(len(orbit))
+        size = len(owner) + len(orbit)
+        owner.update(zip(orbit, itertools.repeat(a)))
+        touched = _whole_classes(support, owner, sizes)
+        if len(owner) != size or touched is None or orbit and a not in touched:
+            _fail_every_element(cell, side, a, support, orbits, owner, expanded)
+        touched_sets.add(touched)
+    return [orbit for orbit in orbits if orbit], len(touched_sets)
+
+
+def _fail_every_element(cell, side: str, a: int, support, orbits: list, owner: dict, rest):
+    """Raise the ``RuntimeError`` of ``certify_every_element``'s first
+    failed check at element a, whose orbit is the last of ``orbits`` and
+    already in ``owner``; ``rest`` yields the (position, expansion) pairs
+    after a.  A plain coordinate outside the map is named by the later
+    orbit that holds it, if one does."""
+    elements = cell.elements(side)
+    where = f"orbit certification at {cell.space.kind}({cell.n},{cell.k}) {side}"
+    missing = [x for x in support if x not in owner]
+    if len(owner) != sum(map(len, orbits)):  # a coordinate lies in two orbits, or twice in one
+        twice = next(x for x, c in Counter(itertools.chain.from_iterable(orbits)).items() if c > 1)
+        b, c = [b for b, orbit in enumerate(orbits) for x in orbit if x == twice][:2]
+        problem = f"the orbits of {elements[b]} and {elements[c]} overlap"
+    elif missing:
+        later = next((b for b, (_, orbit) in rest if missing[0] in orbit), None)
+        problem = (f"{elements[a]} leaves every orbit" if later is None
+                   else f"{elements[a]} meets the orbit of {elements[later]}, a later element")
+    else:
+        count = Counter(map(owner.get, support))
+        part = [b for b in count if count[b] != len(orbits[b])]
+        problem = (f"{elements[a]} covers part of the orbit of {elements[part[0]]}" if part
+                   else f"{elements[a]} misses its own orbit")
+    raise RuntimeError(f"{where}: {problem}")
+
+
 # the layered expansion on (input, output, used) rows
 
 
@@ -984,6 +1064,26 @@ def tensor_moves(moved, n, k) -> list:
         sum(digit * weights[to[p]] for p, digit in enumerate(digits))
         for digits in itertools.product(range(base), repeat=k)
     ]
+
+
+def symmetric_generators(size) -> list:
+    """The swap and the size-cycle of 0..size-1, without duplicates (the
+    cycle is the swap at size 2; none at size 1)."""
+    return list(dict.fromkeys([(1, 0, *range(2, size)), (*range(1, size), 0)] if size > 1 else []))
+
+
+def relabelled(space, positions=None, digits=None) -> list:
+    """The permutation of the ordinals of ``space`` that moves the digit at
+    position p to position positions[p] and relabels each non-zero digit v
+    as digits[v - 1] + 1 (0-based permutations, None for the identity),
+    tensor by tensor through ``index_at`` and ``space.ordinal``."""
+    moved = []
+    for c in range(space.dimension):
+        tensor = [0] * space.k
+        for p, v in enumerate(index_at(space, c)):
+            tensor[positions[p] if positions else p] = digits[v - 1] + 1 if v and digits else v
+        moved.append(space.ordinal(tuple(tensor)))
+    return moved
 
 
 def permuted(code, moved, side) -> tuple:

@@ -16,6 +16,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+import rookdual.cli
 import rookdual.diagrams
 import rookdual.morphisms
 import rookdual.semigroups
@@ -427,6 +428,29 @@ def test_module_entry_point_runs_the_cli():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.endswith("all_match=true\n")
+
+
+def test_a_closed_stdout_stops_quietly():
+    """A reader that closes the pipe before the report is written (as
+    ``| head -1`` does) stops the command with ``EXIT_BROKEN_PIPE`` and
+    nothing on stderr: no ``BrokenPipeError`` traceback, then or at
+    exit."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "rookdual", "verify", "--props"],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    proc.stdout.close()
+    try:
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert (code, err) == (rookdual.cli.EXIT_BROKEN_PIPE, "")
+    assert code not in (0, 1, 2)
 
 
 # sha256 of the full stdout of ``rookdual commutant ... --basis``,

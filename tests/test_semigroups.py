@@ -263,6 +263,43 @@ def test_representatives_are_one_per_orbit(name, k, rows_count, cols_count):
     assert listed == set(range(len(codes)))
 
 
+@pytest.mark.parametrize("name,k", [(name, k) for name in ("istar", "pistar") for k in (1, 2, 3, 4)])
+def test_bottom_firsts_equal_the_bottom_orbit_tree(name, k):
+    """``_family_orbits`` reads the first element of each bottom orbit off
+    a key per element (the in-masks with their blocks' out-mask sizes)
+    instead of walking the bottom permutations; the firsts are those of the
+    walk, ``_orbit_tree(bottom, n)[0]``."""
+    family(name, k)
+    bottom, _, cols = rookdual.semigroups._family_orbits(name, k)[1:4]
+    n = len(rookdual.semigroups._family_index(name, k))
+    assert cols == rookdual.semigroups._orbit_tree(bottom, n)[0]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_rook_representatives_are_one_per_rank(n):
+    """For IS_n, ``_family_orbits`` holds the index permutations of pi to
+    pi g^-1 (the top: g moves the domain) and of pi to g pi (the bottom: g
+    moves the image), for g the swap and the n-cycle, each as composing
+    the target tuples makes it; the rows are the first element of each
+    rank, one per two-sided S_n x S_n orbit (n + 1 of them), the columns
+    the first of each domain (2^n), as the bottom walk finds them; and the
+    tree lists every other element once, after its parent."""
+    elements = family("is", n)
+    index = rookdual.semigroups._family_index("is", n)
+    top, bottom, rows, cols, tree = rookdual.semigroups._family_orbits("is", n)
+    gens = [PartialInjection([g[i] + 1 for i in range(n)]) for g in oracles.symmetric_generators(n)]
+    assert top == [[index[(e * g.inverse()).targets] for e in elements] for g in gens]
+    assert bottom == [[index[(g * e).targets] for e in elements] for g in gens]
+    assert rows == [min(a for a, e in enumerate(elements) if e.rank() == r) for r in range(n + 1)]
+    assert cols == rookdual.semigroups._orbit_tree(bottom, len(elements))[0]
+    assert len(cols) == 2**n
+    listed = set(rows)
+    for x, g, y in tree:
+        assert y in listed and x not in listed and (top + bottom)[g][y] == x
+        listed.add(x)
+    assert listed == set(range(len(elements)))
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_is_product_against_pointwise_oracle(data):
