@@ -238,11 +238,10 @@ def _cmd_commutant(args) -> tuple:
 
 
 def _props_reports(n: int, k: int, unguarded: bool) -> list:
-    sample = None if k <= 4 else 1_000
     cell = DeformationCell(k, unguarded)
     return [
-        cell.homomorphism("coarsening_sum", sample_pairs=sample).to_json_dict(),
-        cell.homomorphism("block_subset_sum", sample_pairs=sample).to_json_dict(),
+        cell.homomorphism("coarsening_sum").to_json_dict(),
+        cell.homomorphism("block_subset_sum").to_json_dict(),
         {**cell.hat_consistency(n).to_json_dict(), "n": n},
         {**cell.tilde_factorization(n).to_json_dict(), "n": n},
     ]

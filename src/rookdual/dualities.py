@@ -299,7 +299,7 @@ class DualityCell(_Parts):
         orbits that its elements' plain matrices touch, certified at the
         two-sided representatives and carried to their orbits as the class
         docstring argues."""
-        elements, (top, bottom, chosen, _, tree) = self.elements(side), self._orbits(side)
+        elements, (top, bottom, chosen, tree) = self.elements(side), self._orbits(side)
         decode, fibres = self._decoder(side), self._fibres(side)
         rank = PartialInjection.rank if side == "left" else lambda e: len(e.code)
         touched, span = [None] * len(elements), {}

@@ -33,16 +33,15 @@ action support from one expansion, at most once for all of its reports.
 The walks never read a point's label, so the moved images are the walked
 ones, and every verdict covers the maps as ``coarsening_sum`` and
 ``block_subset_sum`` define them.  Its homomorphism check encodes each
-combination as one exact integer and compares pairs row by row with sums
-of a table of star products (or sampled pairs one by one).  Every
-product it reads, domain and star alike, is relabelled from a generic
-product of the two middle rows made once per pair of rows, which the
-naturality test pins to the direct products: the products of a left
-element with every right element of one in-key are relabelled at once,
-and each product the check compares is then one lookup in the code
-index.
+combination as one exact integer and compares every pair, row by row,
+with sums of a table of star products.  Every product it reads, domain
+and star alike, is relabelled from a generic product of the two middle
+rows made once per pair of rows, which the naturality test pins to the
+direct products: the products of a left element with every right element
+of one in-key are relabelled at once, and each product the check compares
+is then one lookup in the code index.
 
-The exhaustive check compares one row per two-sided orbit s a t^-1 of
+The homomorphism check compares one row per two-sided orbit s a t^-1 of
 left factors (s in S_k permuting their top points, t their bottom
 points) against one column per orbit b r of right factors (r permuting
 their bottom points), and its verdict covers every pair.  Every product
@@ -70,7 +69,6 @@ at k = 3, under plain and tilde).
 import functools
 import itertools
 import math
-import random
 from typing import NamedTuple
 
 from .diagrams import (
@@ -211,12 +209,25 @@ def _encode(image: tuple, width: int) -> int:
     return sum(1 << r * width for r in image)
 
 
+def _bottom_firsts(index: dict) -> list:
+    """The first element, in index order, of each orbit of the diagrams of
+    ``{code: index}`` under S_k permuting their bottom points.  Two diagrams
+    share an orbit exactly when they have the same key: the in-masks with
+    their blocks' out-mask sizes (a bottom permutation can send each block's
+    out-mask to any disjoint set of its size)."""
+    firsts: dict = {}
+    for x, code in enumerate(index):
+        firsts.setdefault(tuple((i, o.bit_count()) for i, o in code), x)
+    return list(firsts.values())
+
+
 class DeformationCell(_Parts):
     """The partial dual elements at one k, shared by every deformation check
     there; the twin of ``dualities.DualityCell``.  P*_k, its
     ``{code: index}`` and its symmetry are read from ``semigroups.family``,
     ``_family_index`` and ``_family_orbits``, which every cell shares.
-    Each map's ``_map`` part, and at each n the sorted plain and tilde U^k
+    Each map's ``_map`` part, the columns of the homomorphism check
+    (``_bottom_firsts``), and at each n the sorted plain and tilde U^k
     action supports and the hat supports of the elements the support sums
     read, are built on first use and kept for the cell's lifetime.
     ``unguarded`` lifts the size guards, as on ``DualityCell``."""
@@ -247,7 +258,7 @@ class DeformationCell(_Parts):
         walk = _map_functions(map_name)[0]
 
         def build():
-            top, bottom, rows, _, tree = _family_orbits("pistar", self.k)
+            top, bottom, rows, tree = _family_orbits("pistar", self.k)
             perms = top + bottom
             images, values = [None] * len(self.elements), [None] * len(self.elements)
             for a in rows:
@@ -367,16 +378,12 @@ class DeformationCell(_Parts):
 
         return relabel
 
-    def homomorphism(
-        self, map_name: str, sample_pairs: int | None = None, seed: int = 2024
-    ) -> MorphismReport:
-        """Check one change-of-basis map end to end.
+    def homomorphism(self, map_name: str) -> MorphismReport:
+        """Check one change-of-basis map end to end, on every element pair.
 
         ``map_name`` is ``coarsening_sum`` (plain product to star) or
-        ``block_subset_sum`` (tilde product to star).  All element pairs
-        are checked when ``sample_pairs`` is None; otherwise that many
-        pairs are drawn with a fixed seed, and a count below 1 is refused
-        with ``ValueError``.  ``inverse_ok`` is the map's inverse verdict.
+        ``block_subset_sum`` (tilde product to star).  ``inverse_ok`` is
+        the map's inverse verdict.
 
         An image is a tuple of term indices, each term with coefficient 1,
         so a repeated index stands for a larger coefficient.  With m the
@@ -391,35 +398,31 @@ class DeformationCell(_Parts):
         1 << (index * W).  The star recipe of that middle row is relabelled
         for p once per cell and gives p * q for every such q.
 
-        Both modes read the images only when ``_map`` has certified them
+        The images are read only when ``_map`` has certified them
         equivariant under the swap and the k-cycle of the top points and of
         the bottom points: phi(s a) = s phi(a) and phi(a r) = phi(a) r as
-        multisets of term indices, on every element.  Exhaustive mode checks
+        multisets of term indices, on every element.  The check compares
         one row a per two-sided orbit s a t^-1 (s and t permuting the top
         and the bottom points) against one column b per orbit b r of the
-        bottom points, the first of each in index order
-        (``_family_orbits``).  Every pair is (s a t^-1, t b r) for a row a
-        and a column b, and by the products' outer naturality (s x)(y r) = s
-        (xy) r and middle naturality (x t^-1)(t y) = xy, for the domain and
-        the star product alike, and the certificate, both sides of phi(xy) =
-        phi(x) * phi(y) there are s times those at (a, b) times r; so the
-        verdict covers all n*n pairs.  The columns are ordered by in-key:
-        the encodings of phi(ab) over the checked b, each made when a row
-        first reads ab, must equal the column sums of the table rows of
-        phi(a)'s terms; row p holds, for each checked b, the units of p
+        bottom points, the first of each in index order (``_family_orbits``
+        and ``_bottom_firsts``).  Every pair is (s a t^-1, t b r) for a row
+        a and a column b, and by the products' outer naturality (s x)(y r)
+        = s (xy) r and middle naturality (x t^-1)(t y) = xy, for the domain
+        and the star product alike, and the certificate, both sides of
+        phi(xy) = phi(x) * phi(y) there are s times those at (a, b) times
+        r; so the verdict covers all n*n pairs.  The columns are ordered by
+        in-key: the encodings of phi(ab) over the checked b, each made when
+        a row first reads ab, must equal the column sums of the table rows
+        of phi(a)'s terms; row p holds, for each checked b, the units of p
         times phi(b)'s terms, and is built when a checked row's image first
         reads p.  ``_relabeller`` relabels a once per in-key L of the
         columns and p once, for its out-key, and each product compared, ab
         for a column b of in-key L or p * q for a distinct term q of the
-        columns' images, is one lookup in ``index``.  Sampled mode relabels
-        each drawn pair alone and compares the encoding of phi(ab) with the
-        sum of the units of its terms' star products.  Every product, domain
+        columns' images, is one lookup in ``index``.  Every product, domain
         and star, is read off a generic middle-row recipe, so the verdict
-        rests on ``test_products_are_natural``, and exhaustive mode also on
+        rests on ``test_products_are_natural``,
         ``test_products_commute_with_outer_permutations`` and
         ``test_products_commute_with_middle_permutations``."""
-        if sample_pairs is not None and sample_pairs < 1:
-            raise ValueError(f"sample_pairs must be at least 1, got {sample_pairs}")
         images, _, equivariant, inverse_ok = self._map(map_name)
         index, n = self.index, len(self.elements)
         keys, out_id, in_id, _, out_ors = self._part("middle", self._middle)
@@ -443,62 +446,49 @@ class DeformationCell(_Parts):
                 groups[in_id[q]] += (q,)
             return groups
 
-        if sample_pairs is None:
-            rows, cols = _family_orbits("pistar", self.k)[2:4]
-            encodings: dict = {}  # x -> the encoding of phi(x), made when a product first reads it
-            shared: dict = {}  # equal sums share one int, to save memory
+        rows = _family_orbits("pistar", self.k)[2]
+        encodings: dict = {}  # x -> the encoding of phi(x), made when a product first reads it
+        shared: dict = {}  # equal sums share one int, to save memory
 
-            def encoding(x):
-                if x not in encodings:
-                    e = _encode(images[x], width)
-                    encodings[x] = shared.setdefault(e, e)
-                return encodings[x]
+        def encoding(x):
+            if x not in encodings:
+                e = _encode(images[x], width)
+                encodings[x] = shared.setdefault(e, e)
+            return encodings[x]
 
-            cols = sorted(cols, key=in_id.__getitem__)  # by in-key; a copy of the cached part
-            columns = [terms_by_in(b) for b in cols]
-            users = [  # users[L]: each column with terms of in-key L, and those terms
-                [(c, g[L]) for c, g in enumerate(columns) if g[L]] for L in range(len(keys))
-            ]
-            table = {}  # table[p][c]: the sum of the units of p times columns[c][out_id[p]]
+        cols = self._part("cols", lambda: sorted(_bottom_firsts(index), key=in_id.__getitem__))
+        columns = [terms_by_in(b) for b in cols]
+        users = [  # users[L]: each column with terms of in-key L, and those terms
+            [(c, g[L]) for c, g in enumerate(columns) if g[L]] for L in range(len(keys))
+        ]
+        table = {}  # table[p][c]: the sum of the units of p times columns[c][out_id[p]]
 
-            def table_row(p):  # built when a checked row's image first reads p
-                if p not in table:
-                    relabelled, L = star(p), out_id[p]
-                    terms = {q for _, g in users[L] for q in g}
-                    units = {q: 1 << find(relabelled, q) * width for q in terms}
-                    row = table[p] = [0] * len(columns)
-                    for c, g in users[L]:
-                        total = sum(map(units.__getitem__, g))
-                        row[c] = shared.setdefault(total, total)
-                return table[p]
+        def table_row(p):  # built when a checked row's image first reads p
+            if p not in table:
+                relabelled, L = star(p), out_id[p]
+                terms = {q for _, g in users[L] for q in g}
+                units = {q: 1 << find(relabelled, q) * width for q in terms}
+                row = table[p] = [0] * len(columns)
+                for c, g in users[L]:
+                    total = sum(map(units.__getitem__, g))
+                    row[c] = shared.setdefault(total, total)
+            return table[p]
 
-            def products(a):  # the encodings of phi(ab) in column order
-                row = []
-                for L, group in itertools.groupby(cols, in_id.__getitem__):
-                    relabelled = relabel(a, L)
-                    row += [encoding(find(relabelled, b)) for b in group]
-                return row
+        def products(a):  # the encodings of phi(ab) in column order
+            row = []
+            for L, group in itertools.groupby(cols, in_id.__getitem__):
+                relabelled = relabel(a, L)
+                row += [encoding(find(relabelled, b)) for b in group]
+            return row
 
-            hom_ok = equivariant and all(
-                products(a) == list(map(sum, zip(*map(table_row, images[a])))) for a in rows
-            )
-        else:
-            rng = random.Random(seed)
-            pairs = [(rng.choice(range(n)), rng.choice(range(n))) for _ in range(sample_pairs)]
-
-            def star_sum(a, b):  # the sum of the units of phi(a)'s terms times phi(b)'s
-                groups = terms_by_in(b)
-                return sum(1 << find(star(p), q) * width for p in images[a] for q in groups[out_id[p]])
-
-            hom_ok = equivariant and all(
-                _encode(images[find(relabel(a, in_id[b]), b)], width) == star_sum(a, b)
-                for a, b in pairs
-            )
+        hom_ok = equivariant and all(
+            products(a) == list(map(sum, zip(*map(table_row, images[a])))) for a in rows
+        )
 
         return MorphismReport(
             k=self.k,
             map_name=map_name,
-            pairs_checked=n * n if sample_pairs is None else sample_pairs,
+            pairs_checked=n * n,
             homomorphism_ok=hom_ok,
             inverse_ok=inverse_ok,
         )

@@ -197,15 +197,11 @@ def _family_orbits(name: str, size: int) -> tuple:
     size-cycle of the top points (a diagram's in-masks, a partial
     injection's domain: pi to pi g^-1), the same of the bottom points
     (out-masks; the image: pi to g pi), the first element of each
-    two-sided orbit, the first of each bottom orbit, and the two-sided
-    ``_orbit_tree``; built once per (name, size), callers run the guard
-    first.  Each family is closed under exchanging the rows (``flip``: a
-    diagram's rows, a partial injection's inverse), so a bottom
-    permutation is the top one conjugated by it: bottom[g][x] =
-    flip[top[g][flip[x]]].  Two elements share a bottom orbit exactly when
-    they have the same key: the in-masks with their blocks' out-mask sizes
-    (a bottom permutation can send each block's out-mask to any disjoint
-    set of its size), or the domain."""
+    two-sided orbit, and the two-sided ``_orbit_tree``; built once per
+    (name, size), callers run the guard first.  Each family is closed under
+    exchanging the rows (``flip``: a diagram's rows, a partial injection's
+    inverse), so a bottom permutation is the top one conjugated by it:
+    bottom[g][x] = flip[top[g][flip[x]]]."""
     index, k = _family_index(name, size), size
     gens = dict.fromkeys([(1, 0, *range(2, k)), (*range(1, k), 0)] if k > 1 else [])
     moves = [[sum(1 << g[i] for i in range(k) if m >> i & 1) for m in range(1 << k)] for g in gens]
@@ -213,15 +209,12 @@ def _family_orbits(name: str, size: int) -> tuple:
         top = [[index[tuple(t[g.index(i)] for i in range(k))] for t in index] for g in gens]
         flip = [index[tuple(t.index(j) + 1 if j in t else None for j in range(1, k + 1))]
                 for t in index]
-        keys = [tuple(t is None for t in ts) for ts in index]
     else:
         top = [[index[tuple(sorted((m[i], o) for i, o in c))] for c in index] for m in moves]
         flip = [index[tuple(sorted((o, i) for i, o in c))] for c in index]
-        keys = [tuple((i, o.bit_count()) for i, o in c) for c in index]
     bottom = [[flip[t[x]] for x in flip] for t in top]
     rows, tree = _orbit_tree(top + bottom, len(index))
-    cols = sorted({key: x for x, key in reversed(list(enumerate(keys)))}.values())  # keys' firsts
-    return top, bottom, rows, cols, tree
+    return top, bottom, rows, tree
 
 
 class _Parts:

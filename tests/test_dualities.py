@@ -724,13 +724,13 @@ def test_certification_rejects_a_broken_non_tree_edge(monkeypatch):
     right = rookdual.dualities._family_orbits
 
     def wrong(name, size):
-        top, bottom, rows, cols, tree = right(name, size)
+        top, bottom, rows, tree = right(name, size)
         if name == "is":
             elements = family(name, size)
             bottom = [list(bottom[0]), *bottom[1:]]
             for e in (IDENT, SWAP):
                 bottom[0][elements.index(e)] = elements.index(e)
-        return top, bottom, rows, cols, tree
+        return top, bottom, rows, tree
 
     monkeypatch.setattr(rookdual.dualities, "_family_orbits", wrong)
     pattern = _certification_error("left", IDENT, IDENT) + "$"

@@ -202,32 +202,14 @@ def test_homomorphism_reports_exhaustive():
     assert DeformationCell(2).homomorphism("coarsening_sum").pairs_checked == 144
 
 
-def test_homomorphism_reports_sampled_k3():
-    for name in ("coarsening_sum", "block_subset_sum"):
-        report = DeformationCell(3).homomorphism(name, sample_pairs=2000, seed=7)
-        assert report.homomorphism_ok and report.inverse_ok
-        assert report.pairs_checked == 2000
-
-
 def test_morphism_report_rejects_unknown_map():
     with pytest.raises(ValueError):
         DeformationCell(2).homomorphism("zeta")
 
 
-@pytest.mark.parametrize("sample_pairs", [0, -3])
-@pytest.mark.parametrize("map_name", ["coarsening_sum", "block_subset_sum"])
-def test_homomorphism_refuses_a_sample_below_one(map_name, sample_pairs):
-    """A sample of no pairs checks nothing, so it is refused rather than
-    reported as a pass; one pair is the smallest sample."""
-    cell = DeformationCell(2)
-    with pytest.raises(ValueError, match="sample_pairs must be at least 1"):
-        cell.homomorphism(map_name, sample_pairs=sample_pairs)
-    assert cell.homomorphism(map_name, sample_pairs=1).pairs_checked == 1
-
-
 def _natural_cases():
-    """Every pair of P*_k for k <= 3; at k = 4 the 1,000 pairs the CLI
-    samples (seed 2024) and 10,000 more seeded pairs."""
+    """Every pair of P*_k for k <= 3; at k = 4, where every pair would take
+    minutes, 1,000 pairs seeded with 2024 and 10,000 more seeded pairs."""
     for k in (1, 2, 3):
         n = len(enumerate_pistar(k))
         yield k, itertools.product(range(n), repeat=2)
@@ -399,7 +381,8 @@ def test_exhaustive_check_encodes_only_the_products_it_compares(k, map_name, mon
 
     monkeypatch.setattr(rookdual.morphisms, "_encode", counted)
     cell = DeformationCell(k)
-    _, _, rows, cols, _ = rookdual.semigroups._family_orbits("pistar", k)
+    rows = rookdual.semigroups._family_orbits("pistar", k)[2]
+    cols = rookdual.morphisms._bottom_firsts(cell.index)
     multiply, codes = getattr(rookdual.semigroups, MAPS[map_name]), list(cell.index)
     products = {cell.index[multiply(codes[a], codes[b])] for a in rows for b in cols}
     assert cell.homomorphism(map_name).homomorphism_ok
@@ -435,12 +418,6 @@ def test_cells_share_one_code_index():
     assert a.index is b.index
     assert list(a.index.items()) == [(e.code, i) for i, e in enumerate(a.elements)]
     assert rookdual.semigroups._family_index.cache_info().misses == 1
-
-
-def test_sampling_is_seed_deterministic():
-    a = DeformationCell(3).homomorphism("coarsening_sum", sample_pairs=100, seed=3)
-    b = DeformationCell(3).homomorphism("coarsening_sum", sample_pairs=100, seed=3)
-    assert a == b
 
 
 @pytest.mark.parametrize("n,k", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 2)])
@@ -493,11 +470,10 @@ def test_morphism_report_catches_a_product_wrong_on_one_shape(
     """A product that drops the last block only when the left factor's
     out-masks are those of the identity is wrong on one middle shape;
     the recipe for that shape carries the fault to every such pair, in
-    the exhaustive check at k = 2 and at k = 4, whose columns span all 52
-    in-keys, and in the pairs relabelled one by one among 2,000 seeded
-    ones at k = 3."""
+    the row check at k = 2, 3 and 4, whose columns at k = 4 span all 52
+    in-keys."""
     right = getattr(rookdual.semigroups, product)
-    for k, sample_pairs in ((2, None), (3, 2000), (4, None)):
+    for k in (2, 3, 4):
         identity = [1 << i for i in range(k)]
 
         def wrong(a, b, identity=identity):
@@ -505,7 +481,7 @@ def test_morphism_report_catches_a_product_wrong_on_one_shape(
             return ab[:-1] if sorted(o for _, o in a) == identity else ab
 
         monkeypatch.setattr(rookdual.morphisms, product, wrong)
-        report = DeformationCell(k).homomorphism(map_name, sample_pairs, seed=7)
+        report = DeformationCell(k).homomorphism(map_name)
         assert report.homomorphism_ok is False, k
         assert report.inverse_ok is True
 
@@ -515,11 +491,10 @@ def test_homomorphism_catches_a_star_product_wrong_on_one_shape(map_name, monkey
     """A star product that drops the last block only when the left
     factor's out-masks are those of the identity is wrong on one middle
     shape; its recipe carries the fault to every star product of that
-    shape, in the exhaustive star rows at k = 2 and at k = 4, whose
-    columns span all 52 in-keys, and in the products relabelled one by
-    one among 2,000 seeded pairs at k = 3."""
+    shape, in the star rows at k = 2, 3 and 4, whose columns at k = 4 span
+    all 52 in-keys."""
     right = rookdual.semigroups.star_codes
-    for k, sample_pairs in ((2, None), (3, 2000), (4, None)):
+    for k in (2, 3, 4):
         identity = [1 << i for i in range(k)]
 
         def wrong(a, b, identity=identity):
@@ -527,7 +502,7 @@ def test_homomorphism_catches_a_star_product_wrong_on_one_shape(map_name, monkey
             return ab[:-1] if ab and sorted(o for _, o in a) == identity else ab
 
         monkeypatch.setattr(rookdual.morphisms, "star_codes", wrong)
-        report = DeformationCell(k).homomorphism(map_name, sample_pairs, seed=7)
+        report = DeformationCell(k).homomorphism(map_name)
         assert report.homomorphism_ok is False, k
         assert report.inverse_ok is True
 
@@ -559,7 +534,7 @@ def _repeat_empty_on_an_orbit(monkeypatch, k, map_name):
     the same on the whole orbit, so the images moved from the
     representative's walk are the walked ones, and every route judges the
     same faulty map."""
-    _, _, rows, _, tree = rookdual.semigroups._family_orbits("pistar", k)
+    _, _, rows, tree = rookdual.semigroups._family_orbits("pistar", k)
     orbit = {rows[-1]}
     for x, _, y in tree:  # each parent is listed before its children
         if y in orbit:
@@ -576,18 +551,15 @@ FAULTS = {
 }
 
 
-@pytest.mark.parametrize("sample_pairs", [None, 2000])
 @pytest.mark.parametrize("map_name", sorted(MAPS))
-def test_homomorphism_catches_a_star_product_wrong_on_one_pair(
-    map_name, sample_pairs, monkeypatch
-):
+def test_homomorphism_catches_a_star_product_wrong_on_one_pair(map_name, monkeypatch):
     """The codes of {1,1'} are also the generic codes of the middle row
     {1}, so a star product wrong only on that pair of codes spoils the
     recipe of that row, and through it every star product whose middle
     row is {1}: at k = 3 the terms with out-key {1} times those with
-    in-key {1}.  The row check and the sampled check both fail."""
+    in-key {1}.  The row check fails."""
     _wrong_star(monkeypatch, 3)
-    report = DeformationCell(3).homomorphism(map_name, sample_pairs, seed=7)
+    report = DeformationCell(3).homomorphism(map_name)
     assert report.homomorphism_ok is False
     assert report.inverse_ok is True
 
@@ -614,14 +586,13 @@ def _repeat_empty_in(monkeypatch, map_name, hit=_is_identity):
     monkeypatch.setattr(rookdual.morphisms, WALKS[map_name], wrong)
 
 
-@pytest.mark.parametrize("sample_pairs", [None, 200])
 @pytest.mark.parametrize("map_name", sorted(MAPS))
-def test_homomorphism_catches_a_coefficient_two(map_name, sample_pairs, monkeypatch):
+def test_homomorphism_catches_a_coefficient_two(map_name, monkeypatch):
     """A walk that lists the empty diagram twice in the identity's image
     gives an image that is no 0/1 combination; the integer encoding is
     exact on it too, so the verdict is False, not a silent pass."""
     _repeat_empty_in(monkeypatch, map_name)
-    report = DeformationCell(2).homomorphism(map_name, sample_pairs=sample_pairs)
+    report = DeformationCell(2).homomorphism(map_name)
     assert report.homomorphism_ok is False
 
 
@@ -645,7 +616,7 @@ def _certificate_halves(cell, map_name):
     bottom permutations that ``rookdual.morphisms`` reads, on every edge the
     tree did not make: the two halves of the certificate."""
     images = cell._map(map_name)[0]
-    top, bottom, _, _, tree = rookdual.morphisms._family_orbits("pistar", cell.k)
+    top, bottom, _, tree = rookdual.morphisms._family_orbits("pistar", cell.k)
     made = {(g, y): x for x, g, y in tree}
     return tuple(
         all(
@@ -667,8 +638,9 @@ def test_homomorphism_catches_a_coefficient_two_off_the_representatives(map_name
     or column representative, list the empty diagram twice.  The
     certificate rejects the corrupted permutation, so the exhaustive verdict
     and the inverse verdict are False."""
-    _, _, rows, cols, _ = rookdual.semigroups._family_orbits("pistar", 3)
-    empty = rookdual.semigroups._family_index("pistar", 3)[()]
+    rows = rookdual.semigroups._family_orbits("pistar", 3)[2]
+    index = rookdual.semigroups._family_index("pistar", 3)
+    cols, empty = rookdual.morphisms._bottom_firsts(index), index[()]
 
     def edit(perm):
         perm[rows[-1]] = perm[empty]
@@ -687,11 +659,10 @@ SUPPORT_SUMS = {"coarsening_sum": "hat_consistency", "block_subset_sum": "tilde_
 
 
 def _verdicts(cell, map_name):
-    """Every verdict that reads the map's images: the exhaustive and a
-    sampled homomorphism check, and the map's support sum at n = 2."""
+    """Every verdict that reads the map's images: the homomorphism check and
+    the map's support sum at n = 2."""
     return (
         cell.homomorphism(map_name).homomorphism_ok,
-        cell.homomorphism(map_name, sample_pairs=2000).homomorphism_ok,
         getattr(cell, SUPPORT_SUMS[map_name])(2).homomorphism_ok,
     )
 
@@ -703,8 +674,10 @@ def _check_a_swap_fixing(monkeypatch, map_name, text, side):
     certificate rejects the moved images, that every verdict reading them
     is False, and that each would pass with the certificate taken away."""
     k = 3
-    top, bottom, rows, cols, _ = rookdual.semigroups._family_orbits("pistar", k)
-    u = rookdual.semigroups._family_index("pistar", k)[parse_element(text, "pistar", k).code]
+    top, bottom, rows, _ = rookdual.semigroups._family_orbits("pistar", k)
+    index = rookdual.semigroups._family_index("pistar", k)
+    u = index[parse_element(text, "pistar", k).code]
+    cols = rookdual.morphisms._bottom_firsts(index)
     v = (top, bottom)[side][0][u]
     assert u != v and not {u, v} & set(rows + cols)
 
@@ -715,10 +688,10 @@ def _check_a_swap_fixing(monkeypatch, map_name, text, side):
     _corrupt_orbits(monkeypatch, side, edit)
     cell = DeformationCell(k)
     assert _certificate_halves(cell, map_name) == ((False, True) if side == 0 else (True, False))
-    assert _verdicts(cell, map_name) == (False, False, False)
+    assert _verdicts(cell, map_name) == (False, False)
     images, values, _, inverse_ok = cell._map(map_name)
     cell._parts[map_name] = images, values, True, inverse_ok
-    assert _verdicts(cell, map_name) == (True, True, True)
+    assert _verdicts(cell, map_name) == (True, True)
 
 
 @pytest.mark.parametrize("map_name", sorted(MAPS))
@@ -727,8 +700,7 @@ def test_homomorphism_catches_a_fault_only_the_bottom_certificate_sees(map_name,
     {1,3,3'}|{2,2'}.  A bottom-swap permutation corrupted to fix both moves
     the images along its tree edges wrongly.  The moved images stay
     equivariant under the top permutations and break under the bottom ones.
-    The row check, 2,000 sampled pairs and the support sum at n = 2 all
-    pass them, so only the bottom half of the certificate rejects the
+    The row check and the support sum at n = 2 both pass them, so only the bottom half of the certificate rejects the
     corrupted permutation, and every verdict is False."""
     _check_a_swap_fixing(monkeypatch, map_name, "{1,3,3'}|{2,1'}", 1)
 
@@ -777,12 +749,14 @@ def test_row_check_agrees_with_the_dict_oracle(k, map_name, fault, monkeypatch):
 
 @pytest.mark.parametrize("map_name", sorted(MAPS))
 def test_sampled_check_agrees_with_the_dict_oracle_at_k4(map_name):
-    """The 1,000 pairs the CLI samples at k = 4 (seed 2024)."""
+    """The row check's verdict over every pair at k = 4 and the dict
+    oracle's on 1,000 pairs seeded with 2024, as many as it checks in a
+    few seconds."""
     cell = DeformationCell(4)
     n = len(cell.elements)
     rng = random.Random(2024)
     pairs = [(rng.choice(range(n)), rng.choice(range(n))) for _ in range(1000)]
-    verdict = cell.homomorphism(map_name, sample_pairs=1000).homomorphism_ok
+    verdict = cell.homomorphism(map_name).homomorphism_ok
     assert verdict == _dict_homomorphism(cell, map_name, pairs) is True
 
 
@@ -808,8 +782,9 @@ def test_the_naturality_pin_catches_a_walk_fault_off_the_representatives(map_nam
     passes; the walk of every element differs from the moved images there
     and nowhere else.  The verdicts cover the maps as the walks define them
     only because the pin holds."""
-    _, _, rows, cols, _ = rookdual.semigroups._family_orbits("pistar", 3)
     cell = DeformationCell(3)
+    rows = rookdual.semigroups._family_orbits("pistar", 3)[2]
+    cols = rookdual.morphisms._bottom_firsts(cell.index)
     chosen = max(set(range(len(cell.elements))) - set(rows) - set(cols))
     _repeat_empty_in(monkeypatch, map_name, cell.elements[chosen].__eq__)
     images, values, equivariant, inverse_ok = cell._map(map_name)
@@ -961,7 +936,7 @@ def _natural_supports(cell, n):
         "hat": [sorted(orbit) for _, orbit in plain],
         "tilde": [sorted(rows) for rows, _ in tilde],
     }
-    top, bottom, rows, _, tree = rookdual.semigroups._family_orbits("pistar", k)
+    top, bottom, rows, tree = rookdual.semigroups._family_orbits("pistar", k)
     moves = [tensor_moves(m, n, k) for m in dict.fromkeys(map(tuple, generator_moves(k)))]
     steps = [  # each generator on the coordinates dst*d + src, top then bottom
         *(lambda c, t=t: c - c % d + t[c % d] for t in moves),
