@@ -44,7 +44,8 @@ representatives' orbits, summed), a matrix lies in the span exactly when
 it is constant on every support and zero off them, and two elements act
 alike exactly when they touch the same orbits: semigroup faithfulness is
 a count of the distinct sets touched, carried to every element along the
-orbit tree.
+orbit tree and checked on the edges it did not use (``_orbit_tree`` lists
+them, and the orbit sizes, in its one walk).
 
 A commutant labels matrix coordinates by class (``targets_commutant``:
 orbits of the permutation generators, joined by the others' equations),
@@ -67,7 +68,7 @@ import math
 from collections import Counter
 from typing import NamedTuple
 
-from .diagrams import PartialInjection
+from .diagrams import PartialInjection, _stirling2
 from .semigroups import _MONOIDS, _family_index, _family_orbits, _Parts, family
 from .tensor_actions import ActionSpace, _action_rows, _commutant_labels, _targets
 from .tensor_actions import targets_commute, targets_commutant
@@ -199,8 +200,9 @@ class DualityCell(_Parts):
     non-empty orbit support; and two elements act alike exactly when they
     touch the same orbits.  The touched sets, as element positions, move
     along the orbit tree by the index permutations, and are checked on the
-    edges the tree did not make, so they are the touched sets of every
-    element.  A failure is an internal bug: ``RuntimeError`` names the
+    edges the tree did not use, which the same walk lists, so they are the
+    touched sets of every element; the walk's orbit sizes count the span's
+    basis.  A failure is an internal bug: ``RuntimeError`` names the
     cell, the side and the element or elements."""
 
     def __init__(self, n: int, k: int, space: str, unguarded=False):
@@ -273,13 +275,12 @@ class DualityCell(_Parts):
         """[r]: how many coordinates decode to one element of rank r (block
         count on the right).  On the left, the tensors x whose non-zero
         digits are exactly r given ones (r! S(k, r) on V, r! S(k+1, r+1) on
-        U, by inclusion-exclusion), each with its one y; on the right, n!/(n-r)!
-        choices of distinct non-zero digits for the r blocks."""
+        U, U's zero digit a block of its own), each with its one y; on the
+        right, n!/(n-r)! choices of distinct non-zero digits for the r blocks."""
         n, k, zero = self.n, self.k, self.space.kind == "U"
         if side == "right":
             return [math.perm(n, r) for r in range(k + 1)]
-        return [sum((-1) ** j * math.comb(r, j) * (r - j + zero) ** k for j in range(r + 1))
-                for r in range(n + 1)]
+        return [math.factorial(r) * _stirling2(k + zero, r + zero) for r in range(n + 1)]
 
     def span(self, side: str) -> list:
         """The span of one side's element matrices, as ``(support, count)``
@@ -299,10 +300,11 @@ class DualityCell(_Parts):
         orbits that its elements' plain matrices touch, certified at the
         two-sided representatives and carried to their orbits as the class
         docstring argues."""
-        elements, (top, bottom, chosen, tree) = self.elements(side), self._orbits(side)
+        elements = self.elements(side)
+        top, bottom, chosen, sizes, tree, edges = self._orbits(side)
         decode, fibres = self._decoder(side), self._fibres(side)
         rank = PartialInjection.rank if side == "left" else lambda e: len(e.code)
-        touched, span = [None] * len(elements), {}
+        touched, span = [None] * len(elements), []
         for a, (support, orbit) in zip(chosen, self._expansions(side)):
             e, own = elements[a], rank(elements[a])
             stray = next((b for b in map(decode, orbit) if b != a), a)
@@ -321,19 +323,18 @@ class DualityCell(_Parts):
                     self._fail(side, e, " meets the orbit of ", elements[b], ", of no lower rank")
             if orbit and a not in owners:
                 self._fail(side, e, " misses its own orbit")
-            touched[a], span[a] = frozenset(owners), orbit
-        perms, root = top + bottom, list(range(len(elements)))
+            touched[a] = frozenset(owners)
+            span.append(orbit)
+        perms, size = top + bottom, len(elements)
         for x, g, y in tree:  # x = g y touches the orbits y touches, moved by g
-            touched[x], root[x] = frozenset(map(perms[g].__getitem__, touched[y])), root[y]
-        size = len(elements)
-        made = {g * size + y for _, g, y in tree}  # the edges g: y -> g y of the tree
-        for (g, perm), a in itertools.product(enumerate(perms), range(size)):
-            t, u, moved = touched[a], touched[perm[a]], map(perm.__getitem__, touched[a])
-            if g * size + a not in made and (len(t) != len(u) or not u.issuperset(moved)):
+            touched[x] = frozenset(map(perms[g].__getitem__, touched[y]))
+        for g, a in map(divmod, edges, itertools.repeat(size)):  # each edge g: a -> g a off the tree
+            perm = perms[g]
+            t, u = touched[a], touched[perm[a]]
+            if len(t) != len(u) or not u.issuperset(map(perm.__getitem__, t)):
                 self._fail(side, elements[a], f" touches orbits generator {g} moves off those of ",
                            elements[perm[a]])
-        sizes = Counter(root)
-        return [(orbit, sizes[a]) for a, orbit in span.items() if orbit], len(set(touched))
+        return [(orbit, count) for orbit, count in zip(span, sizes) if orbit], len(set(touched))
 
     def _fail(self, side: str, *parts):
         """Raise the ``RuntimeError`` of a failed certificate on one side: the

@@ -28,8 +28,10 @@ All coefficients here, the Moebius ones included, are integers.
 Every check of the maps is made by one ``DeformationCell`` per k, which
 reads P*_k, its code index and its S_k x S_k symmetry from
 ``semigroups`` and builds each map's images and inverse verdict from one
-walk per two-sided orbit, moved to the rest of the orbit, and each U^k
-action support from one expansion, at most once for all of its reports.
+walk per two-sided orbit, moved to the rest of the orbit along the tree
+of ``semigroups._orbit_tree`` and certified on the edges that tree did
+not use, which the same walk lists, and each U^k action support from one
+expansion, at most once for all of its reports.
 The walks never read a point's label, so the moved images are the walked
 ones, and every verdict covers the maps as ``coarsening_sum`` and
 ``block_subset_sum`` define them.  Its homomorphism check encodes each
@@ -80,6 +82,7 @@ from .diagrams import (
 from .semigroups import (
     _family_index,
     _family_orbits,
+    _orbit_tree,
     _Parts,
     bullet_codes,
     family,
@@ -209,25 +212,14 @@ def _encode(image: tuple, width: int) -> int:
     return sum(1 << r * width for r in image)
 
 
-def _bottom_firsts(index: dict) -> list:
-    """The first element, in index order, of each orbit of the diagrams of
-    ``{code: index}`` under S_k permuting their bottom points.  Two diagrams
-    share an orbit exactly when they have the same key: the in-masks with
-    their blocks' out-mask sizes (a bottom permutation can send each block's
-    out-mask to any disjoint set of its size)."""
-    firsts: dict = {}
-    for x, code in enumerate(index):
-        firsts.setdefault(tuple((i, o.bit_count()) for i, o in code), x)
-    return list(firsts.values())
-
-
 class DeformationCell(_Parts):
     """The partial dual elements at one k, shared by every deformation check
     there; the twin of ``dualities.DualityCell``.  P*_k, its
     ``{code: index}`` and its symmetry are read from ``semigroups.family``,
     ``_family_index`` and ``_family_orbits``, which every cell shares.
-    Each map's ``_map`` part, the columns of the homomorphism check
-    (``_bottom_firsts``), and at each n the sorted plain and tilde U^k
+    Each map's ``_map`` part, the columns of the homomorphism check (the
+    first element of each orbit of the bottom points, from one
+    ``_orbit_tree`` walk), and at each n the sorted plain and tilde U^k
     action supports and the hat supports of the elements the support sums
     read, are built on first use and kept for the cell's lifetime.
     ``unguarded`` lifts the size guards, as on ``DualityCell``."""
@@ -252,27 +244,25 @@ class DeformationCell(_Parts):
         ``test_transported_images_equal_the_walked_ones``).  The
         certificate, g phi(a) = phi(g a) as multisets for the swap and the
         k-cycle g of either side, is checked on every edge the tree did not
-        make, and every verdict is False without it.  The round trip
-        (D C = I, C square) runs at the walked elements: D(g r) = g D(r) by
-        construction and C is equivariant, so (D C)(g r) = g r."""
+        use, which the same walk lists, and every verdict is False without
+        it.  The round trip (D C = I, C square) runs at the walked elements:
+        D(g r) = g D(r) by construction and C is equivariant, so
+        (D C)(g r) = g r."""
         walk = _map_functions(map_name)[0]
 
         def build():
-            top, bottom, rows, tree = _family_orbits("pistar", self.k)
-            perms = top + bottom
+            top, bottom, rows, _, tree, edges = _family_orbits("pistar", self.k)
+            perms, size = top + bottom, len(self.elements)
             images, values = [None] * len(self.elements), [None] * len(self.elements)
             for a in rows:
                 codes, values[a] = zip(*walk(self.elements[a]))
                 images[a] = tuple(map(self.index.__getitem__, codes))
             for x, g, y in tree:  # x = g y takes y's terms moved by g, with their values
                 images[x], values[x] = tuple(map(perms[g].__getitem__, images[y])), values[y]
-            made = {(g, y): x for x, g, y in tree}
             ordered = [sorted(image) for image in images]
-            equivariant = all(  # g phi(a) = phi(g a) on every edge the tree did not make
-                sorted(map(perm.__getitem__, image)) == ordered[perm[a]]
-                for g, perm in enumerate(perms)
-                for a, image in enumerate(images)
-                if made.get((g, a)) != perm[a]
+            equivariant = all(  # g phi(a) = phi(g a) on every edge g: a -> g a off the tree
+                sorted(map(perms[g].__getitem__, images[a])) == ordered[perms[g][a]]
+                for g, a in map(divmod, edges, itertools.repeat(size))
             )
 
             def trip(a):  # D C applied to element a, without zero values
@@ -405,7 +395,7 @@ class DeformationCell(_Parts):
         one row a per two-sided orbit s a t^-1 (s and t permuting the top
         and the bottom points) against one column b per orbit b r of the
         bottom points, the first of each in index order (``_family_orbits``
-        and ``_bottom_firsts``).  Every pair is (s a t^-1, t b r) for a row
+        and ``_orbit_tree``).  Every pair is (s a t^-1, t b r) for a row
         a and a column b, and by the products' outer naturality (s x)(y r)
         = s (xy) r and middle naturality (x t^-1)(t y) = xy, for the domain
         and the star product alike, and the certificate, both sides of
@@ -428,17 +418,11 @@ class DeformationCell(_Parts):
         keys, out_id, in_id, _, out_ors = self._part("middle", self._middle)
         relabel = self._relabeller(_map_functions(map_name)[1])
         star_relabel = self._relabeller(star_codes)  # the module's star_codes when called
-        stars = self._part(("stars", star_codes), dict)  # p -> its relabelled star recipe
         width = (max(map(len, images)) ** 2).bit_length()
 
         def find(relabelled, b):  # the index of the relabelled product with b
             outs = out_ors[b]
             return index[tuple([(i, outs[y]) for i, y in relabelled])]
-
-        def star(p):  # p's star products with any q of in-key p's out-key, relabelled
-            if p not in stars:
-                stars[p] = star_relabel(p, out_id[p])
-            return stars[p]
 
         def terms_by_in(b):  # [L]: phi(b)'s terms of in-key L
             groups = [()] * len(keys)
@@ -446,7 +430,7 @@ class DeformationCell(_Parts):
                 groups[in_id[q]] += (q,)
             return groups
 
-        rows = _family_orbits("pistar", self.k)[2]
+        _, bottom, rows = _family_orbits("pistar", self.k)[:3]
         encodings: dict = {}  # x -> the encoding of phi(x), made when a product first reads it
         shared: dict = {}  # equal sums share one int, to save memory
 
@@ -456,7 +440,7 @@ class DeformationCell(_Parts):
                 encodings[x] = shared.setdefault(e, e)
             return encodings[x]
 
-        cols = self._part("cols", lambda: sorted(_bottom_firsts(index), key=in_id.__getitem__))
+        cols = self._part("cols", lambda: sorted(_orbit_tree(bottom, n)[0], key=in_id.__getitem__))
         columns = [terms_by_in(b) for b in cols]
         users = [  # users[L]: each column with terms of in-key L, and those terms
             [(c, g[L]) for c, g in enumerate(columns) if g[L]] for L in range(len(keys))
@@ -465,7 +449,8 @@ class DeformationCell(_Parts):
 
         def table_row(p):  # built when a checked row's image first reads p
             if p not in table:
-                relabelled, L = star(p), out_id[p]
+                L = out_id[p]
+                relabelled = star_relabel(p, L)  # p's star products with any q of in-key L
                 terms = {q for _, g in users[L] for q in g}
                 units = {q: 1 << find(relabelled, q) * width for q in terms}
                 row = table[p] = [0] * len(columns)

@@ -17,7 +17,10 @@ when it commutes with the images of its generators, which is how the
 duality checks solve every commutant.  ``family`` lists a monoid's
 elements, checked against its closed-form size, ``_family_index``
 numbers a diagram monoid's codes and ``_family_orbits`` holds their
-S_k x S_k symmetry, each built once per size.
+S_k x S_k symmetry (S_n x S_n for IS_n), each built once per size.  Its
+one walk, ``_orbit_tree``, lists the orbit representatives and sizes, a
+breadth-first tree and the edges that tree did not use, the only edges
+on which the cells certify what they carry along the tree.
 
 All four diagram products run on the code a diagram is stored as
 (``SetPartition.code``): a sorted tuple of ``(in_mask, out_mask)``
@@ -32,6 +35,8 @@ results they relabel.
 """
 
 import functools
+import itertools
+from array import array
 from typing import NamedTuple
 
 from .diagrams import (
@@ -174,9 +179,14 @@ def _family_index(name: str, size: int) -> dict:
 
 
 def _orbit_tree(perms: list, n: int) -> tuple:
-    """The first of 0..n-1 in each orbit under ``perms``, and a breadth-first
-    tree of the rest: (x, g, y) with x = perms[g][y], y listed before x."""
-    seen, firsts, tree = [False] * n, [], []
+    """One breadth-first walk of 0..n-1 under ``perms``: the first of each
+    orbit, each orbit's size, the tree of the rest, (x, g, y) with x =
+    perms[g][y] and y listed before x, and every other edge g: y ->
+    perms[g][y], whose end the walk had already reached, as g * n + y in
+    increasing (generator-major) order.  Tree and other edges are every
+    (g, y) once."""
+    seen, firsts, sizes, tree = [False] * n, [], [], []
+    other = bytearray([1]) * (len(perms) * n)
     for a in range(n):
         if not seen[a]:
             seen[a] = True
@@ -188,7 +198,9 @@ def _orbit_tree(perms: list, n: int) -> tuple:
                         seen[x] = True
                         queue.append(x)
                         tree.append((x, g, y))
-    return firsts, tree
+                        other[g * n + y] = 0
+            sizes.append(len(queue))
+    return firsts, sizes, tree, array("q", itertools.compress(range(len(other)), other))
 
 
 @functools.cache
@@ -196,9 +208,10 @@ def _family_orbits(name: str, size: int) -> tuple:
     """The index permutations of ``family(name, size)`` by the swap and the
     size-cycle of the top points (a diagram's in-masks, a partial
     injection's domain: pi to pi g^-1), the same of the bottom points
-    (out-masks; the image: pi to g pi), the first element of each
-    two-sided orbit, and the two-sided ``_orbit_tree``; built once per
-    (name, size), callers run the guard first.  Each family is closed under
+    (out-masks; the image: pi to g pi), then the ``_orbit_tree`` of top +
+    bottom: the first element of each two-sided orbit, the orbit sizes,
+    the tree and the edges it did not use; built once per (name, size),
+    callers run the guard first.  Each family is closed under
     exchanging the rows (``flip``: a diagram's rows, a partial injection's
     inverse), so a bottom permutation is the top one conjugated by it:
     bottom[g][x] = flip[top[g][flip[x]]]."""
@@ -213,8 +226,7 @@ def _family_orbits(name: str, size: int) -> tuple:
         top = [[index[tuple(sorted((m[i], o) for i, o in c))] for c in index] for m in moves]
         flip = [index[tuple(sorted((o, i) for i, o in c))] for c in index]
     bottom = [[flip[t[x]] for x in flip] for t in top]
-    rows, tree = _orbit_tree(top + bottom, len(index))
-    return top, bottom, rows, tree
+    return top, bottom, *_orbit_tree(top + bottom, len(index))
 
 
 class _Parts:

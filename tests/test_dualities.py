@@ -720,17 +720,19 @@ def test_certification_rejects_a_broken_non_tree_edge(monkeypatch):
     index permutations is checked.  IS_2's bottom swap (on the values)
     corrupted to fix IDENT and SWAP, an edge the tree (which reaches SWAP
     from IDENT by the top swap) never reads: IDENT's touched set, moved
-    by it, is not IDENT's own, and the message names both ends."""
+    by it, is not IDENT's own, and the message names both ends.  The
+    orbit sizes and the edges the walk lists stay those of the true
+    permutations."""
     right = rookdual.dualities._family_orbits
 
     def wrong(name, size):
-        top, bottom, rows, tree = right(name, size)
+        top, bottom, *walk = right(name, size)
         if name == "is":
             elements = family(name, size)
             bottom = [list(bottom[0]), *bottom[1:]]
             for e in (IDENT, SWAP):
                 bottom[0][elements.index(e)] = elements.index(e)
-        return top, bottom, rows, tree
+        return top, bottom, *walk
 
     monkeypatch.setattr(rookdual.dualities, "_family_orbits", wrong)
     pattern = _certification_error("left", IDENT, IDENT) + "$"

@@ -358,6 +358,15 @@ def test_exhaustive_check_relabels_once_per_element_and_in_key(map_name, monkeyp
     assert cell.index.lookups == LOOKUPS[map_name]
 
 
+def _columns(k):
+    """The columns of the homomorphism check at k, in index order: the first
+    element of each orbit of P*_k under S_k permuting the bottom points, as
+    ``_orbit_tree`` walks them."""
+    semigroups = rookdual.semigroups
+    bottom = semigroups._family_orbits("pistar", k)[1]
+    return semigroups._orbit_tree(bottom, len(semigroups._family_index("pistar", k)))[0]
+
+
 ENCODINGS = {
     (3, "block_subset_sum"): 35,
     (3, "coarsening_sum"): 47,
@@ -381,8 +390,7 @@ def test_exhaustive_check_encodes_only_the_products_it_compares(k, map_name, mon
 
     monkeypatch.setattr(rookdual.morphisms, "_encode", counted)
     cell = DeformationCell(k)
-    rows = rookdual.semigroups._family_orbits("pistar", k)[2]
-    cols = rookdual.morphisms._bottom_firsts(cell.index)
+    rows, cols = rookdual.semigroups._family_orbits("pistar", k)[2], _columns(k)
     multiply, codes = getattr(rookdual.semigroups, MAPS[map_name]), list(cell.index)
     products = {cell.index[multiply(codes[a], codes[b])] for a in rows for b in cols}
     assert cell.homomorphism(map_name).homomorphism_ok
@@ -534,7 +542,7 @@ def _repeat_empty_on_an_orbit(monkeypatch, k, map_name):
     the same on the whole orbit, so the images moved from the
     representative's walk are the walked ones, and every route judges the
     same faulty map."""
-    _, _, rows, tree = rookdual.semigroups._family_orbits("pistar", k)
+    _, _, rows, _, tree, _ = rookdual.semigroups._family_orbits("pistar", k)
     orbit = {rows[-1]}
     for x, _, y in tree:  # each parent is listed before its children
         if y in orbit:
@@ -599,8 +607,8 @@ def test_homomorphism_catches_a_coefficient_two(map_name, monkeypatch):
 def _corrupt_orbits(monkeypatch, side, edit):
     """Hand ``rookdual.morphisms`` the symmetry of P*_k with the swap's index
     permutation on ``side`` (0 the top points, 1 the bottom points)
-    replaced by ``edit`` of a copy of it; the representatives and the tree
-    stay those of the true permutations."""
+    replaced by ``edit`` of a copy of it; the representatives, the orbit
+    sizes, the tree and the other edges stay those of the true permutations."""
     right = rookdual.semigroups._family_orbits
 
     def wrong(name, size):
@@ -614,17 +622,16 @@ def _corrupt_orbits(monkeypatch, side, edit):
 def _certificate_halves(cell, map_name):
     """Whether the cell's images are equivariant under the top and under the
     bottom permutations that ``rookdual.morphisms`` reads, on every edge the
-    tree did not make: the two halves of the certificate."""
+    tree did not use, as the walk lists them: the two halves of the
+    certificate."""
     images = cell._map(map_name)[0]
-    top, bottom, _, tree = rookdual.morphisms._family_orbits("pistar", cell.k)
-    made = {(g, y): x for x, g, y in tree}
+    top, bottom, *_, edges = rookdual.morphisms._family_orbits("pistar", cell.k)
+    perms, n = top + bottom, len(images)
     return tuple(
         all(
-            sorted(map(perm.__getitem__, images[a])) == sorted(images[perm[a]])
-            for g, perm in enumerate(top + bottom)
+            sorted(map(perms[g].__getitem__, images[a])) == sorted(images[perms[g][a]])
+            for g, a in (divmod(e, n) for e in edges)
             if (g < len(top)) == (side == 0)
-            for a in range(len(images))
-            if made.get((g, a)) != perm[a]
         )
         for side in (0, 1)
     )
@@ -640,7 +647,7 @@ def test_homomorphism_catches_a_coefficient_two_off_the_representatives(map_name
     and the inverse verdict are False."""
     rows = rookdual.semigroups._family_orbits("pistar", 3)[2]
     index = rookdual.semigroups._family_index("pistar", 3)
-    cols, empty = rookdual.morphisms._bottom_firsts(index), index[()]
+    cols, empty = _columns(3), index[()]
 
     def edit(perm):
         perm[rows[-1]] = perm[empty]
@@ -674,10 +681,10 @@ def _check_a_swap_fixing(monkeypatch, map_name, text, side):
     certificate rejects the moved images, that every verdict reading them
     is False, and that each would pass with the certificate taken away."""
     k = 3
-    top, bottom, rows, _ = rookdual.semigroups._family_orbits("pistar", k)
+    top, bottom, rows = rookdual.semigroups._family_orbits("pistar", k)[:3]
     index = rookdual.semigroups._family_index("pistar", k)
     u = index[parse_element(text, "pistar", k).code]
-    cols = rookdual.morphisms._bottom_firsts(index)
+    cols = _columns(k)
     v = (top, bottom)[side][0][u]
     assert u != v and not {u, v} & set(rows + cols)
 
@@ -783,8 +790,7 @@ def test_the_naturality_pin_catches_a_walk_fault_off_the_representatives(map_nam
     and nowhere else.  The verdicts cover the maps as the walks define them
     only because the pin holds."""
     cell = DeformationCell(3)
-    rows = rookdual.semigroups._family_orbits("pistar", 3)[2]
-    cols = rookdual.morphisms._bottom_firsts(cell.index)
+    rows, cols = rookdual.semigroups._family_orbits("pistar", 3)[2], _columns(3)
     chosen = max(set(range(len(cell.elements))) - set(rows) - set(cols))
     _repeat_empty_in(monkeypatch, map_name, cell.elements[chosen].__eq__)
     images, values, equivariant, inverse_ok = cell._map(map_name)
@@ -936,7 +942,7 @@ def _natural_supports(cell, n):
         "hat": [sorted(orbit) for _, orbit in plain],
         "tilde": [sorted(rows) for rows, _ in tilde],
     }
-    top, bottom, rows, tree = rookdual.semigroups._family_orbits("pistar", k)
+    top, bottom, rows, _, tree, _ = rookdual.semigroups._family_orbits("pistar", k)
     moves = [tensor_moves(m, n, k) for m in dict.fromkeys(map(tuple, generator_moves(k)))]
     steps = [  # each generator on the coordinates dst*d + src, top then bottom
         *(lambda c, t=t: c - c % d + t[c % d] for t in moves),

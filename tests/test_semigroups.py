@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 import oracles
 import rookdual.diagrams
-import rookdual.morphisms
 import rookdual.semigroups
 from rookdual import (
     CompositionResult,
@@ -227,17 +226,18 @@ def test_representatives_are_one_per_orbit(name, k, rows_count, cols_count):
     row exchange); as rows, the first element in index order of each
     two-sided S_k x S_k orbit (both sides permuted): 1, 2, 4 and 9 for
     I*_k and 2, 6, 16 and 43 for P*_k at k = 1..4.  The columns of the
-    homomorphism check, ``morphisms._bottom_firsts``, are the same of each
-    S_k orbit of the bottom points: 1, 2, 8 and 41, and 2, 8, 41 and 252.
-    The orbits, closed under all of S_k (on both sides for the rows) here,
-    partition the family, and each holds exactly one representative.  The
-    tree lists every element but the rows once, as x = (top + bottom)[g][y]
-    after its parent y."""
+    homomorphism check, the firsts of ``_orbit_tree`` on the bottom
+    permutations, are the same of each S_k orbit of the bottom points: 1,
+    2, 8 and 41, and 2, 8, 41 and 252.  The orbits, closed under all of S_k
+    (on both sides for the rows) here, partition the family, and each holds
+    exactly one representative.  The walk's orbit sizes are those of the
+    rows' orbits and its tree and other edges are every edge once
+    (``_assert_one_walk``)."""
     family(name, k)
     index = rookdual.semigroups._family_index(name, k)
     codes = list(index)
-    top, bottom, rows, tree = rookdual.semigroups._family_orbits(name, k)
-    cols = rookdual.morphisms._bottom_firsts(index)
+    top, bottom, rows, sizes, tree, edges = rookdual.semigroups._family_orbits(name, k)
+    cols = rookdual.semigroups._orbit_tree(bottom, len(codes))[0]
     moves = oracles.generator_moves(k)
     group = [oracles.mask_images(g, k) for g in itertools.permutations(range(k))]
     for side, perms in ((0, top), (1, bottom)):  # the swap and the k-cycle coincide at k = 2
@@ -258,24 +258,23 @@ def test_representatives_are_one_per_orbit(name, k, rows_count, cols_count):
         assert sum(map(len, orbits)) == len(codes)
         assert all(len(orbit & set(reps)) == 1 for orbit in orbits)
         assert reps == sorted(min(orbit) for orbit in orbits)
+    assert sizes == [len(next(o for o in row_orbits if a in o)) for a in rows]
+    _assert_one_walk(top + bottom, rows, sizes, tree, edges, len(codes))
+
+
+def _assert_one_walk(perms, rows, sizes, tree, edges, n):
+    """The tree of ``_orbit_tree`` lists every element but the rows once, as
+    x = perms[g][y] after its parent y; its edges and the listed other
+    edges, as g * n + y, are every (g, y) exactly once, the other edges in
+    generator-major order; and the orbit sizes sum to the family's size."""
     listed = set(rows)
     for x, g, y in tree:
-        assert y in listed and x not in listed and (top + bottom)[g][y] == x
+        assert y in listed and x not in listed and perms[g][y] == x
         listed.add(x)
-    assert listed == set(range(len(codes)))
-
-
-@pytest.mark.parametrize("name,k", [(name, k) for name in ("istar", "pistar") for k in (1, 2, 3, 4)])
-def test_bottom_firsts_equal_the_bottom_orbit_tree(name, k):
-    """``morphisms._bottom_firsts`` reads the first element of each bottom
-    orbit off a key per element (the in-masks with their blocks' out-mask
-    sizes) instead of walking the bottom permutations; the firsts are those
-    of the walk, ``_orbit_tree(bottom, n)[0]``."""
-    family(name, k)
-    bottom = rookdual.semigroups._family_orbits(name, k)[1]
-    index = rookdual.semigroups._family_index(name, k)
-    cols = rookdual.morphisms._bottom_firsts(index)
-    assert cols == rookdual.semigroups._orbit_tree(bottom, len(index))[0]
+    assert listed == set(range(n))
+    assert list(edges) == sorted(edges)
+    assert sorted([g * n + y for _, g, y in tree] + list(edges)) == list(range(len(perms) * n))
+    assert sum(sizes) == n
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -284,20 +283,18 @@ def test_rook_representatives_are_one_per_rank(n):
     pi g^-1 (the top: g moves the domain) and of pi to g pi (the bottom: g
     moves the image), for g the swap and the n-cycle, each as composing
     the target tuples makes it; the rows are the first element of each
-    rank, one per two-sided S_n x S_n orbit (n + 1 of them); and the tree
-    lists every other element once, after its parent."""
+    rank, one per two-sided S_n x S_n orbit (n + 1 of them), and the sizes
+    the number of elements of each rank; and the walk is one
+    (``_assert_one_walk``)."""
     elements = family("is", n)
     index = rookdual.semigroups._family_index("is", n)
-    top, bottom, rows, tree = rookdual.semigroups._family_orbits("is", n)
+    top, bottom, rows, sizes, tree, edges = rookdual.semigroups._family_orbits("is", n)
     gens = [PartialInjection([g[i] + 1 for i in range(n)]) for g in oracles.symmetric_generators(n)]
     assert top == [[index[(e * g.inverse()).targets] for e in elements] for g in gens]
     assert bottom == [[index[(g * e).targets] for e in elements] for g in gens]
     assert rows == [min(a for a, e in enumerate(elements) if e.rank() == r) for r in range(n + 1)]
-    listed = set(rows)
-    for x, g, y in tree:
-        assert y in listed and x not in listed and (top + bottom)[g][y] == x
-        listed.add(x)
-    assert listed == set(range(len(elements)))
+    assert sizes == [sum(e.rank() == r for e in elements) for r in range(n + 1)]
+    _assert_one_walk(top + bottom, rows, sizes, tree, edges, len(elements))
 
 
 @settings(max_examples=200, deadline=None)
